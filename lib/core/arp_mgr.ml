@@ -129,6 +129,6 @@ let resolve t dst k =
       end
 
 (* Pre-populate the cache (experiments measure steady state, as the
-   paper's do). *)
-let prime t dst mac =
-  Proto.Arp.Cache.insert t.cache ~now:(Sim.Engine.now t.engine) dst mac
+   paper's do).  The entry is static: a run long enough to outlive the
+   cache TTL must not start resolving mid-measurement. *)
+let prime t dst mac = Proto.Arp.Cache.insert_static t.cache dst mac

@@ -116,7 +116,7 @@ let install_handler t ~owner ~etype ?(cost = Sim.Stime.us 4) fn =
    frame to the driver. *)
 let send t ?prio:p ~dst ~etype payload =
   let prio = match p with Some p -> p | None -> prio t in
-  Sim.Cpu.run (cpu t) ~prio ~cost:t.costs.Netsim.Costs.layer.ether_out (fun () ->
+  Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ether_out (fun () ->
       Proto.Ether.encapsulate payload
         { Proto.Ether.dst; src = Netsim.Dev.mac t.dev; etype };
       Netsim.Dev.transmit t.dev ~prio payload)

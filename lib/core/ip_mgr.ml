@@ -206,7 +206,7 @@ let send t ?prio:p ~proto ~dst payload =
       let len = Mbuf.length payload in
       let src = host_ip t in
       if len + Proto.Ipv4.header_len <= mtu then begin
-        Sim.Cpu.run (cpu t) ~prio ~cost:t.costs.Netsim.Costs.layer.ip_out
+        Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out
           (fun () ->
             Proto.Ipv4.encapsulate payload
               (Proto.Ipv4.make ~id:(fresh_id t) ~proto ~src ~dst
@@ -220,7 +220,7 @@ let send t ?prio:p ~proto ~dst payload =
         let frags = Proto.Ip_frag.fragment ~mtu payload in
         let n = List.length frags in
         t.counters.fragments_out <- t.counters.fragments_out + n;
-        Sim.Cpu.run (cpu t) ~prio
+        Sim.Cpu.submit (cpu t) prio
           ~cost:(Sim.Stime.mul t.costs.Netsim.Costs.layer.ip_out n)
           (fun () ->
             List.iter
@@ -248,5 +248,5 @@ let send_prepared t ?prio:p ~dst pkt =
   | None -> invalid_arg "Ip_mgr.send_prepared: no route"
   | Some route ->
       let prio = match p with Some p -> p | None -> Ether_mgr.prio route.ether in
-      Sim.Cpu.run (cpu t) ~prio ~cost:t.costs.Netsim.Costs.layer.ip_out
+      Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out
         (fun () -> emit t route ~prio ~dst pkt)

@@ -106,14 +106,14 @@ let make_env t conn_ref remote_ip_ref =
         in
         let cost = Sim.Stime.add t.costs.Netsim.Costs.layer.tcp_out cksum in
         let prio = prio t in
-        Sim.Cpu.run (cpu t) ~prio ~cost (fun () ->
+        Sim.Cpu.submit (cpu t) prio ~cost (fun () ->
             Ip_mgr.send t.ip ~prio ~proto:Proto.Ipv4.proto_tcp ~dst:!remote_ip_ref
               pkt));
     on_receive =
       (fun data ->
         match !conn_ref with
         | Some c ->
-            Sim.Cpu.run (cpu t) ~prio:(prio t)
+            Sim.Cpu.submit (cpu t) (prio t)
               ~cost:t.costs.Netsim.Costs.layer.app (fun () -> c.user_rx data)
         | None -> ());
     on_established =
@@ -122,7 +122,7 @@ let make_env t conn_ref remote_ip_ref =
       (* routed through the CPU queue so EOF cannot overtake data that is
          still being delivered *)
       (fun () ->
-        Sim.Cpu.run (cpu t) ~prio:(prio t) ~cost:Sim.Stime.zero (fun () ->
+        Sim.Cpu.submit (cpu t) (prio t) ~cost:Sim.Stime.zero (fun () ->
             match !conn_ref with Some c -> c.user_peer_close () | None -> ()));
     on_close =
       (fun () ->
@@ -136,7 +136,7 @@ let make_env t conn_ref remote_ip_ref =
               release_port t (Endpoint.port c.ep)
             end
         | None -> ());
-        Sim.Cpu.run (cpu t) ~prio:(prio t) ~cost:Sim.Stime.zero (fun () ->
+        Sim.Cpu.submit (cpu t) (prio t) ~cost:Sim.Stime.zero (fun () ->
             match !conn_ref with Some c -> c.user_close () | None -> ()));
     on_error =
       (fun msg -> match !conn_ref with Some c -> c.user_error msg | None -> ());

@@ -286,7 +286,7 @@ let do_send_mbuf ?(extra_cost = Sim.Stime.zero) t ep ~prio ~dst:(dip, dport)
         | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
         | Spin.Dispatcher.Thread -> Sim.Cpu.Thread)
   in
-  Sim.Cpu.run (cpu t) ~prio
+  Sim.Cpu.submit (cpu t) prio
     ~cost:
       (Sim.Stime.add extra_cost
          (Sim.Stime.add t.costs.Netsim.Costs.layer.udp_out cksum_cost))
@@ -323,7 +323,7 @@ let send_multi t ep ?prio ?(checksum = true) ~dsts data =
       in
       (* one marshal+checksum pass, then a cheap replicated send per
          destination *)
-      Sim.Cpu.run (cpu t) ~prio
+      Sim.Cpu.submit (cpu t) prio
         ~cost:(Sim.Stime.add t.costs.Netsim.Costs.layer.udp_out cksum_cost)
         (fun () ->
           List.iter

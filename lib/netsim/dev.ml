@@ -480,9 +480,7 @@ let apply_faults t peer plan frame ~len ~now =
             fault_span t ~fault:"delay"
               ~detail:(Sim.Stime.to_string d.Faults.extra_delay);
           let delay = Sim.Stime.add t.params.Costs.prop_delay d.Faults.extra_delay in
-          ignore
-            (Sim.Engine.schedule_in t.engine ~delay (fun () ->
-                 deliver_to peer f)))
+          Sim.Engine.post_in t.engine ~delay (fun () -> deliver_to peer f))
         frames
 
 let transmit t ?(prio = Sim.Cpu.Thread) pkt =
@@ -496,7 +494,7 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
   let frame = Mbuf.ro (Mbuf.take pkt) in
   (* Driver send cost (+ PIO write). *)
   let cost = Sim.Stime.add t.params.Costs.tx_fixed (pio_cost t len) in
-  Sim.Cpu.run t.cpu ~prio ~cost (fun () ->
+  Sim.Cpu.submit t.cpu prio ~cost (fun () ->
       if t.txq >= t.params.Costs.txq_limit then begin
         t.counters.tx_drops <- t.counters.tx_drops + 1;
         if Sim.Trace.on () then
@@ -519,38 +517,36 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
         if Sim.Trace.on () then
           Sim.Trace.emit now "%s: tx %d bytes (wire until %a)" t.name len
             Sim.Stime.pp done_at;
-        ignore
-          (Sim.Engine.schedule t.engine ~at:done_at (fun () ->
-               t.txq <- t.txq - 1;
-               match t.peer with
-               | None -> Mbuf.free frame
-               | Some peer ->
-                   if
-                     t.loss_prob > 0.
-                     && (t.loss_prob >= 1.
-                        || Sim.Rng.float (Sim.Engine.rng t.engine) 1.0
-                           < t.loss_prob)
-                   then begin
-                     (* Wire loss is fault injection, not queue overflow:
-                        counted apart from [tx_drops]. *)
-                     t.counters.wire_drops <- t.counters.wire_drops + 1;
-                     if Sim.Trace.on () then
-                       Sim.Trace.drop
-                         (Sim.Engine.now t.engine)
-                         ~scope:t.name ~reason:"wire_loss";
-                     fault_span t ~fault:"loss" ~detail:"";
-                     Mbuf.free frame
-                   end
-                   else
-                     match t.faults with
-                     | None ->
-                         ignore
-                           (Sim.Engine.schedule_in t.engine
-                              ~delay:t.params.Costs.prop_delay (fun () ->
-                                deliver_to peer frame))
-                     | Some plan ->
-                         apply_faults t peer plan frame ~len
-                           ~now:(Sim.Engine.now t.engine)))
+        Sim.Engine.post t.engine ~at:done_at (fun () ->
+          t.txq <- t.txq - 1;
+          match t.peer with
+          | None -> Mbuf.free frame
+          | Some peer ->
+              if
+                t.loss_prob > 0.
+                && (t.loss_prob >= 1.
+                   || Sim.Rng.float (Sim.Engine.rng t.engine) 1.0
+                      < t.loss_prob)
+              then begin
+                (* Wire loss is fault injection, not queue overflow:
+                   counted apart from [tx_drops]. *)
+                t.counters.wire_drops <- t.counters.wire_drops + 1;
+                if Sim.Trace.on () then
+                  Sim.Trace.drop
+                    (Sim.Engine.now t.engine)
+                    ~scope:t.name ~reason:"wire_loss";
+                fault_span t ~fault:"loss" ~detail:"";
+                Mbuf.free frame
+              end
+              else
+                match t.faults with
+                | None ->
+                    Sim.Engine.post_in t.engine
+                      ~delay:t.params.Costs.prop_delay (fun () ->
+                        deliver_to peer frame)
+                | Some plan ->
+                    apply_faults t peer plan frame ~len
+                      ~now:(Sim.Engine.now t.engine))
       end)
 
 (* Raw wire occupancy for a packet of [len] bytes — used by experiments to

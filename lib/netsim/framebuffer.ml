@@ -19,7 +19,7 @@ let create ~cpu ~costs =
 
 let write t ?(prio = Sim.Cpu.Thread) ~len k =
   let cost = Costs.per_byte t.ns_per_byte len in
-  Sim.Cpu.run t.cpu ~prio ~cost (fun () ->
+  Sim.Cpu.submit t.cpu prio ~cost (fun () ->
       t.bytes_written <- t.bytes_written + len;
       t.frames <- t.frames + 1;
       k ())

@@ -83,13 +83,16 @@ module Cache = struct
         None
     | None -> None
 
-  let insert t ~now ip mac =
-    Hashtbl.replace t.entries ip { mac; expires = Sim.Stime.add now t.ttl };
+  let resolved t ip mac expires =
+    Hashtbl.replace t.entries ip { mac; expires };
     match Hashtbl.find_opt t.waiting ip with
     | None -> ()
     | Some ks ->
         Hashtbl.remove t.waiting ip;
         List.iter (fun k -> k mac) (List.rev ks)
+
+  let insert t ~now ip mac = resolved t ip mac (Sim.Stime.add now t.ttl)
+  let insert_static t ip mac = resolved t ip mac (Sim.Stime.ns max_int)
 
   let wait t ip k =
     let ks = Option.value (Hashtbl.find_opt t.waiting ip) ~default:[] in

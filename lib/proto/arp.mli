@@ -28,6 +28,9 @@ module Cache : sig
   val lookup : t -> now:Sim.Stime.t -> Ipaddr.t -> Ether.Mac.t option
   val insert : t -> now:Sim.Stime.t -> Ipaddr.t -> Ether.Mac.t -> unit
 
+  val insert_static : t -> Ipaddr.t -> Ether.Mac.t -> unit
+  (** An entry that never expires (until a learned one replaces it). *)
+
   val wait : t -> Ipaddr.t -> (Ether.Mac.t -> unit) -> unit
   (** Queue a continuation until the address resolves. *)
 

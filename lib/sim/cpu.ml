@@ -8,22 +8,58 @@
    tens of microseconds.
 
    The continuation runs at the moment its work *completes*, so a chain of
-   [run] calls naturally yields end-to-end latency including queueing. *)
+   [run] calls naturally yields end-to-end latency including queueing.
+
+   Host cost: a work item is one mutable record, recycled through a free
+   list and chained into the run queues through its own [next] field; the
+   item in service lives in plain fields, and its completion is a single
+   engine timer re-armed for every item.  Serving an item therefore
+   allocates nothing beyond the caller's continuation. *)
 
 type prio = Interrupt | Thread
 
-type work = { cost : Stime.t; k : unit -> unit }
+type work = {
+  mutable cost : Stime.t;
+  mutable k : unit -> unit;
+  mutable next : work; (* queue / free-list link; [nil] ends a chain *)
+}
+
+let noop () = ()
+let rec nil = { cost = Stime.zero; k = noop; next = nil }
+
+(* FIFO of work items linked through [next]. *)
+type queue = { mutable head : work; mutable tail : work; mutable len : int }
+
+let queue () = { head = nil; tail = nil; len = 0 }
+
+let push q w =
+  w.next <- nil;
+  if q.head == nil then q.head <- w else q.tail.next <- w;
+  q.tail <- w;
+  q.len <- q.len + 1
+
+let pop q =
+  let w = q.head in
+  q.head <- w.next;
+  if q.head == nil then q.tail <- nil;
+  q.len <- q.len - 1;
+  w.next <- nil;
+  w
 
 type t = {
   engine : Engine.t;
   name : string;
-  intr_q : work Queue.t;
-  thread_q : work Queue.t;
-  mutable resumed : work option;  (* preempted thread work, served first *)
+  intr_q : queue;
+  thread_q : queue;
+  mutable resumed : work;  (* preempted thread work, served first; or nil *)
   mutable busy : bool;
   mutable preemptive : bool;
-  mutable current : (work * prio * Stime.t * Engine.handle) option;
-      (* item in service: work, priority, start time, completion event *)
+  mutable current : work;  (* item in service, or nil *)
+  mutable current_prio : prio;
+  mutable started : Stime.t;  (* when [current] entered service *)
+  done_at : Engine.handle;  (* completion event of [current] *)
+  mutable complete : unit -> unit;  (* its thunk, built once *)
+  mutable free : work;  (* recycled items, linked through [next] *)
   mutable reserved_until : Stime.t;
       (* CPU time charged inline via [charge], with no work item of its
          own: service of queued work is pushed past this instant *)
@@ -32,23 +68,6 @@ type t = {
   mutable window_busy : Stime.t;     (* busy time within the window *)
   mutable served : int;
 }
-
-let create engine ~name =
-  {
-    engine;
-    name;
-    intr_q = Queue.create ();
-    thread_q = Queue.create ();
-    resumed = None;
-    busy = false;
-    preemptive = false;
-    current = None;
-    reserved_until = Stime.zero;
-    busy_ns = Stime.zero;
-    window_start = Stime.zero;
-    window_busy = Stime.zero;
-    served = 0;
-  }
 
 let name t = t.name
 let engine t = t.engine
@@ -62,55 +81,99 @@ let served t = t.served
 let set_preemptive t flag = t.preemptive <- flag
 let preemptive t = t.preemptive
 
+let take t cost k =
+  let w = t.free in
+  if w == nil then { cost; k; next = nil }
+  else begin
+    t.free <- w.next;
+    w.cost <- cost;
+    w.k <- k;
+    w.next <- nil;
+    w
+  end
+
+let recycle t w =
+  w.k <- noop;
+  w.next <- t.free;
+  t.free <- w
+
 let rec service t =
-  let next =
-    if not (Queue.is_empty t.intr_q) then Some (Queue.pop t.intr_q, Interrupt)
-    else
-      match t.resumed with
-      | Some w ->
-          t.resumed <- None;
-          Some (w, Thread)
-      | None ->
-          if not (Queue.is_empty t.thread_q) then
-            Some (Queue.pop t.thread_q, Thread)
-          else None
-  in
-  match next with
-  | None ->
-      t.busy <- false;
-      t.current <- None
-  | Some (w, prio) -> serve t w prio
+  if t.intr_q.head != nil then serve t (pop t.intr_q) Interrupt
+  else if t.resumed != nil then begin
+    let w = t.resumed in
+    t.resumed <- nil;
+    serve t w Thread
+  end
+  else if t.thread_q.head != nil then serve t (pop t.thread_q) Thread
+  else begin
+    t.busy <- false;
+    t.current <- nil
+  end
 
 and serve t w prio =
   t.busy <- true;
   let started = Engine.now t.engine in
   (* an outstanding inline charge delays service of queued work *)
   let wait = Stime.max Stime.zero (Stime.sub t.reserved_until started) in
-  let handle =
-    Engine.schedule_in t.engine ~delay:(Stime.add wait w.cost) (fun () ->
-        t.current <- None;
-        t.busy_ns <- Stime.add t.busy_ns w.cost;
-        t.window_busy <- Stime.add t.window_busy w.cost;
-        t.served <- t.served + 1;
-        w.k ();
-        service t)
+  t.current <- w;
+  t.current_prio <- prio;
+  t.started <- started;
+  Engine.arm t.engine t.done_at
+    ~at:(Stime.add started (Stime.add wait w.cost))
+    t.complete
+
+let complete t =
+  let w = t.current in
+  t.current <- nil;
+  t.busy_ns <- Stime.add t.busy_ns w.cost;
+  t.window_busy <- Stime.add t.window_busy w.cost;
+  t.served <- t.served + 1;
+  let k = w.k in
+  recycle t w;
+  k ();
+  service t
+
+let create engine ~name =
+  let t =
+    {
+      engine;
+      name;
+      intr_q = queue ();
+      thread_q = queue ();
+      resumed = nil;
+      busy = false;
+      preemptive = false;
+      current = nil;
+      current_prio = Thread;
+      started = Stime.zero;
+      done_at = Engine.timer engine;
+      complete = noop;
+      free = nil;
+      reserved_until = Stime.zero;
+      busy_ns = Stime.zero;
+      window_start = Stime.zero;
+      window_busy = Stime.zero;
+      served = 0;
+    }
   in
-  t.current <- Some (w, prio, started, handle)
+  t.complete <- (fun () -> complete t);
+  t
 
 (* Suspend in-service thread work so that a just-arrived interrupt runs
    immediately; the consumed slice is charged now and the remainder goes
    back to the head of the line. *)
 let preempt t =
-  match t.current with
-  | Some (w, Thread, started, handle) ->
-      Engine.cancel handle;
-      let consumed = Stime.sub (Engine.now t.engine) started in
-      t.busy_ns <- Stime.add t.busy_ns consumed;
-      t.window_busy <- Stime.add t.window_busy consumed;
-      t.resumed <- Some { w with cost = Stime.sub w.cost consumed };
-      t.current <- None;
-      service t
-  | _ -> ()
+  if t.current != nil && t.current_prio = Thread then begin
+    let w = t.current in
+    Engine.cancel t.done_at;
+    let consumed = Stime.sub (Engine.now t.engine) t.started in
+    t.busy_ns <- Stime.add t.busy_ns consumed;
+    t.window_busy <- Stime.add t.window_busy consumed;
+    w.cost <- Stime.sub w.cost consumed;
+    t.resumed <- w;
+    t.current <- nil;
+    service t
+  end
 
 (* Account CPU work performed inline by the caller, with no work item and
    no engine event: the CPU is reserved until now + cost, so pending and
@@ -124,16 +187,18 @@ let charge t ~cost =
   t.busy_ns <- Stime.add t.busy_ns cost;
   t.window_busy <- Stime.add t.window_busy cost
 
-let run t ?(prio = Thread) ~cost k =
+let submit t prio ~cost k =
+  let w = take t cost k in
   if not t.busy then
     (* idle CPU: the queues are empty (service drains them before
        clearing [busy]), so skip the queue round-trip entirely *)
-    serve t { cost; k } prio
+    serve t w prio
   else begin
-    let q = match prio with Interrupt -> t.intr_q | Thread -> t.thread_q in
-    Queue.push { cost; k } q;
+    push (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) w;
     if t.preemptive && prio = Interrupt then preempt t
   end
+
+let run t ?(prio = Thread) ~cost k = submit t prio ~cost k
 
 let reset_window t =
   t.window_start <- Engine.now t.engine;
@@ -148,5 +213,4 @@ let utilization t =
     float_of_int u /. float_of_int e
 
 let queue_depth t =
-  Queue.length t.intr_q + Queue.length t.thread_q
-  + match t.resumed with Some _ -> 1 | None -> 0
+  t.intr_q.len + t.thread_q.len + if t.resumed != nil then 1 else 0

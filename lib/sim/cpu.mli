@@ -24,6 +24,11 @@ val run : t -> ?prio:prio -> cost:Stime.t -> (unit -> unit) -> unit
     work completes.  Two-level priority service, non-preemptive by
     default (see {!set_preemptive}). *)
 
+val submit : t -> prio -> cost:Stime.t -> (unit -> unit) -> unit
+(** {!run} with the priority passed positionally.  Use it where the
+    priority is a variable: an optional argument boxes it in [Some] at
+    every call, and this is the allocation-free form. *)
+
 val charge : t -> cost:Stime.t -> unit
 (** Account [cost] of CPU time performed inline by the caller, without a
     work item or an engine event: the CPU is reserved until [now + cost]

@@ -3,125 +3,77 @@
    runs it.
 
    Events live in a hierarchical timer wheel (O(1) schedule, O(1) true
-   cancel that drops the thunk eagerly).  The wheel's horizon advances to
-   the earliest pending deadline whenever we peek ahead — e.g. when
-   [run ~until] looks past the horizon and stops — so an event scheduled
-   after such a run can land *behind* the wheel.  Those rare stragglers go
-   to a small binary-heap side queue; pops merge the two by (key, seq) so
-   global firing order is identical to a single stable heap. *)
+   cancel that drops the thunk eagerly).  An event is one wheel node and
+   nothing else: no option around the thunk, no handle wrapper, no tuple
+   out of the pop.  Events without a handle ([post]) recycle their node,
+   and a re-armable [timer] reuses one node for its whole life, so the
+   only allocation left on those paths is the caller's closure.
 
-type event = { seq : int; mutable thunk : (unit -> unit) option }
+   The wheel's horizon moves only when an event pops, and the clock
+   follows the pops, so every schedule (at or after the clock) lands
+   inside the wheel: [run ~until] looks ahead with [min_key], which reads
+   without cascading. *)
 
-type handle =
-  | Wheel of event Timer_wheel.node
-  | Front of t * event
+type handle = (unit -> unit) Timer_wheel.node
 
-and t = {
+type t = {
   mutable clock : Stime.t;
-  wheel : event Timer_wheel.t;
-  front : event Pheap.t; (* events scheduled behind the wheel horizon *)
-  mutable front_live : int;
+  wheel : (unit -> unit) Timer_wheel.t;
   rng : Rng.t;
   mutable events_run : int;
-  mutable next_seq : int;
 }
+
+let noop () = ()
 
 let create ?(seed = 42) () =
   {
     clock = Stime.zero;
-    wheel = Timer_wheel.create ();
-    front = Pheap.create ();
-    front_live = 0;
+    wheel = Timer_wheel.create ~dummy:noop ();
     rng = Rng.create seed;
     events_run = 0;
-    next_seq = 0;
   }
 
 let now t = t.clock
 let rng t = t.rng
 let events_run t = t.events_run
-let pending t = Timer_wheel.live t.wheel + t.front_live
+let pending t = Timer_wheel.live t.wheel
 
-let schedule t ~at thunk =
+let key_of t at =
   if Stime.compare at t.clock < 0 then
     invalid_arg "Engine.schedule: cannot schedule in the past";
-  let key = Stime.to_ns at in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let ev = { seq; thunk = Some thunk } in
-  if key >= Timer_wheel.horizon t.wheel then Wheel (Timer_wheel.add t.wheel ~key ev)
-  else begin
-    Pheap.add t.front ~key ev;
-    t.front_live <- t.front_live + 1;
-    Front (t, ev)
-  end
+  Stime.to_ns at
 
+let schedule t ~at thunk = Timer_wheel.add t.wheel ~key:(key_of t at) thunk
 let schedule_in t ~delay thunk = schedule t ~at:(Stime.add t.clock delay) thunk
-
-let cancel h =
-  match h with
-  | Wheel node -> Timer_wheel.cancel node
-  | Front (t, ev) ->
-      if ev.thunk <> None then begin
-        ev.thunk <- None;
-        t.front_live <- t.front_live - 1
-      end
-
-(* Peek the side queue, discarding cancelled entries as we meet them. *)
-let rec front_peek t =
-  match Pheap.peek_min t.front with
-  | None -> None
-  | Some (_, ev) when ev.thunk = None ->
-      ignore (Pheap.pop_min t.front);
-      front_peek t
-  | Some (key, ev) -> Some (key, ev)
-
-let next_key t =
-  match (front_peek t, Timer_wheel.peek_min t.wheel) with
-  | None, None -> None
-  | Some (k, _), None | None, Some (k, _) -> Some k
-  | Some (fk, _), Some (wk, _) -> Some (min fk wk)
-
-let pop_next t =
-  match (front_peek t, Timer_wheel.peek_min t.wheel) with
-  | None, None -> None
-  | Some _, None ->
-      t.front_live <- t.front_live - 1;
-      Pheap.pop_min t.front
-  | None, Some _ -> Timer_wheel.pop_min t.wheel
-  | Some (fk, fev), Some (wk, wev) ->
-      if fk < wk || (fk = wk && fev.seq < wev.seq) then begin
-        t.front_live <- t.front_live - 1;
-        Pheap.pop_min t.front
-      end
-      else Timer_wheel.pop_min t.wheel
+let post t ~at thunk = Timer_wheel.post t.wheel ~key:(key_of t at) thunk
+let post_in t ~delay thunk = post t ~at:(Stime.add t.clock delay) thunk
+let timer t = Timer_wheel.node t.wheel
+let arm t h ~at thunk = Timer_wheel.arm h ~key:(key_of t at) thunk
+let cancel h = Timer_wheel.cancel h
 
 let step t =
-  match pop_next t with
-  | None -> false
-  | Some (key, ev) ->
-      t.clock <- Stime.ns key;
-      (match ev.thunk with
-      | Some k ->
-          ev.thunk <- None;
-          t.events_run <- t.events_run + 1;
-          k ()
-      | None -> assert false (* live entries always carry a thunk *));
-      true
+  if Timer_wheel.is_empty t.wheel then false
+  else begin
+    let n = Timer_wheel.pop t.wheel in
+    t.clock <- Stime.ns (Timer_wheel.key n);
+    let k = Timer_wheel.value n in
+    Timer_wheel.release n;
+    t.events_run <- t.events_run + 1;
+    k ();
+    true
+  end
 
 let run ?until ?(max_events = max_int) t =
-  let continue () =
-    match until with
-    | None -> true
-    | Some limit -> (
-        match next_key t with
-        | None -> false
-        | Some key -> key <= Stime.to_ns limit)
-  in
-  let rec loop n = if n < max_events && continue () && step t then loop (n + 1) in
-  loop 0;
-  (* If we stopped because of the horizon, advance the clock to it so that
-     utilization windows are well-defined. *)
+  let n = ref 0 in
   match until with
-  | Some limit when Stime.compare t.clock limit < 0 -> t.clock <- limit
-  | _ -> ()
+  | None -> while !n < max_events && step t do incr n done
+  | Some limit ->
+      let key = Stime.to_ns limit in
+      while
+        !n < max_events && Timer_wheel.min_key t.wheel <= key && step t
+      do
+        incr n
+      done;
+      (* If we stopped because of the horizon, advance the clock to it so
+         that utilization windows are well-defined. *)
+      if Stime.compare t.clock limit < 0 then t.clock <- limit

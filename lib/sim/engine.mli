@@ -32,6 +32,21 @@ val schedule : t -> at:Stime.t -> (unit -> unit) -> handle
 val schedule_in : t -> delay:Stime.t -> (unit -> unit) -> handle
 (** [schedule_in t ~delay k] runs [k] after [delay] of virtual time. *)
 
+val post : t -> at:Stime.t -> (unit -> unit) -> unit
+(** [schedule] for an event nobody will cancel: its record is recycled
+    once it has fired, so posting allocates nothing but the thunk. *)
+
+val post_in : t -> delay:Stime.t -> (unit -> unit) -> unit
+
+val timer : t -> handle
+(** An unscheduled event record that {!arm} can schedule again and again
+    — one record for a stream of one-at-a-time deadlines. *)
+
+val arm : t -> handle -> at:Stime.t -> (unit -> unit) -> unit
+(** [arm t h ~at k] schedules [h] to run [k] at [at], moving it if it is
+    still pending.  The record must come from {!timer} or {!schedule}.
+    @raise Invalid_argument if [at] is in the past. *)
+
 val cancel : handle -> unit
 (** Prevent a scheduled event from running.  The event is removed from the
     queue immediately and its thunk dropped, so cancellation retains no

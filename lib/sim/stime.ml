@@ -21,10 +21,12 @@ let add = ( + )
 let sub = ( - )
 let mul t k = t * k
 let scale t f = int_of_float (float_of_int t *. f +. 0.5)
-let max = Stdlib.max
-let min = Stdlib.min
-let compare = Stdlib.compare
-let equal : t -> t -> bool = ( = )
+(* Written out on ints: the Stdlib versions are polymorphic and, without
+   flambda, every call would go through the generic structural compare. *)
+let max (a : t) (b : t) = if a >= b then a else b
+let min (a : t) (b : t) = if a <= b then a else b
+let compare (a : t) (b : t) = Int.compare a b
+let equal (a : t) (b : t) = a = b
 let ( + ) = add
 let ( - ) = sub
 let is_positive t = t > 0

@@ -438,6 +438,46 @@ type 'a tree = {
          (dispatchers are single-domain, so this cannot race) *)
 }
 
+(* Queued dispatcher work: the second half of a raise (the demux, run
+   when its modelled cost completes) and one handler invocation.  The
+   records are recycled through per-event stashes, and the thunk handed
+   to the CPU ([dm_run] / [dl_run]) is a closure over the record itself,
+   built once with it, so queueing a demux or a delivery allocates
+   nothing in steady state.  A stashed record still points at the last
+   payload it carried until it is reused; the stash never grows past the
+   event's peak of queued work. *)
+type 'a demux = {
+  mutable dm_v : 'a;
+  mutable dm_flow : flow;
+  mutable dm_over : Sim.Cpu.prio option;
+  mutable dm_leaf : 'a tleaf;  (* the raise-time walk's leaf *)
+  mutable dm_gen : int;        (* generation that leaf was found at *)
+  mutable dm_run : unit -> unit;
+}
+
+type 'a invocation = {
+  mutable dl_h : 'a handler;
+  mutable dl_v : 'a;
+  mutable dl_flow : flow;
+  mutable dl_over : Sim.Cpu.prio option;
+  mutable dl_cost : Sim.Stime.t;  (* modelled run cost (plain handlers) *)
+  mutable dl_plan : Ephemeral.plan option;  (* ephemeral handlers *)
+  mutable dl_run : unit -> unit;
+}
+
+type 'r stash = { mutable items : 'r array; mutable n : int }
+
+let stash () = { items = [||]; n = 0 }
+
+let stash_put s r =
+  if s.n = Array.length s.items then begin
+    let bigger = Array.make (max 8 (2 * s.n)) r in
+    Array.blit s.items 0 bigger 0 s.n;
+    s.items <- bigger
+  end;
+  s.items.(s.n) <- r;
+  s.n <- s.n + 1
+
 type 'a event = {
   disp : t;
   ename : string;
@@ -475,6 +515,8 @@ type 'a event = {
   ev_tree : int ref;      (* raises served by a merged-tree walk *)
   tr_rebuilds : int ref;
   tr_resid_evals : int ref;
+  demuxes : 'a demux stash;
+  deliveries : 'a invocation stash;
 }
 
 let info_of_event ev =
@@ -884,12 +926,11 @@ let candidates ev v =
 (* Open-addressed jump-table probe: returns the slot holding [v] or the
    first empty slot.  Power-of-two table, Fibonacci-ish multiplicative
    hash, linear probing; load factor <= 1/2 keeps probes short. *)
-let jump_index keys mask v =
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = v || k = -1 then i else probe ((i + 1) land mask)
-  in
-  probe ((v * 0x9e3779b1) land mask)
+let rec jump_probe keys mask v i =
+  let k = Array.unsafe_get keys i in
+  if k = v || k = -1 then i else jump_probe keys mask v ((i + 1) land mask)
+
+let jump_index keys mask v = jump_probe keys mask v ((v * 0x9e3779b1) land mask)
 
 (* Dimensions above this bound (or negative keys) fall back to the
    bucket index: the walk's scratch array is sized by the max dimension,
@@ -1047,29 +1088,29 @@ let tree_for ev =
 
 (* One walk: at each switch read the payload's value for that dimension
    from the scratch array and jump.  Returns the leaf and the number of
-   switches visited (the [costs.tree_node] multiplier). *)
-let tree_walk tr s =
-  let rec go n visited =
-    match n with
-    | Tleaf l ->
-        tr.tr_visited <- visited;
-        l
-    | Tswitch sw ->
-        let value =
-          if sw.ts_dim < Array.length s then Array.unsafe_get s sw.ts_dim
-          else -1
-        in
-        let next =
-          if value < 0 then sw.ts_default
-          else
-            let i = jump_index sw.ts_keys sw.ts_mask value in
-            if Array.unsafe_get sw.ts_keys i = value then
-              Array.unsafe_get sw.ts_kids i
-            else sw.ts_default
-        in
-        go next (visited + 1)
-  in
-  go tr.tr_root 0
+   switches visited (the [costs.tree_node] multiplier).  The loop is a
+   top-level function so a walk allocates no closure. *)
+let rec walk_from tr s n visited =
+  match n with
+  | Tleaf l ->
+      tr.tr_visited <- visited;
+      l
+  | Tswitch sw ->
+      let value =
+        if sw.ts_dim < Array.length s then Array.unsafe_get s sw.ts_dim
+        else -1
+      in
+      let next =
+        if value < 0 then sw.ts_default
+        else
+          let i = jump_index sw.ts_keys sw.ts_mask value in
+          if Array.unsafe_get sw.ts_keys i = value then
+            Array.unsafe_get sw.ts_kids i
+          else sw.ts_default
+      in
+      walk_from tr s next (visited + 1)
+
+let tree_walk tr s = walk_from tr s tr.tr_root 0
 
 let tree_raises ev = !(ev.ev_tree)
 
@@ -1143,6 +1184,8 @@ let event disp ?(mode = Interrupt) ename =
       tr_rebuilds = mkref disp.reg ("spin." ^ ename ^ ".tree.rebuilds");
       tr_resid_evals =
         mkref disp.reg ("spin." ^ ename ^ ".tree.residual_evals");
+      demuxes = stash ();
+      deliveries = stash ();
     }
   in
   disp.introspectors <- (fun () -> info_of_event ev) :: disp.introspectors;
@@ -1181,8 +1224,6 @@ let contain ev h f =
   try f () with
   | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
   | _exn -> fault ev h
-
-let still_installed _ev h = h.live
 
 let emit_span d event =
   Observe.Trace.emit d.trace { Observe.Trace.at_ns = now_ns d; event }
@@ -1306,6 +1347,129 @@ let prio_of ev over =
       | Interrupt -> Sim.Cpu.Interrupt
       | Thread -> Sim.Cpu.Thread)
 
+(* Drain bookkeeping shared by both handler kinds: every queued
+   invocation holds a [pending] reference; the last one out of a
+   [Retired] handler finalizes it (live <- false), which is the swap
+   protocol's "old generation fully drained" edge. *)
+let delivery_done d h =
+  h.pending <- h.pending - 1;
+  if h.state = Retired then begin
+    d.swap_pending <- d.swap_pending - 1;
+    if h.pending = 0 then h.live <- false
+  end
+
+let run_plain ev v h fn flow over total =
+  let d = ev.disp in
+  d.flow <- flow;
+  d.prio_override <- over;
+  let a0 = Packet.Mbuf.total_allocated () in
+  (try fn v with
+  | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
+  | _exn -> fault ev h);
+  d.prio_override <- None;
+  d.flow <- No_flow;
+  incr h.hs.h_runs;
+  let run_ns = Sim.Stime.to_ns total in
+  h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
+  h.hs.h_allocs := !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
+  (match h.hs.h_lat with
+  | Some hist -> Observe.Histogram.record hist run_ns
+  | None -> ());
+  flight_note_run d ev v h ~dur_ns:run_ns;
+  if Observe.Trace.active d.trace then
+    emit_span d
+      (Observe.Trace.Handler_run
+         { event = ev.ename; hid = h.hid; label = h.label; duration_ns = run_ns });
+  quarantine_check ev h
+
+let run_eph ev v h plan over =
+  let d = ev.disp in
+  d.prio_override <- over;
+  let a0 = Packet.Mbuf.total_allocated () in
+  contain ev h (fun () ->
+      let r = Ephemeral.commit plan in
+      incr h.hs.h_runs;
+      incr d.eph_commits;
+      d.eph_actions := !(d.eph_actions) + r.Ephemeral.committed;
+      let run_ns = Sim.Stime.to_ns r.Ephemeral.consumed in
+      h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
+      h.hs.h_allocs := !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
+      (match h.hs.h_lat with
+      | Some hist -> Observe.Histogram.record hist run_ns
+      | None -> ());
+      flight_note_run d ev v h ~dur_ns:run_ns;
+      if r.Ephemeral.terminated then begin
+        Sim.Stats.Counter.incr d.terminations;
+        incr d.eph_terminated;
+        incr h.hs.h_terms
+      end;
+      if Observe.Trace.active d.trace then
+        emit_span d
+          (if r.Ephemeral.terminated then
+             Observe.Trace.Terminated
+               {
+                 event = ev.ename;
+                 hid = h.hid;
+                 label = h.label;
+                 committed = r.Ephemeral.committed;
+                 total = r.Ephemeral.total;
+                 duration_ns = run_ns;
+               }
+           else
+             Observe.Trace.Ephemeral_commit
+               {
+                 event = ev.ename;
+                 hid = h.hid;
+                 label = h.label;
+                 committed = r.Ephemeral.committed;
+                 total = r.Ephemeral.total;
+                 duration_ns = run_ns;
+               }));
+  d.prio_override <- None;
+  quarantine_check ev h
+
+(* A queued invocation comes due.  The record goes back to the stash
+   before the body runs, so a nested delivery can reuse it. *)
+let run_delivery ev dl =
+  let h = dl.dl_h and v = dl.dl_v and flow = dl.dl_flow
+  and over = dl.dl_over and total = dl.dl_cost and plan = dl.dl_plan in
+  stash_put ev.deliveries dl;
+  (* skip if uninstalled while this invocation was queued *)
+  (if h.live then
+     match (h.kind, plan) with
+     | Plain { fn; _ }, _ -> run_plain ev v h fn flow over total
+     | Eph _, Some plan -> run_eph ev v h plan over
+     | Eph _, None -> ());
+  delivery_done ev.disp h;
+  flow_leave ev.disp flow
+
+let queue_delivery ev v h flow over prio ~cost plan =
+  let st = ev.deliveries in
+  let dl =
+    if st.n > 0 then begin
+      st.n <- st.n - 1;
+      let dl = st.items.(st.n) in
+      dl.dl_h <- h;
+      dl.dl_v <- v;
+      dl.dl_flow <- flow;
+      dl.dl_over <- over;
+      dl.dl_cost <- cost;
+      dl.dl_plan <- plan;
+      dl
+    end
+    else begin
+      let dl =
+        { dl_h = h; dl_v = v; dl_flow = flow; dl_over = over; dl_cost = cost;
+          dl_plan = plan; dl_run = ignore }
+      in
+      dl.dl_run <- (fun () -> run_delivery ev dl);
+      dl
+    end
+  in
+  flow_enter flow;
+  h.pending <- h.pending + 1;
+  Sim.Cpu.submit ev.disp.cpu prio ~cost dl.dl_run
+
 let deliver ev v h flow over =
   let d = ev.disp in
   Sim.Stats.Counter.incr d.invocations;
@@ -1315,59 +1479,14 @@ let deliver ev v h flow over =
     | Interrupt -> Sim.Stime.zero
     | Thread -> d.costs.thread_spawn
   in
-  (* Drain bookkeeping shared by both kinds: every queued invocation
-     holds a [pending] reference; the last one out of a [Retired]
-     handler finalizes it (live <- false), which is the swap protocol's
-     "old generation fully drained" edge. *)
-  let enter () = h.pending <- h.pending + 1 in
-  let leave () =
-    h.pending <- h.pending - 1;
-    if h.state = Retired then begin
-      d.swap_pending <- d.swap_pending - 1;
-      if h.pending = 0 then h.live <- false
-    end
-  in
   match h.kind with
-  | Plain { cost; dyncost; fn } ->
+  | Plain { cost; dyncost; _ } ->
       let cost =
         match dyncost with
         | None -> cost
         | Some f -> Sim.Stime.add cost (f v)
       in
-      let total = Sim.Stime.add spawn cost in
-      flow_enter flow;
-      enter ();
-      Sim.Cpu.run d.cpu ~prio ~cost:total (fun () ->
-          (* skip if uninstalled while this invocation was queued *)
-          (if still_installed ev h then begin
-             d.flow <- flow;
-             d.prio_override <- over;
-             let a0 = Packet.Mbuf.total_allocated () in
-             contain ev h (fun () -> fn v);
-             d.prio_override <- None;
-             d.flow <- No_flow;
-             incr h.hs.h_runs;
-             let run_ns = Sim.Stime.to_ns total in
-             h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
-             h.hs.h_allocs :=
-               !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
-             (match h.hs.h_lat with
-             | Some hist -> Observe.Histogram.record hist run_ns
-             | None -> ());
-             flight_note_run d ev v h ~dur_ns:run_ns;
-             if Observe.Trace.active d.trace then
-               emit_span d
-                 (Observe.Trace.Handler_run
-                    {
-                      event = ev.ename;
-                      hid = h.hid;
-                      label = h.label;
-                      duration_ns = run_ns;
-                    });
-             quarantine_check ev h
-           end);
-          leave ();
-          flow_leave d flow)
+      queue_delivery ev v h flow over prio ~cost:(Sim.Stime.add spawn cost) None
   | Eph { budget; fn } -> (
       (* The handler body runs at plan time.  Only its own crashes are
          contained (and counted distinctly from budget overruns);
@@ -1384,62 +1503,9 @@ let deliver ev v h flow over =
           fault ev h
       | Ok plan ->
           let r = Ephemeral.planned plan in
-          flow_enter flow;
-          enter ();
-          Sim.Cpu.run d.cpu ~prio
+          queue_delivery ev v h flow over prio
             ~cost:(Sim.Stime.add spawn r.Ephemeral.consumed)
-            (fun () ->
-              (if still_installed ev h then begin
-                 d.prio_override <- over;
-                 let a0 = Packet.Mbuf.total_allocated () in
-                 contain ev h (fun () ->
-                     let r = Ephemeral.commit plan in
-                     incr h.hs.h_runs;
-                     incr d.eph_commits;
-                     d.eph_actions := !(d.eph_actions) + r.Ephemeral.committed;
-                     let run_ns = Sim.Stime.to_ns r.Ephemeral.consumed in
-                     h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
-                     h.hs.h_allocs :=
-                       !(h.hs.h_allocs)
-                       + (Packet.Mbuf.total_allocated () - a0);
-                     (match h.hs.h_lat with
-                     | Some hist -> Observe.Histogram.record hist run_ns
-                     | None -> ());
-                     flight_note_run d ev v h ~dur_ns:run_ns;
-                     if r.Ephemeral.terminated then begin
-                       Sim.Stats.Counter.incr d.terminations;
-                       incr d.eph_terminated;
-                       incr h.hs.h_terms
-                     end;
-                     if Observe.Trace.active d.trace then
-                       emit_span d
-                         (if r.Ephemeral.terminated then
-                            Observe.Trace.Terminated
-                              {
-                                event = ev.ename;
-                                hid = h.hid;
-                                label = h.label;
-                                committed = r.Ephemeral.committed;
-                                total = r.Ephemeral.total;
-                                duration_ns =
-                                  Sim.Stime.to_ns r.Ephemeral.consumed;
-                              }
-                          else
-                            Observe.Trace.Ephemeral_commit
-                              {
-                                event = ev.ename;
-                                hid = h.hid;
-                                label = h.label;
-                                committed = r.Ephemeral.committed;
-                                total = r.Ephemeral.total;
-                                duration_ns =
-                                  Sim.Stime.to_ns r.Ephemeral.consumed;
-                              }));
-                 d.prio_override <- None;
-                 quarantine_check ev h
-               end);
-              leave ();
-              flow_leave d flow))
+            (Some plan))
 
 (* Graph dispatch of one raise through the bucket index (or a plain
    scan), optionally recording the hop.  [raises]/[ev_raises] are the
@@ -1491,9 +1557,8 @@ let raise_scan ?over ev v flow =
             (if use_index then d.costs.index else Sim.Stime.zero)
             (Sim.Stime.mul d.costs.guard n_guards)))
   in
-  let prio = prio_of ev over in
   flow_enter flow;
-  Sim.Cpu.run d.cpu ~prio ~cost:demux_cost (fun () ->
+  Sim.Cpu.submit d.cpu (prio_of ev over) ~cost:demux_cost (fun () ->
       (* Demultiplex against the *current* registry: a handler uninstalled
          while this raise was queued no longer fires. *)
       let cands = candidates ev v in
@@ -1504,7 +1569,7 @@ let raise_scan ?over ev v flow =
       (match flow with
       | Recording r ->
           if
-            ev.mode <> Interrupt || over <> None
+            ev.mode <> Interrupt || Option.is_some over
             || not (List.for_all (fun h -> h.cacheable) cands)
           then r.rec_ok <- false
       | No_flow | Replaying _ -> ());
@@ -1541,6 +1606,86 @@ let raise_scan ?over ev v flow =
               :: r.rec_hops
       | No_flow | Replaying _ -> ());
       flow_leave d flow)
+
+(* A tree raise's demux comes due.  Demultiplex against the *current*
+   registry.  The common case — no churn between the raise and its
+   delivery — reuses the leaf phase 1 already found (same generation,
+   same tree, same walk).  Otherwise re-walk against the rebuilt tree,
+   or fall back to a scan if churn took the event out of tree mode. *)
+let tree_demux ev dm =
+  let d = ev.disp in
+  let v = dm.dm_v and flow = dm.dm_flow and over = dm.dm_over in
+  let leaf =
+    if !(ev.gen) = dm.dm_gen then dm.dm_leaf
+    else
+      match tree_for ev with
+      | Some tr -> tree_walk tr (fill_keyvals ev v tr.tr_ndims)
+      | None -> { tl_exact = [||]; tl_resid = Array.of_list (candidates ev v) }
+  in
+  stash_put ev.demuxes dm;
+  let exact = leaf.tl_exact and resid = leaf.tl_resid in
+  let recording =
+    match flow with
+    | Recording r ->
+        if
+          ev.mode <> Interrupt || Option.is_some over
+          || not
+               (Array.for_all (fun h -> h.cacheable) exact
+               && Array.for_all (fun h -> h.cacheable) resid)
+        then r.rec_ok <- false;
+        true
+    | No_flow | Replaying _ -> false
+  in
+  (* accepting hids, newest first: only a recording needs them *)
+  let accepted_rev = ref [] in
+  let ne = Array.length exact and nr = Array.length resid in
+  let i = ref 0 and j = ref 0 in
+  while !i < ne || !j < nr do
+    let take_exact =
+      !j >= nr || (!i < ne && exact.(!i).hid < resid.(!j).hid)
+    in
+    if take_exact then begin
+      let h = exact.(!i) in
+      incr i;
+      (* tree-proven match: the walk established every conjunct of
+         the guard, so the closure is never called *)
+      incr h.hs.h_hits;
+      if recording then accepted_rev := h.hid :: !accepted_rev;
+      deliver ev v h flow over
+    end
+    else begin
+      let h = resid.(!j) in
+      incr j;
+      let accepted =
+        try h.guard v with
+        | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
+        | _ -> fault ev h; false
+      in
+      if accepted then incr h.hs.h_hits else incr h.hs.h_misses;
+      if Observe.Trace.active d.trace then
+        emit_span d
+          (Observe.Trace.Guard_eval
+             { event = ev.ename; hid = h.hid; label = h.label;
+               hit = accepted });
+      if accepted then begin
+        if recording then accepted_rev := h.hid :: !accepted_rev;
+        deliver ev v h flow over
+      end
+    end
+  done;
+  (match flow with
+  | Recording r ->
+      if r.rec_ok then
+        r.rec_hops <-
+          {
+            hop_uid = ev.uid;
+            hop_gen = ev.gen;
+            hop_gen_at = !(ev.gen);
+            hop_hids = List.rev !accepted_rev;
+          }
+          :: r.rec_hops
+  | No_flow | Replaying _ -> ());
+  flow_leave d flow
 
 (* Graph dispatch of one raise through the merged decision tree: one
    walk finds the leaf; the leaf's [tl_exact] handlers are proven
@@ -1583,82 +1728,29 @@ let raise_tree ?over ev v flow tr =
             (Sim.Stime.mul d.costs.tree_node visited)
             (Sim.Stime.mul d.costs.guard n_resid)))
   in
-  let prio = prio_of ev over in
-  flow_enter flow;
-  let gen_at_raise = !(ev.gen) in
-  Sim.Cpu.run d.cpu ~prio ~cost:demux_cost (fun () ->
-      (* Demultiplex against the *current* registry.  The common case —
-         no churn between the raise and its delivery — reuses the leaf
-         phase 1 already found (same generation, same tree, same walk).
-         Otherwise re-walk against the rebuilt tree, or fall back to a
-         scan if churn took the event out of tree mode. *)
-      let exact, resid =
-        if !(ev.gen) = gen_at_raise then (leaf.tl_exact, leaf.tl_resid)
-        else
-          match tree_for ev with
-          | Some tr ->
-              let leaf = tree_walk tr (fill_keyvals ev v tr.tr_ndims) in
-              (leaf.tl_exact, leaf.tl_resid)
-          | None -> ([||], Array.of_list (candidates ev v))
+  let st = ev.demuxes in
+  let dm =
+    if st.n > 0 then begin
+      st.n <- st.n - 1;
+      let dm = st.items.(st.n) in
+      dm.dm_v <- v;
+      dm.dm_flow <- flow;
+      dm.dm_over <- over;
+      dm.dm_leaf <- leaf;
+      dm.dm_gen <- !(ev.gen);
+      dm
+    end
+    else begin
+      let dm =
+        { dm_v = v; dm_flow = flow; dm_over = over; dm_leaf = leaf;
+          dm_gen = !(ev.gen); dm_run = ignore }
       in
-      (match flow with
-      | Recording r ->
-          if
-            ev.mode <> Interrupt || over <> None
-            || not
-                 (Array.for_all (fun h -> h.cacheable) exact
-                 && Array.for_all (fun h -> h.cacheable) resid)
-          then r.rec_ok <- false
-      | No_flow | Replaying _ -> ());
-      let accepted_rev = ref [] in
-      let ne = Array.length exact and nr = Array.length resid in
-      let i = ref 0 and j = ref 0 in
-      while !i < ne || !j < nr do
-        let take_exact =
-          !j >= nr || (!i < ne && exact.(!i).hid < resid.(!j).hid)
-        in
-        if take_exact then begin
-          let h = exact.(!i) in
-          incr i;
-          (* tree-proven match: the walk established every conjunct of
-             the guard, so the closure is never called *)
-          incr h.hs.h_hits;
-          accepted_rev := h.hid :: !accepted_rev;
-          deliver ev v h flow over
-        end
-        else begin
-          let h = resid.(!j) in
-          incr j;
-          let accepted =
-            try h.guard v with
-            | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-            | _ -> fault ev h; false
-          in
-          if accepted then incr h.hs.h_hits else incr h.hs.h_misses;
-          if Observe.Trace.active d.trace then
-            emit_span d
-              (Observe.Trace.Guard_eval
-                 { event = ev.ename; hid = h.hid; label = h.label;
-                   hit = accepted });
-          if accepted then begin
-            accepted_rev := h.hid :: !accepted_rev;
-            deliver ev v h flow over
-          end
-        end
-      done;
-      (match flow with
-      | Recording r ->
-          if r.rec_ok then
-            r.rec_hops <-
-              {
-                hop_uid = ev.uid;
-                hop_gen = ev.gen;
-                hop_gen_at = !(ev.gen);
-                hop_hids = List.rev !accepted_rev;
-              }
-              :: r.rec_hops
-      | No_flow | Replaying _ -> ());
-      flow_leave d flow)
+      dm.dm_run <- (fun () -> tree_demux ev dm);
+      dm
+    end
+  in
+  flow_enter flow;
+  Sim.Cpu.submit d.cpu (prio_of ev over) ~cost:demux_cost dm.dm_run
 
 (* Normal graph dispatch of one raise: merged-tree walk when the event
    compiles to one, bucket-index/linear scan otherwise. *)
@@ -1681,33 +1773,41 @@ let cache_invalidate_span d ename reason =
    per-packet trace bookkeeping the fast path promises.  Runs
    synchronously in the caller's interrupt context and returns the
    hop's modelled handler cost, which the caller accounts. *)
-let run_hop ev v hids =
-  let d = ev.disp in
-  List.fold_left
-    (fun acc hid ->
-      match Hashtbl.find_opt ev.table hid with
-      | Some ({ kind = Plain { cost; dyncost; fn }; _ } as h) ->
-          Sim.Stats.Counter.incr d.invocations;
-          let a0 = Packet.Mbuf.total_allocated () in
-          contain ev h (fun () -> fn v);
-          incr h.hs.h_runs;
-          let total =
-            match dyncost with
-            | None -> cost
-            | Some f -> Sim.Stime.add cost (f v)
-          in
-          let run_ns = Sim.Stime.to_ns total in
-          h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
-          h.hs.h_allocs :=
-            !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
-          (match h.hs.h_lat with
-          | Some hist -> Observe.Histogram.record hist run_ns
-          | None -> ());
-          flight_note_run d ev v h ~dur_ns:run_ns;
-          quarantine_check ev h;
-          Sim.Stime.add acc total
-      | _ -> acc)
-    Sim.Stime.zero hids
+let rec run_hop_from ev v hids acc =
+  match hids with
+  | [] -> acc
+  | hid :: rest ->
+      let acc =
+        match Hashtbl.find ev.table hid with
+        | { kind = Plain { cost; dyncost; fn }; _ } as h ->
+            let d = ev.disp in
+            Sim.Stats.Counter.incr d.invocations;
+            let a0 = Packet.Mbuf.total_allocated () in
+            (try fn v with
+            | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
+            | _exn -> fault ev h);
+            incr h.hs.h_runs;
+            let total =
+              match dyncost with
+              | None -> cost
+              | Some f -> Sim.Stime.add cost (f v)
+            in
+            let run_ns = Sim.Stime.to_ns total in
+            h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
+            h.hs.h_allocs :=
+              !(h.hs.h_allocs) + (Packet.Mbuf.total_allocated () - a0);
+            (match h.hs.h_lat with
+            | Some hist -> Observe.Histogram.record hist run_ns
+            | None -> ());
+            flight_note_run d ev v h ~dur_ns:run_ns;
+            quarantine_check ev h;
+            Sim.Stime.add acc total
+        | { kind = Eph _; _ } -> acc
+        | exception Not_found -> acc
+      in
+      run_hop_from ev v rest acc
+
+let run_hop ev v hids = run_hop_from ev v hids Sim.Stime.zero
 
 (* Dispatch a raise through the graph while a replay is in progress:
    graph work must not see the replay flow (its demux is queued and runs
@@ -1840,7 +1940,7 @@ let dispatch ?prio ev v =
   | Replaying rp -> replay_step ev v rp
   | Recording _ as flow -> raise_core ?over ev v flow
   | No_flow -> (
-      if over <> None || not (d.fcache && ev.mode = Interrupt) then
+      if Option.is_some over || not (d.fcache && ev.mode = Interrupt) then
         raise_core ?over ev v No_flow
       else
         match ev.sigfn with

@@ -184,8 +184,11 @@ let udp_fast_path_zero_copy () =
   let payload = Mbuf.alloc 1000 in
   View.set_string (Mbuf.view payload) ~off:0 (String.make 1000 'p');
   Metrics.reset ();
+  let e0 = Sim.Engine.events_run p.Experiments.Common.engine in
+  let w0 = Gc.minor_words () in
   Plexus.Udp_mgr.send_mbuf udp_a client ~dst:(ip_b, 7) payload;
   Sim.Engine.run p.Experiments.Common.engine;
+  let words = Gc.minor_words () -. w0 in
   let s = Metrics.snapshot () in
   Alcotest.(check string) "payload delivered" (String.make 1000 'p') !got;
   (* headers went into the payload's headroom; the chain crossed the
@@ -193,7 +196,34 @@ let udp_fast_path_zero_copy () =
      payload-byte copy or buffer allocation *)
   Alcotest.(check int) "zero copies tx->rx" 0 s.Metrics.copies;
   Alcotest.(check int) "zero bytes copied" 0 s.Metrics.bytes_copied;
-  Alcotest.(check int) "zero buffer allocations" 0 s.Metrics.allocs
+  Alcotest.(check int) "zero buffer allocations" 0 s.Metrics.allocs;
+  (* ...and the substrate under it is bounded by deterministic counters:
+     13 engine events, and heap words under half the ~1.8k a datagram
+     took when every event boxed its thunk and every CPU item and
+     handler delivery allocated its own records *)
+  Alcotest.(check int) "engine events per datagram" 13
+    (Sim.Engine.events_run p.Experiments.Common.engine - e0);
+  if words > 900. then
+    Alcotest.failf "%.0f minor words per datagram (bound 900)" words
+
+(* Primed ARP entries are static: a steady-state run that outlives the
+   cache TTL (1200 simulated seconds) sends no ARP traffic. *)
+let primed_arp_outlives_ttl () =
+  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
+  let engine = p.Experiments.Common.engine in
+  let a = p.Experiments.Common.a in
+  Sim.Engine.post engine ~at:(Sim.Stime.s 1300) ignore;
+  Sim.Engine.run engine;
+  let udp_a = Plexus.Stack.udp a in
+  let client =
+    match Plexus.Udp_mgr.bind udp_a ~owner:"cli" ~port:5000 with
+    | Ok ep -> ep
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) "late";
+  Sim.Engine.run engine;
+  Alcotest.(check int) "no ARP request" 0
+    (Plexus.Arp_mgr.requests_sent (Plexus.Stack.arp a))
 
 let fragmentation_is_zero_copy () =
   let payload = Mbuf.of_string (String.make 12500 'v') in
@@ -217,6 +247,8 @@ let suite =
         tc "udp fast path: zero copies end to end" udp_fast_path_zero_copy;
         tc "fragmentation: zero copies" fragmentation_is_zero_copy;
       ] );
+    ( "datapath.steady_state",
+      [ tc "primed arp outlives the cache ttl" primed_arp_outlives_ttl ] );
     ( "datapath.safety",
       [
         tc "mbuf double free raises" mbuf_double_free_raises;

@@ -277,7 +277,10 @@ let arp_cache () =
   Alcotest.(check bool) "hit" true
     (Proto.Arp.Cache.lookup c ~now:(Sim.Stime.s 5) ip_a = Some mac);
   Alcotest.(check bool) "expired" true
-    (Proto.Arp.Cache.lookup c ~now:(Sim.Stime.s 11) ip_a = None)
+    (Proto.Arp.Cache.lookup c ~now:(Sim.Stime.s 11) ip_a = None);
+  Proto.Arp.Cache.insert_static c ip_a mac;
+  Alcotest.(check bool) "a static entry outlives the ttl" true
+    (Proto.Arp.Cache.lookup c ~now:(Sim.Stime.s 100_000) ip_a = Some mac)
 
 let arp_cache_waiters () =
   let c = Proto.Arp.Cache.create () in

@@ -8,8 +8,10 @@ let us = Sim.Stime.us
 
 (* Oracle equivalence: the wheel must fire in exactly the (key, seq)
    order of the stable binary heap, under arbitrary interleavings of
-   schedule, cancel and pop (a reschedule is a cancel + schedule). *)
-type op = Add of int | Cancel of int | Pop
+   schedule, cancel, look-ahead and pop (a reschedule is a cancel +
+   schedule).  A look-ahead must agree with the heap and leave the
+   horizon where the last pop put it. *)
+type op = Add of int | Cancel of int | Peek | Pop
 
 let op_gen =
   QCheck.Gen.(
@@ -17,16 +19,18 @@ let op_gen =
       [
         (6, map (fun d -> Add d) (int_bound 5000));
         (2, map (fun i -> Cancel i) (int_bound 500));
+        (2, return Peek);
         (3, return Pop);
       ])
 
 let op_print = function
   | Add d -> Printf.sprintf "Add %d" d
   | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Peek -> "Peek"
   | Pop -> "Pop"
 
 let wheel_matches_pheap ops =
-  let wheel = Sim.Timer_wheel.create () in
+  let wheel = Sim.Timer_wheel.create ~dummy:(-1) () in
   let heap = Sim.Pheap.create () in
   (* mirror entries: wheel node + a cancelled flag read at heap pop *)
   let nodes = ref [] (* (id, node) newest first *) in
@@ -38,6 +42,13 @@ let wheel_matches_pheap ops =
     | None -> None
     | Some (k, id) ->
         if Hashtbl.mem cancelled id then heap_pop () else Some (k, id)
+  in
+  let rec heap_peek () =
+    match Sim.Pheap.peek_min heap with
+    | Some (_, id) when Hashtbl.mem cancelled id ->
+        ignore (Sim.Pheap.pop_min heap);
+        heap_peek ()
+    | p -> p
   in
   List.iter
     (fun op ->
@@ -61,6 +72,15 @@ let wheel_matches_pheap ops =
               ;
               Hashtbl.replace cancelled id ()
           | _ -> ())
+      | Peek ->
+          let h0 = Sim.Timer_wheel.horizon wheel in
+          let w = Sim.Timer_wheel.peek_min wheel in
+          let m = Sim.Timer_wheel.min_key wheel in
+          if w <> heap_peek () then ok := false;
+          (match w with
+          | Some (k, _) -> if m <> k then ok := false
+          | None -> if m <> max_int then ok := false);
+          if Sim.Timer_wheel.horizon wheel <> h0 then ok := false
       | Pop ->
           let w = Sim.Timer_wheel.pop_min wheel in
           let h = heap_pop () in
@@ -85,7 +105,7 @@ let wheel_oracle_qcheck =
 
 let wheel_long_range () =
   (* deadlines spread over many wheel levels, popped in order *)
-  let w = Sim.Timer_wheel.create () in
+  let w = Sim.Timer_wheel.create ~dummy:0 () in
   let keys =
     [ 1; 31; 32; 33; 1_000; 32_768; 1_000_000; 123_456_789;
       1_000_000_000_000; 4611686018427387903 (* max_int/2: level 12 *) ]

@@ -387,6 +387,118 @@ let cpu_repeated_preemption () =
   Alcotest.(check int) "busy conserved" 450_000
     (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
 
+(* ---- re-armable timers and recycled records ------------------------- *)
+
+let engine_timer_rearm () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let h = Sim.Engine.timer e in
+  Alcotest.(check int) "an unarmed timer is not pending" 0
+    (Sim.Engine.pending e);
+  Sim.Engine.arm e h ~at:(us 30) (fun () -> log := 30 :: !log);
+  (* re-arming a pending timer moves it, it does not add a second event *)
+  Sim.Engine.arm e h ~at:(us 20) (fun () -> log := 20 :: !log);
+  Alcotest.(check int) "moved, not duplicated" 1 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  (* ...and a fired one can be armed again *)
+  Sim.Engine.arm e h ~at:(us 40) (fun () -> log := 40 :: !log);
+  Sim.Engine.run e;
+  Sim.Engine.arm e h ~at:(us 50) (fun () -> log := 50 :: !log);
+  Sim.Engine.cancel h;
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "fires at its last arming only" [ 20; 40 ]
+    (List.rev !log);
+  Alcotest.(check int) "two events ran" 2 (Sim.Engine.events_run e)
+
+let engine_post_order () =
+  (* posted events share the wheel's (time, insertion) order with
+     scheduled ones, and their recycled records carry no stale thunk *)
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note x () = log := x :: !log in
+  Sim.Engine.post e ~at:(us 10) (note "p1");
+  ignore (Sim.Engine.schedule e ~at:(us 10) (note "s1"));
+  Sim.Engine.post_in e ~delay:(us 5) (fun () ->
+      note "p0" ();
+      Sim.Engine.post e ~at:(us 10) (note "p2"));
+  Sim.Engine.run e;
+  Sim.Engine.post e ~at:(us 20) (note "p3");
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "time, then insertion order"
+    [ "p0"; "p1"; "s1"; "p2"; "p3" ] (List.rev !log)
+
+(* Minor-heap words [f] allocates on its second run, once free lists and
+   stashes are warm: the steady-state host cost of the substrate. *)
+let words_of f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let noop () = ()
+let per n w = w /. float_of_int n
+
+let check_words name ~bound w =
+  if w > bound then
+    Alcotest.failf "%s: %.2f minor words, bound %.2f" name w bound
+
+let engine_event_words () =
+  let e = Sim.Engine.create () in
+  let n = 1000 in
+  (* deadlines spread over several wheel levels, so cascades are counted *)
+  let posted =
+    words_of (fun () ->
+        for i = 1 to n do
+          Sim.Engine.post_in e ~delay:(Sim.Stime.ns (i * 37)) noop
+        done;
+        Sim.Engine.run e)
+  in
+  check_words "posted event" ~bound:0.1 (per n posted);
+  let scheduled =
+    words_of (fun () ->
+        for i = 1 to n do
+          ignore (Sim.Engine.schedule_in e ~delay:(Sim.Stime.ns (i * 37)) noop)
+        done;
+        Sim.Engine.run e)
+  in
+  (* a handle is the event's one record: 7 fields and a header *)
+  check_words "scheduled event" ~bound:8.1 (per n scheduled);
+  let until =
+    words_of (fun () ->
+        for i = 1 to n do
+          Sim.Engine.post_in e ~delay:(Sim.Stime.ns i) noop;
+          Sim.Engine.run e ~until:(Sim.Engine.now e)
+        done;
+        Sim.Engine.run e)
+  in
+  (* two words per call: the [Some] the caller boxes [~until] in *)
+  check_words "run ~until look-ahead" ~bound:2.1 (per n until)
+
+let cpu_item_words () =
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"c" in
+  let n = 1000 in
+  let w =
+    words_of (fun () ->
+        for i = 1 to n do
+          let prio = if i mod 3 = 0 then Sim.Cpu.Interrupt else Sim.Cpu.Thread in
+          Sim.Cpu.submit cpu prio ~cost:(Sim.Stime.ns (10 * (i mod 7))) noop
+        done;
+        Sim.Engine.run e)
+  in
+  check_words "queued cpu item" ~bound:0.1 (per n w);
+  Sim.Cpu.set_preemptive cpu true;
+  let w =
+    words_of (fun () ->
+        for _ = 1 to n do
+          Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) noop;
+          Sim.Cpu.submit cpu Sim.Cpu.Interrupt ~cost:(us 1) noop
+        done;
+        Sim.Engine.run e)
+  in
+  check_words "preempted cpu item" ~bound:0.1 (per (2 * n) w);
+  Alcotest.(check int) "every item served" (6 * n) (Sim.Cpu.served cpu)
+
 let suite =
   suite
   @ [
@@ -395,5 +507,12 @@ let suite =
           tc "interrupt preempts thread work" cpu_preemption_latency;
           tc "off by default" cpu_no_preemption_by_default;
           tc "repeated preemption conserves work" cpu_repeated_preemption;
+        ] );
+      ( "sim.records",
+        [
+          tc "timer re-arm, move and cancel" engine_timer_rearm;
+          tc "posted events keep wheel order" engine_post_order;
+          tc "engine events allocate one record at most" engine_event_words;
+          tc "cpu items allocate nothing" cpu_item_words;
         ] );
     ]

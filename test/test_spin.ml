@@ -742,6 +742,42 @@ let tree_merges_and_skips () =
   Alcotest.(check int) "every raise walked the tree" 3
     (Spin.Dispatcher.tree_raises ev)
 
+(* A tree raise queues its demux, and the demux queues one invocation per
+   accepted handler, on recycled records with prebuilt thunks: in steady
+   state neither the raise nor the deliveries allocate. *)
+let tree_delivery_allocates_nothing () =
+  let e, _, d = mk_dispatcher () in
+  let ev = Spin.Dispatcher.event d "tree1d" in
+  Spin.Dispatcher.set_keyvfn ev ~dims:1 (fun x dst -> dst.(0) <- x);
+  let runs = ref 0 in
+  for k = 0 to 3 do
+    let (_ : unit -> unit) =
+      Spin.Dispatcher.install ev ~keys:[ k ] ~exact:true ~cost:(us 1)
+        (fun _ -> incr runs)
+    in
+    ()
+  done;
+  (* an opaque guard: a residual at every leaf *)
+  let (_ : unit -> unit) =
+    Spin.Dispatcher.install ev ~guard:(fun x -> x land 1 = 0) ~cost:(us 1)
+      (fun _ -> incr runs)
+  in
+  let n = 1000 in
+  let burst () =
+    for i = 1 to n do
+      Spin.Dispatcher.raise ev (i land 3)
+    done;
+    Sim.Engine.run e
+  in
+  burst ();
+  let w0 = Gc.minor_words () in
+  burst ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "exact on every raise, residual on half" (2 * 3 * n / 2)
+    !runs;
+  if words > 0.1 then
+    Alcotest.failf "%.2f minor words per raise and its deliveries" words
+
 (* Churn invalidates the compiled tree through the generation counter:
    the rebuilt tree must reflect the new handler set. *)
 let tree_rebuilds_on_churn () =
@@ -780,5 +816,7 @@ let suite =
         [
           tc "merge, prefix share, exact skip" tree_merges_and_skips;
           tc "rebuild on churn" tree_rebuilds_on_churn;
+          tc "raise and deliveries allocate nothing"
+            tree_delivery_allocates_nothing;
         ] );
     ]
