@@ -13,6 +13,7 @@ type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
   mutable not_ours : int;
+  mutable malformed : int;
   mutable delivered : int;
   mutable fragments_out : int;
   mutable reassembled : int;
@@ -46,6 +47,7 @@ let create graph =
         rx = 0;
         bad_checksum = 0;
         not_ours = 0;
+        malformed = 0;
         delivered = 0;
         fragments_out = 0;
         reassembled = 0;
@@ -98,7 +100,7 @@ let settle_frag_timer t =
   if Proto.Ip_frag.pending_count t.frag = 0 then (
     match t.frag_timer with
     | Some h ->
-        Sim.Engine.cancel h;
+        Sim.Engine.cancel (engine t) h;
         t.frag_timer <- None
     | None -> ())
   else ensure_frag_timer t
@@ -118,6 +120,13 @@ let rx t ctx =
           (Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t)
           || Proto.Ipaddr.equal h.Proto.Ipv4.dst Proto.Ipaddr.broadcast)
       then t.counters.not_ours <- t.counters.not_ours + 1
+      else if
+        h.Proto.Ipv4.total_len < Proto.Ipv4.header_len
+        || h.Proto.Ipv4.total_len > View.length v
+      then
+        (* a length the frame cannot hold: every slice below would run
+           past its end *)
+        t.counters.malformed <- t.counters.malformed + 1
       else begin
         let l2 = Proto.Ether.parse (Pctx.view ctx) in
         let ctx = match l2 with Some h2 -> Pctx.with_l2 ctx h2 | None -> ctx in

@@ -7,6 +7,9 @@ type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
   mutable not_ours : int;
+  mutable malformed : int;
+      (** checksum-valid headers whose [total_len] lies outside
+          [[20, bytes received]]: dropped before any slicing *)
   mutable delivered : int;
   mutable fragments_out : int;
   mutable reassembled : int;

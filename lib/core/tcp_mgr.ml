@@ -94,7 +94,7 @@ let make_env t conn_ref remote_ip_ref =
     set_timer =
       (fun delay fn ->
         let h = Sim.Engine.schedule_in t.engine ~delay fn in
-        fun () -> Sim.Engine.cancel h);
+        fun () -> Sim.Engine.cancel t.engine h);
     tx =
       (fun pkt ->
         let len = Mbuf.length pkt in

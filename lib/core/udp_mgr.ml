@@ -125,12 +125,12 @@ let create graph ip =
           in
           if Spin.Sharded.Table.mem t.binds h.Proto.Udp.dst_port then begin
             t.counters.delivered <- t.counters.delivered + 1;
-            flight_finish graph ctx
-              (Observe.Flight.Deliver
-                 {
-                   scope =
-                     Printf.sprintf "udp:%d" h.Proto.Udp.dst_port;
-                 });
+            (* only a sampled packet has a timeline to end: build its
+               stage label for it alone *)
+            if Mbuf.mark ctx.Pctx.pkt > 0 then
+              flight_finish graph ctx
+                (Observe.Flight.Deliver
+                   { scope = Printf.sprintf "udp:%d" h.Proto.Udp.dst_port });
             Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
           end
           else begin

@@ -188,7 +188,7 @@ let make_tconn t ~cfg ~local_port =
       set_timer =
         (fun delay fn ->
           let h = Sim.Engine.schedule_in t.engine ~delay fn in
-          fun () -> Sim.Engine.cancel h);
+          fun () -> Sim.Engine.cancel t.engine h);
       tx =
         (fun pkt ->
           let len = Mbuf.length pkt in

@@ -10,68 +10,56 @@
    The continuation runs at the moment its work *completes*, so a chain of
    [run] calls naturally yields end-to-end latency including queueing.
 
-   Host cost: a work item is one mutable record, recycled through a free
-   list and chained into the run queues through its own [next] field; the
-   item in service lives in plain fields, and its completion is a single
-   engine timer re-armed for every item.  Serving an item therefore
-   allocates nothing beyond the caller's continuation. *)
+   Host cost: work items live in a pool of parallel arrays indexed by
+   item number — cost and queue link are ints, continuations sit in one
+   value array — and are recycled through an int free chain.  The run
+   queues link items by index, the item in service is an index, and its
+   completion is a single engine timer re-armed for every item.  Serving
+   an item therefore allocates nothing beyond the caller's continuation,
+   and the only pointer stores are writing that continuation and clearing
+   it (each pointer store into a long-lived block pays OCaml 5's write
+   barrier). *)
 
 type prio = Interrupt | Thread
 
-type work = {
-  mutable cost : Stime.t;
-  mutable k : unit -> unit;
-  mutable next : work; (* queue / free-list link; [nil] ends a chain *)
-}
-
 let noop () = ()
-let rec nil = { cost = Stime.zero; k = noop; next = nil }
+let none = -1 (* ends a chain; "no item" *)
 
-(* FIFO of work items linked through [next]. *)
-type queue = { mutable head : work; mutable tail : work; mutable len : int }
+(* FIFO of pool items linked through the pool's [next] array. *)
+type queue = { mutable head : int; mutable tail : int; mutable len : int }
 
-let queue () = { head = nil; tail = nil; len = 0 }
-
-let push q w =
-  w.next <- nil;
-  if q.head == nil then q.head <- w else q.tail.next <- w;
-  q.tail <- w;
-  q.len <- q.len + 1
-
-let pop q =
-  let w = q.head in
-  q.head <- w.next;
-  if q.head == nil then q.tail <- nil;
-  q.len <- q.len - 1;
-  w.next <- nil;
-  w
+let queue () = { head = none; tail = none; len = 0 }
 
 type t = {
   engine : Engine.t;
   name : string;
+  mutable cost : int array;  (* per item: remaining service time, ns *)
+  mutable next : int array;  (* queue / free-chain link *)
+  mutable k : (unit -> unit) array;  (* continuation; [noop] when free *)
+  mutable free : int;  (* head of the free chain *)
   intr_q : queue;
   thread_q : queue;
-  mutable resumed : work;  (* preempted thread work, served first; or nil *)
+  mutable resumed : int;  (* preempted thread work, served first *)
   mutable busy : bool;
   mutable preemptive : bool;
-  mutable current : work;  (* item in service, or nil *)
+  mutable current : int;  (* item in service *)
   mutable current_prio : prio;
-  mutable started : Stime.t;  (* when [current] entered service *)
+  mutable started : int;  (* when [current] entered service, ns *)
   done_at : Engine.handle;  (* completion event of [current] *)
   mutable complete : unit -> unit;  (* its thunk, built once *)
-  mutable free : work;  (* recycled items, linked through [next] *)
-  mutable reserved_until : Stime.t;
+  (* times below are in ns, as ints: no [Stime] call on the hot path *)
+  mutable reserved_until : int;
       (* CPU time charged inline via [charge], with no work item of its
          own: service of queued work is pushed past this instant *)
-  mutable busy_ns : Stime.t;         (* accumulated service time *)
-  mutable window_start : Stime.t;    (* start of the accounting window *)
-  mutable window_busy : Stime.t;     (* busy time within the window *)
+  mutable busy_ns : int;         (* accumulated service time *)
+  mutable window_start : int;    (* start of the accounting window *)
+  mutable window_busy : int;     (* busy time within the window *)
   mutable served : int;
 }
 
 let name t = t.name
 let engine t = t.engine
-let busy_time t = t.busy_ns
+let busy_time t = Stime.ns t.busy_ns
 let served t = t.served
 
 (* Opt-in preemption: interrupt-priority arrivals suspend in-service
@@ -81,54 +69,86 @@ let served t = t.served
 let set_preemptive t flag = t.preemptive <- flag
 let preemptive t = t.preemptive
 
+let capacity t = Array.length t.cost
+
+(* Double the pool; the new items form the free chain. *)
+let grow t =
+  let cap = capacity t in
+  let ncap = max 8 (2 * cap) in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.cost <- extend t.cost 0;
+  t.k <- extend t.k noop;
+  t.next <- extend t.next none;
+  for i = cap to ncap - 2 do
+    t.next.(i) <- i + 1
+  done;
+  t.free <- cap
+
 let take t cost k =
+  if t.free = none then grow t;
   let w = t.free in
-  if w == nil then { cost; k; next = nil }
-  else begin
-    t.free <- w.next;
-    w.cost <- cost;
-    w.k <- k;
-    w.next <- nil;
-    w
-  end
+  t.free <- t.next.(w);
+  t.cost.(w) <- (cost : Stime.t :> int);
+  t.k.(w) <- k;
+  w
 
 let recycle t w =
-  w.k <- noop;
-  w.next <- t.free;
+  t.k.(w) <- noop;
+  t.next.(w) <- t.free;
   t.free <- w
 
+let push t q w =
+  t.next.(w) <- none;
+  if q.head = none then q.head <- w else t.next.(q.tail) <- w;
+  q.tail <- w;
+  q.len <- q.len + 1
+
+let pop t q =
+  let w = q.head in
+  q.head <- t.next.(w);
+  if q.head = none then q.tail <- none;
+  q.len <- q.len - 1;
+  w
+
 let rec service t =
-  if t.intr_q.head != nil then serve t (pop t.intr_q) Interrupt
-  else if t.resumed != nil then begin
+  if t.intr_q.head <> none then serve t (pop t t.intr_q) Interrupt
+  else if t.resumed <> none then begin
     let w = t.resumed in
-    t.resumed <- nil;
+    t.resumed <- none;
     serve t w Thread
   end
-  else if t.thread_q.head != nil then serve t (pop t.thread_q) Thread
+  else if t.thread_q.head <> none then serve t (pop t t.thread_q) Thread
   else begin
     t.busy <- false;
-    t.current <- nil
+    t.current <- none
   end
 
 and serve t w prio =
   t.busy <- true;
-  let started = Engine.now t.engine in
+  let started = (Engine.now t.engine :> int) in
   (* an outstanding inline charge delays service of queued work *)
-  let wait = Stime.max Stime.zero (Stime.sub t.reserved_until started) in
+  let wait =
+    if t.reserved_until > started then t.reserved_until - started else 0
+  in
   t.current <- w;
   t.current_prio <- prio;
   t.started <- started;
   Engine.arm t.engine t.done_at
-    ~at:(Stime.add started (Stime.add wait w.cost))
+    ~at:(Stime.ns (started + wait + t.cost.(w)))
     t.complete
 
 let complete t =
   let w = t.current in
-  t.current <- nil;
-  t.busy_ns <- Stime.add t.busy_ns w.cost;
-  t.window_busy <- Stime.add t.window_busy w.cost;
+  t.current <- none;
+  let cost = t.cost.(w) in
+  t.busy_ns <- t.busy_ns + cost;
+  t.window_busy <- t.window_busy + cost;
   t.served <- t.served + 1;
-  let k = w.k in
+  let k = t.k.(w) in
   recycle t w;
   k ();
   service t
@@ -138,21 +158,24 @@ let create engine ~name =
     {
       engine;
       name;
+      cost = [||];
+      next = [||];
+      k = [||];
+      free = none;
       intr_q = queue ();
       thread_q = queue ();
-      resumed = nil;
+      resumed = none;
       busy = false;
       preemptive = false;
-      current = nil;
+      current = none;
       current_prio = Thread;
-      started = Stime.zero;
+      started = 0;
       done_at = Engine.timer engine;
       complete = noop;
-      free = nil;
-      reserved_until = Stime.zero;
-      busy_ns = Stime.zero;
-      window_start = Stime.zero;
-      window_busy = Stime.zero;
+      reserved_until = 0;
+      busy_ns = 0;
+      window_start = 0;
+      window_busy = 0;
       served = 0;
     }
   in
@@ -163,15 +186,15 @@ let create engine ~name =
    immediately; the consumed slice is charged now and the remainder goes
    back to the head of the line. *)
 let preempt t =
-  if t.current != nil && t.current_prio = Thread then begin
+  if t.current <> none && t.current_prio = Thread then begin
     let w = t.current in
-    Engine.cancel t.done_at;
-    let consumed = Stime.sub (Engine.now t.engine) t.started in
-    t.busy_ns <- Stime.add t.busy_ns consumed;
-    t.window_busy <- Stime.add t.window_busy consumed;
-    w.cost <- Stime.sub w.cost consumed;
+    Engine.cancel t.engine t.done_at;
+    let consumed = (Engine.now t.engine :> int) - t.started in
+    t.busy_ns <- t.busy_ns + consumed;
+    t.window_busy <- t.window_busy + consumed;
+    t.cost.(w) <- t.cost.(w) - consumed;
     t.resumed <- w;
-    t.current <- nil;
+    t.current <- none;
     service t
   end
 
@@ -181,11 +204,11 @@ let preempt t =
    by the dispatcher's flow-path replay, which runs a whole cached chain
    synchronously and charges its modelled cost in one step. *)
 let charge t ~cost =
-  let now = Engine.now t.engine in
-  let base = Stime.max now t.reserved_until in
-  t.reserved_until <- Stime.add base cost;
-  t.busy_ns <- Stime.add t.busy_ns cost;
-  t.window_busy <- Stime.add t.window_busy cost
+  let now = (Engine.now t.engine :> int) and cost = (cost : Stime.t :> int) in
+  let base = if t.reserved_until > now then t.reserved_until else now in
+  t.reserved_until <- base + cost;
+  t.busy_ns <- t.busy_ns + cost;
+  t.window_busy <- t.window_busy + cost
 
 let submit t prio ~cost k =
   let w = take t cost k in
@@ -194,23 +217,19 @@ let submit t prio ~cost k =
        clearing [busy]), so skip the queue round-trip entirely *)
     serve t w prio
   else begin
-    push (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) w;
+    push t (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) w;
     if t.preemptive && prio = Interrupt then preempt t
   end
 
 let run t ?(prio = Thread) ~cost k = submit t prio ~cost k
 
 let reset_window t =
-  t.window_start <- Engine.now t.engine;
-  t.window_busy <- Stime.zero
+  t.window_start <- (Engine.now t.engine :> int);
+  t.window_busy <- 0
 
 let utilization t =
-  let elapsed = Stime.sub (Engine.now t.engine) t.window_start in
-  let e = Stime.to_ns elapsed in
-  if e <= 0 then 0.0
-  else
-    let u = Stime.to_ns t.window_busy in
-    float_of_int u /. float_of_int e
+  let e = (Engine.now t.engine :> int) - t.window_start in
+  if e <= 0 then 0.0 else float_of_int t.window_busy /. float_of_int e
 
 let queue_depth t =
-  t.intr_q.len + t.thread_q.len + if t.resumed != nil then 1 else 0
+  t.intr_q.len + t.thread_q.len + if t.resumed <> none then 1 else 0

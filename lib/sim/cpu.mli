@@ -60,3 +60,7 @@ val utilization : t -> float
 
 val queue_depth : t -> int
 (** Items waiting (not including the one in service). *)
+
+val capacity : t -> int
+(** Work items the pool holds, queued, in service or free: its
+    high-water mark.  Grows by doubling and never shrinks. *)

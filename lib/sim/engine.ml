@@ -3,18 +3,18 @@
    runs it.
 
    Events live in a hierarchical timer wheel (O(1) schedule, O(1) true
-   cancel that drops the thunk eagerly).  An event is one wheel node and
-   nothing else: no option around the thunk, no handle wrapper, no tuple
-   out of the pop.  Events without a handle ([post]) recycle their node,
-   and a re-armable [timer] reuses one node for its whole life, so the
-   only allocation left on those paths is the caller's closure.
+   cancel that drops the thunk eagerly).  An event is one wheel entry: an
+   index into int arrays plus one slot of the payload array, recycled once
+   it has fired or been cancelled.  A handle is that index packed with the
+   entry's generation, so scheduling allocates nothing beyond the caller's
+   closure, and a handle kept past its event cancels nothing.
 
    The wheel's horizon moves only when an event pops, and the clock
    follows the pops, so every schedule (at or after the clock) lands
    inside the wheel: [run ~until] looks ahead with [min_key], which reads
    without cascading. *)
 
-type handle = (unit -> unit) Timer_wheel.node
+type handle = Timer_wheel.handle
 
 type t = {
   mutable clock : Stime.t;
@@ -45,19 +45,18 @@ let key_of t at =
 
 let schedule t ~at thunk = Timer_wheel.add t.wheel ~key:(key_of t at) thunk
 let schedule_in t ~delay thunk = schedule t ~at:(Stime.add t.clock delay) thunk
-let post t ~at thunk = Timer_wheel.post t.wheel ~key:(key_of t at) thunk
+let post t ~at thunk = ignore (schedule t ~at thunk : handle)
 let post_in t ~delay thunk = post t ~at:(Stime.add t.clock delay) thunk
-let timer t = Timer_wheel.node t.wheel
-let arm t h ~at thunk = Timer_wheel.arm h ~key:(key_of t at) thunk
-let cancel h = Timer_wheel.cancel h
+let timer t = Timer_wheel.timer t.wheel
+let arm t h ~at thunk = Timer_wheel.arm t.wheel h ~key:(key_of t at) thunk
+let cancel t h = Timer_wheel.cancel t.wheel h
+let capacity t = Timer_wheel.capacity t.wheel
 
 let step t =
   if Timer_wheel.is_empty t.wheel then false
   else begin
-    let n = Timer_wheel.pop t.wheel in
-    t.clock <- Stime.ns (Timer_wheel.key n);
-    let k = Timer_wheel.value n in
-    Timer_wheel.release n;
+    let k = Timer_wheel.pop t.wheel in
+    t.clock <- Stime.ns (Timer_wheel.horizon t.wheel);
     t.events_run <- t.events_run + 1;
     k ();
     true

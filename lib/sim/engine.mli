@@ -7,7 +7,8 @@
 type t
 
 type handle
-(** A scheduled event, usable for cancellation. *)
+(** A scheduled event, usable for cancellation: an int packing the
+    event's wheel entry and that entry's generation. *)
 
 val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at zero.  [seed] initialises {!rng}. *)
@@ -33,24 +34,31 @@ val schedule_in : t -> delay:Stime.t -> (unit -> unit) -> handle
 (** [schedule_in t ~delay k] runs [k] after [delay] of virtual time. *)
 
 val post : t -> at:Stime.t -> (unit -> unit) -> unit
-(** [schedule] for an event nobody will cancel: its record is recycled
-    once it has fired, so posting allocates nothing but the thunk. *)
+(** [schedule] for an event nobody will cancel.  Like every event, its
+    entry is recycled once it has fired, so posting allocates nothing but
+    the thunk. *)
 
 val post_in : t -> delay:Stime.t -> (unit -> unit) -> unit
 
 val timer : t -> handle
-(** An unscheduled event record that {!arm} can schedule again and again
-    — one record for a stream of one-at-a-time deadlines. *)
+(** An unscheduled event entry that {!arm} can schedule again and again
+    — one entry, never recycled, for a stream of one-at-a-time
+    deadlines. *)
 
 val arm : t -> handle -> at:Stime.t -> (unit -> unit) -> unit
 (** [arm t h ~at k] schedules [h] to run [k] at [at], moving it if it is
-    still pending.  The record must come from {!timer} or {!schedule}.
-    @raise Invalid_argument if [at] is in the past. *)
+    still pending.
+    @raise Invalid_argument if [at] is in the past or [h] does not come
+    from {!timer}. *)
 
-val cancel : handle -> unit
+val cancel : t -> handle -> unit
 (** Prevent a scheduled event from running.  The event is removed from the
     queue immediately and its thunk dropped, so cancellation retains no
-    memory until the original deadline.  Idempotent. *)
+    memory until the original deadline.  A no-op once the event has fired
+    or been cancelled, even after its entry is reused. *)
+
+val capacity : t -> int
+(** Event entries the queue holds, live or free: its high-water mark. *)
 
 val step : t -> bool
 (** Run the single earliest event.  [false] when the queue is empty. *)

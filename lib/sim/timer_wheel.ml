@@ -10,11 +10,23 @@
    time [cur]; when [cur] advances into a higher-level bucket's window the
    bucket is cascaded (redistributed) into lower levels.
 
-   Each bucket is a circular doubly-linked list with a sentinel, so cancel
-   unlinks in O(1) and drops the payload eagerly — no closure is retained
-   past cancellation.  The node is the whole per-entry record: nothing is
-   boxed around it, [pop] hands it back as is, and a pooled node goes back
-   to the wheel's free stack once its payload has been read.
+   Storage is a set of parallel arrays indexed by entry number.  Key,
+   prev/next links, bucket position and generation are [int array]s; the
+   payloads sit in one value array.  In OCaml 5 every pointer store into a
+   major-heap block pays the write barrier ([caml_modify]), and a wheel
+   whose records are recycled keeps them all in the major heap; with int
+   links, linking, unlinking and cascading store no pointer at all, and
+   the only barriered stores per entry are writing its payload and
+   clearing it.  Indices [0, sentinels) are the buckets' sentinels, so
+   each bucket is a circular doubly-linked list and cancel unlinks in
+   O(1).  Free entries sit on an int stack.
+
+   A handle packs an entry's index with its generation.  Recycling an
+   entry bumps its generation, so a handle whose entry has fired or been
+   cancelled and then reused resolves to nothing: cancelling it is a
+   checked no-op.  A timer entry has an odd generation that never changes
+   and never returns to the free stack, so its handle can be re-armed for
+   life.
 
    Order invariant: every entry whose deadline lies within the current
    level-(l+1) bucket window is stored at level <= l, because the cascade
@@ -34,20 +46,25 @@ let slot_bits = 5
 let slots = 1 lsl slot_bits (* 32 *)
 let slot_mask = slots - 1
 let levels = 13 (* 13 * 5 = 65 bits: covers any non-negative OCaml int key *)
+let sentinels = levels * slots (* entry [level * slots + slot] heads a bucket *)
 
-type 'a node = {
-  mutable key : int;
-  mutable value : 'a; (* the wheel's [dummy] when empty *)
-  mutable prev : 'a node;
-  mutable next : 'a node;
-  mutable pos : int; (* level * slots + slot while linked; -1 detached *)
-  owner : 'a t;
-  pooled : bool; (* returns to [owner]'s free stack on [release] *)
-}
+(* handle = generation lsl idx_bits lor index; both fields are masked so a
+   handle is a non-negative int *)
+let idx_bits = 30
+let idx_mask = (1 lsl idx_bits) - 1
+let gen_mask = (1 lsl (62 - idx_bits)) - 1
 
-and 'a t = {
-  nil : 'a node; (* link target of detached nodes *)
-  mutable buckets : 'a node array; (* [level * slots + slot] -> sentinel *)
+type handle = int
+
+type 'a t = {
+  mutable key : int array;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable pos : int array; (* bucket sentinel while linked; -1 detached *)
+  mutable gen : int array; (* odd: a timer's; even: bumped on recycling *)
+  mutable value : 'a array; (* the wheel's [dummy] when empty *)
+  mutable free : int array; (* stack of recycled entry indices *)
+  mutable nfree : int;
   occupancy : int array; (* per-level bitmap of non-empty slots *)
   mutable level_occ : int; (* bitmap of levels with any non-empty slot *)
   mutable cur : int; (* key of the last pop; all live keys are >= cur *)
@@ -56,55 +73,89 @@ and 'a t = {
       (* memo of the last [settle] result: the level-0 bucket holding the
          minimum, or -1.  Valid while that bucket is non-empty: its one
          deadline is [cur], which no live key undercuts, and a later add
-         at [cur] queues behind its nodes. *)
+         at [cur] queues behind its entries. *)
   mutable min_memo : int; (* smallest live key when known, else -1 *)
   dummy : 'a;
-  mutable free : 'a node array; (* recycled pooled nodes *)
-  mutable nfree : int;
 }
 
-(* A detached node's links point at [t.nil]; only sentinels (and [nil]
-   itself) are built self-linked, since a recursive record definition
-   costs a second allocation. *)
-let detached t ~pooled =
-  { key = 0; value = t.dummy; prev = t.nil; next = t.nil; pos = -1; owner = t;
-    pooled }
-
-let self_linked t =
-  let rec s =
-    { key = 0; value = t.dummy; prev = s; next = s; pos = -1; owner = t;
-      pooled = false }
-  in
-  s
-
+(* The arrays start with the sentinels alone; entries arrive with the
+   first [grow]. *)
 let create ~dummy () =
-  let rec t =
-    {
-      nil;
-      buckets = [||];
-      occupancy = Array.make levels 0;
-      level_occ = 0;
-      cur = 0;
-      live = 0;
-      settled = -1;
-      min_memo = -1;
-      dummy;
-      free = [||];
-      nfree = 0;
-    }
-  and nil =
-    { key = 0; value = dummy; prev = nil; next = nil; pos = -1; owner = t;
-      pooled = false }
-  in
-  t.buckets <- Array.init (levels * slots) (fun _ -> self_linked t);
-  t
+  {
+    key = Array.make sentinels 0;
+    (* sentinels start self-linked: every bucket empty *)
+    prev = Array.init sentinels Fun.id;
+    next = Array.init sentinels Fun.id;
+    pos = Array.make sentinels (-1);
+    gen = Array.make sentinels 0;
+    value = Array.make sentinels dummy;
+    free = Array.make sentinels 0;
+    nfree = 0;
+    occupancy = Array.make levels 0;
+    level_occ = 0;
+    cur = 0;
+    live = 0;
+    settled = -1;
+    min_memo = -1;
+    dummy;
+  }
 
 let live t = t.live
 let is_empty t = t.live = 0
 let horizon t = t.cur
-let key n = n.key
-let value n = n.value
-let is_live n = n.pos >= 0
+let capacity t = Array.length t.key - sentinels
+
+(* Double every array; the new entries go on the free stack, lowest index
+   on top. *)
+let grow t =
+  let cap = Array.length t.key in
+  let ncap = 2 * cap in
+  if ncap > idx_mask + 1 then failwith "Timer_wheel: too many entries";
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.key <- extend t.key 0;
+  t.prev <- extend t.prev 0;
+  t.next <- extend t.next 0;
+  t.pos <- extend t.pos (-1);
+  t.gen <- extend t.gen 0;
+  t.value <- extend t.value t.dummy;
+  t.free <- extend t.free 0;
+  for i = ncap - 1 downto cap do
+    t.free.(t.nfree) <- i;
+    t.nfree <- t.nfree + 1
+  done
+
+let fresh t =
+  if t.nfree = 0 then grow t;
+  t.nfree <- t.nfree - 1;
+  t.free.(t.nfree)
+
+(* Drop the payload; a non-timer entry gets a new generation, which
+   invalidates its handles, and goes back on the free stack. *)
+let release t i =
+  t.value.(i) <- t.dummy;
+  let g = t.gen.(i) in
+  if g land 1 = 0 then begin
+    t.gen.(i) <- (g + 2) land gen_mask;
+    t.free.(t.nfree) <- i;
+    t.nfree <- t.nfree + 1
+  end
+
+let handle_of t i = (t.gen.(i) lsl idx_bits) lor i
+
+(* The entry [h] names, or -1 when its generation has moved on. *)
+let index t h =
+  let i = h land idx_mask in
+  if i >= sentinels && i < Array.length t.gen && t.gen.(i) = h lsr idx_bits
+  then i
+  else -1
+
+let is_live t h =
+  let i = index t h in
+  i >= 0 && t.pos.(i) >= 0
 
 (* Level at which an entry with deadline [key] lives, given current time
    [cur]: the index of the 5-bit digit group containing the highest bit in
@@ -127,123 +178,108 @@ let lowest_set_bit x =
   Array.unsafe_get debruijn
     ((((x land (-x)) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
 
-let place t node =
-  let level = level_for t node.key in
-  let slot = (node.key lsr (slot_bits * level)) land slot_mask in
-  let pos = (level * slots) + slot in
-  node.pos <- pos;
-  let s = t.buckets.(pos) in
+let place t i =
+  let key = t.key.(i) in
+  let level = level_for t key in
+  let slot = (key lsr (slot_bits * level)) land slot_mask in
+  let s = (level * slots) + slot in
+  t.pos.(i) <- s;
   (* insert before the sentinel = append at tail, preserving insertion order *)
-  node.prev <- s.prev;
-  node.next <- s;
-  s.prev.next <- node;
-  s.prev <- node;
+  let prev = t.prev and next = t.next in
+  let last = prev.(s) in
+  prev.(i) <- last;
+  next.(i) <- s;
+  next.(last) <- i;
+  prev.(s) <- i;
   t.occupancy.(level) <- t.occupancy.(level) lor (1 lsl slot);
   t.level_occ <- t.level_occ lor (1 lsl level)
 
-let unlink t node =
-  node.prev.next <- node.next;
-  node.next.prev <- node.prev;
-  let s = t.buckets.(node.pos) in
-  if s.next == s then begin
-    let level = node.pos lsr slot_bits and slot = node.pos land slot_mask in
-    t.occupancy.(level) <- t.occupancy.(level) land lnot (1 lsl slot);
-    if t.occupancy.(level) = 0 then
-      t.level_occ <- t.level_occ land lnot (1 lsl level)
-  end;
-  node.pos <- -1;
-  node.prev <- t.nil;
-  node.next <- t.nil
+let clear_slot t level slot =
+  let occ = t.occupancy.(level) land lnot (1 lsl slot) in
+  t.occupancy.(level) <- occ;
+  if occ = 0 then t.level_occ <- t.level_occ land lnot (1 lsl level)
 
-(* Drop a payload and, for a pooled node, hand the record back. *)
-let release node =
-  let t = node.owner in
-  node.value <- t.dummy;
-  if node.pooled then begin
-    if t.nfree = Array.length t.free then begin
-      let bigger = Array.make (max 16 (2 * t.nfree)) node in
-      Array.blit t.free 0 bigger 0 t.nfree;
-      t.free <- bigger
-    end;
-    t.free.(t.nfree) <- node;
-    t.nfree <- t.nfree + 1
-  end
+(* Unlink a live entry and forget it in the counts. *)
+let unlink t i =
+  let prev = t.prev and next = t.next in
+  let p = prev.(i) and n = next.(i) in
+  next.(p) <- n;
+  prev.(n) <- p;
+  let s = t.pos.(i) in
+  if next.(s) = s then clear_slot t (s lsr slot_bits) (s land slot_mask);
+  t.pos.(i) <- -1;
+  t.live <- t.live - 1;
+  if t.key.(i) = t.min_memo then t.min_memo <- -1
 
-let cancel node =
-  if node.pos >= 0 then begin
-    let t = node.owner in
-    unlink t node;
-    t.live <- t.live - 1;
-    if node.key = t.min_memo then t.min_memo <- -1;
-    node.value <- t.dummy
-  end
-
-(* Link a detached node at [key]; a live node is moved. *)
-let arm node ~key v =
-  let t = node.owner in
-  if key < t.cur then invalid_arg "Timer_wheel.arm: key is in the past";
-  cancel node;
-  node.key <- key;
-  node.value <- v;
-  place t node;
+(* Link a detached entry at [key]; the caller has checked [key >= cur]. *)
+let link t i ~key v =
+  t.key.(i) <- key;
+  t.value.(i) <- v;
+  place t i;
   if t.live = 0 then t.min_memo <- key
   else if t.min_memo >= 0 && key < t.min_memo then t.min_memo <- key;
   t.live <- t.live + 1
 
-let node t = detached t ~pooled:false
-
 let add t ~key v =
-  let n = detached t ~pooled:false in
-  arm n ~key v;
-  n
+  if key < t.cur then invalid_arg "Timer_wheel: key is in the past";
+  let i = fresh t in
+  link t i ~key v;
+  handle_of t i
 
-let post t ~key v =
-  let n =
-    if t.nfree > 0 then begin
-      t.nfree <- t.nfree - 1;
-      t.free.(t.nfree)
-    end
-    else detached t ~pooled:true
-  in
-  arm n ~key v
+let timer t =
+  let i = fresh t in
+  t.gen.(i) <- t.gen.(i) lor 1;
+  handle_of t i
 
-(* Move every node of bucket [level].[slot] down to its proper lower level.
-   Precondition: [t.cur] has been advanced so that the bucket's window
-   starts at or before cur's window at this level, i.e. every node now maps
-   to a strictly lower level.  Traversal preserves list order. *)
-let rec drain t s node =
-  if node != s then begin
-    let next = node.next in
-    place t node;
+let arm t h ~key v =
+  let i = index t h in
+  if i < 0 || t.gen.(i) land 1 = 0 then
+    invalid_arg "Timer_wheel.arm: not a timer handle";
+  if key < t.cur then invalid_arg "Timer_wheel: key is in the past";
+  if t.pos.(i) >= 0 then unlink t i;
+  link t i ~key v
+
+let cancel t h =
+  let i = index t h in
+  if i >= 0 && t.pos.(i) >= 0 then begin
+    unlink t i;
+    release t i
+  end
+
+(* Move every entry of bucket [level].[slot] down to its proper lower
+   level.  Precondition: [t.cur] has been advanced so that the bucket's
+   window starts at or before cur's window at this level, i.e. every entry
+   now maps to a strictly lower level.  Traversal preserves list order. *)
+let rec drain t s i =
+  if i <> s then begin
+    let next = t.next.(i) in
+    place t i;
     drain t s next
   end
 
 let cascade t level slot =
-  let s = t.buckets.((level * slots) + slot) in
-  t.occupancy.(level) <- t.occupancy.(level) land lnot (1 lsl slot);
-  if t.occupancy.(level) = 0 then
-    t.level_occ <- t.level_occ land lnot (1 lsl level);
-  let first = s.next in
-  s.next <- s;
-  s.prev <- s;
+  let s = (level * slots) + slot in
+  clear_slot t level slot;
+  let first = t.next.(s) in
+  t.next.(s) <- s;
+  t.prev.(s) <- s;
   drain t s first
 
 (* Advance [cur] to the earliest live deadline, cascading higher-level
    buckets as needed, and return the sentinel of the level-0 bucket
    holding the minimum.  Precondition: [live > 0]. *)
 let rec settle t =
-  if t.settled >= 0 && t.buckets.(t.settled).next != t.buckets.(t.settled)
-  then t.buckets.(t.settled)
+  let s = t.settled in
+  if s >= 0 && t.next.(s) <> s then s
   else begin
     (* lowest non-empty level, via the level-occupancy summary bitmap *)
     let l = lowest_set_bit t.level_occ in
     let slot = lowest_set_bit t.occupancy.(l) in
     if l = 0 then begin
-      let s = t.buckets.(slot) in
-      (* every node in a level-0 bucket shares one exact deadline *)
-      t.cur <- s.next.key;
+      (* every entry in a level-0 bucket shares one exact deadline *)
+      t.cur <- t.key.(t.next.(slot));
       t.settled <- slot;
-      s
+      slot
     end
     else begin
       (* jump cur to the start of that bucket's window, then cascade *)
@@ -260,9 +296,10 @@ let rec settle t =
    [live > 0]. *)
 let lowest_bucket t =
   let l = lowest_set_bit t.level_occ in
-  t.buckets.((l * slots) + lowest_set_bit t.occupancy.(l))
+  (l * slots) + lowest_set_bit t.occupancy.(l)
 
-let rec scan s n m = if n == s then m else scan s n.next (Int.min m n.key)
+let rec scan t s i m =
+  if i = s then m else scan t s t.next.(i) (Int.min m t.key.(i))
 
 (* The smallest live key, without moving [cur]: a level-0 bucket is one
    exact deadline, a higher one is scanned.  Memoised until a link,
@@ -272,35 +309,34 @@ let min_key t =
   else if t.min_memo >= 0 then t.min_memo
   else begin
     let s = lowest_bucket t in
-    let first = s.next in
-    let m = if first.pos < slots then first.key else scan s first.next first.key in
+    let first = t.next.(s) in
+    let m = if s < slots then t.key.(first) else scan t s first max_int in
     t.min_memo <- m;
     m
   end
 
 let pop t =
   if t.live = 0 then invalid_arg "Timer_wheel.pop: empty";
-  let node = (settle t).next in
-  unlink t node;
-  t.live <- t.live - 1;
+  let i = t.next.(settle t) in
+  unlink t i;
   t.min_memo <- -1;
-  node
+  let v = t.value.(i) in
+  release t i;
+  v
 
 let peek_min t =
   if t.live = 0 then None
   else begin
     let k = min_key t in
-    (* the first node at the minimum key in the lowest occupied bucket is
+    (* the first entry at the minimum key in the lowest occupied bucket is
        the one [pop] would return: bucket lists keep insertion order *)
-    let rec first n = if n.key = k then n.value else first n.next in
-    Some (k, first (lowest_bucket t).next)
+    let rec first i = if t.key.(i) = k then t.value.(i) else first t.next.(i) in
+    Some (k, first t.next.(lowest_bucket t))
   end
 
 let pop_min t =
   if t.live = 0 then None
   else begin
-    let n = pop t in
-    let r = Some (n.key, n.value) in
-    release n;
-    r
+    let v = pop t in
+    Some (t.cur, v)
   end

@@ -5,10 +5,10 @@
     [pop].  Pops are stable: among equal keys, insertion order wins —
     the wheel fires in exactly the same order as {!Pheap} would.
 
-    One record per entry: the {!node} is the bucket link, the key and the
-    payload at once.  [pop] returns it unboxed, and pooled entries
-    ({!post}) are recycled, so a steady schedule/pop cycle allocates
-    nothing.
+    Entries live in parallel arrays indexed by entry number, linked by
+    ints, and are recycled through a free stack: a steady add/pop cycle
+    allocates nothing, and the only pointer stores per entry are writing
+    its payload and clearing it.
 
     The wheel's horizon is the key of the last pop.  Looking ahead
     ({!min_key}, {!peek_min}) does not move it, so any key at or after the
@@ -16,61 +16,62 @@
 
 type 'a t
 
-type 'a node
-(** A scheduled entry, usable for cancellation. *)
+type handle
+(** A scheduled entry, usable for cancellation: its index and a
+    generation.  Once the entry has fired or been cancelled and is reused,
+    the handle names nothing. *)
 
 val create : dummy:'a -> unit -> 'a t
-(** [dummy] fills payload slots that hold nothing (sentinels, cancelled
-    and released nodes), so a dropped payload is not retained. *)
+(** [dummy] fills payload slots that hold nothing (free, popped and
+    cancelled entries), so a dropped payload is not retained. *)
 
 val live : 'a t -> int
 (** Number of entries added but not yet popped or cancelled. *)
 
 val is_empty : 'a t -> bool
 
+val capacity : 'a t -> int
+(** Entries the arrays hold, live or free.  Grows by doubling when the
+    free stack runs out, and never shrinks. *)
+
 val horizon : 'a t -> int
 (** Smallest key currently accepted: the key of the last {!pop}.  Only
     moves forward, and only when an entry is popped. *)
 
-val add : 'a t -> key:int -> 'a -> 'a node
-(** A fresh entry.  O(1).  @raise Invalid_argument if [key < horizon t]. *)
+val add : 'a t -> key:int -> 'a -> handle
+(** Schedule [v] at [key].  O(1), and allocation-free once the arrays
+    have grown to the peak live count.
+    @raise Invalid_argument if [key < horizon t]. *)
 
-val post : 'a t -> key:int -> 'a -> unit
-(** Like {!add} for an entry nobody will cancel: the record comes from
-    the wheel's free stack and returns there on {!release}. *)
+val timer : 'a t -> handle
+(** A detached entry with no key that keeps its index for the wheel's
+    lifetime, for {!arm}ing again and again. *)
 
-val node : 'a t -> 'a node
-(** A detached entry with no key, for {!arm}ing again and again. *)
+val arm : 'a t -> handle -> key:int -> 'a -> unit
+(** Schedule a {!timer} at [key] with payload [v], moving it if it is
+    live.
+    @raise Invalid_argument if [key < horizon] or [h] is not a timer. *)
 
-val arm : 'a node -> key:int -> 'a -> unit
-(** Schedule a node at [key] with payload [v], moving it if it is live.
-    @raise Invalid_argument if [key < horizon]. *)
+val cancel : 'a t -> handle -> unit
+(** O(1) true removal: unlinks the entry and drops its payload eagerly so
+    the value is not retained until its deadline.  A no-op on an entry
+    that has already fired or been cancelled, even once it is reused. *)
 
-val cancel : 'a node -> unit
-(** O(1) true removal: unlinks the node and drops its payload eagerly so
-    the value is not retained until its deadline.  Idempotent. *)
-
-val is_live : 'a node -> bool
-(** [true] while the node is scheduled: not yet popped or cancelled. *)
-
-val key : 'a node -> int
-val value : 'a node -> 'a
+val is_live : 'a t -> handle -> bool
+(** [true] while the entry is scheduled: not yet popped or cancelled. *)
 
 val min_key : 'a t -> int
 (** Smallest live key ([max_int] when empty), without moving the
     horizon. *)
 
-val pop : 'a t -> 'a node
-(** Unlink and return the earliest live entry, advancing the horizon to
-    its key.  Its payload stays readable until {!release}.
+val pop : 'a t -> 'a
+(** Remove the earliest live entry, advance the horizon to its key, and
+    return its payload.  A non-timer entry is recycled at once and its
+    handles go stale.
     @raise Invalid_argument when empty. *)
-
-val release : 'a node -> unit
-(** Drop a popped node's payload; a {!post}ed node returns to the free
-    stack and must not be touched again. *)
 
 val peek_min : 'a t -> (int * 'a) option
 (** Earliest live entry without removing it or moving the horizon. *)
 
 val pop_min : 'a t -> (int * 'a) option
-(** {!pop} and {!release} in one step, boxing the result. *)
+(** {!pop} with its key, boxing the result. *)

@@ -80,7 +80,7 @@ let telemetry_every ?capacity t ~period =
   let stop () =
     if not !stopped then begin
       stopped := true;
-      (match !handle with Some h -> Sim.Engine.cancel h | None -> ());
+      (match !handle with Some h -> Sim.Engine.cancel t.engine h | None -> ());
       handle := None
     end
   in

@@ -147,6 +147,20 @@ let cksum_chain_vs_reference =
       let fast = Cksum.of_views views in
       fast = Cksum.of_views_bytewise views && fast = Cksum.of_view_bytewise whole)
 
+(* Long views, at every alignment, so the eight-byte loads, their
+   16-bit tail and carries out of all-ones words are all exercised. *)
+let cksum_long_view_vs_reference =
+  QCheck.Test.make ~name:"cksum = bytewise reference on long offset views"
+    ~count:300
+    QCheck.(triple (int_bound 7) (int_bound 1600) bool)
+    (fun (off, len, ones) ->
+      let s =
+        String.init (off + len) (fun i ->
+            if ones then '\xff' else Char.chr ((i * 131) land 0xff))
+      in
+      let v = View.sub (View.of_string s) ~off ~len in
+      Cksum.of_view v = Cksum.of_view_bytewise v)
+
 let cksum_of_mbuf_chain =
   QCheck.Test.make ~name:"of_mbuf on concat chains = flat checksum" ~count:200
     QCheck.(small_list (string_of_size Gen.(0 -- 33)))
@@ -256,5 +270,10 @@ let suite =
         tc "pool reserve/release budget" pool_reserve_release;
       ] );
     ( "datapath.props",
-      [ prop mbuf_model; prop cksum_chain_vs_reference; prop cksum_of_mbuf_chain ] );
+      [
+        prop mbuf_model;
+        prop cksum_chain_vs_reference;
+        prop cksum_long_view_vs_reference;
+        prop cksum_of_mbuf_chain;
+      ] );
   ]

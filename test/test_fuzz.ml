@@ -195,7 +195,7 @@ let tcp_input_fuzz =
           set_timer =
             (fun delay fn ->
               let h = Sim.Engine.schedule_in engine ~delay fn in
-              fun () -> Sim.Engine.cancel h);
+              fun () -> Sim.Engine.cancel engine h);
           tx = (fun _ -> ());
           on_receive = ignore;
           on_established = ignore;

@@ -156,6 +156,45 @@ let udp_corrupt_checksum_dropped () =
   Alcotest.(check int) "bad checksum counted" 1
     (Plexus.Udp_mgr.counters udp_b).Plexus.Udp_mgr.bad_checksum
 
+(* One checksum-valid frame whose IP total length (2000) runs past its
+   60 bytes, with MF set so it heads for reassembly.  IP must drop and
+   count it without slicing past the frame's end: a raise there would be
+   contained as a handler fault and uninstall the IP manager. *)
+let ip_total_len_past_frame_dropped () =
+  let p = pair () in
+  let udp_a = Plexus.Stack.udp p.Experiments.Common.a in
+  let udp_b = Plexus.Stack.udp p.Experiments.Common.b in
+  let server = bind_exn udp_b ~owner:"srv" ~port:7 in
+  let got = ref 0 in
+  let (_ : unit -> unit) =
+    Plexus.Udp_mgr.install_recv udp_b server (fun _ -> incr got)
+  in
+  let dev_a = Plexus.Ether_mgr.dev (Plexus.Stack.ether p.Experiments.Common.a) in
+  let dev_b = Plexus.Ether_mgr.dev (Plexus.Stack.ether p.Experiments.Common.b) in
+  let frame = Mbuf.of_string (String.make 26 'x') in
+  Proto.Ipv4.encapsulate frame
+    (Proto.Ipv4.make ~more_fragments:true ~proto:Proto.Ipv4.proto_udp
+       ~src:ip_a ~dst:ip_b ~payload_len:1980 ());
+  Proto.Ether.encapsulate frame
+    {
+      Proto.Ether.dst = Netsim.Dev.mac dev_b;
+      src = Netsim.Dev.mac dev_a;
+      etype = Proto.Ether.etype_ip;
+    };
+  Alcotest.(check int) "a 60-byte frame" 60 (Mbuf.length frame);
+  Netsim.Dev.transmit dev_a frame;
+  Sim.Engine.run p.Experiments.Common.engine;
+  let client = bind_exn udp_a ~owner:"cli" ~port:5000 in
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) "after one";
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) "after two";
+  Sim.Engine.run p.Experiments.Common.engine;
+  let graph_b = Plexus.Stack.graph p.Experiments.Common.b in
+  Alcotest.(check int) "no contained fault" 0
+    (Spin.Dispatcher.faults (Plexus.Graph.dispatcher graph_b));
+  let ip_c = Plexus.Ip_mgr.counters (Plexus.Stack.ip p.Experiments.Common.b) in
+  Alcotest.(check int) "counted malformed" 1 ip_c.Plexus.Ip_mgr.malformed;
+  Alcotest.(check int) "later datagrams delivered" 2 !got
+
 let udp_fragmentation_end_to_end () =
   let p = pair () in
   (* 5 KB datagram over a 1500-byte MTU: 4 fragments, reassembled at B *)
@@ -401,6 +440,8 @@ let suite =
         tc "no spoofing" udp_no_spoofing;
         tc "corrupt checksum dropped" udp_corrupt_checksum_dropped;
         tc "fragmentation end to end" udp_fragmentation_end_to_end;
+        tc "IP total length past the frame dropped"
+          ip_total_len_past_frame_dropped;
       ] );
     ( "plexus.control",
       [

@@ -410,7 +410,7 @@ module H = struct
           set_timer =
             (fun delay fn ->
               let h = Sim.Engine.schedule_in engine ~delay fn in
-              fun () -> Sim.Engine.cancel h);
+              fun () -> Sim.Engine.cancel engine h);
           tx = (fun pkt -> wire dst_ref pkt);
           on_receive =
             (fun data ->

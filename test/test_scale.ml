@@ -10,8 +10,10 @@ let us = Sim.Stime.us
    order of the stable binary heap, under arbitrary interleavings of
    schedule, cancel, look-ahead and pop (a reschedule is a cancel +
    schedule).  A look-ahead must agree with the heap and leave the
-   horizon where the last pop put it. *)
-type op = Add of int | Cancel of int | Peek | Pop
+   horizon where the last pop put it.  Cancelling a stale handle — one
+   whose entry has fired or been cancelled, and is likely reused by a
+   later add — must cancel nothing. *)
+type op = Add of int | Cancel of int | Stale of int | Peek | Pop
 
 let op_gen =
   QCheck.Gen.(
@@ -19,6 +21,7 @@ let op_gen =
       [
         (6, map (fun d -> Add d) (int_bound 5000));
         (2, map (fun i -> Cancel i) (int_bound 500));
+        (2, map (fun i -> Stale i) (int_bound 50));
         (2, return Peek);
         (3, return Pop);
       ])
@@ -26,6 +29,7 @@ let op_gen =
 let op_print = function
   | Add d -> Printf.sprintf "Add %d" d
   | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Stale i -> Printf.sprintf "Stale %d" i
   | Peek -> "Peek"
   | Pop -> "Pop"
 
@@ -64,13 +68,25 @@ let wheel_matches_pheap ops =
           (* cancel the i-th most recent still-live entry, if any *)
           match
             List.filteri (fun j _ -> j = i)
-              (List.filter (fun (_, n) -> Sim.Timer_wheel.is_live n) !nodes)
+              (List.filter
+                 (fun (_, n) -> Sim.Timer_wheel.is_live wheel n)
+                 !nodes)
           with
           | [ (id, n) ] ->
-              Sim.Timer_wheel.cancel n;
-              Sim.Timer_wheel.cancel n (* idempotent *)
+              Sim.Timer_wheel.cancel wheel n;
+              Sim.Timer_wheel.cancel wheel n (* idempotent *)
               ;
               Hashtbl.replace cancelled id ()
+          | _ -> ())
+      | Stale i -> (
+          (* the i-th most recent dead handle: the heap is left alone *)
+          match
+            List.filteri (fun j _ -> j = i)
+              (List.filter
+                 (fun (_, n) -> not (Sim.Timer_wheel.is_live wheel n))
+                 !nodes)
+          with
+          | [ (_, n) ] -> Sim.Timer_wheel.cancel wheel n
           | _ -> ())
       | Peek ->
           let h0 = Sim.Timer_wheel.horizon wheel in
@@ -132,7 +148,7 @@ let wheel_mass_cancel () =
         Sim.Engine.schedule e ~at:(us (1 + (i mod 997))) (fun () -> incr fired))
   in
   Alcotest.(check int) "100k pending" 100_000 (Sim.Engine.pending e);
-  List.iter Sim.Engine.cancel handles;
+  List.iter (Sim.Engine.cancel e) handles;
   Alcotest.(check int) "pending reports only live events" 0
     (Sim.Engine.pending e);
   Sim.Engine.run e;
@@ -151,11 +167,29 @@ let wheel_cancel_drops_thunk () =
         match !payload with Some s -> ignore (String.length s) | None -> ())
   in
   payload := None;
-  Sim.Engine.cancel h;
+  Sim.Engine.cancel e h;
   Gc.full_major ();
   Alcotest.(check bool) "closure environment collected" false
     (Weak.check wp 0);
   Sim.Engine.run e
+
+let wheel_pop_drops_thunk () =
+  (* a fired event's closure is released as soon as it has run: its
+     recycled entry keeps no pointer to it *)
+  let e = Sim.Engine.create () in
+  let wp = Weak.create 1 in
+  let arm () =
+    let s = String.make 1024 'x' in
+    Weak.set wp 0 (Some s);
+    ignore
+      (Sim.Engine.schedule e ~at:(us 10) (fun () -> ignore (String.length s))
+        : Sim.Engine.handle)
+  in
+  arm ();
+  Sim.Engine.run e;
+  Gc.full_major ();
+  Alcotest.(check bool) "closure environment collected" false
+    (Weak.check wp 0)
 
 let engine_behind_horizon () =
   (* run ~until peeks past the horizon; a later schedule between the
@@ -325,6 +359,7 @@ let suite =
         tc "keys across all levels" wheel_long_range;
         tc "100k pending, mass cancel" wheel_mass_cancel;
         tc "cancel drops the closure eagerly" wheel_cancel_drops_thunk;
+        tc "fired closures are released" wheel_pop_drops_thunk;
         tc "schedule behind a peeked horizon" engine_behind_horizon;
       ] );
     ( "scale.sharded",

@@ -126,7 +126,7 @@ let engine_cancel () =
   let e = Sim.Engine.create () in
   let fired = ref false in
   let h = Sim.Engine.schedule e ~at:(us 10) (fun () -> fired := true) in
-  Sim.Engine.cancel h;
+  Sim.Engine.cancel e h;
   Sim.Engine.run e;
   Alcotest.(check bool) "cancelled" false !fired;
   Alcotest.(check int) "no events counted" 0 (Sim.Engine.events_run e)
@@ -404,7 +404,7 @@ let engine_timer_rearm () =
   Sim.Engine.arm e h ~at:(us 40) (fun () -> log := 40 :: !log);
   Sim.Engine.run e;
   Sim.Engine.arm e h ~at:(us 50) (fun () -> log := 50 :: !log);
-  Sim.Engine.cancel h;
+  Sim.Engine.cancel e h;
   Sim.Engine.run e;
   Alcotest.(check (list int)) "fires at its last arming only" [ 20; 40 ]
     (List.rev !log);
@@ -461,8 +461,19 @@ let engine_event_words () =
         done;
         Sim.Engine.run e)
   in
-  (* a handle is the event's one record: 7 fields and a header *)
-  check_words "scheduled event" ~bound:8.1 (per n scheduled);
+  (* a handle is an int: index and generation *)
+  check_words "scheduled event" ~bound:0.1 (per n scheduled);
+  let h = Sim.Engine.timer e in
+  let armed =
+    words_of (fun () ->
+        for i = 1 to n do
+          Sim.Engine.arm e h
+            ~at:(Sim.Stime.add (Sim.Engine.now e) (Sim.Stime.ns (i * 37)))
+            noop;
+          Sim.Engine.run e
+        done)
+  in
+  check_words "armed event" ~bound:0.1 (per n armed);
   let until =
     words_of (fun () ->
         for i = 1 to n do
@@ -473,6 +484,65 @@ let engine_event_words () =
   in
   (* two words per call: the [Some] the caller boxes [~until] in *)
   check_words "run ~until look-ahead" ~bound:2.1 (per n until)
+
+let stale_handle_cancels_nothing () =
+  (* a handle outlives its event: once the entry has fired (or been
+     cancelled) and been reused, cancelling the old handle is a no-op *)
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note x () = log := x :: !log in
+  let h1 = Sim.Engine.schedule e ~at:(us 10) (note 1) in
+  Sim.Engine.run e;
+  let h2 = Sim.Engine.schedule e ~at:(us 20) (note 2) in
+  Sim.Engine.cancel e h1;
+  Sim.Engine.cancel e h2;
+  let _h3 = Sim.Engine.schedule e ~at:(us 30) (note 3) in
+  Sim.Engine.cancel e h1;
+  Sim.Engine.cancel e h2;
+  Alcotest.(check int) "the new event is still pending" 1
+    (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "fired and uncancelled events ran" [ 1; 3 ]
+    (List.rev !log);
+  Alcotest.check_raises "arm takes timer handles only"
+    (Invalid_argument "Timer_wheel.arm: not a timer handle") (fun () ->
+      Sim.Engine.arm e h1 ~at:(us 40) noop)
+
+(* Schedule->cancel and schedule->fire cycles, plus CPU items, in bursts
+   no larger than the first: the wheel's arrays and the CPU pool reach
+   their peak in the first burst and never grow again, so recycled
+   entries are really reused. *)
+let pools_stop_growing () =
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"c" in
+  let burst = 512 in
+  let cycles = ref 0 in
+  let round size =
+    let hs =
+      Array.init size (fun i ->
+          Sim.Engine.schedule_in e ~delay:(Sim.Stime.ns (1 + (i * 97))) noop)
+    in
+    Array.iteri (fun i h -> if i land 1 = 0 then Sim.Engine.cancel e h) hs;
+    for i = 1 to size do
+      Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(Sim.Stime.ns i) noop
+    done;
+    Sim.Engine.run e;
+    cycles := !cycles + size
+  in
+  round burst;
+  let wheel = Sim.Engine.capacity e and pool = Sim.Cpu.capacity cpu in
+  Alcotest.(check bool) "wheel sized to its peak" true (wheel <= 4 * burst);
+  Alcotest.(check bool) "pool sized to its peak" true (pool <= 4 * burst);
+  let r = ref 1 in
+  while !cycles < 100_000 do
+    round (1 + (!r * 7919 mod burst));
+    incr r;
+    if Sim.Engine.capacity e <> wheel || Sim.Cpu.capacity cpu <> pool then
+      Alcotest.failf "grew past the peak after %d cycles: wheel %d -> %d, \
+                      pool %d -> %d" !cycles wheel (Sim.Engine.capacity e)
+        pool (Sim.Cpu.capacity cpu)
+  done;
+  Alcotest.(check int) "queue drained" 0 (Sim.Engine.pending e)
 
 let cpu_item_words () =
   let e = Sim.Engine.create () in
@@ -512,7 +582,9 @@ let suite =
         [
           tc "timer re-arm, move and cancel" engine_timer_rearm;
           tc "posted events keep wheel order" engine_post_order;
-          tc "engine events allocate one record at most" engine_event_words;
+          tc "engine events allocate nothing" engine_event_words;
+          tc "stale handles cancel nothing" stale_handle_cancels_nothing;
+          tc "pools stop growing at their peak" pools_stop_growing;
           tc "cpu items allocate nothing" cpu_item_words;
         ] );
     ]
