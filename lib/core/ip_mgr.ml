@@ -138,8 +138,12 @@ let rx t ctx =
           match
             Proto.Ip_frag.input t.frag ~now:(Sim.Engine.now (engine t)) h payload
           with
-          | None -> ensure_frag_timer t
-          | Some datagram ->
+          | Proto.Ip_frag.Pending -> ensure_frag_timer t
+          | Proto.Ip_frag.Malformed ->
+              (* overlapping or overrunning chunks: the train is gone *)
+              settle_frag_timer t;
+              t.counters.malformed <- t.counters.malformed + 1
+          | Proto.Ip_frag.Complete datagram ->
               settle_frag_timer t;
               t.counters.reassembled <- t.counters.reassembled + 1;
               t.counters.delivered <- t.counters.delivered + 1;

@@ -9,7 +9,9 @@ type counters = {
   mutable not_ours : int;
   mutable malformed : int;
       (** checksum-valid headers whose [total_len] lies outside
-          [[20, bytes received]]: dropped before any slicing *)
+          [[20, bytes received]], dropped before any slicing, and
+          fragment trains dropped because their chunks overlap or run
+          past the train's total length *)
   mutable delivered : int;
   mutable fragments_out : int;
   mutable reassembled : int;

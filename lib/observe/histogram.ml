@@ -66,7 +66,8 @@ let value_of idx =
 
 let record t v =
   let v = if v < 0 then 0 else v in
-  t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
+  let b = bucket_of v in
+  t.counts.(b) <- t.counts.(b) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum + v;
   if v < t.vmin then t.vmin <- v;

@@ -350,8 +350,8 @@ let rx_ip t route pkt =
                 Proto.Ip_frag.input t.frag ~now:(Sim.Engine.now t.engine) h
                   payload
               with
-              | None -> ()
-              | Some datagram ->
+              | Pending | Malformed -> ()
+              | Complete datagram ->
                   let h = { h with more_fragments = false; frag_offset = 0 } in
                   deliver h (View.ro (Mbuf.view datagram))
             end

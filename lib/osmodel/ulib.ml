@@ -104,8 +104,9 @@ let user_process t (pkt : string) =
                       Proto.Ip_frag.input t.frag
                         ~now:(Sim.Engine.now t.engine) h payload
                     with
-                    | Some datagram -> deliver (View.ro (Mbuf.view datagram)) h
-                    | None -> ()
+                    | Complete datagram ->
+                        deliver (View.ro (Mbuf.view datagram)) h
+                    | Pending | Malformed -> ()
                   end
                   else begin
                     let l4_len = h.Proto.Ipv4.total_len - Proto.Ipv4.header_len in

@@ -94,14 +94,18 @@ let assemble total chunks =
     chunks;
   m
 
-(* Feed one fragment's payload; returns the reassembled datagram when
-   complete.  The chunk views must stay valid until then (they reference
-   the arriving frames' buffers, which the receive path keeps alive). *)
-let input t ~now (h : Ipv4.header) (payload : _ View.t) :
-    Mbuf.rw Mbuf.t option =
+type outcome = Pending | Complete of Mbuf.rw Mbuf.t | Malformed
+
+(* Feed one fragment's payload.  A train completes only when its chunks
+   tile [0, total) exactly: a chunk that overlaps another (other than an
+   exact duplicate, which is ignored) or ends past the total drops the
+   whole train, since [assemble] could not place it.  The chunk views
+   must stay valid until completion (they reference the arriving frames'
+   buffers, which the receive path keeps alive). *)
+let input t ~now (h : Ipv4.header) (payload : _ View.t) : outcome =
   let payload = View.ro payload in
   if (not h.more_fragments) && h.frag_offset = 0 then
-    Some (assemble (View.length payload) [ (0, payload) ])
+    Complete (assemble (View.length payload) [ (0, payload) ])
   else begin
     ignore (expire t ~now : int);
     let key = { src = h.src; dst = h.dst; proto = h.proto; id = h.id } in
@@ -121,15 +125,42 @@ let input t ~now (h : Ipv4.header) (payload : _ View.t) :
           c
     in
     let off = h.frag_offset * 8 in
-    if not (List.mem_assoc off ctx.chunks) then begin
-      ctx.chunks <- (off, payload) :: ctx.chunks;
-      ctx.received <- ctx.received + View.length payload
-    end;
-    if not h.more_fragments then ctx.total <- Some (off + View.length payload);
-    match ctx.total with
-    | Some total when ctx.received >= total ->
-        Hashtbl.remove t.pending key;
-        t.reassembled <- t.reassembled + 1;
-        Some (assemble total ctx.chunks)
-    | _ -> None
+    let len = View.length payload in
+    let stop = off + len in
+    let dup =
+      List.exists (fun (o, v) -> o = off && View.length v = len) ctx.chunks
+    in
+    let total = if h.more_fragments then ctx.total else Some stop in
+    let total_clash =
+      match (ctx.total, total) with Some a, Some b -> a <> b | _ -> false
+    in
+    let overlap =
+      (not dup)
+      && List.exists (fun (o, v) -> off < o + View.length v && o < stop) ctx.chunks
+    in
+    let past_end =
+      match total with
+      | Some n ->
+          stop > n || List.exists (fun (o, v) -> o + View.length v > n) ctx.chunks
+      | None -> false
+    in
+    if total_clash || overlap || past_end then begin
+      Hashtbl.remove t.pending key;
+      Malformed
+    end
+    else begin
+      if not dup then begin
+        ctx.chunks <- (off, payload) :: ctx.chunks;
+        ctx.received <- ctx.received + len
+      end;
+      ctx.total <- total;
+      (* disjoint chunks inside [0, total) tile it when their sizes sum
+         to it *)
+      match total with
+      | Some total when ctx.received = total ->
+          Hashtbl.remove t.pending key;
+          t.reassembled <- t.reassembled + 1;
+          Complete (assemble total ctx.chunks)
+      | _ -> Pending
+    end
   end

@@ -16,10 +16,18 @@ type t
 
 val create : ?timeout:Sim.Stime.t -> unit -> t
 
-val input : t -> now:Sim.Stime.t -> Ipv4.header -> _ View.t -> Mbuf.rw Mbuf.t option
-(** Feed a fragment's payload (or a whole datagram); [Some datagram] when
-    one completes.  Chunk views are held until completion, so they must
-    remain valid that long (the receive path keeps arriving frames
+type outcome =
+  | Pending  (** the train is still incomplete *)
+  | Complete of Mbuf.rw Mbuf.t  (** the reassembled datagram *)
+  | Malformed
+      (** a chunk overlapped another or ran past the train's total
+          length: the whole train was dropped *)
+
+val input : t -> now:Sim.Stime.t -> Ipv4.header -> _ View.t -> outcome
+(** Feed a fragment's payload (or a whole datagram).  A train completes
+    only when its chunks tile [[0, total)] exactly; an exact duplicate
+    chunk is ignored.  Chunk views are held until completion, so they
+    must remain valid that long (the receive path keeps arriving frames
     alive).  Stale contexts are expired lazily against [now]. *)
 
 val expire : t -> now:Sim.Stime.t -> int

@@ -31,10 +31,12 @@
    Order invariant: every entry whose deadline lies within the current
    level-(l+1) bucket window is stored at level <= l, because the cascade
    pulls a window's entries down exactly when [cur] enters it and [cur]
-   only moves forward.  Hence a direct add into a bucket always comes after
-   anything cascaded there earlier, cascading preserves list order, and
-   bucket lists stay in insertion order: popping the head of the lowest
-   occupied slot reproduces heap order exactly.
+   only moves forward.  A bucket holding its window's one entry is not
+   cascaded: [pop] returns that entry where it sits, so the window is
+   empty once [cur] is in it.  Hence a direct add into a bucket always
+   comes after anything cascaded there earlier, cascading preserves list
+   order, and bucket lists stay in insertion order: popping the head of
+   the lowest occupied slot reproduces heap order exactly.
 
    [cur] moves only inside [pop], to the key it returns.  Looking ahead
    ([min_key]) reads the wheel without cascading, so [cur] never passes an
@@ -70,10 +72,10 @@ type 'a t = {
   mutable cur : int; (* key of the last pop; all live keys are >= cur *)
   mutable live : int;
   mutable settled : int;
-      (* memo of the last [settle] result: the level-0 bucket holding the
+      (* memo of the last [settle] result: the bucket holding the
          minimum, or -1.  Valid while that bucket is non-empty: its one
-         deadline is [cur], which no live key undercuts, and a later add
-         at [cur] queues behind its entries. *)
+         deadline is [cur], which no live key undercuts, and its entries
+         were added before any later add at [cur]. *)
   mutable min_memo : int; (* smallest live key when known, else -1 *)
   dummy : 'a;
 }
@@ -266,8 +268,9 @@ let cascade t level slot =
   drain t s first
 
 (* Advance [cur] to the earliest live deadline, cascading higher-level
-   buckets as needed, and return the sentinel of the level-0 bucket
-   holding the minimum.  Precondition: [live > 0]. *)
+   buckets as needed, and return the sentinel of a bucket whose head is
+   the minimum: a level-0 bucket, or a higher one holding that entry
+   alone.  Precondition: [live > 0]. *)
 let rec settle t =
   let s = t.settled in
   if s >= 0 && t.next.(s) <> s then s
@@ -275,15 +278,26 @@ let rec settle t =
     (* lowest non-empty level, via the level-occupancy summary bitmap *)
     let l = lowest_set_bit t.level_occ in
     let slot = lowest_set_bit t.occupancy.(l) in
-    if l = 0 then begin
-      (* every entry in a level-0 bucket shares one exact deadline *)
-      t.cur <- t.key.(t.next.(slot));
-      t.settled <- slot;
-      slot
+    let s = (l * slots) + slot in
+    let first = t.next.(s) in
+    if l = 0 || t.next.(first) = s then begin
+      (* Every entry in a level-0 bucket shares one exact deadline.  A
+         lone entry higher up is the unique minimum (an equal key would
+         share its bucket), so it pops where it sits: moving [cur] to its
+         key changes only digits <= l, which moves no other entry to
+         another level. *)
+      t.cur <- t.key.(first);
+      t.settled <- s;
+      s
     end
     else begin
-      (* jump cur to the start of that bucket's window, then cascade *)
-      let high = (t.cur lsr (slot_bits * (l + 1))) lsl (slot_bits * (l + 1)) in
+      (* jump cur to the start of that bucket's window, then cascade; the
+         top level has no digits above it (and a shift by 65 bits is
+         unspecified, in practice a shift by 1) *)
+      let high =
+        if l = levels - 1 then 0
+        else (t.cur lsr (slot_bits * (l + 1))) lsl (slot_bits * (l + 1))
+      in
       t.cur <- high lor (slot lsl (slot_bits * l));
       cascade t l slot;
       t.settled <- -1;

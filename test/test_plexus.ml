@@ -195,6 +195,53 @@ let ip_total_len_past_frame_dropped () =
   Alcotest.(check int) "counted malformed" 1 ip_c.Plexus.Ip_mgr.malformed;
   Alcotest.(check int) "later datagrams delivered" 2 !got
 
+(* Two checksum-valid fragments of one train whose chunks overlap: 104
+   bytes at offset 0 (MF set), then a last fragment of 8 bytes at offset
+   8, which makes the total 16 while 112 bytes have arrived.  Reassembly
+   must drop the train instead of blitting 104 bytes into a 16-byte
+   datagram: a raise there would be contained as a handler fault and
+   uninstall the IP manager. *)
+let ip_overlapping_fragments_dropped () =
+  let p = pair () in
+  let udp_a = Plexus.Stack.udp p.Experiments.Common.a in
+  let udp_b = Plexus.Stack.udp p.Experiments.Common.b in
+  let server = bind_exn udp_b ~owner:"srv" ~port:7 in
+  let got = ref 0 in
+  let (_ : unit -> unit) =
+    Plexus.Udp_mgr.install_recv udp_b server (fun _ -> incr got)
+  in
+  let dev_a = Plexus.Ether_mgr.dev (Plexus.Stack.ether p.Experiments.Common.a) in
+  let dev_b = Plexus.Ether_mgr.dev (Plexus.Stack.ether p.Experiments.Common.b) in
+  let fragment ~frag_offset ~more_fragments len =
+    let frame = Mbuf.of_string (String.make len 'x') in
+    Proto.Ipv4.encapsulate frame
+      (Proto.Ipv4.make ~id:77 ~more_fragments ~frag_offset
+         ~proto:Proto.Ipv4.proto_udp ~src:ip_a ~dst:ip_b ~payload_len:len ());
+    Proto.Ether.encapsulate frame
+      {
+        Proto.Ether.dst = Netsim.Dev.mac dev_b;
+        src = Netsim.Dev.mac dev_a;
+        etype = Proto.Ether.etype_ip;
+      };
+    Netsim.Dev.transmit dev_a frame
+  in
+  fragment ~frag_offset:0 ~more_fragments:true 104;
+  fragment ~frag_offset:1 ~more_fragments:false 8;
+  Sim.Engine.run p.Experiments.Common.engine;
+  let client = bind_exn udp_a ~owner:"cli" ~port:5000 in
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) "after one";
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) "after two";
+  Sim.Engine.run p.Experiments.Common.engine;
+  let graph_b = Plexus.Stack.graph p.Experiments.Common.b in
+  Alcotest.(check int) "no contained fault" 0
+    (Spin.Dispatcher.faults (Plexus.Graph.dispatcher graph_b));
+  let ip_b = Plexus.Stack.ip p.Experiments.Common.b in
+  Alcotest.(check int) "counted malformed" 1
+    (Plexus.Ip_mgr.counters ip_b).Plexus.Ip_mgr.malformed;
+  Alcotest.(check int) "train dropped" 0
+    (Proto.Ip_frag.pending_count (Plexus.Ip_mgr.frag_state ip_b));
+  Alcotest.(check int) "later datagrams delivered" 2 !got
+
 let udp_fragmentation_end_to_end () =
   let p = pair () in
   (* 5 KB datagram over a 1500-byte MTU: 4 fragments, reassembled at B *)
@@ -442,6 +489,7 @@ let suite =
         tc "fragmentation end to end" udp_fragmentation_end_to_end;
         tc "IP total length past the frame dropped"
           ip_total_len_past_frame_dropped;
+        tc "overlapping IP fragments dropped" ip_overlapping_fragments_dropped;
       ] );
     ( "plexus.control",
       [

@@ -133,8 +133,8 @@ let reassemble frags =
           ~src:ip_a ~dst:ip_b ~payload_len:(Mbuf.length data) ()
       in
       match Proto.Ip_frag.input t ~now h (Mbuf.view data) with
-      | Some d -> Some (Mbuf.to_string d)
-      | None -> acc)
+      | Complete d -> Some (Mbuf.to_string d)
+      | Pending | Malformed -> acc)
     None frags
 
 let frag_roundtrip () =
@@ -158,6 +158,35 @@ let frag_duplicates_ignored () =
   match reassemble doubled with
   | Some d -> Alcotest.(check int) "no double counting" 3000 (String.length d)
   | None -> Alcotest.fail "did not reassemble"
+
+(* A train whose chunks do not tile [0, total) is dropped whole: one
+   chunk overlapping another, or one ending past the last fragment's
+   end.  The key is then free for a well-formed train. *)
+let frag_inconsistent_trains_dropped () =
+  let t = Proto.Ip_frag.create () in
+  let now = Sim.Stime.zero in
+  let feed ~off8 ~more len =
+    let h =
+      Proto.Ipv4.make ~id:5 ~more_fragments:more ~frag_offset:off8 ~proto:17
+        ~src:ip_a ~dst:ip_b ~payload_len:len ()
+    in
+    match Proto.Ip_frag.input t ~now h (View.of_string (String.make len 'z')) with
+    | Pending -> "pending"
+    | Complete d -> Printf.sprintf "complete %d" (Mbuf.length d)
+    | Malformed -> "malformed"
+  in
+  let check name expected got = Alcotest.(check string) name expected got in
+  check "head" "pending" (feed ~off8:0 ~more:true 104);
+  check "last inside the head" "malformed" (feed ~off8:1 ~more:false 8);
+  Alcotest.(check int) "train dropped" 0 (Proto.Ip_frag.pending_count t);
+  check "last first" "pending" (feed ~off8:1 ~more:false 8);
+  check "chunk past the total" "malformed" (feed ~off8:2 ~more:true 8);
+  check "a head" "pending" (feed ~off8:0 ~more:true 16);
+  check "overlap" "malformed" (feed ~off8:1 ~more:true 16);
+  check "a clean train" "pending" (feed ~off8:1 ~more:false 8);
+  check "exact duplicate ignored" "pending" (feed ~off8:1 ~more:false 8);
+  check "tiles" "complete 16" (feed ~off8:0 ~more:true 8);
+  Alcotest.(check int) "one reassembled" 1 (Proto.Ip_frag.reassembled_count t)
 
 let frag_timeout () =
   let t = Proto.Ip_frag.create ~timeout:(Sim.Stime.s 1) () in
@@ -667,6 +696,7 @@ let suite =
         tc "roundtrip" frag_roundtrip;
         tc "out-of-order fragments" frag_out_of_order;
         tc "duplicates ignored" frag_duplicates_ignored;
+        tc "inconsistent trains dropped" frag_inconsistent_trains_dropped;
         tc "stale contexts expire" frag_timeout;
         prop frag_qcheck;
       ] );

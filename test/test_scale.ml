@@ -13,7 +13,14 @@ let us = Sim.Stime.us
    horizon where the last pop put it.  Cancelling a stale handle — one
    whose entry has fired or been cancelled, and is likely reused by a
    later add — must cancel nothing. *)
-type op = Add of int | Cancel of int | Stale of int | Peek | Pop
+type op =
+  | Add of int
+  | Far of int * int (* level, random bits: a delay within that level *)
+  | Tie of int (* at the key of the i-th most recent live entry *)
+  | Cancel of int
+  | Stale of int
+  | Peek
+  | Pop
 
 let op_gen =
   QCheck.Gen.(
@@ -26,18 +33,53 @@ let op_gen =
         (3, return Pop);
       ])
 
+(* Sparse wheels: rounds of 1-3 live keys spread over all 13 levels (up
+   to [max_int]), so most pops find the minimum alone in a high-level
+   bucket.  Ties at live keys, cancels (of the lone entry too) and
+   look-ahead peeks fall between the pops; a tie only follows a pop, so
+   at most 3 keys are ever live. *)
+let sparse_gen =
+  QCheck.Gen.(
+    let far = map2 (fun l r -> Far (l, r)) (int_bound 12) int in
+    (* [g] with probability [pct]%, as a list of zero or one ops *)
+    let maybe pct g =
+      int_bound 99 >>= fun x -> if x < pct then map (fun o -> [ o ]) g else return []
+    in
+    let step =
+      map4
+        (fun peek cancel tie peek2 -> peek @ cancel @ (Pop :: tie) @ peek2)
+        (maybe 50 (return Peek))
+        (maybe 30 (map (fun i -> Cancel i) (int_bound 2)))
+        (maybe 40 (map (fun i -> Tie i) (int_bound 2)))
+        (maybe 30 (return Peek))
+    in
+    let round =
+      map3
+        (fun first more steps ->
+          (first :: more) @ List.concat steps @ [ Pop; Pop; Pop ])
+        far
+        (list_size (0 -- 2)
+           (frequency [ (3, far); (1, map (fun i -> Tie i) (int_bound 2)) ]))
+        (list_size (1 -- 4) step)
+    in
+    map List.concat (list_size (1 -- 12) round))
+
 let op_print = function
   | Add d -> Printf.sprintf "Add %d" d
+  | Far (l, r) -> Printf.sprintf "Far (%d, %d)" l r
+  | Tie i -> Printf.sprintf "Tie %d" i
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Stale i -> Printf.sprintf "Stale %d" i
   | Peek -> "Peek"
   | Pop -> "Pop"
 
+let print_ops l = String.concat "; " (List.map op_print l)
+
 let wheel_matches_pheap ops =
   let wheel = Sim.Timer_wheel.create ~dummy:(-1) () in
   let heap = Sim.Pheap.create () in
   (* mirror entries: wheel node + a cancelled flag read at heap pop *)
-  let nodes = ref [] (* (id, node) newest first *) in
+  let nodes = ref [] (* (id, key, node) newest first *) in
   let cancelled = Hashtbl.create 16 in
   let next_id = ref 0 in
   let ok = ref true in
@@ -54,25 +96,33 @@ let wheel_matches_pheap ops =
         heap_peek ()
     | p -> p
   in
+  let add key =
+    let id = !next_id in
+    incr next_id;
+    let n = Sim.Timer_wheel.add wheel ~key id in
+    nodes := (id, key, n) :: !nodes;
+    Sim.Pheap.add heap ~key id
+  in
+  let nth_live i =
+    List.filteri (fun j _ -> j = i)
+      (List.filter (fun (_, _, n) -> Sim.Timer_wheel.is_live wheel n) !nodes)
+  in
   List.iter
     (fun op ->
       match op with
-      | Add d ->
-          let key = Sim.Timer_wheel.horizon wheel + d in
-          let id = !next_id in
-          incr next_id;
-          let n = Sim.Timer_wheel.add wheel ~key id in
-          nodes := (id, n) :: !nodes;
-          Sim.Pheap.add heap ~key id
+      | Add d -> add (Sim.Timer_wheel.horizon wheel + d)
+      | Far (l, r) ->
+          (* a delay of at most 5 (l+1) random bits, so the key lands
+             near level l; clamped to keep it <= [max_int] *)
+          let d = (r land max_int) lsr Int.max 0 (62 - (5 * (l + 1))) in
+          let h = Sim.Timer_wheel.horizon wheel in
+          add (h + Int.min d (max_int - h))
+      | Tie i -> (
+          match nth_live i with [ (_, key, _) ] -> add key | _ -> ())
       | Cancel i -> (
           (* cancel the i-th most recent still-live entry, if any *)
-          match
-            List.filteri (fun j _ -> j = i)
-              (List.filter
-                 (fun (_, n) -> Sim.Timer_wheel.is_live wheel n)
-                 !nodes)
-          with
-          | [ (id, n) ] ->
+          match nth_live i with
+          | [ (id, _, n) ] ->
               Sim.Timer_wheel.cancel wheel n;
               Sim.Timer_wheel.cancel wheel n (* idempotent *)
               ;
@@ -83,10 +133,10 @@ let wheel_matches_pheap ops =
           match
             List.filteri (fun j _ -> j = i)
               (List.filter
-                 (fun (_, n) -> not (Sim.Timer_wheel.is_live wheel n))
+                 (fun (_, _, n) -> not (Sim.Timer_wheel.is_live wheel n))
                  !nodes)
           with
-          | [ (_, n) ] -> Sim.Timer_wheel.cancel wheel n
+          | [ (_, _, n) ] -> Sim.Timer_wheel.cancel wheel n
           | _ -> ())
       | Peek ->
           let h0 = Sim.Timer_wheel.horizon wheel in
@@ -115,9 +165,46 @@ let wheel_matches_pheap ops =
 
 let wheel_oracle_qcheck =
   QCheck.Test.make ~count:300 ~name:"timer wheel fires in pheap order"
-    QCheck.(make ~print:(fun l -> String.concat "; " (List.map op_print l))
-              Gen.(list_size (0 -- 200) op_gen))
+    QCheck.(make ~print:print_ops Gen.(list_size (0 -- 200) op_gen))
     wheel_matches_pheap
+
+let wheel_sparse_qcheck =
+  QCheck.Test.make ~count:300
+    ~name:"sparse wheel across all levels fires in pheap order"
+    QCheck.(make ~print:print_ops sparse_gen)
+    wheel_matches_pheap
+
+(* A lone far entry pops where it sits, at its exact key; entries added
+   at that key after a look-ahead, and after the pop, queue behind it. *)
+let wheel_lone_entry_pop () =
+  let w = Sim.Timer_wheel.create ~dummy:"" () in
+  let s1 = 1_000_000_000 in
+  ignore (Sim.Timer_wheel.add w ~key:s1 "a" : Sim.Timer_wheel.handle);
+  Alcotest.(check int) "look-ahead sees it" s1 (Sim.Timer_wheel.min_key w);
+  Alcotest.(check int) "look-ahead leaves the horizon" 0
+    (Sim.Timer_wheel.horizon w);
+  ignore (Sim.Timer_wheel.add w ~key:s1 "b" : Sim.Timer_wheel.handle);
+  Alcotest.(check (option (pair int string))) "first added pops first"
+    (Some (s1, "a")) (Sim.Timer_wheel.pop_min w);
+  ignore (Sim.Timer_wheel.add w ~key:s1 "c" : Sim.Timer_wheel.handle);
+  ignore (Sim.Timer_wheel.add w ~key:s1 "d" : Sim.Timer_wheel.handle);
+  let rest = List.init 3 (fun _ -> Sim.Timer_wheel.pop_min w) in
+  Alcotest.(check (list (option (pair int string)))) "ties in FIFO order"
+    [ Some (s1, "b"); Some (s1, "c"); Some (s1, "d") ] rest;
+  (* the same through the engine: an event 1 s ahead, alone, whose
+     handler schedules ties at its own instant *)
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note x () = log := (x, Sim.Stime.to_ns (Sim.Engine.now e)) :: !log in
+  ignore
+    (Sim.Engine.schedule e ~at:(Sim.Stime.s 1) (fun () ->
+         note "a" ();
+         Sim.Engine.post e ~at:(Sim.Engine.now e) (note "b");
+         Sim.Engine.post e ~at:(Sim.Engine.now e) (note "c"))
+      : Sim.Engine.handle);
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair string int))) "fires at 1 s, ties in order"
+    [ ("a", s1); ("b", s1); ("c", s1) ] (List.rev !log)
 
 let wheel_long_range () =
   (* deadlines spread over many wheel levels, popped in order *)
@@ -137,7 +224,18 @@ let wheel_long_range () =
   in
   go ();
   Alcotest.(check (list int)) "sorted across levels" (List.sort compare keys)
-    (List.rev !popped)
+    (List.rev !popped);
+  (* two keys sharing a top-level bucket, reached from a horizon whose top
+     digit differs: the cascade must start from the bucket's own window *)
+  let w = Sim.Timer_wheel.create ~dummy:0 () in
+  ignore (Sim.Timer_wheel.add w ~key:(1 lsl 60) 0 : Sim.Timer_wheel.handle);
+  ignore (Sim.Timer_wheel.pop w : int);
+  ignore (Sim.Timer_wheel.add w ~key:((1 lsl 61) + 7) 1 : Sim.Timer_wheel.handle);
+  ignore (Sim.Timer_wheel.add w ~key:((1 lsl 61) + 5) 2 : Sim.Timer_wheel.handle);
+  let a = Sim.Timer_wheel.pop_min w in
+  let b = Sim.Timer_wheel.pop_min w in
+  Alcotest.(check (list (option (pair int int)))) "top-level cascade"
+    [ Some ((1 lsl 61) + 5, 2); Some ((1 lsl 61) + 7, 1) ] [ a; b ]
 
 let wheel_mass_cancel () =
   (* 100k pending, mass-cancel, wheel must be observably empty *)
@@ -356,6 +454,9 @@ let suite =
     ( "scale.timer_wheel",
       [
         prop wheel_oracle_qcheck;
+        prop wheel_sparse_qcheck;
+        tc "a lone far entry pops at its key, ties in order"
+          wheel_lone_entry_pop;
         tc "keys across all levels" wheel_long_range;
         tc "100k pending, mass cancel" wheel_mass_cancel;
         tc "cancel drops the closure eagerly" wheel_cancel_drops_thunk;

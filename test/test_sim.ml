@@ -474,6 +474,15 @@ let engine_event_words () =
         done)
   in
   check_words "armed event" ~bound:0.1 (per n armed);
+  (* one event at a time, 1 s ahead: each pops alone from a high level *)
+  let lone =
+    words_of (fun () ->
+        for _ = 1 to n do
+          Sim.Engine.post_in e ~delay:(Sim.Stime.s 1) noop;
+          Sim.Engine.run e
+        done)
+  in
+  check_words "lone far event" ~bound:0.1 (per n lone);
   let until =
     words_of (fun () ->
         for i = 1 to n do
