@@ -398,12 +398,7 @@ let run_dispatch tree json =
     let views = Spin.Dispatcher.tree_views d in
     List.map
       (fun (ei : Spin.Dispatcher.event_info) ->
-        let view =
-          match List.assoc_opt ei.Spin.Dispatcher.ei_name views with
-          | Some v -> v
-          | None -> None
-        in
-        (ei, view))
+        (ei, List.assoc_opt ei.Spin.Dispatcher.ei_name views))
       (Spin.Dispatcher.dump d)
   in
   if json then begin

@@ -64,7 +64,7 @@ let create ?(retry_interval = Sim.Stime.s 1) ?(max_retries = 3) graph ether
   let (_ : unit -> unit) =
     Ether_mgr.install_protocol ether ~child:"arp"
       ~guard:(Ether_mgr.etype_guard Proto.Ether.etype_arp)
-      ~key:(Filter.ether_type_key Proto.Ether.etype_arp)
+      ~keys:[ Filter.ether_type_key Proto.Ether.etype_arp ]
       ~exact:true ~cacheable:true ~cost:costs.Netsim.Costs.layer.ether_in
       handle
   in

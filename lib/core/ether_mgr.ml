@@ -72,10 +72,10 @@ let cpu t = Netsim.Host.cpu (Graph.host t.graph)
 (* Trusted install used by in-kernel protocol managers (IP, ARP).
    [cacheable] asserts the guard is a pure function of the frame's flow
    signature (EtherType, MAC, protocol, addresses, ports). *)
-let install_protocol t ~child ~guard ?key ?keys ?exact ?dyncost ?cacheable
+let install_protocol t ~child ~guard ?keys ?exact ?dyncost ?cacheable
     ~cost fn =
   Graph.add_edge t.graph ~parent:t.node ~child ~label:"guard";
-  Spin.Dispatcher.install (Graph.recv_event t.node) ~guard ?key ?keys ?exact
+  Spin.Dispatcher.install (Graph.recv_event t.node) ~guard ?keys ?exact
     ?dyncost ?cacheable ~label:child ~cost fn
 
 let etype_guard etype ctx =
@@ -95,7 +95,7 @@ let install_ephemeral t ~owner ~etype ?budget fn =
       ~label:"ephemeral";
     Ok
       (Spin.Dispatcher.install_ephemeral (Graph.recv_event t.node)
-         ~guard:(etype_guard etype) ~key:(Filter.ether_type_key etype)
+         ~guard:(etype_guard etype) ~keys:[ Filter.ether_type_key etype ]
          ~exact:true ~label:owner ?budget fn)
   end
 
@@ -107,7 +107,7 @@ let install_handler t ~owner ~etype ?(cost = Sim.Stime.us 4) fn =
       ~label:"handler";
     Ok
       (Spin.Dispatcher.install (Graph.recv_event t.node)
-         ~guard:(etype_guard etype) ~key:(Filter.ether_type_key etype)
+         ~guard:(etype_guard etype) ~keys:[ Filter.ether_type_key etype ]
          ~exact:true ~cacheable:true ~label:owner ~cost fn)
   end
 

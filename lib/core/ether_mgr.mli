@@ -25,13 +25,13 @@ val touches_data : t -> bool
     layer processing, [CT90]). *)
 
 val install_protocol :
-  t -> child:string -> guard:(Pctx.t -> bool) -> ?key:int ->
-  ?keys:int list -> ?exact:bool ->
+  t -> child:string -> guard:(Pctx.t -> bool) -> ?keys:int list ->
+  ?exact:bool ->
   ?dyncost:(Pctx.t -> Sim.Stime.t) -> ?cacheable:bool -> cost:Sim.Stime.t ->
   (Pctx.t -> unit) -> unit -> unit
-(** Trusted install for in-kernel protocol layers (IP, ARP).  [key] is
-    the handler's dispatch key (e.g. [Filter.ether_type_key]) when the
-    guard implies one; [keys] adds further dispatch keys and [exact]
+(** Trusted install for in-kernel protocol layers (IP, ARP).  [keys]
+    are the handler's dispatch keys (e.g. [Filter.ether_type_key]) when
+    the guard implies them, and [exact]
     asserts the guard is equivalent to its keys so the merged decision
     tree may skip it on proven paths; [cacheable] asserts the guard is a
     pure function of the frame's flow signature (see

@@ -15,10 +15,10 @@
    ordering by field cost), then emit a flat array of closure-free
    instructions run by a tight loop with the packet views hoisted out of
    the per-field reads.  Compilation also exposes each filter's
-   *dispatch key* — a literal equality on a demultiplexing field
+   *dispatch keys* — literal equalities on demultiplexing fields
    (EtherType, IP protocol, ports) implied by the filter — which the
-   dispatcher's index uses to skip non-matching guards entirely
-   (PathFinder's prefix collapse, our hash-bucket variant).
+   dispatcher's merged decision tree switches on to skip non-matching
+   guards entirely (PathFinder's prefix collapse).
 
    Offsets are relative to the packet context's cursor unless the [Abs]
    anchor is used. *)
@@ -197,7 +197,7 @@ let ip_proto_key proto = key_code { kfield = Key_ip_proto; kvalue = proto }
 let src_port_key port = key_code { kfield = Key_src_port; kvalue = port }
 let dst_port_key port = key_code { kfield = Key_dst_port; kvalue = port }
 
-(* Fields the demux index can hash on, with the field's value width:
+(* Fields the dispatch tree can switch on, with the field's value width:
    a literal test against such a field is a dispatch key when it is
    equivalent to full-width equality. *)
 let keyable_field = function
@@ -221,15 +221,14 @@ let key_of_conjunct = function
       | _ -> None)
   | _ -> None
 
-let dispatch_key t =
-  match normalize t with
-  | True | False -> None
-  | t' ->
-      Option.map key_code (List.find_map key_of_conjunct (flat_and t' []))
-
 (* Every keyable equality the filter's top-level conjunction implies, for
    the dispatcher's merged decision tree (one key per demux dimension the
-   filter pins).  Subsumes [dispatch_key]: that is the first of these. *)
+   filter pins).  Each is sound on its own: a filter keyed on dimension D
+   with value v evaluates to false on every context that does not present
+   (D, v) in [read_context_keys] — either the dimension is unavailable
+   (its test reads Unavailable, hence false) or it carries a different
+   value (the equality fails).  That invariant is what lets the tree skip
+   the guard off the key's path without changing delivery. *)
 let key_conjuncts t =
   match normalize t with
   | True | False -> []
@@ -251,7 +250,7 @@ let keys_exact t =
 (* ---- Flow demux extraction --------------------------------------------- *)
 
 (* The demultiplexing fields of a raw frame, read once.  This is the one
-   shared extractor behind both the index's context keys (EtherType) and
+   shared extractor behind both the context keys (EtherType) and
    the dispatcher's flow signatures: every field the steady-state demux
    decision can depend on, and nothing else.  [-1] marks an absent
    field. *)
@@ -352,38 +351,10 @@ let flow_signature ctx =
   | _ -> None
 
 (* The dispatch keys a packet context *presents*, one per demux
-   dimension that is available at the current layer.  The complement of
-   [dispatch_key]: a filter keyed on dimension D with value v evaluates
-   to false on every context that does not present (D, v) — either the
-   dimension is unavailable (its test reads Unavailable, hence false) or
-   it carries a different value (the equality fails).  That invariant is
-   what lets the dispatcher skip non-matching buckets without changing
-   delivery. *)
-let context_keys ctx =
-  let keys = [] in
-  let keys =
-    if ctx.Pctx.dst_port >= 0 then dst_port_key ctx.Pctx.dst_port :: keys
-    else keys
-  in
-  let keys =
-    if ctx.Pctx.src_port >= 0 then src_port_key ctx.Pctx.src_port :: keys
-    else keys
-  in
-  let keys =
-    match ctx.Pctx.ip with
-    | Some h -> ip_proto_key h.Proto.Ipv4.proto :: keys
-    | None -> keys
-  in
-  let et = frame_ether_type (View.ro (Mbuf.view ctx.Pctx.pkt)) in
-  if et >= 0 then ether_type_key et :: keys else keys
-
-(* Allocation-free variant of [context_keys]: the dispatcher hands a
+   dimension available at the current layer.  The dispatcher hands a
    per-event scratch array of [num_key_dims] slots indexed by key tag
    ([key_tag], the [k lsr 16] of an encoded key) and the probe writes
-   each dimension's raw value, [-1] for absent.  Reads the same four
-   fields as [context_keys], so [read_context_keys ctx dst] and
-   [context_keys ctx] present exactly the same (dimension, value)
-   pairs — the property the key-extraction equivalence test pins. *)
+   each dimension's raw value, [-1] for absent. *)
 let num_key_dims = 4
 
 let read_context_keys ctx dst =

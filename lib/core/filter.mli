@@ -5,9 +5,9 @@
     no code installation at all, at the price of interpretation cost
     ({!eval_cost}) on every packet.  Compiling it ({!compile}) lowers the
     tree to a flat array of closure-free instructions run by a tight
-    loop (DPF-style), and {!dispatch_key} exposes the literal
-    demultiplexing test the filter implies so the dispatcher's index can
-    skip it entirely (PathFinder-style). *)
+    loop (DPF-style), and {!key_conjuncts} exposes the literal
+    demultiplexing tests the filter implies so the dispatcher's merged
+    decision tree can skip it entirely (PathFinder-style). *)
 
 type anchor = Cur | Abs
 
@@ -78,20 +78,16 @@ val compiled_cost : program -> Sim.Stime.t
 
     A dispatch key is a literal equality on a demultiplexing field —
     EtherType, IP protocol, source/destination port — encoded as an int
-    for the dispatcher's hash index. *)
-
-val dispatch_key : t -> int option
-(** The key implied by the filter, if any: a top-level conjunct that is
-    [Eq]/full-width [Mask] on a keyable field.  Soundness: if
-    [dispatch_key t = Some k], then [eval t ctx = false] for every [ctx]
-    whose {!context_keys} does not include [k]. *)
+    for the dispatcher's merged decision tree. *)
 
 val key_conjuncts : t -> int list
-(** Every key the filter's top-level conjunction implies, sorted and
-    deduplicated — one per demux dimension the filter pins.  Subsumes
-    {!dispatch_key} (which is the first of these); the dispatcher's
-    merged decision tree places the handler under all of them.  Each key
-    individually satisfies the {!dispatch_key} soundness property. *)
+(** Every key the filter's top-level conjunction implies — each a
+    top-level conjunct that is [Eq]/full-width [Mask] on a keyable field
+    — sorted and deduplicated, one per demux dimension the filter pins.
+    The dispatcher's merged decision tree places the handler under all
+    of them.  Soundness: for each [k] in [key_conjuncts t],
+    [eval t ctx = false] for every [ctx] that does not present [k] in
+    {!read_context_keys}. *)
 
 val keys_exact : t -> bool
 (** True when the normalized filter is {e nothing but} keyable equality
@@ -99,29 +95,24 @@ val keys_exact : t -> bool
     match, so a dispatch path that proved every key may skip the guard
     entirely.  Always false for [True]/[False] (no keys to prove). *)
 
-val context_keys : Pctx.t -> int list
-(** The keys a packet context presents, one per demux dimension
-    available at the current layer (EtherType from the frame, protocol
-    from the parsed IP header, ports once parsed).  Events over [Pctx.t]
-    use this as their key extractor. *)
-
 val num_key_dims : int
 (** Number of demux dimensions ({!ether_type_key} … {!dst_port_key}
     tags, currently 4) — the scratch-array width for
     {!read_context_keys}. *)
 
 val read_context_keys : Pctx.t -> int array -> unit
-(** Allocation-free {!context_keys}: writes slot [d] of the scratch
-    array (≥ {!num_key_dims} slots) with the raw value the context
-    presents on key dimension [d], or [-1] when absent.  Presents
-    exactly the same (dimension, value) pairs as {!context_keys};
-    protocol-graph events use this as their vectored key extractor
-    so steady-state dispatch allocates nothing. *)
+(** The keys a packet context presents, one per demux dimension
+    available at the current layer (EtherType from the frame, protocol
+    from the parsed IP header, ports once parsed): writes slot [d] of
+    the scratch array (≥ {!num_key_dims} slots) with the raw value the
+    context presents on key dimension [d], or [-1] when absent.
+    Protocol-graph events use this as their key extractor, so
+    steady-state dispatch allocates nothing. *)
 
 (** {1 Flow demux extraction}
 
     One shared reader for the demultiplexing fields of a raw frame —
-    used by {!context_keys} (EtherType) and by the dispatcher's
+    used by {!read_context_keys} (EtherType) and by the dispatcher's
     flow-path cache ({!flow_signature}). *)
 
 type demux = {

@@ -42,8 +42,8 @@ let node t name =
       (* Every protocol event demultiplexes packet contexts, so they all
          share one key extractor: the demux dimensions the packet
          presents at its current layer (EtherType, IP protocol, ports).
-         Managers that know their guard's literal install with ~key.
-         The vectored form fills a per-event scratch array in place, so
+         Managers that know their guard's literals install with ~keys.
+         The extractor fills a per-event scratch array in place, so
          steady-state dispatch allocates nothing. *)
       Spin.Dispatcher.set_keyvfn recv ~dims:Filter.num_key_dims
         Filter.read_context_keys;

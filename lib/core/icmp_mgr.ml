@@ -38,7 +38,7 @@ let create graph ip =
     Spin.Dispatcher.install
       (Graph.recv_event (Ip_mgr.node ip))
       ~guard:proto_guard
-      ~key:(Filter.ip_proto_key Proto.Ipv4.proto_icmp)
+      ~keys:[ Filter.ip_proto_key Proto.Ipv4.proto_icmp ]
       ~exact:true ~cacheable:true ~label:"icmp"
       ~cost:costs.Netsim.Costs.layer.udp_in
       ~dyncost:(fun ctx ->

@@ -183,7 +183,7 @@ let attach t ether arp ~net ~mask_bits =
      both part of the flow signature. *)
   let (_ : unit -> unit) =
     Ether_mgr.install_protocol ether ~child:"ip" ~guard
-      ~key:(Filter.ether_type_key Proto.Ether.etype_ip)
+      ~keys:[ Filter.ether_type_key Proto.Ether.etype_ip ]
       ~cacheable:true ~cost:t.costs.Netsim.Costs.layer.ip_in (rx t)
   in
   ()

@@ -265,7 +265,7 @@ let create graph ip =
     Spin.Dispatcher.install
       (Graph.recv_event (Ip_mgr.node ip))
       ~guard:(proto_guard t)
-      ~key:(Filter.ip_proto_key Proto.Ipv4.proto_tcp)
+      ~keys:[ Filter.ip_proto_key Proto.Ipv4.proto_tcp ]
       (* cacheable: the guard reads the protocol number and ports
          (flow-signature fields) plus the excluded lists — changing those
          touches the event's generation below *)

@@ -150,7 +150,7 @@ let create graph ip =
     Spin.Dispatcher.install
       (Graph.recv_event (Ip_mgr.node ip))
       ~guard:(fun ctx -> proto_guard t ctx)
-      ~key:(Filter.ip_proto_key Proto.Ipv4.proto_udp)
+      ~keys:[ Filter.ip_proto_key Proto.Ipv4.proto_udp ]
       (* cacheable: the guard reads the IP protocol number and UDP ports
          (flow-signature fields) plus [t.excluded] — [exclude_ports]
          touches the event's generation when that list changes *)
@@ -204,12 +204,13 @@ let install_recv t ep ?cost fn =
     ~child:(Endpoint.owner ep)
     ~label:(Printf.sprintf "port=%d" (Endpoint.port ep));
   Spin.Dispatcher.install (Graph.recv_event t.node) ~guard:(port_guard ep)
-    ~key:(Filter.dst_port_key (Endpoint.port ep))
+    ~keys:[ Filter.dst_port_key (Endpoint.port ep) ]
     ~exact:true ~cacheable:true ~label:(Endpoint.owner ep) ~cost fn
 
-(* The same handler without a dispatch key: every raise scans its guard
-   linearly.  Exists for the guard-scaling ablation — this is what every
-   install was before the demux index. *)
+(* The same handler without a dispatch key: its guard is a residual at
+   every leaf of the event's dispatch tree, so every raise evaluates it.
+   Exists for the guard-scaling ablation — this is what every install
+   was before keyed demultiplexing. *)
 let install_recv_linear t ep ?cost fn =
   let cost = match cost with Some c -> c | None -> t.costs.Netsim.Costs.layer.app in
   Graph.add_edge t.graph ~parent:t.node
@@ -230,8 +231,8 @@ let install_recv_filtered t ep filter ?cost fn =
   let full = Filter.And (Filter.dst_port_is (Endpoint.port ep), filter) in
   Spin.Dispatcher.install (Graph.recv_event t.node)
     ~guard:(fun ctx -> port_guard ep ctx && Filter.eval filter ctx)
-    ~key:(Filter.dst_port_key (Endpoint.port ep))
-    ~keys:(Filter.key_conjuncts filter)
+    ~keys:
+      (Filter.dst_port_key (Endpoint.port ep) :: Filter.key_conjuncts filter)
     ~exact:(Filter.keys_exact full)
     ~label:(Endpoint.owner ep) ~gcost:(Filter.eval_cost filter) ~cost fn
 
@@ -249,8 +250,8 @@ let install_recv_compiled t ep filter ?cost fn =
   let full = Filter.And (Filter.dst_port_is (Endpoint.port ep), filter) in
   Spin.Dispatcher.install (Graph.recv_event t.node)
     ~guard:(fun ctx -> port_guard ep ctx && Filter.run prog ctx)
-    ~key:(Filter.dst_port_key (Endpoint.port ep))
-    ~keys:(Filter.key_conjuncts filter)
+    ~keys:
+      (Filter.dst_port_key (Endpoint.port ep) :: Filter.key_conjuncts filter)
     ~exact:(Filter.keys_exact full)
     ~label:(Endpoint.owner ep) ~gcost:(Filter.compiled_cost prog) ~cost fn
 
@@ -261,7 +262,7 @@ let install_recv_ephemeral t ep ?budget fn =
     ~label:(Printf.sprintf "port=%d(eph)" (Endpoint.port ep));
   Spin.Dispatcher.install_ephemeral (Graph.recv_event t.node)
     ~guard:(port_guard ep)
-    ~key:(Filter.dst_port_key (Endpoint.port ep))
+    ~keys:[ Filter.dst_port_key (Endpoint.port ep) ]
     ~exact:true ~label:(Endpoint.owner ep) ?budget fn
 
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)

@@ -11,10 +11,11 @@
 
 (* --- 1: guard scaling -------------------------------------------------- *)
 
-(* [rtt_us] installs the bystanders unkeyed (the pre-index linear scan:
-   every raise evaluates every guard); [indexed_rtt_us] installs them
-   with their port as dispatch key, so the raise hashes the datagram's
-   port once and never sees them. *)
+(* [rtt_us] installs the bystanders unkeyed (residuals at every leaf of
+   the udp event's dispatch tree: every raise evaluates every guard);
+   [indexed_rtt_us] installs them with their port as dispatch key, so
+   the raise's tree walk switches on the datagram's port and never
+   reaches them. *)
 type guard_point = { extra_endpoints : int; rtt_us : float; indexed_rtt_us : float }
 
 let guard_scaling ?(counts = [ 0; 8; 32; 128 ]) ?(iters = 100) () =
@@ -23,7 +24,7 @@ let guard_scaling ?(counts = [ 0; 8; 32; 128 ]) ?(iters = 100) () =
       let udp_b = Plexus.Stack.udp p.Common.b in
       (* Install [extra] unrelated endpoints whose guards will be
          evaluated (and rejected) for every incoming datagram — unless
-         the dispatch index skips them. *)
+         the dispatch tree skips them. *)
       for i = 1 to extra do
         match Plexus.Udp_mgr.bind udp_b ~owner:"bystander" ~port:(20000 + i) with
         | Ok ep ->

@@ -1,10 +1,10 @@
 (* Structured trace spans with pluggable sinks.
 
    The dispatcher (and devices, managers, ...) emit typed spans — raise,
-   index lookup, guard evaluation, handler run, ephemeral commit,
-   drop — each stamped with the simulated time, the event name and the
-   handler involved, so a packet's path through the protocol graph can
-   be reconstructed and asserted on.
+   guard evaluation, handler run, ephemeral commit, drop — each stamped
+   with the simulated time, the event name and the handler involved, so
+   a packet's path through the protocol graph can be reconstructed and
+   asserted on.
 
    A trace endpoint owns one sink.  [Null] is the default and MUST be
    free on the hot path: emitters are expected to guard span
@@ -12,8 +12,7 @@
    costs one mutable-field load and a branch per site. *)
 
 type event =
-  | Raise of { event : string; candidates : int; indexed : bool }
-  | Index_lookup of { event : string; keys : int; candidates : int }
+  | Raise of { event : string; candidates : int; switches : int }
   | Guard_eval of { event : string; hid : int; label : string; hit : bool }
   | Handler_run of {
       event : string;
@@ -53,7 +52,6 @@ type span = { at_ns : int; event : event }
 
 let kind = function
   | Raise _ -> "raise"
-  | Index_lookup _ -> "index_lookup"
   | Guard_eval _ -> "guard_eval"
   | Handler_run _ -> "handler_run"
   | Ephemeral_commit _ -> "ephemeral_commit"
@@ -69,7 +67,6 @@ let kind = function
    their node's event name, e.g. "udp.PacketRecv". *)
 let scope = function
   | Raise { event; _ }
-  | Index_lookup { event; _ }
   | Guard_eval { event; _ }
   | Handler_run { event; _ }
   | Ephemeral_commit { event; _ }
@@ -88,11 +85,8 @@ let pp_ns ppf t =
   else Fmt.pf ppf "%.3fs" (float_of_int t /. 1e9)
 
 let pp_event ppf = function
-  | Raise { event; candidates; indexed } ->
-      Fmt.pf ppf "raise %s candidates=%d%s" event candidates
-        (if indexed then " (indexed)" else "")
-  | Index_lookup { event; keys; candidates } ->
-      Fmt.pf ppf "index_lookup %s keys=%d candidates=%d" event keys candidates
+  | Raise { event; candidates; switches } ->
+      Fmt.pf ppf "raise %s candidates=%d switches=%d" event candidates switches
   | Guard_eval { event; hid; label; hit } ->
       Fmt.pf ppf "guard_eval %s %s(h%d) %s" event label hid
         (if hit then "hit" else "miss")

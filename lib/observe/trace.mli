@@ -1,7 +1,7 @@
 (** Structured trace spans with pluggable sinks.
 
-    The dispatch path emits typed spans — raise, index lookup, guard
-    evaluation, handler run, ephemeral commit/termination, drop — each
+    The dispatch path emits typed spans — raise, guard evaluation,
+    handler run, ephemeral commit/termination, drop — each
     carrying the simulated timestamp (integer nanoseconds), the event
     name and the handler involved, so a packet's path through the
     protocol graph can be reconstructed and asserted on in tests.
@@ -13,10 +13,10 @@
     formatted. *)
 
 type event =
-  | Raise of { event : string; candidates : int; indexed : bool }
-      (** an event was raised; [candidates] guards will be evaluated *)
-  | Index_lookup of { event : string; keys : int; candidates : int }
-      (** the raise consulted the demux index instead of scanning *)
+  | Raise of { event : string; candidates : int; switches : int }
+      (** an event was raised; its dispatch-tree walk visited
+          [switches] switches and reached a leaf of [candidates]
+          handlers (proven matches plus guards to evaluate) *)
   | Guard_eval of { event : string; hid : int; label : string; hit : bool }
   | Handler_run of {
       event : string;

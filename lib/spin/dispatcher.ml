@@ -8,27 +8,22 @@
    event; "the overhead of invoking each handler is roughly one procedure
    call", which the cost model reflects via [costs.dispatch].
 
-   Demultiplexing scales the way DPF and PathFinder showed it must: an
-   event may carry a *dispatch index*.  Handlers whose guard is known to
-   imply a literal equality on a demux field (protocol number, port,
-   EtherType) are installed with that equality as a [key]; at raise time
-   the event's key extractor hashes the payload's demux fields once and
-   only the handlers in the matching buckets — plus the unkeyed linear
-   fallback bucket — have their guards evaluated.  Raise cost therefore
-   scales with the number of *matching* handlers, not the number of
-   *installed* handlers; the cost model charges one [costs.index] hash
-   lookup instead of [guard * n].
+   Demultiplexing has one path, the way DPF and PathFinder showed it must
+   scale: every raise walks the event's merged decision tree (see "merged
+   dispatch tree" below).  Handlers whose guard implies literal
+   equalities on demux fields (EtherType, IP protocol, ports) are
+   installed with those equalities as [keys]; the tree switches on them,
+   so raise cost scales with the number of *matching* handlers, not the
+   number of *installed* handlers.  An event without a vectored key
+   extractor, with at most one handler or with no keyed handler compiles
+   to a single leaf that evaluates every live guard in install order —
+   the paper's plain guard scan, charged [dispatch + guard * n].
 
-   The registry behind this is an hid-indexed hash table (O(1) install,
-   uninstall and liveness check) plus per-key bucket lists; bucket lists
-   are pruned lazily of uninstalled ids at the next raise that touches
-   them.
-
-   Soundness contract for keys: installing a handler with [~key:k] asserts
-   that its guard can only accept payloads for which the event's key
-   extractor includes [k].  Managers derive both from the same endpoint or
-   filter, so the index can never change which handlers fire — it only
-   skips guards that were going to say no.
+   Soundness contract for keys: installing a handler with [~keys:ks]
+   asserts that its guard can only accept payloads for which the event's
+   key extractor presents every key in [ks].  Managers derive both from
+   the same endpoint or filter, so the tree can never change which
+   handlers fire — it only skips guards that were going to say no.
 
    Delivery modes correspond to the two Plexus bars in Figure 5:
    - [Interrupt]: handlers run at interrupt priority in the raiser's
@@ -38,10 +33,10 @@
      invocation pays a thread-spawn cost and runs at thread priority.
 
    Observability: a dispatcher optionally carries an [Observe.Registry]
-   (per-event raise/index counters, per-handler guard hit/miss counters
-   and run-latency histograms, ephemeral commit accounting — naming
-   scheme in DESIGN.md) and always carries an [Observe.Trace] endpoint
-   whose sink defaults to [Null].  Span emission is guarded by
+   (per-event raise/tree counters, per-handler guard hit/miss and fault
+   counters and run-latency histograms, ephemeral commit accounting —
+   naming scheme in DESIGN.md) and always carries an [Observe.Trace]
+   endpoint whose sink defaults to [Null].  Span emission is guarded by
    [Trace.active], so disabled tracing costs one load and branch per
    site; counter updates are bare int-ref increments whether or not a
    registry is attached (the refs are simply shared with the registry
@@ -52,7 +47,7 @@ type delivery = Interrupt | Thread
 type costs = {
   dispatch : Sim.Stime.t;      (* per-raise bookkeeping, ~ a procedure call *)
   guard : Sim.Stime.t;         (* per guard predicate evaluation *)
-  index : Sim.Stime.t;         (* per-raise demux-key hash lookup *)
+  index : Sim.Stime.t;         (* per flow-path cache hit: signature lookup *)
   tree_node : Sim.Stime.t;     (* per decision-tree switch visited *)
   thread_spawn : Sim.Stime.t;  (* thread-mode per-invocation cost *)
 }
@@ -84,7 +79,7 @@ let default_costs =
      fields — so skipping those guards on replay cannot change the
      accepted set;
    - each event carries a generation counter, bumped on every install,
-     uninstall, mode/keyfn change and explicit [touch]; a hop remembers
+     uninstall, mode/extractor change and explicit [touch]; a hop remembers
      the generation it saw and a hit validates every hop in O(hops)
      before running anything;
    - recordings commit only when the delivery fully drains
@@ -120,7 +115,7 @@ type recording = {
 type replay = {
   rp_hops : hop array;
   mutable rp_claim : int;  (* next hop a nested raise should claim *)
-  mutable rp_cost : Sim.Stime.t;  (* accumulated handler + index cost *)
+  mutable rp_cost : Sim.Stime.t;  (* handler + signature-lookup cost *)
   mutable rp_live : bool;  (* false once the chain has diverged *)
   rp_pending : (unit -> Sim.Stime.t) Queue.t;
       (* claimed hops awaiting execution, in raise order: running them
@@ -207,7 +202,6 @@ type t = {
   trace : Observe.Trace.t;
   raises : Sim.Stats.Counter.t;
   guard_evals : Sim.Stats.Counter.t;
-  index_lookups : Sim.Stats.Counter.t;
   invocations : Sim.Stats.Counter.t;
   terminations : Sim.Stats.Counter.t;
   faults : Sim.Stats.Counter.t;
@@ -222,7 +216,6 @@ type t = {
   pc_invalidations : int ref;
   pc_evictions : int ref;      (* CLOCK evictions across all event caches *)
   mutable fcache : bool;       (* flow-path cache enabled *)
-  mutable tmode : bool;        (* merged-tree dispatch enabled (default) *)
   mutable flow : flow;         (* dynamic delivery context *)
   mutable prio_override : Sim.Cpu.prio option;
       (* sticky delivery-priority demotion: set around handler bodies of
@@ -232,7 +225,7 @@ type t = {
          first nested interrupt-mode event *)
   mutable next_uid : int;      (* event uids, for hop identity *)
   mutable introspectors : (unit -> event_info) list; (* newest first *)
-  mutable tree_viewers : (unit -> string * tree_view option) list;
+  mutable tree_viewers : (unit -> string * tree_view) list;
       (* per-event compiled-tree renderers, newest first *)
   mutable flight : Observe.Flight.t option;
       (* packet flight recorder; [None] (the default) costs one load +
@@ -261,7 +254,6 @@ let create ?registry ?trace ~cpu ~costs () =
     trace = (match trace with Some tr -> tr | None -> Observe.Trace.create ());
     raises = Sim.Stats.Counter.create ();
     guard_evals = Sim.Stats.Counter.create ();
-    index_lookups = Sim.Stats.Counter.create ();
     invocations = Sim.Stats.Counter.create ();
     terminations = Sim.Stats.Counter.create ();
     faults = Sim.Stats.Counter.create ();
@@ -276,7 +268,6 @@ let create ?registry ?trace ~cpu ~costs () =
     pc_invalidations = mkref registry "spin.path_cache.invalidations";
     pc_evictions = mkref registry "spin.path_cache.evictions";
     fcache = false;
-    tmode = true;
     flow = No_flow;
     prio_override = None;
     next_uid = 0;
@@ -294,7 +285,6 @@ let registry t = t.reg
 let trace t = t.trace
 let raises t = Sim.Stats.Counter.get t.raises
 let guard_evals t = Sim.Stats.Counter.get t.guard_evals
-let index_lookups t = Sim.Stats.Counter.get t.index_lookups
 let invocations t = Sim.Stats.Counter.get t.invocations
 let terminations t = Sim.Stats.Counter.get t.terminations
 let faults t = Sim.Stats.Counter.get t.faults
@@ -308,8 +298,6 @@ let path_cache_invalidations t = !(t.pc_invalidations)
 let path_cache_evictions t = !(t.pc_evictions)
 let set_flow_cache t on = t.fcache <- on
 let flow_cache_enabled t = t.fcache
-let set_tree_dispatch t on = t.tmode <- on
-let tree_dispatch_enabled t = t.tmode
 let set_flight t fl = t.flight <- fl
 let flight t = t.flight
 
@@ -366,7 +354,6 @@ type 'a handler = {
   hgen : int;           (* reinstall generation of this label *)
   guard : 'a -> bool;
   gcost : Sim.Stime.t;  (* extra per-evaluation cost (interpreted filters) *)
-  hkey : int option;    (* dispatch key this handler is indexed under *)
   hkeys : int list;     (* every key the guard pins (sorted, distinct) *)
   hexact : bool;        (* guard ≡ its keys: a proven path skips it *)
   cacheable : bool;     (* guard is a pure function of the flow signature *)
@@ -393,16 +380,16 @@ type 'a handler = {
    protocol, ports — [Filter.key_tag] order; generic events use
    [key lsr 16]).  Each switch tests one dimension's payload value
    against an open-addressed jump table; each leaf holds the exact
-   handler set for that path.  One walk per raise replaces the
-   per-bucket guard re-evaluation: handlers whose guard is *exactly*
-   its keys ([hexact]) are proven matches at their leaves and their
-   closures are never called; inexact keyed handlers appear at their
-   leaves as residuals (closure still consulted); unkeyed handlers are
-   residuals at every leaf.  Wildcard handlers are cross-producted into
-   every value child, so a walk never needs backtracking.  Subtrees are
-   hash-consed on (remaining dimensions, handler set), which is the
-   prefix sharing: paths that agree on the handlers they can still
-   match share one subtree.
+   handler set for that path.  Every raise makes one walk: handlers
+   whose guard is *exactly* its keys ([hexact]) are proven matches at
+   their leaves and their closures are never called; inexact keyed
+   handlers appear at their leaves as residuals (closure still
+   consulted); unkeyed handlers, and keyed ones whose keys the tree
+   cannot express, are residuals at every leaf.  Wildcard handlers are
+   cross-producted into every value child, so a walk never needs
+   backtracking.  Subtrees are hash-consed on (remaining dimensions,
+   handler set), which is the prefix sharing: paths that agree on the
+   handlers they can still match share one subtree.
 
    Soundness: a keyed handler's install contract says its guard rejects
    any payload not presenting all its keys, so pruning it off
@@ -485,18 +472,14 @@ type 'a event = {
   gen : int ref;                              (* bumped on any churn *)
   mutable mode : delivery;
   table : (int, 'a handler) Hashtbl.t;       (* hid -> handler; the registry *)
-  mutable linear : int list;                  (* unkeyed hids, newest first *)
-  buckets : (int, int list ref) Hashtbl.t;    (* key -> hids, newest first *)
-  mutable keyfn : ('a -> int list) option;    (* payload's demux keys *)
   mutable keyvfn : ('a -> int array -> unit) option;
-      (* vectored key extractor: fills scratch slot [d] with dimension
-         [d]'s value or -1 — the allocation-free fast path *)
+      (* key extractor: fills scratch slot [d] with dimension [d]'s
+         value or -1, allocation-free *)
   mutable kv_dims : int;                      (* dims the keyvfn fills *)
   mutable scratch : int array;                (* per-event key-value probe *)
   mutable sigfn : ('a -> string option) option; (* flow signature, roots only *)
   mutable markfn : ('a -> int) option;        (* payload's flight-record mark *)
   entries : hop array Sharded.Cache.t;        (* flow signature -> chain *)
-  mutable nkeyed : int;                       (* live handlers with a key *)
   mutable next_hid : int;
   label_gens : (string, int) Hashtbl.t;
       (* reinstall count per handler label: same-labeled reinstalls get
@@ -504,13 +487,8 @@ type 'a event = {
   mutable policy : Verifier.policy option;    (* install-time admission *)
   mutable quarantine : Verifier.quarantine option; (* runtime eviction *)
   mutable tree : 'a tree option;              (* compiled merged tree *)
-  mutable tree_gen : int;      (* generation [tree] was compiled at; -1 =
-                                  never (also records a refused build, so
-                                  a raise retries only after churn) *)
-  mutable tree_on : bool;                     (* per-event opt-out *)
+  mutable tree_gen : int;      (* generation [tree] was compiled at *)
   ev_raises : int ref;
-  ev_indexed : int ref;   (* raises served through the demux index *)
-  ev_linear : int ref;    (* raises that scanned every live guard *)
   ev_cached : int ref;    (* root raises served from the flow-path cache *)
   ev_tree : int ref;      (* raises served by a merged-tree walk *)
   tr_rebuilds : int ref;
@@ -528,7 +506,7 @@ let info_of_event ev =
              hi_id = h.hid;
              hi_label = h.label;
              hi_gen = h.hgen;
-             hi_key = h.hkey;
+             hi_key = (match h.hkeys with [] -> None | k :: _ -> Some k);
              hi_ephemeral = (match h.kind with Eph _ -> true | Plain _ -> false);
              hi_budget = h.hbudget;
              hi_guard_hits = !(h.hs.h_hits);
@@ -548,9 +526,7 @@ let info_of_event ev =
   {
     ei_name = ev.ename;
     ei_mode = ev.mode;
-    ei_indexed = (match (ev.keyfn, ev.keyvfn) with
-                 | None, None -> false
-                 | _ -> true);
+    ei_indexed = Option.is_some ev.keyvfn;
     ei_generation = !(ev.gen);
     ei_cache_entries = Sharded.Cache.length ev.entries;
     ei_tree =
@@ -582,19 +558,11 @@ let set_mode ev m =
   ev.mode <- m;
   touch ev
 
-let set_keyfn ev kf =
-  ev.keyfn <- Some kf;
-  touch ev
-
 let set_keyvfn ev ~dims kvf =
   if dims < 1 then invalid_arg "Dispatcher.set_keyvfn: dims must be >= 1";
   ev.keyvfn <- Some kvf;
   ev.kv_dims <- dims;
   if Array.length ev.scratch < dims then ev.scratch <- Array.make dims (-1);
-  touch ev
-
-let set_event_tree ev on =
-  ev.tree_on <- on;
   touch ev
 
 let set_sigfn ev sf = ev.sigfn <- Some sf
@@ -605,8 +573,6 @@ let set_markfn ev mf = ev.markfn <- Some mf
 let generation ev = !(ev.gen)
 let cache_entries ev = Sharded.Cache.length ev.entries
 let handler_count ev = Hashtbl.length ev.table
-let indexed_count ev = ev.nkeyed
-let linear_count ev = Hashtbl.length ev.table - ev.nkeyed
 
 (* State-aware uninstall.  An [Active] handler leaves the event table
    immediately — no new raise can select it — but what happens to its
@@ -627,9 +593,6 @@ let uninstall_h ev h =
   | Active -> (
       Hashtbl.remove ev.table h.hid;
       touch ev;
-      (match h.hkey with
-      | Some _ -> ev.nkeyed <- ev.nkeyed - 1
-      | None -> ());
       match ev.disp.retiring with
       | Some acc when h.pending > 0 ->
           h.state <- Retired;
@@ -641,13 +604,16 @@ let uninstall_h ev h =
           h.live <- false
       | None -> h.live <- false)
 
-let hstats_for disp ev label gen =
-  (* Keyed by (label, reinstall generation): generation 0 keeps the
-     plain name, later generations append "#N" — so a hot-swapped
-     replacement starts a fresh ledger instead of inheriting the
-     retired generation's totals. *)
+(* Per-handler metric names are keyed by (label, reinstall generation):
+   generation 0 keeps the plain name, later generations append "#N" — so
+   a hot-swapped replacement starts a fresh ledger instead of inheriting
+   the retired generation's totals. *)
+let ledger_prefix ev label gen =
   let qual = if gen = 0 then label else label ^ "#" ^ string_of_int gen in
-  let prefix = "spin." ^ ev.ename ^ "." ^ qual in
+  "spin." ^ ev.ename ^ "." ^ qual
+
+let hstats_for disp ev label gen =
+  let prefix = ledger_prefix ev label gen in
   {
     h_hits = mkref disp.reg (prefix ^ ".guard_hits");
     h_misses = mkref disp.reg (prefix ^ ".guard_misses");
@@ -670,7 +636,7 @@ exception
     violation : Verifier.violation;
   }
 
-let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
+let add_handler ev ?label ?ops ~cacheable ~exact guard gcost keys kind =
   let hid = ev.next_hid in
   ev.next_hid <- hid + 1;
   let label =
@@ -703,14 +669,7 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
   let cacheable =
     match kind with Eph _ -> false | Plain _ -> cacheable
   in
-  let hkeys =
-    List.sort_uniq compare
-      (match (key, keys) with
-      | None, None -> []
-      | Some k, None -> [ k ]
-      | None, Some ks -> ks
-      | Some k, Some ks -> k :: ks)
-  in
+  let hkeys = List.sort_uniq compare keys in
   (* exactness is a claim about the keys; with none there is nothing a
      tree walk could have proven *)
   let hexact = exact && hkeys <> [] in
@@ -721,7 +680,6 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
       hgen;
       guard;
       gcost;
-      hkey = (match hkeys with [] -> None | k :: _ -> Some k);
       hkeys;
       hexact;
       cacheable;
@@ -746,17 +704,7 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
       h.qw_allocs <- !(h.hs.h_allocs);
       h.qw_terms <- !(h.hs.h_terms);
       Hashtbl.replace ev.table hid h;
-      touch ev;
-      match hkeys with
-      | [] -> ev.linear <- hid :: ev.linear
-      | k :: _ ->
-          (* bucketed under the first key only: the install contract says
-             the guard rejects payloads not presenting *all* its keys, so
-             any one of them is a sound index *)
-          ev.nkeyed <- ev.nkeyed + 1;
-          (match Hashtbl.find_opt ev.buckets k with
-          | Some b -> b := hid :: !b
-          | None -> Hashtbl.replace ev.buckets k (ref [ hid ]))
+      touch ev
     end
   in
   (match ev.disp.staging with
@@ -766,13 +714,13 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys kind =
 
 let no_guard _ = true
 
-let install ev ?(guard = no_guard) ?key ?keys ?(exact = false)
+let install ev ?(guard = no_guard) ?(keys = []) ?(exact = false)
     ?(gcost = Sim.Stime.zero) ?dyncost ?(cacheable = false) ?label ?ops ~cost
     fn =
-  add_handler ev ?label ?ops ~cacheable ~exact guard gcost key keys
+  add_handler ev ?label ?ops ~cacheable ~exact guard gcost keys
     (Plain { cost; dyncost; fn })
 
-let install_ephemeral ev ?(guard = no_guard) ?key ?keys ?(exact = false)
+let install_ephemeral ev ?(guard = no_guard) ?(keys = []) ?(exact = false)
     ?(gcost = Sim.Stime.zero) ?label ?ops ?budget fn =
   (* A certified op list supplies the default runtime budget: the
      static bound becomes the enforcement ceiling unless the installer
@@ -783,7 +731,7 @@ let install_ephemeral ev ?(guard = no_guard) ?key ?keys ?(exact = false)
     | None, Some ops -> Some (Verifier.cost (Verifier.infer ops))
     | None, None -> None
   in
-  add_handler ev ?label ?ops ~cacheable:false ~exact guard gcost key keys
+  add_handler ev ?label ?ops ~cacheable:false ~exact guard gcost keys
     (Eph { budget; fn })
 
 (* --- lifecycle scopes (hot-swap protocol) ------------------------------
@@ -831,20 +779,6 @@ let end_retiring d =
 let set_policy ev p = ev.policy <- p
 let set_quarantine ev q = ev.quarantine <- q
 
-(* Live handlers behind a hid list, pruning uninstalled ids in place. *)
-let prune ev ids =
-  if List.for_all (fun hid -> Hashtbl.mem ev.table hid) ids then (ids, false)
-  else (List.filter (fun hid -> Hashtbl.mem ev.table hid) ids, true)
-
-let bucket_hids ev k =
-  match Hashtbl.find_opt ev.buckets k with
-  | None -> []
-  | Some b ->
-      let live, stale = prune ev !b in
-      if stale then
-        if live = [] then Hashtbl.remove ev.buckets k else b := live;
-      live
-
 (* --- key-value extraction ---------------------------------------------
    Decomposition of an encoded key into (dimension, value).  For
    [Filter] keys this is [key_tag]/value; for generic raw int keys the
@@ -855,71 +789,15 @@ let key_dim k = k lsr 16
 let key_val k = k land 0xffff
 
 (* Fill the event's scratch array with the payload's per-dimension
-   values (-1 = absent) and return it.  The vectored extractor writes in
-   place; a legacy list extractor is decoded into the slots (that path
-   still allocates the list — the alloc-free contract needs
-   [set_keyvfn]). *)
+   values (-1 = absent) and return it.  The extractor writes every
+   dimension by contract, so the scratch needs no wipe first; slots past
+   [kv_dims] keep the -1 they were created with. *)
 let fill_keyvals ev v ndims =
   let need = max 1 (max ndims ev.kv_dims) in
   if Array.length ev.scratch < need then ev.scratch <- Array.make need (-1);
   let s = ev.scratch in
-  (match ev.keyvfn with
-  (* a vectored extractor writes every dimension (-1 for absent) by
-     contract, so the scratch needs no wipe first *)
-  | Some kvf -> kvf v s
-  | None -> (
-      Array.fill s 0 (Array.length s) (-1);
-      match ev.keyfn with
-      | Some kf ->
-          List.iter
-            (fun k ->
-              let d = key_dim k in
-              if d >= 0 && d < Array.length s then s.(d) <- key_val k)
-            (kf v)
-      | None -> ()));
+  (match ev.keyvfn with Some kvf -> kvf v s | None -> ());
   s
-
-(* The handlers whose guards this raise must evaluate, in install order.
-   Without a key extractor every live handler is a candidate; with one,
-   only the matching buckets plus the linear fallback bucket are.  An
-   event with at most one installed handler skips the index entirely:
-   scanning the single guard is cheaper than hashing into its bucket. *)
-let candidates ev v =
-  let all () = Hashtbl.fold (fun hid _ acc -> hid :: acc) ev.table [] in
-  let hids =
-    if Hashtbl.length ev.table <= 1 then all ()
-    else
-      match (ev.keyfn, ev.keyvfn) with
-      | None, None -> all ()
-      | keyfn, keyvfn ->
-          let keyed =
-            if ev.nkeyed = 0 then []
-            else
-              match keyvfn with
-              | Some _ ->
-                  let s = fill_keyvals ev v 0 in
-                  let acc = ref [] in
-                  for d = 0 to ev.kv_dims - 1 do
-                    let value = s.(d) in
-                    if value >= 0 then
-                      acc :=
-                        List.rev_append
-                          (bucket_hids ev ((d lsl 16) lor value))
-                          !acc
-                  done;
-                  !acc
-              | None -> (
-                  match keyfn with
-                  | Some kf ->
-                      List.concat_map (fun k -> bucket_hids ev k) (kf v)
-                  | None -> [])
-          in
-          let live_linear, stale = prune ev ev.linear in
-          if stale then ev.linear <- live_linear;
-          List.rev_append keyed live_linear
-  in
-  List.filter_map (fun hid -> Hashtbl.find_opt ev.table hid)
-    (List.sort_uniq compare hids)
 
 (* --- merged-tree compilation ------------------------------------------ *)
 
@@ -932,164 +810,165 @@ let rec jump_probe keys mask v i =
 
 let jump_index keys mask v = jump_probe keys mask v ((v * 0x9e3779b1) land mask)
 
-(* Dimensions above this bound (or negative keys) fall back to the
-   bucket index: the walk's scratch array is sized by the max dimension,
-   and a generic event with huge raw keys should not cost a huge probe. *)
+(* Keys the tree can switch on: a dimension below this bound and a
+   non-negative value.  The walk's scratch array is sized by the max
+   dimension, so a generic event with huge raw keys should not cost a
+   huge probe; a handler with any other key is a residual everywhere. *)
 let max_tree_dims = 64
 
+let tree_key k = k >= 0 && key_dim k < max_tree_dims
+
+(* The one compile rule.  Switches are built only when the event has a
+   key extractor, more than one live handler and at least one handler
+   whose keys the tree can express; otherwise the tree is a single leaf
+   holding every live handler as a residual, in hid order, which charges
+   exactly the plain scan's [dispatch + guard * n]. *)
 let build_tree ev =
   let all =
     Hashtbl.fold (fun _ h acc -> h :: acc) ev.table []
     |> List.sort (fun a b -> compare a.hid b.hid)
   in
-  let keyed, unkeyed = List.partition (fun h -> h.hkeys <> []) all in
+  let switchable =
+    Option.is_some ev.keyvfn && List.compare_length_with all 1 > 0
+  in
+  let keyed, unkeyed =
+    List.partition
+      (fun h -> switchable && h.hkeys <> [] && List.for_all tree_key h.hkeys)
+      all
+  in
+  (* the single value a handler requires on dimension [d], if any *)
+  let requires h d =
+    List.fold_left
+      (fun acc k -> if key_dim k = d then Some (key_val k) else acc)
+      None h.hkeys
+  in
+  (* a handler pinning two different values on one dimension can never
+     match any payload (the walk reads one value per dimension) — it
+     contributes to no leaf *)
+  let satisfiable h =
+    List.for_all (fun k -> requires h (key_dim k) = Some (key_val k)) h.hkeys
+  in
+  let keyed = List.filter satisfiable keyed in
   let dims =
     List.concat_map (fun h -> List.map key_dim h.hkeys) keyed
     |> List.sort_uniq compare
   in
-  let max_dim = List.fold_left max (-1) dims in
-  if max_dim >= max_tree_dims || List.exists (fun h -> List.exists (fun k -> k < 0) h.hkeys) keyed
-  then None
-  else begin
-    (* the single value a handler requires on dimension [d], if any *)
-    let requires h d =
-      List.fold_left
-        (fun acc k -> if key_dim k = d then Some (key_val k) else acc)
-        None h.hkeys
-    in
-    (* a handler pinning two different values on one dimension can never
-       match any payload (the walk reads one value per dimension) — it
-       contributes to no leaf *)
-    let satisfiable h =
-      List.for_all (fun k -> requires h (key_dim k) = Some (key_val k)) h.hkeys
-    in
-    let keyed = List.filter satisfiable keyed in
-    let nodes = ref 0 in
-    (* hash-consing memo: (remaining-dim count, handler hids) -> subtree.
-       Dimensions are consumed in one fixed order, so the remaining-dims
-       suffix is fully determined by its length. *)
-    let memo : (string, 'a tnode) Hashtbl.t = Hashtbl.create 64 in
-    let merge_by_hid a b = List.merge (fun x y -> compare x.hid y.hid) a b in
-    let mk_leaf hs =
-      incr nodes;
-      let exact, inexact = List.partition (fun h -> h.hexact) hs in
-      Tleaf
-        {
-          tl_exact = Array.of_list exact;
-          tl_resid = Array.of_list (merge_by_hid inexact unkeyed);
-        }
-    in
-    let rec build dims hs =
-      let mkey =
-        String.concat ","
-          (string_of_int (List.length dims)
-          :: List.map (fun h -> string_of_int h.hid) hs)
-      in
-      match Hashtbl.find_opt memo mkey with
-      | Some n -> n
-      | None ->
-          let n =
-            match dims with
-            | [] -> mk_leaf hs
-            | d :: rest -> (
-                match List.filter (fun h -> requires h d <> None) hs with
-                | [] -> build rest hs (* no handler tests this dimension *)
-                | constrained ->
-                    let values =
-                      List.filter_map (fun h -> requires h d) constrained
-                      |> List.sort_uniq compare
-                    in
-                    (* wildcards on [d] flow into every child (the
-                       cross-product that makes the walk single-path) *)
-                    let default =
-                      build rest
-                        (List.filter (fun h -> requires h d = None) hs)
-                    in
-                    let cases =
-                      List.map
-                        (fun v ->
-                          ( v,
-                            build rest
-                              (List.filter
-                                 (fun h ->
-                                   match requires h d with
-                                   | None -> true
-                                   | Some v' -> v' = v)
-                                 hs) ))
-                        values
-                    in
-                    incr nodes;
-                    let size =
-                      let want = 2 * List.length cases in
-                      let rec pow2 p = if p >= want then p else pow2 (p * 2) in
-                      pow2 4
-                    in
-                    let keys = Array.make size (-1) in
-                    let kids = Array.make size default in
-                    let mask = size - 1 in
-                    List.iter
-                      (fun (v, node) ->
-                        let i = jump_index keys mask v in
-                        keys.(i) <- v;
-                        kids.(i) <- node)
-                      cases;
-                    Tswitch
-                      {
-                        ts_dim = d;
-                        ts_keys = keys;
-                        ts_kids = kids;
-                        ts_mask = mask;
-                        ts_default = default;
-                      })
-          in
-          Hashtbl.add memo mkey n;
-          n
-    in
-    let root = build dims keyed in
-    let rec depth = function
-      | Tleaf _ -> 0
-      | Tswitch s ->
-          1
-          + Array.fold_left
-              (fun acc kid -> max acc (depth kid))
-              (depth s.ts_default) s.ts_kids
-    in
-    Some
+  let nodes = ref 0 in
+  (* hash-consing memo: (remaining-dim count, handler hids) -> subtree.
+     Dimensions are consumed in one fixed order, so the remaining-dims
+     suffix is fully determined by its length. *)
+  let memo : (string, 'a tnode) Hashtbl.t = Hashtbl.create 64 in
+  let merge_by_hid a b = List.merge (fun x y -> compare x.hid y.hid) a b in
+  let mk_leaf hs =
+    incr nodes;
+    let exact, inexact = List.partition (fun h -> h.hexact) hs in
+    Tleaf
       {
-        tr_root = root;
-        tr_nodes = !nodes;
-        tr_depth = depth root;
-        tr_ndims = max_dim + 1;
-        tr_visited = 0;
+        tl_exact = Array.of_list exact;
+        tl_resid = Array.of_list (merge_by_hid inexact unkeyed);
       }
-  end
+  in
+  let rec build dims hs =
+    let mkey =
+      String.concat ","
+        (string_of_int (List.length dims)
+        :: List.map (fun h -> string_of_int h.hid) hs)
+    in
+    match Hashtbl.find_opt memo mkey with
+    | Some n -> n
+    | None ->
+        let n =
+          match dims with
+          | [] -> mk_leaf hs
+          | d :: rest -> (
+              match List.filter (fun h -> requires h d <> None) hs with
+              | [] -> build rest hs (* no handler tests this dimension *)
+              | constrained ->
+                  let values =
+                    List.filter_map (fun h -> requires h d) constrained
+                    |> List.sort_uniq compare
+                  in
+                  (* wildcards on [d] flow into every child (the
+                     cross-product that makes the walk single-path) *)
+                  let default =
+                    build rest (List.filter (fun h -> requires h d = None) hs)
+                  in
+                  let cases =
+                    List.map
+                      (fun v ->
+                        ( v,
+                          build rest
+                            (List.filter
+                               (fun h ->
+                                 match requires h d with
+                                 | None -> true
+                                 | Some v' -> v' = v)
+                               hs) ))
+                      values
+                  in
+                  incr nodes;
+                  let size =
+                    let want = 2 * List.length cases in
+                    let rec pow2 p = if p >= want then p else pow2 (p * 2) in
+                    pow2 4
+                  in
+                  let keys = Array.make size (-1) in
+                  let kids = Array.make size default in
+                  let mask = size - 1 in
+                  List.iter
+                    (fun (v, node) ->
+                      let i = jump_index keys mask v in
+                      keys.(i) <- v;
+                      kids.(i) <- node)
+                    cases;
+                  Tswitch
+                    {
+                      ts_dim = d;
+                      ts_keys = keys;
+                      ts_kids = kids;
+                      ts_mask = mask;
+                      ts_default = default;
+                    })
+        in
+        Hashtbl.add memo mkey n;
+        n
+  in
+  let root = build dims keyed in
+  let rec depth = function
+    | Tleaf _ -> 0
+    | Tswitch s ->
+        1
+        + Array.fold_left
+            (fun acc kid -> max acc (depth kid))
+            (depth s.ts_default) s.ts_kids
+  in
+  {
+    tr_root = root;
+    tr_nodes = !nodes;
+    tr_depth = depth root;
+    tr_ndims = List.fold_left max (-1) dims + 1;
+    tr_visited = 0;
+  }
 
-(* Tree dispatch applies when enabled (dispatcher-wide and per-event),
-   the event has a key extractor and at least one keyed handler, and
-   more than one handler total (the <=1 case scans one guard with no
-   index at all).  The compiled tree is memoized behind the event's
-   generation counter — the same counter the flow-path cache
-   invalidates on — so any install/uninstall/mode/extractor churn
-   recompiles lazily on the next raise. *)
+(* The compiled tree is memoized behind the event's generation counter —
+   the same counter the flow-path cache invalidates on — so any
+   install/uninstall/mode/extractor churn recompiles lazily on the next
+   raise. *)
 let tree_for ev =
-  if
-    (not (ev.disp.tmode && ev.tree_on))
-    || ev.nkeyed = 0
-    || Hashtbl.length ev.table <= 1
-    || (match (ev.keyfn, ev.keyvfn) with None, None -> true | _ -> false)
-  then None
-  else if ev.tree_gen = !(ev.gen) then ev.tree
-  else begin
-    ev.tree <- build_tree ev;
-    ev.tree_gen <- !(ev.gen);
-    (match ev.tree with Some _ -> incr ev.tr_rebuilds | None -> ());
-    ev.tree
-  end
+  match ev.tree with
+  | Some tr when ev.tree_gen = !(ev.gen) -> tr
+  | _ ->
+      let tr = build_tree ev in
+      ev.tree <- Some tr;
+      ev.tree_gen <- !(ev.gen);
+      incr ev.tr_rebuilds;
+      tr
 
 (* One walk: at each switch read the payload's value for that dimension
-   from the scratch array and jump.  Returns the leaf and the number of
-   switches visited (the [costs.tree_node] multiplier).  The loop is a
-   top-level function so a walk allocates no closure. *)
+   from the scratch array and jump.  Returns the leaf and leaves the
+   number of switches visited (the [costs.tree_node] multiplier) in
+   [tr_visited].  The loop is a top-level function so a walk allocates
+   no closure. *)
 let rec walk_from tr s n visited =
   match n with
   | Tleaf l ->
@@ -1110,39 +989,41 @@ let rec walk_from tr s n visited =
       in
       walk_from tr s next (visited + 1)
 
-let tree_walk tr s = walk_from tr s tr.tr_root 0
+(* A one-leaf tree reads no key, so its walk skips the extractor. *)
+let tree_walk ev tr v =
+  match tr.tr_root with
+  | Tleaf l ->
+      tr.tr_visited <- 0;
+      l
+  | root -> walk_from tr (fill_keyvals ev v tr.tr_ndims) root 0
 
 let tree_raises ev = !(ev.ev_tree)
 
 (* Force-compile (if stale) and render the event's tree for
    introspection — the CLI's [dispatch --tree] view. *)
 let compiled_tree ev =
-  match tree_for ev with
-  | None -> None
-  | Some tr ->
-      let label_of h = (h.hid, h.label) in
-      let rec view = function
-        | Tleaf l ->
-            Tree_leaf
-              {
-                tv_exact = Array.to_list (Array.map label_of l.tl_exact);
-                tv_resid = Array.to_list (Array.map label_of l.tl_resid);
-              }
-        | Tswitch sw ->
-            let cases = ref [] in
-            Array.iteri
-              (fun i k ->
-                if k >= 0 then cases := (k, view sw.ts_kids.(i)) :: !cases)
-              sw.ts_keys;
-            Tree_switch
-              {
-                tv_dim = sw.ts_dim;
-                tv_cases =
-                  List.sort (fun (a, _) (b, _) -> compare a b) !cases;
-                tv_default = view sw.ts_default;
-              }
-      in
-      Some (view tr.tr_root)
+  let label_of h = (h.hid, h.label) in
+  let rec view = function
+    | Tleaf l ->
+        Tree_leaf
+          {
+            tv_exact = Array.to_list (Array.map label_of l.tl_exact);
+            tv_resid = Array.to_list (Array.map label_of l.tl_resid);
+          }
+    | Tswitch sw ->
+        let cases = ref [] in
+        Array.iteri
+          (fun i k ->
+            if k >= 0 then cases := (k, view sw.ts_kids.(i)) :: !cases)
+          sw.ts_keys;
+        Tree_switch
+          {
+            tv_dim = sw.ts_dim;
+            tv_cases = List.sort (fun (a, _) (b, _) -> compare a b) !cases;
+            tv_default = view sw.ts_default;
+          }
+  in
+  view (tree_for ev).tr_root
 
 (* Defined below [compiled_tree] so the per-event viewer closure it
    registers can force-compile the tree on demand. *)
@@ -1157,9 +1038,6 @@ let event disp ?(mode = Interrupt) ename =
       gen = ref 0;
       mode;
       table = Hashtbl.create 8;
-      linear = [];
-      buckets = Hashtbl.create 8;
-      keyfn = None;
       keyvfn = None;
       kv_dims = 0;
       scratch = [||];
@@ -1168,17 +1046,13 @@ let event disp ?(mode = Interrupt) ename =
       entries =
         Sharded.Cache.create ~shards:cache_shards ~per_shard:cache_per_shard
           ~evictions:disp.pc_evictions ();
-      nkeyed = 0;
       next_hid = 0;
       label_gens = Hashtbl.create 8;
       policy = None;
       quarantine = None;
       tree = None;
       tree_gen = -1;
-      tree_on = true;
       ev_raises = mkref disp.reg ("spin." ^ ename ^ ".raises");
-      ev_indexed = mkref disp.reg ("spin." ^ ename ^ ".indexed_raises");
-      ev_linear = mkref disp.reg ("spin." ^ ename ^ ".linear_raises");
       ev_cached = mkref disp.reg ("spin." ^ ename ^ ".cached_raises");
       ev_tree = mkref disp.reg ("spin." ^ ename ^ ".tree.raises");
       tr_rebuilds = mkref disp.reg ("spin." ^ ename ^ ".tree.rebuilds");
@@ -1207,13 +1081,28 @@ let event disp ?(mode = Interrupt) ename =
 
 let tree_views t = List.rev_map (fun f -> f ()) t.tree_viewers
 
+let emit_span d event =
+  Observe.Trace.emit d.trace { Observe.Trace.at_ns = now_ns d; event }
+
 (* Fault containment: extension code that raises must not take the
    kernel down.  The typesafe language already rules out wild memory
-   access; runtime exceptions are caught here, counted, and the faulting
-   handler is uninstalled — the extension model's equivalent of killing
-   the offending extension rather than the system. *)
-let fault ev h =
-  Sim.Stats.Counter.incr ev.disp.faults;
+   access; runtime exceptions are caught here, counted (globally and per
+   handler), Drop-spanned with the exception, and the faulting handler
+   is uninstalled — the extension model's equivalent of killing the
+   offending extension rather than the system.  The per-handler counter
+   is registered at the first fault, so handlers that never fault cost
+   the registry nothing. *)
+let fault ev h exn =
+  let d = ev.disp in
+  Sim.Stats.Counter.incr d.faults;
+  incr (mkref d.reg (ledger_prefix ev h.label h.hgen ^ ".faults"));
+  if Observe.Trace.active d.trace then
+    emit_span d
+      (Observe.Trace.Drop
+         {
+           scope = "spin." ^ ev.ename ^ "." ^ h.label;
+           reason = "fault: " ^ Printexc.to_string exn;
+         });
   uninstall_h ev h
 
 (* Asynchronous exceptions signal resource exhaustion of the *kernel*,
@@ -1223,10 +1112,7 @@ let fault ev h =
 let contain ev h f =
   try f () with
   | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-  | _exn -> fault ev h
-
-let emit_span d event =
-  Observe.Trace.emit d.trace { Observe.Trace.at_ns = now_ns d; event }
+  | exn -> fault ev h exn
 
 (* Runtime budget enforcement (the quarantine half of the verifier):
    called after a run's ledger update.  The window is tumbling — the
@@ -1365,7 +1251,7 @@ let run_plain ev v h fn flow over total =
   let a0 = Packet.Mbuf.total_allocated () in
   (try fn v with
   | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-  | _exn -> fault ev h);
+  | exn -> fault ev h exn);
   d.prio_override <- None;
   d.flow <- No_flow;
   incr h.hs.h_runs;
@@ -1497,130 +1383,26 @@ let deliver ev v h flow over =
         | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
         | e -> Error e
       with
-      | Error _exn ->
+      | Error exn ->
           incr d.eph_failures;
           incr h.hs.h_fails;
-          fault ev h
+          fault ev h exn
       | Ok plan ->
           let r = Ephemeral.planned plan in
           queue_delivery ev v h flow over prio
             ~cost:(Sim.Stime.add spawn r.Ephemeral.consumed)
             (Some plan))
 
-(* Graph dispatch of one raise through the bucket index (or a plain
-   scan), optionally recording the hop.  [raises]/[ev_raises] are the
-   caller's job (so batch entry points can amortize them). *)
-let raise_scan ?over ev v flow =
-  let d = ev.disp in
-  let cands = candidates ev v in
-  let n_guards = List.length cands in
-  Sim.Stats.Counter.add d.guard_evals n_guards;
-  (* Event-level classification: an event with a key extractor and any
-     keyed handler counts as an indexed raise.  The hash lookup itself
-     (and its [costs.index] charge) is skipped when <=1 handler is
-     installed — scanning the one guard is strictly cheaper. *)
-  let indexed =
-    (match (ev.keyfn, ev.keyvfn) with None, None -> false | _ -> true)
-    && ev.nkeyed > 0
-  in
-  let use_index = indexed && Hashtbl.length ev.table > 1 in
-  if indexed then incr ev.ev_indexed else incr ev.ev_linear;
-  if use_index then Sim.Stats.Counter.incr d.index_lookups;
-  if Observe.Trace.active d.trace then begin
-    emit_span d
-      (Observe.Trace.Raise
-         { event = ev.ename; candidates = n_guards; indexed });
-    if use_index then
-      let nkeys =
-        match ev.keyfn with
-        | Some kf -> List.length (kf v)
-        | None ->
-            let s = fill_keyvals ev v 0 in
-            let n = ref 0 in
-            for d = 0 to ev.kv_dims - 1 do
-              if s.(d) >= 0 then incr n
-            done;
-            !n
-      in
-      emit_span d
-        (Observe.Trace.Index_lookup
-           { event = ev.ename; keys = nkeys; candidates = n_guards })
-  end;
-  flight_note_raise d ev v;
-  let extra_gcost =
-    List.fold_left (fun acc h -> Sim.Stime.add acc h.gcost) Sim.Stime.zero cands
-  in
-  let demux_cost =
-    Sim.Stime.add extra_gcost
-      (Sim.Stime.add d.costs.dispatch
-         (Sim.Stime.add
-            (if use_index then d.costs.index else Sim.Stime.zero)
-            (Sim.Stime.mul d.costs.guard n_guards)))
-  in
-  flow_enter flow;
-  Sim.Cpu.submit d.cpu (prio_of ev over) ~cost:demux_cost (fun () ->
-      (* Demultiplex against the *current* registry: a handler uninstalled
-         while this raise was queued no longer fires. *)
-      let cands = candidates ev v in
-      (* A hop is recordable only when *every* candidate — accepting or
-         rejecting — opted into cacheability, because replay skips all
-         of their guards; one interrupt-mode exception or one
-         flow-dependent guard poisons the whole chain. *)
-      (match flow with
-      | Recording r ->
-          if
-            ev.mode <> Interrupt || Option.is_some over
-            || not (List.for_all (fun h -> h.cacheable) cands)
-          then r.rec_ok <- false
-      | No_flow | Replaying _ -> ());
-      let accepted_rev = ref [] in
-      List.iter
-        (fun h ->
-          (* a faulting guard is contained the same way *)
-          let accepted =
-            try h.guard v with
-            | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-            | _ -> fault ev h; false
-          in
-          if accepted then incr h.hs.h_hits else incr h.hs.h_misses;
-          if Observe.Trace.active d.trace then
-            emit_span d
-              (Observe.Trace.Guard_eval
-                 { event = ev.ename; hid = h.hid; label = h.label;
-                   hit = accepted });
-          if accepted then begin
-            accepted_rev := h.hid :: !accepted_rev;
-            deliver ev v h flow over
-          end)
-        cands;
-      (match flow with
-      | Recording r ->
-          if r.rec_ok then
-            r.rec_hops <-
-              {
-                hop_uid = ev.uid;
-                hop_gen = ev.gen;
-                hop_gen_at = !(ev.gen);
-                hop_hids = List.rev !accepted_rev;
-              }
-              :: r.rec_hops
-      | No_flow | Replaying _ -> ());
-      flow_leave d flow)
-
-(* A tree raise's demux comes due.  Demultiplex against the *current*
+(* A raise's demux comes due.  Demultiplex against the *current*
    registry.  The common case — no churn between the raise and its
    delivery — reuses the leaf phase 1 already found (same generation,
-   same tree, same walk).  Otherwise re-walk against the rebuilt tree,
-   or fall back to a scan if churn took the event out of tree mode. *)
+   same tree, same walk).  Otherwise re-walk the rebuilt tree. *)
 let tree_demux ev dm =
   let d = ev.disp in
   let v = dm.dm_v and flow = dm.dm_flow and over = dm.dm_over in
   let leaf =
     if !(ev.gen) = dm.dm_gen then dm.dm_leaf
-    else
-      match tree_for ev with
-      | Some tr -> tree_walk tr (fill_keyvals ev v tr.tr_ndims)
-      | None -> { tl_exact = [||]; tl_resid = Array.of_list (candidates ev v) }
+    else tree_walk ev (tree_for ev) v
   in
   stash_put ev.demuxes dm;
   let exact = leaf.tl_exact and resid = leaf.tl_resid in
@@ -1659,7 +1441,7 @@ let tree_demux ev dm =
       let accepted =
         try h.guard v with
         | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-        | _ -> fault ev h; false
+        | exn -> fault ev h exn; false
       in
       if accepted then incr h.hs.h_hits else incr h.hs.h_misses;
       if Observe.Trace.active d.trace then
@@ -1687,34 +1469,32 @@ let tree_demux ev dm =
   | No_flow | Replaying _ -> ());
   flow_leave d flow
 
-(* Graph dispatch of one raise through the merged decision tree: one
-   walk finds the leaf; the leaf's [tl_exact] handlers are proven
-   matches (no closure call — the walk evaluated their guards), its
-   [tl_resid] handlers get a real guard evaluation.  The two arrays are
-   merged by hid at delivery time so install order is preserved exactly
-   as the scan path would have produced it.  [guard_evals] counts only
-   the residuals — that is the tentpole's claim, "zero per-handler
-   guard re-evaluation for tree-expressible guards" — while
-   [index_lookups]/[ev_indexed] count the walk as an index consult. *)
-let raise_tree ?over ev v flow tr =
+(* Graph dispatch of one raise, optionally recording the hop: one walk
+   of the event's merged tree finds the leaf; the leaf's [tl_exact]
+   handlers are proven matches (no closure call — the walk evaluated
+   their guards), its [tl_resid] handlers get a real guard evaluation.
+   The two arrays are merged by hid at delivery time so delivery runs
+   in install order.  [guard_evals] counts only the residuals.
+   [raises]/[ev_raises] are the caller's job (so batch entry points can
+   amortize them). *)
+let raise_core ?over ev v flow =
   let d = ev.disp in
-  let leaf = tree_walk tr (fill_keyvals ev v tr.tr_ndims) in
+  let tr = tree_for ev in
+  let leaf = tree_walk ev tr v in
   let visited = tr.tr_visited in
   let n_exact = Array.length leaf.tl_exact in
   let n_resid = Array.length leaf.tl_resid in
   Sim.Stats.Counter.add d.guard_evals n_resid;
-  Sim.Stats.Counter.incr d.index_lookups;
-  incr ev.ev_indexed;
   incr ev.ev_tree;
   ev.tr_resid_evals := !(ev.tr_resid_evals) + n_resid;
-  if Observe.Trace.active d.trace then begin
+  if Observe.Trace.active d.trace then
     emit_span d
       (Observe.Trace.Raise
-         { event = ev.ename; candidates = n_exact + n_resid; indexed = true });
-    emit_span d
-      (Observe.Trace.Index_lookup
-         { event = ev.ename; keys = visited; candidates = n_exact + n_resid })
-  end;
+         {
+           event = ev.ename;
+           candidates = n_exact + n_resid;
+           switches = visited;
+         });
   flight_note_raise d ev v;
   let extra_gcost =
     Array.fold_left
@@ -1752,13 +1532,6 @@ let raise_tree ?over ev v flow tr =
   flow_enter flow;
   Sim.Cpu.submit d.cpu (prio_of ev over) ~cost:demux_cost dm.dm_run
 
-(* Normal graph dispatch of one raise: merged-tree walk when the event
-   compiles to one, bucket-index/linear scan otherwise. *)
-let raise_core ?over ev v flow =
-  match tree_for ev with
-  | Some tr -> raise_tree ?over ev v flow tr
-  | None -> raise_scan ?over ev v flow
-
 (* --- replay ----------------------------------------------------------- *)
 
 let cache_invalidate_span d ename reason =
@@ -1785,7 +1558,7 @@ let rec run_hop_from ev v hids acc =
             let a0 = Packet.Mbuf.total_allocated () in
             (try fn v with
             | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
-            | _exn -> fault ev h);
+            | exn -> fault ev h exn);
             incr h.hs.h_runs;
             let total =
               match dyncost with

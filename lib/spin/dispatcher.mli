@@ -1,5 +1,5 @@
 (** The SPIN event dispatcher: typed events, guards, handlers and the
-    demux index.
+    merged demux tree.
 
     "An event is raised by a kernel service or extension code to announce
     a change in system state or to request a service" (paper, section 2).
@@ -7,17 +7,18 @@
     packet filters — and may be delivered at interrupt level (possibly as
     budget-limited {!Ephemeral} programs) or each on a fresh thread.
 
-    Events may additionally carry a {e dispatch index} (DPF/PathFinder
-    style): handlers whose guard implies a literal equality on a demux
-    field are installed with that equality as a [key]; raising then hashes
-    the payload's key fields once ({!set_keyfn}) and evaluates only the
-    guards in the matching buckets plus the unkeyed linear fallback, so
-    raise cost scales with matching handlers, not installed handlers.
+    Every raise demultiplexes through one path, the event's merged
+    decision tree (DPF/PathFinder style): handlers whose guard implies
+    literal equalities on demux fields are installed with those
+    equalities as [keys], the payload's key fields are read once
+    ({!set_keyvfn}), and only the guards at the matching leaf are
+    evaluated, so raise cost scales with matching handlers, not
+    installed handlers.
 
     A dispatcher may carry an {!Observe.Registry} (per-event and
     per-handler counters and latency histograms) and an {!Observe.Trace}
-    endpoint through which every raise, index lookup, guard evaluation,
-    handler run and ephemeral commit/termination is emitted as a
+    endpoint through which every raise, guard evaluation, handler run,
+    ephemeral commit/termination and contained fault is emitted as a
     structured span when a sink is attached. *)
 
 type t
@@ -31,12 +32,11 @@ type costs = {
   dispatch : Sim.Stime.t;
   guard : Sim.Stime.t;
   index : Sim.Stime.t;
-      (** charged once per raise on an indexed event, replacing the
-          [guard * installed] scan *)
+      (** charged once per flow-path cache hit: the signature lookup
+          that stands in for the replayed chain's demux *)
   tree_node : Sim.Stime.t;
-      (** charged per decision-tree switch visited on a merged-tree
-          raise (replacing [index] and the per-candidate [guard]
-          charges for tree-proven handlers) *)
+      (** charged per decision-tree switch a raise's walk visits
+          (tree-proven handlers are charged no [guard]) *)
   thread_spawn : Sim.Stime.t;
 }
 
@@ -70,50 +70,36 @@ val name : _ event -> string
 val mode : _ event -> delivery
 val set_mode : _ event -> delivery -> unit
 
-val set_keyfn : 'a event -> ('a -> int list) -> unit
-(** Declare the event's demux-key extractor: the list of dispatch keys a
-    payload presents (e.g. its EtherType, protocol number and ports).
-    Handlers installed with [~key:k] are only considered for payloads
-    whose extracted keys include [k].  Soundness contract: a keyed
-    handler's guard must reject any payload that does not present its
-    key, so the index only ever skips guards that would refuse.  A
-    payload must present at most one key per dimension ([k lsr 16]) —
-    [Filter.context_keys] does by construction. *)
-
 val set_keyvfn : 'a event -> dims:int -> ('a -> int array -> unit) -> unit
-(** Vectored variant of {!set_keyfn}, the allocation-free fast path: the
-    extractor fills slot [d] ([0 <= d < dims]) of a per-event scratch
-    array with the payload's value on key dimension [d], or [-1] when
-    absent.  The extractor must write {e every} slot below [dims] on
-    every call — the scratch is reused without being wiped between
-    raises.  The scratch array is owned and reused by the event, so
-    steady-state dispatch allocates nothing.  Protocol-graph events pass
+(** Declare the event's demux-key extractor: it fills slot [d]
+    ([0 <= d < dims]) of a per-event scratch array with the payload's
+    value on key dimension [d] (a key [k] has dimension [k lsr 16] and
+    value [k land 0xffff]), or [-1] when absent.  The extractor must
+    write {e every} slot below [dims] on every call — the scratch is
+    reused without being wiped between raises, so steady-state dispatch
+    allocates nothing.  Protocol-graph events pass
     [Filter.read_context_keys] with [dims = Filter.num_key_dims].
-    Takes precedence over a list extractor if both are set; same
-    soundness contract as {!set_keyfn}. *)
+    Soundness contract: a keyed handler's guard must reject any payload
+    that does not present all its keys, so the tree only ever skips
+    guards that would refuse. *)
 
 (** {1 Merged decision-tree dispatch}
 
-    All of an event's keyed handlers compiled into one decision tree
-    over the key dimensions (DPF-style cross-filter merge): common
-    tests are evaluated once, each switch jumps through a dense
-    open-addressed table, and the reached leaf holds the exact set of
-    matching handlers — one walk per raise, zero per-handler guard
-    re-evaluation for handlers installed with [~exact:true] (opaque
-    closure guards fall back to leaf-attached residual checks; unkeyed
-    handlers are residuals at every leaf).  The tree is memoized behind
-    the event's generation counter and recompiled lazily on the first
-    raise after any churn, so the flow-path cache and the per-domain
-    dispatcher instances keep counter-for-counter equivalence.  On by
-    default; {!set_tree_dispatch} ablates it dispatcher-wide and
-    {!set_event_tree} per event. *)
-
-val set_tree_dispatch : t -> bool -> unit
-val tree_dispatch_enabled : t -> bool
-
-val set_event_tree : _ event -> bool -> unit
-(** Per-event opt-out from merged-tree dispatch (bumps the generation,
-    so cached paths through the event revalidate). *)
+    Every raise walks one decision tree per event, compiled from its
+    handlers' keys (DPF-style cross-filter merge): common tests are
+    evaluated once, each switch jumps through a dense open-addressed
+    table, and the reached leaf holds the exact set of matching
+    handlers — zero per-handler guard re-evaluation for handlers
+    installed with [~exact:true] (opaque closure guards are
+    leaf-attached residual checks; unkeyed handlers, and handlers with
+    a key of dimension [>= 64] or a negative key, are residuals at
+    every leaf).  Switches are built only when the event has a key
+    extractor, more than one handler and at least one keyed handler;
+    otherwise the tree is one leaf that evaluates every guard in
+    install order.  The tree is memoized behind the event's generation
+    counter and recompiled lazily on the first raise after any churn,
+    so the flow-path cache and the per-domain dispatcher instances keep
+    counter-for-counter equivalence. *)
 
 (** {1 Flow-path cache}
 
@@ -124,7 +110,7 @@ val set_event_tree : _ event -> bool -> unit
     chain replays directly — one signature lookup, zero intermediate
     demux, guards replaced by the signature match.  Every event carries
     a generation counter bumped on install/uninstall/{!set_mode}/
-    {!set_keyfn}/{!touch}; a hit validates every hop's generation in
+    {!set_keyvfn}/{!touch}; a hit validates every hop's generation in
     O(hops), and a stale or divergent chain falls back to graph
     dispatch, so cached delivery is observably equivalent to uncached.
     Disabled by default ({!set_flow_cache}). *)
@@ -172,11 +158,6 @@ val cache_entries : _ event -> int
 (** Live flow-path cache entries rooted at this event. *)
 
 val handler_count : _ event -> int
-val indexed_count : _ event -> int
-(** Handlers installed with a dispatch key. *)
-
-val linear_count : _ event -> int
-(** Handlers in the unkeyed fallback bucket, scanned on every raise. *)
 
 exception
   Install_rejected of {
@@ -202,7 +183,7 @@ val set_quarantine : _ event -> Verifier.quarantine option -> unit
     Drop-spanned with reason ["quarantine"]. *)
 
 val install :
-  'a event -> ?guard:('a -> bool) -> ?key:int -> ?keys:int list ->
+  'a event -> ?guard:('a -> bool) -> ?keys:int list ->
   ?exact:bool -> ?gcost:Sim.Stime.t ->
   ?dyncost:('a -> Sim.Stime.t) -> ?cacheable:bool -> ?label:string ->
   ?ops:Verifier.op list ->
@@ -211,12 +192,11 @@ val install :
     raise whose [guard] accepts the payload, charging [cost] (plus
     [dyncost payload] for data-touching work) of CPU.  [gcost] adds
     per-evaluation guard cost on top of the dispatcher's base guard
-    charge (interpreted packet filters).  [key] places the handler in the
-    event's dispatch index under that key (see {!set_keyfn}); [keys]
-    supplies {e every} key the guard pins (one per dimension,
-    e.g. {!Filter.key_conjuncts}) so the merged decision tree can place
-    the handler on exactly the paths that satisfy all of them — [key]
-    and [keys] are unioned.  [exact] (default [false]) asserts the
+    charge (interpreted packet filters).  [keys] supplies {e every} key
+    the guard pins (one per dimension, e.g. {!Filter.key_conjuncts}) so
+    the merged decision tree places the handler on exactly the paths
+    that satisfy all of them (see {!set_keyvfn} for the soundness
+    contract).  [exact] (default [false]) asserts the
     guard is {e nothing but} those key equalities
     ({!Filter.keys_exact}): a tree walk that proves them skips the
     closure entirely.  [cacheable] (default [false]) asserts that
@@ -225,7 +205,8 @@ val install :
     replay; a single non-cacheable candidate on an event keeps every
     chain through that event out of the cache.  [label] names the
     handler in spans, metrics
-    ([spin.<event>.<label>.guard_hits|guard_misses|runs|run_ns]) and
+    ([spin.<event>.<label>.guard_hits|guard_misses|runs|run_ns|faults])
+    and
     {!dump} output; it defaults to ["h<id>"].  Reinstalling a label
     starts a fresh metric generation ([<label>#N...]) so a replacement
     never inherits the retired generation's ledger.  [ops] declares the
@@ -234,7 +215,7 @@ val install :
     Returns the uninstaller (O(1)). *)
 
 val install_ephemeral :
-  'a event -> ?guard:('a -> bool) -> ?key:int -> ?keys:int list ->
+  'a event -> ?guard:('a -> bool) -> ?keys:int list ->
   ?exact:bool -> ?gcost:Sim.Stime.t ->
   ?label:string -> ?ops:Verifier.op list -> ?budget:Sim.Stime.t ->
   ('a -> Ephemeral.t) ->
@@ -295,12 +276,12 @@ val swap_inflight : t -> int
     [0] means every old-generation delivery has completed. *)
 
 val raise : ?prio:Sim.Cpu.prio -> 'a event -> 'a -> unit
-(** Raise the event: evaluate the candidate guards (the matching index
-    buckets plus the linear fallback on indexed events; every installed
-    guard otherwise), charging demux cost, and deliver to each accepting
-    handler according to the event's mode.  With the flow-path cache
-    enabled and a signature extractor installed, a signable root raise
-    is served from (or recorded into) the cache instead.
+(** Raise the event: walk its merged decision tree, evaluate the guards
+    left at the reached leaf, charging demux cost, and deliver to each
+    accepting handler in install order according to the event's mode.
+    With the flow-path cache enabled and a signature extractor
+    installed, a signable root raise is served from (or recorded into)
+    the cache instead.
 
     [?prio] overrides the delivery priority for this raise, {e stickily}:
     nested raises made from the delivered handler bodies inherit the
@@ -334,16 +315,15 @@ val path_cache_evictions : t -> int
 (** Cold entries displaced by the CLOCK hand when a cache shard is at
     capacity (across every event's cache on this dispatcher). *)
 
-val index_lookups : t -> int
-(** Raises that consulted a dispatch index instead of scanning. *)
-
 val invocations : t -> int
 val terminations : t -> int
 
 val faults : t -> int
 (** Handlers (or guards) that raised an exception.  The fault is
-    contained: counted, and the offending handler uninstalled — never
-    propagated into the kernel.  Exception: asynchronous exceptions
+    contained: counted here and in [spin.<event>.<label>.faults],
+    Drop-spanned (scope [spin.<event>.<label>], reason
+    ["fault: <exception>"]), and the offending handler uninstalled —
+    never propagated into the kernel.  Exception: asynchronous exceptions
     ([Stack_overflow], [Out_of_memory]) signal kernel-level resource
     exhaustion and are re-raised, never contained. *)
 
@@ -397,7 +377,7 @@ type tree_info = {
   ti_nodes : int;  (** switch + leaf nodes in the compiled tree *)
   ti_depth : int;  (** longest switch chain a walk can visit *)
   ti_rebuilds : int;  (** times the tree was (re)compiled *)
-  ti_raises : int;  (** raises served by a tree walk *)
+  ti_raises : int;  (** raises served by a tree walk (every graph raise) *)
   ti_residual_evals : int;  (** leaf residual guards actually evaluated *)
 }
 
@@ -408,7 +388,8 @@ type event_info = {
   ei_generation : int;  (** invalidation generation (see {!touch}) *)
   ei_cache_entries : int;  (** live flow-path cache entries *)
   ei_tree : tree_info option;
-      (** the last compiled merged dispatch tree, if any *)
+      (** the last compiled merged dispatch tree; [None] until the first
+          raise compiles one *)
   ei_handlers : handler_info list;  (** in install order *)
 }
 
@@ -427,15 +408,14 @@ type tree_view =
                                    carries an unlisted value *)
     }
 
-val compiled_tree : _ event -> tree_view option
-(** The event's merged dispatch tree, compiling it first if stale.
-    [None] when tree dispatch does not apply (disabled, no key
-    extractor, no keyed handlers, or <=1 handler installed). *)
+val compiled_tree : _ event -> tree_view
+(** The event's merged dispatch tree, compiling it first if stale. *)
 
 val tree_raises : _ event -> int
-(** Raises on this event served by a merged-tree walk. *)
+(** Raises on this event served by a merged-tree walk (every raise not
+    replayed from the flow-path cache). *)
 
-val tree_views : t -> (string * tree_view option) list
+val tree_views : t -> (string * tree_view) list
 (** [compiled_tree] for every event declared on this dispatcher, in
     declaration order — the CLI's [dispatch --tree] dump. *)
 

@@ -216,10 +216,11 @@ let span_path_reconstruction () =
       ( "run ip@ether",
         function
         | Handler_run h -> is_ether h.event && h.label = "ip" | _ -> false );
-      ("raise ip", function Raise r -> r.event = "ip.PacketRecv" | _ -> false);
-      ( "index lookup ip",
+      (* the ip event's transports are keyed: its walk switches on the
+         IP protocol *)
+      ( "raise ip",
         function
-        | Index_lookup i -> i.event = "ip.PacketRecv" | _ -> false );
+        | Raise r -> r.event = "ip.PacketRecv" && r.switches > 0 | _ -> false );
       ( "guard hit udp@ip",
         function
         | Guard_eval g -> g.event = "ip.PacketRecv" && g.label = "udp" && g.hit
@@ -230,10 +231,8 @@ let span_path_reconstruction () =
         | _ -> false );
       ( "raise udp",
         function
-        | Raise r -> r.event = "udp.PacketRecv" && r.indexed | _ -> false );
-      (* no "index lookup udp" step: the udp event has one handler, and
-         a <=1-handler event skips the hash lookup (scanning the single
-         guard is cheaper) — asserted below *)
+        | Raise r -> r.event = "udp.PacketRecv" && r.candidates = 1
+        | _ -> false );
       ( "guard hit srv@udp",
         function
         | Guard_eval g ->
@@ -256,12 +255,12 @@ let span_path_reconstruction () =
             else walk steps tail)
   in
   walk steps spans;
-  (* the 1-handler udp event skips the hash lookup entirely *)
-  Alcotest.(check bool) "no index lookup on a 1-handler event" false
+  (* the 1-handler udp event compiles to one leaf: no switch visited *)
+  Alcotest.(check bool) "no switch on a 1-handler event" false
     (List.exists
        (fun s ->
          match s.Observe.Trace.event with
-         | Index_lookup i -> i.event = "udp.PacketRecv"
+         | Raise r -> r.event = "udp.PacketRecv" && r.switches > 0
          | _ -> false)
        spans);
   (* per-handler histogram counts must match the raise counts *)
@@ -281,8 +280,8 @@ let span_path_reconstruction () =
     (hist_n "spin.udp.PacketRecv.srv.run_ns");
   Alcotest.(check int) "udp runs = ip raises" sends
     (hist_n "spin.ip.PacketRecv.udp.run_ns");
-  Alcotest.(check int) "udp raises all indexed" sends
-    (counter "spin.udp.PacketRecv.indexed_raises");
+  Alcotest.(check int) "udp raises all walked the tree" sends
+    (counter "spin.udp.PacketRecv.tree.raises");
   (* durations in the spans must equal what the histograms recorded *)
   let span_runs =
     List.filter_map
@@ -370,6 +369,44 @@ let ephemeral_commit_span () =
       Alcotest.(check int) "all actions committed" 3 committed;
       Alcotest.(check int) "duration is the consumed budget" 15_000 duration_ns
   | l -> Alcotest.fail (Printf.sprintf "expected 1 commit span, got %d" (List.length l))
+
+(* A contained fault leaves a record: a guard that raises is uninstalled,
+   and the dispatcher emits a [Drop] span naming the handler and the
+   exception, and counts it in the handler's [faults] counter. *)
+let fault_drop_span () =
+  let engine = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create engine ~name:"c" in
+  let registry = Observe.Registry.create ~name:"t" () in
+  let trace = Observe.Trace.create () in
+  let ring = Observe.Trace.Ring.create () in
+  Observe.Trace.set_sink trace (Observe.Trace.Ring ring);
+  let d =
+    Spin.Dispatcher.create ~registry ~trace ~cpu
+      ~costs:Spin.Dispatcher.default_costs ()
+  in
+  let ev = Spin.Dispatcher.event d "e" in
+  let (_ : unit -> unit) =
+    Spin.Dispatcher.install ev ~label:"bad"
+      ~guard:(fun () -> failwith "boom")
+      ~cost:Sim.Stime.zero ignore
+  in
+  Spin.Dispatcher.raise ev ();
+  Sim.Engine.run engine;
+  let drops =
+    List.filter_map
+      (fun s ->
+        match s.Observe.Trace.event with
+        | Observe.Trace.Drop { scope; reason } -> Some (scope, reason)
+        | _ -> None)
+      (Observe.Trace.Ring.to_list ring)
+  in
+  Alcotest.(check (list (pair string string))) "one fault drop span"
+    [ ("spin.e.bad", "fault: " ^ Printexc.to_string (Failure "boom")) ]
+    drops;
+  Alcotest.(check int) "per-handler fault counter" 1
+    !(Observe.Registry.counter registry "spin.e.bad.faults");
+  Alcotest.(check int) "handler uninstalled" 0
+    (Spin.Dispatcher.handler_count ev)
 
 (* ---- Flight recorder --------------------------------------------------------- *)
 
@@ -725,9 +762,9 @@ let dispatcher_dump () =
     Spin.Dispatcher.create ~cpu ~costs:Spin.Dispatcher.default_costs ()
   in
   let ev = Spin.Dispatcher.event d "e" in
-  Spin.Dispatcher.set_keyfn ev (fun x -> [ x ]);
+  Spin.Dispatcher.set_keyvfn ev ~dims:1 (fun x dst -> dst.(0) <- x);
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~label:"keyed" ~key:3
+    Spin.Dispatcher.install ev ~label:"keyed" ~keys:[ 3 ]
       ~guard:(fun x -> x = 3)
       ~cost:Sim.Stime.zero
       (fun _ -> ())
@@ -800,6 +837,7 @@ let suite =
         tc "udp span path reconstruction" span_path_reconstruction;
         tc "ephemeral termination span" ephemeral_terminated_span;
         tc "ephemeral commit span" ephemeral_commit_span;
+        tc "contained fault leaves a drop span" fault_drop_span;
       ] );
     ( "observe.flight",
       [

@@ -498,13 +498,13 @@ let ephemeral_in_thread_mode () =
 let suite =
   suite @ [ ("spin.eph_thread", [ tc "ephemeral in thread mode" ephemeral_in_thread_mode ]) ]
 
-(* ---- Dispatch index ----------------------------------------------------- *)
+(* ---- Keyed dispatch ----------------------------------------------------- *)
 
-(* An int event indexed on the payload's own value: handler for key [k]
-   only sees raises of [k]. *)
+(* An int event keyed on the payload's own value (one dimension): the
+   handler for key [k] only sees raises of [k]. *)
 let mk_keyed_event d =
   let ev = Spin.Dispatcher.event d "keyed" in
-  Spin.Dispatcher.set_keyfn ev (fun x -> [ x ]);
+  Spin.Dispatcher.set_keyvfn ev ~dims:1 (fun x dst -> dst.(0) <- x);
   ev
 
 let keyed_skips_other_buckets () =
@@ -513,41 +513,40 @@ let keyed_skips_other_buckets () =
   let hits = Array.make 4 0 in
   for k = 0 to 3 do
     let (_ : unit -> unit) =
-      Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~key:k
+      Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~keys:[ k ]
         ~cost:Sim.Stime.zero
         (fun _ -> hits.(k) <- hits.(k) + 1)
     in
     ()
   done;
-  Alcotest.(check int) "all keyed" 4 (Spin.Dispatcher.indexed_count ev);
-  Alcotest.(check int) "none linear" 0 (Spin.Dispatcher.linear_count ev);
+  Alcotest.(check int) "all installed" 4 (Spin.Dispatcher.handler_count ev);
   List.iter (Spin.Dispatcher.raise ev) [ 2; 2; 3 ];
   Sim.Engine.run e;
-  Alcotest.(check (list int)) "only matching buckets fired" [ 0; 0; 2; 1 ]
+  Alcotest.(check (list int)) "only matching keys fired" [ 0; 0; 2; 1 ]
     (Array.to_list hits);
-  (* each raise evaluated exactly its own bucket's guard, never the
-     other three *)
+  (* each raise evaluated exactly its own leaf's guard, never the other
+     three *)
   Alcotest.(check int) "guard evals = candidates only" 3
     (Spin.Dispatcher.guard_evals d);
-  Alcotest.(check int) "every raise used the index" 3
-    (Spin.Dispatcher.index_lookups d)
+  Alcotest.(check int) "every raise walked the tree" 3
+    (Spin.Dispatcher.tree_raises ev)
 
-(* Install order is preserved even when delivery mixes index buckets and
-   the unkeyed linear fallback. *)
+(* Install order is preserved even when delivery mixes keyed handlers
+   and unkeyed residuals. *)
 let keyed_preserves_install_order () =
   let e, _, d = mk_dispatcher () in
   let ev = mk_keyed_event d in
   let order = ref [] in
   let record tag = fun _ -> order := tag :: !order in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 7) ~key:7
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 7) ~keys:[ 7 ]
       ~cost:Sim.Stime.zero (record "k1")
   in
   let (_ : unit -> unit) =
     Spin.Dispatcher.install ev ~cost:Sim.Stime.zero (record "u1")
   in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 7) ~key:7
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 7) ~keys:[ 7 ]
       ~cost:Sim.Stime.zero (record "k2")
   in
   let (_ : unit -> unit) =
@@ -555,7 +554,7 @@ let keyed_preserves_install_order () =
   in
   Spin.Dispatcher.raise ev 7;
   Sim.Engine.run e;
-  Alcotest.(check (list string)) "bucket and linear interleave in install order"
+  Alcotest.(check (list string)) "keyed and unkeyed interleave in install order"
     [ "k1"; "u1"; "k2"; "u2" ] (List.rev !order)
 
 let keyed_uninstall_while_queued () =
@@ -563,7 +562,7 @@ let keyed_uninstall_while_queued () =
   let ev = mk_keyed_event d in
   let n = ref 0 in
   let un =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~key:1
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~keys:[ 1 ]
       ~cost:Sim.Stime.zero (fun _ -> incr n)
   in
   Spin.Dispatcher.raise ev 1;
@@ -571,8 +570,8 @@ let keyed_uninstall_while_queued () =
   un ();
   Sim.Engine.run e;
   Alcotest.(check int) "uninstalled-while-queued does not fire" 0 !n;
-  Alcotest.(check int) "bucket bookkeeping" 0 (Spin.Dispatcher.indexed_count ev);
-  (* the key's bucket is gone; a fresh raise hits an empty candidate set *)
+  Alcotest.(check int) "handler gone" 0 (Spin.Dispatcher.handler_count ev);
+  (* the rebuilt tree is an empty leaf: a fresh raise has no candidate *)
   Spin.Dispatcher.raise ev 1;
   Sim.Engine.run e;
   Alcotest.(check int) "still silent" 0 !n
@@ -580,14 +579,14 @@ let keyed_uninstall_while_queued () =
 let keyed_raise_cost () =
   let e, cpu, d = mk_dispatcher () in
   let ev = mk_keyed_event d in
-  (* two buckets; only one is consulted *)
+  (* two keys; only one leaf is reached *)
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~key:1 ~cost:(us 10)
-      ignore
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~keys:[ 1 ]
+      ~cost:(us 10) ignore
   in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 2) ~key:2 ~cost:(us 10)
-      ignore
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 2) ~keys:[ 2 ]
+      ~cost:(us 10) ignore
   in
   Spin.Dispatcher.raise ev 1;
   Sim.Engine.run e;
@@ -596,13 +595,6 @@ let keyed_raise_cost () =
      handler's guard is neither run nor charged *)
   Alcotest.(check int) "tree raise charges the walk + matching guards"
     10_800
-    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu));
-  (* and the bucket-index ablation charges hash + guard instead *)
-  Spin.Dispatcher.set_tree_dispatch d false;
-  Spin.Dispatcher.raise ev 1;
-  Sim.Engine.run e;
-  Alcotest.(check int) "indexed raise charges one hash + matching guards"
-    (10_800 + 10_950)
     (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
 
 let keyed_guard_fault_contained () =
@@ -610,22 +602,22 @@ let keyed_guard_fault_contained () =
   let ev = mk_keyed_event d in
   let survivor = ref 0 in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun _ -> failwith "bad guard") ~key:5
-      ~cost:Sim.Stime.zero ignore
+    Spin.Dispatcher.install ev ~guard:(fun _ -> failwith "bad guard")
+      ~keys:[ 5 ] ~cost:Sim.Stime.zero ignore
   in
   let (_ : unit -> unit) =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = 5) ~key:5
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 5) ~keys:[ 5 ]
       ~cost:Sim.Stime.zero (fun _ -> incr survivor)
   in
   Spin.Dispatcher.raise ev 5;
   Sim.Engine.run e;
   Alcotest.(check int) "fault counted" 1 (Spin.Dispatcher.faults d);
   Alcotest.(check int) "faulting handler uninstalled" 1
-    (Spin.Dispatcher.indexed_count ev);
-  Alcotest.(check int) "same-bucket survivor still fired" 1 !survivor
+    (Spin.Dispatcher.handler_count ev);
+  Alcotest.(check int) "same-leaf survivor still fired" 1 !survivor
 
 (* The model property again, but against a keyed event with handlers
-   spread over buckets and the linear fallback at random. *)
+   spread over keys and unkeyed residuals at random. *)
 let keyed_install_model =
   QCheck.Test.make ~count:80 ~name:"keyed install/uninstall model"
     QCheck.(list (triple bool (int_bound 7) (option (int_bound 3))))
@@ -634,7 +626,7 @@ let keyed_install_model =
       let cpu = Sim.Cpu.create e ~name:"c" in
       let d = Spin.Dispatcher.create ~cpu ~costs:Spin.Dispatcher.default_costs () in
       let ev = Spin.Dispatcher.event d "m" in
-      Spin.Dispatcher.set_keyfn ev (fun x -> [ x ]);
+      Spin.Dispatcher.set_keyvfn ev ~dims:1 (fun x dst -> dst.(0) <- x);
       let installed : (int, int ref * (unit -> unit)) Hashtbl.t =
         Hashtbl.create 8
       in
@@ -647,7 +639,8 @@ let keyed_install_model =
               match key with None -> fun _ -> true | Some k -> fun x -> x = k
             in
             let un =
-              Spin.Dispatcher.install ev ~guard ?key ~cost:Sim.Stime.zero
+              Spin.Dispatcher.install ev ~guard ~keys:(Option.to_list key)
+                ~cost:Sim.Stime.zero
                 (fun _ -> incr counter)
             in
             Hashtbl.replace installed !next (counter, un);
@@ -668,9 +661,6 @@ let keyed_install_model =
         ops;
       Alcotest.(check int) "count matches model" (Hashtbl.length installed)
         (Spin.Dispatcher.handler_count ev);
-      Alcotest.(check int) "keyed + linear = total"
-        (Spin.Dispatcher.handler_count ev)
-        (Spin.Dispatcher.indexed_count ev + Spin.Dispatcher.linear_count ev);
       (* raise every key value: each surviving handler must fire exactly
          once (keyed ones on their own key's raise, unkeyed on all four —
          so unkeyed fire 4x) *)
@@ -710,7 +700,7 @@ let tree_merges_and_skips () =
   let (_ : unit -> unit) =
     Spin.Dispatcher.install ev
       ~guard:(fun (a, b) -> incr evals; a = 1 && b mod 2 = 0)
-      ~key:(key 0 1) ~cost:Sim.Stime.zero (hit "resid1x")
+      ~keys:[ key 0 1 ] ~cost:Sim.Stime.zero (hit "resid1x")
   in
   (* pins two values on one dimension: unsatisfiable, dropped *)
   let (_ : unit -> unit) =
@@ -719,13 +709,12 @@ let tree_merges_and_skips () =
       ~keys:[ key 0 3; key 0 4 ] ~cost:Sim.Stime.zero (hit "unsat")
   in
   (match Spin.Dispatcher.compiled_tree ev with
-  | None -> Alcotest.fail "event should compile a tree"
-  | Some (Spin.Dispatcher.Tree_switch { tv_dim; tv_cases; _ }) ->
+  | Spin.Dispatcher.Tree_switch { tv_dim; tv_cases; _ } ->
       Alcotest.(check int) "root switches on dim 0" 0 tv_dim;
       (* the unsatisfiable handler contributed no jump-table entry *)
       Alcotest.(check (list int)) "cases are the satisfiable pins" [ 1 ]
         (List.map fst tv_cases)
-  | Some (Spin.Dispatcher.Tree_leaf _) -> Alcotest.fail "root should switch");
+  | Spin.Dispatcher.Tree_leaf _ -> Alcotest.fail "root should switch");
   Spin.Dispatcher.raise ev (1, 2);  (* exact12 proven + resid1x accepted *)
   Spin.Dispatcher.raise ev (1, 3);  (* exact12 out (b<>2), resid1x rejects *)
   Spin.Dispatcher.raise ev (9, 9);  (* default path: nothing *)
@@ -785,7 +774,7 @@ let tree_rebuilds_on_churn () =
   let ev = mk_keyed_event d in
   let hits = Array.make 3 0 in
   let ins k =
-    Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~key:k ~exact:true
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~keys:[ k ] ~exact:true
       ~cost:Sim.Stime.zero (fun _ -> hits.(k) <- hits.(k) + 1)
   in
   let un0 = ins 0 in
@@ -799,6 +788,87 @@ let tree_rebuilds_on_churn () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "rebuilt tree routes the new set" [ 1; 0; 1 ]
     (Array.to_list hits)
+
+(* The shapes that compile to a single leaf charge exactly the plain
+   guard scan: dispatch 0.4 + guard 0.3 per handler, no switch. *)
+let one_leaf_cost () =
+  (* one handler, keyed and exact: still a one-leaf tree whose guard
+     runs — not a 0.1 switch that proves it without a guard *)
+  let e, cpu, d = mk_dispatcher () in
+  let ev = mk_keyed_event d in
+  let evals = ref 0 in
+  let (_ : unit -> unit) =
+    Spin.Dispatcher.install ev
+      ~guard:(fun x -> incr evals; x = 1)
+      ~keys:[ 1 ] ~exact:true ~cost:(us 10) ignore
+  in
+  Spin.Dispatcher.raise ev 1;
+  Sim.Engine.run e;
+  Alcotest.(check int) "one exact handler: dispatch + guard + handler"
+    10_700
+    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu));
+  Alcotest.(check int) "its guard ran" 1 !evals;
+  (match Spin.Dispatcher.compiled_tree ev with
+  | Spin.Dispatcher.Tree_leaf { tv_exact = []; tv_resid = [ (0, _) ] } -> ()
+  | _ -> Alcotest.fail "expected one leaf holding the handler as a residual");
+  (* three unkeyed handlers on an event without an extractor *)
+  let e, cpu, d = mk_dispatcher () in
+  let ev = Spin.Dispatcher.event d "plain" in
+  for _ = 1 to 3 do
+    let (_ : unit -> unit) =
+      Spin.Dispatcher.install ev ~guard:(fun _ -> true) ~cost:(us 10) ignore
+    in
+    ()
+  done;
+  Spin.Dispatcher.raise ev 0;
+  Sim.Engine.run e;
+  Alcotest.(check int) "three unkeyed: dispatch + 3 guards + handlers"
+    (400 + (3 * 300) + 30_000)
+    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu));
+  Alcotest.(check int) "three guard evaluations" 3
+    (Spin.Dispatcher.guard_evals d)
+
+(* Keys the tree cannot express — dimension >= 64, or negative — make
+   their handler a residual at every leaf; the event's other handlers
+   still get switches. *)
+let inexpressible_keys_are_residuals () =
+  let e, cpu, d = mk_dispatcher () in
+  let ev = mk_keyed_event d in
+  let order = ref [] in
+  let record tag = fun _ -> order := tag :: !order in
+  let exact k tag =
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~keys:[ k ] ~exact:true
+      ~cost:Sim.Stime.zero (record tag)
+  in
+  let (_ : unit -> unit) = exact 1 "a" in
+  let (_ : unit -> unit) = exact 2 "b" in
+  let (_ : unit -> unit) =
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1)
+      ~keys:[ (64 lsl 16) lor 1 ] ~cost:Sim.Stime.zero (record "dim64")
+  in
+  let (_ : unit -> unit) =
+    Spin.Dispatcher.install ev ~guard:(fun x -> x = 1) ~keys:[ -5 ]
+      ~cost:Sim.Stime.zero (record "negative")
+  in
+  (match Spin.Dispatcher.compiled_tree ev with
+  | Spin.Dispatcher.Tree_switch { tv_dim = 0; tv_cases; _ } ->
+      Alcotest.(check (list int)) "the expressible keys switch" [ 1; 2 ]
+        (List.map fst tv_cases);
+      List.iter
+        (function
+          | _, Spin.Dispatcher.Tree_leaf { tv_resid; _ } ->
+              Alcotest.(check (list int)) "residual at every leaf" [ 2; 3 ]
+                (List.map fst tv_resid)
+          | _ -> Alcotest.fail "expected leaves under the switch")
+        tv_cases
+  | _ -> Alcotest.fail "expected a switch on dimension 0");
+  Spin.Dispatcher.raise ev 1;
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "proven and residual handlers fire"
+    [ "a"; "dim64"; "negative" ] (List.rev !order);
+  (* dispatch 0.4 + one switch 0.1 + two residual guards 0.3 *)
+  Alcotest.(check int) "walk + residual guards" 1_100
+    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
 
 let suite =
   suite
@@ -818,5 +888,8 @@ let suite =
           tc "rebuild on churn" tree_rebuilds_on_churn;
           tc "raise and deliveries allocate nothing"
             tree_delivery_allocates_nothing;
+          tc "one-leaf shapes charge the guard scan" one_leaf_cost;
+          tc "inexpressible keys become residuals"
+            inexpressible_keys_are_residuals;
         ] );
     ]
