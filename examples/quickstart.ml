@@ -8,14 +8,21 @@ let ip_a = Proto.Ipaddr.v 10 0 1 1
 let ip_b = Proto.Ipaddr.v 10 0 1 2
 
 let () =
-  (* Set PLEXUS_TRACE=1 to watch every frame cross the wire. *)
-  if Sys.getenv_opt "PLEXUS_TRACE" = Some "1" then Sim.Trace.enabled := true;
   (* 1. A simulation engine and two hosts joined by 10 Mb/s Ethernet. *)
   let engine = Sim.Engine.create () in
   let a, b =
     Netsim.Network.pair engine (Netsim.Costs.ethernet ()) ~a:("alice", ip_a)
       ~b:("bob", ip_b)
   in
+  (* Set PLEXUS_TRACE=1 to print every span both kernels emit (raises,
+     handler runs, drops) to stderr. *)
+  if Sys.getenv_opt "PLEXUS_TRACE" = Some "1" then
+    List.iter
+      (fun e ->
+        Observe.Trace.set_sink
+          (Spin.Kernel.trace (Netsim.Host.kernel e.Netsim.Network.host))
+          Observe.Trace.Stderr)
+      [ a; b ];
 
   (* 2. Build the Figure-1 protocol graph on each host. *)
   let alice = Plexus.Stack.build a.Netsim.Network.host in

@@ -10,7 +10,7 @@ type t = {
   costs : Netsim.Costs.t;
   deadline : Sim.Stime.t option; (* inter-frame bound (1.5x the period) *)
   mutable last_frame_at : Sim.Stime.t option;
-  jitter : Sim.Stats.Series.t;   (* inter-arrival times, us *)
+  gaps : Sim.Stats.Mean.t;  (* inter-arrival times *)
   mutable deadline_misses : int;
   mutable frames_received : int;
   mutable bytes_received : int;
@@ -28,7 +28,7 @@ let make ?fps host =
       | Some fps -> Some (Sim.Stime.of_s_f (1.5 /. float_of_int fps))
       | None -> None);
     last_frame_at = None;
-    jitter = Sim.Stats.Series.create ();
+    gaps = Sim.Stats.Mean.create ();
     deadline_misses = 0;
     frames_received = 0;
     bytes_received = 0;
@@ -44,7 +44,7 @@ let handle_frame t len =
   (match t.last_frame_at with
   | Some prev ->
       let gap = Sim.Stime.sub now prev in
-      Sim.Stats.Series.add_time t.jitter gap;
+      Sim.Stats.Mean.add t.gaps gap;
       (match t.deadline with
       | Some d when Sim.Stime.compare gap d > 0 ->
           t.deadline_misses <- t.deadline_misses + 1
@@ -82,7 +82,7 @@ let on_du ?fps du ~port =
   t
 
 let deadline_misses t = t.deadline_misses
-let jitter t = t.jitter
+let jitter t = Sim.Stats.Mean.us t.gaps
 let frames_received t = t.frames_received
 let frames_displayed t = t.frames_displayed
 let bytes_received t = t.bytes_received

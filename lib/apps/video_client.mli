@@ -11,8 +11,9 @@ val on_du : ?fps:int -> Osmodel.Du_stack.t -> port:int -> t
 (** Run as a DIGITAL UNIX user process on a UDP socket. *)
 
 val deadline_misses : t -> int
-val jitter : t -> Sim.Stats.Series.t
-(** Inter-frame arrival times in µs. *)
+val jitter : t -> float
+(** Mean inter-frame arrival time in µs; [nan] before the second
+    frame. *)
 
 val frames_received : t -> int
 val frames_displayed : t -> int

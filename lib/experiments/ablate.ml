@@ -56,25 +56,15 @@ let guard_scaling ?(counts = [ 0; 8; 32; 128 ]) ?(iters = 100) () =
         | Ok ep -> ep
         | Error _ -> assert false
       in
-      let series = Sim.Stats.Series.create () in
-      let remaining = ref (10 + iters) in
-      let sent_at = ref Sim.Stime.zero in
-      let send_next () =
-        if !remaining > 0 then begin
-          decr remaining;
-          sent_at := Sim.Engine.now p.Common.engine;
-          Plexus.Udp_mgr.send udp_a client ~dst:(Common.ip_b, 7) "ping-pkt"
-        end
-      in
+      let loop = Common.Pingpong.create ~warmup:10 ~iters p.Common.engine in
       let (_ : unit -> unit) =
         Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
-            let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-            if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-            send_next ())
+            Common.Pingpong.pong loop)
       in
-      send_next ();
+      Common.Pingpong.start loop (fun () ->
+          Plexus.Udp_mgr.send udp_a client ~dst:(Common.ip_b, 7) "ping-pkt");
       Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-      Sim.Stats.Series.mean series
+      Common.Pingpong.mean_us loop
   in
   List.map
     (fun extra ->
@@ -116,14 +106,16 @@ let spoof_policy ?(iters = 100) () =
       | Ok ep -> ep
       | Error _ -> assert false
     in
-    let series = Sim.Stats.Series.create () in
-    let remaining = ref (10 + iters) in
-    let sent_at = ref Sim.Stime.zero in
+    let loop = Common.Pingpong.create ~warmup:10 ~iters p.Common.engine in
     let in_flight = ref false in
-    let send_next () =
-      if !remaining > 0 then begin
-        decr remaining;
-        sent_at := Sim.Engine.now p.Common.engine;
+    let (_ : unit -> unit) =
+      Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
+          if !in_flight then begin
+            in_flight := false;
+            Common.Pingpong.pong loop
+          end)
+    in
+    Common.Pingpong.start loop (fun () ->
         in_flight := true;
         (* an honest claim, so Verify re-checks and passes *)
         match
@@ -131,19 +123,7 @@ let spoof_policy ?(iters = 100) () =
             ~dst:(Common.ip_b, 7) "ping-pkt"
         with
         | Ok () -> ()
-        | Error `Spoof_rejected -> ()
-      end
-    in
-    let (_ : unit -> unit) =
-      Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
-          if !in_flight then begin
-            in_flight := false;
-            let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-            if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-            send_next ()
-          end)
-    in
-    send_next ();
+        | Error `Spoof_rejected -> ());
     Sim.Engine.run p.Common.engine ~max_events:10_000_000;
     (* also demonstrate rejection of a dishonest claim *)
     (match
@@ -153,7 +133,7 @@ let spoof_policy ?(iters = 100) () =
     | Ok () -> ()
     | Error `Spoof_rejected -> ());
     Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-    (Sim.Stats.Series.mean series, (Plexus.Udp_mgr.counters udp_a).spoof_rejected)
+    (Common.Pingpong.mean_us loop, (Plexus.Udp_mgr.counters udp_a).spoof_rejected)
   in
   let overwrite_rtt, _ = run Plexus.Udp_mgr.Overwrite in
   let verify_rtt, rejected = run Plexus.Udp_mgr.Verify in
@@ -186,26 +166,16 @@ let cksum_variant ?(payload_len = 1400) ?(iters = 100) () =
       | Ok ep -> ep
       | Error _ -> assert false
     in
-    let series = Sim.Stats.Series.create () in
-    let remaining = ref (10 + iters) in
-    let sent_at = ref Sim.Stime.zero in
+    let loop = Common.Pingpong.create ~warmup:10 ~iters p.Common.engine in
     let payload = String.make payload_len 'v' in
-    let send_next () =
-      if !remaining > 0 then begin
-        decr remaining;
-        sent_at := Sim.Engine.now p.Common.engine;
-        Plexus.Udp_mgr.send udp_a client ~checksum ~dst:(Common.ip_b, 7) payload
-      end
-    in
     let (_ : unit -> unit) =
       Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
-          let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-          if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-          send_next ())
+          Common.Pingpong.pong loop)
     in
-    send_next ();
+    Common.Pingpong.start loop (fun () ->
+        Plexus.Udp_mgr.send udp_a client ~checksum ~dst:(Common.ip_b, 7) payload);
     Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-    Sim.Stats.Series.mean series
+    Common.Pingpong.mean_us loop
   in
   { with_cksum = run true; without_cksum = run false }
 
@@ -244,9 +214,7 @@ let dispatch_sensitivity ?(factors = [ 1; 10; 100 ]) ?(iters = 50) () =
       in
       {
         factor;
-        rtt_us =
-          Sim.Stats.Series.mean
-            (Common.udp_echo_plexus ~costs ~iters (Netsim.Costs.ethernet ()));
+        rtt_us = Common.udp_echo_plexus ~costs ~iters (Netsim.Costs.ethernet ());
       })
     factors
 
@@ -293,25 +261,15 @@ let filter_vs_guard ?(iters = 100) () =
       | Ok ep -> ep
       | Error _ -> assert false
     in
-    let series = Sim.Stats.Series.create () in
-    let remaining = ref (10 + iters) in
-    let sent_at = ref Sim.Stime.zero in
-    let send_next () =
-      if !remaining > 0 then begin
-        decr remaining;
-        sent_at := Sim.Engine.now p.Common.engine;
-        Plexus.Udp_mgr.send udp_a client ~dst:(Common.ip_b, 7) "ping-pkt"
-      end
-    in
+    let loop = Common.Pingpong.create ~warmup:10 ~iters p.Common.engine in
     let (_ : unit -> unit) =
       Plexus.Udp_mgr.install_recv udp_a client (fun _ ->
-          let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-          if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-          send_next ())
+          Common.Pingpong.pong loop)
     in
-    send_next ();
+    Common.Pingpong.start loop (fun () ->
+        Plexus.Udp_mgr.send udp_a client ~dst:(Common.ip_b, 7) "ping-pkt");
     Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-    Sim.Stats.Series.mean series
+    Common.Pingpong.mean_us loop
   in
   {
     native_rtt = run (fun udp ep fn -> Plexus.Udp_mgr.install_recv udp ep fn);

@@ -51,10 +51,56 @@ let du_pair ?costs params =
   Osmodel.Du_stack.prime_arp dub ip_a (Netsim.Dev.mac ea.Netsim.Network.dev);
   { du_engine = engine; dua; dub }
 
+(* --- closed-loop round-trip driver ----------------------------------- *)
+
+module Pingpong = struct
+  type t = {
+    engine : Sim.Engine.t;
+    iters : int;
+    mutable remaining : int;
+    mutable sent_at : Sim.Stime.t;
+    mutable ping : unit -> unit;
+    rtt : Sim.Stats.Mean.t;
+  }
+
+  let create ~warmup ~iters engine =
+    {
+      engine;
+      iters;
+      remaining = warmup + iters;
+      sent_at = Sim.Stime.zero;
+      ping = ignore;
+      rtt = Sim.Stats.Mean.create ();
+    }
+
+  let next t =
+    if t.remaining > 0 then begin
+      t.remaining <- t.remaining - 1;
+      t.sent_at <- Sim.Engine.now t.engine;
+      t.ping ()
+    end
+
+  let start t ping =
+    t.ping <- ping;
+    next t
+
+  (* A ping counts once the warm-up ones are all out: fewer than [iters]
+     remain after it was sent. *)
+  let record t =
+    if t.remaining < t.iters then
+      Sim.Stats.Mean.add t.rtt (Sim.Stime.sub (Sim.Engine.now t.engine) t.sent_at)
+
+  let pong t =
+    record t;
+    next t
+
+  let mean_us t = Sim.Stats.Mean.us t.rtt
+end
+
 (* --- UDP echo round-trip measurement --------------------------------- *)
 
 (* Plexus: an echo extension on B, a pinging extension on A.  Returns the
-   series of round-trip times in microseconds. *)
+   mean round trip in microseconds. *)
 let udp_echo_plexus ?costs ?(mode = Spin.Dispatcher.Interrupt)
     ?(payload_len = 8) ?(warmup = 20) ?(iters = 200) params =
   let p = plexus_pair ?costs params in
@@ -77,26 +123,15 @@ let udp_echo_plexus ?costs ?(mode = Spin.Dispatcher.Interrupt)
     | Ok ep -> ep
     | Error _ -> assert false
   in
-  let series = Sim.Stats.Series.create () in
+  let loop = Pingpong.create ~warmup ~iters p.engine in
   let payload = String.make payload_len 'x' in
-  let remaining = ref (warmup + iters) in
-  let sent_at = ref Sim.Stime.zero in
-  let send_next () =
-    if !remaining > 0 then begin
-      decr remaining;
-      sent_at := Sim.Engine.now p.engine;
-      Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) payload
-    end
-  in
   let (_ : unit -> unit) =
-    Plexus.Udp_mgr.install_recv udp_a client (fun _ctx ->
-        let rtt = Sim.Stime.sub (Sim.Engine.now p.engine) !sent_at in
-        if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-        send_next ())
+    Plexus.Udp_mgr.install_recv udp_a client (fun _ -> Pingpong.pong loop)
   in
-  send_next ();
+  Pingpong.start loop (fun () ->
+      Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) payload);
   Sim.Engine.run p.engine ~max_events:10_000_000;
-  series
+  Pingpong.mean_us loop
 
 (* DIGITAL UNIX: same workload over sockets. *)
 let udp_echo_du ?(payload_len = 8) ?(warmup = 20) ?(iters = 200) params =
@@ -113,24 +148,13 @@ let udp_echo_du ?(payload_len = 8) ?(warmup = 20) ?(iters = 200) params =
     | Ok s -> s
     | Error _ -> assert false
   in
-  let series = Sim.Stats.Series.create () in
+  let loop = Pingpong.create ~warmup ~iters p.du_engine in
   let payload = String.make payload_len 'x' in
-  let remaining = ref (warmup + iters) in
-  let sent_at = ref Sim.Stime.zero in
-  let send_next () =
-    if !remaining > 0 then begin
-      decr remaining;
-      sent_at := Sim.Engine.now p.du_engine;
-      Osmodel.Du_stack.udp_sendto p.dua client ~dst:(ip_b, 7) payload
-    end
-  in
-  Osmodel.Du_stack.udp_set_recv client (fun ~src:_ _ ->
-      let rtt = Sim.Stime.sub (Sim.Engine.now p.du_engine) !sent_at in
-      if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-      send_next ());
-  send_next ();
+  Osmodel.Du_stack.udp_set_recv client (fun ~src:_ _ -> Pingpong.pong loop);
+  Pingpong.start loop (fun () ->
+      Osmodel.Du_stack.udp_sendto p.dua client ~dst:(ip_b, 7) payload);
   Sim.Engine.run p.du_engine ~max_events:10_000_000;
-  series
+  Pingpong.mean_us loop
 
 (* User-level protocol library (section 6's related-work model): same
    workload through Osmodel.Ulib. *)
@@ -155,24 +179,13 @@ let udp_echo_ulib ?(payload_len = 8) ?(warmup = 20) ?(iters = 200) params =
     | Ok s -> s
     | Error _ -> assert false
   in
-  let series = Sim.Stats.Series.create () in
+  let loop = Pingpong.create ~warmup ~iters engine in
   let payload = String.make payload_len 'x' in
-  let remaining = ref (warmup + iters) in
-  let sent_at = ref Sim.Stime.zero in
-  let send_next () =
-    if !remaining > 0 then begin
-      decr remaining;
-      sent_at := Sim.Engine.now engine;
-      Osmodel.Ulib.udp_sendto ua client ~dst:(ip_b, 7) payload
-    end
-  in
-  Osmodel.Ulib.udp_set_recv client (fun ~src:_ _ ->
-      let rtt = Sim.Stime.sub (Sim.Engine.now engine) !sent_at in
-      if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-      send_next ());
-  send_next ();
+  Osmodel.Ulib.udp_set_recv client (fun ~src:_ _ -> Pingpong.pong loop);
+  Pingpong.start loop (fun () ->
+      Osmodel.Ulib.udp_sendto ua client ~dst:(ip_b, 7) payload);
   Sim.Engine.run engine ~max_events:10_000_000;
-  series
+  Pingpong.mean_us loop
 
 (* Theoretical driver-to-driver round trip: what the paper's "minimal
    round trip time using our hardware as measured between the device

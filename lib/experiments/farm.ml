@@ -159,6 +159,11 @@ let server_cache_evictions f =
   Spin.Dispatcher.path_cache_evictions
     (Plexus.Graph.dispatcher (Plexus.Stack.graph f.server))
 
+(* Exact latency percentile in µs over the measured requests; 0 when
+   none completed. *)
+let percentile lat p =
+  if Array.length lat = 0 then 0. else Sim.Stats.percentile lat p
+
 (* --- the open heavy-tailed workload ----------------------------------- *)
 
 type result = {
@@ -176,7 +181,7 @@ let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
     ?(requests = 400) ?(mean_gap_us = 400.) ?(shape = 1.2) ?(scale = 600.) () =
   let f = build ?params ?flowcache ~seed ~clients () in
   let total = warmup + requests in
-  let series = Sim.Stats.Series.create () in
+  let latencies = ref [] in
   let issued = ref 0 and completed = ref 0 and errors = ref 0 in
   let measured_bytes = ref 0 in
   let mark = ref Sim.Stime.zero and finish = ref Sim.Stime.zero in
@@ -200,7 +205,8 @@ let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
                 (match res with
                 | Some r when r.Apps.Http_client.status = 200 ->
                     if !completed > warmup then begin
-                      Sim.Stats.Series.add_time series r.Apps.Http_client.elapsed;
+                      latencies :=
+                        Sim.Stime.to_us r.Apps.Http_client.elapsed :: !latencies;
                       measured_bytes :=
                         !measured_bytes + String.length r.Apps.Http_client.body;
                       finish := Sim.Engine.now f.engine
@@ -219,17 +225,18 @@ let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
     if window_us > 0. then float_of_int !measured_bytes *. 8. /. window_us
     else 0.
   in
+  let lat = Array.of_list !latencies in
+  let completed = Array.length lat in
   {
     clients;
-    completed = Sim.Stats.Series.count series;
+    completed;
     errors = !errors;
     goodput_mbps;
-    mean_us = (if Sim.Stats.Series.is_empty series then 0.
-               else Sim.Stats.Series.mean series);
-    p50_us = (if Sim.Stats.Series.is_empty series then 0.
-              else Sim.Stats.Series.percentile series 50.);
-    p99_us = (if Sim.Stats.Series.is_empty series then 0.
-              else Sim.Stats.Series.percentile series 99.);
+    mean_us =
+      (if completed = 0 then 0.
+       else Array.fold_left ( +. ) 0. lat /. float_of_int completed);
+    p50_us = percentile lat 50.;
+    p99_us = percentile lat 99.;
     evictions = server_cache_evictions f;
   }
 
@@ -331,7 +338,7 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ?(setup_gap_us = 20)
      self-inflicted queueing).  Callable repeatedly — each call is one
      timing round. *)
   fun () ->
-    let series = Sim.Stats.Series.create () in
+    let latencies = ref [] in
     let bytes = ref 0 and errors = ref 0 in
     let t0 = Sim.Engine.now f.engine in
     let finish = ref t0 in
@@ -350,8 +357,9 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ?(setup_gap_us = 20)
                     ~path (fun res ->
                       (match res with
                       | Some r when r.Apps.Http_client.status = 200 ->
-                          Sim.Stats.Series.add_time series
-                            r.Apps.Http_client.elapsed;
+                          latencies :=
+                            Sim.Stime.to_us r.Apps.Http_client.elapsed
+                            :: !latencies;
                           bytes := !bytes + String.length r.Apps.Http_client.body
                       | _ -> incr errors);
                       finish := Sim.Engine.now f.engine;
@@ -364,6 +372,7 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ?(setup_gap_us = 20)
       f.chains;
     Sim.Engine.run f.engine ~max_events:100_000_000;
     let sim_elapsed_us = Sim.Stime.to_us (Sim.Stime.sub !finish t0) in
+    let lat = Array.of_list !latencies in
     {
       live_flows;
       established = !established;
@@ -374,10 +383,6 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ?(setup_gap_us = 20)
       probe_goodput_mbps =
         (if sim_elapsed_us > 0. then float_of_int !bytes *. 8. /. sim_elapsed_us
          else 0.);
-      probe_p50_us =
-        (if Sim.Stats.Series.is_empty series then 0.
-         else Sim.Stats.Series.percentile series 50.);
-      probe_p99_us =
-        (if Sim.Stats.Series.is_empty series then 0.
-         else Sim.Stats.Series.percentile series 99.);
+      probe_p50_us = percentile lat 50.;
+      probe_p99_us = percentile lat 99.;
     }

@@ -24,15 +24,14 @@ let devices () =
   ]
 
 let measure ?(iters = 200) (params : Netsim.Costs.device) paper =
-  let mean series = Sim.Stats.Series.mean series in
   {
     device = params.label;
     plexus_interrupt =
-      mean (Common.udp_echo_plexus ~mode:Spin.Dispatcher.Interrupt ~iters params);
+      Common.udp_echo_plexus ~mode:Spin.Dispatcher.Interrupt ~iters params;
     plexus_thread =
-      mean (Common.udp_echo_plexus ~mode:Spin.Dispatcher.Thread ~iters params);
-    digital_unix = mean (Common.udp_echo_du ~iters params);
-    user_library = mean (Common.udp_echo_ulib ~iters params);
+      Common.udp_echo_plexus ~mode:Spin.Dispatcher.Thread ~iters params;
+    digital_unix = Common.udp_echo_du ~iters params;
+    user_library = Common.udp_echo_ulib ~iters params;
     raw_driver = Common.raw_device_rtt params ~len:64;
     paper_plexus = paper;
   }
@@ -43,12 +42,10 @@ let run ?iters () =
 let fast_driver_variants ?(iters = 200) () =
   [
     ( "ethernet-fast",
-      Sim.Stats.Series.mean
-        (Common.udp_echo_plexus ~iters (Netsim.Costs.ethernet ~fast:true ())),
+      Common.udp_echo_plexus ~iters (Netsim.Costs.ethernet ~fast:true ()),
       337. );
     ( "atm-fast",
-      Sim.Stats.Series.mean
-        (Common.udp_echo_plexus ~iters (Netsim.Costs.atm ~fast:true ())),
+      Common.udp_echo_plexus ~iters (Netsim.Costs.atm ~fast:true ()),
       241. );
   ]
 

@@ -15,30 +15,23 @@ type row = { payload : int; plexus_us : float; du_us : float }
 
 let sizes = [ 64; 256; 512; 1024; 1460 ]
 
-(* Drive one echo ping-pong session; returns mean steady-state RTT. *)
-let echo_driver ~engine ~send ~on_reply:set_on_reply ~payload_len ~warmup
+(* Run one echo ping-pong session over an opening connection and return
+   its mean RTT in µs.  A request counts as answered once [payload_len]
+   bytes have come back. *)
+let echo_rtt ~engine ~send ~on_receive ~on_established ~payload_len ~warmup
     ~iters =
-  let series = Sim.Stats.Series.create () in
+  let loop = Common.Pingpong.create ~warmup ~iters engine in
   let payload = String.make payload_len 'p' in
-  let remaining = ref (warmup + iters) in
   let got = ref 0 in
-  let sent_at = ref Sim.Stime.zero in
-  let send_next () =
-    if !remaining > 0 then begin
-      decr remaining;
-      got := 0;
-      sent_at := Sim.Engine.now engine;
-      send payload
-    end
-  in
-  set_on_reply (fun data ->
+  on_receive (fun data ->
       got := !got + String.length data;
-      if !got >= payload_len then begin
-        let rtt = Sim.Stime.sub (Sim.Engine.now engine) !sent_at in
-        if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-        send_next ()
-      end);
-  (send_next, series)
+      if !got >= payload_len then Common.Pingpong.pong loop);
+  on_established (fun () ->
+      Common.Pingpong.start loop (fun () ->
+          got := 0;
+          send payload));
+  Sim.Engine.run engine ~until:(Sim.Stime.s 120) ~max_events:50_000_000;
+  Common.Pingpong.mean_us loop
 
 let plexus_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
   let engine = Sim.Engine.create () in
@@ -88,17 +81,10 @@ let plexus_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
   with
   | Error _ -> assert false
   | Ok conn ->
-      let on_reply = ref (fun (_ : string) -> ()) in
-      Plexus.Tcp_mgr.on_receive conn (fun d -> !on_reply d);
-      let send_next, series =
-        echo_driver ~engine
-          ~send:(fun data -> Plexus.Tcp_mgr.send conn data)
-          ~on_reply:(fun f -> on_reply := f)
-          ~payload_len ~warmup ~iters
-      in
-      Plexus.Tcp_mgr.on_established conn (fun () -> send_next ());
-      Sim.Engine.run engine ~until:(Sim.Stime.s 120) ~max_events:50_000_000;
-      Sim.Stats.Series.mean series
+      echo_rtt ~engine ~send:(Plexus.Tcp_mgr.send conn)
+        ~on_receive:(Plexus.Tcp_mgr.on_receive conn)
+        ~on_established:(Plexus.Tcp_mgr.on_established conn)
+        ~payload_len ~warmup ~iters
 
 let du_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
   let engine = Sim.Engine.create () in
@@ -139,17 +125,10 @@ let du_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
   let conn =
     Osmodel.Du_stack.tcp_connect client ~dst:(Common.ip_middle, service_port) ()
   in
-  let on_reply = ref (fun (_ : string) -> ()) in
-  Osmodel.Du_stack.on_receive conn (fun d -> !on_reply d);
-  let send_next, series =
-    echo_driver ~engine
-      ~send:(fun data -> Osmodel.Du_stack.tcp_send client conn data)
-      ~on_reply:(fun f -> on_reply := f)
-      ~payload_len ~warmup ~iters
-  in
-  Osmodel.Du_stack.on_established conn (fun () -> send_next ());
-  Sim.Engine.run engine ~until:(Sim.Stime.s 120) ~max_events:50_000_000;
-  Sim.Stats.Series.mean series
+  echo_rtt ~engine ~send:(Osmodel.Du_stack.tcp_send client conn)
+    ~on_receive:(Osmodel.Du_stack.on_receive conn)
+    ~on_established:(Osmodel.Du_stack.on_established conn)
+    ~payload_len ~warmup ~iters
 
 let run ?(params = Netsim.Costs.ethernet ()) ?warmup ?iters () =
   List.map

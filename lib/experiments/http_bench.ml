@@ -15,26 +15,18 @@ let plexus_get_latency ?(warmup = 3) ?(iters = 30) params =
   let routes = Hashtbl.create 4 in
   Hashtbl.replace routes path body;
   let _server = Apps.Http_server.create ~port:80 ~routes p.Common.b in
-  let series = Sim.Stats.Series.create () in
-  let remaining = ref (warmup + iters) in
-  let rec request () =
-    if !remaining > 0 then begin
-      decr remaining;
-      let mine = !remaining < iters in
-      let t0 = Sim.Engine.now engine in
+  let loop = Common.Pingpong.create ~warmup ~iters engine in
+  Common.Pingpong.start loop (fun () ->
       Apps.Http_client.get p.Common.a ~dst:(Common.ip_b, 80) ~path (fun r ->
           (match r with
           | Some r when r.Apps.Http_client.status = 200 ->
-              if mine then
-                Sim.Stats.Series.add_time series
-                  (Sim.Stime.sub (Sim.Engine.now engine) t0)
+              Common.Pingpong.record loop
           | _ -> ());
-          ignore (Sim.Engine.schedule_in engine ~delay:(Sim.Stime.ms 1) request))
-    end
-  in
-  request ();
+          ignore
+            (Sim.Engine.schedule_in engine ~delay:(Sim.Stime.ms 1) (fun () ->
+                 Common.Pingpong.next loop))));
   Sim.Engine.run engine ~until:(Sim.Stime.s 600) ~max_events:50_000_000;
-  Sim.Stats.Series.mean series
+  Common.Pingpong.mean_us loop
 
 (* The same server as a DIGITAL UNIX user process over sockets. *)
 let du_get_latency ?(warmup = 3) ?(iters = 30) params =
@@ -62,13 +54,8 @@ let du_get_latency ?(warmup = 3) ?(iters = 30) params =
    with
   | Ok () -> ()
   | Error _ -> assert false);
-  let series = Sim.Stats.Series.create () in
-  let remaining = ref (warmup + iters) in
-  let rec request () =
-    if !remaining > 0 then begin
-      decr remaining;
-      let mine = !remaining < iters in
-      let t0 = Sim.Engine.now engine in
+  let loop = Common.Pingpong.create ~warmup ~iters engine in
+  Common.Pingpong.start loop (fun () ->
       let conn = Osmodel.Du_stack.tcp_connect du_a ~dst:(Common.ip_b, 80) () in
       let buf = Buffer.create 128 in
       Osmodel.Du_stack.on_established conn (fun () ->
@@ -82,21 +69,18 @@ let du_get_latency ?(warmup = 3) ?(iters = 30) params =
           finished := true;
           (match Proto.Http.parse_response (Buffer.contents buf) with
           | Some r when r.Proto.Http.status = 200 ->
-              if mine then
-                Sim.Stats.Series.add_time series
-                  (Sim.Stime.sub (Sim.Engine.now engine) t0)
+              Common.Pingpong.record loop
           | _ -> ());
-          ignore (Sim.Engine.schedule_in engine ~delay:(Sim.Stime.ms 1) request)
+          ignore
+            (Sim.Engine.schedule_in engine ~delay:(Sim.Stime.ms 1) (fun () ->
+                 Common.Pingpong.next loop))
         end
       in
       Osmodel.Du_stack.on_peer_close conn (fun () ->
           Osmodel.Du_stack.tcp_close du_a conn);
-      Osmodel.Du_stack.on_close conn finish
-    end
-  in
-  request ();
+      Osmodel.Du_stack.on_close conn finish);
   Sim.Engine.run engine ~until:(Sim.Stime.s 600) ~max_events:50_000_000;
-  Sim.Stats.Series.mean series
+  Common.Pingpong.mean_us loop
 
 let run ?(params = Netsim.Costs.ethernet ()) ?warmup ?iters () =
   {

@@ -27,20 +27,12 @@ let am_rtt ?(mode = Spin.Dispatcher.Interrupt) ?(payload_len = 8) ?(warmup = 10)
   | Ok _ -> ()
   | Error f -> failwith (Fmt.str "%a" Spin.Extension.pp_failure f));
   (* Pinger on A: handler 1 records the round trip and fires the next. *)
-  let series = Sim.Stats.Series.create () in
-  let remaining = ref (warmup + iters) in
-  let sent_at = ref Sim.Stime.zero in
-  let next = ref (fun () -> ()) in
-  let handlers ctx idx ~src payload =
-    ignore ctx;
-    ignore src;
-    ignore payload;
+  let loop = Common.Pingpong.create ~warmup ~iters p.Common.engine in
+  let handlers _ctx idx ~src:_ _payload =
     if idx = 1 then
       [
         Spin.Ephemeral.work ~label:"am-pong" ~cost:(Sim.Stime.us 1) (fun () ->
-            let rtt = Sim.Stime.sub (Sim.Engine.now p.Common.engine) !sent_at in
-            if !remaining < iters then Sim.Stats.Series.add_time series rtt;
-            !next ());
+            Common.Pingpong.pong loop);
       ]
     else Spin.Ephemeral.nothing
   in
@@ -51,23 +43,17 @@ let am_rtt ?(mode = Spin.Dispatcher.Interrupt) ?(payload_len = 8) ?(warmup = 10)
   | Ok _ -> ()
   | Error f -> failwith (Fmt.str "%a" Spin.Extension.pp_failure f));
   let dst = Plexus.Ether_mgr.mac (Plexus.Stack.ether p.Common.b) in
-  (next :=
-     fun () ->
-       if !remaining > 0 then begin
-         decr remaining;
-         sent_at := Sim.Engine.now p.Common.engine;
-         Apps.Active_messages.send actx ~dst ~handler:0
-           (String.make payload_len 'a')
-       end);
-  !next ();
+  Common.Pingpong.start loop (fun () ->
+      Apps.Active_messages.send actx ~dst ~handler:0
+        (String.make payload_len 'a'));
   Sim.Engine.run p.Common.engine ~max_events:10_000_000;
-  Sim.Stats.Series.mean series
+  Common.Pingpong.mean_us loop
 
 let run ?(params = Netsim.Costs.ethernet ()) ?iters () =
   {
     interrupt_rtt = am_rtt ?iters ~mode:Spin.Dispatcher.Interrupt params;
     thread_rtt = am_rtt ?iters ~mode:Spin.Dispatcher.Thread params;
-    udp_rtt = Sim.Stats.Series.mean (Common.udp_echo_plexus ?iters params);
+    udp_rtt = Common.udp_echo_plexus ?iters params;
   }
 
 (* Budget termination (section 3.3): a handler whose ephemeral program

@@ -97,10 +97,8 @@ let transaction_time ~cfg ~n =
    with
   | Ok () -> ()
   | Error _ -> assert false);
-  let series = Sim.Stats.Series.create () in
-  let rec transaction i =
-    if i < n then begin
-      let t0 = Sim.Engine.now engine in
+  let loop = Common.Pingpong.create ~warmup:0 ~iters:n engine in
+  Common.Pingpong.start loop (fun () ->
       match
         Plexus.Tcp_mgr.connect (Plexus.Stack.tcp a) ~owner:"txn-client"
           ~dst:(Common.ip_b, 5001) ~cfg ()
@@ -113,19 +111,15 @@ let transaction_time ~cfg ~n =
           Plexus.Tcp_mgr.on_receive conn (fun data ->
               got := !got + String.length data;
               if !got >= reply_len then begin
-                Sim.Stats.Series.add_time series
-                  (Sim.Stime.sub (Sim.Engine.now engine) t0);
+                Common.Pingpong.record loop;
                 Plexus.Tcp_mgr.close conn;
                 (* next transaction on a fresh connection *)
                 ignore
                   (Sim.Engine.schedule_in engine ~delay:(Sim.Stime.ms 1)
-                     (fun () -> transaction (i + 1)))
-              end)
-    end
-  in
-  transaction 0;
+                     (fun () -> Common.Pingpong.next loop))
+              end));
   Sim.Engine.run engine ~until:(Sim.Stime.s 600) ~max_events:50_000_000;
-  Sim.Stats.Series.mean series
+  Common.Pingpong.mean_us loop
 
 let transactions ?(n = 30) () =
   let stock = Proto.Tcp.default_config () in

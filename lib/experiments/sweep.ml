@@ -21,11 +21,8 @@ let run ?(iters = 100) () =
               {
                 size;
                 plexus_us =
-                  Sim.Stats.Series.mean
-                    (Common.udp_echo_plexus ~payload_len:size ~iters params);
-                du_us =
-                  Sim.Stats.Series.mean
-                    (Common.udp_echo_du ~payload_len:size ~iters params);
+                  Common.udp_echo_plexus ~payload_len:size ~iters params;
+                du_us = Common.udp_echo_du ~payload_len:size ~iters params;
               })
             sizes;
       })

@@ -21,9 +21,8 @@ let transfer_bytes = 2_000_000
 (* Bulk transfer over Plexus: connect A->B, push [bytes], record the time
    from connection establishment to full delivery at B.  Also returns the
    distribution of gaps between successive chunk arrivals at the sink —
-   recorded into a log-bucketed histogram, not a Series: a bulk transfer
-   delivers an unbounded number of chunks, exactly the case Series is
-   deprecated for. *)
+   recorded into a log-bucketed histogram, not a sample list: a bulk
+   transfer delivers an unbounded number of chunks. *)
 let plexus_transfer_timed ?(bytes = transfer_bytes) params =
   let p = Common.plexus_pair params in
   let engine = p.Common.engine in

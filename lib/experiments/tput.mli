@@ -18,9 +18,8 @@ val plexus_transfer : ?bytes:int -> Netsim.Costs.device -> float
 val plexus_transfer_timed :
   ?bytes:int -> Netsim.Costs.device -> float * Sim.Stats.Histogram.t
 (** Goodput plus the chunk-arrival gap distribution (nanoseconds),
-    recorded into a log-bucketed {!Sim.Stats.Histogram} — unbounded
-    sample counts are exactly what {!Sim.Stats.Series} is deprecated
-    for. *)
+    recorded into a log-bucketed {!Sim.Stats.Histogram}, since a bulk
+    transfer delivers an unbounded number of chunks. *)
 
 val du_transfer : ?bytes:int -> Netsim.Costs.device -> float
 

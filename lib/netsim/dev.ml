@@ -227,15 +227,25 @@ let admission_backlog t =
 
 let pio_cost t len = Costs.per_byte t.params.Costs.pio_ns_per_byte len
 
-let fault_span t ~fault ~detail =
+(* Spans go to the device's own endpoint, which [Host.add_device] wires
+   to the host kernel's trace.  A span is built only when [tracing t]:
+   with tracing off a drop allocates nothing. *)
+let tracing t =
+  match t.otrace with Some tr -> Observe.Trace.active tr | None -> false
+
+let span t event =
   match t.otrace with
-  | Some tr when Observe.Trace.active tr ->
+  | Some tr ->
       Observe.Trace.emit tr
-        {
-          Observe.Trace.at_ns = Sim.Stime.to_ns (Sim.Engine.now t.engine);
-          event = Observe.Trace.Wire_fault { link = t.name; fault; detail };
-        }
-  | _ -> ()
+        { Observe.Trace.at_ns = Sim.Stime.to_ns (Sim.Engine.now t.engine); event }
+  | None -> ()
+
+let fault_span t ~fault ~detail =
+  if tracing t then
+    span t (Observe.Trace.Wire_fault { link = t.name; fault; detail })
+
+let drop_span t reason =
+  if tracing t then span t (Observe.Trace.Drop { scope = t.name; reason })
 
 (* Queue depths and drop counts as sampling gauges — read at registry
    snapshot time only, nothing on the per-frame path. *)
@@ -275,10 +285,6 @@ let interrupt_service peer len pkt =
       | Some h ->
           peer.counters.rx_packets <- peer.counters.rx_packets + 1;
           peer.counters.rx_bytes <- peer.counters.rx_bytes + len;
-          if Sim.Trace.on () then
-            Sim.Trace.emit
-              (Sim.Engine.now peer.engine)
-              "%s: rx %d bytes" peer.name len;
           h pkt)
 
 (* The poller: drain the deferred queue in batches at thread priority.
@@ -301,10 +307,6 @@ let rec drain_deferred peer ac =
         let deliver upcall =
           peer.counters.rx_packets <- peer.counters.rx_packets + n;
           peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
-          if Sim.Trace.on () then
-            Sim.Trace.emit
-              (Sim.Engine.now peer.engine)
-              "%s: polled rx batch of %d (%d bytes)" peer.name n bytes;
           upcall ()
         in
         (match peer.rx_deferred_handler with
@@ -347,9 +349,7 @@ let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
   in
   if not ring_slot then begin
     peer.counters.rx_drops <- peer.counters.rx_drops + 1;
-    if Sim.Trace.on () then
-      Sim.Trace.drop (Sim.Engine.now peer.engine) ~scope:peer.name
-        ~reason:"rx_ring_full";
+    drop_span peer "rx_ring_full";
     Mbuf.free pkt
   end
   else begin
@@ -364,9 +364,7 @@ let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
           | None -> ());
           peer.counters.rx_drops <- peer.counters.rx_drops + 1;
           peer.counters.rx_shed <- peer.counters.rx_shed + 1;
-          if Sim.Trace.on () then
-            Sim.Trace.drop (Sim.Engine.now peer.engine) ~scope:peer.name
-              ~reason:"admission_shed";
+          drop_span peer "admission_shed";
           Mbuf.free pkt
         end
         else begin
@@ -407,10 +405,11 @@ let deliver_batch peer pkts =
       let kept, dropped = split 0 pkts in
       if dropped <> [] then begin
         peer.counters.rx_drops <- peer.counters.rx_drops + List.length dropped;
-        if Sim.Trace.on () then
-          Sim.Trace.drop (Sim.Engine.now peer.engine) ~scope:peer.name
-            ~reason:"rx_ring_full";
-        List.iter Mbuf.free dropped
+        List.iter
+          (fun pkt ->
+            drop_span peer "rx_ring_full";
+            Mbuf.free pkt)
+          dropped
       end;
       if kept <> [] then begin
         List.iter (flight_ingress peer) kept;
@@ -425,10 +424,6 @@ let deliver_batch peer pkts =
             let deliver upcall =
               peer.counters.rx_packets <- peer.counters.rx_packets + granted;
               peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
-              if Sim.Trace.on () then
-                Sim.Trace.emit
-                  (Sim.Engine.now peer.engine)
-                  "%s: rx batch of %d (%d bytes)" peer.name granted bytes;
               upcall ()
             in
             match peer.rx_batch with
@@ -448,8 +443,7 @@ let apply_faults t peer plan frame ~len ~now =
   match Faults.verdict plan ~now ~len with
   | Faults.Drop why ->
       t.counters.wire_drops <- t.counters.wire_drops + 1;
-      if Sim.Trace.on () then
-        Sim.Trace.drop now ~scope:t.name ~reason:("wire_" ^ why);
+      if tracing t then drop_span t ("wire_" ^ why);
       fault_span t ~fault:why ~detail:"";
       Mbuf.free frame
   | Faults.Deliver copies ->
@@ -497,9 +491,7 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
   Sim.Cpu.submit t.cpu prio ~cost (fun () ->
       if t.txq >= t.params.Costs.txq_limit then begin
         t.counters.tx_drops <- t.counters.tx_drops + 1;
-        if Sim.Trace.on () then
-          Sim.Trace.drop (Sim.Engine.now t.engine) ~scope:t.name
-            ~reason:"txq_full";
+        drop_span t "txq_full";
         Mbuf.free frame
       end
       else begin
@@ -514,9 +506,6 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
         t.wire_busy_until := done_at;
         t.counters.tx_packets <- t.counters.tx_packets + 1;
         t.counters.tx_bytes <- t.counters.tx_bytes + len;
-        if Sim.Trace.on () then
-          Sim.Trace.emit now "%s: tx %d bytes (wire until %a)" t.name len
-            Sim.Stime.pp done_at;
         Sim.Engine.post t.engine ~at:done_at (fun () ->
           t.txq <- t.txq - 1;
           match t.peer with
@@ -531,10 +520,7 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
                 (* Wire loss is fault injection, not queue overflow:
                    counted apart from [tx_drops]. *)
                 t.counters.wire_drops <- t.counters.wire_drops + 1;
-                if Sim.Trace.on () then
-                  Sim.Trace.drop
-                    (Sim.Engine.now t.engine)
-                    ~scope:t.name ~reason:"wire_loss";
+                drop_span t "wire_loss";
                 fault_span t ~fault:"loss" ~detail:"";
                 Mbuf.free frame
               end

@@ -125,8 +125,11 @@ val register : t -> Observe.Registry.t -> unit
     snapshotted. *)
 
 val set_trace : t -> Observe.Trace.t -> unit
-(** Route injected-fault spans ({!Observe.Trace.Wire_fault}) to this
-    endpoint; wired to the host kernel's trace by {!Host.add_device}. *)
+(** Route injected-fault spans ({!Observe.Trace.Wire_fault}) and one
+    {!Observe.Trace.Drop} span per dropped frame (reasons [txq_full],
+    [rx_ring_full], [admission_shed], [wire_loss], [wire_<fault>]) to
+    this endpoint; wired to the host kernel's trace by
+    {!Host.add_device}. *)
 
 val set_flight : t -> Observe.Flight.t -> unit
 (** Attach the host's packet flight recorder; wired by

@@ -5,8 +5,8 @@
    linear sub-buckets, so recording is O(1), memory is a fixed ~1K-slot
    array regardless of sample count, and any reported quantile is within
    a relative error of 2^-(sub_bits+1) (~3% at sub_bits = 4) of the
-   exact value.  This is what hot paths should use instead of
-   [Stats.Series], which retains every sample. *)
+   exact value.  Hot paths use this instead of keeping samples for an
+   exact percentile. *)
 
 let sub_bits = 4
 let sub = 1 lsl sub_bits (* 16 sub-buckets per octave *)

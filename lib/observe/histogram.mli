@@ -3,8 +3,8 @@
     O(1) record into a fixed ~1K-bucket array: each power-of-two octave
     is split into 16 linear sub-buckets, so quantiles are exact to
     within ~3% relative error while memory stays constant no matter how
-    many samples arrive.  Use this on hot paths instead of
-    [Stats.Series], which retains every sample. *)
+    many samples arrive.  Use this on hot paths instead of keeping every
+    sample for an exact percentile. *)
 
 type t
 

@@ -46,7 +46,6 @@ type event =
       to_domain : int;
       frames : int;
     }
-  | Message of { scope : string; text : string }
 
 type span = { at_ns : int; event : event }
 
@@ -61,7 +60,6 @@ let kind = function
   | Drop _ -> "drop"
   | Wire_fault _ -> "wire_fault"
   | Handoff _ -> "handoff"
-  | Message _ -> "message"
 
 (* The event (or scope) a span belongs to — protocol-graph spans carry
    their node's event name, e.g. "udp.PacketRecv". *)
@@ -74,7 +72,7 @@ let scope = function
   | Cache_hit { event; _ }
   | Cache_invalidate { event; _ } ->
       event
-  | Drop { scope; _ } | Message { scope; _ } -> scope
+  | Drop { scope; _ } -> scope
   | Wire_fault { link; _ } -> link
   | Handoff { from_domain; _ } -> Printf.sprintf "domain%d" from_domain
 
@@ -110,7 +108,6 @@ let pp_event ppf = function
   | Handoff { op; from_domain; to_domain; frames } ->
       Fmt.pf ppf "handoff %s domain%d -> domain%d frames=%d" op from_domain
         to_domain frames
-  | Message { scope; text } -> Fmt.pf ppf "%s: %s" scope text
 
 let pp_span ppf s = Fmt.pf ppf "[%a] %a" pp_ns s.at_ns pp_event s.event
 

@@ -48,6 +48,8 @@ type event =
       (** a cached flow path was discarded (stale generation, divergent
           replay, or a discarded recording) *)
   | Drop of { scope : string; reason : string }
+      (** a packet was dropped: [scope] is the device (e.g.
+          ["hostA.ethernet0"]), manager or event that dropped it *)
   | Wire_fault of { link : string; fault : string; detail : string }
       (** an injected link fault fired: [fault] is the fault class
           (["loss"], ["burst_loss"], ["corrupt"], ["duplicate"],
@@ -62,8 +64,6 @@ type event =
       to_domain : int;
       frames : int;
     }  (** a cross-domain SPSC ring handoff in the parallel datapath *)
-  | Message of { scope : string; text : string }
-      (** freeform text (the legacy [Sim.Trace] printf route) *)
 
 type span = { at_ns : int; event : event }
 

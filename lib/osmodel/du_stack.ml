@@ -334,6 +334,12 @@ let rx_ip t route pkt =
               (Proto.Ipaddr.equal h.dst (host_ip t)
               || Proto.Ipaddr.equal h.dst Proto.Ipaddr.broadcast)
           then t.counters.not_ours <- t.counters.not_ours + 1
+          else if
+            h.total_len < Proto.Ipv4.header_len || h.total_len > View.length v
+          then
+            (* a length the frame cannot hold: every slice below would run
+               past its end *)
+            ()
           else begin
             ignore route;
             let deliver (h : Proto.Ipv4.header) l4 =
@@ -356,12 +362,9 @@ let rx_ip t route pkt =
                   deliver h (View.ro (Mbuf.view datagram))
             end
             else begin
-              let l4_len = h.total_len - Proto.Ipv4.header_len in
-              let l4 =
-                View.sub v ~off:Proto.Ipv4.header_len
-                  ~len:(min l4_len (View.length v - Proto.Ipv4.header_len))
-              in
-              deliver h l4
+              deliver h
+                (View.sub v ~off:Proto.Ipv4.header_len
+                   ~len:(h.total_len - Proto.Ipv4.header_len))
             end
           end)
 

@@ -67,7 +67,11 @@ let user_process t (pkt : string) =
               match Proto.Ipv4.parse ipv with
               | Some h
                 when Proto.Ipv4.checksum_valid ipv
-                     && Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t) ->
+                     && Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t)
+                     (* a length the frame cannot hold drops here, before
+                        any slice runs past its end *)
+                     && h.Proto.Ipv4.total_len >= Proto.Ipv4.header_len
+                     && h.Proto.Ipv4.total_len <= View.length ipv ->
                   let deliver payload_view (h : Proto.Ipv4.header) =
                     urun t
                       (T.add lay.udp_in (cksum_cost t (View.length payload_view)))
@@ -109,13 +113,10 @@ let user_process t (pkt : string) =
                     | Pending | Malformed -> ()
                   end
                   else begin
-                    let l4_len = h.Proto.Ipv4.total_len - Proto.Ipv4.header_len in
-                    let l4 =
-                      View.sub ipv ~off:Proto.Ipv4.header_len
-                        ~len:
-                          (min l4_len (View.length ipv - Proto.Ipv4.header_len))
-                    in
-                    deliver l4 h
+                    deliver
+                      (View.sub ipv ~off:Proto.Ipv4.header_len
+                         ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len))
+                      h
                   end
               | _ -> ())
       | _ -> ())

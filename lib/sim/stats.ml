@@ -1,8 +1,7 @@
-(* Measurement helpers: counters, sample series and log-bucketed
-   histograms.  Series keep all samples (experiments are small) so
-   percentiles are exact — but that makes them unbounded; hot paths and
-   long-running workloads should use Histogram, which is O(1) memory
-   with ~3%-accurate quantiles. *)
+(* Measurement helpers: counters, running means of durations, an exact
+   percentile over a sample array, and log-bucketed histograms.  Only
+   [percentile] looks at every sample, and its caller owns the array;
+   everything else is O(1) memory. *)
 
 module Histogram = Observe.Histogram
 
@@ -16,46 +15,28 @@ module Counter = struct
   let reset t = t.n <- 0
 end
 
-module Series = struct
-  type t = { mutable samples : float list; mutable n : int }
+module Mean = struct
+  (* The sum is kept in integer nanoseconds: exact, whatever the order
+     the durations arrive in. *)
+  type t = { mutable n : int; mutable sum : Stime.t }
 
-  let create () = { samples = []; n = 0 }
-  let add t x = t.samples <- x :: t.samples; t.n <- t.n + 1
-  let add_time t d = add t (Stime.to_us d)
-  let count t = t.n
-  let is_empty t = t.n = 0
+  let create () = { n = 0; sum = Stime.zero }
 
-  let sorted t = List.sort compare t.samples |> Array.of_list
+  let add t d =
+    t.n <- t.n + 1;
+    t.sum <- Stime.add t.sum d
 
-  let mean t =
-    if t.n = 0 then nan
-    else List.fold_left ( +. ) 0. t.samples /. float_of_int t.n
-
-  let minimum t = match sorted t with [||] -> nan | a -> a.(0)
-  let maximum t = match sorted t with [||] -> nan | a -> a.(Array.length a - 1)
-
-  let stddev t =
-    if t.n < 2 then 0.
-    else begin
-      let m = mean t in
-      let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. t.samples in
-      sqrt (ss /. float_of_int (t.n - 1))
-    end
-
-  let percentile t p =
-    match sorted t with
-    | [||] -> nan
-    | a ->
-        let n = Array.length a in
-        let rank = p /. 100. *. float_of_int (n - 1) in
-        let lo = int_of_float (floor rank) in
-        let hi = Stdlib.min (lo + 1) (n - 1) in
-        let frac = rank -. float_of_int lo in
-        a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-
-  let median t = percentile t 50.
-
-  let summary t =
-    Fmt.str "n=%d mean=%.2f p50=%.2f p95=%.2f min=%.2f max=%.2f" t.n (mean t)
-      (median t) (percentile t 95.) (minimum t) (maximum t)
+  let us t = if t.n = 0 then nan else Stime.to_us t.sum /. float_of_int t.n
 end
+
+let percentile samples p =
+  match Array.length samples with
+  | 0 -> nan
+  | n ->
+      let a = Array.copy samples in
+      Array.sort compare a;
+      let rank = p /. 100. *. float_of_int (n - 1) in
+      let lo = int_of_float (floor rank) in
+      let hi = Stdlib.min (lo + 1) (n - 1) in
+      let frac = rank -. float_of_int lo in
+      a.(lo) +. (frac *. (a.(hi) -. a.(lo)))

@@ -1,11 +1,10 @@
-(** Counters, sample series and log-bucketed histograms for experiment
-    measurement. *)
+(** Counters, running means, exact percentiles and log-bucketed
+    histograms for experiment measurement. *)
 
 module Histogram = Observe.Histogram
 (** Log-bucketed latency histogram: O(1) record, O(1) memory,
-    quantiles within ~3% relative error.  Prefer this over {!Series}
-    anywhere sample counts are unbounded (hot paths, long-running
-    workloads). *)
+    quantiles within ~3% relative error.  Use it wherever sample counts
+    are unbounded (hot paths, long-running workloads). *)
 
 module Counter : sig
   type t
@@ -17,35 +16,19 @@ module Counter : sig
   val reset : t -> unit
 end
 
-module Series : sig
+module Mean : sig
   type t
-  (** A collection of float samples; retains everything, percentiles are
-      exact.
-
-      @deprecated for hot-path use: memory grows with the sample count.
-      Small fixed-iteration experiments may keep using it; anything
-      per-packet or long-running should use {!Histogram}. *)
+  (** A running mean of durations: a count and an exact sum, no
+      samples. *)
 
   val create : unit -> t
-  val add : t -> float -> unit
+  val add : t -> Stime.t -> unit
 
-  val add_time : t -> Stime.t -> unit
-  (** Record a duration, converted to microseconds. *)
-
-  val count : t -> int
-  val is_empty : t -> bool
-  val mean : t -> float
-  val minimum : t -> float
-  val maximum : t -> float
-
-  val stddev : t -> float
-  (** Sample standard deviation (Bessel-corrected). *)
-
-  val percentile : t -> float -> float
-  (** [percentile t p] for [p] in [0..100], linear interpolation. *)
-
-  val median : t -> float
-
-  val summary : t -> string
-  (** One-line human-readable summary. *)
+  val us : t -> float
+  (** The mean in microseconds; [nan] when nothing was added. *)
 end
+
+val percentile : float array -> float -> float
+(** [percentile samples p] for [p] in [0..100]: the exact percentile
+    with linear interpolation between neighbouring ranks; [nan] when
+    [samples] is empty.  Sorts a copy, so [samples] is left as is. *)

@@ -3,7 +3,8 @@
     A priority queue over non-negative integer keys (nanosecond deadlines)
     with O(1) [add], O(1) true-removal [cancel] and amortised O(1)
     [pop].  Pops are stable: among equal keys, insertion order wins —
-    the wheel fires in exactly the same order as {!Pheap} would.
+    the wheel fires in exactly the same order as a stable binary heap
+    would (the test suite's qcheck oracle).
 
     Entries live in parallel arrays indexed by entry number, linked by
     ints, and are recycled through a free stack: a steady add/pop cycle

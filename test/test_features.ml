@@ -615,11 +615,10 @@ let ulib_filter_rejects_others () =
     (Osmodel.Ulib.counters ub).Osmodel.Ulib.filtered_out
 
 let fig5_user_library_ordering () =
-  let mean p = Sim.Stats.Series.mean p in
   let params = Netsim.Costs.ethernet () in
-  let plexus = mean (Experiments.Common.udp_echo_plexus ~iters:30 params) in
-  let ulib = mean (Experiments.Common.udp_echo_ulib ~iters:30 params) in
-  let du = mean (Experiments.Common.udp_echo_du ~iters:30 params) in
+  let plexus = Experiments.Common.udp_echo_plexus ~iters:30 params in
+  let ulib = Experiments.Common.udp_echo_ulib ~iters:30 params in
+  let du = Experiments.Common.udp_echo_du ~iters:30 params in
   Alcotest.(check bool)
     (Printf.sprintf "plexus (%.0f) well below user-lib (%.0f)" plexus ulib)
     true

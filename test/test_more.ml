@@ -1,6 +1,6 @@
-(* Additional edge-case coverage: Pctx, Graph bookkeeping, Kthread,
-   Trace, Ether manager policy details, Host helpers, and more property
-   tests on the substrates. *)
+(* Additional edge-case coverage: Pctx, Graph bookkeeping, Ether manager
+   policy details, Host helpers, and more property tests on the
+   substrates. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 let prop t = QCheck_alcotest.to_alcotest t
@@ -72,31 +72,6 @@ let graph_bookkeeping () =
   Alcotest.(check int) "edge removed" 0 (List.length (Plexus.Graph.edges g));
   Alcotest.(check (list string)) "nodes in creation order" [ "alpha"; "beta" ]
     (Plexus.Graph.nodes g)
-
-(* ---- Kthread ------------------------------------------------------------- *)
-
-let kthread_spawn () =
-  let engine = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create engine ~name:"c" in
-  let at = ref Sim.Stime.zero in
-  Spin.Kthread.spawn cpu ~create_cost:(us 10) (fun () ->
-      at := Sim.Engine.now engine);
-  Sim.Engine.run engine;
-  Alcotest.(check int) "creation cost charged" 10_000 (Sim.Stime.to_ns !at);
-  Spin.Kthread.run cpu ~cost:(us 5) (fun () -> at := Sim.Engine.now engine);
-  Sim.Engine.run engine;
-  Alcotest.(check int) "run charges cost" 15_000 (Sim.Stime.to_ns !at)
-
-(* ---- Trace ----------------------------------------------------------------- *)
-
-let trace_toggle () =
-  (* enabled tracing must not disturb results; just exercise both paths *)
-  Sim.Trace.enabled := false;
-  Sim.Trace.emit (us 1) "quiet %d" 1;
-  Sim.Trace.enabled := true;
-  Sim.Trace.emit (us 2) "loud %d" 2;
-  Sim.Trace.enabled := false;
-  Alcotest.(check pass) "no crash" () ()
 
 (* ---- Ether manager policy --------------------------------------------------- *)
 
@@ -217,8 +192,6 @@ let suite =
         tc "metadata" pctx_metadata;
       ] );
     ("more.graph", [ tc "bookkeeping" graph_bookkeeping ]);
-    ("more.kthread", [ tc "spawn and run" kthread_spawn ]);
-    ("more.trace", [ tc "toggle" trace_toggle ]);
     ( "more.ether",
       [
         tc "policy and prio" ether_policy;
@@ -280,8 +253,7 @@ let rx_ring_sheds_bursts () =
 
 let simulation_deterministic () =
   let run () =
-    Sim.Stats.Series.mean
-      (Experiments.Common.udp_echo_plexus ~iters:20 (Netsim.Costs.ethernet ()))
+    Experiments.Common.udp_echo_plexus ~iters:20 (Netsim.Costs.ethernet ())
   in
   let x = run () and y = run () in
   Alcotest.(check (float 0.0)) "bit-identical across runs" x y

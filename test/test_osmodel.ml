@@ -199,6 +199,83 @@ let splice_relays () =
   Alcotest.(check bool) "bytes counted" true
     (Osmodel.Splice.forwarded_bytes splice >= String.length "through-the-splice")
 
+(* ---- one hostile frame ------------------------------------------------- *)
+
+(* Checksum-valid IP frames whose total length the frame cannot hold: 60
+   bytes claiming 2000 with MF set (headed for reassembly), and one
+   claiming less than its own header.  Each baseline must drop them
+   without slicing past the frame, and keep delivering. *)
+let bad_total_len_frames ~src_dev ~dst_dev =
+  let frame ~more_fragments ~payload_len =
+    let f = Mbuf.of_string (String.make 26 'x') in
+    Proto.Ipv4.encapsulate f
+      (Proto.Ipv4.make ~more_fragments ~proto:Proto.Ipv4.proto_udp ~src:ip_a
+         ~dst:ip_b ~payload_len ());
+    Proto.Ether.encapsulate f
+      {
+        Proto.Ether.dst = Netsim.Dev.mac dst_dev;
+        src = Netsim.Dev.mac src_dev;
+        etype = Proto.Ether.etype_ip;
+      };
+    f
+  in
+  let past_end = frame ~more_fragments:true ~payload_len:1980 in
+  Alcotest.(check int) "a 60-byte frame" 60 (Mbuf.length past_end);
+  [ past_end; frame ~more_fragments:false ~payload_len:(-10) ]
+
+let du_drops_bad_total_len () =
+  let p = pair () in
+  let server =
+    match Osmodel.Du_stack.udp_bind p.Experiments.Common.dub ~port:7 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let got = ref [] in
+  Osmodel.Du_stack.udp_set_recv server (fun ~src:_ data -> got := data :: !got);
+  let dev host = List.hd (Netsim.Host.devices (Osmodel.Du_stack.host host)) in
+  let src_dev = dev p.Experiments.Common.dua
+  and dst_dev = dev p.Experiments.Common.dub in
+  List.iter (Netsim.Dev.transmit src_dev) (bad_total_len_frames ~src_dev ~dst_dev);
+  Sim.Engine.run p.Experiments.Common.du_engine;
+  let client =
+    match Osmodel.Du_stack.udp_bind p.Experiments.Common.dua ~port:5000 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  Osmodel.Du_stack.udp_sendto p.Experiments.Common.dua client ~dst:(ip_b, 7)
+    "after";
+  Sim.Engine.run p.Experiments.Common.du_engine;
+  Alcotest.(check (list string)) "later datagram delivered" [ "after" ] !got
+
+let ulib_drops_bad_total_len () =
+  let engine = Sim.Engine.create () in
+  let ea, eb =
+    Netsim.Network.pair engine (Netsim.Costs.ethernet ()) ~a:("hostA", ip_a)
+      ~b:("hostB", ip_b)
+  in
+  let ua = Osmodel.Ulib.create ea.Netsim.Network.host in
+  let ub = Osmodel.Ulib.create eb.Netsim.Network.host in
+  Osmodel.Ulib.prime_arp ua ip_b (Netsim.Dev.mac eb.Netsim.Network.dev);
+  Osmodel.Ulib.prime_arp ub ip_a (Netsim.Dev.mac ea.Netsim.Network.dev);
+  let server =
+    match Osmodel.Ulib.udp_bind ub ~port:7 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let got = ref [] in
+  Osmodel.Ulib.udp_set_recv server (fun ~src:_ data -> got := data :: !got);
+  let src_dev = ea.Netsim.Network.dev and dst_dev = eb.Netsim.Network.dev in
+  List.iter (Netsim.Dev.transmit src_dev) (bad_total_len_frames ~src_dev ~dst_dev);
+  Sim.Engine.run engine;
+  let client =
+    match Osmodel.Ulib.udp_bind ua ~port:5000 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  Osmodel.Ulib.udp_sendto ua client ~dst:(ip_b, 7) "after";
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "later datagram delivered" [ "after" ] !got
+
 let suite =
   [
     ( "osmodel.udp",
@@ -214,4 +291,9 @@ let suite =
         tc "bulk transfer" tcp_bulk_over_du;
       ] );
     ("osmodel.splice", [ tc "user-level relay" splice_relays ]);
+    ( "osmodel.hostile",
+      [
+        tc "du drops a total length past the frame" du_drops_bad_total_len;
+        tc "ulib drops a total length past the frame" ulib_drops_bad_total_len;
+      ] );
   ]

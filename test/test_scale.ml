@@ -77,22 +77,22 @@ let print_ops l = String.concat "; " (List.map op_print l)
 
 let wheel_matches_pheap ops =
   let wheel = Sim.Timer_wheel.create ~dummy:(-1) () in
-  let heap = Sim.Pheap.create () in
+  let heap = Pheap.create () in
   (* mirror entries: wheel node + a cancelled flag read at heap pop *)
   let nodes = ref [] (* (id, key, node) newest first *) in
   let cancelled = Hashtbl.create 16 in
   let next_id = ref 0 in
   let ok = ref true in
   let rec heap_pop () =
-    match Sim.Pheap.pop_min heap with
+    match Pheap.pop_min heap with
     | None -> None
     | Some (k, id) ->
         if Hashtbl.mem cancelled id then heap_pop () else Some (k, id)
   in
   let rec heap_peek () =
-    match Sim.Pheap.peek_min heap with
+    match Pheap.peek_min heap with
     | Some (_, id) when Hashtbl.mem cancelled id ->
-        ignore (Sim.Pheap.pop_min heap);
+        ignore (Pheap.pop_min heap);
         heap_peek ()
     | p -> p
   in
@@ -101,7 +101,7 @@ let wheel_matches_pheap ops =
     incr next_id;
     let n = Sim.Timer_wheel.add wheel ~key id in
     nodes := (id, key, n) :: !nodes;
-    Sim.Pheap.add heap ~key id
+    Pheap.add heap ~key id
   in
   let nth_live i =
     List.filteri (fun j _ -> j = i)

@@ -34,41 +34,41 @@ let stime_pp () =
 (* ---- Pheap ---------------------------------------------------------- *)
 
 let pheap_order () =
-  let h = Sim.Pheap.create () in
-  List.iter (fun k -> Sim.Pheap.add h ~key:k k) [ 5; 1; 9; 3; 7 ];
+  let h = Pheap.create () in
+  List.iter (fun k -> Pheap.add h ~key:k k) [ 5; 1; 9; 3; 7 ];
   let popped = List.init 5 (fun _ ->
-      match Sim.Pheap.pop_min h with Some (k, _) -> k | None -> -1)
+      match Pheap.pop_min h with Some (k, _) -> k | None -> -1)
   in
   Alcotest.(check (list int)) "sorted" [ 1; 3; 5; 7; 9 ] popped
 
 let pheap_stability () =
-  let h = Sim.Pheap.create () in
-  List.iteri (fun i v -> Sim.Pheap.add h ~key:7 (i, v)) [ "a"; "b"; "c" ];
+  let h = Pheap.create () in
+  List.iteri (fun i v -> Pheap.add h ~key:7 (i, v)) [ "a"; "b"; "c" ];
   let popped = List.init 3 (fun _ ->
-      match Sim.Pheap.pop_min h with Some (_, (_, v)) -> v | None -> "?")
+      match Pheap.pop_min h with Some (_, (_, v)) -> v | None -> "?")
   in
   Alcotest.(check (list string)) "fifo among equal keys" [ "a"; "b"; "c" ] popped
 
 let pheap_peek_and_sizes () =
-  let h = Sim.Pheap.create () in
-  Alcotest.(check bool) "empty" true (Sim.Pheap.is_empty h);
-  Alcotest.(check (option (pair int int))) "peek empty" None (Sim.Pheap.peek_min h);
-  Sim.Pheap.add h ~key:4 42;
-  Sim.Pheap.add h ~key:2 24;
-  Alcotest.(check int) "size" 2 (Sim.Pheap.size h);
-  Alcotest.(check (option (pair int int))) "peek" (Some (2, 24)) (Sim.Pheap.peek_min h);
-  Alcotest.(check int) "peek preserves" 2 (Sim.Pheap.size h);
-  Sim.Pheap.clear h;
-  Alcotest.(check bool) "cleared" true (Sim.Pheap.is_empty h)
+  let h = Pheap.create () in
+  Alcotest.(check bool) "empty" true (Pheap.is_empty h);
+  Alcotest.(check (option (pair int int))) "peek empty" None (Pheap.peek_min h);
+  Pheap.add h ~key:4 42;
+  Pheap.add h ~key:2 24;
+  Alcotest.(check int) "size" 2 (Pheap.size h);
+  Alcotest.(check (option (pair int int))) "peek" (Some (2, 24)) (Pheap.peek_min h);
+  Alcotest.(check int) "peek preserves" 2 (Pheap.size h);
+  Pheap.clear h;
+  Alcotest.(check bool) "cleared" true (Pheap.is_empty h)
 
 let pheap_qcheck =
   QCheck.Test.make ~name:"pheap pops in sorted order"
     QCheck.(list (int_bound 10_000))
     (fun keys ->
-      let h = Sim.Pheap.create () in
-      List.iter (fun k -> Sim.Pheap.add h ~key:k k) keys;
+      let h = Pheap.create () in
+      List.iter (fun k -> Pheap.add h ~key:k k) keys;
       let rec drain acc =
-        match Sim.Pheap.pop_min h with
+        match Pheap.pop_min h with
         | None -> List.rev acc
         | Some (k, _) -> drain (k :: acc)
       in
@@ -249,32 +249,33 @@ let stats_counter () =
   Sim.Stats.Counter.reset c;
   Alcotest.(check int) "reset" 0 (Sim.Stats.Counter.get c)
 
-let stats_series () =
-  let s = Sim.Stats.Series.create () in
-  List.iter (Sim.Stats.Series.add s) [ 1.; 2.; 3.; 4.; 5. ];
-  Alcotest.(check (float 1e-9)) "mean" 3. (Sim.Stats.Series.mean s);
-  Alcotest.(check (float 1e-9)) "median" 3. (Sim.Stats.Series.median s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Sim.Stats.Series.minimum s);
-  Alcotest.(check (float 1e-9)) "max" 5. (Sim.Stats.Series.maximum s);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) (Sim.Stats.Series.stddev s);
-  Alcotest.(check (float 1e-9)) "p0" 1. (Sim.Stats.Series.percentile s 0.);
-  Alcotest.(check (float 1e-9)) "p100" 5. (Sim.Stats.Series.percentile s 100.);
-  Alcotest.(check (float 1e-9)) "p25 interpolates" 2. (Sim.Stats.Series.percentile s 25.)
+let stats_mean_percentile () =
+  let m = Sim.Stats.Mean.create () in
+  Alcotest.(check bool) "empty mean is nan" true (Float.is_nan (Sim.Stats.Mean.us m));
+  List.iter (fun x -> Sim.Stats.Mean.add m (us x)) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (float 1e-9)) "mean" 3. (Sim.Stats.Mean.us m);
+  let a = [| 5.; 1.; 4.; 2.; 3. |] in
+  Alcotest.(check (float 1e-9)) "p0" 1. (Sim.Stats.percentile a 0.);
+  Alcotest.(check (float 1e-9)) "p50" 3. (Sim.Stats.percentile a 50.);
+  Alcotest.(check (float 1e-9)) "p100" 5. (Sim.Stats.percentile a 100.);
+  Alcotest.(check (float 1e-9)) "p25 interpolates" 2. (Sim.Stats.percentile a 25.);
+  Alcotest.(check (array (float 0.))) "samples left unsorted"
+    [| 5.; 1.; 4.; 2.; 3. |] a;
+  Alcotest.(check bool) "empty percentile is nan" true
+    (Float.is_nan (Sim.Stats.percentile [||] 50.))
 
-let stats_series_time () =
-  let s = Sim.Stats.Series.create () in
-  Sim.Stats.Series.add_time s (us 12);
-  Alcotest.(check (float 1e-9)) "stored as us" 12. (Sim.Stats.Series.mean s)
+let stats_mean_time () =
+  let m = Sim.Stats.Mean.create () in
+  Sim.Stats.Mean.add m (Sim.Stime.ns 12_345);
+  Alcotest.(check (float 1e-9)) "reported in us" 12.345 (Sim.Stats.Mean.us m)
 
 let stats_percentile_bounds =
   QCheck.Test.make ~name:"percentile within min..max"
     QCheck.(pair (list_of_size Gen.(1 -- 40) (float_bound_exclusive 1000.)) (float_bound_inclusive 100.))
     (fun (xs, p) ->
-      let s = Sim.Stats.Series.create () in
-      List.iter (Sim.Stats.Series.add s) xs;
-      let v = Sim.Stats.Series.percentile s p in
-      v >= Sim.Stats.Series.minimum s -. 1e-9
-      && v <= Sim.Stats.Series.maximum s +. 1e-9)
+      let v = Sim.Stats.percentile (Array.of_list xs) p in
+      v >= List.fold_left Float.min infinity xs -. 1e-9
+      && v <= List.fold_left Float.max neg_infinity xs +. 1e-9)
 
 let tc name f = Alcotest.test_case name `Quick f
 let prop t = QCheck_alcotest.to_alcotest t
@@ -323,8 +324,8 @@ let suite =
     ( "sim.stats",
       [
         tc "counter" stats_counter;
-        tc "series summary" stats_series;
-        tc "time samples in us" stats_series_time;
+        tc "mean and percentile" stats_mean_percentile;
+        tc "time samples in us" stats_mean_time;
         prop stats_percentile_bounds;
       ] );
   ]
