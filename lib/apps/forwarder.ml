@@ -34,8 +34,8 @@ type t = {
 }
 
 let l4_cksum_offset proto =
-  if proto = Proto.Ipv4.proto_tcp then Some 16
-  else if proto = Proto.Ipv4.proto_udp then Some 6
+  if proto = Proto.Ipv4.proto_tcp then Some Proto.Tcp_wire.Off.cksum
+  else if proto = Proto.Ipv4.proto_udp then Some Proto.Udp.Off.cksum
   else None
 
 let ip_words ip =

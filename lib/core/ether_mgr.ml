@@ -78,10 +78,10 @@ let install_protocol t ~child ~guard ?keys ?exact ?dyncost ?cacheable
   Spin.Dispatcher.install (Graph.recv_event t.node) ~guard ?keys ?exact
     ?dyncost ?cacheable ~label:child ~cost fn
 
+(* Reads the EtherType in place from the context's frame view. *)
 let etype_guard etype ctx =
-  match Proto.Ether.parse (Pctx.view ctx) with
-  | Some h -> h.Proto.Ether.etype = etype
-  | None -> false
+  let f = ctx.Pctx.frame in
+  Proto.Ether.has_header f && Proto.Ether.get_etype f = etype
 
 (* Application-facing install: the manager checks the EtherType is not one
    of the kernel protocols' (anti-snoop) and requires an EPHEMERAL handler
@@ -117,6 +117,5 @@ let install_handler t ~owner ~etype ?(cost = Sim.Stime.us 4) fn =
 let send t ?prio:p ~dst ~etype payload =
   let prio = match p with Some p -> p | None -> prio t in
   Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ether_out (fun () ->
-      Proto.Ether.encapsulate payload
-        { Proto.Ether.dst; src = Netsim.Dev.mac t.dev; etype };
+      Proto.Ether.push payload ~dst ~src:(Netsim.Dev.mac t.dev) ~etype;
       Netsim.Dev.transmit t.dev ~prio payload)

@@ -65,21 +65,21 @@ let read_field ctx = function
       let v =
         match anchor with
         | Cur -> Pctx.view ctx
-        | Abs -> View.ro (Mbuf.view ctx.Pctx.pkt)
+        | Abs -> ctx.Pctx.frame
       in
       if off + 1 > View.length v then raise Unavailable else View.get_u8 v off
   | U16 (anchor, off) ->
       let v =
         match anchor with
         | Cur -> Pctx.view ctx
-        | Abs -> View.ro (Mbuf.view ctx.Pctx.pkt)
+        | Abs -> ctx.Pctx.frame
       in
       if off + 2 > View.length v then raise Unavailable else View.get_u16 v off
   | U32 (anchor, off) ->
       let v =
         match anchor with
         | Cur -> Pctx.view ctx
-        | Abs -> View.ro (Mbuf.view ctx.Pctx.pkt)
+        | Abs -> ctx.Pctx.frame
       in
       if off + 4 > View.length v then raise Unavailable else View.get_u32 v off
   | Ip_proto -> (
@@ -204,7 +204,8 @@ let keyable_field = function
   | Ip_proto -> Some (Key_ip_proto, 0xff)
   | Src_port -> Some (Key_src_port, 0xffff)
   | Dst_port -> Some (Key_dst_port, 0xffff)
-  | U16 (Abs, 12) -> Some (Key_ether_type, 0xffff) (* the EtherType slot *)
+  | U16 (Abs, o) when o = Proto.Ether.Off.etype ->
+      Some (Key_ether_type, 0xffff) (* the EtherType slot *)
   | _ -> None
 
 let key_of_conjunct = function
@@ -269,39 +270,45 @@ type demux = {
 }
 
 let frame_ether_type v =
-  if View.length v >= Proto.Ether.header_len then View.get_u16 v 12 else -1
+  if Proto.Ether.has_header v then Proto.Ether.get_etype v else -1
+
+(* Field positions within the frame, from the headers' own layout
+   declarations: IP follows the Ethernet header, and UDP and TCP share
+   the port slots at the start of the transport header. *)
+let l3 = Proto.Ether.header_len
+let l4 = l3 + Proto.Ipv4.header_len
 
 let frame_demux v =
   let len = View.length v in
   let dst_mac =
-    if len >= 6 then (View.get_u16 v 0 lsl 32) lor View.get_u32 v 2 else -1
+    if len >= Proto.Ether.Off.dst + 6 then
+      Proto.Ether.get_u48 v Proto.Ether.Off.dst
+    else -1
   in
   let ether_type = frame_ether_type v in
-  if
-    ether_type = Proto.Ether.etype_ip
-    && len >= Proto.Ether.header_len + Proto.Ipv4.header_len
-  then begin
-    let l3 = Proto.Ether.header_len in
+  if ether_type = Proto.Ether.etype_ip && len >= l4 then begin
     (* Treat a non-standard IHL like a fragment: the port slots below
        would be header bytes, not L4 ports. *)
     let fragment =
-      let frag = View.get_u16 v (l3 + 6) in
-      frag land 0x3fff <> 0 || View.get_u8 v l3 <> 0x45
+      let frag = View.get_u16 v (l3 + Proto.Ipv4.Off.flags_frag) in
+      frag land 0x3fff <> 0 || View.get_u8 v (l3 + Proto.Ipv4.Off.vihl) <> 0x45
     in
-    let ip_proto = View.get_u8 v (l3 + 9) in
+    let ip_proto = View.get_u8 v (l3 + Proto.Ipv4.Off.proto) in
     let ports =
       (not fragment)
       && (ip_proto = Proto.Ipv4.proto_udp || ip_proto = Proto.Ipv4.proto_tcp)
-      && len >= l3 + Proto.Ipv4.header_len + 4
+      && len >= l4 + Proto.Udp.Off.dst_port + 2
     in
     {
       dst_mac;
       ether_type;
       ip_proto;
-      src_addr = View.get_u32 v (l3 + 12);
-      dst_addr = View.get_u32 v (l3 + 16);
-      src_port = (if ports then View.get_u16 v (l3 + 20) else -1);
-      dst_port = (if ports then View.get_u16 v (l3 + 22) else -1);
+      src_addr = View.get_u32 v (l3 + Proto.Ipv4.Off.src);
+      dst_addr = View.get_u32 v (l3 + Proto.Ipv4.Off.dst);
+      src_port =
+        (if ports then View.get_u16 v (l4 + Proto.Udp.Off.src_port) else -1);
+      dst_port =
+        (if ports then View.get_u16 v (l4 + Proto.Udp.Off.dst_port) else -1);
       fragment;
     }
   end
@@ -344,9 +351,9 @@ let signature_of_demux d =
    bytes into the demux fields, so it is refused (cache bypass), as are
    fragments. *)
 let flow_signature ctx =
-  match (ctx.Pctx.l2, ctx.Pctx.ip) with
-  | None, None when ctx.Pctx.off = 0 && ctx.Pctx.src_port < 0 ->
-      let d = frame_demux (View.ro (Mbuf.view ctx.Pctx.pkt)) in
+  match ctx.Pctx.ip with
+  | None when ctx.Pctx.off = 0 && ctx.Pctx.src_port < 0 ->
+      let d = frame_demux ctx.Pctx.frame in
       if d.fragment then None else Some (signature_of_demux d)
   | _ -> None
 
@@ -358,7 +365,7 @@ let flow_signature ctx =
 let num_key_dims = 4
 
 let read_context_keys ctx dst =
-  dst.(0) <- frame_ether_type (View.ro (Mbuf.view ctx.Pctx.pkt));
+  dst.(0) <- frame_ether_type ctx.Pctx.frame;
   dst.(1) <- (match ctx.Pctx.ip with Some h -> h.Proto.Ipv4.proto | None -> -1);
   dst.(2) <- ctx.Pctx.src_port;
   dst.(3) <- ctx.Pctx.dst_port
@@ -386,7 +393,6 @@ type program = {
   code : inst array;
   entry : int;
   uses_cur : bool;
-  uses_abs : bool;
 }
 
 let ret_true = -1
@@ -419,15 +425,15 @@ let compile t =
   in
   let entry = emit t ~jt:ret_true ~jf:ret_false in
   let code = Array.of_list (List.rev !rev) in
-  let uses anchor =
+  let uses_cur =
     Array.exists
       (fun i ->
         match i.ifld with
-        | U8 (a, _) | U16 (a, _) | U32 (a, _) -> a = anchor
+        | U8 (Cur, _) | U16 (Cur, _) | U32 (Cur, _) -> true
         | _ -> false)
       code
   in
-  { code; entry; uses_cur = uses Cur; uses_abs = uses Abs }
+  { code; entry; uses_cur }
 
 let program_length p = Array.length p.code
 
@@ -449,9 +455,7 @@ let unavailable = min_int
 
 let run p ctx =
   let cur = if p.uses_cur then Pctx.view ctx else empty_view in
-  let abs =
-    if p.uses_abs then View.ro (Mbuf.view ctx.Pctx.pkt) else empty_view
-  in
+  let abs = ctx.Pctx.frame in
   let code = p.code in
   let rec go pc =
     if pc < 0 then pc = ret_true
@@ -506,7 +510,7 @@ let compile_guard t =
   fun ctx -> run p ctx
 
 (* Common building blocks. *)
-let ether_type_is etype = Eq (U16 (Abs, 12), etype)
+let ether_type_is etype = Eq (U16 (Abs, Proto.Ether.Off.etype), etype)
 let ip_proto_is proto = Eq (Ip_proto, proto)
 let dst_port_is port = Eq (Dst_port, port)
 let src_port_is port = Eq (Src_port, port)

@@ -128,8 +128,6 @@ let rx t ctx =
            past its end *)
         t.counters.malformed <- t.counters.malformed + 1
       else begin
-        let l2 = Proto.Ether.parse (Pctx.view ctx) in
-        let ctx = match l2 with Some h2 -> Pctx.with_l2 ctx h2 | None -> ctx in
         if h.Proto.Ipv4.more_fragments || h.Proto.Ipv4.frag_offset > 0 then begin
           let payload =
             View.sub v ~off:Proto.Ipv4.header_len
@@ -153,25 +151,25 @@ let rx t ctx =
         end
         else begin
           t.counters.delivered <- t.counters.delivered + 1;
-          let ctx =
-            Pctx.advance ctx (Proto.Ether.header_len + Proto.Ipv4.header_len)
-          in
-          (* strip link-layer padding below the IP total length *)
-          let l4_len = h.Proto.Ipv4.total_len - Proto.Ipv4.header_len in
-          let ctx =
-            if Pctx.payload_len ctx > l4_len then Pctx.with_limit ctx l4_len
-            else ctx
-          in
-          raise_recv t (Pctx.with_ip ctx h)
+          (* one next-layer context: past both headers, link-layer
+             padding below the IP total length stripped, header
+             attached *)
+          raise_recv t
+            (Pctx.advance_ip ctx
+               (Proto.Ether.header_len + Proto.Ipv4.header_len)
+               ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len)
+               h)
         end
       end
 
+(* Reads the destination MAC in place from the context's frame view. *)
 let mac_guard dev ctx =
-  match Proto.Ether.parse (Pctx.view ctx) with
-  | None -> false
-  | Some h ->
-      Proto.Ether.Mac.equal h.Proto.Ether.dst (Netsim.Dev.mac dev)
-      || Proto.Ether.Mac.equal h.Proto.Ether.dst Proto.Ether.Mac.broadcast
+  let f = ctx.Pctx.frame in
+  Proto.Ether.has_header f
+  &&
+  let dst = Proto.Ether.get_dst f in
+  Proto.Ether.Mac.equal dst (Netsim.Dev.mac dev)
+  || Proto.Ether.Mac.equal dst Proto.Ether.Mac.broadcast
 
 let attach t ether arp ~net ~mask_bits =
   t.routes <- t.routes @ [ { net; mask_bits; ether; arp } ];
@@ -221,9 +219,8 @@ let send t ?prio:p ~proto ~dst payload =
       if len + Proto.Ipv4.header_len <= mtu then begin
         Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out
           (fun () ->
-            Proto.Ipv4.encapsulate payload
-              (Proto.Ipv4.make ~id:(fresh_id t) ~proto ~src ~dst
-                 ~payload_len:len ());
+            Proto.Ipv4.push payload ~id:(fresh_id t) ~more_fragments:false
+              ~frag_offset:0 ~proto ~src ~dst;
             emit t route ~prio ~dst payload)
       end
       else begin
@@ -238,10 +235,8 @@ let send t ?prio:p ~proto ~dst payload =
           (fun () ->
             List.iter
               (fun (off8, more, fragment) ->
-                let frag_len = Mbuf.length fragment in
-                Proto.Ipv4.encapsulate fragment
-                  (Proto.Ipv4.make ~id ~more_fragments:more ~frag_offset:off8
-                     ~proto ~src ~dst ~payload_len:frag_len ());
+                Proto.Ipv4.push fragment ~id ~more_fragments:more
+                  ~frag_offset:off8 ~proto ~src ~dst;
                 emit t route ~prio ~dst fragment)
               frags)
       end

@@ -3,9 +3,11 @@
 type t = {
   dev : Netsim.Dev.t;
   pkt : Mbuf.ro Mbuf.t;
+  frame : View.ro View.t;
+      (** All of [pkt], viewed once by {!make}/{!with_payload}: guards
+          and layers read header fields through it in place. *)
   off : int;
   limit : int;
-  l2 : Proto.Ether.header option;
   ip : Proto.Ipv4.header option;
   src_port : int;
   dst_port : int;
@@ -14,18 +16,28 @@ type t = {
 val make : Netsim.Dev.t -> Mbuf.ro Mbuf.t -> t
 
 val view : t -> View.ro View.t
-(** The packet from the current layer's start on (zero-copy). *)
+(** The packet from the current layer's start on (zero-copy; the cached
+    frame view itself while the cursor spans the whole frame). *)
 
 val advance : t -> int -> t
 (** Step the cursor past a header. *)
 
-val with_l2 : t -> Proto.Ether.header -> t
 val with_ip : t -> Proto.Ipv4.header -> t
 val with_ports : t -> src_port:int -> dst_port:int -> t
 
 (** [with_limit t n] bounds the valid data to [n] bytes past the cursor
     (strips Ethernet padding below the IP total length). *)
 val with_limit : t -> int -> t
+
+val advance_ip : t -> int -> len:int -> Proto.Ipv4.header -> t
+(** [advance_ip t n ~len h] is the IP layer's next-layer context in one
+    record: {!advance} by [n], bound the data to at most [len] bytes past
+    the new cursor, and attach [h].
+    @raise Invalid_argument if [len] bytes past the cursor escape the
+    frame. *)
+
+val advance_ports : t -> int -> src_port:int -> dst_port:int -> t
+(** {!advance} and {!with_ports} in one record. *)
 
 val with_payload : t -> Mbuf.ro Mbuf.t -> t
 val payload_len : t -> int

@@ -80,9 +80,9 @@ let proto_guard t ctx =
       && ((t.excluded = [] && t.excluded_src = [])
          ||
          let v = Pctx.view ctx in
-         View.length v >= 4
-         && (not (List.mem (View.get_u16 v 2) t.excluded))
-         && not (List.mem (View.get_u16 v 0) t.excluded_src))
+         View.length v >= Proto.Tcp_wire.Off.dst_port + 2
+         && (not (List.mem (Proto.Tcp_wire.get_dst_port v) t.excluded))
+         && not (List.mem (Proto.Tcp_wire.get_src_port v) t.excluded_src))
   | None -> false
 
 (* Build the environment a connection's engine runs in: costs are charged
@@ -188,47 +188,50 @@ let drop_span graph ~reason =
 let rx t ctx =
   t.counters.rx <- t.counters.rx + 1;
   let v = Pctx.view ctx in
-  match Proto.Tcp_wire.parse v with
-  | None -> t.counters.no_match <- t.counters.no_match + 1
-  | Some (h, _) ->
-      let iph = Pctx.ip_exn ctx in
-      (* Verify before demultiplexing: the engine re-checks established
-         connections, but a corrupted segment must never select a
-         connection by its (possibly corrupted) ports, and a corrupted
-         SYN must never reach a listener (the engine skips verification
-         in Listen, where the peer address is not yet known).  The
-         dyncost on the install already charges for this pass. *)
-      if
-        not
-          (Proto.Tcp_wire.valid ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst
-             v)
-      then begin
-        t.counters.bad_checksum <- t.counters.bad_checksum + 1;
-        drop_span t.graph ~reason:"bad_checksum"
-      end
-      else
-      let key =
-        ( Proto.Ipaddr.to_int iph.Proto.Ipv4.src,
-          h.Proto.Tcp_wire.src_port,
-          h.Proto.Tcp_wire.dst_port )
-      in
-      (match Spin.Sharded.Table.find_opt t.conns key with
+  if not (Proto.Tcp_wire.has_header v) then
+    t.counters.no_match <- t.counters.no_match + 1
+  else begin
+    let iph = Pctx.ip_exn ctx in
+    (* Verify before demultiplexing: the engine re-checks established
+       connections, but a corrupted segment must never select a
+       connection by its (possibly corrupted) ports, and a corrupted SYN
+       must never reach a listener (the engine skips verification in
+       Listen, where the peer address is not yet known).  The dyncost on
+       the install already charges for this pass. *)
+    if
+      not
+        (Proto.Tcp_wire.valid ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst v)
+    then begin
+      t.counters.bad_checksum <- t.counters.bad_checksum + 1;
+      drop_span t.graph ~reason:"bad_checksum"
+    end
+    else begin
+      (* demultiplex on the ports read in place; the engine decodes the
+         segment itself *)
+      let src_port = Proto.Tcp_wire.get_src_port v
+      and dst_port = Proto.Tcp_wire.get_dst_port v in
+      let key = (Proto.Ipaddr.to_int iph.Proto.Ipv4.src, src_port, dst_port) in
+      match Spin.Sharded.Table.find_opt t.conns key with
       | Some conn -> Proto.Tcp.input conn.tcp v
       | None -> (
-          match Hashtbl.find_opt t.listeners h.Proto.Tcp_wire.dst_port with
+          match Hashtbl.find_opt t.listeners dst_port with
           | Some l
-            when Proto.Tcp_wire.Flags.test h.Proto.Tcp_wire.flags
+            when Proto.Tcp_wire.Flags.test (Proto.Tcp_wire.get_flags v)
                    Proto.Tcp_wire.Flags.syn ->
               t.counters.accepted <- t.counters.accepted + 1;
-              let conn, rref = make_conn t ~owner:l.l_owner ~cfg:l.l_cfg ~local_port:l.l_port in
-              let remote = (iph.Proto.Ipv4.src, h.Proto.Tcp_wire.src_port) in
+              let conn, rref =
+                make_conn t ~owner:l.l_owner ~cfg:l.l_cfg ~local_port:l.l_port
+              in
+              let remote = (iph.Proto.Ipv4.src, src_port) in
               register t conn ~remote rref;
               Proto.Tcp.set_remote conn.tcp ~remote;
               Proto.Tcp.set_iss conn.tcp (fresh_iss t);
               Proto.Tcp.listen conn.tcp;
               l.on_accept conn;
               Proto.Tcp.input conn.tcp v
-          | _ -> t.counters.no_match <- t.counters.no_match + 1))
+          | _ -> t.counters.no_match <- t.counters.no_match + 1)
+    end
+  end
 
 let ephemeral_lo = 32768
 let ephemeral_hi = 60999

@@ -45,7 +45,8 @@ let proto_guard t ctx =
       && (t.excluded = []
          ||
          let v = Pctx.view ctx in
-         View.length v < 4 || not (List.mem (View.get_u16 v 2) t.excluded))
+         View.length v < Proto.Udp.Off.dst_port + 2
+         || not (List.mem (Proto.Udp.get_dst_port v) t.excluded))
   | None -> false
 
 (* Flight-recorder terminal stages: a sampled packet's timeline ends
@@ -107,43 +108,38 @@ let create graph ip =
     t.counters.rx <- t.counters.rx + 1;
     let v = Pctx.view ctx in
     let iph = Pctx.ip_exn ctx in
+    (* [valid] checks the header fits, so the ports below are read in
+       place from a header that is there *)
     if not (Proto.Udp.valid ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst v)
     then begin
       t.counters.bad_checksum <- t.counters.bad_checksum + 1;
       drop_span graph ctx ~reason:"bad_checksum"
     end
     else begin
-      match Proto.Udp.parse v with
-      | None ->
-          t.counters.bad_checksum <- t.counters.bad_checksum + 1;
-          drop_span graph ctx ~reason:"bad_checksum"
-      | Some h ->
-          let ctx =
-            Pctx.with_ports
-              (Pctx.advance ctx Proto.Udp.header_len)
-              ~src_port:h.Proto.Udp.src_port ~dst_port:h.Proto.Udp.dst_port
-          in
-          if Spin.Sharded.Table.mem t.binds h.Proto.Udp.dst_port then begin
-            t.counters.delivered <- t.counters.delivered + 1;
-            (* only a sampled packet has a timeline to end: build its
-               stage label for it alone *)
-            if Mbuf.mark ctx.Pctx.pkt > 0 then
-              flight_finish graph ctx
-                (Observe.Flight.Deliver
-                   { scope = Printf.sprintf "udp:%d" h.Proto.Udp.dst_port });
-            Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
-          end
-          else begin
-            t.counters.no_port <- t.counters.no_port + 1;
-            drop_span graph ctx ~reason:"no_port";
-            (* BSD behaviour: answer with an ICMP port unreachable *)
-            t.counters.unreachable_sent <- t.counters.unreachable_sent + 1;
-            let original = View.to_string v in
-            let iph = Pctx.ip_exn ctx in
-            Ip_mgr.send t.ip ~proto:Proto.Ipv4.proto_icmp
-              ~dst:iph.Proto.Ipv4.src
-              (Proto.Icmp.to_packet (Proto.Icmp.port_unreachable ~original))
-          end
+      let dst_port = Proto.Udp.get_dst_port v in
+      let ctx =
+        Pctx.advance_ports ctx Proto.Udp.header_len
+          ~src_port:(Proto.Udp.get_src_port v) ~dst_port
+      in
+      if Spin.Sharded.Table.mem t.binds dst_port then begin
+        t.counters.delivered <- t.counters.delivered + 1;
+        (* only a sampled packet has a timeline to end: build its stage
+           label for it alone *)
+        if Mbuf.mark ctx.Pctx.pkt > 0 then
+          flight_finish graph ctx
+            (Observe.Flight.Deliver
+               { scope = Printf.sprintf "udp:%d" dst_port });
+        Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
+      end
+      else begin
+        t.counters.no_port <- t.counters.no_port + 1;
+        drop_span graph ctx ~reason:"no_port";
+        (* BSD behaviour: answer with an ICMP port unreachable *)
+        t.counters.unreachable_sent <- t.counters.unreachable_sent + 1;
+        let original = View.to_string v in
+        Ip_mgr.send t.ip ~proto:Proto.Ipv4.proto_icmp ~dst:iph.Proto.Ipv4.src
+          (Proto.Icmp.to_packet (Proto.Icmp.port_unreachable ~original))
+      end
     end
   in
   let (_ : unit -> unit) =

@@ -8,11 +8,11 @@
    have odd length — no pullup, no flattening.  A byte-at-a-time
    implementation is kept as executable reference semantics. *)
 
-(* Running state: the unfolded sum plus whether the byte count so far is
-   odd (i.e. the last byte consumed was the high half of an open word). *)
-let fold16 (sum, odd) (v : _ View.t) =
-  let data = View.unsafe_data v and off = View.unsafe_off v in
-  let len = View.length v in
+(* Add [len] bytes of [data] from [off] to the running (unfolded) sum.
+   [odd] says the byte count before this window is odd, i.e. the last
+   byte consumed was the high half of an open word.  The caller carries
+   that parity across windows: it flips exactly when [len] is odd. *)
+let add_bytes sum ~odd data off len =
   let sum = ref sum and i = ref 0 in
   if odd && len > 0 then begin
     (* complete the word opened by the previous window: its high byte is
@@ -39,9 +39,11 @@ let fold16 (sum, odd) (v : _ View.t) =
   done;
   if !i < len then
     sum := !sum + (Char.code (Bytes.get data (off + !i)) lsl 8);
-  (!sum, if len = 0 then odd else odd <> (len land 1 = 1))
+  !sum
 
-let fold_words acc v = fst (fold16 (acc, false) v)
+let fold_words acc v =
+  add_bytes acc ~odd:false (View.unsafe_data v) (View.unsafe_off v)
+    (View.length v)
 
 let finish sum =
   let s = ref sum in
@@ -52,9 +54,35 @@ let finish sum =
 
 let of_view v = finish (fold_words 0 v)
 
-let of_views vs = finish (fst (List.fold_left fold16 (0, false) vs))
+let of_sub v ~off ~len =
+  if off < 0 || len < 0 || off + len > View.length v then
+    raise
+      (View.Out_of_bounds { index = off; width = len; length = View.length v });
+  finish
+    (add_bytes 0 ~odd:false (View.unsafe_data v) (View.unsafe_off v + off) len)
 
-let of_mbuf m = of_views (Mbuf.views m)
+let of_views vs =
+  let rec go sum odd = function
+    | [] -> finish sum
+    | v :: rest ->
+        let len = View.length v in
+        go
+          (add_bytes sum ~odd (View.unsafe_data v) (View.unsafe_off v) len)
+          (odd <> (len land 1 = 1))
+          rest
+  in
+  go 0 false vs
+
+(* Chain fold with no list and no tuple: the parity rides in the low bit
+   of the state, the running sum above it. *)
+let seg_step st data off len =
+  let odd = st land 1 = 1 in
+  let sum = add_bytes (st asr 1) ~odd data off len in
+  (sum lsl 1) lor (if odd <> (len land 1 = 1) then 1 else 0)
+
+let fold_mbuf acc m = Mbuf.unsafe_fold_segs seg_step (acc lsl 1) m asr 1
+
+let of_mbuf m = finish (fold_mbuf 0 m)
 
 (* ---- reference semantics: one byte at a time ------------------------- *)
 

@@ -15,9 +15,20 @@ val of_views : _ View.t list -> int
     materializing the concatenation.  Windows of any length compose
     correctly. *)
 
+val of_sub : _ View.t -> off:int -> len:int -> int
+(** Checksum of [len] bytes of a window from [off], with no sub-view
+    built.  @raise View.Out_of_bounds if the range escapes the window. *)
+
 val of_mbuf : _ Mbuf.t -> int
-(** Checksum of an mbuf chain, zero-copy ({!of_views} over its
-    segments). *)
+(** Checksum of an mbuf chain: zero-copy and allocation-free, folded
+    segment by segment (see {!fold_mbuf}). *)
+
+val fold_mbuf : int -> _ Mbuf.t -> int
+(** [fold_mbuf acc m] accumulates the chain's bytes into a running
+    (unfolded) sum, starting on a word boundary, with no list or view
+    built.  Seeding [acc] with a pseudo-header sum (e.g.
+    [Proto.Ipv4.pseudo_sum]) checksums a UDP or TCP datagram in place;
+    {!finish} completes it. *)
 
 val of_view_bytewise : _ View.t -> int
 (** Reference implementation: one byte at a time. *)

@@ -184,6 +184,19 @@ let views (t : 'p t) : 'p View.t list =
   iter_segs (fun seg -> acc := View.unsafe_cast (seg_view seg) :: !acc) t;
   List.rev !acc
 
+(* Allocation-free, in-order walk over the segments' byte windows (for
+   the checksum fold): [front] forwards, then the reversed [back] list
+   by recursion, so no list is rebuilt. *)
+let rec fold_front f acc = function
+  | [] -> acc
+  | seg :: tl -> fold_front f (f acc seg.store.data seg.off seg.len) tl
+
+let rec fold_back f acc = function
+  | [] -> acc
+  | seg :: tl -> f (fold_back f acc tl) seg.store.data seg.off seg.len
+
+let unsafe_fold_segs f acc t = fold_back f (fold_front f acc t.front) t.back
+
 let ro (t : _ t) : ro t = t
 
 (* Uncounted flatten for structural operations (equality, debug print);

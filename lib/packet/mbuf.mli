@@ -120,3 +120,11 @@ val sub_copy : _ t -> off:int -> len:int -> rw t
 val to_string : _ t -> string
 val equal : _ t -> _ t -> bool
 val pp : Format.formatter -> _ t -> unit
+
+(**/**)
+
+val unsafe_fold_segs : ('a -> Bytes.t -> int -> int -> 'a) -> 'a -> _ t -> 'a
+(** [unsafe_fold_segs f acc t] folds [f acc data off len] over the
+    chain's segment windows in order, allocating nothing.  For trusted
+    packet-library code (the checksum); never use from protocol or
+    extension code. *)

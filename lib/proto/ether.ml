@@ -29,26 +29,43 @@ let crc_len = 4
 
 type header = { dst : Mac.t; src : Mac.t; etype : int }
 
+(* The header layout, declared once: each field's byte offset.  [parse],
+   [write] and the in-place accessors below all read these. *)
+module Off = struct
+  let dst = 0
+  let src = 6
+  let etype = 12
+end
+
 let get_u48 v i = (View.get_u16 v i lsl 32) lor View.get_u32 v (i + 2)
 
 let set_u48 v i x =
   View.set_u16 v i ((x lsr 32) land 0xffff);
   View.set_u32 v (i + 2) (x land 0xffffffff)
 
+(* In-place field access: one bounds-checked load per field, no record.
+   Meaningful when [has_header] holds (it is exactly [parse]'s test). *)
+let has_header v = View.length v >= header_len
+let get_dst v = get_u48 v Off.dst
+let get_src v = get_u48 v Off.src
+let get_etype v = View.get_u16 v Off.etype
+
+let set_fields v ~dst ~src ~etype =
+  set_u48 v Off.dst dst;
+  set_u48 v Off.src src;
+  View.set_u16 v Off.etype etype
+
 let parse v =
-  if View.length v < header_len then None
-  else
-    Some { dst = get_u48 v 0; src = get_u48 v 6; etype = View.get_u16 v 12 }
+  if not (has_header v) then None
+  else Some { dst = get_dst v; src = get_src v; etype = get_etype v }
 
-let write v { dst; src; etype } =
-  set_u48 v 0 dst;
-  set_u48 v 6 src;
-  View.set_u16 v 12 etype
+let write v { dst; src; etype } = set_fields v ~dst ~src ~etype
 
-(* Push an Ethernet header onto a packet. *)
-let encapsulate pkt hdr =
-  let v = Mbuf.prepend pkt header_len in
-  write v hdr
+(* Push an Ethernet header onto a packet, written in place. *)
+let push pkt ~dst ~src ~etype =
+  set_fields (Mbuf.prepend pkt header_len) ~dst ~src ~etype
+
+let encapsulate pkt { dst; src; etype } = push pkt ~dst ~src ~etype
 
 let pp_header ppf h =
   Fmt.pf ppf "eth{%a -> %a type=0x%04x}" Mac.pp h.src Mac.pp h.dst h.etype

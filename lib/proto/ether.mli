@@ -28,13 +28,35 @@ val crc_len : int
 
 type header = { dst : Mac.t; src : Mac.t; etype : int }
 
+(** Field byte offsets within the header: the one declaration of its
+    layout, shared by {!parse}, {!write} and the accessors. *)
+module Off : sig
+  val dst : int
+  val src : int
+  val etype : int
+end
+
 val parse : _ View.t -> header option
 (** Decode the header at the start of the view; [None] if too short. *)
 
 val write : View.rw View.t -> header -> unit
 
+(** {1 In-place access}
+
+    Read one field where it lies, with one bounds check and no
+    record.  [has_header v] holds exactly when [parse v] is [Some _]; a
+    getter on a shorter view raises [View.Out_of_bounds]. *)
+
+val has_header : _ View.t -> bool
+val get_dst : _ View.t -> Mac.t
+val get_src : _ View.t -> Mac.t
+val get_etype : _ View.t -> int
+
+val push : Mbuf.rw Mbuf.t -> dst:Mac.t -> src:Mac.t -> etype:int -> unit
+(** Prepend an Ethernet header, written field by field. *)
+
 val encapsulate : Mbuf.rw Mbuf.t -> header -> unit
-(** Prepend an Ethernet header to a packet. *)
+(** {!push} from a header record. *)
 
 val pp_header : Format.formatter -> header -> unit
 

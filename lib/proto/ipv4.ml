@@ -38,67 +38,105 @@ let make ?(tos = 0) ?(id = 0) ?(dont_fragment = false) ?(more_fragments = false)
     dst;
   }
 
+(* The header layout, declared once: each field's byte offset.  [parse],
+   [write], the checksum and the in-place accessors below all read
+   these. *)
+module Off = struct
+  let vihl = 0
+  let tos = 1
+  let total_len = 2
+  let id = 4
+  let flags_frag = 6
+  let ttl = 8
+  let proto = 9
+  let cksum = 10
+  let src = 12
+  let dst = 16
+end
+
+let flag_df = 0x4000
+let flag_mf = 0x2000
+let frag_mask = 0x1fff
+
+(* In-place field access: one bounds-checked load per field, no record.
+   [has_header] is exactly [parse]'s acceptance test. *)
+let has_header v =
+  View.length v >= header_len && View.get_u8 v Off.vihl = 0x45
+
+let get_tos v = View.get_u8 v Off.tos
+let get_total_len v = View.get_u16 v Off.total_len
+let get_id v = View.get_u16 v Off.id
+let get_flags_frag v = View.get_u16 v Off.flags_frag
+let get_ttl v = View.get_u8 v Off.ttl
+let get_proto v = View.get_u8 v Off.proto
+let get_src v = Ipaddr.of_int (View.get_u32 v Off.src)
+let get_dst v = Ipaddr.of_int (View.get_u32 v Off.dst)
+
+let flags_frag ~dont_fragment ~more_fragments ~frag_offset =
+  (if dont_fragment then flag_df else 0)
+  lor (if more_fragments then flag_mf else 0)
+  lor (frag_offset land frag_mask)
+
 let parse v =
-  if View.length v < header_len then None
+  if not (has_header v) then None
   else begin
-    let vihl = View.get_u8 v 0 in
-    if vihl lsr 4 <> 4 || vihl land 0xf <> 5 then None
-    else begin
-      let flags_frag = View.get_u16 v 6 in
-      Some
-        {
-          tos = View.get_u8 v 1;
-          total_len = View.get_u16 v 2;
-          id = View.get_u16 v 4;
-          dont_fragment = flags_frag land 0x4000 <> 0;
-          more_fragments = flags_frag land 0x2000 <> 0;
-          frag_offset = flags_frag land 0x1fff;
-          ttl = View.get_u8 v 8;
-          proto = View.get_u8 v 9;
-          src = Ipaddr.of_int (View.get_u32 v 12);
-          dst = Ipaddr.of_int (View.get_u32 v 16);
-        }
-    end
+    let ff = get_flags_frag v in
+    Some
+      {
+        tos = get_tos v;
+        total_len = get_total_len v;
+        id = get_id v;
+        dont_fragment = ff land flag_df <> 0;
+        more_fragments = ff land flag_mf <> 0;
+        frag_offset = ff land frag_mask;
+        ttl = get_ttl v;
+        proto = get_proto v;
+        src = get_src v;
+        dst = get_dst v;
+      }
   end
 
+(* Write every field, then the header checksum over them. *)
+let set_fields v ~tos ~total_len ~id ~flags_frag ~ttl ~proto ~src ~dst =
+  View.set_u8 v Off.vihl 0x45;
+  View.set_u8 v Off.tos tos;
+  View.set_u16 v Off.total_len total_len;
+  View.set_u16 v Off.id id;
+  View.set_u16 v Off.flags_frag flags_frag;
+  View.set_u8 v Off.ttl ttl;
+  View.set_u8 v Off.proto proto;
+  View.set_u16 v Off.cksum 0;
+  View.set_u32 v Off.src (Ipaddr.to_int src);
+  View.set_u32 v Off.dst (Ipaddr.to_int dst);
+  View.set_u16 v Off.cksum (Cksum.of_sub v ~off:0 ~len:header_len)
+
 let write v h =
-  View.set_u8 v 0 0x45;
-  View.set_u8 v 1 h.tos;
-  View.set_u16 v 2 h.total_len;
-  View.set_u16 v 4 h.id;
-  let flags_frag =
-    (if h.dont_fragment then 0x4000 else 0)
-    lor (if h.more_fragments then 0x2000 else 0)
-    lor (h.frag_offset land 0x1fff)
-  in
-  View.set_u16 v 6 flags_frag;
-  View.set_u8 v 8 h.ttl;
-  View.set_u8 v 9 h.proto;
-  View.set_u16 v 10 0;
-  View.set_u32 v 12 (Ipaddr.to_int h.src);
-  View.set_u32 v 16 (Ipaddr.to_int h.dst);
-  let c = Cksum.of_view (View.ro (View.sub v ~off:0 ~len:header_len)) in
-  View.set_u16 v 10 c
+  set_fields v ~tos:h.tos ~total_len:h.total_len ~id:h.id
+    ~flags_frag:
+      (flags_frag ~dont_fragment:h.dont_fragment
+         ~more_fragments:h.more_fragments ~frag_offset:h.frag_offset)
+    ~ttl:h.ttl ~proto:h.proto ~src:h.src ~dst:h.dst
 
 let checksum_valid v =
-  View.length v >= header_len
-  && Cksum.valid (View.sub (View.ro v) ~off:0 ~len:header_len)
+  View.length v >= header_len && Cksum.of_sub v ~off:0 ~len:header_len = 0
 
 (* Push an IP header onto a packet whose current contents are the
-   payload. *)
+   payload, written in place (TOS 0, default TTL). *)
+let push pkt ~id ~more_fragments ~frag_offset ~proto ~src ~dst =
+  let total_len = header_len + Mbuf.length pkt in
+  set_fields (Mbuf.prepend pkt header_len) ~tos:0 ~total_len ~id
+    ~flags_frag:(flags_frag ~dont_fragment:false ~more_fragments ~frag_offset)
+    ~ttl:default_ttl ~proto ~src ~dst
+
 let encapsulate pkt h =
   let v = Mbuf.prepend pkt header_len in
   write v h
 
-(* The 12-byte pseudo-header used by UDP and TCP checksums. *)
-let pseudo_header ~src ~dst ~proto ~len =
-  let v = View.create 12 in
-  View.set_u32 v 0 (Ipaddr.to_int src);
-  View.set_u32 v 4 (Ipaddr.to_int dst);
-  View.set_u8 v 8 0;
-  View.set_u8 v 9 proto;
-  View.set_u16 v 10 len;
-  View.ro v
+(* The UDP/TCP pseudo-header (source, destination, zero, protocol,
+   length) as a running checksum sum: the 32-bit addresses fold to the
+   sum of their 16-bit halves, so no 12-byte header is ever built. *)
+let pseudo_sum ~src ~dst ~proto ~len =
+  Ipaddr.to_int src + Ipaddr.to_int dst + proto + len
 
 let pp_header ppf h =
   Fmt.pf ppf "ip{%a -> %a proto=%d len=%d id=%d%s}" Ipaddr.pp h.src Ipaddr.pp

@@ -24,6 +24,21 @@ val make :
   ?frag_offset:int -> ?ttl:int -> proto:int -> src:Ipaddr.t -> dst:Ipaddr.t ->
   payload_len:int -> unit -> header
 
+(** Field byte offsets within the header: the one declaration of its
+    layout, shared by {!parse}, {!write} and the accessors. *)
+module Off : sig
+  val vihl : int
+  val tos : int
+  val total_len : int
+  val id : int
+  val flags_frag : int
+  val ttl : int
+  val proto : int
+  val cksum : int
+  val src : int
+  val dst : int
+end
+
 val parse : _ View.t -> header option
 (** Decode (and structurally validate) the header at the start of the
     view.  Does not verify the checksum; see {!checksum_valid}. *)
@@ -31,13 +46,39 @@ val parse : _ View.t -> header option
 val write : View.rw View.t -> header -> unit
 (** Encode the header, computing its checksum. *)
 
+(** {1 In-place access}
+
+    Read one field where it lies, with one bounds check and no record.
+    [has_header v] holds exactly when [parse v] is [Some _]; a getter on
+    a shorter view raises [View.Out_of_bounds]. *)
+
+val has_header : _ View.t -> bool
+val get_tos : _ View.t -> int
+val get_total_len : _ View.t -> int
+val get_id : _ View.t -> int
+
+val get_flags_frag : _ View.t -> int
+(** The raw flags/fragment-offset word (DF 0x4000, MF 0x2000, offset in
+    the low 13 bits). *)
+
+val get_ttl : _ View.t -> int
+val get_proto : _ View.t -> int
+val get_src : _ View.t -> Ipaddr.t
+val get_dst : _ View.t -> Ipaddr.t
+
 val checksum_valid : _ View.t -> bool
+
+val push :
+  Mbuf.rw Mbuf.t -> id:int -> more_fragments:bool -> frag_offset:int ->
+  proto:int -> src:Ipaddr.t -> dst:Ipaddr.t -> unit
+(** Prepend an IP header (TOS 0, default TTL, DF clear) written field by
+    field, with no header record. *)
 
 val encapsulate : Mbuf.rw Mbuf.t -> header -> unit
 (** Prepend an IP header to a payload packet. *)
 
-val pseudo_header :
-  src:Ipaddr.t -> dst:Ipaddr.t -> proto:int -> len:int -> View.ro View.t
-(** The UDP/TCP checksum pseudo-header. *)
+val pseudo_sum : src:Ipaddr.t -> dst:Ipaddr.t -> proto:int -> len:int -> int
+(** The UDP/TCP checksum pseudo-header as a running sum, to seed
+    [Cksum.fold_words] or [Cksum.fold_mbuf]. *)
 
 val pp_header : Format.formatter -> header -> unit

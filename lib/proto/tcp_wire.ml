@@ -50,40 +50,70 @@ type header = {
   window : int;
 }
 
+(* The header layout, declared once: each field's byte offset.  [parse],
+   [write] and the in-place accessors below all read these. *)
+module Off = struct
+  let src_port = 0
+  let dst_port = 2
+  let seq = 4
+  let ack = 8
+  let data_off = 12
+  let flags = 13
+  let window = 14
+  let cksum = 16
+  let urgent = 18
+end
+
+(* In-place field access: one bounds-checked load per field, no record.
+   [has_header] is exactly [parse]'s acceptance test: a header that
+   fits, with a data offset between 20 bytes and the segment's end. *)
+let get_data_off v = (View.get_u8 v Off.data_off lsr 4) * 4
+
+let has_header v =
+  View.length v >= header_len
+  &&
+  let d = get_data_off v in
+  d >= header_len && d <= View.length v
+
+let get_src_port v = View.get_u16 v Off.src_port
+let get_dst_port v = View.get_u16 v Off.dst_port
+let get_seq v = Seq.of_int (View.get_u32 v Off.seq)
+let get_ack v = Seq.of_int (View.get_u32 v Off.ack)
+let get_flags v = View.get_u8 v Off.flags land 0x3f
+let get_window v = View.get_u16 v Off.window
+
 let parse v =
-  if View.length v < header_len then None
-  else begin
-    let data_off = View.get_u8 v 12 lsr 4 in
-    if data_off < 5 || data_off * 4 > View.length v then None
-    else
-      Some
-        ( {
-            src_port = View.get_u16 v 0;
-            dst_port = View.get_u16 v 2;
-            seq = Seq.of_int (View.get_u32 v 4);
-            ack = Seq.of_int (View.get_u32 v 8);
-            flags = View.get_u8 v 13 land 0x3f;
-            window = View.get_u16 v 14;
-          },
-          data_off * 4 )
-  end
+  if not (has_header v) then None
+  else
+    Some
+      ( {
+          src_port = get_src_port v;
+          dst_port = get_dst_port v;
+          seq = get_seq v;
+          ack = get_ack v;
+          flags = get_flags v;
+          window = get_window v;
+        },
+        get_data_off v )
 
 let write v h =
-  View.set_u16 v 0 h.src_port;
-  View.set_u16 v 2 h.dst_port;
-  View.set_u32 v 4 (Seq.to_int h.seq);
-  View.set_u32 v 8 (Seq.to_int h.ack);
-  View.set_u8 v 12 (5 lsl 4);
-  View.set_u8 v 13 h.flags;
-  View.set_u16 v 14 h.window;
-  View.set_u16 v 16 0;
-  View.set_u16 v 18 0
+  View.set_u16 v Off.src_port h.src_port;
+  View.set_u16 v Off.dst_port h.dst_port;
+  View.set_u32 v Off.seq (Seq.to_int h.seq);
+  View.set_u32 v Off.ack (Seq.to_int h.ack);
+  View.set_u8 v Off.data_off ((header_len / 4) lsl 4);
+  View.set_u8 v Off.flags h.flags;
+  View.set_u16 v Off.window h.window;
+  View.set_u16 v Off.cksum 0;
+  View.set_u16 v Off.urgent 0
 
-let compute_cksum ~src ~dst v =
-  let pseudo =
-    Ipv4.pseudo_header ~src ~dst ~proto:Ipv4.proto_tcp ~len:(View.length v)
-  in
-  Cksum.of_views [ pseudo; View.ro v ]
+(* The pseudo-header sum seeds the fold over the segment in place. *)
+let segment_sum ~src ~dst v =
+  Cksum.fold_words
+    (Ipv4.pseudo_sum ~src ~dst ~proto:Ipv4.proto_tcp ~len:(View.length v))
+    v
+
+let compute_cksum ~src ~dst v = Cksum.finish (segment_sum ~src ~dst v)
 
 (* Build a full segment packet: header + payload, checksummed. *)
 let to_packet ~src ~dst h payload =
@@ -91,17 +121,11 @@ let to_packet ~src ~dst h payload =
   let v = Mbuf.view pkt in
   write v h;
   View.set_string v ~off:header_len payload;
-  let c = compute_cksum ~src ~dst (View.ro v) in
-  View.set_u16 v 16 c;
+  View.set_u16 v Off.cksum (compute_cksum ~src ~dst v);
   pkt
 
 let valid ~src ~dst v =
-  View.length v >= header_len
-  &&
-  let pseudo =
-    Ipv4.pseudo_header ~src ~dst ~proto:Ipv4.proto_tcp ~len:(View.length v)
-  in
-  Cksum.of_views [ pseudo; View.ro v ] = 0
+  View.length v >= header_len && Cksum.finish (segment_sum ~src ~dst v) = 0
 
 let pp_header ppf h =
   Fmt.pf ppf "tcp{%d -> %d seq=%d ack=%d %a win=%d}" h.src_port h.dst_port

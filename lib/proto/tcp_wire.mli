@@ -39,10 +39,41 @@ type header = {
   window : int;
 }
 
+(** Field byte offsets within the header: the one declaration of its
+    layout, shared by {!parse}, {!write} and the accessors. *)
+module Off : sig
+  val src_port : int
+  val dst_port : int
+  val seq : int
+  val ack : int
+  val data_off : int
+  val flags : int
+  val window : int
+  val cksum : int
+  val urgent : int
+end
+
 val parse : _ View.t -> (header * int) option
 (** [(header, data_offset_bytes)] of the segment at the view's start. *)
 
 val write : View.rw View.t -> header -> unit
+
+(** {1 In-place access}
+
+    Read one field where it lies, with one bounds check and no record.
+    [has_header v] holds exactly when [parse v] is [Some _]; a getter on
+    a shorter view raises [View.Out_of_bounds]. *)
+
+val has_header : _ View.t -> bool
+val get_src_port : _ View.t -> int
+val get_dst_port : _ View.t -> int
+val get_seq : _ View.t -> Seq.t
+val get_ack : _ View.t -> Seq.t
+val get_flags : _ View.t -> Flags.t
+val get_window : _ View.t -> int
+
+val get_data_off : _ View.t -> int
+(** The data offset, in bytes. *)
 
 val compute_cksum : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> int
 
@@ -51,5 +82,7 @@ val to_packet :
 (** Encode a checksummed segment (header + payload). *)
 
 val valid : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> bool
+(** Checksum validation of a segment view, in place: no record, no
+    pseudo-header, no allocation. *)
 
 val pp_header : Format.formatter -> header -> unit

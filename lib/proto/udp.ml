@@ -7,60 +7,74 @@ let header_len = 8
 
 type header = { src_port : int; dst_port : int; len : int; cksum : int }
 
+(* The header layout, declared once: each field's byte offset.  [parse],
+   [write] and the in-place accessors below all read these. *)
+module Off = struct
+  let src_port = 0
+  let dst_port = 2
+  let len = 4
+  let cksum = 6
+end
+
+(* In-place field access: one bounds-checked load per field, no record.
+   [has_header] is exactly [parse]'s acceptance test. *)
+let has_header v = View.length v >= header_len
+let get_src_port v = View.get_u16 v Off.src_port
+let get_dst_port v = View.get_u16 v Off.dst_port
+let get_len v = View.get_u16 v Off.len
+let get_cksum v = View.get_u16 v Off.cksum
+
+let set_fields v ~src_port ~dst_port ~len ~cksum =
+  View.set_u16 v Off.src_port src_port;
+  View.set_u16 v Off.dst_port dst_port;
+  View.set_u16 v Off.len len;
+  View.set_u16 v Off.cksum cksum
+
 let parse v =
-  if View.length v < header_len then None
+  if not (has_header v) then None
   else
     Some
       {
-        src_port = View.get_u16 v 0;
-        dst_port = View.get_u16 v 2;
-        len = View.get_u16 v 4;
-        cksum = View.get_u16 v 6;
+        src_port = get_src_port v;
+        dst_port = get_dst_port v;
+        len = get_len v;
+        cksum = get_cksum v;
       }
 
 let write v { src_port; dst_port; len; cksum } =
-  View.set_u16 v 0 src_port;
-  View.set_u16 v 2 dst_port;
-  View.set_u16 v 4 len;
-  View.set_u16 v 6 cksum
+  set_fields v ~src_port ~dst_port ~len ~cksum
+
+(* RFC 768: a checksum that computes to 0 is transmitted as all-ones (0
+   means "no checksum"). *)
+let wire_cksum = function 0 -> 0xffff | c -> c
+
+let pseudo ~src ~dst ~len = Ipv4.pseudo_sum ~src ~dst ~proto:Ipv4.proto_udp ~len
 
 let compute_cksum ~src ~dst v =
-  let pseudo = Ipv4.pseudo_header ~src ~dst ~proto:Ipv4.proto_udp ~len:(View.length v) in
-  match Cksum.of_views [ pseudo; View.ro v ] with
-  | 0 -> 0xffff (* RFC 768: transmitted as all-ones when it computes to 0 *)
-  | c -> c
+  wire_cksum
+    (Cksum.finish (Cksum.fold_words (pseudo ~src ~dst ~len:(View.length v)) v))
 
 (* Prepend a UDP header to a payload packet.  [checksum:false] writes 0,
-   which RFC 768 defines as "no checksum".  The checksum folds over the
-   chain's segments in place — a scatter-gather payload is neither pulled
-   up nor copied. *)
+   which RFC 768 defines as "no checksum".  The checksum folds the
+   pseudo-header sum and then the chain's segments in place — a
+   scatter-gather payload is neither pulled up nor copied. *)
 let encapsulate ?(checksum = true) pkt ~src ~dst ~src_port ~dst_port =
   let len = header_len + Mbuf.length pkt in
   let v = Mbuf.prepend pkt header_len in
-  write v { src_port; dst_port; len; cksum = 0 };
-  if checksum then begin
-    let pseudo = Ipv4.pseudo_header ~src ~dst ~proto:Ipv4.proto_udp ~len in
-    let c =
-      match Cksum.of_views (View.ro pseudo :: Mbuf.views (Mbuf.ro pkt)) with
-      | 0 -> 0xffff (* RFC 768: transmitted as all-ones when it computes to 0 *)
-      | c -> c
-    in
-    View.set_u16 v 6 c
-  end
+  set_fields v ~src_port ~dst_port ~len ~cksum:0;
+  if checksum then
+    View.set_u16 v Off.cksum
+      (wire_cksum (Cksum.finish (Cksum.fold_mbuf (pseudo ~src ~dst ~len) pkt)))
 
-(* Validate a datagram (header + payload view).  A zero checksum field
-   means the sender disabled checksumming. *)
+(* Validate a datagram (header + payload view), reading the header in
+   place.  A zero checksum field means the sender disabled
+   checksumming. *)
 let valid ~src ~dst v =
-  match parse v with
-  | None -> false
-  | Some h ->
-      h.len = View.length v
-      && (h.cksum = 0
-          ||
-          let pseudo =
-            Ipv4.pseudo_header ~src ~dst ~proto:Ipv4.proto_udp ~len:h.len
-          in
-          Cksum.of_views [ pseudo; View.ro v ] = 0)
+  has_header v
+  && get_len v = View.length v
+  && (get_cksum v = 0
+     || Cksum.finish (Cksum.fold_words (pseudo ~src ~dst ~len:(get_len v)) v)
+        = 0)
 
 let pp_header ppf h =
   Fmt.pf ppf "udp{%d -> %d len=%d}" h.src_port h.dst_port h.len

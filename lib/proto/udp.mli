@@ -7,8 +7,29 @@ val header_len : int
 
 type header = { src_port : int; dst_port : int; len : int; cksum : int }
 
+(** Field byte offsets within the header: the one declaration of its
+    layout, shared by {!parse}, {!write} and the accessors. *)
+module Off : sig
+  val src_port : int
+  val dst_port : int
+  val len : int
+  val cksum : int
+end
+
 val parse : _ View.t -> header option
 val write : View.rw View.t -> header -> unit
+
+(** {1 In-place access}
+
+    Read one field where it lies, with one bounds check and no
+    record.  [has_header v] holds exactly when [parse v] is [Some _]; a
+    getter on a shorter view raises [View.Out_of_bounds]. *)
+
+val has_header : _ View.t -> bool
+val get_src_port : _ View.t -> int
+val get_dst_port : _ View.t -> int
+val get_len : _ View.t -> int
+val get_cksum : _ View.t -> int
 
 val compute_cksum : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> int
 (** Checksum of a full datagram view whose checksum field is zero. *)
@@ -20,6 +41,7 @@ val encapsulate :
     zero checksum ("no checksum" per RFC 768). *)
 
 val valid : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> bool
-(** Length and checksum validation of a datagram view (header+payload). *)
+(** Length and checksum validation of a datagram view (header+payload),
+    in place: no record, no pseudo-header, no allocation. *)
 
 val pp_header : Format.formatter -> header -> unit
