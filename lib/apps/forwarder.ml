@@ -75,8 +75,9 @@ let redirect t ctx ~new_src ~new_dst ~port_off ~new_port =
   let iph = Plexus.Pctx.ip_exn ctx in
   if iph.Proto.Ipv4.ttl <= 1 then begin
     t.counters.ttl_drops <- t.counters.ttl_drops + 1;
-    Plexus.Ip_mgr.send (Plexus.Stack.ip t.stack) ~proto:Proto.Ipv4.proto_icmp
-      ~dst:iph.Proto.Ipv4.src
+    let ip = Plexus.Stack.ip t.stack and dst = iph.Proto.Ipv4.src in
+    Plexus.Ip_mgr.send ip (Plexus.Ip_mgr.prio ip ~dst)
+      ~proto:Proto.Ipv4.proto_icmp ~dst
       (Proto.Icmp.to_packet
          (Proto.Icmp.time_exceeded
             ~original:(View.to_string (Plexus.Pctx.view ctx))));

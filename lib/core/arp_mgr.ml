@@ -22,7 +22,8 @@ let send_arp t msg =
     if msg.Proto.Arp.op = Proto.Arp.op_request then Proto.Ether.Mac.broadcast
     else msg.Proto.Arp.target_mac
   in
-  Ether_mgr.send t.ether ~dst ~etype:Proto.Ether.etype_arp pkt
+  Ether_mgr.send t.ether (Ether_mgr.prio t.ether) ~dst
+    ~etype:Proto.Ether.etype_arp pkt
 
 let create ?(retry_interval = Sim.Stime.s 1) ?(max_retries = 3) graph ether
     ~ip =
@@ -115,18 +116,21 @@ let rec arm_retry t dst =
                arm_retry t dst
              end))
 
+let cached t dst =
+  Proto.Arp.Cache.find_mac t.cache ~now:(Sim.Engine.now t.engine) dst
+
 (* Resolve an IP address to a MAC, asynchronously on a miss. *)
 let resolve t dst k =
-  let now = Sim.Engine.now t.engine in
-  match Proto.Arp.Cache.lookup t.cache ~now dst with
-  | Some mac -> k mac
-  | None ->
-      Proto.Arp.Cache.wait t.cache dst k;
-      if not (Hashtbl.mem t.pending dst) then begin
-        Hashtbl.replace t.pending dst 1;
-        send_request t dst;
-        arm_retry t dst
-      end
+  let mac = cached t dst in
+  if not (Proto.Ether.Mac.equal mac Proto.Ether.Mac.none) then k mac
+  else begin
+    Proto.Arp.Cache.wait t.cache dst k;
+    if not (Hashtbl.mem t.pending dst) then begin
+      Hashtbl.replace t.pending dst 1;
+      send_request t dst;
+      arm_retry t dst
+    end
+  end
 
 (* Pre-populate the cache (experiments measure steady state, as the
    paper's do).  The entry is static: a run long enough to outlive the

@@ -6,6 +6,11 @@ val create :
   ?retry_interval:Sim.Stime.t -> ?max_retries:int -> Graph.t -> Ether_mgr.t ->
   ip:Proto.Ipaddr.t -> t
 
+val cached : t -> Proto.Ipaddr.t -> Proto.Ether.Mac.t
+(** The cached MAC for an address, or {!Proto.Ether.Mac.none} on a miss
+    (an expired entry is dropped and misses).  Allocates nothing: the
+    send path's probe, which calls {!resolve} only on a miss. *)
+
 val resolve : t -> Proto.Ipaddr.t -> (Proto.Ether.Mac.t -> unit) -> unit
 (** Cache hit: immediate.  Miss: broadcast a request and continue when the
     reply arrives. *)

@@ -9,12 +9,23 @@
 
 type error = [ `Reserved_etype of int ]
 
+(* One frame's output step, queued on the CPU; recycled through [outs]
+   (see {!Sim.Stash}). *)
+type out = {
+  mutable o_pkt : Mbuf.rw Mbuf.t;
+  mutable o_dst : Proto.Ether.Mac.t;
+  mutable o_etype : int;
+  mutable o_prio : Sim.Cpu.prio;
+  mutable o_run : unit -> unit;
+}
+
 type t = {
   graph : Graph.t;
   dev : Netsim.Dev.t;
   node : Graph.node;
   costs : Netsim.Costs.t;
   mutable reserved : int list;
+  outs : out Sim.Stash.t;
 }
 
 let create graph dev =
@@ -26,6 +37,7 @@ let create graph dev =
       node;
       costs = Netsim.Host.costs (Graph.host graph);
       reserved = [ Proto.Ether.etype_ip; Proto.Ether.etype_arp ];
+      outs = Sim.Stash.create ();
     }
   in
   (* Driver top half: the only code running directly off the device
@@ -111,11 +123,30 @@ let install_handler t ~owner ~etype ?(cost = Sim.Stime.us 4) fn =
          ~exact:true ~cacheable:true ~label:owner ~cost fn)
   end
 
+let output t o =
+  let pkt = o.o_pkt and prio = o.o_prio in
+  Proto.Ether.push pkt ~dst:o.o_dst ~src:(Netsim.Dev.mac t.dev) ~etype:o.o_etype;
+  Sim.Stash.put t.outs o;
+  Netsim.Dev.submit t.dev prio pkt
+
+let fresh_out t pkt =
+  let o =
+    { o_pkt = pkt; o_dst = Proto.Ether.Mac.none; o_etype = 0;
+      o_prio = Sim.Cpu.Thread; o_run = ignore }
+  in
+  o.o_run <- (fun () -> output t o);
+  o
+
 (* Send a frame: charge the Ethernet output cost, write the header — the
    source MAC comes from the device, never the caller — and hand the
    frame to the driver. *)
-let send t ?prio:p ~dst ~etype payload =
-  let prio = match p with Some p -> p | None -> prio t in
-  Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ether_out (fun () ->
-      Proto.Ether.push payload ~dst ~src:(Netsim.Dev.mac t.dev) ~etype;
-      Netsim.Dev.transmit t.dev ~prio payload)
+let send t prio ~dst ~etype payload =
+  let o =
+    if Sim.Stash.is_empty t.outs then fresh_out t payload
+    else Sim.Stash.take t.outs
+  in
+  o.o_pkt <- payload;
+  o.o_dst <- dst;
+  o.o_etype <- etype;
+  o.o_prio <- prio;
+  Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ether_out o.o_run

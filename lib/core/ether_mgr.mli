@@ -52,7 +52,10 @@ val install_handler :
 (** Thread-delivered application handler. *)
 
 val send :
-  t -> ?prio:Sim.Cpu.prio -> dst:Proto.Ether.Mac.t -> etype:int ->
-  Mbuf.rw Mbuf.t -> unit
-(** Frame and transmit; the source MAC always comes from the device
-    (anti-spoof by overwrite — the fast policy of section 3.1). *)
+  t -> Sim.Cpu.prio -> dst:Proto.Ether.Mac.t -> etype:int -> Mbuf.rw Mbuf.t ->
+  unit
+(** [send t prio ~dst ~etype payload] frames and transmits at [prio]; the
+    source MAC always comes from the device (anti-spoof by overwrite —
+    the fast policy of section 3.1).  The priority is positional, like
+    {!Sim.Cpu.submit}'s; callers without one of their own pass
+    {!prio}. *)

@@ -27,8 +27,9 @@ let create graph ip =
       | Some m when m.Proto.Icmp.mtype = Proto.Icmp.type_echo_request ->
           t.echos_answered <- t.echos_answered + 1;
           let reply = Proto.Icmp.to_packet (Proto.Icmp.echo_reply_of m) in
-          Ip_mgr.send ip ~proto:Proto.Ipv4.proto_icmp
-            ~dst:(Pctx.ip_exn ctx).Proto.Ipv4.src reply
+          let dst = (Pctx.ip_exn ctx).Proto.Ipv4.src in
+          Ip_mgr.send ip (Ip_mgr.prio ip ~dst) ~proto:Proto.Ipv4.proto_icmp ~dst
+            reply
       | Some m when m.Proto.Icmp.mtype = Proto.Icmp.type_dest_unreachable ->
           t.unreachables_received <- t.unreachables_received + 1
       | _ -> ()

@@ -19,6 +19,17 @@ type counters = {
   mutable reassembled : int;
 }
 
+(* One unfragmented datagram's output step, queued on the CPU; recycled
+   through [outs] (see {!Sim.Stash}). *)
+type out = {
+  mutable o_pkt : Mbuf.rw Mbuf.t;
+  mutable o_route : route;
+  mutable o_proto : int;
+  mutable o_dst : Proto.Ipaddr.t;
+  mutable o_prio : Sim.Cpu.prio;
+  mutable o_run : unit -> unit;
+}
+
 type t = {
   graph : Graph.t;
   node : Graph.node;
@@ -29,6 +40,7 @@ type t = {
   mutable frag_timer : Sim.Engine.handle option;
   mutable next_id : int;
   counters : counters;
+  outs : out Sim.Stash.t;
 }
 
 let create graph =
@@ -52,6 +64,7 @@ let create graph =
         fragments_out = 0;
         reassembled = 0;
       };
+    outs = Sim.Stash.create ();
   }
 
 let node t = t.node
@@ -186,75 +199,103 @@ let attach t ether arp ~net ~mask_bits =
   in
   ()
 
+(* The route whose subnet holds [dst], else the first (default) one. *)
+let rec subnet_route dst default = function
+  | [] -> default
+  | r :: rest ->
+      if Proto.Ipaddr.in_subnet dst ~net:r.net ~mask_bits:r.mask_bits then r
+      else subnet_route dst default rest
+
 let route_for t dst =
-  match
-    List.find_opt
-      (fun r -> Proto.Ipaddr.in_subnet dst ~net:r.net ~mask_bits:r.mask_bits)
-      t.routes
-  with
-  | Some r -> Some r
-  | None -> ( match t.routes with r :: _ -> Some r | [] -> None)
+  match t.routes with
+  | [] -> invalid_arg "Ip_mgr: no route"
+  | first :: _ -> subnet_route dst first t.routes
+
+let prio t ~dst = Ether_mgr.prio (route_for t dst).ether
 
 let fresh_id t =
   let id = t.next_id in
   t.next_id <- (t.next_id + 1) land 0xffff;
   id
 
-(* Send one already-formed IP packet out the right device. *)
-let emit _t route ~prio ~dst pkt =
-  Arp_mgr.resolve route.arp dst (fun mac ->
-      Ether_mgr.send route.ether ~prio ~dst:mac ~etype:Proto.Ether.etype_ip pkt)
+(* Send one already-formed IP packet out the right device.  A cached MAC
+   goes straight to the Ethernet manager; only a miss builds the
+   continuation that waits for the ARP reply. *)
+let emit route prio ~dst pkt =
+  let mac = Arp_mgr.cached route.arp dst in
+  if Proto.Ether.Mac.equal mac Proto.Ether.Mac.none then
+    Arp_mgr.resolve route.arp dst (fun mac ->
+        Ether_mgr.send route.ether prio ~dst:mac ~etype:Proto.Ether.etype_ip pkt)
+  else Ether_mgr.send route.ether prio ~dst:mac ~etype:Proto.Ether.etype_ip pkt
+
+let output t o =
+  let pkt = o.o_pkt and route = o.o_route and dst = o.o_dst
+  and prio = o.o_prio in
+  Proto.Ipv4.push pkt ~id:(fresh_id t) ~more_fragments:false ~frag_offset:0
+    ~proto:o.o_proto ~src:(host_ip t) ~dst;
+  Sim.Stash.put t.outs o;
+  emit route prio ~dst pkt
+
+let fresh_out t pkt route =
+  let o =
+    { o_pkt = pkt; o_route = route; o_proto = 0; o_dst = Proto.Ipaddr.broadcast;
+      o_prio = Sim.Cpu.Thread; o_run = ignore }
+  in
+  o.o_run <- (fun () -> output t o);
+  o
 
 (* Transport send path: encapsulate [payload] for [proto], fragmenting to
    the route's MTU when necessary.  The source address is always the
    host's — transports cannot spoof it. *)
-let send t ?prio:p ~proto ~dst payload =
-  match route_for t dst with
-  | None -> invalid_arg "Ip_mgr.send: no route"
-  | Some route ->
-      let prio = match p with Some p -> p | None -> Ether_mgr.prio route.ether in
-      let mtu = Ether_mgr.mtu route.ether in
-      let len = Mbuf.length payload in
-      let src = host_ip t in
-      if len + Proto.Ipv4.header_len <= mtu then begin
-        Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out
-          (fun () ->
-            Proto.Ipv4.push payload ~id:(fresh_id t) ~more_fragments:false
-              ~frag_offset:0 ~proto ~src ~dst;
-            emit t route ~prio ~dst payload)
-      end
-      else begin
-        let id = fresh_id t in
-        (* zero-copy: fragments are sub-chains sharing the payload's
-           buffers; only the per-fragment headers are fresh bytes *)
-        let frags = Proto.Ip_frag.fragment ~mtu payload in
-        let n = List.length frags in
-        t.counters.fragments_out <- t.counters.fragments_out + n;
-        Sim.Cpu.submit (cpu t) prio
-          ~cost:(Sim.Stime.mul t.costs.Netsim.Costs.layer.ip_out n)
-          (fun () ->
-            List.iter
-              (fun (off8, more, fragment) ->
-                Proto.Ipv4.push fragment ~id ~more_fragments:more
-                  ~frag_offset:off8 ~proto ~src ~dst;
-                emit t route ~prio ~dst fragment)
-              frags)
-      end
+let send t prio ~proto ~dst payload =
+  let route = route_for t dst in
+  let mtu = Ether_mgr.mtu route.ether in
+  let len = Mbuf.length payload in
+  if len + Proto.Ipv4.header_len <= mtu then begin
+    let o =
+      if Sim.Stash.is_empty t.outs then fresh_out t payload route
+      else Sim.Stash.take t.outs
+    in
+    o.o_pkt <- payload;
+    (* a pointer store into a long-lived record pays the write barrier:
+       skip it for the route, which rarely changes *)
+    if o.o_route != route then o.o_route <- route;
+    o.o_proto <- proto;
+    o.o_dst <- dst;
+    o.o_prio <- prio;
+    Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out o.o_run
+  end
+  else begin
+    let id = fresh_id t in
+    let src = host_ip t in
+    (* zero-copy: fragments are sub-chains sharing the payload's
+       buffers; only the per-fragment headers are fresh bytes *)
+    let frags = Proto.Ip_frag.fragment ~mtu payload in
+    let n = List.length frags in
+    t.counters.fragments_out <- t.counters.fragments_out + n;
+    Sim.Cpu.submit (cpu t) prio
+      ~cost:(Sim.Stime.mul t.costs.Netsim.Costs.layer.ip_out n)
+      (fun () ->
+        List.iter
+          (fun (off8, more, fragment) ->
+            Proto.Ipv4.push fragment ~id ~more_fragments:more
+              ~frag_offset:off8 ~proto ~src ~dst;
+            emit route prio ~dst fragment)
+          frags)
+  end
 
 (* Whether sending toward [dst] goes out a programmed-I/O device (the
    send-side integrated-layer-processing query). *)
 let dst_touches_data t dst =
-  match route_for t dst with
-  | Some route -> Ether_mgr.touches_data route.ether
-  | None -> false
+  match t.routes with
+  | [] -> false
+  | first :: _ -> Ether_mgr.touches_data (subnet_route dst first t.routes).ether
 
 (* Privileged: transmit a complete IP datagram (header included) toward
    [dst] without rewriting its source — granted only to the in-kernel
    forwarder (paper section 5.2), which redirects other hosts' packets. *)
-let send_prepared t ?prio:p ~dst pkt =
-  match route_for t dst with
-  | None -> invalid_arg "Ip_mgr.send_prepared: no route"
-  | Some route ->
-      let prio = match p with Some p -> p | None -> Ether_mgr.prio route.ether in
-      Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out
-        (fun () -> emit t route ~prio ~dst pkt)
+let send_prepared t ~dst pkt =
+  let route = route_for t dst in
+  let prio = Ether_mgr.prio route.ether in
+  Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out
+    (fun () -> emit route prio ~dst pkt)

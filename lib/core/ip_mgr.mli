@@ -39,15 +39,22 @@ val frag_state : t -> Proto.Ip_frag.t
     its buffers even if no further fragment ever arrives. *)
 
 val send :
-  t -> ?prio:Sim.Cpu.prio -> proto:int -> dst:Proto.Ipaddr.t ->
-  Mbuf.rw Mbuf.t -> unit
-(** Encapsulate and transmit a transport payload, fragmenting to the MTU.
-    The source address is always the host's (anti-spoof). *)
+  t -> Sim.Cpu.prio -> proto:int -> dst:Proto.Ipaddr.t -> Mbuf.rw Mbuf.t ->
+  unit
+(** [send t prio ~proto ~dst payload] encapsulates and transmits a
+    transport payload at [prio], fragmenting to the MTU.  The source
+    address is always the host's (anti-spoof).  The priority is
+    positional, like {!Sim.Cpu.submit}'s, so passing it allocates
+    nothing; callers without one of their own pass {!prio}.
+    @raise Invalid_argument when no route is attached. *)
+
+val prio : t -> dst:Proto.Ipaddr.t -> Sim.Cpu.prio
+(** The send priority of the route toward [dst]: its device graph's
+    delivery mode (see {!Ether_mgr.prio}). *)
 
 val dst_touches_data : t -> Proto.Ipaddr.t -> bool
 (** True when the route to [dst] uses a programmed-I/O device. *)
 
-val send_prepared :
-  t -> ?prio:Sim.Cpu.prio -> dst:Proto.Ipaddr.t -> Mbuf.rw Mbuf.t -> unit
+val send_prepared : t -> dst:Proto.Ipaddr.t -> Mbuf.rw Mbuf.t -> unit
 (** Privileged: route a complete IP datagram without rewriting its source
-    (the in-kernel forwarder's path). *)
+    (the in-kernel forwarder's path), at the route's {!prio}. *)

@@ -29,7 +29,8 @@ let export_interfaces kernel t =
       | Error (`Reserved_etype e) ->
           Error (Printf.sprintf "EtherType 0x%04x is reserved" e));
   Interface.export i_ether ~sym:Api.sym_send Api.ether_send_w
-    (fun ~dst ~etype pkt -> Ether_mgr.send ether ~dst ~etype pkt);
+    (fun ~dst ~etype pkt ->
+      Ether_mgr.send ether (Ether_mgr.prio ether) ~dst ~etype pkt);
   let i_udp = Kernel.declare_interface kernel Api.udp_iface in
   Interface.export i_udp ~sym:Api.sym_bind Api.udp_bind_w (fun ~owner ~port ->
       match Udp_mgr.bind t.udp ~owner ~port with

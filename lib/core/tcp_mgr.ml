@@ -52,6 +52,17 @@ and t = {
   mutable excluded_src : int list;   (* src ports ceded (reverse direction) *)
   mutable next_ephemeral : int;
   counters : counters;
+  outs : out Sim.Stash.t;
+}
+
+(* One segment's output step, queued on the CPU; recycled through
+   [outs] (see {!Sim.Stash}).  The destination is the connection's
+   remote-address cell, read when the step runs. *)
+and out = {
+  mutable o_pkt : Mbuf.rw Mbuf.t;
+  mutable o_dst : Proto.Ipaddr.t ref;
+  mutable o_prio : Sim.Cpu.prio;
+  mutable o_run : unit -> unit;
 }
 
 let bind_port t p =
@@ -85,6 +96,16 @@ let proto_guard t ctx =
          && not (List.mem (Proto.Tcp_wire.get_src_port v) t.excluded_src))
   | None -> false
 
+let output t o =
+  let pkt = o.o_pkt and dst = !(o.o_dst) and prio = o.o_prio in
+  Sim.Stash.put t.outs o;
+  Ip_mgr.send t.ip prio ~proto:Proto.Ipv4.proto_tcp ~dst pkt
+
+let fresh_out t pkt dst =
+  let o = { o_pkt = pkt; o_dst = dst; o_prio = Sim.Cpu.Thread; o_run = ignore } in
+  o.o_run <- (fun () -> output t o);
+  o
+
 (* Build the environment a connection's engine runs in: costs are charged
    on the host CPU at the graph's delivery priority, output goes through
    the IP manager. *)
@@ -106,9 +127,16 @@ let make_env t conn_ref remote_ip_ref =
         in
         let cost = Sim.Stime.add t.costs.Netsim.Costs.layer.tcp_out cksum in
         let prio = prio t in
-        Sim.Cpu.submit (cpu t) prio ~cost (fun () ->
-            Ip_mgr.send t.ip ~prio ~proto:Proto.Ipv4.proto_tcp ~dst:!remote_ip_ref
-              pkt));
+        let o =
+          if Sim.Stash.is_empty t.outs then fresh_out t pkt remote_ip_ref
+          else Sim.Stash.take t.outs
+        in
+        o.o_pkt <- pkt;
+        (* skip the write barrier when the record last served this
+           connection *)
+        if o.o_dst != remote_ip_ref then o.o_dst <- remote_ip_ref;
+        o.o_prio <- prio;
+        Sim.Cpu.submit (cpu t) prio ~cost o.o_run);
     on_receive =
       (fun data ->
         match !conn_ref with
@@ -254,6 +282,7 @@ let create graph ip =
       counters =
         { rx = 0; bad_checksum = 0; no_match = 0; accepted = 0;
           eph_exhausted = 0 };
+      outs = Sim.Stash.create ();
     }
   in
   let reg = Graph.registry graph in

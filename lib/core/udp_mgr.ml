@@ -27,6 +27,19 @@ type counters = {
   mutable unreachable_sent : int;
 }
 
+(* One datagram's output step, queued on the CPU; recycled through
+   [outs] (see {!Sim.Stash}). *)
+type out = {
+  mutable o_pkt : Mbuf.rw Mbuf.t;
+  mutable o_src : Proto.Ipaddr.t;
+  mutable o_dst : Proto.Ipaddr.t;
+  mutable o_src_port : int;
+  mutable o_dst_port : int;
+  mutable o_checksum : bool;
+  mutable o_prio : Sim.Cpu.prio;
+  mutable o_run : unit -> unit;
+}
+
 type t = {
   graph : Graph.t;
   ip : Ip_mgr.t;
@@ -36,6 +49,7 @@ type t = {
   counters : counters;
   mutable spoof_policy : spoof_policy;
   mutable excluded : int list; (* dst ports ceded to an alternative impl *)
+  outs : out Sim.Stash.t;
 }
 
 let proto_guard t ctx =
@@ -96,6 +110,7 @@ let create graph ip =
         };
       spoof_policy = Overwrite;
       excluded = [];
+      outs = Sim.Stash.create ();
     }
   in
   let reg = Graph.registry graph in
@@ -137,7 +152,9 @@ let create graph ip =
         (* BSD behaviour: answer with an ICMP port unreachable *)
         t.counters.unreachable_sent <- t.counters.unreachable_sent + 1;
         let original = View.to_string v in
-        Ip_mgr.send t.ip ~proto:Proto.Ipv4.proto_icmp ~dst:iph.Proto.Ipv4.src
+        let dst = iph.Proto.Ipv4.src in
+        Ip_mgr.send t.ip (Ip_mgr.prio t.ip ~dst) ~proto:Proto.Ipv4.proto_icmp
+          ~dst
           (Proto.Icmp.to_packet (Proto.Icmp.port_unreachable ~original))
       end
     end
@@ -263,6 +280,22 @@ let install_recv_ephemeral t ep ?budget fn =
 
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)
 
+let output t o =
+  let pkt = o.o_pkt and dst = o.o_dst and prio = o.o_prio in
+  Proto.Udp.push pkt ~checksum:o.o_checksum ~src:o.o_src ~dst
+    ~src_port:o.o_src_port ~dst_port:o.o_dst_port;
+  Sim.Stash.put t.outs o;
+  Ip_mgr.send t.ip prio ~proto:Proto.Ipv4.proto_udp ~dst pkt
+
+let fresh_out t pkt =
+  let o =
+    { o_pkt = pkt; o_src = Proto.Ipaddr.broadcast; o_dst = Proto.Ipaddr.broadcast;
+      o_src_port = 0; o_dst_port = 0; o_checksum = true;
+      o_prio = Sim.Cpu.Thread; o_run = ignore }
+  in
+  o.o_run <- (fun () -> output t o);
+  o
+
 (* The zero-copy send core: the caller's mbuf is encapsulated in place
    (headers go into its headroom) and handed down the stack — no payload
    byte is copied anywhere between here and the device. *)
@@ -283,14 +316,22 @@ let do_send_mbuf ?(extra_cost = Sim.Stime.zero) t ep ~prio ~dst:(dip, dport)
         | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
         | Spin.Dispatcher.Thread -> Sim.Cpu.Thread)
   in
+  let o =
+    if Sim.Stash.is_empty t.outs then fresh_out t payload
+    else Sim.Stash.take t.outs
+  in
+  o.o_pkt <- payload;
+  o.o_src <- Endpoint.ip ep;
+  o.o_dst <- dip;
+  o.o_src_port <- src_port;
+  o.o_dst_port <- dport;
+  o.o_checksum <- checksum;
+  o.o_prio <- prio;
   Sim.Cpu.submit (cpu t) prio
     ~cost:
       (Sim.Stime.add extra_cost
          (Sim.Stime.add t.costs.Netsim.Costs.layer.udp_out cksum_cost))
-    (fun () ->
-      Proto.Udp.encapsulate ~checksum payload ~src:(Endpoint.ip ep) ~dst:dip
-        ~src_port ~dst_port:dport;
-      Ip_mgr.send t.ip ~prio ~proto:Proto.Ipv4.proto_udp ~dst:dip payload)
+    o.o_run
 
 let do_send ?extra_cost t ep ~prio ~dst ~checksum ~src_port data =
   do_send_mbuf ?extra_cost t ep ~prio ~dst ~checksum ~src_port
@@ -328,7 +369,7 @@ let send_multi t ep ?prio ?(checksum = true) ~dsts data =
               let payload = Mbuf.of_string data in
               Proto.Udp.encapsulate ~checksum payload ~src:(Endpoint.ip ep)
                 ~dst:dip ~src_port:(Endpoint.port ep) ~dst_port:dport;
-              Ip_mgr.send t.ip ~prio ~proto:Proto.Ipv4.proto_udp ~dst:dip
+              Ip_mgr.send t.ip prio ~proto:Proto.Ipv4.proto_udp ~dst:dip
                 payload)
             dsts)
 

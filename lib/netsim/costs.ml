@@ -95,7 +95,7 @@ let default =
     ram_ns_per_byte = 25.;
   }
 
-let per_byte ns_per_byte len = T.of_us_f (ns_per_byte *. float_of_int len /. 1000.)
+let per_byte ns_per_byte len = T.scaled len ~mul:ns_per_byte ~div:1
 
 (* ------------------------------------------------------------------ *)
 (* Device parameter sets.                                              *)

@@ -80,6 +80,29 @@ type t = {
   mutable otrace : Observe.Trace.t option;
   mutable flight : Observe.Flight.t option;
   counters : counters;
+  txs : tx Sim.Stash.t;
+  rxs : rx Sim.Stash.t;
+}
+
+(* Per-frame driver work, recycled through the stashes above (see
+   {!Sim.Stash}).  A [tx] carries one frame from the driver's send item
+   to its arrival at the peer, with one thunk per step, each built once:
+   the send item's completion ([tx_queued]), the last bit leaving the
+   wire ([tx_sent]) and the end of propagation ([tx_arrived]).  An [rx]
+   carries one admitted frame through its receive interrupt. *)
+and tx = {
+  mutable tx_frame : Mbuf.ro Mbuf.t;
+  mutable tx_len : int;
+  mutable tx_peer : t;
+  mutable tx_queued : unit -> unit;
+  mutable tx_sent : unit -> unit;
+  mutable tx_arrived : unit -> unit;
+}
+
+and rx = {
+  mutable rx_pkt : Mbuf.ro Mbuf.t;
+  mutable rx_len : int;
+  mutable rx_run : unit -> unit;
 }
 
 let create engine ~cpu ~name ~mac params =
@@ -113,6 +136,8 @@ let create engine ~cpu ~name ~mac params =
         rx_deferred = 0;
         rx_shed = 0;
       };
+    txs = Sim.Stash.create ();
+    rxs = Sim.Stash.create ();
   }
 
 let name t = t.name
@@ -272,20 +297,35 @@ let register t reg =
   g "faults.delays" (fun () ->
       match t.faults with Some p -> Faults.delays p | None -> 0)
 
+let rx_serviced peer r =
+  let pkt = r.rx_pkt and len = r.rx_len in
+  Sim.Stash.put peer.rxs r;
+  (match peer.rx_pool with
+  | Some pool -> Pool.release pool
+  | None -> ());
+  match peer.rx_handler with
+  | None -> peer.counters.rx_drops <- peer.counters.rx_drops + 1
+  | Some h ->
+      peer.counters.rx_packets <- peer.counters.rx_packets + 1;
+      peer.counters.rx_bytes <- peer.counters.rx_bytes + len;
+      h pkt
+
+let fresh_rx peer pkt =
+  let r = { rx_pkt = pkt; rx_len = 0; rx_run = ignore } in
+  r.rx_run <- (fun () -> rx_serviced peer r);
+  r
+
 (* Interrupt service for one admitted frame: fixed driver cost plus PIO
    read for devices that make the CPU pull bytes off the adapter. *)
 let interrupt_service peer len pkt =
   let cost = Sim.Stime.add peer.params.Costs.rx_fixed (pio_cost peer len) in
-  Sim.Cpu.run peer.cpu ~prio:Sim.Cpu.Interrupt ~cost (fun () ->
-      (match peer.rx_pool with
-      | Some pool -> Pool.release pool
-      | None -> ());
-      match peer.rx_handler with
-      | None -> peer.counters.rx_drops <- peer.counters.rx_drops + 1
-      | Some h ->
-          peer.counters.rx_packets <- peer.counters.rx_packets + 1;
-          peer.counters.rx_bytes <- peer.counters.rx_bytes + len;
-          h pkt)
+  let r =
+    if Sim.Stash.is_empty peer.rxs then fresh_rx peer pkt
+    else Sim.Stash.take peer.rxs
+  in
+  r.rx_pkt <- pkt;
+  r.rx_len <- len;
+  Sim.Cpu.submit peer.cpu Sim.Cpu.Interrupt ~cost r.rx_run
 
 (* The poller: drain the deferred queue in batches at thread priority.
    One fixed charge per batch (cheaper per frame than interrupts —
@@ -477,7 +517,85 @@ let apply_faults t peer plan frame ~len ~now =
           Sim.Engine.post_in t.engine ~delay (fun () -> deliver_to peer f))
         frames
 
-let transmit t ?(prio = Sim.Cpu.Thread) pkt =
+(* The frame's trip ends short of the peer: drop it and recycle its
+   record. *)
+let tx_dropped t tx =
+  let frame = tx.tx_frame in
+  Sim.Stash.put t.txs tx;
+  Mbuf.free frame
+
+(* The driver's send item completes: the frame joins the transmit queue
+   and the wire, or is dropped when the queue is full. *)
+let tx_queued t tx =
+  if t.txq >= t.params.Costs.txq_limit then begin
+    t.counters.tx_drops <- t.counters.tx_drops + 1;
+    drop_span t "txq_full";
+    tx_dropped t tx
+  end
+  else begin
+    let len = tx.tx_len in
+    t.txq <- t.txq + 1;
+    let now = Sim.Engine.now t.engine in
+    let wire_bytes = t.params.Costs.frame_overhead len in
+    let start = Sim.Stime.max now !(t.wire_busy_until) in
+    let done_at =
+      Sim.Stime.add start
+        (Sim.Stime.scaled wire_bytes ~mul:8e9 ~div:t.params.Costs.bw_bits_per_s)
+    in
+    t.wire_busy_until := done_at;
+    t.counters.tx_packets <- t.counters.tx_packets + 1;
+    t.counters.tx_bytes <- t.counters.tx_bytes + len;
+    Sim.Engine.post t.engine ~at:done_at tx.tx_sent
+  end
+
+(* The last bit leaves the wire: loss and the fault plan decide what
+   reaches the peer, a propagation delay later. *)
+let tx_sent t tx =
+  t.txq <- t.txq - 1;
+  match t.peer with
+  | None -> tx_dropped t tx
+  | Some peer ->
+      if
+        t.loss_prob > 0.
+        && (t.loss_prob >= 1.
+           || Sim.Rng.float (Sim.Engine.rng t.engine) 1.0 < t.loss_prob)
+      then begin
+        (* Wire loss is fault injection, not queue overflow: counted
+           apart from [tx_drops]. *)
+        t.counters.wire_drops <- t.counters.wire_drops + 1;
+        drop_span t "wire_loss";
+        fault_span t ~fault:"loss" ~detail:"";
+        tx_dropped t tx
+      end
+      else begin
+        match t.faults with
+        | None ->
+            (* skip the write barrier when the peer is the last one *)
+            if tx.tx_peer != peer then tx.tx_peer <- peer;
+            Sim.Engine.post_in t.engine ~delay:t.params.Costs.prop_delay
+              tx.tx_arrived
+        | Some plan ->
+            let frame = tx.tx_frame and len = tx.tx_len in
+            Sim.Stash.put t.txs tx;
+            apply_faults t peer plan frame ~len ~now:(Sim.Engine.now t.engine)
+      end
+
+let tx_arrived t tx =
+  let peer = tx.tx_peer and frame = tx.tx_frame in
+  Sim.Stash.put t.txs tx;
+  deliver_to peer frame
+
+let fresh_tx t frame =
+  let tx =
+    { tx_frame = frame; tx_len = 0; tx_peer = t; tx_queued = ignore;
+      tx_sent = ignore; tx_arrived = ignore }
+  in
+  tx.tx_queued <- (fun () -> tx_queued t tx);
+  tx.tx_sent <- (fun () -> tx_sent t tx);
+  tx.tx_arrived <- (fun () -> tx_arrived t tx);
+  tx
+
+let submit t prio pkt =
   let len = Mbuf.length pkt in
   if len > t.params.Costs.mtu + Proto.Ether.header_len then
     invalid_arg
@@ -486,54 +604,16 @@ let transmit t ?(prio = Sim.Cpu.Thread) pkt =
      now, so it cannot scribble on bytes that are on the wire (ownership
      transfer instead of the seed's defensive string flatten). *)
   let frame = Mbuf.ro (Mbuf.take pkt) in
+  let tx =
+    if Sim.Stash.is_empty t.txs then fresh_tx t frame else Sim.Stash.take t.txs
+  in
+  tx.tx_frame <- frame;
+  tx.tx_len <- len;
   (* Driver send cost (+ PIO write). *)
   let cost = Sim.Stime.add t.params.Costs.tx_fixed (pio_cost t len) in
-  Sim.Cpu.submit t.cpu prio ~cost (fun () ->
-      if t.txq >= t.params.Costs.txq_limit then begin
-        t.counters.tx_drops <- t.counters.tx_drops + 1;
-        drop_span t "txq_full";
-        Mbuf.free frame
-      end
-      else begin
-        t.txq <- t.txq + 1;
-        let now = Sim.Engine.now t.engine in
-        let wire_bytes = t.params.Costs.frame_overhead len in
-        let wire_ns =
-          float_of_int wire_bytes *. 8e9 /. float_of_int t.params.Costs.bw_bits_per_s
-        in
-        let start = Sim.Stime.max now !(t.wire_busy_until) in
-        let done_at = Sim.Stime.add start (Sim.Stime.of_us_f (wire_ns /. 1000.)) in
-        t.wire_busy_until := done_at;
-        t.counters.tx_packets <- t.counters.tx_packets + 1;
-        t.counters.tx_bytes <- t.counters.tx_bytes + len;
-        Sim.Engine.post t.engine ~at:done_at (fun () ->
-          t.txq <- t.txq - 1;
-          match t.peer with
-          | None -> Mbuf.free frame
-          | Some peer ->
-              if
-                t.loss_prob > 0.
-                && (t.loss_prob >= 1.
-                   || Sim.Rng.float (Sim.Engine.rng t.engine) 1.0
-                      < t.loss_prob)
-              then begin
-                (* Wire loss is fault injection, not queue overflow:
-                   counted apart from [tx_drops]. *)
-                t.counters.wire_drops <- t.counters.wire_drops + 1;
-                drop_span t "wire_loss";
-                fault_span t ~fault:"loss" ~detail:"";
-                Mbuf.free frame
-              end
-              else
-                match t.faults with
-                | None ->
-                    Sim.Engine.post_in t.engine
-                      ~delay:t.params.Costs.prop_delay (fun () ->
-                        deliver_to peer frame)
-                | Some plan ->
-                    apply_faults t peer plan frame ~len
-                      ~now:(Sim.Engine.now t.engine))
-      end)
+  Sim.Cpu.submit t.cpu prio ~cost tx.tx_queued
+
+let transmit t ?(prio = Sim.Cpu.Thread) pkt = submit t prio pkt
 
 (* Raw wire occupancy for a packet of [len] bytes — used by experiments to
    report theoretical ceilings. *)

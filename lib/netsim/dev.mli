@@ -107,10 +107,18 @@ val admission_backlog : t -> int
 (** Frames currently parked in the deferred queue. *)
 
 val transmit : t -> ?prio:Sim.Cpu.prio -> Mbuf.rw Mbuf.t -> unit
-(** Send a frame.  The driver {e consumes} the mbuf ({!Mbuf.take}): the
-    caller's handle is empty when [transmit] returns, and the chain
-    travels to the peer's receive handler without being flattened or
-    copied.  @raise Invalid_argument if it exceeds the MTU. *)
+(** Send a frame (driver work at [prio], default [Thread]).  The driver
+    {e consumes} the mbuf ({!Mbuf.take}): the caller's handle is empty
+    when [transmit] returns, and the chain travels to the peer's receive
+    handler without being flattened or copied.  In steady state the
+    driver's own work on the frame (send item, wire, propagation, the
+    peer's receive interrupt) allocates only [Mbuf.take]'s handle.
+    @raise Invalid_argument if it exceeds the MTU. *)
+
+val submit : t -> Sim.Cpu.prio -> Mbuf.rw Mbuf.t -> unit
+(** {!transmit} with the priority passed positionally, like
+    {!Sim.Cpu.submit}: the allocation-free form for a variable
+    priority. *)
 
 val name : t -> string
 val mac : t -> Proto.Ether.Mac.t

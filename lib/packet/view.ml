@@ -15,13 +15,13 @@ exception Out_of_bounds of { index : int; width : int; length : int }
 type raw = { data : Bytes.t; off : int; len : int }
 type 'perm t = raw
 
-let of_bytes ?(off = 0) ?len data : rw t =
-  let len = match len with Some l -> l | None -> Bytes.length data - off in
+let of_bytes ~off ~len data : rw t =
   if off < 0 || len < 0 || off + len > Bytes.length data then
     invalid_arg "View.of_bytes: window outside buffer";
   { data; off; len }
 
-let of_string s : ro t = of_bytes (Bytes.of_string s)
+let of_string s : ro t =
+  { data = Bytes.of_string s; off = 0; len = String.length s }
 
 let create len : rw t =
   if len < 0 then invalid_arg "View.create";

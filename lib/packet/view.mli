@@ -21,8 +21,11 @@ type 'perm t
 exception Out_of_bounds of { index : int; width : int; length : int }
 (** Raised by any access that would escape the window. *)
 
-val of_bytes : ?off:int -> ?len:int -> Bytes.t -> rw t
-(** View a byte buffer (default: all of it) writable.
+val of_bytes : off:int -> len:int -> Bytes.t -> rw t
+(** View [len] bytes of a buffer from [off], writable.  The labels are
+    mandatory: an optional one would box its value in [Some] at every
+    call that inlining does not reach (mbuf header pushes make one per
+    layer per packet).
     @raise Invalid_argument if the window exceeds the buffer. *)
 
 val of_string : string -> ro t

@@ -75,13 +75,19 @@ module Cache = struct
   let create ?(ttl = Sim.Stime.s 1200) () =
     { entries = Hashtbl.create 8; ttl; waiting = Hashtbl.create 4 }
 
-  let lookup t ~now ip =
-    match Hashtbl.find_opt t.entries ip with
-    | Some e when Sim.Stime.compare now e.expires < 0 -> Some e.mac
-    | Some _ ->
+  (* The send path's probe: no option and no closure, so a hit allocates
+     nothing.  An expired entry is dropped here, as [lookup] drops it. *)
+  let find_mac t ~now ip =
+    match Hashtbl.find t.entries ip with
+    | e when Sim.Stime.compare now e.expires < 0 -> e.mac
+    | _ ->
         Hashtbl.remove t.entries ip;
-        None
-    | None -> None
+        Ether.Mac.none
+    | exception Not_found -> Ether.Mac.none
+
+  let lookup t ~now ip =
+    let mac = find_mac t ~now ip in
+    if Ether.Mac.equal mac Ether.Mac.none then None else Some mac
 
   let resolved t ip mac expires =
     Hashtbl.replace t.entries ip { mac; expires };

@@ -25,7 +25,15 @@ module Cache : sig
   type t
 
   val create : ?ttl:Sim.Stime.t -> unit -> t
+
   val lookup : t -> now:Sim.Stime.t -> Ipaddr.t -> Ether.Mac.t option
+  (** The live entry's MAC; an expired entry is removed and reads as
+      [None]. *)
+
+  val find_mac : t -> now:Sim.Stime.t -> Ipaddr.t -> Ether.Mac.t
+  (** {!lookup} without the option: the MAC, or {!Ether.Mac.none} on a
+      miss or an expired entry.  Allocates nothing. *)
+
   val insert : t -> now:Sim.Stime.t -> Ipaddr.t -> Ether.Mac.t -> unit
 
   val insert_static : t -> Ipaddr.t -> Ether.Mac.t -> unit

@@ -4,6 +4,7 @@ module Mac = struct
   type t = int
 
   let broadcast = 0xffffffffffff
+  let none = -1
   let of_int i = i land 0xffffffffffff
   let to_int t = t
   let equal : t -> t -> bool = ( = )

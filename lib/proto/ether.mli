@@ -4,6 +4,11 @@ module Mac : sig
   type t = private int
 
   val broadcast : t
+
+  val none : t
+  (** Not an address (outside the 48-bit range): what an
+      allocation-free lookup returns on a miss. *)
+
   val of_int : int -> t
   val to_int : t -> int
   val equal : t -> t -> bool

@@ -58,13 +58,16 @@ let compute_cksum ~src ~dst v =
    which RFC 768 defines as "no checksum".  The checksum folds the
    pseudo-header sum and then the chain's segments in place — a
    scatter-gather payload is neither pulled up nor copied. *)
-let encapsulate ?(checksum = true) pkt ~src ~dst ~src_port ~dst_port =
+let push pkt ~checksum ~src ~dst ~src_port ~dst_port =
   let len = header_len + Mbuf.length pkt in
   let v = Mbuf.prepend pkt header_len in
   set_fields v ~src_port ~dst_port ~len ~cksum:0;
   if checksum then
     View.set_u16 v Off.cksum
       (wire_cksum (Cksum.finish (Cksum.fold_mbuf (pseudo ~src ~dst ~len) pkt)))
+
+let encapsulate ?(checksum = true) pkt ~src ~dst ~src_port ~dst_port =
+  push pkt ~checksum ~src ~dst ~src_port ~dst_port
 
 (* Validate a datagram (header + payload view), reading the header in
    place.  A zero checksum field means the sender disabled

@@ -34,11 +34,18 @@ val get_cksum : _ View.t -> int
 val compute_cksum : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> int
 (** Checksum of a full datagram view whose checksum field is zero. *)
 
+val push :
+  Mbuf.rw Mbuf.t -> checksum:bool -> src:Ipaddr.t -> dst:Ipaddr.t ->
+  src_port:int -> dst_port:int -> unit
+(** Prepend a UDP header to a payload packet, written in place.
+    [~checksum:false] writes a zero checksum ("no checksum" per RFC 768).
+    Every label is mandatory, so the send path's call allocates nothing
+    whether or not it is inlined. *)
+
 val encapsulate :
   ?checksum:bool -> Mbuf.rw Mbuf.t -> src:Ipaddr.t -> dst:Ipaddr.t ->
   src_port:int -> dst_port:int -> unit
-(** Prepend a UDP header to a payload packet.  [~checksum:false] writes a
-    zero checksum ("no checksum" per RFC 768). *)
+(** {!push} with the checksum on by default. *)
 
 val valid : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> bool
 (** Length and checksum validation of a datagram view (header+payload),

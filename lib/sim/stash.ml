@@ -1,0 +1,22 @@
+(* A LIFO of recycled records (see stash.mli for the pattern).  A
+   stashed record keeps pointing at the last payload it carried until it
+   is reused. *)
+
+type 'r t = { mutable items : 'r array; mutable n : int }
+
+let create () = { items = [||]; n = 0 }
+let is_empty s = s.n = 0
+
+let take s =
+  if s.n = 0 then invalid_arg "Stash.take: empty";
+  s.n <- s.n - 1;
+  s.items.(s.n)
+
+let put s r =
+  if s.n = Array.length s.items then begin
+    let bigger = Array.make (max 8 (2 * s.n)) r in
+    Array.blit s.items 0 bigger 0 s.n;
+    s.items <- bigger
+  end;
+  s.items.(s.n) <- r;
+  s.n <- s.n + 1

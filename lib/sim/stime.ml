@@ -11,6 +11,7 @@ let s x = x * 1_000_000_000
 
 let of_us_f u = int_of_float (u *. 1_000. +. 0.5)
 let of_s_f x = int_of_float (x *. 1e9 +. 0.5)
+let scaled n ~mul ~div = of_us_f (float_of_int n *. mul /. float_of_int div /. 1000.)
 
 let to_ns t = t
 let to_us t = float_of_int t /. 1_000.

@@ -28,6 +28,13 @@ val of_us_f : float -> t
 val of_s_f : float -> t
 (** [of_s_f x] converts a fractional second duration. *)
 
+val scaled : int -> mul:float -> div:int -> t
+(** [scaled n ~mul ~div] is [n * mul / div] nanoseconds, rounded as
+    {!of_us_f} rounds.  The per-packet cost formulas (per-byte costs,
+    wire serialization) use it so that no computed float crosses a
+    call: where cross-module inlining is off (the dev profile) a float
+    argument is boxed at every call. *)
+
 val to_ns : t -> int
 val to_us : t -> float
 val to_ms : t -> float

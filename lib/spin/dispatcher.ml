@@ -427,12 +427,10 @@ type 'a tree = {
 
 (* Queued dispatcher work: the second half of a raise (the demux, run
    when its modelled cost completes) and one handler invocation.  The
-   records are recycled through per-event stashes, and the thunk handed
-   to the CPU ([dm_run] / [dl_run]) is a closure over the record itself,
-   built once with it, so queueing a demux or a delivery allocates
-   nothing in steady state.  A stashed record still points at the last
-   payload it carried until it is reused; the stash never grows past the
-   event's peak of queued work. *)
+   records are recycled through per-event {!Sim.Stash}es, and the thunk
+   handed to the CPU ([dm_run] / [dl_run]) is a closure over the record
+   itself, built once with it, so queueing a demux or a delivery
+   allocates nothing in steady state. *)
 type 'a demux = {
   mutable dm_v : 'a;
   mutable dm_flow : flow;
@@ -451,19 +449,6 @@ type 'a invocation = {
   mutable dl_plan : Ephemeral.plan option;  (* ephemeral handlers *)
   mutable dl_run : unit -> unit;
 }
-
-type 'r stash = { mutable items : 'r array; mutable n : int }
-
-let stash () = { items = [||]; n = 0 }
-
-let stash_put s r =
-  if s.n = Array.length s.items then begin
-    let bigger = Array.make (max 8 (2 * s.n)) r in
-    Array.blit s.items 0 bigger 0 s.n;
-    s.items <- bigger
-  end;
-  s.items.(s.n) <- r;
-  s.n <- s.n + 1
 
 type 'a event = {
   disp : t;
@@ -493,8 +478,8 @@ type 'a event = {
   ev_tree : int ref;      (* raises served by a merged-tree walk *)
   tr_rebuilds : int ref;
   tr_resid_evals : int ref;
-  demuxes : 'a demux stash;
-  deliveries : 'a invocation stash;
+  demuxes : 'a demux Sim.Stash.t;
+  deliveries : 'a invocation Sim.Stash.t;
 }
 
 let info_of_event ev =
@@ -1058,8 +1043,8 @@ let event disp ?(mode = Interrupt) ename =
       tr_rebuilds = mkref disp.reg ("spin." ^ ename ^ ".tree.rebuilds");
       tr_resid_evals =
         mkref disp.reg ("spin." ^ ename ^ ".tree.residual_evals");
-      demuxes = stash ();
-      deliveries = stash ();
+      demuxes = Sim.Stash.create ();
+      deliveries = Sim.Stash.create ();
     }
   in
   disp.introspectors <- (fun () -> info_of_event ev) :: disp.introspectors;
@@ -1319,7 +1304,7 @@ let run_eph ev v h plan over =
 let run_delivery ev dl =
   let h = dl.dl_h and v = dl.dl_v and flow = dl.dl_flow
   and over = dl.dl_over and total = dl.dl_cost and plan = dl.dl_plan in
-  stash_put ev.deliveries dl;
+  Sim.Stash.put ev.deliveries dl;
   (* skip if uninstalled while this invocation was queued *)
   (if h.live then
      match (h.kind, plan) with
@@ -1330,11 +1315,9 @@ let run_delivery ev dl =
   flow_leave ev.disp flow
 
 let queue_delivery ev v h flow over prio ~cost plan =
-  let st = ev.deliveries in
   let dl =
-    if st.n > 0 then begin
-      st.n <- st.n - 1;
-      let dl = st.items.(st.n) in
+    if not (Sim.Stash.is_empty ev.deliveries) then begin
+      let dl = Sim.Stash.take ev.deliveries in
       dl.dl_h <- h;
       dl.dl_v <- v;
       dl.dl_flow <- flow;
@@ -1404,7 +1387,7 @@ let tree_demux ev dm =
     if !(ev.gen) = dm.dm_gen then dm.dm_leaf
     else tree_walk ev (tree_for ev) v
   in
-  stash_put ev.demuxes dm;
+  Sim.Stash.put ev.demuxes dm;
   let exact = leaf.tl_exact and resid = leaf.tl_resid in
   let recording =
     match flow with
@@ -1508,11 +1491,9 @@ let raise_core ?over ev v flow =
             (Sim.Stime.mul d.costs.tree_node visited)
             (Sim.Stime.mul d.costs.guard n_resid)))
   in
-  let st = ev.demuxes in
   let dm =
-    if st.n > 0 then begin
-      st.n <- st.n - 1;
-      let dm = st.items.(st.n) in
+    if not (Sim.Stash.is_empty ev.demuxes) then begin
+      let dm = Sim.Stash.take ev.demuxes in
       dm.dm_v <- v;
       dm.dm_flow <- flow;
       dm.dm_over <- over;

@@ -104,7 +104,8 @@ let ether_app_handler_thread_mode () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "install failed");
   let pkt = Mbuf.of_string "raw payload" in
-  Plexus.Ether_mgr.send a ~dst:(Plexus.Ether_mgr.mac b) ~etype:0x9999 pkt;
+  Plexus.Ether_mgr.send a (Plexus.Ether_mgr.prio a)
+    ~dst:(Plexus.Ether_mgr.mac b) ~etype:0x9999 pkt;
   Sim.Engine.run p.Experiments.Common.engine;
   Alcotest.(check int) "delivered" 1 !got
 

@@ -40,7 +40,7 @@ let view_bounds () =
   expect_oob (fun () -> View.get_string v ~off:2 ~len:3)
 
 let view_sub_shift () =
-  let v = View.of_bytes (Bytes.of_string "abcdefgh") in
+  let v = View.of_bytes ~off:0 ~len:8 (Bytes.of_string "abcdefgh") in
   let s = View.sub v ~off:2 ~len:4 in
   Alcotest.(check int) "sub length" 4 (View.length s);
   Alcotest.(check string) "sub content" "cdef" (View.to_string s);
@@ -65,7 +65,7 @@ let view_copy_isolates () =
   Alcotest.(check int) "copy changed" 9 (View.get_u8 c 0)
 
 let view_blit_fill () =
-  let src = View.of_bytes (Bytes.of_string "0123456789") in
+  let src = View.of_bytes ~off:0 ~len:10 (Bytes.of_string "0123456789") in
   let dst = View.create 10 in
   View.blit ~src ~dst ~src_off:2 ~dst_off:0 ~len:4;
   Alcotest.(check string) "blit" "2345" (View.get_string dst ~off:0 ~len:4);
@@ -136,7 +136,7 @@ let cksum_incremental_update =
   QCheck.Test.make ~name:"RFC1624 incremental update = recompute"
     QCheck.(triple (string_of_size (Gen.return 20)) (int_bound 9) (int_bound 0xffff))
     (fun (s, word_idx, new_w) ->
-      let v = View.of_bytes (Bytes.of_string s) in
+      let v = View.of_bytes ~off:0 ~len:20 (Bytes.of_string s) in
       let before = Cksum.of_view (View.ro v) in
       let old_w = View.get_u16 v (word_idx * 2) in
       View.set_u16 v (word_idx * 2) new_w;

@@ -293,11 +293,47 @@ let arp_dynamic_resolution () =
   Alcotest.(check int) "no second request" 1
     (Plexus.Arp_mgr.requests_sent (Plexus.Stack.arp a))
 
+(* A learned (not primed) entry expires after the cache TTL (1200
+   simulated seconds).  The send path's cache probe must see that: the
+   next datagram resolves again with one request, and is delivered
+   once, after the reply. *)
+let arp_learned_entry_expires () =
+  let engine = Sim.Engine.create () in
+  let ea, eb =
+    Netsim.Network.pair engine (Netsim.Costs.ethernet ()) ~a:("a", ip_a)
+      ~b:("b", ip_b)
+  in
+  let a = Plexus.Stack.build ea.Netsim.Network.host in
+  let b = Plexus.Stack.build eb.Netsim.Network.host in
+  let udp_a = Plexus.Stack.udp a and udp_b = Plexus.Stack.udp b in
+  let server = bind_exn udp_b ~owner:"srv" ~port:7 in
+  let got = ref 0 in
+  let (_ : unit -> unit) =
+    Plexus.Udp_mgr.install_recv udp_b server (fun _ -> incr got)
+  in
+  let client = bind_exn udp_a ~owner:"cli" ~port:5000 in
+  let arp_a = Plexus.Stack.arp a in
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) "learns";
+  Sim.Engine.run engine;
+  Alcotest.(check int) "first resolution" 1 (Plexus.Arp_mgr.requests_sent arp_a);
+  Sim.Engine.post engine ~at:(Sim.Stime.s 1300) ignore;
+  Sim.Engine.run engine;
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) "after the ttl";
+  Sim.Engine.run engine;
+  Alcotest.(check int) "the expired entry misses: one new request" 2
+    (Plexus.Arp_mgr.requests_sent arp_a);
+  Alcotest.(check int) "b answered it" 2
+    (Plexus.Arp_mgr.replies_sent (Plexus.Stack.arp b));
+  Alcotest.(check int) "delivered once" 2 !got;
+  Alcotest.(check int) "nothing left waiting" 0
+    (Proto.Arp.Cache.waiting_count (Plexus.Arp_mgr.cache arp_a) ip_b)
+
 let icmp_echo () =
   let p = pair () in
   (* send an echo request from A's kernel; B's ICMP manager answers *)
   let msg = Proto.Icmp.echo_request ~ident:9 ~seq:1 "probe" in
-  Plexus.Ip_mgr.send (Plexus.Stack.ip p.Experiments.Common.a)
+  let ip = Plexus.Stack.ip p.Experiments.Common.a in
+  Plexus.Ip_mgr.send ip (Plexus.Ip_mgr.prio ip ~dst:ip_b)
     ~proto:Proto.Ipv4.proto_icmp ~dst:ip_b (Proto.Icmp.to_packet msg);
   Sim.Engine.run p.Experiments.Common.engine;
   Alcotest.(check int) "b answered the echo" 1
@@ -494,6 +530,7 @@ let suite =
     ( "plexus.control",
       [
         tc "dynamic ARP resolution" arp_dynamic_resolution;
+        tc "learned ARP entry expires" arp_learned_entry_expires;
         tc "ICMP echo answered in kernel" icmp_echo;
       ] );
     ( "plexus.tcp",
