@@ -248,26 +248,7 @@ let keys_exact t =
   | True | False -> false
   | t' -> List.for_all (fun c -> key_of_conjunct c <> None) (flat_and t' [])
 
-(* ---- Flow demux extraction --------------------------------------------- *)
-
-(* The demultiplexing fields of a raw frame, read once.  This is the one
-   shared extractor behind both the context keys (EtherType) and
-   the dispatcher's flow signatures: every field the steady-state demux
-   decision can depend on, and nothing else.  [-1] marks an absent
-   field. *)
-type demux = {
-  dst_mac : int;  (** 48-bit destination MAC, or [-1] on a runt frame *)
-  ether_type : int;
-  ip_proto : int;
-  src_addr : int;
-  dst_addr : int;
-  src_port : int;
-  dst_port : int;
-  fragment : bool;
-      (** the frame is an IPv4 fragment (or carries a non-20-byte IP
-          header): the L4 ports are not where the fast path expects
-          them, so flow signatures must refuse it *)
-}
+(* ---- Flow signatures --------------------------------------------------- *)
 
 let frame_ether_type v =
   if Proto.Ether.has_header v then Proto.Ether.get_etype v else -1
@@ -278,7 +259,38 @@ let frame_ether_type v =
 let l3 = Proto.Ether.header_len
 let l4 = l3 + Proto.Ipv4.header_len
 
-let frame_demux v =
+(* The signature packs every field the steady-state demux decision can
+   depend on, and nothing else: dst MAC (0), EtherType (6), IP proto
+   (8), src/dst address (9, 13), src/dst port (17, 19), and a presence
+   byte (21) so absent fields (written as all-ones) cannot collide with
+   real zero/0xffff values.  Compared by exact byte equality — no
+   hashing unsoundness. *)
+let signature_len = 22
+
+let put_u32 b off x =
+  Bytes.set_uint16_be b off ((x lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (off + 2) (x land 0xffff)
+
+let put_signature b ~dst_mac ~ether_type ~ip_proto ~src_addr ~dst_addr
+    ~src_port ~dst_port =
+  Bytes.set_uint16_be b 0 ((dst_mac lsr 32) land 0xffff);
+  put_u32 b 2 dst_mac;
+  Bytes.set_uint16_be b 6 (ether_type land 0xffff);
+  Bytes.set_uint8 b 8 (ip_proto land 0xff);
+  put_u32 b 9 src_addr;
+  put_u32 b 13 dst_addr;
+  Bytes.set_uint16_be b 17 (src_port land 0xffff);
+  Bytes.set_uint16_be b 19 (dst_port land 0xffff);
+  Bytes.set_uint8 b 21
+    ((if dst_mac >= 0 then 1 else 0)
+    lor (if ether_type >= 0 then 2 else 0)
+    lor (if ip_proto >= 0 then 4 else 0)
+    lor if src_port >= 0 then 8 else 0)
+
+(* Write a raw frame's signature into [b], reading each field in place.
+   An IPv4 fragment, or a header whose IHL is not 5, is refused: the
+   port slots would not hold the L4 ports. *)
+let write_frame_signature v b =
   let len = View.length v in
   let dst_mac =
     if len >= Proto.Ether.Off.dst + 6 then
@@ -287,75 +299,45 @@ let frame_demux v =
   in
   let ether_type = frame_ether_type v in
   if ether_type = Proto.Ether.etype_ip && len >= l4 then begin
-    (* Treat a non-standard IHL like a fragment: the port slots below
-       would be header bytes, not L4 ports. *)
-    let fragment =
-      let frag = View.get_u16 v (l3 + Proto.Ipv4.Off.flags_frag) in
-      frag land 0x3fff <> 0 || View.get_u8 v (l3 + Proto.Ipv4.Off.vihl) <> 0x45
-    in
-    let ip_proto = View.get_u8 v (l3 + Proto.Ipv4.Off.proto) in
-    let ports =
-      (not fragment)
-      && (ip_proto = Proto.Ipv4.proto_udp || ip_proto = Proto.Ipv4.proto_tcp)
-      && len >= l4 + Proto.Udp.Off.dst_port + 2
-    in
-    {
-      dst_mac;
-      ether_type;
-      ip_proto;
-      src_addr = View.get_u32 v (l3 + Proto.Ipv4.Off.src);
-      dst_addr = View.get_u32 v (l3 + Proto.Ipv4.Off.dst);
-      src_port =
-        (if ports then View.get_u16 v (l4 + Proto.Udp.Off.src_port) else -1);
-      dst_port =
-        (if ports then View.get_u16 v (l4 + Proto.Udp.Off.dst_port) else -1);
-      fragment;
-    }
+    let frag = View.get_u16 v (l3 + Proto.Ipv4.Off.flags_frag) in
+    if frag land 0x3fff <> 0 || View.get_u8 v (l3 + Proto.Ipv4.Off.vihl) <> 0x45
+    then false
+    else begin
+      let ip_proto = View.get_u8 v (l3 + Proto.Ipv4.Off.proto) in
+      let ports =
+        (ip_proto = Proto.Ipv4.proto_udp || ip_proto = Proto.Ipv4.proto_tcp)
+        && len >= l4 + Proto.Udp.Off.dst_port + 2
+      in
+      put_signature b ~dst_mac ~ether_type ~ip_proto
+        ~src_addr:(View.get_u32 v (l3 + Proto.Ipv4.Off.src))
+        ~dst_addr:(View.get_u32 v (l3 + Proto.Ipv4.Off.dst))
+        ~src_port:
+          (if ports then View.get_u16 v (l4 + Proto.Udp.Off.src_port) else -1)
+        ~dst_port:
+          (if ports then View.get_u16 v (l4 + Proto.Udp.Off.dst_port) else -1);
+      true
+    end
   end
-  else
-    {
-      dst_mac;
-      ether_type;
-      ip_proto = -1;
-      src_addr = -1;
-      dst_addr = -1;
-      src_port = -1;
-      dst_port = -1;
-      fragment = false;
-    }
-
-(* 22-byte packed key: dst MAC, EtherType, IP proto, src/dst address,
-   src/dst port, and a presence byte so absent fields cannot collide
-   with real zero/0xffff values.  Compared by string equality — no
-   hashing unsoundness. *)
-let signature_of_demux d =
-  let b = Bytes.create 22 in
-  Bytes.set_uint16_be b 0 ((d.dst_mac lsr 32) land 0xffff);
-  Bytes.set_int32_be b 2 (Int32.of_int (d.dst_mac land 0xffffffff));
-  Bytes.set_uint16_be b 6 (d.ether_type land 0xffff);
-  Bytes.set_uint8 b 8 (d.ip_proto land 0xff);
-  Bytes.set_int32_be b 9 (Int32.of_int (d.src_addr land 0xffffffff));
-  Bytes.set_int32_be b 13 (Int32.of_int (d.dst_addr land 0xffffffff));
-  Bytes.set_uint16_be b 17 (d.src_port land 0xffff);
-  Bytes.set_uint16_be b 19 (d.dst_port land 0xffff);
-  Bytes.set_uint8 b 21
-    ((if d.dst_mac >= 0 then 1 else 0)
-    lor (if d.ether_type >= 0 then 2 else 0)
-    lor (if d.ip_proto >= 0 then 4 else 0)
-    lor if d.src_port >= 0 then 8 else 0);
-  Bytes.unsafe_to_string b
+  else begin
+    put_signature b ~dst_mac ~ether_type ~ip_proto:(-1) ~src_addr:(-1)
+      ~dst_addr:(-1) ~src_port:(-1) ~dst_port:(-1);
+    true
+  end
 
 (* Only a *fresh* context — cursor at 0, nothing parsed yet — is a raw
    frame whose bytes the signature can describe.  A reassembled datagram
    or a mid-graph context re-raised as a root would alias unrelated
    bytes into the demux fields, so it is refused (cache bypass), as are
    fragments. *)
-let flow_signature ctx =
+let write_signature ctx b =
   match ctx.Pctx.ip with
   | None when ctx.Pctx.off = 0 && ctx.Pctx.src_port < 0 ->
-      let d = frame_demux ctx.Pctx.frame in
-      if d.fragment then None else Some (signature_of_demux d)
-  | _ -> None
+      write_frame_signature ctx.Pctx.frame b
+  | _ -> false
+
+let flow_signature ctx =
+  let b = Bytes.create signature_len in
+  if write_signature ctx b then Some (Bytes.unsafe_to_string b) else None
 
 (* The dispatch keys a packet context *presents*, one per demux
    dimension available at the current layer.  The dispatcher hands a

@@ -109,42 +109,32 @@ val read_context_keys : Pctx.t -> int array -> unit
     Protocol-graph events use this as their key extractor, so
     steady-state dispatch allocates nothing. *)
 
-(** {1 Flow demux extraction}
+(** {1 Flow signatures}
 
-    One shared reader for the demultiplexing fields of a raw frame —
-    used by {!read_context_keys} (EtherType) and by the dispatcher's
-    flow-path cache ({!flow_signature}). *)
-
-type demux = {
-  dst_mac : int;  (** 48-bit destination MAC, [-1] on a runt frame *)
-  ether_type : int;  (** [-1] if the frame is shorter than 14 bytes *)
-  ip_proto : int;  (** [-1] unless an intact IPv4 header is present *)
-  src_addr : int;
-  dst_addr : int;
-  src_port : int;  (** [-1] unless a UDP/TCP first fragment *)
-  dst_port : int;
-  fragment : bool;
-      (** IPv4 fragment or non-standard IHL: ports unreadable, flow
-          signatures must refuse the frame *)
-}
-
-val frame_demux : _ View.t -> demux
-(** Read every demux field of a raw frame in one pass. *)
+    The flow-path cache's key: every field the steady-state demux
+    decision can depend on, packed into {!signature_len} bytes. *)
 
 val frame_ether_type : _ View.t -> int
 (** The frame's EtherType, or [-1] if it is shorter than a header. *)
 
-val signature_of_demux : demux -> string
-(** Pack a demux into a 22-byte flow-signature string (with a presence
-    byte, so absent fields cannot collide with real values).  Compared
-    by string equality. *)
+val signature_len : int
+(** 22: dst MAC, EtherType, IP protocol, src/dst address, src/dst port
+    and a presence byte, so absent fields cannot collide with real
+    values. *)
+
+val write_signature : Pctx.t -> Bytes.t -> bool
+(** Write the flow signature of a fresh root context into the first
+    {!signature_len} bytes of the buffer, reading the frame in place,
+    and return [true]; or return [false] when the packet cannot be
+    summarized by its demux fields (fragments, non-standard IP headers,
+    contexts that already carry parsed layer state and therefore are
+    not raw frames), which means the flow-path cache must be bypassed
+    for this delivery.  Allocates nothing: protocol-graph events use it
+    as their {!Spin.Dispatcher.set_sigfn} writer. *)
 
 val flow_signature : Pctx.t -> string option
-(** The flow signature of a fresh root context, or [None] when the
-    packet cannot be summarized by its demux fields (fragments,
-    non-standard IP headers, contexts that already carry parsed layer
-    state and therefore are not raw frames).  [None] means the flow-path
-    cache must be bypassed for this delivery. *)
+(** {!write_signature}'s bytes as a fresh string, or [None] where it
+    refuses the context. *)
 
 val ether_type_key : int -> int
 val ip_proto_key : int -> int

@@ -50,8 +50,11 @@ let node t name =
       (* ... and one flow-signature extractor, so any node can serve as
          a flow-path cache root when the kernel enables caching.  Only
          fresh, unfragmented frames are signable; everything else
-         bypasses the cache (Filter.flow_signature). *)
-      Spin.Dispatcher.set_sigfn recv Filter.flow_signature;
+         bypasses the cache (Filter.write_signature).  The writer fills
+         the event's scratch in place, so a cache probe allocates
+         nothing. *)
+      Spin.Dispatcher.set_sigfn recv ~len:Filter.signature_len
+        Filter.write_signature;
       (* ... and one flight-recorder mark extractor: the sampled packet
          id rides on the mbuf, so every node in the graph attributes its
          raise/handler stages to the same end-to-end timeline. *)

@@ -442,7 +442,8 @@ let deliver_batch peer pkts =
             (pkt :: kept, dropped)
         | rest -> ([], rest)
       in
-      let kept, dropped = split 0 pkts in
+      (* the common case, a whole grant, keeps the list as it is *)
+      let kept, dropped = if granted = n then (pkts, []) else split 0 pkts in
       if dropped <> [] then begin
         peer.counters.rx_drops <- peer.counters.rx_drops + List.length dropped;
         List.iter

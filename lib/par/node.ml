@@ -215,14 +215,17 @@ let worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
         }
   in
   let local = ref [] and nlocal = ref 0 in
-  let batch_flows = Hashtbl.create 64 in
+  (* [stamp.(k)] is the number of the last burst that carried a frame of
+     flow key [k] (see [inject]), so starting a new burst clears every
+     flow at once. *)
+  let stamp = Array.make (plan.Rss.flows + 1) (-1) and burst = ref 0 in
   let processed = ref 0 and forwarded_out = ref 0 and forwarded_in = ref 0 in
   let flush () =
     if !nlocal > 0 then begin
       Netsim.Dev.deliver_batch w.dev (List.rev !local);
       local := [];
       nlocal := 0;
-      Hashtbl.reset batch_flows;
+      incr burst;
       Sim.Engine.run w.engine
     end
   in
@@ -233,18 +236,18 @@ let worker ~plan ~domains ~flowcache ~flight_rate ~batch ~swap_every ~rings
      depend on where burst boundaries fall, which differs between the
      oracle's arrival order and a domain's subsequence.  Keeping each
      flow unique per burst makes the hit/miss totals a pure function of
-     the flow set, which is what the equivalence soak asserts.  ARP
-     requests all share one path signature (the ether-level key does not
-     see the sender), so they coalesce under a single sentinel key: on
-     the owner node a drained, forwarded ARP can otherwise land in the
-     same burst as a locally steered one and pay a spurious re-miss the
-     oracle never sees. *)
+     the flow set, which is what the equivalence soak asserts.  Flow [i]
+     has key [i + 1].  ARP requests all share one path signature (the
+     ether-level key does not see the sender), so they coalesce under
+     the single key 0: on the owner node a drained, forwarded ARP can
+     otherwise land in the same burst as a locally steered one and pay
+     a spurious re-miss the oracle never sees. *)
   let inject (f : Rss.frame) =
     let key =
-      match f.Rss.kind with Rss.Udp { flow } -> flow | Rss.Arp _ -> -1
+      match f.Rss.kind with Rss.Udp { flow } -> flow + 1 | Rss.Arp _ -> 0
     in
-    if Hashtbl.mem batch_flows key then flush ();
-    Hashtbl.replace batch_flows key ();
+    if stamp.(key) = !burst then flush ();
+    stamp.(key) <- !burst;
     (* wrap the shared immutable frame bytes into a domain-local mbuf —
        the node's "DMA" into its own pool *)
     let m = Mbuf.of_string f.Rss.bytes in

@@ -88,14 +88,26 @@ let default_costs =
      discards the in-flight recording instead of committing a stale
      entry (re-entrancy safety).
 
-   Replay runs the whole chain inside one interrupt work item: hop 0 is
-   scheduled with its modelled handler cost, nested raises consume their
-   recorded hops synchronously, and the accumulated cost of the inner
-   hops is charged as a single trailing work item.  A replayed raise
-   that diverges from the recording (different event, stale generation,
-   more raises than recorded) drops the entry and falls back to normal
-   graph dispatch mid-chain, so delivery is correct even when the cache
-   is wrong about the future. *)
+   Replay runs the whole chain synchronously in the root raiser's
+   context: hop 0's handlers run at once, each nested raise claims the
+   next recorded hop into its event's FIFO of (payload, hop) claims, and
+   the claimed hops run in claim order once the hop that raised them
+   finishes; the chain's modelled cost is charged in one [Cpu.charge].
+   A replayed raise that diverges from the recording (different event,
+   stale generation, more raises than recorded) drops the entry and
+   falls back to normal graph dispatch mid-chain, so delivery is correct
+   even when the cache is wrong about the future.
+
+   A warm hit allocates nothing: the signature is written into the root
+   event's scratch buffer and looked up in place (the key is copied only
+   when a miss records a new entry), the replay state is one record per
+   dispatcher, and each event's claim FIFO and the runner that drains it
+   are built once and reused by every later replay.  Reuse has its own
+   cost: storing a pointer into a long-lived block runs the write
+   barrier, which a fresh young block does not.  So a claim queues the
+   hop's position (an int) rather than the hop, the replay's runner
+   queue is written only where the slot holds another runner, and the
+   replay is flagged by a bool rather than a [flow] value. *)
 
 type hop = {
   hop_uid : int;  (* the event the recorded raise targeted *)
@@ -112,26 +124,39 @@ type recording = {
   mutable rec_ok : bool;  (* false once any hop was uncacheable *)
 }
 
+(* The dispatcher's one replay state, reset by every hit.  Replays do
+   not nest: a raise during a replay claims a hop or goes to graph
+   dispatch, and neither starts another replay. *)
 type replay = {
-  rp_hops : hop array;
+  mutable rp_hops : hop array;
   mutable rp_claim : int;  (* next hop a nested raise should claim *)
   mutable rp_cost : Sim.Stime.t;  (* handler + signature-lookup cost *)
   mutable rp_live : bool;  (* false once the chain has diverged *)
-  rp_pending : (unit -> Sim.Stime.t) Queue.t;
-      (* claimed hops awaiting execution, in raise order: running them
-         FIFO after the claiming hop finishes reproduces graph
-         dispatch's work-queue (hop-major) delivery order *)
-  rp_drop : unit -> unit;  (* remove the entry on divergence *)
+  mutable rp_entries : hop array Sharded.Cache.t;  (* the root's table *)
+  mutable rp_key : Bytes.t;  (* the root's signature scratch: the key *)
+  mutable rp_runs : (unit -> Sim.Stime.t) array;
+      (* claimed hops awaiting execution, in raise order, each as its
+         event's claim runner: running them FIFO after the claiming hop
+         finishes reproduces graph dispatch's work-queue (hop-major)
+         delivery order.  Slots past [rp_queued] keep their runners. *)
+  mutable rp_next : int;  (* next entry of [rp_runs] to run *)
+  mutable rp_queued : int;  (* entries of [rp_runs] in use *)
 }
 
 (* The dispatcher's dynamic delivery context.  Set only around the
    synchronous execution of handler bodies (and captured into scheduled
    continuations), so a nested [raise] knows whether it is being
-   recorded or replayed. *)
-type flow = No_flow | Recording of recording | Replaying of replay
+   recorded.  A replay is flagged by [in_replay] instead. *)
+type flow = No_flow | Recording of recording
 
 let hop_valid hop = !(hop.hop_gen) = hop.hop_gen_at
-let entry_valid hops = Array.for_all hop_valid hops
+
+(* A plain loop: [Array.for_all]'s inner closure would cost a hit 6
+   words. *)
+let rec valid_from hops i =
+  i >= Array.length hops || (hop_valid hops.(i) && valid_from hops (i + 1))
+
+let entry_valid hops = valid_from hops 0
 
 (* Per-event entry tables are sharded CLOCK caches (see {!Sharded.Cache}):
    shards grow geometrically up to a per-shard ceiling, then cold entries
@@ -217,6 +242,8 @@ type t = {
   pc_evictions : int ref;      (* CLOCK evictions across all event caches *)
   mutable fcache : bool;       (* flow-path cache enabled *)
   mutable flow : flow;         (* dynamic delivery context *)
+  rp : replay;                 (* the replay state every hit reuses *)
+  mutable in_replay : bool;    (* a hit's chain is running: raises claim *)
   mutable prio_override : Sim.Cpu.prio option;
       (* sticky delivery-priority demotion: set around handler bodies of
          an overridden raise so nested raises inherit it — the polled
@@ -247,6 +274,20 @@ let mkref reg name =
   match reg with Some r -> Observe.Registry.counter r name | None -> ref 0
 
 let create ?registry ?trace ~cpu ~costs () =
+  let rp =
+    {
+      rp_hops = [||];
+      rp_claim = 0;
+      rp_cost = Sim.Stime.zero;
+      rp_live = false;
+      rp_entries = Sharded.Cache.create ~shards:1 ~per_shard:8 ();
+          (* a placeholder: every hit sets the root's table first *)
+      rp_key = Bytes.empty;
+      rp_runs = [||];
+      rp_next = 0;
+      rp_queued = 0;
+    }
+  in
   {
     cpu;
     costs;
@@ -269,6 +310,8 @@ let create ?registry ?trace ~cpu ~costs () =
     pc_evictions = mkref registry "spin.path_cache.evictions";
     fcache = false;
     flow = No_flow;
+    rp;
+    in_replay = false;
     prio_override = None;
     next_uid = 0;
     introspectors = [];
@@ -450,6 +493,19 @@ type 'a invocation = {
   mutable dl_run : unit -> unit;
 }
 
+(* Hops a replay has claimed for an event's nested raises, oldest
+   first, as (payload, position in the replay's hops), and the runner the
+   replay queues to run the oldest.  The arrays grow on demand and every
+   later replay reuses them; a consumed slot keeps pointing at its
+   payload until it is reused. *)
+type 'a claims = {
+  mutable cl_v : 'a array;
+  mutable cl_pos : int array;
+  mutable cl_head : int;
+  mutable cl_tail : int;
+  mutable cl_run : unit -> Sim.Stime.t;  (* built at the first claim *)
+}
+
 type 'a event = {
   disp : t;
   ename : string;
@@ -462,7 +518,10 @@ type 'a event = {
          value or -1, allocation-free *)
   mutable kv_dims : int;                      (* dims the keyvfn fills *)
   mutable scratch : int array;                (* per-event key-value probe *)
-  mutable sigfn : ('a -> string option) option; (* flow signature, roots only *)
+  mutable sigfn : ('a -> Bytes.t -> bool) option;
+      (* flow-signature writer, roots only *)
+  mutable sig_key : Bytes.t;   (* the writer's scratch, one key long *)
+  claims : 'a claims;          (* hops claimed during a replay *)
   mutable markfn : ('a -> int) option;        (* payload's flight-record mark *)
   entries : hop array Sharded.Cache.t;        (* flow signature -> chain *)
   mutable next_hid : int;
@@ -550,7 +609,10 @@ let set_keyvfn ev ~dims kvf =
   if Array.length ev.scratch < dims then ev.scratch <- Array.make dims (-1);
   touch ev
 
-let set_sigfn ev sf = ev.sigfn <- Some sf
+let set_sigfn ev ~len sf =
+  if len < 1 then invalid_arg "Dispatcher.set_sigfn: len must be >= 1";
+  ev.sig_key <- Bytes.create len;
+  ev.sigfn <- Some sf
 
 (* Like [set_sigfn], purely observational: extracting the flight mark
    cannot change what a raise delivers, so no generation bump. *)
@@ -1010,6 +1072,10 @@ let compiled_tree ev =
   in
   view (tree_for ev).tr_root
 
+(* Placeholder claim runner of an event that has not claimed a hop yet
+   (the real one needs the replay functions defined further down). *)
+let no_runner () = Sim.Stime.zero
+
 (* Defined below [compiled_tree] so the per-event viewer closure it
    registers can force-compile the tree on demand. *)
 let event disp ?(mode = Interrupt) ename =
@@ -1027,6 +1093,10 @@ let event disp ?(mode = Interrupt) ename =
       kv_dims = 0;
       scratch = [||];
       sigfn = None;
+      sig_key = Bytes.empty;
+      claims =
+        { cl_v = [||]; cl_pos = [||]; cl_head = 0; cl_tail = 0;
+          cl_run = no_runner };
       markfn = None;
       entries =
         Sharded.Cache.create ~shards:cache_shards ~per_shard:cache_per_shard
@@ -1200,13 +1270,13 @@ let rec_finish d r =
 
 let flow_enter = function
   | Recording r -> r.rec_pending <- r.rec_pending + 1
-  | No_flow | Replaying _ -> ()
+  | No_flow -> ()
 
 let flow_leave d = function
   | Recording r ->
       r.rec_pending <- r.rec_pending - 1;
       if r.rec_pending = 0 then rec_finish d r
-  | No_flow | Replaying _ -> ()
+  | No_flow -> ()
 
 (* The priority a raise runs at: the event's delivery mode unless an
    override is in force (the demoted polled path). *)
@@ -1399,7 +1469,7 @@ let tree_demux ev dm =
                && Array.for_all (fun h -> h.cacheable) resid)
         then r.rec_ok <- false;
         true
-    | No_flow | Replaying _ -> false
+    | No_flow -> false
   in
   (* accepting hids, newest first: only a recording needs them *)
   let accepted_rev = ref [] in
@@ -1449,7 +1519,7 @@ let tree_demux ev dm =
             hop_hids = List.rev !accepted_rev;
           }
           :: r.rec_hops
-  | No_flow | Replaying _ -> ());
+  | No_flow -> ());
   flow_leave d flow
 
 (* Graph dispatch of one raise, optionally recording the hop: one walk
@@ -1563,23 +1633,71 @@ let rec run_hop_from ev v hids acc =
 
 let run_hop ev v hids = run_hop_from ev v hids Sim.Stime.zero
 
-(* Dispatch a raise through the graph while a replay is in progress:
-   graph work must not see the replay flow (its demux is queued and runs
-   later), so clear it for the call and restore it after. *)
-let graph_escape d rp ev v =
-  d.flow <- No_flow;
-  raise_core ev v No_flow;
-  d.flow <- Replaying rp
+(* The chain has diverged from the recording: drop the entry (its key
+   is still in the root's scratch, which no raise rewrites during the
+   replay) and let this raise and every later one take graph dispatch,
+   whose work is queued and runs after the replay with no flow.
+   Deliveries already made stand — they were valid when made. *)
+let diverge d rp ename =
+  rp.rp_live <- false;
+  Sharded.Cache.remove rp.rp_entries (Bytes.unsafe_to_string rp.rp_key);
+  incr d.pc_invalidations;
+  cache_invalidate_span d ename "divergent-replay"
+
+(* Run the event's oldest claimed hop.  An earlier pending hop's handler
+   may have churned the graph between claim and run: fall back to graph
+   dispatch for this raise if so. *)
+let run_claim ev =
+  let d = ev.disp and cl = ev.claims in
+  let rp = d.rp in
+  let i = cl.cl_head in
+  let v = cl.cl_v.(i) and hop = rp.rp_hops.(cl.cl_pos.(i)) in
+  if i + 1 = cl.cl_tail then begin
+    cl.cl_head <- 0;
+    cl.cl_tail <- 0
+  end
+  else cl.cl_head <- i + 1;
+  if rp.rp_live && hop_valid hop then run_hop ev v hop.hop_hids
+  else begin
+    if rp.rp_live then diverge d rp ev.ename;
+    raise_core ev v No_flow;
+    Sim.Stime.zero
+  end
+
+(* [a] copied into an array twice as long (at least 8), the new slots
+   filled with [x]. *)
+let grown a n x =
+  let b = Array.make (max 8 (2 * n)) x in
+  Array.blit a 0 b 0 n;
+  b
+
+(* Claim the hop at [pos] for the raise of [v] on [ev]: the payload and
+   position join the event's FIFO, and the event's runner joins the
+   replay's queue. *)
+let claim ev rp v pos =
+  let cl = ev.claims in
+  if cl.cl_run == no_runner then cl.cl_run <- (fun () -> run_claim ev);
+  let i = cl.cl_tail in
+  if i = Array.length cl.cl_pos then begin
+    cl.cl_v <- grown cl.cl_v i v;
+    cl.cl_pos <- grown cl.cl_pos i pos
+  end;
+  Array.unsafe_set cl.cl_v i v;
+  Array.unsafe_set cl.cl_pos i pos;
+  cl.cl_tail <- i + 1;
+  let q = rp.rp_queued in
+  if q = Array.length rp.rp_runs then
+    rp.rp_runs <- grown rp.rp_runs q cl.cl_run;
+  if Array.unsafe_get rp.rp_runs q != cl.cl_run then
+    Array.unsafe_set rp.rp_runs q cl.cl_run;
+  rp.rp_queued <- q + 1
 
 (* A nested raise while replaying: claim the next recorded hop if it
    matches this event and is still current, deferring its execution to
-   the root driver's FIFO — graph dispatch queues the nested demux
+   the root driver's queue — graph dispatch queues the nested demux
    behind the current hop's remaining deliveries, so running claimed
    hops after the claiming hop finishes reproduces its hop-major
-   delivery order exactly.  On a mismatch the chain has diverged: drop
-   the entry and send this raise (and any later ones) through graph
-   dispatch.  Deliveries already made stand — they were valid when
-   made. *)
+   delivery order exactly.  On a mismatch the chain has diverged. *)
 let replay_step ev v rp =
   let d = ev.disp in
   let pos = rp.rp_claim in
@@ -1589,33 +1707,12 @@ let replay_step ev v rp =
     && rp.rp_hops.(pos).hop_uid = ev.uid
     && hop_valid rp.rp_hops.(pos)
   then begin
-    let hop = rp.rp_hops.(pos) in
     rp.rp_claim <- pos + 1;
-    Queue.push
-      (fun () ->
-        (* An earlier pending hop's handler may have churned the graph
-           between claim and run: fall back for this raise if so. *)
-        if rp.rp_live && hop_valid hop then run_hop ev v hop.hop_hids
-        else begin
-          if rp.rp_live then begin
-            rp.rp_live <- false;
-            rp.rp_drop ();
-            incr d.pc_invalidations;
-            cache_invalidate_span d ev.ename "divergent-replay"
-          end;
-          graph_escape d rp ev v;
-          Sim.Stime.zero
-        end)
-      rp.rp_pending
+    claim ev rp v pos
   end
   else begin
-    if rp.rp_live then begin
-      rp.rp_live <- false;
-      rp.rp_drop ();
-      incr d.pc_invalidations;
-      cache_invalidate_span d ev.ename "divergent-replay"
-    end;
-    graph_escape d rp ev v
+    if rp.rp_live then diverge d rp ev.ename;
+    raise_core ev v No_flow
   end
 
 (* A root hit: the whole chain runs synchronously, right now, in the
@@ -1633,10 +1730,11 @@ let replay_step ev v rp =
    total charged CPU time are unchanged, which is the equivalence the
    cache promises.  Entry validity needs no upfront re-check: nothing
    can intervene between the lookup and this synchronous run, and
-   [replay_step] re-checks each hop as it claims and runs it (a handler
-   itself may churn the graph mid-chain). *)
-let replay_start ev v sg hops =
+   [replay_step] and [run_claim] re-check each hop as it is claimed and
+   run (a handler itself may churn the graph mid-chain). *)
+let replay_start ev v hops =
   let d = ev.disp in
+  let rp = d.rp in
   incr d.pc_hits;
   incr ev.ev_cached;
   if Observe.Trace.active d.trace then begin
@@ -1648,24 +1746,22 @@ let replay_start ev v sg hops =
          { event = ev.ename; hops = Array.length hops; handlers })
   end;
   flight_note_raise d ev v;
-  let hop0 = hops.(0) in
-  let rp =
-    {
-      rp_hops = hops;
-      rp_claim = 1;
-      rp_cost = d.costs.index;
-      rp_live = true;
-      rp_pending = Queue.create ();
-      rp_drop = (fun () -> Sharded.Cache.remove ev.entries sg);
-    }
-  in
-  d.flow <- Replaying rp;
-  rp.rp_cost <- Sim.Stime.add rp.rp_cost (run_hop ev v hop0.hop_hids);
-  while not (Queue.is_empty rp.rp_pending) do
-    let job = Queue.pop rp.rp_pending in
-    rp.rp_cost <- Sim.Stime.add rp.rp_cost (job ())
+  rp.rp_hops <- hops;
+  rp.rp_claim <- 1;
+  rp.rp_cost <- d.costs.index;
+  rp.rp_live <- true;
+  if rp.rp_entries != ev.entries then rp.rp_entries <- ev.entries;
+  if rp.rp_key != ev.sig_key then rp.rp_key <- ev.sig_key;
+  d.in_replay <- true;
+  rp.rp_cost <- Sim.Stime.add rp.rp_cost (run_hop ev v hops.(0).hop_hids);
+  while rp.rp_next < rp.rp_queued do
+    let run = rp.rp_runs.(rp.rp_next) in
+    rp.rp_next <- rp.rp_next + 1;
+    rp.rp_cost <- Sim.Stime.add rp.rp_cost (run ())
   done;
-  d.flow <- No_flow;
+  rp.rp_next <- 0;
+  rp.rp_queued <- 0;
+  d.in_replay <- false;
   Sim.Cpu.charge d.cpu ~cost:rp.rp_cost
 
 let record_raise ev v sg =
@@ -1680,6 +1776,29 @@ let record_raise ev v sg =
   in
   raise_core ev v (Recording r)
 
+(* A root raise on a caching event.  The signature is probed in place
+   in the event's scratch; only a miss copies it out, as the key of the
+   entry it records.  No recording is ever empty, so [[||]] stands for
+   "no entry". *)
+let cached_raise ev v write =
+  let d = ev.disp and key = ev.sig_key in
+  if not (write v key) then raise_core ev v No_flow (* unsignable: bypass *)
+  else begin
+    let hops =
+      Sharded.Cache.find_or ev.entries (Bytes.unsafe_to_string key) [||]
+    in
+    if Array.length hops > 0 && entry_valid hops then replay_start ev v hops
+    else begin
+      if Array.length hops > 0 then begin
+        Sharded.Cache.remove ev.entries (Bytes.unsafe_to_string key);
+        incr d.pc_invalidations;
+        cache_invalidate_span d ev.ename "stale-generation"
+      end;
+      incr d.pc_misses;
+      record_raise ev v (Bytes.to_string key)
+    end
+  end
+
 (* One raise, flow-cache aware.  [raises]/[ev_raises] already counted by
    the caller.  [prio] (or a sticky override left by an overridden
    handler body) demotes the raise and everything it delivers; demoted
@@ -1690,30 +1809,16 @@ let record_raise ev v sg =
 let dispatch ?prio ev v =
   let d = ev.disp in
   let over = match prio with Some _ -> prio | None -> d.prio_override in
-  match d.flow with
-  | Replaying rp -> replay_step ev v rp
-  | Recording _ as flow -> raise_core ?over ev v flow
-  | No_flow -> (
-      if Option.is_some over || not (d.fcache && ev.mode = Interrupt) then
-        raise_core ?over ev v No_flow
-      else
+  if d.in_replay then replay_step ev v d.rp
+  else
+    match d.flow with
+    | Recording _ as flow -> raise_core ?over ev v flow
+    | No_flow -> (
         match ev.sigfn with
-        | None -> raise_core ev v No_flow
-        | Some sigfn -> (
-            match sigfn v with
-            | None -> raise_core ev v No_flow (* unsignable: cache bypass *)
-            | Some sg -> (
-                match Sharded.Cache.find_opt ev.entries sg with
-                | Some hops when entry_valid hops -> replay_start ev v sg hops
-                | Some _ ->
-                    Sharded.Cache.remove ev.entries sg;
-                    incr d.pc_invalidations;
-                    cache_invalidate_span d ev.ename "stale-generation";
-                    incr d.pc_misses;
-                    record_raise ev v sg
-                | None ->
-                    incr d.pc_misses;
-                    record_raise ev v sg)))
+        | Some write when Option.is_none over && d.fcache && ev.mode = Interrupt
+          ->
+            cached_raise ev v write
+        | _ -> raise_core ?over ev v No_flow)
 
 let raise ?prio ev v =
   let d = ev.disp in

@@ -104,7 +104,7 @@ val set_keyvfn : 'a event -> dims:int -> ('a -> int array -> unit) -> unit
 (** {1 Flow-path cache}
 
     The steady-state datapath: a root raise on an event with a signature
-    extractor summarizes the payload into a compact flow signature.  On
+    writer summarizes the payload into a compact flow signature.  On
     a miss, the delivery walks the graph normally while recording the
     chain of (event, accepted handlers) hops; on a hit the recorded
     chain replays directly — one signature lookup, zero intermediate
@@ -113,7 +113,8 @@ val set_keyvfn : 'a event -> dims:int -> ('a -> int array -> unit) -> unit
     {!set_keyvfn}/{!touch}; a hit validates every hop's generation in
     O(hops), and a stale or divergent chain falls back to graph
     dispatch, so cached delivery is observably equivalent to uncached.
-    Disabled by default ({!set_flow_cache}). *)
+    A warm hit allocates nothing of the dispatcher's own.  Disabled by
+    default ({!set_flow_cache}). *)
 
 val set_flow_cache : t -> bool -> unit
 (** Enable or disable flow-path caching for root raises on this
@@ -122,13 +123,17 @@ val set_flow_cache : t -> bool -> unit
 
 val flow_cache_enabled : t -> bool
 
-val set_sigfn : 'a event -> ('a -> string option) -> unit
-(** Declare the event's flow-signature extractor, making it a caching
-    root.  [None] from the extractor means "this payload cannot be
-    summarized by its flow fields" (fragments, non-frame contexts) and
-    bypasses the cache for that raise.  Soundness contract: two payloads
-    with equal signatures must be indistinguishable to every
-    [~cacheable] guard along any chain the raise can take. *)
+val set_sigfn : 'a event -> len:int -> ('a -> Bytes.t -> bool) -> unit
+(** Declare the event's flow-signature writer, making it a caching
+    root.  Signatures are [len] bytes long.  The writer fills all [len]
+    bytes of the buffer it is given (the event's scratch, which still
+    holds the previous signature) and returns [true], or returns [false]
+    when the payload cannot be summarized by its flow fields
+    (fragments, non-frame contexts), which bypasses the cache for that
+    raise.  Entries are matched by exact equality of the bytes.
+    Soundness contract: two payloads with equal signatures must be
+    indistinguishable to every [~cacheable] guard along any chain the
+    raise can take. *)
 
 (** {1 Flight recorder}
 

@@ -96,14 +96,14 @@ module Cache = struct
 
   let shard t key = t.cshards.(Hashtbl.hash key land t.cmask)
 
-  let find_opt t key =
+  let find_or t key absent =
     let sh = shard t key in
-    match Hashtbl.find_opt sh.index key with
-    | None -> None
-    | Some i ->
+    match Hashtbl.find sh.index key with
+    | exception Not_found -> absent
+    | i -> (
         let s = sh.slots.(i) in
         s.s_ref <- true;
-        s.s_value
+        match s.s_value with Some v -> v | None -> absent)
 
   let remove t key =
     let sh = shard t key in

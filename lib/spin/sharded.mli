@@ -35,8 +35,12 @@ module Cache : sig
       (default 8192), then evicts CLOCK-style.  [evictions] lets the
       caller supply a registry counter to increment on each eviction. *)
 
-  val find_opt : 'v t -> string -> 'v option
-  (** Marks the entry recently-used. *)
+  val find_or : 'v t -> string -> 'v -> 'v
+  (** [find_or t key absent] is the value cached under [key], or
+      [absent] when there is none; a hit marks the entry recently-used.
+      The probe allocates nothing and never stores [key], so a caller
+      may pass a scratch buffer's bytes through [Bytes.unsafe_to_string]
+      (the dispatcher's signature probe does). *)
 
   val put : 'v t -> string -> 'v -> unit
   (** Insert or replace; evicts a cold entry when the shard is full. *)

@@ -279,8 +279,8 @@ let udp_frame ~dst_mac =
   m
 
 (* The reads every received frame pays for — the dispatch keys, the
-   EtherType guard, the transport checksums over a view and over a
-   2-segment chain — allocate nothing.  Holds in the optimised and the
+   flow signature, the EtherType guard, the transport checksums over a
+   view and over a 2-segment chain — allocate nothing.  Holds in the optimised and the
    dev (-opaque, no cross-module inlining) builds alike. *)
 let in_place_reads_allocate_nothing () =
   let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
@@ -293,6 +293,10 @@ let in_place_reads_allocate_nothing () =
   check_no_words "Filter.read_context_keys"
     (words_of (fun () -> Plexus.Filter.read_context_keys ctx keys));
   Alcotest.(check int) "EtherType key" Proto.Ether.etype_ip keys.(0);
+  let key = Bytes.create Plexus.Filter.signature_len and signed = ref false in
+  check_no_words "Filter.write_signature"
+    (words_of (fun () -> signed := Plexus.Filter.write_signature ctx key));
+  Alcotest.(check bool) "a fresh frame is signed" true !signed;
   check_no_words "Pctx.view of a fresh context"
     (words_of (fun () -> ignore (Sys.opaque_identity (Plexus.Pctx.view ctx))));
   let guard = ref false in

@@ -22,6 +22,12 @@ type side = {
   log : (int * int) list ref;
 }
 
+(* The signature writer of the int-payload tests: the payload's two
+   low bits, in one byte.  It allocates nothing. *)
+let sig_low_bits v b =
+  Bytes.unsafe_set b 0 (Char.unsafe_chr (v land 3));
+  true
+
 let mk_side ~flowcache =
   let e = Sim.Engine.create () in
   let cpu = Sim.Cpu.create e ~name:"cpu" in
@@ -29,7 +35,7 @@ let mk_side ~flowcache =
   D.set_flow_cache d flowcache;
   let root = D.event d "root" in
   let mid = D.event d "mid" in
-  D.set_sigfn root (fun v -> Some (string_of_int (v land 3)));
+  D.set_sigfn root ~len:1 sig_low_bits;
   let log = ref [] in
   let (_ : unit -> unit) =
     D.install root ~cacheable:true ~label:"fwd" ~cost:(us 1) (fun v ->
@@ -183,6 +189,156 @@ let churn_during_replay_diverges_safely () =
   send s 0;
   send s 0;
   Alcotest.(check int) "re-records and hits again" 3 (D.path_cache_hits s.d)
+
+(* Claim, then churn: a handler on [mid] raises [a] then [b], so a
+   replay claims both hops before either runs.  Armed, [a]'s handler
+   uninstalls [b]'s handler; [b]'s claimed hop is stale by the time its
+   runner comes round, so the runner must drop the entry and send the
+   raise through graph dispatch, where the victim is gone.  Graph
+   dispatch without the cache reaches the same deliveries: the victim's
+   queued delivery is skipped once it is uninstalled. *)
+let claim_then_churn () =
+  let mk ~flowcache =
+    let s = mk_side ~flowcache in
+    let a = D.event s.d "a" and b = D.event s.d "b" in
+    let (_ : unit -> unit) =
+      D.install s.mid ~cacheable:true ~label:"fan" ~cost:(us 1) (fun v ->
+          s.log := (1, v) :: !(s.log);
+          D.raise a v;
+          D.raise b v)
+    in
+    let un_victim = ref (fun () -> ()) and armed = ref false in
+    let (_ : unit -> unit) =
+      D.install a ~cacheable:true ~label:"churner" ~cost:(us 1) (fun v ->
+          s.log := (2, v) :: !(s.log);
+          if !armed then begin
+            armed := false;
+            !un_victim ()
+          end)
+    in
+    un_victim :=
+      D.install b ~cacheable:true ~label:"victim" ~cost:(us 1) (fun v ->
+          s.log := (3, v) :: !(s.log));
+    (s, armed)
+  in
+  let run ~flowcache =
+    let s, armed = mk ~flowcache in
+    send s 0;
+    send s 4;
+    let inv0 = D.path_cache_invalidations s.d in
+    armed := true;
+    send s 8;
+    let after =
+      (D.path_cache_invalidations s.d - inv0, D.cache_entries s.root)
+    in
+    send s 12;
+    (s, after)
+  in
+  let cached, (invalidations, entries) = run ~flowcache:true in
+  let uncached, _ = run ~flowcache:false in
+  Alcotest.(check int) "the warm hit and the one that diverged" 2
+    (D.path_cache_hits cached.d);
+  Alcotest.(check int) "one divergent-replay invalidation" 1 invalidations;
+  Alcotest.(check int) "the diverged entry is dropped" 0 entries;
+  Alcotest.(check bool) "victim never runs after the churn" false
+    (List.exists (fun (tag, v) -> tag = 3 && v >= 8) (delivered cached));
+  Alcotest.(check (list (pair int int)))
+    "same deliveries as graph dispatch" (delivered uncached)
+    (delivered cached);
+  Alcotest.(check int) "post-churn chain recorded again" 1
+    (D.cache_entries cached.root)
+
+(* A handler that raises one event three times, with three payloads:
+   the three claims share that event's FIFO and must run in raise
+   order, the order graph dispatch delivers them in. *)
+let fan_out_keeps_raise_order () =
+  let run ~flowcache =
+    let s = mk_side ~flowcache in
+    let leaf = D.event s.d "leaf" in
+    let (_ : unit -> unit) =
+      D.install s.mid ~cacheable:true ~label:"fan" ~cost:(us 1) (fun v ->
+          for k = 0 to 2 do
+            D.raise leaf (v + (100 * k))
+          done)
+    in
+    let (_ : unit -> unit) = install_logger s leaf 1 in
+    send s 0;
+    send s 4;
+    send s 8;
+    s
+  in
+  let cached = run ~flowcache:true and uncached = run ~flowcache:false in
+  Alcotest.(check int) "two hits" 2 (D.path_cache_hits cached.d);
+  Alcotest.(check (list (pair int int)))
+    "same deliveries in the same order" (delivered uncached)
+    (delivered cached)
+
+(* ---- a warm hit allocates nothing ------------------------------------ *)
+
+(* A chain of [depth] events: every handler counts and raises the next
+   event with its payload, the root's handler [fan] times and every
+   other handler once.  Every handler is cacheable, so after one recording
+   every packet of the flow is a hit. *)
+let counting_chain ~depth ~fan =
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"cpu" in
+  let d = D.create ~cpu ~costs:D.default_costs () in
+  D.set_flow_cache d true;
+  let evs = Array.init depth (fun i -> D.event d (Printf.sprintf "e%d" i)) in
+  D.set_sigfn evs.(0) ~len:1 sig_low_bits;
+  let count = ref 0 in
+  Array.iteri
+    (fun i ev ->
+      let n = if i = 0 then fan else 1 in
+      let (_ : unit -> unit) =
+        D.install ev ~cacheable:true ~cost:(us 1) (fun v ->
+            incr count;
+            if i + 1 < depth then
+              for _ = 1 to n do
+                D.raise evs.(i + 1) v
+              done)
+      in
+      ())
+    evs;
+  (e, d, evs.(0), count)
+
+let hit_words (e, _, root, _) v =
+  let w0 = Gc.minor_words () in
+  D.raise root v;
+  let w = Gc.minor_words () -. w0 in
+  Sim.Engine.run e;
+  w
+
+(* Words per warm hit on a 3-hop chain.  The signature is probed in the
+   root's scratch, the replay state is the dispatcher's, and each nested
+   raise claims its hop into its event's FIFO: none of it allocates.
+   Optimised and dev builds alike. *)
+let hit_words_expected = 0.
+
+let warm_hit_allocates_nothing () =
+  let ((_, d, _, count) as c) = counting_chain ~depth:3 ~fan:1 in
+  ignore (hit_words c 0 : float);
+  ignore (hit_words c 4 : float);
+  Alcotest.(check int) "recorded then hit" 1 (D.path_cache_hits d);
+  let w = hit_words c 8 in
+  Alcotest.(check int) "the hit replayed the chain" 2 (D.path_cache_hits d);
+  Alcotest.(check int) "every hop's handler ran" 9 !count;
+  Alcotest.(check (float 0.)) "minor words per warm hit" hit_words_expected w
+
+(* A root that raises 12 nested events claims more hops than a FIFO's
+   first capacity (8): the first hit grows the event's FIFO and the
+   replay's queue, and the second finds them grown. *)
+let deep_chain_reuses_fifos () =
+  let ((_, d, _, count) as c) = counting_chain ~depth:2 ~fan:12 in
+  ignore (hit_words c 0 : float);
+  let first = hit_words c 4 in
+  let second = hit_words c 8 in
+  Alcotest.(check int) "two hits" 2 (D.path_cache_hits d);
+  Alcotest.(check int) "every claimed hop ran" 39 !count;
+  if first <= second then
+    Alcotest.failf "the first hit (%.0f words) grew no FIFO" first;
+  Alcotest.(check (float 0.)) "minor words on the second pass"
+    hit_words_expected second
 
 (* ---- qcheck: cached == uncached under random churn ------------------- *)
 
@@ -398,7 +554,7 @@ let raise_batch_amortizes () =
   let d = D.create ~cpu ~costs:D.default_costs () in
   D.set_flow_cache d true;
   let ev = D.event d "rx" in
-  D.set_sigfn ev (fun v -> Some (string_of_int (v land 3)));
+  D.set_sigfn ev ~len:1 sig_low_bits;
   let log = ref [] in
   let (_ : unit -> unit) =
     D.install ev ~cacheable:true ~label:"h" ~cost:(us 1) (fun v ->
@@ -434,6 +590,91 @@ let cpu_charge_reserves () =
 
 (* ---- flow signature -------------------------------------------------- *)
 
+(* The reference encoder the in-place writer replaced: read every demux
+   field of a raw frame into a record, then pack the record.  [-1]
+   marks an absent field. *)
+module Oracle = struct
+  type demux = {
+    dst_mac : int;
+    ether_type : int;
+    ip_proto : int;
+    src_addr : int;
+    dst_addr : int;
+    src_port : int;
+    dst_port : int;
+    fragment : bool;
+  }
+
+  let l3 = Proto.Ether.header_len
+  let l4 = l3 + Proto.Ipv4.header_len
+
+  let frame_demux v =
+    let len = View.length v in
+    let dst_mac =
+      if len >= Proto.Ether.Off.dst + 6 then
+        Proto.Ether.get_u48 v Proto.Ether.Off.dst
+      else -1
+    in
+    let ether_type = Plexus.Filter.frame_ether_type v in
+    if ether_type = Proto.Ether.etype_ip && len >= l4 then begin
+      let fragment =
+        let frag = View.get_u16 v (l3 + Proto.Ipv4.Off.flags_frag) in
+        frag land 0x3fff <> 0
+        || View.get_u8 v (l3 + Proto.Ipv4.Off.vihl) <> 0x45
+      in
+      let ip_proto = View.get_u8 v (l3 + Proto.Ipv4.Off.proto) in
+      let ports =
+        (not fragment)
+        && (ip_proto = Proto.Ipv4.proto_udp || ip_proto = Proto.Ipv4.proto_tcp)
+        && len >= l4 + Proto.Udp.Off.dst_port + 2
+      in
+      {
+        dst_mac;
+        ether_type;
+        ip_proto;
+        src_addr = View.get_u32 v (l3 + Proto.Ipv4.Off.src);
+        dst_addr = View.get_u32 v (l3 + Proto.Ipv4.Off.dst);
+        src_port =
+          (if ports then View.get_u16 v (l4 + Proto.Udp.Off.src_port) else -1);
+        dst_port =
+          (if ports then View.get_u16 v (l4 + Proto.Udp.Off.dst_port) else -1);
+        fragment;
+      }
+    end
+    else
+      {
+        dst_mac;
+        ether_type;
+        ip_proto = -1;
+        src_addr = -1;
+        dst_addr = -1;
+        src_port = -1;
+        dst_port = -1;
+        fragment = false;
+      }
+
+  let signature_of_demux d =
+    let b = Bytes.create 22 in
+    Bytes.set_uint16_be b 0 ((d.dst_mac lsr 32) land 0xffff);
+    Bytes.set_int32_be b 2 (Int32.of_int (d.dst_mac land 0xffffffff));
+    Bytes.set_uint16_be b 6 (d.ether_type land 0xffff);
+    Bytes.set_uint8 b 8 (d.ip_proto land 0xff);
+    Bytes.set_int32_be b 9 (Int32.of_int (d.src_addr land 0xffffffff));
+    Bytes.set_int32_be b 13 (Int32.of_int (d.dst_addr land 0xffffffff));
+    Bytes.set_uint16_be b 17 (d.src_port land 0xffff);
+    Bytes.set_uint16_be b 19 (d.dst_port land 0xffff);
+    Bytes.set_uint8 b 21
+      ((if d.dst_mac >= 0 then 1 else 0)
+      lor (if d.ether_type >= 0 then 2 else 0)
+      lor (if d.ip_proto >= 0 then 4 else 0)
+      lor if d.src_port >= 0 then 8 else 0);
+    Bytes.unsafe_to_string b
+
+  let signature v =
+    let d = frame_demux v in
+    if d.fragment then None else Some (signature_of_demux d)
+end
+
 let signature_extraction () =
   let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
   let dev = Plexus.Ether_mgr.dev (Plexus.Stack.ether p.Experiments.Common.b) in
@@ -455,14 +696,62 @@ let signature_extraction () =
   in
   Alcotest.(check bool) "non-fresh context refused" true
     (Plexus.Filter.flow_signature parsed = None);
-  (* demux and signature agree through the shared extractor *)
+  (* the in-place writer and the record-then-pack encoder agree *)
   let d =
-    Plexus.Filter.frame_demux
+    Oracle.frame_demux
       (View.ro (Mbuf.view (mk_udp_frame ~dst_mac:mac ~dst_port:7)))
   in
-  Alcotest.(check int) "demux reads the dst port" 7 d.Plexus.Filter.dst_port;
+  Alcotest.(check int) "demux reads the dst port" 7 d.Oracle.dst_port;
   Alcotest.(check bool) "packed form matches the context signature" true
-    (Some (Plexus.Filter.signature_of_demux d) = s1)
+    (Some (Oracle.signature_of_demux d) = s1)
+
+(* Random frames, built around valid Ethernet/IPv4/L4 headers and then
+   perturbed: EtherType, IHL, fragment bits and protocol drawn from the
+   interesting values and random ones, and the frame cut at a random
+   length (runts included).  The writer, given a scratch full of
+   garbage, must produce exactly the oracle's bytes, and refuse exactly
+   the frames the oracle refuses. *)
+let frame_gen =
+  QCheck.Gen.(
+    let pick vs = oneof [ oneofl vs; int_bound 0xffff ] in
+    map
+      (fun ((etype, vihl, frag, proto), (body, cut)) ->
+        let b = Bytes.of_string body in
+        Bytes.set_uint16_be b 12 etype;
+        Bytes.set_uint8 b 14 (vihl land 0xff);
+        Bytes.set_uint16_be b 20 frag;
+        Bytes.set_uint8 b 23 (proto land 0xff);
+        Bytes.sub_string b 0 (min cut (Bytes.length b)))
+      (pair
+         (quad
+            (pick [ Proto.Ether.etype_ip; Proto.Ether.etype_arp ])
+            (pick [ 0x45; 0x46; 0x4f ])
+            (pick [ 0; 0x2000; 0x4000; 0x0001 ])
+            (pick
+               Proto.Ipv4.[ proto_udp; proto_tcp; proto_icmp ]))
+         (pair (string_size (return 64)) (int_bound 70))))
+
+let writer_matches_oracle =
+  let dev =
+    lazy
+      (Plexus.Ether_mgr.dev
+         (Plexus.Stack.ether
+            (Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()))
+              .Experiments.Common.b))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"in-place signature writer = demux-record oracle"
+    (QCheck.make ~print:(fun f -> Printf.sprintf "%S" f) frame_gen)
+    (fun frame ->
+      let m = Mbuf.ro (Mbuf.of_string frame) in
+      let scratch = Bytes.make Plexus.Filter.signature_len '\xa5' in
+      let ctx = Plexus.Pctx.make (Lazy.force dev) m in
+      let written =
+        if Plexus.Filter.write_signature ctx scratch then
+          Some (Bytes.to_string scratch)
+        else None
+      in
+      written = Oracle.signature (View.ro (Mbuf.view (Mbuf.of_string frame))))
 
 let suite =
   [
@@ -477,6 +766,8 @@ let suite =
           churn_during_recording_discards_entry;
         tc "churn during replay diverges safely"
           churn_during_replay_diverges_safely;
+        tc "claim then churn falls back in the runner" claim_then_churn;
+        tc "fan-out claims keep raise order" fan_out_keeps_raise_order;
         prop equivalence_under_churn;
       ] );
     ( "flowcache.stack",
@@ -494,5 +785,13 @@ let suite =
         tc "cpu charge reserves" cpu_charge_reserves;
       ] );
     ( "flowcache.signature",
-      [ tc "flow signature extraction" signature_extraction ] );
+      [
+        tc "flow signature extraction" signature_extraction;
+        prop writer_matches_oracle;
+      ] );
+    ( "flowcache.alloc",
+      [
+        tc "a warm hit allocates no replay words" warm_hit_allocates_nothing;
+        tc "a deep chain reuses its FIFOs" deep_chain_reuses_fifos;
+      ] );
   ]

@@ -325,6 +325,10 @@ let table_basics () =
   Alcotest.(check bool) "no shard holds everything" true
     (Spin.Sharded.Table.max_shard_size t < 999)
 
+(* Cache probe for these tests: every stored value is >= 0, so -1 reads
+   as "no entry". *)
+let cache_find c k = Spin.Sharded.Cache.find_or c k (-1)
+
 let cache_eviction () =
   let ev = ref 0 in
   let c = Spin.Sharded.Cache.create ~shards:1 ~per_shard:8 ~evictions:ev () in
@@ -335,16 +339,13 @@ let cache_eviction () =
   Alcotest.(check int) "full" 8 (Spin.Sharded.Cache.length c);
   Alcotest.(check int) "no eviction below capacity" 0 !ev;
   (* keep "0" hot so CLOCK passes over it *)
-  Alcotest.(check (option int)) "hit" (Some 0)
-    (Spin.Sharded.Cache.find_opt c "0");
+  Alcotest.(check int) "hit" 0 (cache_find c "0");
   Spin.Sharded.Cache.put c "8" 8;
   Alcotest.(check int) "bounded" 8 (Spin.Sharded.Cache.length c);
   Alcotest.(check int) "one eviction" 1 !ev;
-  Alcotest.(check (option int)) "new entry present" (Some 8)
-    (Spin.Sharded.Cache.find_opt c "8");
+  Alcotest.(check int) "new entry present" 8 (cache_find c "8");
   Spin.Sharded.Cache.remove c "8";
-  Alcotest.(check (option int)) "remove" None
-    (Spin.Sharded.Cache.find_opt c "8");
+  Alcotest.(check int) "remove" (-1) (cache_find c "8");
   Spin.Sharded.Cache.put c "9" 9;
   Alcotest.(check int) "hole reused, no eviction" 1 !ev
 
@@ -360,16 +361,15 @@ let cache_clock_keeps_hot () =
   (* re-reference every survivor except "2": the next insert must pass
      over the hot entries and claim the cold one *)
   List.iter
-    (fun k -> ignore (Spin.Sharded.Cache.find_opt c k))
+    (fun k -> ignore (cache_find c k : int))
     [ "1"; "3"; "4"; "5"; "6"; "7"; "8" ];
   Spin.Sharded.Cache.put c "9" 9;
-  Alcotest.(check (option int)) "cold entry evicted" None
-    (Spin.Sharded.Cache.find_opt c "2");
+  Alcotest.(check int) "cold entry evicted" (-1) (cache_find c "2");
   List.iter
     (fun k ->
       Alcotest.(check bool)
         (k ^ " survives") true
-        (Spin.Sharded.Cache.find_opt c k <> None))
+        (cache_find c k >= 0))
     [ "1"; "3"; "4"; "5"; "6"; "7"; "8"; "9" ]
 
 let cache_grows () =
@@ -382,7 +382,7 @@ let cache_grows () =
   Alcotest.(check int) "no evictions" 0 (Spin.Sharded.Cache.evictions c);
   for i = 0 to 999 do
     Alcotest.(check bool) "still present" true
-      (Spin.Sharded.Cache.find_opt c (string_of_int i) <> None)
+      (cache_find c (string_of_int i) >= 0)
   done
 
 (* ---- rng ------------------------------------------------------------- *)
