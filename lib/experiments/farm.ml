@@ -26,8 +26,8 @@
      ephemeral allocator and the timer wheel at population), then
      returns a thunk that drives a burst of fresh request/response
      probes through the loaded datapath and reports the wire-frame
-     count — so a caller can measure host cost per simulated packet at
-     1k vs. 100k live flows and gate on the ratio staying flat. *)
+     count — so a caller can measure the cost per simulated packet at
+     1k vs. 100k live flows and check that it stays flat. *)
 
 let service_port = 8080
 let server_ip = Proto.Ipaddr.v 10 0 0 100

@@ -7,12 +7,12 @@
     - {!run}/{!print}: an open heavy-tailed workload (Poisson request
       arrivals per client, Pareto-distributed response sizes) reporting
       goodput and p50/p99 request latency.
-    - {!scale_setup}: the flow-population probe behind
-      [bench --scale-only] — park [live_flows] idle established
-      connections, then time fresh request/response probes through the
-      loaded datapath.  Per-packet host cost must stay flat as the
-      population grows 100x (the sharded-table/timer-wheel acceptance
-      gate). *)
+    - {!scale_setup}: the flow-population probe — park [live_flows]
+      idle established connections, then drive fresh request/response
+      probes through the loaded datapath.  Per-packet cost must stay
+      flat as the population grows 100x; the tier-1 test
+      [scale.workload] checks it in minor words per wire packet (the
+      sharded-table/timer-wheel acceptance gate). *)
 
 val service_port : int
 val server_ip : Proto.Ipaddr.t
@@ -89,6 +89,6 @@ val scale_setup :
     the connect rate self-paces to the server's simulated CPU), and
     returns a thunk.  Each thunk call drives [probes] fresh HTTP exchanges
     through the loaded farm and reports the wire-frame count — wrap the
-    call in a host-side timer and divide to get host ns per simulated
-    packet.  The thunk is repeatable; use several rounds and take the
-    minimum. *)
+    call in a counter (minor words, host time) and divide to get the
+    cost per simulated packet.  The thunk is repeatable; its k-th call
+    drives the same simulated probe schedule whatever [live_flows] is. *)

@@ -437,6 +437,97 @@ let stack_counters () =
     [ "ping-0"; "ping-1"; "ping-2" ]
     (List.rev !got)
 
+(* The steady state the cache is for: the paper's extension trio on the
+   receiver's flow path (a wire tap on the ether event, a firewall and a
+   byte-accounting monitor on the ip event) with span tracing into a
+   ring, and a 1000-B datagram per send.  Uncached, every packet re-pays
+   demux, guards, one work item per handler and a span per step; cached,
+   one signature probe replays the recorded chain.  Returns, per send,
+   the minor words and engine events of the whole host pair, and the
+   receiver's guard evaluations and path-cache hits, plus the datagrams
+   the server received. *)
+let steady_state_per_send ~flowcache =
+  let p =
+    Experiments.Common.plexus_pair ~flowcache (Netsim.Costs.ethernet ())
+  in
+  let b = p.Experiments.Common.b and engine = p.Experiments.Common.engine in
+  let kernel = Netsim.Host.kernel (Plexus.Stack.host b) in
+  Observe.Trace.set_sink (Spin.Kernel.trace kernel)
+    (Observe.Trace.Ring (Observe.Trace.Ring.create ~capacity:4096 ()));
+  let ether_ev =
+    Plexus.Graph.recv_event (Plexus.Ether_mgr.node (Plexus.Stack.ether b))
+  in
+  let ip_ev =
+    Plexus.Graph.recv_event (Plexus.Ip_mgr.node (Plexus.Stack.ip b))
+  in
+  let udp_guard ctx =
+    match ctx.Plexus.Pctx.ip with
+    | Some ip -> ip.Proto.Ipv4.proto = Proto.Ipv4.proto_udp
+    | None -> false
+  in
+  let frames = ref 0 and bytes = ref 0 and received = ref 0 in
+  List.iter
+    (fun (ev, guard, label, cost, f) ->
+      let (_ : unit -> unit) =
+        D.install ev ~guard ~cacheable:true ~label ~cost f
+      in
+      ())
+    [
+      (ether_ev, (fun _ -> true), "tap", us 2, fun _ -> incr frames);
+      (ip_ev, udp_guard, "firewall", us 2, ignore);
+      ( ip_ev, udp_guard, "acct", us 1,
+        fun ctx -> bytes := !bytes + Plexus.Pctx.payload_len ctx );
+    ];
+  let udp_a = Plexus.Stack.udp p.Experiments.Common.a in
+  let udp_b = Plexus.Stack.udp b in
+  (match Plexus.Udp_mgr.bind udp_b ~owner:"srv" ~port:7 with
+  | Ok ep ->
+      let (_ : unit -> unit) =
+        Plexus.Udp_mgr.install_recv udp_b ep (fun _ -> incr received)
+      in
+      ()
+  | Error _ -> Alcotest.fail "bind failed");
+  let client =
+    match Plexus.Udp_mgr.bind udp_a ~owner:"cli" ~port:5000 with
+    | Ok ep -> ep
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let dst = (Experiments.Common.ip_b, 7) in
+  let send () =
+    Plexus.Udp_mgr.send_mbuf udp_a client ~dst (Mbuf.alloc 1000);
+    Sim.Engine.run engine
+  in
+  (* the first sends warm ARP, record the flow path and first replay it *)
+  for _ = 1 to 3 do send () done;
+  let disp_b = Spin.Kernel.dispatcher kernel in
+  let sends = 1000 in
+  let e0 = Sim.Engine.events_run engine and g0 = D.guard_evals disp_b in
+  let h0 = D.path_cache_hits disp_b and r0 = !received in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to sends do send () done;
+  let words = Gc.minor_words () -. w0 in
+  let per x = float_of_int x /. float_of_int sends in
+  ( words /. float_of_int sends,
+    per (Sim.Engine.events_run engine - e0),
+    per (D.guard_evals disp_b - g0),
+    per (D.path_cache_hits disp_b - h0),
+    !received - r0 )
+
+(* What the cache buys, in counters that repeat exactly from run to
+   run: the uncached send must cost at least 1.5x the cached one in minor
+   words and in engine events, and a cached send evaluates no guard. *)
+let steady_state_cache_pays () =
+  let uw, ue, _, _, ud = steady_state_per_send ~flowcache:false in
+  let cw, ce, cg, ch, cd = steady_state_per_send ~flowcache:true in
+  Alcotest.(check int) "every datagram delivered, cached or not" ud cd;
+  Alcotest.(check (float 0.)) "cached: no guard evaluated" 0. cg;
+  Alcotest.(check (float 0.)) "cached: one path-cache hit per send" 1. ch;
+  if uw < 1.5 *. cw || ue < 1.5 *. ce then
+    Alcotest.failf
+      "uncached send costs %.1f words and %.2f events, cached %.1f and %.2f \
+       (need >= 1.5x on both)"
+      uw ue cw ce
+
 let stack_exclude_ports_invalidates () =
   let p =
     Experiments.Common.plexus_pair ~flowcache:true (Netsim.Costs.ethernet ())
@@ -775,6 +866,7 @@ let suite =
         tc "path_cache counters on the udp fast path" stack_counters;
         tc "exclude_ports invalidates the cached path"
           stack_exclude_ports_invalidates;
+        tc "the cache pays for itself in steady state" steady_state_cache_pays;
       ] );
     ( "flowcache.batching",
       [

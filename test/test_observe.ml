@@ -535,6 +535,75 @@ let flight_run ~rate () =
   Sim.Engine.run p.Experiments.Common.engine;
   kernel_b
 
+(* Per send of a 1000-B datagram over the two-host testbed: the minor
+   words and engine events of the whole pair, and the simulated time a
+   send takes.  [observe] attaches the kernels' registries (their trace
+   sinks stay Null); [flight_rate] > 0 turns on both kernels' flight
+   recorders at 1-in-[flight_rate]. *)
+let send_costs ~observe ~flight_rate =
+  let p = Experiments.Common.plexus_pair ~observe (Netsim.Costs.ethernet ()) in
+  let engine = p.Experiments.Common.engine in
+  if flight_rate > 0 then
+    List.iter
+      (fun stack ->
+        Observe.Flight.set_rate
+          (Spin.Kernel.flight (Netsim.Host.kernel (Plexus.Stack.host stack)))
+          flight_rate)
+      [ p.Experiments.Common.a; p.Experiments.Common.b ];
+  let udp_a = Plexus.Stack.udp p.Experiments.Common.a in
+  let udp_b = Plexus.Stack.udp p.Experiments.Common.b in
+  let bind_exn udp ~owner ~port =
+    match Plexus.Udp_mgr.bind udp ~owner ~port with
+    | Ok ep -> ep
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let server = bind_exn udp_b ~owner:"srv" ~port:7 in
+  let (_ : unit -> unit) = Plexus.Udp_mgr.install_recv udp_b server ignore in
+  let client = bind_exn udp_a ~owner:"cli" ~port:5000 in
+  let dst = (Experiments.Common.ip_b, 7) in
+  let send () =
+    Plexus.Udp_mgr.send_mbuf udp_a client ~dst (Mbuf.alloc 1000);
+    Sim.Engine.run engine
+  in
+  for _ = 1 to 64 do send () done;
+  let sends = 64 * 16 in
+  let e0 = Sim.Engine.events_run engine and t0 = Sim.Engine.now engine in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to sends do send () done;
+  let words = Gc.minor_words () -. w0 in
+  let per x = x /. float_of_int sends in
+  ( per words,
+    per (float_of_int (Sim.Engine.events_run engine - e0)),
+    per
+      (float_of_int
+         (Sim.Stime.to_ns (Sim.Stime.sub (Sim.Engine.now engine) t0))) )
+
+(* Disabled observability is free, in counters that repeat exactly from
+   run to run: attaching the registries with Null trace sinks adds no
+   word and no event to a send, and 1-in-64 flight sampling adds no event
+   and at most [sampled_extra_words] words per send (the records of the
+   sampled packets, amortised).  Neither moves simulated time.  The
+   detached send is pinned too, so a Null sink that builds its spans
+   fails here even though it would slow both sides alike. *)
+let detached_send_words = 96.
+let sampled_extra_words = 3.
+
+let disabled_observability_is_free () =
+  let (dw, de, dt) as detached = send_costs ~observe:false ~flight_rate:0 in
+  let (nw, _, _) as null = send_costs ~observe:true ~flight_rate:0 in
+  let fw, fe, ft = send_costs ~observe:true ~flight_rate:64 in
+  let costs = Alcotest.(triple (float 0.) (float 0.) (float 0.)) in
+  Alcotest.check costs "registry + Null sink: same words, events, sim ns"
+    detached null;
+  if dw > detached_send_words then
+    Alcotest.failf "a detached send allocates %.2f words (pinned at %.0f)" dw
+      detached_send_words;
+  Alcotest.(check (float 0.)) "1/64 sampling: same events" de fe;
+  Alcotest.(check (float 0.)) "1/64 sampling: same simulated time" dt ft;
+  if fw -. nw > sampled_extra_words then
+    Alcotest.failf "1/64 sampling adds %.2f words per send (pinned at %.0f)"
+      (fw -. nw) sampled_extra_words
+
 let flight_timelines_end_to_end () =
   let kernel_b = flight_run ~rate:1 () in
   let fl = Spin.Kernel.flight kernel_b in
@@ -912,6 +981,7 @@ let suite =
         tc "sampled set matches mark_for" flight_sampled_subset;
         tc "cross-domain merge attribution" flight_merge_domains;
         tc "per-extension ledger" flight_ledger_accounting;
+        tc "disabled observability is free" disabled_observability_is_free;
         tc "ledger merge under domain prefixes" registry_merge_ledger_prefixes;
       ] );
     ( "observe.telemetry",

@@ -446,6 +446,42 @@ let explicit_port_released () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "explicit port must be released on close"
 
+(* ---- flow population ------------------------------------------------ *)
+
+(* The steady-state scale claim, as a deterministic counter: the same
+   probe round through the server farm costs no more minor words per
+   wire packet with 100k live connections parked than with 1k.  The
+   probe schedule does not depend on the population, so the rounds are
+   identical in simulated time: same packets, same p50, p99 and goodput.
+   A flow table whose per-packet work grows with its population (a list,
+   say) fails the words bound.  The 100k set-up takes seconds. *)
+let probe_at live =
+  let probe_round =
+    Experiments.Farm.scale_setup ~clients:8 ~live_flows:live ~probes:500 ()
+  in
+  ignore (probe_round () : Experiments.Farm.probe);
+  let w0 = Gc.minor_words () in
+  let p = probe_round () in
+  let words = Gc.minor_words () -. w0 in
+  (p, words /. float_of_int p.Experiments.Farm.packets)
+
+let population_does_not_raise_per_packet_cost () =
+  let lo, lo_words = probe_at 1_000 in
+  let hi, hi_words = probe_at 100_000 in
+  List.iter
+    (fun (p : Experiments.Farm.probe) ->
+      Alcotest.(check int) "every flow established" p.live_flows p.established;
+      Alcotest.(check int) "no probe errors" 0 p.probe_errors)
+    [ lo; hi ];
+  let sim (p : Experiments.Farm.probe) =
+    (p.packets, (p.probe_p50_us, (p.probe_p99_us, p.probe_goodput_mbps)))
+  in
+  Alcotest.(check (pair int (pair (float 0.) (pair (float 0.) (float 0.)))))
+    "packets, p50, p99, goodput identical at 1k and 100k" (sim lo) (sim hi);
+  if hi_words > lo_words then
+    Alcotest.failf "%.2f minor words per packet at 100k live flows, %.2f at 1k"
+      hi_words lo_words
+
 let tc name f = Alcotest.test_case name `Quick f
 let prop t = QCheck_alcotest.to_alcotest t
 
@@ -471,7 +507,11 @@ let suite =
         tc "cache grows to capacity first" cache_grows;
       ] );
     ( "scale.workload",
-      [ prop pareto_support ] );
+      [
+        prop pareto_support;
+        Alcotest.test_case "100k live flows cost no more per packet than 1k"
+          `Slow population_does_not_raise_per_packet_cost;
+      ] );
     ( "scale.ephemeral",
       [
         tc "exhaustion surfaces and frees on close" ephemeral_exhaustion;

@@ -870,6 +870,65 @@ let inexpressible_keys_are_residuals () =
   Alcotest.(check int) "walk + residual guards" 1_100
     (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
 
+(* The paper's claim that demultiplexing stays cheap as extensions pile
+   up, stated as per-raise counters that repeat exactly from run to run.
+   An event holds [n] keyed exact handlers, one per payload value, and
+   every raise matches the middle one.  From 8 handlers on, the walk is
+   one switch and proves its leaf without a guard, so minor words, guard
+   evaluations, engine events and simulated time per raise are the same
+   at 8, 64 and 256 handlers.  A lone handler compiles to a one-leaf
+   tree whose guard runs; the switch must never cost more than that. *)
+let keyed_raise_flat_in_handler_count () =
+  let per_raise n =
+    let e, cpu, d = mk_dispatcher () in
+    let ev = mk_keyed_event d in
+    for k = 0 to n - 1 do
+      let (_ : unit -> unit) =
+        Spin.Dispatcher.install ev ~guard:(fun x -> x = k) ~keys:[ k ]
+          ~exact:true ~cost:Sim.Stime.zero ignore
+      in
+      ()
+    done;
+    let raises = 1000 and target = n / 2 in
+    let burst () =
+      for _ = 1 to raises do
+        Spin.Dispatcher.raise ev target;
+        Sim.Engine.run e
+      done
+    in
+    burst ();
+    let g0 = Spin.Dispatcher.guard_evals d and e0 = Sim.Engine.events_run e in
+    let b0 = Sim.Stime.to_ns (Sim.Cpu.busy_time cpu) in
+    let w0 = Gc.minor_words () in
+    burst ();
+    let words = Gc.minor_words () -. w0 in
+    let per x = float_of_int x /. float_of_int raises in
+    ( words /. float_of_int raises,
+      per (Spin.Dispatcher.guard_evals d - g0),
+      per (Sim.Engine.events_run e - e0),
+      per (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu) - b0) )
+  in
+  let counters =
+    Alcotest.(pair (pair (float 0.) (float 0.)) (pair (float 0.) (float 0.)))
+  in
+  let nest (w, g, ev, ns) = ((w, g), (ev, ns)) in
+  let t1 = per_raise 1 and t8 = per_raise 8 in
+  (* dispatch 0.4 + one switch 0.1, no guard, no words *)
+  Alcotest.check counters "8 handlers: words, guards, events, sim ns"
+    ((0., 0.), (2., 500.)) (nest t8);
+  List.iter
+    (fun n ->
+      Alcotest.check counters
+        (Printf.sprintf "%d handlers cost what 8 do" n)
+        (nest t8) (nest (per_raise n)))
+    [ 64; 256 ];
+  let w1, g1, e1, ns1 = t1 and w8, g8, e8, ns8 = t8 in
+  if w8 > w1 || g8 > g1 || e8 > e1 || ns8 > ns1 then
+    Alcotest.failf
+      "the switch costs more than a lone guarded leaf: %.2f/%.2f words, \
+       %.2f/%.2f guards, %.2f/%.2f events, %.0f/%.0f ns"
+      w8 w1 g8 g1 e8 e1 ns8 ns1
+
 let suite =
   suite
   @ [
@@ -891,5 +950,7 @@ let suite =
           tc "one-leaf shapes charge the guard scan" one_leaf_cost;
           tc "inexpressible keys become residuals"
             inexpressible_keys_are_residuals;
+          tc "keyed raise cost flat in handler count"
+            keyed_raise_flat_in_handler_count;
         ] );
     ]
