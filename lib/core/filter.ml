@@ -194,7 +194,6 @@ let key_code { kfield; kvalue } = (key_tag kfield lsl 16) lor (kvalue land 0xfff
 
 let ether_type_key etype = key_code { kfield = Key_ether_type; kvalue = etype }
 let ip_proto_key proto = key_code { kfield = Key_ip_proto; kvalue = proto }
-let src_port_key port = key_code { kfield = Key_src_port; kvalue = port }
 let dst_port_key port = key_code { kfield = Key_dst_port; kvalue = port }
 
 (* Fields the dispatch tree can switch on, with the field's value width:
@@ -492,7 +491,6 @@ let compile_guard t =
   fun ctx -> run p ctx
 
 (* Common building blocks. *)
-let ether_type_is etype = Eq (U16 (Abs, Proto.Ether.Off.etype), etype)
 let ip_proto_is proto = Eq (Ip_proto, proto)
 let dst_port_is port = Eq (Dst_port, port)
 let src_port_is port = Eq (Src_port, port)

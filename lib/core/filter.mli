@@ -138,14 +138,12 @@ val flow_signature : Pctx.t -> string option
 
 val ether_type_key : int -> int
 val ip_proto_key : int -> int
-val src_port_key : int -> int
 val dst_port_key : int -> int
 (** Key encodings for managers that install closure guards with a known
     literal (endpoint port, protocol number) rather than a filter. *)
 
 (** {1 Builders} *)
 
-val ether_type_is : int -> t
 val ip_proto_is : int -> t
 val dst_port_is : int -> t
 val src_port_is : int -> t

@@ -245,8 +245,6 @@ let set_admission ?(budget = 8) ?(window = Sim.Stime.ms 1) ?(defer_limit = 256)
   | None -> ());
   t.admission <- Some ac
 
-let clear_admission t = t.admission <- None
-
 let admission_backlog t =
   match t.admission with None -> 0 | Some ac -> Queue.length ac.q
 

@@ -101,8 +101,6 @@ val set_admission :
     installed, its pressure watermarks force deferral early.
     @raise Invalid_argument on non-positive parameters. *)
 
-val clear_admission : t -> unit
-
 val admission_backlog : t -> int
 (** Frames currently parked in the deferred queue. *)
 

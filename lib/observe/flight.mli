@@ -108,8 +108,6 @@ val timelines : record list -> (int * record list) list
     timestamp sort is attempted. *)
 
 val stage_name : stage -> string
-val pp_stage : Format.formatter -> stage -> unit
 val pp_record : Format.formatter -> record -> unit
 val pp_timeline : Format.formatter -> int * record list -> unit
-val records_to_json : record list -> string
 val to_json : t -> string

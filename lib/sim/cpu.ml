@@ -44,7 +44,8 @@ type t = {
   mutable preemptive : bool;
   mutable current : int;  (* item in service *)
   mutable current_prio : prio;
-  mutable started : int;  (* when [current] entered service, ns *)
+  mutable started : int;
+      (* when [current] began service, ns: past any [charge] reservation *)
   done_at : Engine.handle;  (* completion event of [current] *)
   mutable complete : unit -> unit;  (* its thunk, built once *)
   (* times below are in ns, as ints: no [Stime] call on the hot path *)
@@ -114,7 +115,21 @@ let pop t q =
   q.len <- q.len - 1;
   w
 
-let rec service t =
+(* Put item [w] in service and return its completion instant, ns. *)
+let serve t w prio =
+  t.busy <- true;
+  let now = (Engine.now t.engine :> int) in
+  (* an outstanding inline charge delays service of queued work *)
+  let start = if t.reserved_until > now then t.reserved_until else now in
+  t.current <- w;
+  t.current_prio <- prio;
+  t.started <- start;
+  start + t.cost.(w)
+
+(* Put the next queued item in service — interrupt work first, then
+   preempted thread work, then thread work — and return its completion
+   instant; [none] when the queues are empty and the CPU goes idle. *)
+let service t =
   if t.intr_q.head <> none then serve t (pop t t.intr_q) Interrupt
   else if t.resumed <> none then begin
     let w = t.resumed in
@@ -124,24 +139,16 @@ let rec service t =
   else if t.thread_q.head <> none then serve t (pop t t.thread_q) Thread
   else begin
     t.busy <- false;
-    t.current <- none
+    t.current <- none;
+    none
   end
 
-and serve t w prio =
-  t.busy <- true;
-  let started = (Engine.now t.engine :> int) in
-  (* an outstanding inline charge delays service of queued work *)
-  let wait =
-    if t.reserved_until > started then t.reserved_until - started else 0
-  in
-  t.current <- w;
-  t.current_prio <- prio;
-  t.started <- started;
-  Engine.arm t.engine t.done_at
-    ~at:(Stime.ns (started + wait + t.cost.(w)))
-    t.complete
+let arm t due = Engine.arm t.engine t.done_at ~at:(Stime.ns due) t.complete
 
-let complete t =
+(* Finish the item in service, run its continuation and serve the next
+   one.  When the engine would pop that item's completion next anyway,
+   it is finished right here, in a loop, instead of through the timer. *)
+let rec complete t =
   let w = t.current in
   t.current <- none;
   let cost = t.cost.(w) in
@@ -151,7 +158,9 @@ let complete t =
   let k = t.k.(w) in
   recycle t w;
   k ();
-  service t
+  let due = service t in
+  if due <> none then
+    if Engine.elide t.engine due then complete t else arm t due
 
 let create engine ~name =
   let t =
@@ -189,13 +198,15 @@ let preempt t =
   if t.current <> none && t.current_prio = Thread then begin
     let w = t.current in
     Engine.cancel t.engine t.done_at;
-    let consumed = (Engine.now t.engine :> int) - t.started in
+    (* nothing is consumed while a reservation still holds the CPU *)
+    let consumed = Int.max 0 ((Engine.now t.engine :> int) - t.started) in
     t.busy_ns <- t.busy_ns + consumed;
     t.window_busy <- t.window_busy + consumed;
     t.cost.(w) <- t.cost.(w) - consumed;
     t.resumed <- w;
     t.current <- none;
-    service t
+    (* the interrupt just queued goes into service *)
+    arm t (service t)
   end
 
 (* Account CPU work performed inline by the caller, with no work item and
@@ -215,7 +226,7 @@ let submit t prio ~cost k =
   if not t.busy then
     (* idle CPU: the queues are empty (service drains them before
        clearing [busy]), so skip the queue round-trip entirely *)
-    serve t w prio
+    arm t (serve t w prio)
   else begin
     push t (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) w;
     if t.preemptive && prio = Interrupt then preempt t

@@ -20,7 +20,12 @@ val rng : t -> Rng.t
 (** The engine's deterministic random stream. *)
 
 val events_run : t -> int
-(** Number of events executed so far. *)
+(** Number of events executed so far, elided ones (see {!elide})
+    included. *)
+
+val popped : t -> int
+(** Number of events that went through the queue: {!events_run} less the
+    elided ones. *)
 
 val pending : t -> int
 (** Number of live events still queued.  Cancelled events are removed
@@ -60,10 +65,27 @@ val cancel : t -> handle -> unit
 val capacity : t -> int
 (** Event entries the queue holds, live or free: its high-water mark. *)
 
+val elide : t -> int -> bool
+(** [elide t at] asks to run an event due at [at] (ns) in place, without
+    scheduling it: allowed only inside {!run}, when [at] lies strictly
+    before every queued event — so the queue would pop it next — and
+    within [run]'s [until] and [max_events].  When allowed, the clock
+    moves to [at], the event is counted in {!events_run} (not in
+    {!popped}) and the result is [true]; the caller must then run the
+    event at once.  Otherwise nothing changes and the caller schedules
+    it.  A tie with a queued event never elides: that event runs
+    first. *)
+
 val step : t -> bool
-(** Run the single earliest event.  [false] when the queue is empty. *)
+(** Run the single earliest event.  [false] when the queue is empty.
+    Outside {!run} nothing elides, so a loop of [step] calls pops every
+    event through the queue: the same events at the same instants as
+    {!run}, one per call. *)
 
 val run : ?until:Stime.t -> ?max_events:int -> t -> unit
 (** Run events until the queue empties, the clock would pass [until], or
-    [max_events] have executed.  When [until] is given the clock is left at
-    exactly [until] (or later if an event fired there). *)
+    [max_events] have executed, elided events included.  Inside [run] the
+    CPU model finishes back-to-back work items by {!elide}, so the clock
+    never passes [until] and the count never passes [max_events] that
+    way either.  When [until] is given the clock is left at exactly
+    [until] (or later if an event fired there). *)

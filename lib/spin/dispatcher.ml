@@ -340,7 +340,6 @@ let path_cache_misses t = !(t.pc_misses)
 let path_cache_invalidations t = !(t.pc_invalidations)
 let path_cache_evictions t = !(t.pc_evictions)
 let set_flow_cache t on = t.fcache <- on
-let flow_cache_enabled t = t.fcache
 let set_flight t fl = t.flight <- fl
 let flight t = t.flight
 

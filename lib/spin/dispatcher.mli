@@ -121,8 +121,6 @@ val set_flow_cache : t -> bool -> unit
     dispatcher.  Existing entries are retained but ignored while
     disabled (generation checks keep them sound if re-enabled). *)
 
-val flow_cache_enabled : t -> bool
-
 val set_sigfn : 'a event -> len:int -> ('a -> Bytes.t -> bool) -> unit
 (** Declare the event's flow-signature writer, making it a caching
     root.  Signatures are [len] bytes long.  The writer fills all [len]
@@ -428,5 +426,4 @@ val dump : t -> event_info list
 (** Every event declared on this dispatcher, in declaration order, with
     its installed handlers and their live counters. *)
 
-val pp_event_info : event_info Fmt.t
 val pp_dump : t Fmt.t

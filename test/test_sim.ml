@@ -388,6 +388,24 @@ let cpu_repeated_preemption () =
   Alcotest.(check int) "busy conserved" 450_000
     (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
 
+(* A preemption that lands while an inline charge still holds the CPU
+   consumes none of the thread item: its whole cost runs after the
+   interrupt, and busy time counts the charge and each item once. *)
+let cpu_preempt_during_reservation () =
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"c" in
+  Sim.Cpu.set_preemptive cpu true;
+  let thread_done = ref Sim.Stime.zero in
+  Sim.Cpu.charge cpu ~cost:(us 10);
+  Sim.Cpu.run cpu ~cost:(us 5) (fun () -> thread_done := Sim.Engine.now e);
+  Sim.Engine.post e ~at:(us 5) (fun () ->
+      Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 1) ignore);
+  Sim.Engine.run e;
+  check_time "charge, interrupt, then the whole thread item" 16_000
+    (Sim.Stime.to_ns !thread_done);
+  check_time "busy = charge + items" 16_000
+    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
+
 (* ---- re-armable timers and recycled records ------------------------- *)
 
 let engine_timer_rearm () =
@@ -579,6 +597,203 @@ let cpu_item_words () =
   check_words "preempted cpu item" ~bound:0.1 (per (2 * n) w);
   Alcotest.(check int) "every item served" (6 * n) (Sim.Cpu.served cpu)
 
+(* ---- run-to-completion CPU service ---------------------------------- *)
+
+(* A random workload on two CPUs sharing one engine.  Every event and
+   every work-item completion logs (time, id), then may submit work at
+   either priority, charge a CPU inline or post an engine event.  Costs
+   and delays are 0-3 units of 250 ns, so events often fall exactly on
+   completion instants.  The workload draws its decisions from its own
+   stream as it runs, so two runs that fire the same events in the same
+   order build the same workload, and any divergence shows in the
+   log. *)
+type world = {
+  engine : Sim.Engine.t;
+  cpus : Sim.Cpu.t array;
+  rand : Random.State.t;
+  mutable ids : int;
+  mutable budget : int;
+  mutable log : (int * int) list;
+}
+
+let rec act w id () =
+  w.log <- (Sim.Stime.to_ns (Sim.Engine.now w.engine), id) :: w.log;
+  for _ = 1 to Random.State.int w.rand 4 do
+    if w.budget > 0 then begin
+      w.budget <- w.budget - 1;
+      let id = w.ids in
+      w.ids <- id + 1;
+      let cpu = w.cpus.(Random.State.int w.rand 2) in
+      let span = Sim.Stime.ns (250 * Random.State.int w.rand 4) in
+      match Random.State.int w.rand 6 with
+      | 0 | 1 -> Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:span (act w id)
+      | 2 -> Sim.Cpu.submit cpu Sim.Cpu.Interrupt ~cost:span (act w id)
+      | 3 -> Sim.Cpu.charge cpu ~cost:span
+      | _ -> Sim.Engine.post_in w.engine ~delay:span (act w id)
+    end
+  done
+
+let world seed =
+  let engine = Sim.Engine.create () in
+  let rand = Random.State.make [| seed |] in
+  let cpus = Array.init 2 (fun i -> Sim.Cpu.create engine ~name:(string_of_int i)) in
+  Array.iter (fun c -> Sim.Cpu.set_preemptive c (Random.State.bool rand)) cpus;
+  let w = { engine; cpus; rand; ids = 0; budget = 300; log = [] } in
+  for _ = 0 to Random.State.int rand 4 do
+    let id = w.ids in
+    w.ids <- id + 1;
+    Sim.Engine.post w.engine ~at:(Sim.Stime.ns (250 * Random.State.int rand 8)) (act w id)
+  done;
+  w
+
+(* [Engine.run] — whole, in [until] slices or in [max_events] slices,
+   each of which must run exactly its budget unless the queue empties —
+   fires what a loop of [Engine.step] fires: the same (time, id) log, the
+   same event count and the same CPU accounts. *)
+let run_matches_step (seed, mode) =
+  let by_step = world seed and by_run = world seed in
+  while Sim.Engine.step by_step.engine do () done;
+  let e = by_run.engine in
+  let slices = Random.State.make [| seed; mode |] in
+  let exact = ref true in
+  (match mode with
+  | 0 -> Sim.Engine.run e
+  | 1 ->
+      let limit = ref 0 in
+      while Sim.Engine.pending e > 0 do
+        limit := !limit + (250 * Random.State.int slices 6);
+        Sim.Engine.run e ~until:(Sim.Stime.ns !limit)
+      done
+  | _ ->
+      while Sim.Engine.pending e > 0 do
+        let k = Random.State.int slices 5 and n0 = Sim.Engine.events_run e in
+        Sim.Engine.run e ~max_events:k;
+        if Sim.Engine.events_run e - n0 <> k && Sim.Engine.pending e > 0 then
+          exact := false
+      done);
+  let accounts w =
+    Array.map (fun c -> (Sim.Cpu.served c, Sim.Stime.to_ns (Sim.Cpu.busy_time c))) w.cpus
+  in
+  let events w = Sim.Engine.events_run w.engine in
+  !exact
+  && by_run.log = by_step.log
+  && events by_run = events by_step
+  && accounts by_run = accounts by_step
+  && Sim.Engine.popped by_step.engine = events by_step
+  && Sim.Engine.popped e <= events by_run
+
+let run_step_oracle =
+  QCheck.Test.make ~count:500
+    ~name:"run fires what a loop of step fires, elided completions and all"
+    QCheck.(pair int (int_bound 2))
+    run_matches_step
+
+(* [n] 10 us items queued at once on an idle CPU; each completion logs
+   its number and instant. *)
+let queued_items n =
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"c" in
+  let log = ref [] in
+  let note x () = log := (x, Sim.Stime.to_ns (Sim.Engine.now e)) :: !log in
+  for i = 1 to n do
+    Sim.Cpu.run cpu ~cost:(us 10) (note (string_of_int i))
+  done;
+  (e, cpu, log, note)
+
+let log_t = Alcotest.(list (pair string int))
+
+(* An event queued at the instant a completion falls due runs first, as
+   without elision: the tie sends that completion through the wheel. *)
+let elide_tie () =
+  let e, _, log, note = queued_items 3 in
+  Sim.Engine.post e ~at:(us 20) (note "ev");
+  Sim.Engine.run e;
+  Alcotest.check log_t "queued event first on a tie"
+    [ ("1", 10_000); ("ev", 20_000); ("2", 20_000); ("3", 30_000) ]
+    (List.rev !log);
+  Alcotest.(check int) "every event counted" 4 (Sim.Engine.events_run e);
+  Alcotest.(check int) "only the last completion elided" 3 (Sim.Engine.popped e)
+
+(* An elided completion never takes the clock past [until]; one due at
+   [until] exactly still runs. *)
+let elide_until () =
+  let e, cpu, log, _ = queued_items 4 in
+  Sim.Engine.run e ~until:(us 25);
+  Alcotest.check log_t "items due by 25 us" [ ("1", 10_000); ("2", 20_000) ]
+    (List.rev !log);
+  check_time "clock left at until" 25_000 (Sim.Stime.to_ns (Sim.Engine.now e));
+  Alcotest.(check int) "third item still in service" 2 (Sim.Cpu.served cpu);
+  Sim.Engine.run e ~until:(us 40);
+  Alcotest.check log_t "due at until runs"
+    [ ("1", 10_000); ("2", 20_000); ("3", 30_000); ("4", 40_000) ]
+    (List.rev !log);
+  Alcotest.(check int) "two popped, two elided" 2 (Sim.Engine.popped e)
+
+(* [max_events] counts elided completions: each slice runs exactly its
+   budget. *)
+let elide_max_events () =
+  let e, cpu, _, _ = queued_items 10 in
+  let slice k served =
+    Sim.Engine.run e ~max_events:k;
+    Alcotest.(check int) (Printf.sprintf "served after %d more" k) served
+      (Sim.Cpu.served cpu);
+    Alcotest.(check int) "events = items" served (Sim.Engine.events_run e)
+  in
+  slice 3 3;
+  check_time "clock at the third completion" 30_000
+    (Sim.Stime.to_ns (Sim.Engine.now e));
+  Alcotest.(check int) "one popped, two elided" 1 (Sim.Engine.popped e);
+  slice 0 3;
+  slice 4 7;
+  slice max_int 10
+
+(* A bare [step] runs one event and elides nothing. *)
+let step_does_not_elide () =
+  let e, cpu, _, _ = queued_items 3 in
+  Alcotest.(check bool) "stepped" true (Sim.Engine.step e);
+  Alcotest.(check bool) "stepped" true (Sim.Engine.step e);
+  Alcotest.(check int) "one item per step" 2 (Sim.Cpu.served cpu);
+  Alcotest.(check int) "both popped" 2 (Sim.Engine.popped e)
+
+(* Wheel traffic of a UDP echo round trip over a Plexus pair, as the
+   fig5/micro ping-pong drives it.  Elision does not change the event
+   count per round trip (26 with elision off, too); most of those events
+   are CPU completions the engine would pop next anyway, finished in
+   place, so at most 30% of them go through the wheel. *)
+let pingpong_wheel_traffic () =
+  let module C = Experiments.Common in
+  let p = C.plexus_pair (Netsim.Costs.ethernet ()) in
+  let udp_a = Plexus.Stack.udp p.C.a and udp_b = Plexus.Stack.udp p.C.b in
+  let bind udp ~owner ~port =
+    match Plexus.Udp_mgr.bind udp ~owner ~port with
+    | Ok ep -> ep
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let server = bind udp_b ~owner:"echo-server" ~port:7 in
+  let (_ : unit -> unit) =
+    Plexus.Udp_mgr.install_recv udp_b server (fun ctx ->
+        let data = View.to_string (Plexus.Pctx.view ctx) in
+        let src = (Plexus.Pctx.ip_exn ctx).Proto.Ipv4.src in
+        Plexus.Udp_mgr.send udp_b server ~dst:(src, ctx.Plexus.Pctx.src_port) data)
+  in
+  let client = bind udp_a ~owner:"echo-client" ~port:5001 in
+  let iters = 100 in
+  let loop = C.Pingpong.create ~warmup:0 ~iters p.C.engine in
+  let (_ : unit -> unit) =
+    Plexus.Udp_mgr.install_recv udp_a client (fun _ -> C.Pingpong.pong loop)
+  in
+  let e0 = Sim.Engine.events_run p.C.engine and p0 = Sim.Engine.popped p.C.engine in
+  C.Pingpong.start loop (fun () ->
+      Plexus.Udp_mgr.send udp_a client ~dst:(C.ip_b, 7) "xxxxxxxx");
+  Sim.Engine.run p.C.engine;
+  let events = Sim.Engine.events_run p.C.engine - e0 in
+  let popped = Sim.Engine.popped p.C.engine - p0 in
+  Alcotest.(check int) "engine events per round trip" 26 (events / iters);
+  Alcotest.(check int) "a whole number of events per round trip" 0 (events mod iters);
+  if popped * 10 > events * 3 then
+    Alcotest.failf "%d of %d events went through the wheel (bound 30%%)" popped
+      events
+
 let suite =
   suite
   @ [
@@ -587,6 +802,17 @@ let suite =
           tc "interrupt preempts thread work" cpu_preemption_latency;
           tc "off by default" cpu_no_preemption_by_default;
           tc "repeated preemption conserves work" cpu_repeated_preemption;
+          tc "preemption during a charge consumes nothing"
+            cpu_preempt_during_reservation;
+        ] );
+      ( "sim.run_to_completion",
+        [
+          prop run_step_oracle;
+          tc "a queued event wins a tie" elide_tie;
+          tc "never past until" elide_until;
+          tc "max_events counts elided events" elide_max_events;
+          tc "step elides nothing" step_does_not_elide;
+          tc "udp round trip: wheel pops <= 30% of events" pingpong_wheel_traffic;
         ] );
       ( "sim.records",
         [
