@@ -78,9 +78,8 @@ let redirect t ctx ~new_src ~new_dst ~port_off ~new_port =
     let ip = Plexus.Stack.ip t.stack and dst = iph.Proto.Ipv4.src in
     Plexus.Ip_mgr.send ip (Plexus.Ip_mgr.prio ip ~dst)
       ~proto:Proto.Ipv4.proto_icmp ~dst
-      (Proto.Icmp.to_packet
-         (Proto.Icmp.time_exceeded
-            ~original:(View.to_string (Plexus.Pctx.view ctx))));
+      (Proto.Icmp.error ~mtype:Proto.Icmp.type_time_exceeded ~code:0 iph
+         (Plexus.Pctx.view ctx));
     false
   end
   else begin

@@ -75,6 +75,31 @@ let remove_edge t ~parent ~child =
   t.edges <-
     List.filter (fun (p, c, _) -> not (p = parent && c = child)) t.edges
 
+(* Flight-recorder terminal stages: a sampled packet's timeline ends
+   here, with end-to-end latency from ingress as the stage duration. *)
+let finish_flight t ctx stage =
+  let fl = flight t and pkt = Mbuf.mark ctx.Pctx.pkt in
+  if Observe.Flight.enabled fl && pkt > 0 then begin
+    let at_ns = Sim.Stime.to_ns (Spin.Kernel.now (kernel t)) in
+    Observe.Flight.note fl ~pkt ~at_ns
+      ~dur_ns:(Observe.Flight.since_ingress fl ~pkt ~at_ns)
+      stage;
+    Observe.Flight.finish fl ~pkt
+  end
+
+(* A manager's drop: a [Drop] span, and the end of a sampled packet's
+   timeline.  Neither record is built unless someone is looking. *)
+let drop t ctx ~scope ~reason =
+  let tr = trace t in
+  if Observe.Trace.active tr then
+    Observe.Trace.emit tr
+      {
+        Observe.Trace.at_ns = Sim.Stime.to_ns (Spin.Kernel.now (kernel t));
+        event = Observe.Trace.Drop { scope; reason };
+      };
+  if Mbuf.mark ctx.Pctx.pkt > 0 then
+    finish_flight t ctx (Observe.Flight.Drop { scope; reason })
+
 let nodes t = List.map (fun n -> n.node_name) t.nodes
 let edges t = t.edges
 

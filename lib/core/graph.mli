@@ -17,9 +17,6 @@ val registry : t -> Observe.Registry.t
 val trace : t -> Observe.Trace.t
 (** The owning kernel's span endpoint. *)
 
-val flight : t -> Observe.Flight.t
-(** The owning kernel's packet flight recorder. *)
-
 val node : t -> string -> node
 (** Find-or-create a protocol node (and its PacketRecv event). *)
 
@@ -32,6 +29,12 @@ val add_edge : t -> parent:node -> child:string -> label:string -> unit
     install a guarded handler). *)
 
 val remove_edge : t -> parent:string -> child:string -> unit
+
+val finish_flight : t -> Pctx.t -> Observe.Flight.stage -> unit
+(** End a sampled packet's flight timeline with a terminal stage. *)
+
+val drop : t -> Pctx.t -> scope:string -> reason:string -> unit
+(** A manager's drop: a [Drop] span and a [Drop] terminal stage. *)
 
 val nodes : t -> string list
 val edges : t -> (string * string * string) list

@@ -37,7 +37,6 @@ type t = {
   costs : Netsim.Costs.t;
   mutable routes : route list;
   frag : Proto.Ip_frag.t;
-  mutable frag_timer : Sim.Engine.handle option;
   mutable next_id : int;
   counters : counters;
   outs : out Sim.Stash.t;
@@ -52,7 +51,6 @@ let create graph =
     costs = Netsim.Host.costs host;
     routes = [];
     frag = Proto.Ip_frag.create ();
-    frag_timer = None;
     next_id = 1;
     counters =
       {
@@ -78,102 +76,43 @@ let raise_recv t ctx = Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
 
 let frag_state t = t.frag
 
-(* Scheduled reassembly expiry.  [Ip_frag.input] only expires lazily —
-   when *another* fragment arrives — so under loss a half-delivered
-   fragment train would pin its chunk buffers forever.  A one-shot timer
-   armed at the earliest pending deadline bounds that: it fires, expires
-   what is stale, and re-arms only while reassemblies remain pending.
-   It is cancelled the moment nothing is pending — never a standing
-   tick, which would keep the event-driven engine from draining (or
-   stretch every fragmented run out to the 30 s reassembly timeout). *)
-let rec ensure_frag_timer t =
-  if t.frag_timer = None then
-    match Proto.Ip_frag.next_deadline t.frag with
-    | None -> ()
-    | Some deadline ->
-        let now = Sim.Engine.now (engine t) in
-        (* [expire] drops contexts strictly past their deadline; fire
-           1 ns after it. *)
-        let delay =
-          if Sim.Stime.compare deadline now > 0 then
-            Sim.Stime.add (Sim.Stime.sub deadline now) (Sim.Stime.ns 1)
-          else Sim.Stime.ns 1
-        in
-        t.frag_timer <-
-          Some
-            (Sim.Engine.schedule_in (engine t) ~delay (fun () ->
-                 t.frag_timer <- None;
-                 let (_ : int) =
-                   Proto.Ip_frag.expire t.frag
-                     ~now:(Sim.Engine.now (engine t))
-                 in
-                 ensure_frag_timer t))
-
-let settle_frag_timer t =
-  if Proto.Ip_frag.pending_count t.frag = 0 then (
-    match t.frag_timer with
-    | Some h ->
-        Sim.Engine.cancel (engine t) h;
-        t.frag_timer <- None
-    | None -> ())
-  else ensure_frag_timer t
-
 (* Receive path: one handler per attached device, installed on the
-   device node's event with an EtherType+address guard. *)
+   device node's event with an EtherType+address guard.  The verdict is
+   [Ip_frag.receive]'s; this manager only counts, traces and raises. *)
 let rx t ctx =
   t.counters.rx <- t.counters.rx + 1;
   let v = View.shift (Pctx.view ctx) Proto.Ether.header_len in
-  match Proto.Ipv4.parse v with
-  | None -> t.counters.bad_checksum <- t.counters.bad_checksum + 1
-  | Some h ->
-      if not (Proto.Ipv4.checksum_valid v) then
-        t.counters.bad_checksum <- t.counters.bad_checksum + 1
-      else if
-        not
-          (Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t)
-          || Proto.Ipaddr.equal h.Proto.Ipv4.dst Proto.Ipaddr.broadcast)
-      then t.counters.not_ours <- t.counters.not_ours + 1
-      else if
-        h.Proto.Ipv4.total_len < Proto.Ipv4.header_len
-        || h.Proto.Ipv4.total_len > View.length v
-      then
-        (* a length the frame cannot hold: every slice below would run
-           past its end *)
-        t.counters.malformed <- t.counters.malformed + 1
-      else begin
-        if h.Proto.Ipv4.more_fragments || h.Proto.Ipv4.frag_offset > 0 then begin
-          let payload =
-            View.sub v ~off:Proto.Ipv4.header_len
-              ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len)
-          in
-          match
-            Proto.Ip_frag.input t.frag ~now:(Sim.Engine.now (engine t)) h payload
-          with
-          | Proto.Ip_frag.Pending -> ensure_frag_timer t
-          | Proto.Ip_frag.Malformed ->
-              (* overlapping or overrunning chunks: the train is gone *)
-              settle_frag_timer t;
-              t.counters.malformed <- t.counters.malformed + 1
-          | Proto.Ip_frag.Complete datagram ->
-              settle_frag_timer t;
-              t.counters.reassembled <- t.counters.reassembled + 1;
-              t.counters.delivered <- t.counters.delivered + 1;
-              let pkt = Mbuf.ro datagram in
-              let h = { h with Proto.Ipv4.more_fragments = false; frag_offset = 0 } in
-              raise_recv t (Pctx.with_ip (Pctx.with_payload ctx pkt) h)
-        end
-        else begin
-          t.counters.delivered <- t.counters.delivered + 1;
-          (* one next-layer context: past both headers, link-layer
-             padding below the IP total length stripped, header
-             attached *)
-          raise_recv t
-            (Pctx.advance_ip ctx
-               (Proto.Ether.header_len + Proto.Ipv4.header_len)
-               ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len)
-               h)
-        end
-      end
+  match
+    Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now (engine t))
+      ~host:(host_ip t) v
+  with
+  | Proto.Ip_frag.Deliver h ->
+      t.counters.delivered <- t.counters.delivered + 1;
+      (* one next-layer context: past both headers, link-layer padding
+         below the IP total length stripped, header attached *)
+      raise_recv t
+        (Pctx.advance_ip ctx
+           (Proto.Ether.header_len + Proto.Ipv4.header_len)
+           ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len)
+           h)
+  | Proto.Ip_frag.Reassembled (h, datagram) ->
+      Proto.Ip_frag.schedule_expiry t.frag (engine t);
+      t.counters.reassembled <- t.counters.reassembled + 1;
+      t.counters.delivered <- t.counters.delivered + 1;
+      raise_recv t (Pctx.with_ip (Pctx.with_payload ctx (Mbuf.ro datagram)) h)
+  | Proto.Ip_frag.Pending -> Proto.Ip_frag.schedule_expiry t.frag (engine t)
+  | Proto.Ip_frag.Drop reason ->
+      (match reason with
+      | Proto.Ipv4.Bad_checksum ->
+          t.counters.bad_checksum <- t.counters.bad_checksum + 1
+      | Proto.Ipv4.Not_ours -> t.counters.not_ours <- t.counters.not_ours + 1
+      | Proto.Ipv4.Bad_fragment ->
+          (* the train is gone *)
+          Proto.Ip_frag.schedule_expiry t.frag (engine t);
+          t.counters.malformed <- t.counters.malformed + 1
+      | Proto.Ipv4.Runt | Proto.Ipv4.Bad_header | Proto.Ipv4.Bad_length ->
+          t.counters.malformed <- t.counters.malformed + 1);
+      Graph.drop t.graph ctx ~scope:"ip" ~reason:(Proto.Ipv4.drop_name reason)
 
 (* Reads the destination MAC in place from the context's frame view. *)
 let mac_guard dev ctx =
@@ -266,22 +205,17 @@ let send t prio ~proto ~dst payload =
     Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out o.o_run
   end
   else begin
-    let id = fresh_id t in
-    let src = host_ip t in
     (* zero-copy: fragments are sub-chains sharing the payload's
        buffers; only the per-fragment headers are fresh bytes *)
-    let frags = Proto.Ip_frag.fragment ~mtu payload in
+    let frags =
+      Proto.Ip_frag.packets ~mtu ~id:(fresh_id t) ~proto ~src:(host_ip t) ~dst
+        payload
+    in
     let n = List.length frags in
     t.counters.fragments_out <- t.counters.fragments_out + n;
     Sim.Cpu.submit (cpu t) prio
       ~cost:(Sim.Stime.mul t.costs.Netsim.Costs.layer.ip_out n)
-      (fun () ->
-        List.iter
-          (fun (off8, more, fragment) ->
-            Proto.Ipv4.push fragment ~id ~more_fragments:more
-              ~frag_offset:off8 ~proto ~src ~dst;
-            emit route prio ~dst fragment)
-          frags)
+      (fun () -> List.iter (emit route prio ~dst) frags)
   end
 
 (* Whether sending toward [dst] goes out a programmed-I/O device (the

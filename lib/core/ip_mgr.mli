@@ -7,11 +7,7 @@ type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
   mutable not_ours : int;
-  mutable malformed : int;
-      (** checksum-valid headers whose [total_len] lies outside
-          [[20, bytes received]], dropped before any slicing, and
-          fragment trains dropped because their chunks overlap or run
-          past the train's total length *)
+  mutable malformed : int;  (** every other {!Proto.Ipv4.drop} *)
   mutable delivered : int;
   mutable fragments_out : int;
   mutable reassembled : int;
@@ -33,10 +29,8 @@ val host_ip : t -> Proto.Ipaddr.t
 
 val frag_state : t -> Proto.Ip_frag.t
 (** The reassembly state — pending/reassembled/timeout counts for tests
-    and introspection.  Expiry is scheduled: a one-shot timer armed at
-    the earliest pending deadline (re-armed only while reassemblies are
-    pending) guarantees a stalled fragment train times out and releases
-    its buffers even if no further fragment ever arrives. *)
+    and introspection.  Its expiry is scheduled
+    ({!Proto.Ip_frag.schedule_expiry}). *)
 
 val send :
   t -> Sim.Cpu.prio -> proto:int -> dst:Proto.Ipaddr.t -> Mbuf.rw Mbuf.t ->

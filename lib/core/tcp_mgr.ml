@@ -203,16 +203,6 @@ let register t conn ~remote:(rip, rport) remote_ip_ref =
 let fresh_iss t =
   Proto.Tcp_wire.Seq.of_int (Sim.Rng.int (Sim.Engine.rng t.engine) 0x0fffffff)
 
-let drop_span graph ~reason =
-  let tr = Graph.trace graph in
-  if Observe.Trace.active tr then
-    Observe.Trace.emit tr
-      {
-        Observe.Trace.at_ns =
-          Sim.Stime.to_ns (Spin.Kernel.now (Graph.kernel graph));
-        event = Observe.Trace.Drop { scope = "tcp"; reason };
-      }
-
 let rx t ctx =
   t.counters.rx <- t.counters.rx + 1;
   let v = Pctx.view ctx in
@@ -231,7 +221,7 @@ let rx t ctx =
         (Proto.Tcp_wire.valid ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst v)
     then begin
       t.counters.bad_checksum <- t.counters.bad_checksum + 1;
-      drop_span t.graph ~reason:"bad_checksum"
+      Graph.drop t.graph ctx ~scope:"tcp" ~reason:"bad_checksum"
     end
     else begin
       (* demultiplex on the ports read in place; the engine decodes the

@@ -20,6 +20,7 @@ type error = [ `Port_in_use of int ]
 type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
+  mutable malformed : int;
   mutable no_port : int;
   mutable delivered : int;
   mutable tx : int;
@@ -63,32 +64,6 @@ let proto_guard t ctx =
          || not (List.mem (Proto.Udp.get_dst_port v) t.excluded))
   | None -> false
 
-(* Flight-recorder terminal stages: a sampled packet's timeline ends
-   here, with end-to-end latency from ingress as the stage duration. *)
-let flight_finish graph ctx stage =
-  let fl = Graph.flight graph in
-  if Observe.Flight.enabled fl then begin
-    let pkt = Mbuf.mark ctx.Pctx.pkt in
-    if pkt > 0 then begin
-      let at_ns = Sim.Stime.to_ns (Spin.Kernel.now (Graph.kernel graph)) in
-      Observe.Flight.note fl ~pkt ~at_ns
-        ~dur_ns:(Observe.Flight.since_ingress fl ~pkt ~at_ns)
-        stage;
-      Observe.Flight.finish fl ~pkt
-    end
-  end
-
-let drop_span graph ctx ~reason =
-  let tr = Graph.trace graph in
-  if Observe.Trace.active tr then
-    Observe.Trace.emit tr
-      {
-        Observe.Trace.at_ns =
-          Sim.Stime.to_ns (Spin.Kernel.now (Graph.kernel graph));
-        event = Observe.Trace.Drop { scope = "udp"; reason };
-      };
-  flight_finish graph ctx (Observe.Flight.Drop { scope = "udp"; reason })
-
 let create graph ip =
   let costs = Netsim.Host.costs (Graph.host graph) in
   let t =
@@ -102,6 +77,7 @@ let create graph ip =
         {
           rx = 0;
           bad_checksum = 0;
+          malformed = 0;
           no_port = 0;
           delivered = 0;
           tx = 0;
@@ -123,41 +99,47 @@ let create graph ip =
     t.counters.rx <- t.counters.rx + 1;
     let v = Pctx.view ctx in
     let iph = Pctx.ip_exn ctx in
-    (* [valid] checks the header fits, so the ports below are read in
-       place from a header that is there *)
-    if not (Proto.Udp.valid ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst v)
-    then begin
-      t.counters.bad_checksum <- t.counters.bad_checksum + 1;
-      drop_span graph ctx ~reason:"bad_checksum"
-    end
-    else begin
-      let dst_port = Proto.Udp.get_dst_port v in
-      let ctx =
-        Pctx.advance_ports ctx Proto.Udp.header_len
-          ~src_port:(Proto.Udp.get_src_port v) ~dst_port
-      in
-      if Spin.Sharded.Table.mem t.binds dst_port then begin
-        t.counters.delivered <- t.counters.delivered + 1;
-        (* only a sampled packet has a timeline to end: build its stage
-           label for it alone *)
-        if Mbuf.mark ctx.Pctx.pkt > 0 then
-          flight_finish graph ctx
-            (Observe.Flight.Deliver
-               { scope = Printf.sprintf "udp:%d" dst_port });
-        Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
-      end
-      else begin
-        t.counters.no_port <- t.counters.no_port + 1;
-        drop_span graph ctx ~reason:"no_port";
-        (* BSD behaviour: answer with an ICMP port unreachable *)
-        t.counters.unreachable_sent <- t.counters.unreachable_sent + 1;
-        let original = View.to_string v in
-        let dst = iph.Proto.Ipv4.src in
-        Ip_mgr.send t.ip (Ip_mgr.prio t.ip ~dst) ~proto:Proto.Ipv4.proto_icmp
-          ~dst
-          (Proto.Icmp.to_packet (Proto.Icmp.port_unreachable ~original))
-      end
-    end
+    match Proto.Udp.check ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst v with
+    | Some reason ->
+        (match reason with
+        | Proto.Udp.Bad_checksum ->
+            t.counters.bad_checksum <- t.counters.bad_checksum + 1
+        | Proto.Udp.Runt | Proto.Udp.Bad_length ->
+            t.counters.malformed <- t.counters.malformed + 1);
+        Graph.drop graph ctx ~scope:"udp" ~reason:(Proto.Udp.drop_name reason)
+    | None ->
+        (* [check] saw the header, so the ports are read in place from a
+           header that is there *)
+        let dst_port = Proto.Udp.get_dst_port v in
+        let ctx =
+          Pctx.advance_ports ctx Proto.Udp.header_len
+            ~src_port:(Proto.Udp.get_src_port v) ~dst_port
+        in
+        if Spin.Sharded.Table.mem t.binds dst_port then begin
+          t.counters.delivered <- t.counters.delivered + 1;
+          (* only a sampled packet has a timeline to end: build its stage
+             label for it alone *)
+          if Mbuf.mark ctx.Pctx.pkt > 0 then
+            Graph.finish_flight graph ctx
+              (Observe.Flight.Deliver
+                 { scope = Printf.sprintf "udp:%d" dst_port });
+          Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
+        end
+        else begin
+          t.counters.no_port <- t.counters.no_port + 1;
+          Graph.drop graph ctx ~scope:"udp" ~reason:"no_port";
+          (* BSD behaviour: answer with an ICMP port unreachable — but
+             never to a broadcast (RFC 1122 3.2.2) *)
+          if not (Proto.Ipaddr.equal iph.Proto.Ipv4.dst Proto.Ipaddr.broadcast)
+          then begin
+            t.counters.unreachable_sent <- t.counters.unreachable_sent + 1;
+            let dst = iph.Proto.Ipv4.src in
+            Ip_mgr.send t.ip (Ip_mgr.prio t.ip ~dst) ~proto:Proto.Ipv4.proto_icmp
+              ~dst
+              (Proto.Icmp.error ~mtype:Proto.Icmp.type_dest_unreachable
+                 ~code:Proto.Icmp.code_port_unreachable iph v)
+          end
+        end
   in
   let (_ : unit -> unit) =
     Spin.Dispatcher.install
@@ -301,6 +283,8 @@ let fresh_out t pkt =
    byte is copied anywhere between here and the device. *)
 let do_send_mbuf ?(extra_cost = Sim.Stime.zero) t ep ~prio ~dst:(dip, dport)
     ~checksum ~src_port payload =
+  if Mbuf.length payload > Proto.Udp.max_payload then
+    invalid_arg "Udp_mgr.send: payload exceeds one datagram";
   t.counters.tx <- t.counters.tx + 1;
   let cksum_cost =
     if checksum && not (Ip_mgr.dst_touches_data t.ip dip) then
@@ -344,6 +328,8 @@ let send_multi t ep ?prio ?(checksum = true) ~dsts data =
   match dsts with
   | [] -> ()
   | (first_ip, _) :: _ ->
+      if String.length data > Proto.Udp.max_payload then
+        invalid_arg "Udp_mgr.send_multi: payload exceeds one datagram";
       t.counters.tx <- t.counters.tx + List.length dsts;
       let cksum_cost =
         if checksum && not (Ip_mgr.dst_touches_data t.ip first_ip) then

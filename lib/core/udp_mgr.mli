@@ -12,11 +12,13 @@ type error = [ `Port_in_use of int ]
 type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
+  mutable malformed : int;  (** {!Proto.Udp.drop} [Runt] or [Bad_length] *)
   mutable no_port : int;
   mutable delivered : int;
   mutable tx : int;
   mutable spoof_rejected : int;
-  mutable unreachable_sent : int;  (** ICMP port-unreachables generated *)
+  mutable unreachable_sent : int;
+      (** ICMP port-unreachables sent: one per [no_port] but broadcasts *)
 }
 
 val create : Graph.t -> Ip_mgr.t -> t
@@ -70,7 +72,8 @@ val send :
   t -> Endpoint.t -> ?prio:Sim.Cpu.prio -> ?checksum:bool ->
   dst:Proto.Ipaddr.t * int -> string -> unit
 (** Send a datagram from the endpoint.  [~checksum:false] is the
-    application-specific no-checksum variant of section 1.1. *)
+    application-specific no-checksum variant of section 1.1.  Every send
+    raises [Invalid_argument] past {!Proto.Udp.max_payload} bytes. *)
 
 val send_mbuf :
   t -> Endpoint.t -> ?prio:Sim.Cpu.prio -> ?checksum:bool ->

@@ -16,6 +16,7 @@ type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
   mutable not_ours : int;
+  mutable malformed : int;
   mutable no_port : int;
   mutable udp_delivered : int;
   mutable tcp_rx : int;
@@ -42,7 +43,6 @@ type tconn = {
   mutable tc_on_established : unit -> unit;
   mutable tc_on_peer_close : unit -> unit;
   mutable tc_on_close : unit -> unit;
-  mutable tc_on_error : string -> unit;
 }
 
 and listener = { l_port : int; l_cfg : Proto.Tcp.config; l_accept : tconn -> unit }
@@ -149,33 +149,17 @@ let ip_send t ~proto ~dst payload =
   match route_for t dst with
   | None -> invalid_arg "Du_stack.ip_send: no route"
   | Some route ->
-      let mtu = Netsim.Dev.mtu route.dev in
-      let len = Mbuf.length payload in
-      let src = host_ip t in
-      if len + Proto.Ipv4.header_len <= mtu then
-        krun t t.costs.Netsim.Costs.layer.ip_out (fun () ->
-            Proto.Ipv4.encapsulate payload
-              (Proto.Ipv4.make ~id:(fresh_ip_id t) ~proto ~src ~dst
-                 ~payload_len:len ());
-            arp_resolve t route dst (fun mac ->
-                ether_send t route ~dst:mac ~etype:Proto.Ether.etype_ip payload))
-      else begin
-        let id = fresh_ip_id t in
-        (* fragments are zero-copy sub-chains of the payload *)
-        let frags = Proto.Ip_frag.fragment ~mtu payload in
-        krun t
-          (T.mul t.costs.Netsim.Costs.layer.ip_out (List.length frags))
-          (fun () ->
-            List.iter
-              (fun (off8, more, frag) ->
-                let frag_len = Mbuf.length frag in
-                Proto.Ipv4.encapsulate frag
-                  (Proto.Ipv4.make ~id ~more_fragments:more ~frag_offset:off8
-                     ~proto ~src ~dst ~payload_len:frag_len ());
-                arp_resolve t route dst (fun mac ->
-                    ether_send t route ~dst:mac ~etype:Proto.Ether.etype_ip frag))
-              frags)
-      end
+      let pkts =
+        Proto.Ip_frag.packets ~mtu:(Netsim.Dev.mtu route.dev)
+          ~id:(fresh_ip_id t) ~proto ~src:(host_ip t) ~dst payload
+      in
+      krun t (T.mul t.costs.Netsim.Costs.layer.ip_out (List.length pkts))
+        (fun () ->
+          List.iter
+            (fun pkt ->
+              arp_resolve t route dst (fun mac ->
+                  ether_send t route ~dst:mac ~etype:Proto.Ether.etype_ip pkt))
+            pkts)
 
 (* ---- TCP plumbing ---------------------------------------------------- *)
 
@@ -221,9 +205,7 @@ let make_tconn t ~cfg ~local_port =
           | None -> ());
           deliver_to_user t ~len:0 (fun () ->
               match !conn_ref with Some c -> c.tc_on_close () | None -> ()));
-      on_error =
-        (fun msg ->
-          match !conn_ref with Some c -> c.tc_on_error msg | None -> ());
+      on_error = ignore;
     }
   in
   let tcp = Proto.Tcp.create env cfg ~local:(host_ip t, local_port) in
@@ -236,7 +218,6 @@ let make_tconn t ~cfg ~local_port =
       tc_on_established = ignore;
       tc_on_peer_close = ignore;
       tc_on_close = ignore;
-      tc_on_error = ignore;
     }
   in
   conn_ref := Some conn;
@@ -258,28 +239,31 @@ let rx_udp t (iph : Proto.Ipv4.header) v =
     (T.add t.costs.Netsim.Costs.layer.udp_in
        (cksum_cost t (View.length v)))
     (fun () ->
-      if not (Proto.Udp.valid ~src:iph.src ~dst:iph.dst v) then
-        t.counters.bad_checksum <- t.counters.bad_checksum + 1
-      else
-        match Proto.Udp.parse v with
-        | None -> t.counters.bad_checksum <- t.counters.bad_checksum + 1
-        | Some h -> (
-            match Hashtbl.find_opt t.udp_socks h.dst_port with
-            | None ->
-                t.counters.no_port <- t.counters.no_port + 1;
-                (* BSD behaviour: ICMP port unreachable *)
+      match Proto.Udp.check ~src:iph.src ~dst:iph.dst v with
+      | Some Proto.Udp.Bad_checksum ->
+          t.counters.bad_checksum <- t.counters.bad_checksum + 1
+      | Some (Proto.Udp.Runt | Proto.Udp.Bad_length) ->
+          t.counters.malformed <- t.counters.malformed + 1
+      | None -> (
+          match Hashtbl.find_opt t.udp_socks (Proto.Udp.get_dst_port v) with
+          | None ->
+              t.counters.no_port <- t.counters.no_port + 1;
+              (* BSD behaviour: ICMP port unreachable, never to a
+                 broadcast (RFC 1122 3.2.2) *)
+              if not (Proto.Ipaddr.equal iph.dst Proto.Ipaddr.broadcast) then
                 ip_send t ~proto:Proto.Ipv4.proto_icmp ~dst:iph.src
-                  (Proto.Icmp.to_packet
-                     (Proto.Icmp.port_unreachable ~original:(View.to_string v)))
-            | Some sock ->
-                t.counters.udp_delivered <- t.counters.udp_delivered + 1;
-                let data =
-                  View.get_string v ~off:Proto.Udp.header_len
-                    ~len:(View.length v - Proto.Udp.header_len)
-                in
-                krun t t.costs.Netsim.Costs.os.socket_in (fun () ->
-                    deliver_to_user t ~len:(String.length data) (fun () ->
-                        sock.us_on_recv ~src:(iph.src, h.src_port) data))))
+                  (Proto.Icmp.error ~mtype:Proto.Icmp.type_dest_unreachable
+                     ~code:Proto.Icmp.code_port_unreachable iph v)
+          | Some sock ->
+              t.counters.udp_delivered <- t.counters.udp_delivered + 1;
+              let src = (iph.src, Proto.Udp.get_src_port v) in
+              let data =
+                View.get_string v ~off:Proto.Udp.header_len
+                  ~len:(View.length v - Proto.Udp.header_len)
+              in
+              krun t t.costs.Netsim.Costs.os.socket_in (fun () ->
+                  deliver_to_user t ~len:(String.length data) (fun () ->
+                      sock.us_on_recv ~src data))))
 
 let rx_tcp t (iph : Proto.Ipv4.header) v =
   t.counters.tcp_rx <- t.counters.tcp_rx + 1;
@@ -321,52 +305,30 @@ let rx_icmp t (iph : Proto.Ipv4.header) v =
             ip_send t ~proto:Proto.Ipv4.proto_icmp ~dst:iph.src reply
         | _ -> ())
 
-let rx_ip t route pkt =
+let rx_ip t pkt =
   krun t t.costs.Netsim.Costs.layer.ip_in (fun () ->
       let v = View.shift (View.ro (Mbuf.view pkt)) Proto.Ether.header_len in
-      match Proto.Ipv4.parse v with
-      | None -> t.counters.bad_checksum <- t.counters.bad_checksum + 1
-      | Some h ->
-          if not (Proto.Ipv4.checksum_valid v) then
-            t.counters.bad_checksum <- t.counters.bad_checksum + 1
-          else if
-            not
-              (Proto.Ipaddr.equal h.dst (host_ip t)
-              || Proto.Ipaddr.equal h.dst Proto.Ipaddr.broadcast)
-          then t.counters.not_ours <- t.counters.not_ours + 1
-          else if
-            h.total_len < Proto.Ipv4.header_len || h.total_len > View.length v
-          then
-            (* a length the frame cannot hold: every slice below would run
-               past its end *)
-            ()
-          else begin
-            ignore route;
-            let deliver (h : Proto.Ipv4.header) l4 =
-              if h.proto = Proto.Ipv4.proto_udp then rx_udp t h l4
-              else if h.proto = Proto.Ipv4.proto_tcp then rx_tcp t h l4
-              else if h.proto = Proto.Ipv4.proto_icmp then rx_icmp t h l4
-            in
-            if h.more_fragments || h.frag_offset > 0 then begin
-              let payload =
-                View.sub v ~off:Proto.Ipv4.header_len
-                  ~len:(h.total_len - Proto.Ipv4.header_len)
-              in
-              match
-                Proto.Ip_frag.input t.frag ~now:(Sim.Engine.now t.engine) h
-                  payload
-              with
-              | Pending | Malformed -> ()
-              | Complete datagram ->
-                  let h = { h with more_fragments = false; frag_offset = 0 } in
-                  deliver h (View.ro (Mbuf.view datagram))
-            end
-            else begin
-              deliver h
-                (View.sub v ~off:Proto.Ipv4.header_len
-                   ~len:(h.total_len - Proto.Ipv4.header_len))
-            end
-          end)
+      let deliver (h : Proto.Ipv4.header) l4 =
+        if h.proto = Proto.Ipv4.proto_udp then rx_udp t h l4
+        else if h.proto = Proto.Ipv4.proto_tcp then rx_tcp t h l4
+        else if h.proto = Proto.Ipv4.proto_icmp then rx_icmp t h l4
+      in
+      match
+        Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now t.engine)
+          ~host:(host_ip t) v
+      with
+      | Deliver h ->
+          deliver h
+            (View.sub v ~off:Proto.Ipv4.header_len
+               ~len:(h.total_len - Proto.Ipv4.header_len))
+      | Reassembled (h, datagram) -> deliver h (View.ro (Mbuf.view datagram))
+      | Pending -> ()
+      | Drop Proto.Ipv4.Bad_checksum ->
+          t.counters.bad_checksum <- t.counters.bad_checksum + 1
+      | Drop Proto.Ipv4.Not_ours -> t.counters.not_ours <- t.counters.not_ours + 1
+      | Drop
+          Proto.Ipv4.(Runt | Bad_header | Bad_length | Bad_fragment) ->
+          t.counters.malformed <- t.counters.malformed + 1)
 
 let rx_arp t route pkt =
   krun t t.costs.Netsim.Costs.layer.ether_in (fun () ->
@@ -397,7 +359,7 @@ let rx t route (pkt : Mbuf.ro Mbuf.t) =
             || Proto.Ether.Mac.equal h.dst Proto.Ether.Mac.broadcast
           in
           if mine then begin
-            if h.etype = Proto.Ether.etype_ip then rx_ip t route pkt
+            if h.etype = Proto.Ether.etype_ip then rx_ip t pkt
             else if h.etype = Proto.Ether.etype_arp then rx_arp t route pkt
           end)
 
@@ -434,6 +396,7 @@ let create ?subnets host =
           rx = 0;
           bad_checksum = 0;
           not_ours = 0;
+          malformed = 0;
           no_port = 0;
           udp_delivered = 0;
           tcp_rx = 0;
@@ -467,12 +430,13 @@ let udp_bind t ~port =
   end
 
 let udp_set_recv sock fn = sock.us_on_recv <- fn
-let udp_port sock = sock.us_port
 
 (* sendto(2): trap + copy-in + socket send processing, then the in-kernel
    UDP output path. *)
 let udp_sendto t sock ?(checksum = true) ~dst:(dip, dport) data =
   let len = String.length data in
+  if len > Proto.Udp.max_payload then
+    invalid_arg "Du_stack.udp_sendto: payload exceeds one datagram";
   Syscall.enter t.cpu t.costs ~len (fun () ->
       Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Interrupt
         ~cost:t.costs.Netsim.Costs.os.socket_out (fun () ->
@@ -517,11 +481,7 @@ let tcp_send t conn data =
 let tcp_close t conn =
   Syscall.enter t.cpu t.costs ~len:0 (fun () -> Proto.Tcp.close conn.tcp)
 
-let tconn_state conn = Proto.Tcp.state conn.tcp
-let tconn_tcp conn = conn.tcp
-
 let on_receive conn fn = conn.tc_on_receive <- fn
 let on_established conn fn = conn.tc_on_established <- fn
 let on_peer_close conn fn = conn.tc_on_peer_close <- fn
 let on_close conn fn = conn.tc_on_close <- fn
-let on_error conn fn = conn.tc_on_error <- fn

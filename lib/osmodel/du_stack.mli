@@ -16,6 +16,7 @@ type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
   mutable not_ours : int;
+  mutable malformed : int;  (** every other IPv4 or UDP drop reason *)
   mutable no_port : int;
   mutable udp_delivered : int;
   mutable tcp_rx : int;
@@ -28,7 +29,6 @@ val create : ?subnets:(Proto.Ipaddr.t * int) list -> Netsim.Host.t -> t
 
 val counters : t -> counters
 val host : t -> Netsim.Host.t
-val host_ip : t -> Proto.Ipaddr.t
 
 val prime_arp : t -> Proto.Ipaddr.t -> Proto.Ether.Mac.t -> unit
 
@@ -36,11 +36,11 @@ val prime_arp : t -> Proto.Ipaddr.t -> Proto.Ether.Mac.t -> unit
 
 val udp_bind : t -> port:int -> (udp_sock, [> error ]) result
 val udp_set_recv : udp_sock -> (src:Proto.Ipaddr.t * int -> string -> unit) -> unit
-val udp_port : udp_sock -> int
 
 val udp_sendto :
   t -> udp_sock -> ?checksum:bool -> dst:Proto.Ipaddr.t * int -> string -> unit
-(** sendto(2): trap + copy-in + socket and protocol processing. *)
+(** sendto(2): trap + copy-in + socket and protocol processing.
+    @raise Invalid_argument past {!Proto.Udp.max_payload} bytes. *)
 
 (** {1 TCP sockets} *)
 
@@ -55,11 +55,7 @@ val tcp_connect :
 val tcp_send : t -> tconn -> string -> unit
 val tcp_close : t -> tconn -> unit
 
-val tconn_state : tconn -> Proto.Tcp.state
-val tconn_tcp : tconn -> Proto.Tcp.t
-
 val on_receive : tconn -> (string -> unit) -> unit
 val on_established : tconn -> (unit -> unit) -> unit
 val on_peer_close : tconn -> (unit -> unit) -> unit
 val on_close : tconn -> (unit -> unit) -> unit
-val on_error : tconn -> (string -> unit) -> unit

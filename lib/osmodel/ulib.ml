@@ -22,6 +22,9 @@ type counters = {
   mutable rx : int;
   mutable delivered : int;
   mutable filtered_out : int;
+  mutable bad_checksum : int;
+  mutable malformed : int;
+  mutable no_port : int;
   mutable tx : int;
 }
 
@@ -55,71 +58,52 @@ let cksum_cost t len =
 (* ---- user-level receive path ------------------------------------------ *)
 
 (* Runs in the application's address space: the same protocol layers as
-   the kernel implementations, charged at thread priority. *)
+   the kernel implementations, charged at thread priority.  The library
+   speaks UDP only; any other protocol is ignored, as the kernel stacks
+   ignore a protocol they have no manager for. *)
 let user_process t (pkt : string) =
   let lay = t.costs.Netsim.Costs.layer in
-  urun t lay.ether_in (fun () ->
-      let v = View.of_string pkt in
-      match Proto.Ether.parse v with
-      | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_ip ->
-          urun t lay.ip_in (fun () ->
-              let ipv = View.shift v Proto.Ether.header_len in
-              match Proto.Ipv4.parse ipv with
-              | Some h
-                when Proto.Ipv4.checksum_valid ipv
-                     && Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t)
-                     (* a length the frame cannot hold drops here, before
-                        any slice runs past its end *)
-                     && h.Proto.Ipv4.total_len >= Proto.Ipv4.header_len
-                     && h.Proto.Ipv4.total_len <= View.length ipv ->
-                  let deliver payload_view (h : Proto.Ipv4.header) =
-                    urun t
-                      (T.add lay.udp_in (cksum_cost t (View.length payload_view)))
-                      (fun () ->
-                        if Proto.Udp.valid ~src:h.src ~dst:h.dst payload_view
-                        then
-                          match Proto.Udp.parse payload_view with
-                          | Some uh -> (
-                              match Hashtbl.find_opt t.socks uh.Proto.Udp.dst_port with
-                              | Some sock ->
-                                  t.counters.delivered <-
-                                    t.counters.delivered + 1;
-                                  let data =
-                                    View.get_string payload_view
-                                      ~off:Proto.Udp.header_len
-                                      ~len:
-                                        (View.length payload_view
-                                        - Proto.Udp.header_len)
-                                  in
-                                  urun t lay.app (fun () ->
-                                      sock.u_on_recv
-                                        ~src:(h.src, uh.Proto.Udp.src_port)
-                                        data)
-                              | None -> ())
-                          | None -> ())
+  let deliver (h : Proto.Ipv4.header) v =
+    if h.proto = Proto.Ipv4.proto_udp then
+      urun t (T.add lay.udp_in (cksum_cost t (View.length v))) (fun () ->
+          match Proto.Udp.check ~src:h.src ~dst:h.dst v with
+          | Some Proto.Udp.Bad_checksum ->
+              t.counters.bad_checksum <- t.counters.bad_checksum + 1
+          | Some (Proto.Udp.Runt | Proto.Udp.Bad_length) ->
+              t.counters.malformed <- t.counters.malformed + 1
+          | None -> (
+              match Hashtbl.find_opt t.socks (Proto.Udp.get_dst_port v) with
+              | Some sock ->
+                  t.counters.delivered <- t.counters.delivered + 1;
+                  let src = (h.src, Proto.Udp.get_src_port v) in
+                  let data =
+                    View.get_string v ~off:Proto.Udp.header_len
+                      ~len:(View.length v - Proto.Udp.header_len)
                   in
-                  if h.Proto.Ipv4.more_fragments || h.Proto.Ipv4.frag_offset > 0
-                  then begin
-                    let payload =
-                      View.sub ipv ~off:Proto.Ipv4.header_len
-                        ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len)
-                    in
-                    match
-                      Proto.Ip_frag.input t.frag
-                        ~now:(Sim.Engine.now t.engine) h payload
-                    with
-                    | Complete datagram ->
-                        deliver (View.ro (Mbuf.view datagram)) h
-                    | Pending | Malformed -> ()
-                  end
-                  else begin
-                    deliver
-                      (View.sub ipv ~off:Proto.Ipv4.header_len
-                         ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len))
-                      h
-                  end
-              | _ -> ())
-      | _ -> ())
+                  urun t lay.app (fun () -> sock.u_on_recv ~src data)
+              | None -> t.counters.no_port <- t.counters.no_port + 1))
+  in
+  (* the kernel filter copies out IPv4 frames only *)
+  urun t lay.ether_in (fun () ->
+      urun t lay.ip_in (fun () ->
+          let ipv = View.shift (View.of_string pkt) Proto.Ether.header_len in
+          match
+            Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now t.engine)
+              ~host:(host_ip t) ipv
+          with
+          | Deliver h ->
+              deliver h
+                (View.sub ipv ~off:Proto.Ipv4.header_len
+                   ~len:(h.total_len - Proto.Ipv4.header_len))
+          | Reassembled (h, datagram) -> deliver h (View.ro (Mbuf.view datagram))
+          | Pending -> ()
+          | Drop Proto.Ipv4.Bad_checksum ->
+              t.counters.bad_checksum <- t.counters.bad_checksum + 1
+          | Drop Proto.Ipv4.Not_ours ->
+              (* the kernel filter refuses these before the copy *)
+              t.counters.filtered_out <- t.counters.filtered_out + 1
+          | Drop Proto.Ipv4.(Runt | Bad_header | Bad_length | Bad_fragment) ->
+              t.counters.malformed <- t.counters.malformed + 1))
 
 (* ---- kernel side -------------------------------------------------------- *)
 
@@ -130,55 +114,57 @@ let rx t (pkt : Mbuf.ro Mbuf.t) =
      the real port check; its cost is the flat BPF-interpretation fee.) *)
   krun t filter_cost (fun () ->
       let v = View.ro (Mbuf.view pkt) in
-      let accept =
-        match Proto.Ether.parse v with
-        | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_ip ->
-            (* frames the library must see: IP for us (any fragment) *)
-            (match Proto.Ipv4.parse (View.shift v Proto.Ether.header_len) with
-            | Some h -> Proto.Ipaddr.equal h.Proto.Ipv4.dst (host_ip t)
-            | None -> false)
-        | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_arp -> true
-        | _ -> false
+      let etype =
+        if Proto.Ether.has_header v then Proto.Ether.get_etype v else -1
       in
-      if not accept then t.counters.filtered_out <- t.counters.filtered_out + 1
-      else begin
+      if etype = Proto.Ether.etype_arp then begin
+        (* ARP stays in the kernel (it is address management, not an
+           application protocol) *)
+        match Proto.Arp.parse (View.shift v Proto.Ether.header_len) with
+        | Some msg ->
+            Proto.Arp.Cache.insert t.arp ~now:(Sim.Engine.now t.engine)
+              msg.Proto.Arp.sender_ip msg.Proto.Arp.sender_mac;
+            if
+              msg.Proto.Arp.op = Proto.Arp.op_request
+              && Proto.Ipaddr.equal msg.Proto.Arp.target_ip (host_ip t)
+            then begin
+              let reply =
+                Proto.Arp.to_packet
+                  (Proto.Arp.reply_to msg ~mac:(Netsim.Dev.mac t.dev))
+              in
+              Proto.Ether.encapsulate reply
+                {
+                  Proto.Ether.dst = msg.Proto.Arp.sender_mac;
+                  src = Netsim.Dev.mac t.dev;
+                  etype = Proto.Ether.etype_arp;
+                };
+              Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt reply
+            end
+        | None -> ()
+      end
+      else if
+        (* frames the library must see: IP for us or broadcast (any
+           fragment) *)
+        etype = Proto.Ether.etype_ip
+        &&
+        let ipv = View.shift v Proto.Ether.header_len in
+        Proto.Ipv4.has_header ipv
+        &&
+        let dst = Proto.Ipv4.get_dst ipv in
+        Proto.Ipaddr.equal dst (host_ip t)
+        || Proto.Ipaddr.equal dst Proto.Ipaddr.broadcast
+      then begin
+        (* copy the whole frame out to the library and wake it *)
         let data = Mbuf.to_string pkt in
-        match Proto.Ether.parse v with
-        | Some eh when eh.Proto.Ether.etype = Proto.Ether.etype_arp ->
-            (* ARP stays in the kernel (it is address management, not an
-               application protocol) *)
-            let av = View.shift v Proto.Ether.header_len in
-            (match Proto.Arp.parse av with
-            | Some msg ->
-                Proto.Arp.Cache.insert t.arp ~now:(Sim.Engine.now t.engine)
-                  msg.Proto.Arp.sender_ip msg.Proto.Arp.sender_mac;
-                if
-                  msg.Proto.Arp.op = Proto.Arp.op_request
-                  && Proto.Ipaddr.equal msg.Proto.Arp.target_ip (host_ip t)
-                then begin
-                  let reply =
-                    Proto.Arp.to_packet
-                      (Proto.Arp.reply_to msg ~mac:(Netsim.Dev.mac t.dev))
-                  in
-                  Proto.Ether.encapsulate reply
-                    {
-                      Proto.Ether.dst = msg.Proto.Arp.sender_mac;
-                      src = Netsim.Dev.mac t.dev;
-                      etype = Proto.Ether.etype_arp;
-                    };
-                  Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt reply
-                end
-            | None -> ())
-        | _ ->
-            (* copy the whole frame out to the library and wake it *)
-            Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
-              ~cost:
-                (T.add
-                   (T.add t.costs.Netsim.Costs.os.wakeup
-                      t.costs.Netsim.Costs.os.ctx_switch)
-                   (Syscall.copy_cost t.costs (String.length data)))
-              (fun () -> user_process t data)
-      end)
+        Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
+          ~cost:
+            (T.add
+               (T.add t.costs.Netsim.Costs.os.wakeup
+                  t.costs.Netsim.Costs.os.ctx_switch)
+               (Syscall.copy_cost t.costs (String.length data)))
+          (fun () -> user_process t data)
+      end
+      else t.counters.filtered_out <- t.counters.filtered_out + 1)
 
 let create host =
   let dev =
@@ -197,7 +183,16 @@ let create host =
       socks = Hashtbl.create 8;
       frag = Proto.Ip_frag.create ();
       next_ip_id = 1;
-      counters = { rx = 0; delivered = 0; filtered_out = 0; tx = 0 };
+      counters =
+        {
+          rx = 0;
+          delivered = 0;
+          filtered_out = 0;
+          bad_checksum = 0;
+          malformed = 0;
+          no_port = 0;
+          tx = 0;
+        };
     }
   in
   Netsim.Dev.set_rx dev (rx t);
@@ -221,6 +216,8 @@ let udp_set_recv sock fn = sock.u_on_recv <- fn
 (* ---- user-level send path ----------------------------------------------- *)
 
 let udp_sendto t sock ~dst:(dip, dport) data =
+  if String.length data > Proto.Udp.max_payload then
+    invalid_arg "Ulib.udp_sendto: payload exceeds one datagram";
   t.counters.tx <- t.counters.tx + 1;
   let lay = t.costs.Netsim.Costs.layer in
   let len = String.length data in
@@ -248,20 +245,6 @@ let udp_sendto t sock ~dst:(dip, dport) data =
         Syscall.enter t.cpu t.costs ~len:(Mbuf.length frag) (fun () ->
             Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt frag)
       in
-      let mtu = Netsim.Dev.mtu t.dev in
-      if Mbuf.length datagram + Proto.Ipv4.header_len <= mtu then begin
-        Proto.Ipv4.encapsulate datagram
-          (Proto.Ipv4.make ~id ~proto:Proto.Ipv4.proto_udp ~src:(host_ip t)
-             ~dst:dip ~payload_len:(Mbuf.length datagram) ());
-        emit datagram
-      end
-      else
-        List.iter
-          (fun (off8, more, frag) ->
-            let frag_len = Mbuf.length frag in
-            Proto.Ipv4.encapsulate frag
-              (Proto.Ipv4.make ~id ~more_fragments:more ~frag_offset:off8
-                 ~proto:Proto.Ipv4.proto_udp ~src:(host_ip t) ~dst:dip
-                 ~payload_len:frag_len ());
-            emit frag)
-          (Proto.Ip_frag.fragment ~mtu datagram))
+      List.iter emit
+        (Proto.Ip_frag.packets ~mtu:(Netsim.Dev.mtu t.dev) ~id
+           ~proto:Proto.Ipv4.proto_udp ~src:(host_ip t) ~dst:dip datagram))

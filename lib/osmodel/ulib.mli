@@ -10,7 +10,10 @@ type error = [ `Port_in_use of int ]
 type counters = {
   mutable rx : int;
   mutable delivered : int;
-  mutable filtered_out : int;
+  mutable filtered_out : int;  (** not IPv4 for this host or broadcast *)
+  mutable bad_checksum : int;
+  mutable malformed : int;  (** every other IPv4 or UDP drop reason *)
+  mutable no_port : int;
   mutable tx : int;
 }
 
@@ -19,7 +22,6 @@ val create : Netsim.Host.t -> t
     front end. *)
 
 val counters : t -> counters
-val host_ip : t -> Proto.Ipaddr.t
 val prime_arp : t -> Proto.Ipaddr.t -> Proto.Ether.Mac.t -> unit
 
 val udp_bind : t -> port:int -> (usock, [> error ]) result
@@ -27,4 +29,5 @@ val udp_set_recv : usock -> (src:Proto.Ipaddr.t * int -> string -> unit) -> unit
 
 val udp_sendto : t -> usock -> dst:Proto.Ipaddr.t * int -> string -> unit
 (** Build the full packet at user level, then trap into the kernel to
-    transmit. *)
+    transmit.  @raise Invalid_argument past {!Proto.Udp.max_payload}
+    bytes. *)

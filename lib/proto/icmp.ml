@@ -1,5 +1,7 @@
-(* ICMP, restricted to echo request/reply — what the paper's stack
-   (Figure 1) carries and what ping-style diagnostics need. *)
+(* ICMP: echo request/reply — what the paper's stack
+   (Figure 1) carries and what ping-style diagnostics need — and the
+   error messages (port unreachable, time exceeded) a host or hop sends
+   back. *)
 
 let header_len = 8
 
@@ -50,26 +52,20 @@ let echo_request ~ident ~seq payload =
 
 let echo_reply_of m = { m with mtype = type_echo_reply }
 
-(* RFC 792: a destination-unreachable carries the offending datagram's
-   header + first 8 payload bytes; the ident/seq word is unused. *)
-let time_exceeded ~original =
-  {
-    mtype = type_time_exceeded;
-    code = 0;
-    ident = 0;
-    seq = 0;
-    payload = String.sub original 0 (min (String.length original) 28);
-  }
-
-let port_unreachable ~original =
-  {
-    mtype = type_dest_unreachable;
-    code = code_port_unreachable;
-    ident = 0;
-    seq = 0;
-    payload = String.sub original 0 (min (String.length original) 28);
-  }
-
-let pp_message ppf m =
-  Fmt.pf ppf "icmp{type=%d id=%d seq=%d len=%d}" m.mtype m.ident m.seq
-    (String.length m.payload)
+(* RFC 792: an error message quotes the offending datagram's IP header
+   and the first 8 bytes of its data; the ident/seq word is unused.  The
+   header is written from its record, so a reassembled datagram quotes
+   the header it was delivered with. *)
+let error ~mtype ~code (h : Ipv4.header) l4 =
+  let quoted = min 8 (View.length l4) in
+  let pkt = Mbuf.alloc (header_len + Ipv4.header_len + quoted) in
+  let v = Mbuf.view pkt in
+  View.set_u8 v 0 mtype;
+  View.set_u8 v 1 code;
+  View.set_u16 v 2 0;
+  View.set_u32 v 4 0;
+  Ipv4.write (View.shift v header_len) h;
+  View.blit ~src:l4 ~dst:v ~src_off:0 ~dst_off:(header_len + Ipv4.header_len)
+    ~len:quoted;
+  View.set_u16 v 2 (Cksum.of_view (View.ro v));
+  pkt

@@ -1,6 +1,5 @@
-(** ICMP echo request/reply. *)
+(** ICMP echo request/reply and error messages. *)
 
-val header_len : int
 val type_echo_reply : int
 val type_dest_unreachable : int
 val type_time_exceeded : int
@@ -23,11 +22,9 @@ val valid : _ View.t -> bool
 val echo_request : ident:int -> seq:int -> string -> message
 val echo_reply_of : message -> message
 
-val time_exceeded : original:string -> message
-(** An ICMP time-exceeded quoting (a prefix of) the expired datagram. *)
+val error :
+  mtype:int -> code:int -> Ipv4.header -> _ View.t -> Mbuf.rw Mbuf.t
+(** An ICMP error quoting the offending datagram as RFC 792 asks: its IP
+    header, written from [h], then the first 8 bytes of its transport
+    data [l4] — 28 bytes at most, whatever the datagram's size. *)
 
-val port_unreachable : original:string -> message
-(** An ICMP port-unreachable quoting (a prefix of) the offending
-    datagram. *)
-
-val pp_message : Format.formatter -> message -> unit

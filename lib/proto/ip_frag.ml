@@ -31,6 +31,21 @@ let fragment ~mtu (payload : 'p Mbuf.t) : (int * bool * 'p Mbuf.t) list =
     go 0 []
   end
 
+(* A datagram's packets, IPv4 header pushed on each: the payload itself
+   when it fits the MTU, else its zero-copy fragments. *)
+let packets ~mtu ~id ~proto ~src ~dst (payload : Mbuf.rw Mbuf.t) =
+  if Mbuf.length payload + Ipv4.header_len <= mtu then begin
+    Ipv4.push payload ~id ~more_fragments:false ~frag_offset:0 ~proto ~src ~dst;
+    [ payload ]
+  end
+  else
+    List.map
+      (fun (off8, more, frag) ->
+        Ipv4.push frag ~id ~more_fragments:more ~frag_offset:off8 ~proto ~src
+          ~dst;
+        frag)
+      (fragment ~mtu payload)
+
 (* Reassembly contexts are keyed by (src, dst, proto, id). *)
 type key = { src : Ipaddr.t; dst : Ipaddr.t; proto : int; id : int }
 
@@ -44,12 +59,14 @@ type ctx = {
 type t = {
   pending : (key, ctx) Hashtbl.t;
   timeout : Sim.Stime.t;
+  mutable timer : Sim.Engine.handle option;
   mutable timeouts : int;
   mutable reassembled : int;
 }
 
 let create ?(timeout = Sim.Stime.s 30) () =
-  { pending = Hashtbl.create 16; timeout; timeouts = 0; reassembled = 0 }
+  { pending = Hashtbl.create 16; timeout; timer = None; timeouts = 0;
+    reassembled = 0 }
 
 let pending_count t = Hashtbl.length t.pending
 let reassembled_count t = t.reassembled
@@ -68,11 +85,8 @@ let expire t ~now =
     stale;
   List.length stale
 
-(* The earliest deadline among pending reassemblies — what a periodic
-   expirer should arm its next one-shot timer at.  [None] when nothing
-   is pending, so the expirer can go quiet instead of ticking forever
-   (a perpetual timer would keep the event-driven engine from ever
-   draining). *)
+(* The earliest deadline among pending reassemblies, or [None] when
+   nothing is pending. *)
 let next_deadline t =
   Hashtbl.fold
     (fun _ ctx acc ->
@@ -82,6 +96,38 @@ let next_deadline t =
           if Sim.Stime.compare ctx.deadline d < 0 then Some ctx.deadline
           else acc)
     t.pending None
+
+(* Scheduled expiry.  [receive] only expires lazily — when *another*
+   fragment arrives — so under loss a half-delivered fragment train
+   would pin its chunk buffers forever.  A one-shot timer armed at the
+   earliest pending deadline bounds that: it fires, expires what is
+   stale, and re-arms only while reassemblies remain pending.  It is
+   cancelled the moment nothing is pending — never a standing tick,
+   which would keep the event-driven engine from draining (or stretch
+   every fragmented run out to the 30 s reassembly timeout). *)
+let rec schedule_expiry t engine =
+  match t.timer with
+  | Some h ->
+      if pending_count t = 0 then begin
+        Sim.Engine.cancel engine h;
+        t.timer <- None
+      end
+  | None -> (
+      match next_deadline t with
+      | None -> ()
+      | Some deadline ->
+          (* [expire] drops contexts strictly past their deadline; fire
+             1 ns after it *)
+          let now = Sim.Engine.now engine in
+          let delay =
+            Sim.Stime.add (Sim.Stime.sub (max deadline now) now) (Sim.Stime.ns 1)
+          in
+          t.timer <-
+            Some
+              (Sim.Engine.schedule_in engine ~delay (fun () ->
+                   t.timer <- None;
+                   ignore (expire t ~now:(Sim.Engine.now engine) : int);
+                   schedule_expiry t engine)))
 
 (* Assemble completed chunks into a fresh contiguous datagram: each
    payload byte is copied exactly once, here. *)
@@ -94,73 +140,93 @@ let assemble total chunks =
     chunks;
   m
 
-type outcome = Pending | Complete of Mbuf.rw Mbuf.t | Malformed
+type verdict =
+  | Deliver of Ipv4.header
+  | Reassembled of Ipv4.header * Mbuf.rw Mbuf.t
+  | Pending
+  | Drop of Ipv4.drop
 
 (* Feed one fragment's payload.  A train completes only when its chunks
    tile [0, total) exactly: a chunk that overlaps another (other than an
-   exact duplicate, which is ignored) or ends past the total drops the
-   whole train, since [assemble] could not place it.  The chunk views
+   exact duplicate, which is ignored), ends past the total or past the
+   largest payload a 16-bit total length can describe drops the whole
+   train, since [assemble] could not place it.  The chunk views
    must stay valid until completion (they reference the arriving frames'
    buffers, which the receive path keeps alive). *)
-let input t ~now (h : Ipv4.header) (payload : _ View.t) : outcome =
+let input t ~now (h : Ipv4.header) (payload : _ View.t) =
   let payload = View.ro payload in
-  if (not h.more_fragments) && h.frag_offset = 0 then
-    Complete (assemble (View.length payload) [ (0, payload) ])
-  else begin
-    ignore (expire t ~now : int);
-    let key = { src = h.src; dst = h.dst; proto = h.proto; id = h.id } in
-    let ctx =
-      match Hashtbl.find_opt t.pending key with
-      | Some c -> c
-      | None ->
-          let c =
-            {
-              chunks = [];
-              total = None;
-              received = 0;
-              deadline = Sim.Stime.add now t.timeout;
-            }
-          in
-          Hashtbl.replace t.pending key c;
-          c
-    in
-    let off = h.frag_offset * 8 in
-    let len = View.length payload in
-    let stop = off + len in
-    let dup =
-      List.exists (fun (o, v) -> o = off && View.length v = len) ctx.chunks
-    in
-    let total = if h.more_fragments then ctx.total else Some stop in
-    let total_clash =
-      match (ctx.total, total) with Some a, Some b -> a <> b | _ -> false
-    in
-    let overlap =
-      (not dup)
-      && List.exists (fun (o, v) -> off < o + View.length v && o < stop) ctx.chunks
-    in
-    let past_end =
-      match total with
-      | Some n ->
-          stop > n || List.exists (fun (o, v) -> o + View.length v > n) ctx.chunks
-      | None -> false
-    in
-    if total_clash || overlap || past_end then begin
-      Hashtbl.remove t.pending key;
-      Malformed
-    end
-    else begin
-      if not dup then begin
-        ctx.chunks <- (off, payload) :: ctx.chunks;
-        ctx.received <- ctx.received + len
-      end;
-      ctx.total <- total;
-      (* disjoint chunks inside [0, total) tile it when their sizes sum
-         to it *)
-      match total with
-      | Some total when ctx.received = total ->
-          Hashtbl.remove t.pending key;
-          t.reassembled <- t.reassembled + 1;
-          Complete (assemble total ctx.chunks)
-      | _ -> Pending
-    end
+  ignore (expire t ~now : int);
+  let key = { src = h.src; dst = h.dst; proto = h.proto; id = h.id } in
+  let ctx =
+    match Hashtbl.find_opt t.pending key with
+    | Some c -> c
+    | None ->
+        let c =
+          {
+            chunks = [];
+            total = None;
+            received = 0;
+            deadline = Sim.Stime.add now t.timeout;
+          }
+        in
+        Hashtbl.replace t.pending key c;
+        c
+  in
+  let off = h.frag_offset * 8 in
+  let len = View.length payload in
+  let stop = off + len in
+  let dup =
+    List.exists (fun (o, v) -> o = off && View.length v = len) ctx.chunks
+  in
+  let total = if h.more_fragments then ctx.total else Some stop in
+  let total_clash =
+    match (ctx.total, total) with Some a, Some b -> a <> b | _ -> false
+  in
+  let overlap =
+    (not dup)
+    && List.exists (fun (o, v) -> off < o + View.length v && o < stop) ctx.chunks
+  in
+  let past_end =
+    match total with
+    | Some n ->
+        stop > n || List.exists (fun (o, v) -> o + View.length v > n) ctx.chunks
+    | None -> false
+  in
+  if total_clash || overlap || past_end || stop > Ipv4.max_payload then begin
+    Hashtbl.remove t.pending key;
+    Drop Ipv4.Bad_fragment
   end
+  else begin
+    if not dup then begin
+      ctx.chunks <- (off, payload) :: ctx.chunks;
+      ctx.received <- ctx.received + len
+    end;
+    ctx.total <- total;
+    (* disjoint chunks inside [0, total) tile it when their sizes sum
+       to it *)
+    match total with
+    | Some total when ctx.received = total ->
+        Hashtbl.remove t.pending key;
+        t.reassembled <- t.reassembled + 1;
+        (* the datagram as if it had arrived whole *)
+        let h =
+          { h with more_fragments = false; frag_offset = 0;
+                   total_len = Ipv4.header_len + total }
+        in
+        Reassembled (h, assemble total ctx.chunks)
+    | _ -> Pending
+  end
+
+(* The one IPv4 receive decision every stack takes: validate the header
+   in place, then deliver an unfragmented datagram with its header
+   record (built directly, so the verdict costs what [Some header] did)
+   or feed the fragment's payload to reassembly. *)
+let receive t ~now ~host v =
+  match Ipv4.check ~host v with
+  | Some reason -> Drop reason
+  | None ->
+      let h = Ipv4.read v in
+      if not (h.more_fragments || h.frag_offset > 0) then Deliver h
+      else
+        input t ~now h
+          (View.sub v ~off:Ipv4.header_len ~len:(h.total_len - Ipv4.header_len))

@@ -11,36 +11,43 @@ val fragment : mtu:int -> 'p Mbuf.t -> (int * bool * 'p Mbuf.t) list
     is copied; the caller keeps ownership of [payload].
     @raise Invalid_argument if the MTU cannot carry 8 payload bytes. *)
 
+val packets :
+  mtu:int -> id:int -> proto:int -> src:Ipaddr.t -> dst:Ipaddr.t ->
+  Mbuf.rw Mbuf.t -> Mbuf.rw Mbuf.t list
+(** The IPv4 send path of Plexus and both baselines: the datagram's
+    packets with their headers pushed ({!Ipv4.push}), the payload itself
+    when it fits [mtu], else its {!fragment}s. *)
+
 type t
 (** Reassembly state, keyed by (src, dst, proto, id). *)
 
 val create : ?timeout:Sim.Stime.t -> unit -> t
 
-type outcome =
-  | Pending  (** the train is still incomplete *)
-  | Complete of Mbuf.rw Mbuf.t  (** the reassembled datagram *)
-  | Malformed
-      (** a chunk overlapped another or ran past the train's total
-          length: the whole train was dropped *)
+(** What a receiver does with one arriving datagram. *)
+type verdict =
+  | Deliver of Ipv4.header  (** unfragmented; data up to [total_len] *)
+  | Reassembled of Ipv4.header * Mbuf.rw Mbuf.t
+      (** a completed train, under a header with MF and offset clear and
+          [total_len] covering the datagram *)
+  | Pending  (** a fragment of a train still incomplete *)
+  | Drop of Ipv4.drop
+      (** {!Ipv4.check} failed, or the train overlaps itself, disagrees
+          on its total or ends past {!Ipv4.max_payload} ([Bad_fragment],
+          and the train is gone) *)
 
-val input : t -> now:Sim.Stime.t -> Ipv4.header -> _ View.t -> outcome
-(** Feed a fragment's payload (or a whole datagram).  A train completes
-    only when its chunks tile [[0, total)] exactly; an exact duplicate
-    chunk is ignored.  Chunk views are held until completion, so they
-    must remain valid that long (the receive path keeps arriving frames
-    alive).  Stale contexts are expired lazily against [now]. *)
+val receive : t -> now:Sim.Stime.t -> host:Ipaddr.t -> _ View.t -> verdict
+(** The IPv4 receive path of Plexus and both baselines, for the datagram
+    at the start of the view.  A train completes only when its chunks
+    tile [[0, total)] exactly; an exact duplicate chunk is ignored.
+    Chunk views are held until completion, so they must remain valid
+    that long.  Stale contexts are expired lazily against [now]. *)
 
-val expire : t -> now:Sim.Stime.t -> int
-(** Drop every pending reassembly whose deadline has passed, returning
-    how many were expired (also counted in {!timeout_count}).  Called
-    lazily by {!input}; callers that must bound how long a stalled
-    fragment train pins its buffers (the chunks reference arriving
-    frames) schedule it from a timer — see [Ip_mgr]. *)
-
-val next_deadline : t -> Sim.Stime.t option
-(** The earliest deadline among pending reassemblies, or [None] when
-    nothing is pending — the instant a periodic expirer should arm its
-    next one-shot timer for. *)
+val schedule_expiry : t -> Sim.Engine.t -> unit
+(** Bound how long a stalled train pins its buffers (the chunks
+    reference arriving frames): while any train is pending, a one-shot
+    timer on the engine expires stale ones at the earliest deadline and
+    re-arms; with none pending it is cancelled.  A receiver calls this
+    after each fragment's verdict. *)
 
 val pending_count : t -> int
 val reassembled_count : t -> int

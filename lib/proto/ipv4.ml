@@ -77,24 +77,23 @@ let flags_frag ~dont_fragment ~more_fragments ~frag_offset =
   lor (if more_fragments then flag_mf else 0)
   lor (frag_offset land frag_mask)
 
-let parse v =
-  if not (has_header v) then None
-  else begin
-    let ff = get_flags_frag v in
-    Some
-      {
-        tos = get_tos v;
-        total_len = get_total_len v;
-        id = get_id v;
-        dont_fragment = ff land flag_df <> 0;
-        more_fragments = ff land flag_mf <> 0;
-        frag_offset = ff land frag_mask;
-        ttl = get_ttl v;
-        proto = get_proto v;
-        src = get_src v;
-        dst = get_dst v;
-      }
-  end
+(* The whole header as a record, from a view that [has_header]. *)
+let read v =
+  let ff = get_flags_frag v in
+  {
+    tos = get_tos v;
+    total_len = get_total_len v;
+    id = get_id v;
+    dont_fragment = ff land flag_df <> 0;
+    more_fragments = ff land flag_mf <> 0;
+    frag_offset = ff land frag_mask;
+    ttl = get_ttl v;
+    proto = get_proto v;
+    src = get_src v;
+    dst = get_dst v;
+  }
+
+let parse v = if has_header v then Some (read v) else None
 
 (* Write every field, then the header checksum over them. *)
 let set_fields v ~tos ~total_len ~id ~flags_frag ~ttl ~proto ~src ~dst =
@@ -120,6 +119,33 @@ let write v h =
 let checksum_valid v =
   View.length v >= header_len && Cksum.of_sub v ~off:0 ~len:header_len = 0
 
+let max_payload = 0xffff - header_len
+
+type drop =
+  | Runt | Bad_header | Bad_checksum | Not_ours | Bad_length | Bad_fragment
+
+let drop_name = function
+  | Runt -> "runt"
+  | Bad_header -> "bad_header"
+  | Bad_checksum -> "bad_checksum"
+  | Not_ours -> "not_ours"
+  | Bad_length -> "bad_length"
+  | Bad_fragment -> "bad_fragment"
+
+(* Every field-dependency check a receiver needs before it may slice the
+   datagram, over the header in place.  The results are constant blocks,
+   so a verdict allocates nothing. *)
+let check ~host v =
+  let len = View.length v in
+  if len < header_len then Some Runt
+  else if View.get_u8 v Off.vihl <> 0x45 then Some Bad_header
+  else if Cksum.of_sub v ~off:0 ~len:header_len <> 0 then Some Bad_checksum
+  else if
+    not (Ipaddr.equal (get_dst v) host || Ipaddr.equal (get_dst v) Ipaddr.broadcast)
+  then Some Not_ours
+  else if get_total_len v < header_len || get_total_len v > len then Some Bad_length
+  else None
+
 (* Push an IP header onto a packet whose current contents are the
    payload, written in place (TOS 0, default TTL). *)
 let push pkt ~id ~more_fragments ~frag_offset ~proto ~src ~dst =
@@ -137,11 +163,3 @@ let encapsulate pkt h =
    sum of their 16-bit halves, so no 12-byte header is ever built. *)
 let pseudo_sum ~src ~dst ~proto ~len =
   Ipaddr.to_int src + Ipaddr.to_int dst + proto + len
-
-let pp_header ppf h =
-  Fmt.pf ppf "ip{%a -> %a proto=%d len=%d id=%d%s}" Ipaddr.pp h.src Ipaddr.pp
-    h.dst h.proto h.total_len h.id
-    (if h.more_fragments || h.frag_offset > 0 then
-       Printf.sprintf " frag=%d%s" h.frag_offset
-         (if h.more_fragments then "+" else "")
-     else "")

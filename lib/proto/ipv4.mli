@@ -1,7 +1,6 @@
 (** IPv4 header codec and helpers. *)
 
 val header_len : int
-val default_ttl : int
 val proto_icmp : int
 val proto_tcp : int
 val proto_udp : int
@@ -40,8 +39,11 @@ module Off : sig
 end
 
 val parse : _ View.t -> header option
-(** Decode (and structurally validate) the header at the start of the
-    view.  Does not verify the checksum; see {!checksum_valid}. *)
+(** Decode the header at the start of the view, [Some] exactly when
+    {!has_header}.  A codec, not a validator: receivers use {!check}. *)
+
+val read : _ View.t -> header
+(** {!parse} without the option, for a view that {!has_header}. *)
 
 val write : View.rw View.t -> header -> unit
 (** Encode the header, computing its checksum. *)
@@ -68,6 +70,26 @@ val get_dst : _ View.t -> Ipaddr.t
 
 val checksum_valid : _ View.t -> bool
 
+val max_payload : int
+(** 65,515: the payload a 16-bit total length can carry. *)
+
+(** Why a receiver refuses a datagram. *)
+type drop =
+  | Runt  (** shorter than a header *)
+  | Bad_header  (** not version 4, or IHL other than 5 *)
+  | Bad_checksum
+  | Not_ours  (** addressed to neither the host nor 255.255.255.255 *)
+  | Bad_length  (** [total_len] outside [[20, bytes received]] *)
+  | Bad_fragment  (** a bad fragment train; see [Ip_frag.receive] *)
+
+val drop_name : drop -> string
+(** The reason as a span label: ["runt"], ["bad_header"], ... *)
+
+val check : host:Ipaddr.t -> _ View.t -> drop option
+(** The first reason, in the order above, to refuse the datagram at the
+    start of the view as [host]; [None] when it may be sliced up to its
+    [total_len].  Reads in place and allocates nothing. *)
+
 val push :
   Mbuf.rw Mbuf.t -> id:int -> more_fragments:bool -> frag_offset:int ->
   proto:int -> src:Ipaddr.t -> dst:Ipaddr.t -> unit
@@ -81,4 +103,3 @@ val pseudo_sum : src:Ipaddr.t -> dst:Ipaddr.t -> proto:int -> len:int -> int
 (** The UDP/TCP checksum pseudo-header as a running sum, to seed
     [Cksum.fold_words] or [Cksum.fold_mbuf]. *)
 
-val pp_header : Format.formatter -> header -> unit

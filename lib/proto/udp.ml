@@ -8,7 +8,7 @@ let header_len = 8
 type header = { src_port : int; dst_port : int; len : int; cksum : int }
 
 (* The header layout, declared once: each field's byte offset.  [parse],
-   [write] and the in-place accessors below all read these. *)
+   [push] and the in-place accessors below all read these. *)
 module Off = struct
   let src_port = 0
   let dst_port = 2
@@ -41,9 +41,6 @@ let parse v =
         cksum = get_cksum v;
       }
 
-let write v { src_port; dst_port; len; cksum } =
-  set_fields v ~src_port ~dst_port ~len ~cksum
-
 (* RFC 768: a checksum that computes to 0 is transmitted as all-ones (0
    means "no checksum"). *)
 let wire_cksum = function 0 -> 0xffff | c -> c
@@ -69,15 +66,23 @@ let push pkt ~checksum ~src ~dst ~src_port ~dst_port =
 let encapsulate ?(checksum = true) pkt ~src ~dst ~src_port ~dst_port =
   push pkt ~checksum ~src ~dst ~src_port ~dst_port
 
+let max_payload = Ipv4.max_payload - header_len
+
+type drop = Runt | Bad_length | Bad_checksum
+
+let drop_name = function
+  | Runt -> "runt"
+  | Bad_length -> "bad_length"
+  | Bad_checksum -> "bad_checksum"
+
 (* Validate a datagram (header + payload view), reading the header in
    place.  A zero checksum field means the sender disabled
    checksumming. *)
-let valid ~src ~dst v =
-  has_header v
-  && get_len v = View.length v
-  && (get_cksum v = 0
-     || Cksum.finish (Cksum.fold_words (pseudo ~src ~dst ~len:(get_len v)) v)
-        = 0)
-
-let pp_header ppf h =
-  Fmt.pf ppf "udp{%d -> %d len=%d}" h.src_port h.dst_port h.len
+let check ~src ~dst v =
+  if not (has_header v) then Some Runt
+  else if get_len v <> View.length v then Some Bad_length
+  else if
+    get_cksum v <> 0
+    && Cksum.finish (Cksum.fold_words (pseudo ~src ~dst ~len:(get_len v)) v) <> 0
+  then Some Bad_checksum
+  else None

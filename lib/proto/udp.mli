@@ -8,7 +8,7 @@ val header_len : int
 type header = { src_port : int; dst_port : int; len : int; cksum : int }
 
 (** Field byte offsets within the header: the one declaration of its
-    layout, shared by {!parse}, {!write} and the accessors. *)
+    layout, shared by {!parse}, {!push} and the accessors. *)
 module Off : sig
   val src_port : int
   val dst_port : int
@@ -17,7 +17,6 @@ module Off : sig
 end
 
 val parse : _ View.t -> header option
-val write : View.rw View.t -> header -> unit
 
 (** {1 In-place access}
 
@@ -47,8 +46,20 @@ val encapsulate :
   src_port:int -> dst_port:int -> unit
 (** {!push} with the checksum on by default. *)
 
-val valid : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> bool
-(** Length and checksum validation of a datagram view (header+payload),
-    in place: no record, no pseudo-header, no allocation. *)
+val max_payload : int
+(** 65,507: the data one IPv4 datagram can carry.  Every stack's send
+    refuses more with [Invalid_argument] before queueing anything. *)
 
-val pp_header : Format.formatter -> header -> unit
+(** Why a receiver refuses a datagram. *)
+type drop =
+  | Runt  (** shorter than a header *)
+  | Bad_length  (** length field ≠ the bytes IP delivered *)
+  | Bad_checksum  (** a nonzero checksum that does not verify *)
+
+val drop_name : drop -> string
+
+val check : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> drop option
+(** Validate a datagram view (header + payload) IP delivered from [src]
+    to [dst]; on [None] its ports may be read in place.  No record, no
+    pseudo-header, no allocation. *)
+

@@ -279,8 +279,9 @@ let udp_frame ~dst_mac =
   m
 
 (* The reads every received frame pays for — the dispatch keys, the
-   flow signature, the EtherType guard, the transport checksums over a
-   view and over a 2-segment chain — allocate nothing.  Holds in the optimised and the
+   flow signature, the EtherType guard, the IPv4 and UDP receive
+   checks, the transport checksums over a view and over a 2-segment
+   chain — allocate nothing.  Holds in the optimised and the
    dev (-opaque, no cross-module inlining) builds alike. *)
 let in_place_reads_allocate_nothing () =
   let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
@@ -309,10 +310,15 @@ let in_place_reads_allocate_nothing () =
       ~off:(Proto.Ether.header_len + Proto.Ipv4.header_len)
       ~len:(Proto.Udp.header_len + 64)
   in
-  let ok = ref false in
-  check_no_words "Proto.Udp.valid"
-    (words_of (fun () -> ok := Proto.Udp.valid ~src:ip_a ~dst:ip_b dgram));
-  Alcotest.(check bool) "udp datagram valid" true !ok;
+  let ipv = View.shift ctx.Plexus.Pctx.frame Proto.Ether.header_len in
+  let ip_verdict = ref (Some Proto.Ipv4.Runt) in
+  check_no_words "Proto.Ipv4.check"
+    (words_of (fun () -> ip_verdict := Proto.Ipv4.check ~host:ip_b ipv));
+  Alcotest.(check bool) "ip datagram accepted" true (!ip_verdict = None);
+  let verdict = ref (Some Proto.Udp.Runt) in
+  check_no_words "Proto.Udp.check"
+    (words_of (fun () -> verdict := Proto.Udp.check ~src:ip_a ~dst:ip_b dgram));
+  Alcotest.(check bool) "udp datagram accepted" true (!verdict = None);
   let seg =
     View.ro
       (Mbuf.view
@@ -327,6 +333,7 @@ let in_place_reads_allocate_nothing () =
             }
             "a segment payload of odd length"))
   in
+  let ok = ref false in
   check_no_words "Proto.Tcp_wire.valid"
     (words_of (fun () -> ok := Proto.Tcp_wire.valid ~src:ip_a ~dst:ip_b seg));
   Alcotest.(check bool) "tcp segment valid" true !ok;

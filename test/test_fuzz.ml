@@ -156,11 +156,12 @@ let parser_fuzz =
     never_raises "Ether.parse total" (fun v -> ignore (Proto.Ether.parse v));
     never_raises "Ipv4.parse total" (fun v ->
         ignore (Proto.Ipv4.parse v);
-        ignore (Proto.Ipv4.checksum_valid v));
+        ignore (Proto.Ipv4.checksum_valid v);
+        ignore (Proto.Ipv4.check ~host:(Proto.Ipaddr.v 5 6 7 8) v));
     never_raises "Udp.parse/valid total" (fun v ->
         ignore (Proto.Udp.parse v);
         ignore
-          (Proto.Udp.valid ~src:(Proto.Ipaddr.v 1 2 3 4)
+          (Proto.Udp.check ~src:(Proto.Ipaddr.v 1 2 3 4)
              ~dst:(Proto.Ipaddr.v 5 6 7 8) v));
     never_raises "Tcp_wire.parse total" (fun v ->
         match Proto.Tcp_wire.parse v with

@@ -123,6 +123,15 @@ let frag_sizes () =
   let total = List.fold_left (fun a (_, _, d) -> a + Mbuf.length d) 0 frags in
   Alcotest.(check int) "lossless" 4000 total
 
+(* Feed one fragment to reassembly the way a stack's receive path does:
+   its header written in front of its payload, received as [h.dst]. *)
+let receive t ~now (h : Proto.Ipv4.header) payload =
+  let len = View.length payload in
+  let v = View.create (Proto.Ipv4.header_len + len) in
+  View.blit ~src:payload ~dst:v ~src_off:0 ~dst_off:Proto.Ipv4.header_len ~len;
+  Proto.Ipv4.write v h;
+  Proto.Ip_frag.receive t ~now ~host:h.Proto.Ipv4.dst v
+
 let reassemble frags =
   let t = Proto.Ip_frag.create () in
   let now = Sim.Stime.zero in
@@ -132,9 +141,10 @@ let reassemble frags =
         Proto.Ipv4.make ~id:1 ~more_fragments:more ~frag_offset:off8 ~proto:17
           ~src:ip_a ~dst:ip_b ~payload_len:(Mbuf.length data) ()
       in
-      match Proto.Ip_frag.input t ~now h (Mbuf.view data) with
-      | Complete d -> Some (Mbuf.to_string d)
-      | Pending | Malformed -> acc)
+      match receive t ~now h (Mbuf.view data) with
+      | Reassembled (_, d) -> Some (Mbuf.to_string d)
+      | Deliver _ -> Some (Mbuf.to_string data)
+      | Pending | Drop _ -> acc)
     None frags
 
 let frag_roundtrip () =
@@ -170,10 +180,11 @@ let frag_inconsistent_trains_dropped () =
       Proto.Ipv4.make ~id:5 ~more_fragments:more ~frag_offset:off8 ~proto:17
         ~src:ip_a ~dst:ip_b ~payload_len:len ()
     in
-    match Proto.Ip_frag.input t ~now h (View.of_string (String.make len 'z')) with
+    match receive t ~now h (View.of_string (String.make len 'z')) with
     | Pending -> "pending"
-    | Complete d -> Printf.sprintf "complete %d" (Mbuf.length d)
-    | Malformed -> "malformed"
+    | Reassembled (_, d) -> Printf.sprintf "complete %d" (Mbuf.length d)
+    | Drop Proto.Ipv4.Bad_fragment -> "malformed"
+    | Deliver _ | Drop _ -> "not a fragment train verdict"
   in
   let check name expected got = Alcotest.(check string) name expected got in
   check "head" "pending" (feed ~off8:0 ~more:true 104);
@@ -194,11 +205,11 @@ let frag_timeout () =
     Proto.Ipv4.make ~id:1 ~more_fragments:true ~frag_offset:0 ~proto:17
       ~src:ip_a ~dst:ip_b ~payload_len:8 ()
   in
-  ignore (Proto.Ip_frag.input t ~now:Sim.Stime.zero h (View.of_string "AAAAAAAA"));
+  ignore (receive t ~now:Sim.Stime.zero h (View.of_string "AAAAAAAA"));
   Alcotest.(check int) "pending" 1 (Proto.Ip_frag.pending_count t);
   (* an unrelated fragment far in the future expires the stale context *)
   let h2 = { h with Proto.Ipv4.id = 2 } in
-  ignore (Proto.Ip_frag.input t ~now:(Sim.Stime.s 5) h2 (View.of_string "BBBBBBBB"));
+  ignore (receive t ~now:(Sim.Stime.s 5) h2 (View.of_string "BBBBBBBB"));
   Alcotest.(check int) "stale expired" 1 (Proto.Ip_frag.timeout_count t)
 
 let frag_qcheck =
@@ -221,7 +232,7 @@ let udp_datagram ?(checksum = true) payload =
 let udp_roundtrip () =
   let pkt = udp_datagram "data!" in
   let v = View.ro (Mbuf.view pkt) in
-  Alcotest.(check bool) "valid" true (Proto.Udp.valid ~src:ip_a ~dst:ip_b v);
+  Alcotest.(check bool) "valid" true (Proto.Udp.check ~src:ip_a ~dst:ip_b v = None);
   match Proto.Udp.parse v with
   | Some h ->
       Alcotest.(check int) "src port" 1000 h.Proto.Udp.src_port;
@@ -233,13 +244,15 @@ let udp_checksum_catches_corruption () =
   let pkt = udp_datagram "data!" in
   let v = Mbuf.view pkt in
   View.set_u8 v 9 (View.get_u8 v 9 lxor 0xff);
-  Alcotest.(check bool) "corrupt payload rejected" false
-    (Proto.Udp.valid ~src:ip_a ~dst:ip_b (View.ro v));
+  Alcotest.(check bool) "corrupt payload rejected" true
+    (Proto.Udp.check ~src:ip_a ~dst:ip_b (View.ro v)
+    = Some Proto.Udp.Bad_checksum);
   (* note: swapping src and dst would NOT change the sum (one's-complement
      addition is commutative); use a genuinely different address *)
-  Alcotest.(check bool) "wrong pseudo-header rejected" false
-    (Proto.Udp.valid ~src:(Proto.Ipaddr.v 10 9 9 9) ~dst:ip_b
-       (View.ro (Mbuf.view (udp_datagram "x"))))
+  Alcotest.(check bool) "wrong pseudo-header rejected" true
+    (Proto.Udp.check ~src:(Proto.Ipaddr.v 10 9 9 9) ~dst:ip_b
+       (View.ro (Mbuf.view (udp_datagram "x")))
+    = Some Proto.Udp.Bad_checksum)
 
 let udp_no_checksum () =
   let pkt = udp_datagram ~checksum:false "media" in
@@ -247,14 +260,14 @@ let udp_no_checksum () =
   Alcotest.(check int) "checksum field zero" 0 (View.get_u16 v 6);
   View.set_u8 v 9 0xff;
   Alcotest.(check bool) "corruption tolerated when disabled" true
-    (Proto.Udp.valid ~src:ip_a ~dst:ip_b (View.ro v))
+    (Proto.Udp.check ~src:ip_a ~dst:ip_b (View.ro v) = None)
 
 let udp_length_mismatch () =
   let pkt = udp_datagram "data!" in
   let v = Mbuf.view pkt in
   View.set_u16 v 4 99;
-  Alcotest.(check bool) "bad length rejected" false
-    (Proto.Udp.valid ~src:ip_a ~dst:ip_b (View.ro v))
+  Alcotest.(check bool) "bad length rejected" true
+    (Proto.Udp.check ~src:ip_a ~dst:ip_b (View.ro v) = Some Proto.Udp.Bad_length)
 
 (* ---- Icmp ------------------------------------------------------------- *)
 

@@ -1,0 +1,561 @@
+(* The one IPv4/UDP receive path, driven through all three stacks:
+   Plexus, the DIGITAL UNIX baseline and the user-level library.  One
+   hostile frame per drop reason must land on the stack's counter for
+   that reason and leave the stack delivering; a differential property
+   checks that the three agree on every mutated frame; and the ICMP
+   error and oversize-send rules hold on each stack that has them. *)
+
+let tc name f = Alcotest.test_case name `Quick f
+
+let ip_a = Experiments.Common.ip_a
+let ip_b = Experiments.Common.ip_b
+
+(* ---- frames --------------------------------------------------------- *)
+
+(* Rewrite a header checksum after an edit. *)
+let fix_ip_cksum v =
+  View.set_u16 v Proto.Ipv4.Off.cksum 0;
+  View.set_u16 v Proto.Ipv4.Off.cksum
+    (Cksum.of_sub v ~off:0 ~len:Proto.Ipv4.header_len)
+
+(* An IPv4 datagram from A carrying [payload]; [edit] runs on the
+   written header, after which its checksum is recomputed unless
+   [~fix:false]. *)
+let datagram ?(id = 1) ?(more_fragments = false) ?(frag_offset = 0)
+    ?(dst = ip_b) ?(edit = ignore) ?(fix = true) payload =
+  let len = String.length payload in
+  let v = View.create (Proto.Ipv4.header_len + len) in
+  View.set_string v ~off:Proto.Ipv4.header_len payload;
+  Proto.Ipv4.write v
+    (Proto.Ipv4.make ~id ~more_fragments ~frag_offset
+       ~proto:Proto.Ipv4.proto_udp ~src:ip_a ~dst ~payload_len:len ());
+  edit v;
+  if fix then fix_ip_cksum v;
+  View.to_string v
+
+(* A UDP datagram from A:5000 to [dst]:[dst_port] (B:7 by default),
+   with [edit] run on its bytes after the checksum was written. *)
+let udp ?(dst = ip_b) ?(dst_port = 7) ?(edit = ignore) data =
+  let m = Mbuf.of_string data in
+  Proto.Udp.encapsulate m ~src:ip_a ~dst ~src_port:5000 ~dst_port;
+  let v = View.copy (View.of_string (Mbuf.to_string m)) in
+  edit v;
+  View.to_string v
+
+let frame ~src_dev ~dst_dev ip =
+  let m = Mbuf.of_string ip in
+  Proto.Ether.encapsulate m
+    {
+      Proto.Ether.dst = Netsim.Dev.mac dst_dev;
+      src = Netsim.Dev.mac src_dev;
+      etype = Proto.Ether.etype_ip;
+    };
+  m
+
+let set16 off x v = View.set_u16 v off x
+
+(* One row per drop reason: the frames (IP datagrams, in order), the
+   counter each stack books the drop on, and the [Drop] span Plexus
+   emits for it.  The user-level library's in-kernel filter refuses
+   what is not IPv4 for the host before the copy, so three of its rows
+   land on [filtered_out]. *)
+type row = {
+  name : string;
+  ips : string list;
+  plexus : string;
+  du : string;
+  ulib : string;
+  span : string * string;
+}
+
+let rows =
+  let ok = udp "hello" in
+  let ip_row name ips ~plexus ~du ~ulib reason =
+    { name; ips; plexus; du; ulib; span = ("ip", reason) }
+  and udp_row name ip ~counter reason =
+    { name; ips = [ ip ]; plexus = "udp." ^ counter; du = counter;
+      ulib = counter; span = ("udp", reason) }
+  in
+  [
+    ip_row "runt" [ String.sub (datagram ok) 0 10 ] ~plexus:"ip.malformed"
+      ~du:"malformed" ~ulib:"filtered_out" "runt";
+    ip_row "IHL 6" [ datagram ~edit:(fun v -> View.set_u8 v 0 0x46) ok ]
+      ~plexus:"ip.malformed" ~du:"malformed" ~ulib:"filtered_out" "bad_header";
+    ip_row "bad header checksum"
+      [ datagram ~fix:false
+          ~edit:(fun v ->
+            View.set_u16 v Proto.Ipv4.Off.cksum
+              (View.get_u16 v Proto.Ipv4.Off.cksum lxor 1))
+          ok ]
+      ~plexus:"ip.bad_checksum" ~du:"bad_checksum" ~ulib:"bad_checksum"
+      "bad_checksum";
+    ip_row "not ours" [ datagram ~dst:(Proto.Ipaddr.v 10 0 0 99) ok ]
+      ~plexus:"ip.not_ours" ~du:"not_ours" ~ulib:"filtered_out" "not_ours";
+    ip_row "total_len past the frame"
+      [ datagram ~edit:(set16 Proto.Ipv4.Off.total_len 2000) ok ]
+      ~plexus:"ip.malformed" ~du:"malformed" ~ulib:"malformed" "bad_length";
+    ip_row "total_len under 20"
+      [ datagram ~edit:(set16 Proto.Ipv4.Off.total_len 10) ok ]
+      ~plexus:"ip.malformed" ~du:"malformed" ~ulib:"malformed" "bad_length";
+    ip_row "overlapping train"
+      [ datagram ~id:77 ~more_fragments:true (String.make 104 'x');
+        datagram ~id:77 ~frag_offset:1 (String.make 8 'x') ]
+      ~plexus:"ip.malformed" ~du:"malformed" ~ulib:"malformed" "bad_fragment";
+    ip_row "train past 65,535"
+      [ datagram ~id:78 ~more_fragments:true (String.make 8 'y');
+        datagram ~id:78 ~frag_offset:8189 (String.make 16 'y') ]
+      ~plexus:"ip.malformed" ~du:"malformed" ~ulib:"malformed" "bad_fragment";
+    udp_row "UDP runt" (datagram "abcd") ~counter:"malformed" "runt";
+    udp_row "UDP bad length"
+      (datagram (udp ~edit:(set16 Proto.Udp.Off.len 99) "hello"))
+      ~counter:"malformed" "bad_length";
+    udp_row "UDP bad checksum"
+      (datagram (udp ~edit:(set16 Proto.Udp.Off.cksum 0xdead) "hello"))
+      ~counter:"bad_checksum" "bad_checksum";
+  ]
+
+(* ---- the three stacks, behind one interface --------------------------- *)
+
+type stack = {
+  inject : string list -> unit;
+      (** frame each IP datagram from A to B, transmit, run to quiescence *)
+  counter : string -> int;  (** B's drop counter by name *)
+  delivered : unit -> int;  (** datagrams B's port-7 socket received *)
+  faults : unit -> int;  (** contained handler faults on B *)
+  drop_spans : unit -> (string * string) list option;
+      (** B's [Drop] spans so far, (scope, reason), where B traces *)
+}
+
+let injector engine ~src_dev ~dst_dev ips =
+  List.iter (fun ip -> Netsim.Dev.transmit src_dev (frame ~src_dev ~dst_dev ip)) ips;
+  Sim.Engine.run engine
+
+let plexus () =
+  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
+  let dev s = Plexus.Ether_mgr.dev (Plexus.Stack.ether s) in
+  let udp_b = Plexus.Stack.udp p.Experiments.Common.b in
+  let ep =
+    match Plexus.Udp_mgr.bind udp_b ~owner:"srv" ~port:7 with
+    | Ok ep -> ep
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let got = ref 0 in
+  let (_ : unit -> unit) = Plexus.Udp_mgr.install_recv udp_b ep (fun _ -> incr got) in
+  let ip = Plexus.Ip_mgr.counters (Plexus.Stack.ip p.Experiments.Common.b)
+  and u = Plexus.Udp_mgr.counters udp_b in
+  let ring = Observe.Trace.Ring.create () in
+  Observe.Trace.set_sink
+    (Plexus.Graph.trace (Plexus.Stack.graph p.Experiments.Common.b))
+    (Observe.Trace.Ring ring);
+  {
+    inject =
+      injector p.Experiments.Common.engine ~src_dev:(dev p.Experiments.Common.a)
+        ~dst_dev:(dev p.Experiments.Common.b);
+    counter =
+      (function
+      | "ip.malformed" -> ip.Plexus.Ip_mgr.malformed
+      | "ip.bad_checksum" -> ip.Plexus.Ip_mgr.bad_checksum
+      | "ip.not_ours" -> ip.Plexus.Ip_mgr.not_ours
+      | "udp.malformed" -> u.Plexus.Udp_mgr.malformed
+      | "udp.bad_checksum" -> u.Plexus.Udp_mgr.bad_checksum
+      | c -> Alcotest.failf "no plexus counter %s" c);
+    delivered = (fun () -> !got);
+    faults =
+      (fun () ->
+        Spin.Dispatcher.faults
+          (Plexus.Graph.dispatcher (Plexus.Stack.graph p.Experiments.Common.b)));
+    drop_spans =
+      (fun () ->
+        Some
+          (List.filter_map
+             (fun sp ->
+               match sp.Observe.Trace.event with
+               | Observe.Trace.Drop { scope; reason } -> Some (scope, reason)
+               | _ -> None)
+             (Observe.Trace.Ring.to_list ring)));
+  }
+
+let du () =
+  let p = Experiments.Common.du_pair (Netsim.Costs.ethernet ()) in
+  let dev s = List.hd (Netsim.Host.devices (Osmodel.Du_stack.host s)) in
+  let sock =
+    match Osmodel.Du_stack.udp_bind p.Experiments.Common.dub ~port:7 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let got = ref 0 in
+  Osmodel.Du_stack.udp_set_recv sock (fun ~src:_ _ -> incr got);
+  let c = Osmodel.Du_stack.counters p.Experiments.Common.dub in
+  {
+    inject =
+      injector p.Experiments.Common.du_engine ~src_dev:(dev p.Experiments.Common.dua)
+        ~dst_dev:(dev p.Experiments.Common.dub);
+    counter =
+      (function
+      | "malformed" -> c.Osmodel.Du_stack.malformed
+      | "bad_checksum" -> c.Osmodel.Du_stack.bad_checksum
+      | "not_ours" -> c.Osmodel.Du_stack.not_ours
+      | n -> Alcotest.failf "no du counter %s" n);
+    delivered = (fun () -> !got);
+    faults = (fun () -> 0);
+    drop_spans = (fun () -> None);
+  }
+
+let ulib () =
+  let engine = Sim.Engine.create () in
+  let ea, eb =
+    Netsim.Network.pair engine (Netsim.Costs.ethernet ()) ~a:("hostA", ip_a)
+      ~b:("hostB", ip_b)
+  in
+  let ub = Osmodel.Ulib.create eb.Netsim.Network.host in
+  let sock =
+    match Osmodel.Ulib.udp_bind ub ~port:7 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let got = ref 0 in
+  Osmodel.Ulib.udp_set_recv sock (fun ~src:_ _ -> incr got);
+  let c = Osmodel.Ulib.counters ub in
+  {
+    inject =
+      injector engine ~src_dev:ea.Netsim.Network.dev ~dst_dev:eb.Netsim.Network.dev;
+    counter =
+      (function
+      | "malformed" -> c.Osmodel.Ulib.malformed
+      | "bad_checksum" -> c.Osmodel.Ulib.bad_checksum
+      | "filtered_out" -> c.Osmodel.Ulib.filtered_out
+      | n -> Alcotest.failf "no ulib counter %s" n);
+    delivered = (fun () -> !got);
+    faults = (fun () -> 0);
+    drop_spans = (fun () -> None);
+  }
+
+(* ---- one frame per drop reason ----------------------------------------- *)
+
+let drop_table make pick () =
+  let s = make () in
+  List.iter
+    (fun row ->
+      let counter = pick row in
+      let before = s.counter counter in
+      s.inject row.ips;
+      Alcotest.(check int) (row.name ^ ": counted on " ^ counter) (before + 1)
+        (s.counter counter);
+      Alcotest.(check int) (row.name ^ ": not delivered") 0 (s.delivered ()))
+    rows;
+  (match s.drop_spans () with
+  | Some spans ->
+      Alcotest.(check (list (pair string string))) "one Drop span per row"
+        (List.map (fun row -> row.span) rows)
+        spans
+  | None -> ());
+  s.inject [ datagram (udp "still here") ];
+  Alcotest.(check int) "a later datagram is delivered" 1 (s.delivered ());
+  Alcotest.(check int) "no contained fault" 0 (s.faults ())
+
+(* ---- differential: the three stacks agree on every mutated frame ------- *)
+
+(* The header fields a mutation may hit, as (offset within the IP
+   datagram, width in bytes).  UDP fields sit past the 20-byte IP
+   header. *)
+let fields =
+  let ip = Proto.Ipv4.Off.[ (vihl, 1); (tos, 1); (total_len, 2); (id, 2);
+                            (flags_frag, 2); (ttl, 1); (proto, 1); (cksum, 2);
+                            (src, 4); (dst, 4) ]
+  and u = Proto.Udp.Off.[ (src_port, 2); (dst_port, 2); (len, 2); (cksum, 2) ] in
+  Array.of_list
+    (ip @ List.map (fun (o, w) -> (Proto.Ipv4.header_len + o, w)) u)
+
+(* A value for a field: small perturbations, boundary values and the
+   addresses that matter (the host, broadcast). *)
+let value_gen (off, width) =
+  QCheck.Gen.(
+    let max = (1 lsl (8 * width)) - 1 in
+    if off = Proto.Ipv4.Off.dst then
+      oneofl
+        [ Proto.Ipaddr.to_int ip_b; Proto.Ipaddr.to_int Proto.Ipaddr.broadcast;
+          Proto.Ipaddr.to_int ip_a; 0 ]
+    else
+      frequency
+        [ (3, int_bound max); (1, oneofl [ 0; 1; max; 19; 20; 28; 29; 0x45 ]) ])
+
+type mutation = { edits : (int * int) list; fix_ip : bool; fix_udp : bool }
+
+let mutation_gen =
+  QCheck.Gen.(
+    let edit =
+      int_bound (Array.length fields - 1) >>= fun i ->
+      map (fun x -> (i, x)) (value_gen fields.(i))
+    in
+    map3
+      (fun edits fix_ip fix_udp -> { edits; fix_ip; fix_udp })
+      (list_size (1 -- 3) edit) bool bool)
+
+let print_mutation m =
+  Printf.sprintf "edits=[%s] fix_ip=%b fix_udp=%b"
+    (String.concat "; "
+       (List.map
+          (fun (i, x) -> Printf.sprintf "@%d:=%d" (fst fields.(i)) x)
+          m.edits))
+    m.fix_ip m.fix_udp
+
+let mutate m =
+  let v = View.copy (View.of_string (datagram (udp "differential"))) in
+  List.iter
+    (fun (i, x) ->
+      match fields.(i) with
+      | off, 1 -> View.set_u8 v off x
+      | off, 2 -> View.set_u16 v off x
+      | off, _ -> View.set_u32 v off x)
+    m.edits;
+  if m.fix_udp then begin
+    let dgram = View.shift v Proto.Ipv4.header_len in
+    View.set_u16 dgram Proto.Udp.Off.cksum 0;
+    View.set_u16 dgram Proto.Udp.Off.cksum
+      (Proto.Udp.compute_cksum ~src:(Proto.Ipv4.get_src v)
+         ~dst:(Proto.Ipv4.get_dst v) dgram)
+  end;
+  if m.fix_ip then fix_ip_cksum v;
+  View.to_string v
+
+let differential =
+  QCheck.Test.make ~count:300 ~name:"plexus, du and ulib agree on mutated frames"
+    (QCheck.make ~print:print_mutation mutation_gen)
+    (fun m ->
+      let ip = mutate m in
+      let verdicts =
+        List.map
+          (fun make ->
+            let s = make () in
+            s.inject [ ip ];
+            s.delivered ())
+          [ plexus; du; ulib ]
+      in
+      match verdicts with
+      | [ p; d; u ] when p = d && d = u -> true
+      | _ ->
+          QCheck.Test.fail_reportf "delivered (plexus, du, ulib) = (%s)"
+            (String.concat ", " (List.map string_of_int verdicts)))
+
+(* ---- ICMP errors -------------------------------------------------------- *)
+
+(* The builder quotes the header it is given and 8 bytes of transport
+   data, whatever the datagram's length. *)
+let icmp_error_quotes_header () =
+  let l4 = View.of_string (udp (String.make 300 'q')) in
+  let h =
+    Proto.Ipv4.make ~id:9 ~proto:Proto.Ipv4.proto_udp ~src:ip_a ~dst:ip_b
+      ~payload_len:(View.length l4) ()
+  in
+  let pkt =
+    Proto.Icmp.error ~mtype:Proto.Icmp.type_dest_unreachable
+      ~code:Proto.Icmp.code_port_unreachable h l4
+  in
+  let v = View.ro (Mbuf.view pkt) in
+  Alcotest.(check bool) "icmp checksum" true (Proto.Icmp.valid v);
+  match Proto.Icmp.parse v with
+  | None -> Alcotest.fail "icmp does not parse"
+  | Some m ->
+      Alcotest.(check int) "type" Proto.Icmp.type_dest_unreachable m.Proto.Icmp.mtype;
+      Alcotest.(check int) "code" Proto.Icmp.code_port_unreachable m.Proto.Icmp.code;
+      Alcotest.(check int) "header + 8 bytes" 28 (String.length m.Proto.Icmp.payload);
+      let q = View.of_string m.Proto.Icmp.payload in
+      Alcotest.(check bool) "quoted header checksum" true
+        (Proto.Ipv4.checksum_valid q);
+      (match Proto.Ipv4.parse q with
+      | Some qh ->
+          Alcotest.(check bool) "quoted header is the original" true (qh = h)
+      | None -> Alcotest.fail "quoted header does not parse");
+      Alcotest.(check string) "first 8 transport bytes"
+        (View.get_string l4 ~off:0 ~len:8)
+        (View.get_string q ~off:Proto.Ipv4.header_len ~len:8)
+
+let bind_plexus udp port =
+  match Plexus.Udp_mgr.bind udp ~owner:"app" ~port with
+  | Ok ep -> ep
+  | Error _ -> Alcotest.fail "bind failed"
+
+(* A 5,000-byte datagram to a port nobody bound arrives in four
+   fragments; the port unreachable B sends back quotes the reassembled
+   datagram's header: A to B, UDP, its whole length, no fragment
+   fields. *)
+let plexus_unreachable_quotes_reassembled () =
+  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
+  let udp_a = Plexus.Stack.udp p.Experiments.Common.a in
+  let ip_mgr_a = Plexus.Stack.ip p.Experiments.Common.a in
+  let errors = ref [] in
+  let (_ : unit -> unit) =
+    Spin.Dispatcher.install
+      (Plexus.Graph.recv_event (Plexus.Ip_mgr.node ip_mgr_a))
+      ~guard:(fun ctx ->
+        match ctx.Plexus.Pctx.ip with
+        | Some h -> h.Proto.Ipv4.proto = Proto.Ipv4.proto_icmp
+        | None -> false)
+      ~cost:Sim.Stime.zero
+      (fun ctx -> errors := View.to_string (Plexus.Pctx.view ctx) :: !errors)
+  in
+  let client = bind_plexus udp_a 5000 in
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 4444) (String.make 5000 'f');
+  Sim.Engine.run p.Experiments.Common.engine;
+  match !errors with
+  | [ e ] -> (
+      match Proto.Icmp.parse (View.of_string e) with
+      | None -> Alcotest.fail "icmp does not parse"
+      | Some m -> (
+          Alcotest.(check int) "port unreachable" Proto.Icmp.type_dest_unreachable
+            m.Proto.Icmp.mtype;
+          let q = View.of_string m.Proto.Icmp.payload in
+          match Proto.Ipv4.parse q with
+          | None -> Alcotest.fail "quoted header does not parse"
+          | Some qh ->
+              Alcotest.(check string) "src" (Proto.Ipaddr.to_string ip_a)
+                (Proto.Ipaddr.to_string qh.Proto.Ipv4.src);
+              Alcotest.(check string) "dst" (Proto.Ipaddr.to_string ip_b)
+                (Proto.Ipaddr.to_string qh.Proto.Ipv4.dst);
+              Alcotest.(check int) "proto" Proto.Ipv4.proto_udp qh.Proto.Ipv4.proto;
+              Alcotest.(check int) "total length of the whole datagram"
+                (Proto.Ipv4.header_len + Proto.Udp.header_len + 5000)
+                qh.Proto.Ipv4.total_len;
+              Alcotest.(check bool) "no fragment fields" false
+                (qh.Proto.Ipv4.more_fragments || qh.Proto.Ipv4.frag_offset > 0);
+              let l4 = View.shift q Proto.Ipv4.header_len in
+              Alcotest.(check int) "quoted dst port" 4444
+                (Proto.Udp.get_dst_port l4)))
+  | l -> Alcotest.failf "%d ICMP messages reached A, expected 1" (List.length l)
+
+(* A UDP datagram to 255.255.255.255 on a port nobody bound, as B's
+   device receives it. *)
+let broadcast_to_unbound_port =
+  datagram ~dst:Proto.Ipaddr.broadcast
+    (udp ~dst:Proto.Ipaddr.broadcast ~dst_port:4444 "to all")
+
+(* RFC 1122 3.2.2: no ICMP error answers a broadcast. *)
+let plexus_no_unreachable_for_broadcast () =
+  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
+  let dev s = Plexus.Ether_mgr.dev (Plexus.Stack.ether s) in
+  injector p.Experiments.Common.engine ~src_dev:(dev p.Experiments.Common.a)
+    ~dst_dev:(dev p.Experiments.Common.b) [ broadcast_to_unbound_port ];
+  let c = Plexus.Udp_mgr.counters (Plexus.Stack.udp p.Experiments.Common.b) in
+  Alcotest.(check int) "no_port counted" 1 c.Plexus.Udp_mgr.no_port;
+  Alcotest.(check int) "no unreachable sent" 0 c.Plexus.Udp_mgr.unreachable_sent;
+  Alcotest.(check int) "nothing came back to A" 0
+    (Netsim.Dev.counters (dev p.Experiments.Common.a)).Netsim.Dev.rx_packets
+
+let du_no_unreachable_for_broadcast () =
+  let p = Experiments.Common.du_pair (Netsim.Costs.ethernet ()) in
+  let dev s = List.hd (Netsim.Host.devices (Osmodel.Du_stack.host s)) in
+  injector p.Experiments.Common.du_engine ~src_dev:(dev p.Experiments.Common.dua)
+    ~dst_dev:(dev p.Experiments.Common.dub) [ broadcast_to_unbound_port ];
+  Alcotest.(check int) "no_port counted" 1
+    (Osmodel.Du_stack.counters p.Experiments.Common.dub).Osmodel.Du_stack.no_port;
+  Alcotest.(check int) "nothing came back to A" 0
+    (Netsim.Dev.counters (dev p.Experiments.Common.dua)).Netsim.Dev.rx_packets
+
+(* ---- oversize sends ------------------------------------------------------ *)
+
+let too_big = String.make (Proto.Udp.max_payload + 1) 'o'
+
+let raises_invalid name f =
+  match f () with
+  | () -> Alcotest.failf "%s: an oversize send was accepted" name
+  | exception Invalid_argument _ -> ()
+
+(* Every stack refuses a datagram past 65,507 bytes at the call, before
+   anything is queued: nothing reaches the wire.  The largest legal one
+   still arrives whole. *)
+let plexus_refuses_oversize () =
+  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
+  let udp_a = Plexus.Stack.udp p.Experiments.Common.a
+  and udp_b = Plexus.Stack.udp p.Experiments.Common.b in
+  let client = bind_plexus udp_a 5000 and server = bind_plexus udp_b 7 in
+  let got = ref 0 in
+  let (_ : unit -> unit) =
+    Plexus.Udp_mgr.install_recv udp_b server (fun ctx ->
+        got := Plexus.Pctx.payload_len ctx)
+  in
+  raises_invalid "send" (fun () ->
+      Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) too_big);
+  raises_invalid "send_mbuf" (fun () ->
+      Plexus.Udp_mgr.send_mbuf udp_a client ~dst:(ip_b, 7)
+        (Mbuf.of_string too_big));
+  raises_invalid "send_multi" (fun () ->
+      Plexus.Udp_mgr.send_multi udp_a client ~dsts:[ (ip_b, 7) ] too_big);
+  Sim.Engine.run p.Experiments.Common.engine;
+  let dev_a = Plexus.Ether_mgr.dev (Plexus.Stack.ether p.Experiments.Common.a) in
+  Alcotest.(check int) "nothing transmitted" 0
+    (Netsim.Dev.counters dev_a).Netsim.Dev.tx_packets;
+  Alcotest.(check int) "nothing counted as sent" 0
+    (Plexus.Udp_mgr.counters udp_a).Plexus.Udp_mgr.tx;
+  Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7)
+    (String.make Proto.Udp.max_payload 'm');
+  Sim.Engine.run p.Experiments.Common.engine;
+  Alcotest.(check int) "the largest datagram arrives whole"
+    Proto.Udp.max_payload !got
+
+let du_refuses_oversize () =
+  let p = Experiments.Common.du_pair (Netsim.Costs.ethernet ()) in
+  let sock =
+    match Osmodel.Du_stack.udp_bind p.Experiments.Common.dua ~port:5000 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  raises_invalid "udp_sendto" (fun () ->
+      Osmodel.Du_stack.udp_sendto p.Experiments.Common.dua sock ~dst:(ip_b, 7)
+        too_big);
+  Sim.Engine.run p.Experiments.Common.du_engine;
+  let dev = List.hd (Netsim.Host.devices (Osmodel.Du_stack.host p.Experiments.Common.dua)) in
+  Alcotest.(check int) "nothing transmitted" 0
+    (Netsim.Dev.counters dev).Netsim.Dev.tx_packets
+
+let ulib_refuses_oversize () =
+  let engine = Sim.Engine.create () in
+  let ea, _ =
+    Netsim.Network.pair engine (Netsim.Costs.ethernet ()) ~a:("hostA", ip_a)
+      ~b:("hostB", ip_b)
+  in
+  let ua = Osmodel.Ulib.create ea.Netsim.Network.host in
+  let sock =
+    match Osmodel.Ulib.udp_bind ua ~port:5000 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  raises_invalid "udp_sendto" (fun () ->
+      Osmodel.Ulib.udp_sendto ua sock ~dst:(ip_b, 7) too_big);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "nothing counted as sent" 0
+    (Osmodel.Ulib.counters ua).Osmodel.Ulib.tx;
+  Alcotest.(check int) "nothing transmitted" 0
+    (Netsim.Dev.counters ea.Netsim.Network.dev).Netsim.Dev.tx_packets
+
+let suite =
+  let pick_plexus r = r.plexus and pick_du r = r.du and pick_ulib r = r.ulib in
+  [
+    ( "receive.drops",
+      [
+        tc "plexus: one frame per reason" (drop_table plexus pick_plexus);
+        tc "digital unix: one frame per reason" (drop_table du pick_du);
+        tc "user-level library: one frame per reason" (drop_table ulib pick_ulib);
+      ] );
+    ( "receive.icmp",
+      [
+        tc "error quotes the IP header and 8 bytes" icmp_error_quotes_header;
+        tc "plexus unreachable quotes a reassembled datagram"
+          plexus_unreachable_quotes_reassembled;
+        tc "plexus: no unreachable for a broadcast"
+          plexus_no_unreachable_for_broadcast;
+        tc "digital unix: no unreachable for a broadcast"
+          du_no_unreachable_for_broadcast;
+      ] );
+    ( "receive.oversize",
+      [
+        tc "plexus refuses a send past 65,507 bytes" plexus_refuses_oversize;
+        tc "digital unix refuses a send past 65,507 bytes" du_refuses_oversize;
+        tc "user-level library refuses a send past 65,507 bytes"
+          ulib_refuses_oversize;
+      ] );
+    ( "receive.differential",
+      [
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick
+          ~rand:(Random.State.make [| 22 |]) differential;
+      ] );
+  ]
