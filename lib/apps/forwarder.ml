@@ -44,8 +44,8 @@ let ip_words ip =
 
 (* Incrementally patch the transport checksum after the pseudo-header
    addresses and one port changed. *)
-let patch_cksum seg ~off ~proto ~old_src ~new_src ~old_dst ~new_dst
-    ~port_off ~old_port ~new_port =
+let patch_cksum seg ~proto ~old_src ~new_src ~old_dst ~new_dst ~old_port
+    ~new_port =
   match l4_cksum_offset proto with
   | None -> ()
   | Some cksum_off when View.length seg > cksum_off + 1 ->
@@ -62,9 +62,7 @@ let patch_cksum seg ~off ~proto ~old_src ~new_src ~old_dst ~new_dst
         upd od1 nd1;
         upd od2 nd2;
         upd old_port new_port;
-        View.set_u16 seg cksum_off !c;
-        ignore off;
-        ignore port_off
+        View.set_u16 seg cksum_off !c
       end
   | Some _ -> ()
 
@@ -83,12 +81,16 @@ let redirect t ctx ~new_src ~new_dst ~port_off ~new_port =
     false
   end
   else begin
-  let seg = View.copy (Plexus.Pctx.view ctx) in
+  (* one copy, into the buffer that is transmitted, patched in place *)
+  let src = Plexus.Pctx.view ctx in
+  let len = View.length src in
+  let pkt = Mbuf.alloc len in
+  let seg = Mbuf.view pkt in
+  View.blit ~src ~dst:seg ~src_off:0 ~dst_off:0 ~len;
   let old_port = View.get_u16 seg port_off in
   View.set_u16 seg port_off new_port;
-  patch_cksum seg ~off:0 ~proto:iph.Proto.Ipv4.proto ~old_src:iph.Proto.Ipv4.src
-    ~new_src ~old_dst:iph.Proto.Ipv4.dst ~new_dst ~port_off ~old_port ~new_port;
-  let pkt = Mbuf.of_string (View.to_string (View.ro seg)) in
+  patch_cksum seg ~proto:iph.Proto.Ipv4.proto ~old_src:iph.Proto.Ipv4.src
+    ~new_src ~old_dst:iph.Proto.Ipv4.dst ~new_dst ~old_port ~new_port;
   let hdr =
     {
       iph with

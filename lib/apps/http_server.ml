@@ -1,10 +1,12 @@
 (* A small HTTP/1.0 server running as a Plexus extension over the TCP
    manager — the paper's closing demonstration ("a demonstration of the
-   protocol stack as it services HTTP requests"). *)
+   protocol stack as it services HTTP requests").  [create] installs it
+   directly on a stack; [extension] packages the same server as a
+   *bona fide* dynamically linked extension that imports the Tcp
+   interface, is compiled and signed, and installs its listener at link
+   time, so unlinking it tears the listener down. *)
 
 type t = {
-  stack : Plexus.Stack.t;
-  port : int;
   routes : (string, string) Hashtbl.t;
   mutable requests : int;
   mutable not_found : int;
@@ -19,49 +21,48 @@ let default_routes () =
   Hashtbl.replace r "/paper" "Fiuczynski & Bershad, USENIX 1996.\n";
   r
 
-let respond t conn (req : Proto.Http.request) =
+let make routes =
+  {
+    routes = (match routes with Some r -> r | None -> default_routes ());
+    requests = 0;
+    not_found = 0;
+  }
+
+let bad_request =
+  Proto.Http.response_to_string
+    { Proto.Http.status = 400; reason = "Bad Request"; headers = []; body = "" }
+
+let respond t (req : Proto.Http.request) =
   t.requests <- t.requests + 1;
-  let resp =
-    match Hashtbl.find_opt t.routes req.Proto.Http.path with
-    | Some body ->
-        Proto.Http.ok ~headers:[ ("content-type", "text/html") ] body
+  Proto.Http.response_to_string
+    (match Hashtbl.find_opt t.routes req.Proto.Http.path with
+    | Some body -> Proto.Http.ok ~headers:[ ("content-type", "text/html") ] body
     | None ->
         t.not_found <- t.not_found + 1;
-        Proto.Http.not_found
-  in
-  Plexus.Tcp_mgr.send conn (Proto.Http.response_to_string resp);
-  Plexus.Tcp_mgr.close conn
+        Proto.Http.not_found)
+
+(* One connection's request reader: buffer until the header ends, answer
+   once and close. *)
+let reader t ~send ~close =
+  let buf = Buffer.create 256 in
+  fun data ->
+    Buffer.add_string buf data;
+    let s = Buffer.contents buf in
+    match Proto.Str_find.find_sub s "\r\n\r\n" with
+    | None -> ()
+    | Some _ ->
+        send
+          (match Proto.Http.parse_request s with
+          | Some req -> respond t req
+          | None -> bad_request);
+        close ()
 
 let create ?(port = 80) ?routes stack =
-  let t =
-    {
-      stack;
-      port;
-      routes = (match routes with Some r -> r | None -> default_routes ());
-      requests = 0;
-      not_found = 0;
-    }
-  in
+  let t = make routes in
   let on_accept conn =
-    let buf = Buffer.create 256 in
-    Plexus.Tcp_mgr.on_receive conn (fun data ->
-        Buffer.add_string buf data;
-        let s = Buffer.contents buf in
-        match Proto.Str_find.find_sub s "\r\n\r\n" with
-        | None -> ()
-        | Some _ -> (
-            match Proto.Http.parse_request s with
-            | Some req -> respond t conn req
-            | None ->
-                Plexus.Tcp_mgr.send conn
-                  (Proto.Http.response_to_string
-                     {
-                       Proto.Http.status = 400;
-                       reason = "Bad Request";
-                       headers = [];
-                       body = "";
-                     });
-                Plexus.Tcp_mgr.close conn))
+    Plexus.Tcp_mgr.on_receive conn
+      (reader t ~send:(Plexus.Tcp_mgr.send conn) ~close:(fun () ->
+           Plexus.Tcp_mgr.close conn))
   in
   (match
      Plexus.Tcp_mgr.listen (Plexus.Stack.tcp stack) ~owner:"http" ~port
@@ -70,6 +71,24 @@ let create ?(port = 80) ?routes stack =
   | Ok () -> ()
   | Error (`Port_in_use _) -> invalid_arg "Http_server.create: port in use");
   t
+
+let extension ?(port = 80) ?routes ~name () =
+  let t = make routes in
+  let on_accept (ops : Plexus.Api.tcp_conn_ops) =
+    ops.Plexus.Api.tc_set_receive
+      (reader t ~send:ops.Plexus.Api.tc_send ~close:ops.Plexus.Api.tc_close)
+  in
+  let init (linkage : Spin.Extension.linkage) =
+    let listen =
+      linkage.get Plexus.Api.tcp_listen_w ~iface:Plexus.Api.tcp_iface
+        ~sym:Plexus.Api.sym_listen
+    in
+    match listen ~owner:name ~port ~on_accept with
+    | Ok unlisten -> linkage.on_unlink unlisten
+    | Error msg -> failwith msg
+  in
+  let imports = [ (Plexus.Api.tcp_iface, Plexus.Api.sym_listen) ] in
+  (t, Spin.Extension.Compiler.compile ~name ~imports init)
 
 let requests t = t.requests
 let not_found_count t = t.not_found

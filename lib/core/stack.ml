@@ -166,20 +166,21 @@ let report t =
   let ic = Ip_mgr.counters t.ip in
   Buffer.add_string b
     (Printf.sprintf
-       "  ip: rx=%d delivered=%d bad_cksum=%d not_ours=%d frags_out=%d reassembled=%d\n"
+       "  ip: rx=%d delivered=%d bad_cksum=%d malformed=%d not_ours=%d frags_out=%d reassembled=%d\n"
        ic.Ip_mgr.rx ic.Ip_mgr.delivered ic.Ip_mgr.bad_checksum
-       ic.Ip_mgr.not_ours ic.Ip_mgr.fragments_out ic.Ip_mgr.reassembled);
+       ic.Ip_mgr.malformed ic.Ip_mgr.not_ours ic.Ip_mgr.fragments_out
+       ic.Ip_mgr.reassembled);
   let uc = Udp_mgr.counters t.udp in
   Buffer.add_string b
     (Printf.sprintf
-       "  udp: rx=%d delivered=%d tx=%d bad_cksum=%d no_port=%d unreachable=%d\n"
+       "  udp: rx=%d delivered=%d tx=%d bad_cksum=%d malformed=%d no_port=%d unreachable=%d\n"
        uc.Udp_mgr.rx uc.Udp_mgr.delivered uc.Udp_mgr.tx uc.Udp_mgr.bad_checksum
-       uc.Udp_mgr.no_port uc.Udp_mgr.unreachable_sent);
+       uc.Udp_mgr.malformed uc.Udp_mgr.no_port uc.Udp_mgr.unreachable_sent);
   let tcpc = Tcp_mgr.counters t.tcp in
   Buffer.add_string b
-    (Printf.sprintf "  tcp: rx=%d accepted=%d no_match=%d bad_cksum=%d\n"
+    (Printf.sprintf "  tcp: rx=%d accepted=%d no_match=%d bad_cksum=%d malformed=%d\n"
        tcpc.Tcp_mgr.rx tcpc.Tcp_mgr.accepted tcpc.Tcp_mgr.no_match
-       tcpc.Tcp_mgr.bad_checksum);
+       tcpc.Tcp_mgr.bad_checksum tcpc.Tcp_mgr.malformed);
   List.iter
     (fun e ->
       let dev = Ether_mgr.dev e in

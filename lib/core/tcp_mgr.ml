@@ -13,6 +13,7 @@
 type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
+  mutable malformed : int;
   mutable no_match : int;
   mutable accepted : int;
   mutable eph_exhausted : int;
@@ -206,24 +207,21 @@ let fresh_iss t =
 let rx t ctx =
   t.counters.rx <- t.counters.rx + 1;
   let v = Pctx.view ctx in
-  if not (Proto.Tcp_wire.has_header v) then
-    t.counters.no_match <- t.counters.no_match + 1
-  else begin
-    let iph = Pctx.ip_exn ctx in
-    (* Verify before demultiplexing: the engine re-checks established
-       connections, but a corrupted segment must never select a
-       connection by its (possibly corrupted) ports, and a corrupted SYN
-       must never reach a listener (the engine skips verification in
-       Listen, where the peer address is not yet known).  The dyncost on
-       the install already charges for this pass. *)
-    if
-      not
-        (Proto.Tcp_wire.valid ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst v)
-    then begin
-      t.counters.bad_checksum <- t.counters.bad_checksum + 1;
-      Graph.drop t.graph ctx ~scope:"tcp" ~reason:"bad_checksum"
-    end
-    else begin
+  let iph = Pctx.ip_exn ctx in
+  (* Validate before demultiplexing: a corrupted segment must never
+     select a connection, or reach a listener, by its possibly-corrupted
+     ports.  The dyncost on the install already charges for this
+     pass. *)
+  match Proto.Tcp_wire.check ~src:iph.Proto.Ipv4.src ~dst:iph.Proto.Ipv4.dst v with
+  | Some reason ->
+      (match reason with
+      | Proto.Tcp_wire.Bad_checksum ->
+          t.counters.bad_checksum <- t.counters.bad_checksum + 1
+      | Proto.Tcp_wire.Runt | Proto.Tcp_wire.Bad_offset ->
+          t.counters.malformed <- t.counters.malformed + 1);
+      Graph.drop t.graph ctx ~scope:"tcp"
+        ~reason:(Proto.Tcp_wire.drop_name reason)
+  | None -> (
       (* demultiplex on the ports read in place; the engine decodes the
          segment itself *)
       let src_port = Proto.Tcp_wire.get_src_port v
@@ -233,23 +231,19 @@ let rx t ctx =
       | Some conn -> Proto.Tcp.input conn.tcp v
       | None -> (
           match Hashtbl.find_opt t.listeners dst_port with
-          | Some l
-            when Proto.Tcp_wire.Flags.test (Proto.Tcp_wire.get_flags v)
-                   Proto.Tcp_wire.Flags.syn ->
+          | Some l when Proto.Tcp_wire.opening_syn v ->
               t.counters.accepted <- t.counters.accepted + 1;
               let conn, rref =
                 make_conn t ~owner:l.l_owner ~cfg:l.l_cfg ~local_port:l.l_port
               in
               let remote = (iph.Proto.Ipv4.src, src_port) in
               register t conn ~remote rref;
-              Proto.Tcp.set_remote conn.tcp ~remote;
-              Proto.Tcp.set_iss conn.tcp (fresh_iss t);
-              Proto.Tcp.listen conn.tcp;
+              let iss = fresh_iss t in
               l.on_accept conn;
-              Proto.Tcp.input conn.tcp v
-          | _ -> t.counters.no_match <- t.counters.no_match + 1)
-    end
-  end
+              Proto.Tcp.accept conn.tcp ~remote ~iss v
+          | _ ->
+              t.counters.no_match <- t.counters.no_match + 1;
+              Graph.drop t.graph ctx ~scope:"tcp" ~reason:"no_match"))
 
 let ephemeral_lo = 32768
 let ephemeral_hi = 60999
@@ -270,7 +264,7 @@ let create graph ip =
       excluded_src = [];
       next_ephemeral = ephemeral_lo;
       counters =
-        { rx = 0; bad_checksum = 0; no_match = 0; accepted = 0;
+        { rx = 0; bad_checksum = 0; malformed = 0; no_match = 0; accepted = 0;
           eph_exhausted = 0 };
       outs = Sim.Stash.create ();
     }

@@ -13,10 +13,14 @@ type error = [ `Port_in_use of int | `Ephemeral_exhausted ]
 type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
-      (** Segments rejected by pseudo-header checksum verification before
-          demultiplexing — a corrupted segment never selects a connection
-          (or reaches a listener) by its possibly-corrupted ports. *)
+      (** {!Proto.Tcp_wire.check} [Bad_checksum], before demultiplexing —
+          a corrupted segment never selects a connection (or reaches a
+          listener) by its possibly-corrupted ports. *)
+  mutable malformed : int;
+      (** {!Proto.Tcp_wire.check} [Runt] or [Bad_offset] *)
   mutable no_match : int;
+      (** no connection, and no listener this segment may open one on
+          (only an opening SYN may) *)
   mutable accepted : int;
   mutable eph_exhausted : int;
       (** Failed ephemeral allocations (full range sweep found no port

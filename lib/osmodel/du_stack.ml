@@ -68,6 +68,7 @@ and t = {
 let host_ip t = Netsim.Host.ip t.host
 let counters t = t.counters
 let host t = t.host
+let tcp_conns t = Hashtbl.length t.tconns
 
 (* Receive-side boundary crossing with wakeup batching: if the user
    process is already runnable (a delivery is in progress), further
@@ -270,27 +271,26 @@ let rx_tcp t (iph : Proto.Ipv4.header) v =
   krun t
     (T.add t.costs.Netsim.Costs.layer.tcp_in (cksum_cost t (View.length v)))
     (fun () ->
-      match Proto.Tcp_wire.parse v with
-      | None -> t.counters.bad_checksum <- t.counters.bad_checksum + 1
-      | Some (h, _) -> (
-          let key =
-            (Proto.Ipaddr.to_int iph.src, h.src_port, h.dst_port)
-          in
+      match Proto.Tcp_wire.check ~src:iph.src ~dst:iph.dst v with
+      | Some Proto.Tcp_wire.Bad_checksum ->
+          t.counters.bad_checksum <- t.counters.bad_checksum + 1
+      | Some (Proto.Tcp_wire.Runt | Proto.Tcp_wire.Bad_offset) ->
+          t.counters.malformed <- t.counters.malformed + 1
+      | None -> (
+          let src_port = Proto.Tcp_wire.get_src_port v
+          and dst_port = Proto.Tcp_wire.get_dst_port v in
+          let key = (Proto.Ipaddr.to_int iph.src, src_port, dst_port) in
           match Hashtbl.find_opt t.tconns key with
           | Some conn -> Proto.Tcp.input conn.tcp v
           | None -> (
-              match Hashtbl.find_opt t.listeners h.dst_port with
-              | Some l
-                when Proto.Tcp_wire.Flags.test h.flags Proto.Tcp_wire.Flags.syn
-                ->
+              match Hashtbl.find_opt t.listeners dst_port with
+              | Some l when Proto.Tcp_wire.opening_syn v ->
                   let conn, rref = make_tconn t ~cfg:l.l_cfg ~local_port:l.l_port in
-                  let remote = (iph.src, h.src_port) in
+                  let remote = (iph.src, src_port) in
                   register_tconn t conn ~remote ~local_port:l.l_port rref;
-                  Proto.Tcp.set_remote conn.tcp ~remote;
-                  Proto.Tcp.set_iss conn.tcp (fresh_iss t);
-                  Proto.Tcp.listen conn.tcp;
+                  let iss = fresh_iss t in
                   l.l_accept conn;
-                  Proto.Tcp.input conn.tcp v
+                  Proto.Tcp.accept conn.tcp ~remote ~iss v
               | _ -> t.counters.no_port <- t.counters.no_port + 1)))
 
 let rx_icmp t (iph : Proto.Ipv4.header) v =

@@ -16,8 +16,10 @@ type counters = {
   mutable rx : int;
   mutable bad_checksum : int;
   mutable not_ours : int;
-  mutable malformed : int;  (** every other IPv4 or UDP drop reason *)
+  mutable malformed : int;  (** every other IPv4, UDP or TCP drop reason *)
   mutable no_port : int;
+      (** no UDP socket; or no TCP connection, and no listener this
+          segment may open one on (only an opening SYN may) *)
   mutable udp_delivered : int;
   mutable tcp_rx : int;
   mutable echos_answered : int;
@@ -29,6 +31,9 @@ val create : ?subnets:(Proto.Ipaddr.t * int) list -> Netsim.Host.t -> t
 
 val counters : t -> counters
 val host : t -> Netsim.Host.t
+
+val tcp_conns : t -> int
+(** Live TCP connections, in any state. *)
 
 val prime_arp : t -> Proto.Ipaddr.t -> Proto.Ether.Mac.t -> unit
 

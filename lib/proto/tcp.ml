@@ -14,7 +14,6 @@ module Flags = Tcp_wire.Flags
 
 type state =
   | Closed
-  | Listen
   | Syn_sent
   | Syn_rcvd
   | Established
@@ -27,7 +26,6 @@ type state =
 
 let state_to_string = function
   | Closed -> "CLOSED"
-  | Listen -> "LISTEN"
   | Syn_sent -> "SYN_SENT"
   | Syn_rcvd -> "SYN_RCVD"
   | Established -> "ESTABLISHED"
@@ -89,7 +87,6 @@ type counters = {
   mutable retransmits : int;
   mutable fast_retransmits : int;
   mutable dup_acks : int;
-  mutable bad_segments : int;
 }
 
 type t = {
@@ -174,7 +171,6 @@ let create env cfg ~local:(local_ip, local_port) =
         retransmits = 0;
         fast_retransmits = 0;
         dup_acks = 0;
-        bad_segments = 0;
       };
   }
 
@@ -379,10 +375,6 @@ and on_retx_timeout t =
 
 (* --- API ------------------------------------------------------------ *)
 
-let listen t =
-  if t.state <> Closed then invalid_arg "Tcp.listen: not CLOSED";
-  set_state t Listen
-
 let connect t ~remote:(rip, rport) ~iss =
   if t.state <> Closed then invalid_arg "Tcp.connect: not CLOSED";
   t.remote_ip <- rip;
@@ -405,9 +397,7 @@ let send t data =
 
 let close t =
   match t.state with
-  | Closed | Listen ->
-      set_state t Closed;
-      t.env.on_close ()
+  | Closed -> t.env.on_close ()
   | Syn_sent -> teardown t ""
   | Established | Close_wait | Syn_rcvd ->
       t.fin_pending <- true;
@@ -518,103 +508,86 @@ let process_payload t seq payload =
 
 (* --- segment input ---------------------------------------------------- *)
 
+(* Passive open from an opening SYN: answer SYN|ACK from [iss]. *)
+let accept t ~remote:(rip, rport) ~iss v =
+  if t.state <> Closed then invalid_arg "Tcp.accept: not CLOSED";
+  t.counters.segs_in <- t.counters.segs_in + 1;
+  t.remote_ip <- rip;
+  t.remote_port <- rport;
+  let seq = Tcp_wire.get_seq v in
+  t.irs <- seq;
+  t.rcv_nxt <- Seq.add seq 1;
+  t.iss <- iss;
+  t.snd_una <- iss;
+  t.snd_nxt <- Seq.add iss 1;
+  t.qseq <- Seq.add iss 1;
+  set_state t Syn_rcvd;
+  emit t ~seq:iss ~flags:Flags.(syn + ack) ();
+  arm_retx_timer t
+
 let input t (v : View.ro View.t) =
   t.counters.segs_in <- t.counters.segs_in + 1;
-  match Tcp_wire.parse v with
-  | None -> t.counters.bad_segments <- t.counters.bad_segments + 1
-  | Some (h, data_off) ->
-      let checksum_ok =
-        t.state = Listen || Tcp_wire.valid ~src:t.remote_ip ~dst:t.local_ip v
-      in
-      if not checksum_ok then
-        t.counters.bad_segments <- t.counters.bad_segments + 1
-      else begin
-        let payload =
-          View.get_string v ~off:data_off ~len:(View.length v - data_off)
-        in
-        let has f = Flags.test h.flags f in
-        match t.state with
-        | Closed -> ()
-        | Listen ->
-            if has Flags.syn && not (has Flags.ack) then begin
-              (* passive open; validate checksum against the new peer *)
-              t.remote_port <- h.src_port;
-              t.irs <- h.seq;
-              t.rcv_nxt <- Seq.add h.seq 1;
-              let iss = t.iss in
-              t.snd_una <- iss;
-              t.snd_nxt <- Seq.add iss 1;
-              t.qseq <- Seq.add iss 1;
-              set_state t Syn_rcvd;
-              emit t ~seq:iss ~flags:Flags.(syn + ack) ();
-              arm_retx_timer t
-            end
-        | Syn_sent ->
-            if has Flags.rst then teardown t "connection refused"
-            else if has Flags.syn && has Flags.ack && h.ack = t.snd_nxt then begin
-              t.irs <- h.seq;
-              t.rcv_nxt <- Seq.add h.seq 1;
-              t.snd_una <- h.ack;
-              t.snd_wnd <- max h.window 1;
-              t.retx_count <- 0;
-              t.rto_backoff <- 1;
-              stop_retx_timer t;
-              set_state t Established;
-              send_ack t;
-              t.env.on_established ();
-              try_output t
-            end
-        | Syn_rcvd | Established | Fin_wait_1 | Fin_wait_2 | Close_wait
-        | Closing | Last_ack | Time_wait ->
-            if has Flags.rst then teardown t "connection reset by peer"
-            else begin
-              (* SYN retransmission in SYN_RCVD: re-ack *)
-              if has Flags.syn && t.state = Syn_rcvd then
-                emit t ~seq:t.iss ~flags:Flags.(syn + ack) ()
-              else begin
-                if has Flags.ack then begin
-                  if t.state = Syn_rcvd && Seq.gt h.ack t.snd_una then begin
-                    set_state t Established;
-                    t.env.on_established ()
-                  end;
-                  process_ack t h
-                end;
-                let ack_class = process_payload t h.seq payload in
-                (* FIN processing: in sequence only *)
-                let fin_seq = Seq.add h.seq (String.length payload) in
-                let got_fin = has Flags.fin && fin_seq = t.rcv_nxt in
-                if got_fin then begin
-                  t.rcv_nxt <- Seq.add t.rcv_nxt 1;
-                  t.env.on_peer_close ();
-                  (match t.state with
-                  | Established -> set_state t Close_wait
-                  | Fin_wait_1 ->
-                      (* if our FIN was acked we'd be in FIN_WAIT_2 already *)
-                      set_state t Closing
-                  | Fin_wait_2 -> enter_time_wait t
-                  | _ -> ())
-                end;
-                (if got_fin then send_ack t
-                 else
-                   match ack_class with
-                   | `No_payload -> if t.state = Time_wait then send_ack t
-                   | `Duplicate | `Out_of_order ->
-                       (* immediate ack so the sender sees dup-acks *)
-                       send_ack t
-                   | `Delivered ->
-                       if has Flags.psh then send_ack t
-                       else schedule_delack t);
-                try_output t
-              end
-            end
+  let h = Tcp_wire.read v and data_off = Tcp_wire.get_data_off v in
+  let payload =
+    View.get_string v ~off:data_off ~len:(View.length v - data_off)
+  in
+  let has f = Flags.test h.flags f in
+  match t.state with
+  | Closed -> ()
+  | Syn_sent ->
+      if has Flags.rst then teardown t "connection refused"
+      else if has Flags.syn && has Flags.ack && h.ack = t.snd_nxt then begin
+        t.irs <- h.seq;
+        t.rcv_nxt <- Seq.add h.seq 1;
+        t.snd_una <- h.ack;
+        t.snd_wnd <- max h.window 1;
+        t.retx_count <- 0;
+        t.rto_backoff <- 1;
+        stop_retx_timer t;
+        set_state t Established;
+        send_ack t;
+        t.env.on_established ();
+        try_output t
       end
-
-(* Assign connection identity for passive sockets (checksum validation and
-   replies need the remote address even before the first segment). *)
-let set_remote t ~remote:(rip, rport) =
-  t.remote_ip <- rip;
-  t.remote_port <- rport
-
-let set_iss t iss = t.iss <- iss
+  | Syn_rcvd | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
+  | Last_ack | Time_wait ->
+      if has Flags.rst then teardown t "connection reset by peer"
+      else if has Flags.syn && t.state = Syn_rcvd then
+        (* SYN retransmission in SYN_RCVD: re-ack *)
+        emit t ~seq:t.iss ~flags:Flags.(syn + ack) ()
+      else begin
+        if has Flags.ack then begin
+          if t.state = Syn_rcvd && Seq.gt h.ack t.snd_una then begin
+            set_state t Established;
+            t.env.on_established ()
+          end;
+          process_ack t h
+        end;
+        let ack_class = process_payload t h.seq payload in
+        (* FIN processing: in sequence only *)
+        let fin_seq = Seq.add h.seq (String.length payload) in
+        let got_fin = has Flags.fin && fin_seq = t.rcv_nxt in
+        if got_fin then begin
+          t.rcv_nxt <- Seq.add t.rcv_nxt 1;
+          t.env.on_peer_close ();
+          match t.state with
+          | Established -> set_state t Close_wait
+          | Fin_wait_1 ->
+              (* if our FIN was acked we'd be in FIN_WAIT_2 already *)
+              set_state t Closing
+          | Fin_wait_2 -> enter_time_wait t
+          | _ -> ()
+        end;
+        (if got_fin then send_ack t
+         else
+           match ack_class with
+           | `No_payload -> if t.state = Time_wait then send_ack t
+           | `Duplicate | `Out_of_order ->
+               (* immediate ack so the sender sees dup-acks *)
+               send_ack t
+           | `Delivered ->
+               if has Flags.psh then send_ack t else schedule_delack t);
+        try_output t
+      end
 
 let pp_state ppf s = Fmt.string ppf (state_to_string s)

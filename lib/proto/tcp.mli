@@ -13,7 +13,6 @@
 
 type state =
   | Closed
-  | Listen
   | Syn_sent
   | Syn_rcvd
   | Established
@@ -61,23 +60,14 @@ type counters = {
   mutable retransmits : int;
   mutable fast_retransmits : int;
   mutable dup_acks : int;
-  mutable bad_segments : int;
 }
 
 type t
 
 val create : env -> config -> local:Ipaddr.t * int -> t
 
-val listen : t -> unit
-(** Passive open. *)
-
 val connect : t -> remote:Ipaddr.t * int -> iss:Tcp_wire.Seq.t -> unit
 (** Active open: send SYN. *)
-
-val set_remote : t -> remote:Ipaddr.t * int -> unit
-(** Bind a passive connection's peer (needed for checksums/replies). *)
-
-val set_iss : t -> Tcp_wire.Seq.t -> unit
 
 val send : t -> string -> unit
 (** Queue application data for transmission. *)
@@ -88,8 +78,16 @@ val close : t -> unit
 val abort : t -> unit
 (** RST and drop everything. *)
 
+val accept :
+  t -> remote:Ipaddr.t * int -> iss:Tcp_wire.Seq.t -> View.ro View.t -> unit
+(** Passive open: answer the opening SYN [v] from [remote] with SYN|ACK
+    from [iss].  The stack calls it on a CLOSED engine, only for a
+    segment {!Tcp_wire.check} accepted and {!Tcp_wire.opening_syn}
+    holds for. *)
+
 val input : t -> View.ro View.t -> unit
-(** Process one incoming segment (TCP header + payload). *)
+(** Process one incoming segment (TCP header + payload) that
+    {!Tcp_wire.check} accepted: the engine does not validate. *)
 
 val state : t -> state
 val counters : t -> counters

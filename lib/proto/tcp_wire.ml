@@ -82,19 +82,23 @@ let get_ack v = Seq.of_int (View.get_u32 v Off.ack)
 let get_flags v = View.get_u8 v Off.flags land 0x3f
 let get_window v = View.get_u16 v Off.window
 
-let parse v =
-  if not (has_header v) then None
-  else
-    Some
-      ( {
-          src_port = get_src_port v;
-          dst_port = get_dst_port v;
-          seq = get_seq v;
-          ack = get_ack v;
-          flags = get_flags v;
-          window = get_window v;
-        },
-        get_data_off v )
+(* The whole header as a record, from a view that [has_header]. *)
+let read v =
+  {
+    src_port = get_src_port v;
+    dst_port = get_dst_port v;
+    seq = get_seq v;
+    ack = get_ack v;
+    flags = get_flags v;
+    window = get_window v;
+  }
+
+let parse v = if has_header v then Some (read v, get_data_off v) else None
+
+(* The only segment that may open a passive connection. *)
+let opening_syn v =
+  let f = get_flags v in
+  Flags.test f Flags.syn && not (Flags.test f Flags.(ack + rst))
 
 let write v h =
   View.set_u16 v Off.src_port h.src_port;
@@ -124,8 +128,21 @@ let to_packet ~src ~dst h payload =
   View.set_u16 v Off.cksum (compute_cksum ~src ~dst v);
   pkt
 
-let valid ~src ~dst v =
-  View.length v >= header_len && Cksum.finish (segment_sum ~src ~dst v) = 0
+type drop = Runt | Bad_offset | Bad_checksum
+
+let drop_name = function
+  | Runt -> "runt"
+  | Bad_offset -> "bad_offset"
+  | Bad_checksum -> "bad_checksum"
+
+(* Every check a receiver needs before it may read the segment, in
+   place.  The results are constant blocks, so a verdict allocates
+   nothing. *)
+let check ~src ~dst v =
+  if View.length v < header_len then Some Runt
+  else if not (has_header v) then Some Bad_offset
+  else if Cksum.finish (segment_sum ~src ~dst v) <> 0 then Some Bad_checksum
+  else None
 
 let pp_header ppf h =
   Fmt.pf ppf "tcp{%d -> %d seq=%d ack=%d %a win=%d}" h.src_port h.dst_port

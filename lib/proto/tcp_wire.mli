@@ -54,7 +54,12 @@ module Off : sig
 end
 
 val parse : _ View.t -> (header * int) option
-(** [(header, data_offset_bytes)] of the segment at the view's start. *)
+(** [(header, data_offset_bytes)] of the segment at the view's start,
+    [Some] exactly when {!has_header}.  A codec, not a validator:
+    receivers use {!check}. *)
+
+val read : _ View.t -> header
+(** The header record, for a view that {!has_header}. *)
 
 val write : View.rw View.t -> header -> unit
 
@@ -81,8 +86,24 @@ val to_packet :
   src:Ipaddr.t -> dst:Ipaddr.t -> header -> string -> Mbuf.rw Mbuf.t
 (** Encode a checksummed segment (header + payload). *)
 
-val valid : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> bool
-(** Checksum validation of a segment view, in place: no record, no
-    pseudo-header, no allocation. *)
+(** Why a receiver refuses a segment. *)
+type drop =
+  | Runt  (** shorter than a header *)
+  | Bad_offset  (** data offset under 20 bytes or past the segment *)
+  | Bad_checksum
+
+val drop_name : drop -> string
+(** The reason as a span label: ["runt"], ["bad_offset"],
+    ["bad_checksum"]. *)
+
+val check : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> drop option
+(** The first reason, in the order above, to refuse the segment view
+    (header + payload) IP delivered from [src] to [dst]; on [None] its
+    header may be read in place.  No record, no pseudo-header, no
+    allocation.  The only TCP validation on any receive path. *)
+
+val opening_syn : _ View.t -> bool
+(** SYN set, ACK and RST clear: the one segment a stack may hand to
+    [Tcp.accept].  Reads a checked header. *)
 
 val pp_header : Format.formatter -> header -> unit

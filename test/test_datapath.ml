@@ -333,10 +333,14 @@ let in_place_reads_allocate_nothing () =
             }
             "a segment payload of odd length"))
   in
-  let ok = ref false in
-  check_no_words "Proto.Tcp_wire.valid"
-    (words_of (fun () -> ok := Proto.Tcp_wire.valid ~src:ip_a ~dst:ip_b seg));
-  Alcotest.(check bool) "tcp segment valid" true !ok;
+  let tverdict = ref (Some Proto.Tcp_wire.Runt) in
+  check_no_words "Proto.Tcp_wire.check"
+    (words_of (fun () -> tverdict := Proto.Tcp_wire.check ~src:ip_a ~dst:ip_b seg));
+  Alcotest.(check bool) "tcp segment accepted" true (!tverdict = None);
+  let opens = ref true in
+  check_no_words "Proto.Tcp_wire.opening_syn"
+    (words_of (fun () -> opens := Proto.Tcp_wire.opening_syn seg));
+  Alcotest.(check bool) "an ACK opens nothing" false !opens;
   (* [concat] leaves the second segment on the chain's reversed tail, a
      shared-store [prepend] puts a fresh one at its head: both shapes *)
   let tail_chain = Mbuf.of_string "odd" in

@@ -96,8 +96,8 @@ let multicast_cheaper_than_unicast () =
 
 let http_extension_serves_and_unlinks () =
   let p = pair () in
-  let t, ext = Apps.Http_ext.extension ~port:80 ~name:"httpd" () in
-  Apps.Http_ext.add_route t "/hello" "world\n";
+  let t, ext = Apps.Http_server.extension ~port:80 ~name:"httpd" () in
+  Apps.Http_server.add_route t "/hello" "world\n";
   let linked =
     match Plexus.Stack.link p.Experiments.Common.b ext with
     | Ok l -> l
@@ -112,7 +112,7 @@ let http_extension_serves_and_unlinks () =
       Alcotest.(check int) "status" 200 r.Apps.Http_client.status;
       Alcotest.(check string) "body" "world\n" r.Apps.Http_client.body
   | None -> Alcotest.fail "no response while linked");
-  Alcotest.(check int) "request served" 1 (Apps.Http_ext.requests t);
+  Alcotest.(check int) "request served" 1 (Apps.Http_server.requests t);
   (* unlink tears the listener down; a new request goes unanswered *)
   Spin.Linker.unlink linked;
   let result2 = ref None in
@@ -121,15 +121,15 @@ let http_extension_serves_and_unlinks () =
   Sim.Engine.run p.Experiments.Common.engine
     ~until:(Sim.Stime.add (Sim.Engine.now p.Experiments.Common.engine) (Sim.Stime.s 2));
   Alcotest.(check bool) "no response after unlink" true (!result2 = None);
-  Alcotest.(check int) "no extra request" 1 (Apps.Http_ext.requests t)
+  Alcotest.(check int) "no extra request" 1 (Apps.Http_server.requests t)
 
 let http_extension_port_conflict_fails_link () =
   let p = pair () in
-  let _t1, ext1 = Apps.Http_ext.extension ~port:80 ~name:"httpd1" () in
+  let _t1, ext1 = Apps.Http_server.extension ~port:80 ~name:"httpd1" () in
   (match Plexus.Stack.link p.Experiments.Common.b ext1 with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "first link failed");
-  let _t2, ext2 = Apps.Http_ext.extension ~port:80 ~name:"httpd2" () in
+  let _t2, ext2 = Apps.Http_server.extension ~port:80 ~name:"httpd2" () in
   match Plexus.Stack.link p.Experiments.Common.b ext2 with
   | Error (Spin.Extension.Init_raised _) -> ()
   | Ok _ -> Alcotest.fail "conflicting listener linked"

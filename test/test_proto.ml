@@ -380,8 +380,8 @@ let tcp_wire_roundtrip () =
   in
   let pkt = Proto.Tcp_wire.to_packet ~src:ip_a ~dst:ip_b h "body" in
   let v = View.ro (Mbuf.view pkt) in
-  Alcotest.(check bool) "checksum valid" true
-    (Proto.Tcp_wire.valid ~src:ip_a ~dst:ip_b v);
+  Alcotest.(check bool) "check accepts" true
+    (Proto.Tcp_wire.check ~src:ip_a ~dst:ip_b v = None);
   match Proto.Tcp_wire.parse v with
   | Some (h', off) ->
       Alcotest.(check int) "data offset" 20 off;
@@ -416,6 +416,7 @@ let tcp_seq_ordering =
 module H = struct
   type side = {
     tcp : Proto.Tcp.t;
+    mutable listening : bool;  (** passive, and no SYN accepted yet *)
     rx : Buffer.t;
     mutable established : bool;
     mutable peer_closed : bool;
@@ -423,14 +424,27 @@ module H = struct
     mutable errors : string list;
   }
 
-  (* Two engines joined by a lossy, optionally-reordering wire. *)
+  (* Receive the way a stack does: [Tcp_wire.check] first, and a
+     listening side opens with [Tcp.accept] on the first opening SYN. *)
+  let deliver ~src side v =
+    let dst = fst (Proto.Tcp.local_endpoint side.tcp) in
+    if Proto.Tcp_wire.check ~src ~dst v = None then
+      if side.listening && Proto.Tcp_wire.opening_syn v then begin
+        side.listening <- false;
+        Proto.Tcp.accept side.tcp ~remote:(src, Proto.Tcp_wire.get_src_port v)
+          ~iss:(Proto.Tcp_wire.Seq.of_int 5000) v
+      end
+      else Proto.Tcp.input side.tcp v
+
+  (* Two engines joined by a lossy, optionally-reordering wire; [B] is
+     the passive side. *)
   let pair ?(loss = 0.) ?(reorder = false) ?(seed = 11) ?cfg_a ?cfg_b () =
     let engine = Sim.Engine.create ~seed () in
     let rng = Sim.Rng.create (seed * 31) in
     let cfg_a = match cfg_a with Some c -> c | None -> Proto.Tcp.default_config () in
     let cfg_b = match cfg_b with Some c -> c | None -> Proto.Tcp.default_config () in
     let a_ref = ref None and b_ref = ref None in
-    let wire dst_ref pkt =
+    let wire ~src dst_ref pkt =
       if Sim.Rng.float rng 1.0 >= loss then begin
         let data = Mbuf.to_string pkt in
         let delay =
@@ -440,7 +454,7 @@ module H = struct
         ignore
           (Sim.Engine.schedule_in engine ~delay (fun () ->
                match !dst_ref with
-               | Some side -> Proto.Tcp.input side.tcp (View.of_string data)
+               | Some side -> deliver ~src side (View.of_string data)
                | None -> ()))
       end
     in
@@ -453,7 +467,7 @@ module H = struct
             (fun delay fn ->
               let h = Sim.Engine.schedule_in engine ~delay fn in
               fun () -> Sim.Engine.cancel engine h);
-          tx = (fun pkt -> wire dst_ref pkt);
+          tx = (fun pkt -> wire ~src:(fst local) dst_ref pkt);
           on_receive =
             (fun data ->
               match !side_ref with
@@ -477,6 +491,7 @@ module H = struct
       let side =
         {
           tcp = Proto.Tcp.create env cfg ~local;
+          listening = false;
           rx = Buffer.create 64;
           established = false;
           peer_closed = false;
@@ -491,10 +506,7 @@ module H = struct
     let b = mk cfg_b ~local:(ip_b, 80) ~dst_ref:a_ref in
     a_ref := Some a;
     b_ref := Some b;
-    (* passive side *)
-    Proto.Tcp.set_remote b.tcp ~remote:(ip_a, 1000);
-    Proto.Tcp.set_iss b.tcp (Proto.Tcp_wire.Seq.of_int 5000);
-    Proto.Tcp.listen b.tcp;
+    b.listening <- true;
     (engine, a, b)
 
   let connect engine a =
@@ -614,10 +626,14 @@ let tcp_corrupt_segment_dropped () =
   in
   let v = Mbuf.view pkt in
   View.set_u8 v 21 0x99;
-  let before = (Proto.Tcp.counters b.H.tcp).Proto.Tcp.bad_segments in
-  Proto.Tcp.input b.H.tcp (View.ro v);
-  Alcotest.(check int) "bad segment counted" (before + 1)
-    (Proto.Tcp.counters b.H.tcp).Proto.Tcp.bad_segments;
+  Alcotest.(check bool) "check refuses it" true
+    (Proto.Tcp_wire.check ~src:ip_a ~dst:ip_b v
+    = Some Proto.Tcp_wire.Bad_checksum);
+  (* the wire drops what [check] refuses before the engine sees it *)
+  let segs_in = (Proto.Tcp.counters b.H.tcp).Proto.Tcp.segs_in in
+  H.deliver ~src:ip_a b (View.ro v);
+  Alcotest.(check int) "the engine never saw it" segs_in
+    (Proto.Tcp.counters b.H.tcp).Proto.Tcp.segs_in;
   Alcotest.(check string) "no data delivered" "" (Buffer.contents b.H.rx)
 
 let tcp_small_window () =

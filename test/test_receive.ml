@@ -3,7 +3,9 @@
    hostile frame per drop reason must land on the stack's counter for
    that reason and leave the stack delivering; a differential property
    checks that the three agree on every mutated frame; and the ICMP
-   error and oversize-send rules hold on each stack that has them. *)
+   error and oversize-send rules hold on each stack that has them.  The
+   one TCP receive path gets the same per-reason table on the two
+   stacks that run TCP, with a listener that must open nothing. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -22,13 +24,14 @@ let fix_ip_cksum v =
    written header, after which its checksum is recomputed unless
    [~fix:false]. *)
 let datagram ?(id = 1) ?(more_fragments = false) ?(frag_offset = 0)
-    ?(dst = ip_b) ?(edit = ignore) ?(fix = true) payload =
+    ?(proto = Proto.Ipv4.proto_udp) ?(dst = ip_b) ?(edit = ignore) ?(fix = true)
+    payload =
   let len = String.length payload in
   let v = View.create (Proto.Ipv4.header_len + len) in
   View.set_string v ~off:Proto.Ipv4.header_len payload;
   Proto.Ipv4.write v
     (Proto.Ipv4.make ~id ~more_fragments ~frag_offset
-       ~proto:Proto.Ipv4.proto_udp ~src:ip_a ~dst ~payload_len:len ());
+       ~proto ~src:ip_a ~dst ~payload_len:len ());
   edit v;
   if fix then fix_ip_cksum v;
   View.to_string v
@@ -38,6 +41,25 @@ let datagram ?(id = 1) ?(more_fragments = false) ?(frag_offset = 0)
 let udp ?(dst = ip_b) ?(dst_port = 7) ?(edit = ignore) data =
   let m = Mbuf.of_string data in
   Proto.Udp.encapsulate m ~src:ip_a ~dst ~src_port:5000 ~dst_port;
+  let v = View.copy (View.of_string (Mbuf.to_string m)) in
+  edit v;
+  View.to_string v
+
+(* A TCP segment from A:5000 to B:80, with [edit] run on its bytes after
+   the checksum was written. *)
+let tcp ?(flags = Proto.Tcp_wire.Flags.ack) ?(edit = ignore) data =
+  let m =
+    Proto.Tcp_wire.to_packet ~src:ip_a ~dst:ip_b
+      {
+        Proto.Tcp_wire.src_port = 5000;
+        dst_port = 80;
+        seq = Proto.Tcp_wire.Seq.of_int 1;
+        ack = Proto.Tcp_wire.Seq.of_int 0;
+        flags;
+        window = 8192;
+      }
+      data
+  in
   let v = View.copy (View.of_string (Mbuf.to_string m)) in
   edit v;
   View.to_string v
@@ -121,6 +143,9 @@ type stack = {
       (** frame each IP datagram from A to B, transmit, run to quiescence *)
   counter : string -> int;  (** B's drop counter by name *)
   delivered : unit -> int;  (** datagrams B's port-7 socket received *)
+  accepted : unit -> int;  (** connections B's port-80 listener accepted *)
+  conns : unit -> int;  (** B's live TCP connections *)
+  sent : unit -> int;  (** frames B transmitted *)
   faults : unit -> int;  (** contained handler faults on B *)
   drop_spans : unit -> (string * string) list option;
       (** B's [Drop] spans so far, (scope, reason), where B traces *)
@@ -141,8 +166,17 @@ let plexus () =
   in
   let got = ref 0 in
   let (_ : unit -> unit) = Plexus.Udp_mgr.install_recv udp_b ep (fun _ -> incr got) in
+  let accepted = ref 0 in
+  (match
+     Plexus.Tcp_mgr.listen (Plexus.Stack.tcp p.Experiments.Common.b)
+       ~owner:"srv" ~port:80 ~on_accept:(fun _ -> incr accepted) ()
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "listen failed");
   let ip = Plexus.Ip_mgr.counters (Plexus.Stack.ip p.Experiments.Common.b)
-  and u = Plexus.Udp_mgr.counters udp_b in
+  and u = Plexus.Udp_mgr.counters udp_b
+  and t = Plexus.Tcp_mgr.counters (Plexus.Stack.tcp p.Experiments.Common.b) in
+  let graph = Plexus.Stack.graph p.Experiments.Common.b in
   let ring = Observe.Trace.Ring.create () in
   Observe.Trace.set_sink
     (Plexus.Graph.trace (Plexus.Stack.graph p.Experiments.Common.b))
@@ -158,12 +192,22 @@ let plexus () =
       | "ip.not_ours" -> ip.Plexus.Ip_mgr.not_ours
       | "udp.malformed" -> u.Plexus.Udp_mgr.malformed
       | "udp.bad_checksum" -> u.Plexus.Udp_mgr.bad_checksum
+      | "tcp.malformed" -> t.Plexus.Tcp_mgr.malformed
+      | "tcp.bad_checksum" -> t.Plexus.Tcp_mgr.bad_checksum
+      | "tcp.no_match" -> t.Plexus.Tcp_mgr.no_match
       | c -> Alcotest.failf "no plexus counter %s" c);
     delivered = (fun () -> !got);
-    faults =
+    accepted = (fun () -> !accepted);
+    conns =
       (fun () ->
-        Spin.Dispatcher.faults
-          (Plexus.Graph.dispatcher (Plexus.Stack.graph p.Experiments.Common.b)));
+        match
+          Observe.Registry.find (Plexus.Graph.registry graph) "tcp.conns.occupancy"
+        with
+        | Some (Observe.Registry.Gauge g) -> g ()
+        | _ -> Alcotest.fail "no tcp.conns.occupancy gauge");
+    sent =
+      (fun () -> (Netsim.Dev.counters (dev p.Experiments.Common.b)).Netsim.Dev.tx_packets);
+    faults = (fun () -> Spin.Dispatcher.faults (Plexus.Graph.dispatcher graph));
     drop_spans =
       (fun () ->
         Some
@@ -185,6 +229,13 @@ let du () =
   in
   let got = ref 0 in
   Osmodel.Du_stack.udp_set_recv sock (fun ~src:_ _ -> incr got);
+  let accepted = ref 0 in
+  (match
+     Osmodel.Du_stack.tcp_listen p.Experiments.Common.dub ~port:80
+       ~on_accept:(fun _ -> incr accepted) ()
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "listen failed");
   let c = Osmodel.Du_stack.counters p.Experiments.Common.dub in
   {
     inject =
@@ -195,8 +246,13 @@ let du () =
       | "malformed" -> c.Osmodel.Du_stack.malformed
       | "bad_checksum" -> c.Osmodel.Du_stack.bad_checksum
       | "not_ours" -> c.Osmodel.Du_stack.not_ours
+      | "no_port" -> c.Osmodel.Du_stack.no_port
       | n -> Alcotest.failf "no du counter %s" n);
     delivered = (fun () -> !got);
+    accepted = (fun () -> !accepted);
+    conns = (fun () -> Osmodel.Du_stack.tcp_conns p.Experiments.Common.dub);
+    sent =
+      (fun () -> (Netsim.Dev.counters (dev p.Experiments.Common.dub)).Netsim.Dev.tx_packets);
     faults = (fun () -> 0);
     drop_spans = (fun () -> None);
   }
@@ -226,6 +282,9 @@ let ulib () =
       | "filtered_out" -> c.Osmodel.Ulib.filtered_out
       | n -> Alcotest.failf "no ulib counter %s" n);
     delivered = (fun () -> !got);
+    accepted = (fun () -> 0);
+    conns = (fun () -> 0);
+    sent = (fun () -> (Netsim.Dev.counters eb.Netsim.Network.dev).Netsim.Dev.tx_packets);
     faults = (fun () -> 0);
     drop_spans = (fun () -> None);
   }
@@ -251,6 +310,71 @@ let drop_table make pick () =
   | None -> ());
   s.inject [ datagram (udp "still here") ];
   Alcotest.(check int) "a later datagram is delivered" 1 (s.delivered ());
+  Alcotest.(check int) "no contained fault" 0 (s.faults ())
+
+(* ---- TCP: one segment per drop reason ----------------------------------- *)
+
+(* The segments (TCP header + payload, inside an IP datagram from A),
+   the counter each stack books the drop on, and the reason of the
+   [Drop] span Plexus emits.  B listens on port 80, so the last three
+   rows reach a listener: only an opening SYN that verifies may open a
+   connection there. *)
+type tcp_row = {
+  t_name : string;
+  seg : string;
+  t_plexus : string;
+  t_du : string;
+  reason : string;
+}
+
+let tcp_rows =
+  let row t_name seg ~plexus ~du reason =
+    { t_name; seg; t_plexus = "tcp." ^ plexus; t_du = du; reason }
+  and flip_cksum v =
+    View.set_u16 v Proto.Tcp_wire.Off.cksum
+      (View.get_u16 v Proto.Tcp_wire.Off.cksum lxor 1)
+  and data_off x v = View.set_u8 v Proto.Tcp_wire.Off.data_off x in
+  Proto.Tcp_wire.Flags.
+    [
+      row "TCP runt" (String.sub (tcp "x") 0 10) ~plexus:"malformed"
+        ~du:"malformed" "runt";
+      row "data offset under 20" (tcp ~edit:(data_off 0x40) "x")
+        ~plexus:"malformed" ~du:"malformed" "bad_offset";
+      row "data offset past the segment" (tcp ~edit:(data_off 0xf0) "x")
+        ~plexus:"malformed" ~du:"malformed" "bad_offset";
+      row "TCP bad checksum" (tcp ~edit:flip_cksum "x") ~plexus:"bad_checksum"
+        ~du:"bad_checksum" "bad_checksum";
+      row "corrupted SYN to a listener" (tcp ~flags:syn ~edit:flip_cksum "")
+        ~plexus:"bad_checksum" ~du:"bad_checksum" "bad_checksum";
+      row "SYN|ACK to a listener" (tcp ~flags:(syn + ack) "")
+        ~plexus:"no_match" ~du:"no_port" "no_match";
+      row "SYN|RST to a listener" (tcp ~flags:(syn + rst) "")
+        ~plexus:"no_match" ~du:"no_port" "no_match";
+    ]
+
+let tcp_drop_table make pick () =
+  let s = make () in
+  List.iter
+    (fun row ->
+      let counter = pick row in
+      let before = s.counter counter in
+      s.inject [ datagram ~proto:Proto.Ipv4.proto_tcp row.seg ];
+      Alcotest.(check int) (row.t_name ^ ": counted on " ^ counter) (before + 1)
+        (s.counter counter);
+      Alcotest.(check int) (row.t_name ^ ": no on_accept") 0 (s.accepted ());
+      Alcotest.(check int) (row.t_name ^ ": no connection left") 0 (s.conns ());
+      Alcotest.(check int) (row.t_name ^ ": nothing sent back") 0 (s.sent ()))
+    tcp_rows;
+  (match s.drop_spans () with
+  | Some spans ->
+      Alcotest.(check (list (pair string string))) "one Drop span per row"
+        (List.map (fun row -> ("tcp", row.reason)) tcp_rows)
+        spans
+  | None -> ());
+  s.inject
+    [ datagram ~proto:Proto.Ipv4.proto_tcp (tcp ~flags:Proto.Tcp_wire.Flags.syn "") ];
+  Alcotest.(check int) "a valid SYN is accepted" 1 (s.accepted ());
+  Alcotest.(check bool) "and answered" true (s.sent () > 0);
   Alcotest.(check int) "no contained fault" 0 (s.faults ())
 
 (* ---- differential: the three stacks agree on every mutated frame ------- *)
@@ -535,6 +659,10 @@ let suite =
         tc "plexus: one frame per reason" (drop_table plexus pick_plexus);
         tc "digital unix: one frame per reason" (drop_table du pick_du);
         tc "user-level library: one frame per reason" (drop_table ulib pick_ulib);
+        tc "plexus: one TCP segment per reason"
+          (tcp_drop_table plexus (fun r -> r.t_plexus));
+        tc "digital unix: one TCP segment per reason"
+          (tcp_drop_table du (fun r -> r.t_du));
       ] );
     ( "receive.icmp",
       [
