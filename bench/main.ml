@@ -133,13 +133,14 @@ let test_tcp_encode =
       window = 100;
     }
   in
-  let payload = String.make 512 'p' in
+  let sndq = Proto.Byteq.create () in
+  Proto.Byteq.push sndq (String.make 512 'p');
   Test.make ~name:"TCP segment encode (512B, checksummed)"
     (Staged.stage (fun () ->
          ignore
            (Sys.opaque_identity
               (Proto.Tcp_wire.to_packet ~src:(Proto.Ipaddr.v 10 0 0 1)
-                 ~dst:(Proto.Ipaddr.v 10 0 0 2) hdr payload))))
+                 ~dst:(Proto.Ipaddr.v 10 0 0 2) hdr sndq ~off:0 ~len:512))))
 
 let filter_ctx =
   let engine = Sim.Engine.create () in

@@ -11,18 +11,18 @@ let get stack ~dst ~path k =
   | Error (`Port_in_use _) | Error `Ephemeral_exhausted ->
       invalid_arg "Http_client.get: no free port"
   | Ok conn ->
-      let buf = Buffer.create 256 in
+      let reader = Proto.Http.reader () in
       Plexus.Tcp_mgr.on_established conn (fun () ->
           Plexus.Tcp_mgr.send conn
             (Proto.Http.request_to_string
                { Proto.Http.meth = "GET"; path; headers = [ ("host", "plexus") ] }));
-      Plexus.Tcp_mgr.on_receive conn (fun data -> Buffer.add_string buf data);
+      Plexus.Tcp_mgr.on_receive conn (Proto.Http.feed reader);
       let finished = ref false in
       let finish () =
         if not !finished then begin
           finished := true;
           let elapsed = Sim.Stime.sub (Sim.Engine.now engine) started in
-          match Proto.Http.parse_response (Buffer.contents buf) with
+          match Proto.Http.response reader with
           | Some r -> k (Some { status = r.Proto.Http.status; body = r.body; elapsed })
           | None -> k None
         end

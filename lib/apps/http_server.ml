@@ -28,40 +28,35 @@ let make routes =
     not_found = 0;
   }
 
+(* A response as the chunks of one send: the head, then the body,
+   queued as it is, never copied. *)
+let chunks r = [ Proto.Http.response_head r; r.Proto.Http.body ]
+
 let bad_request =
-  Proto.Http.response_to_string
+  chunks
     { Proto.Http.status = 400; reason = "Bad Request"; headers = []; body = "" }
 
 let respond t (req : Proto.Http.request) =
   t.requests <- t.requests + 1;
-  Proto.Http.response_to_string
+  chunks
     (match Hashtbl.find_opt t.routes req.Proto.Http.path with
     | Some body -> Proto.Http.ok ~headers:[ ("content-type", "text/html") ] body
     | None ->
         t.not_found <- t.not_found + 1;
         Proto.Http.not_found)
 
-(* One connection's request reader: buffer until the header ends, answer
-   once and close. *)
+(* One connection's request reader: answer once the head is in, then
+   close. *)
 let reader t ~send ~close =
-  let buf = Buffer.create 256 in
-  fun data ->
-    Buffer.add_string buf data;
-    let s = Buffer.contents buf in
-    match Proto.Str_find.find_sub s "\r\n\r\n" with
-    | None -> ()
-    | Some _ ->
-        send
-          (match Proto.Http.parse_request s with
-          | Some req -> respond t req
-          | None -> bad_request);
-        close ()
+  Proto.Http.on_request (fun req ->
+      send (match req with Some req -> respond t req | None -> bad_request);
+      close ())
 
 let create ?(port = 80) ?routes stack =
   let t = make routes in
   let on_accept conn =
     Plexus.Tcp_mgr.on_receive conn
-      (reader t ~send:(Plexus.Tcp_mgr.send conn) ~close:(fun () ->
+      (reader t ~send:(Plexus.Tcp_mgr.sendv conn) ~close:(fun () ->
            Plexus.Tcp_mgr.close conn))
   in
   (match

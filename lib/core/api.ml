@@ -30,7 +30,7 @@ type mbuf_alloc = int -> Mbuf.rw Mbuf.t
 (* Per-connection operations handed to extensions through the Tcp
    interface; the connection object itself stays inside the manager. *)
 type tcp_conn_ops = {
-  tc_send : string -> unit;
+  tc_send : string list -> unit;  (* one write of the chunks, in order *)
   tc_close : unit -> unit;
   tc_set_receive : (string -> unit) -> unit;
   tc_set_peer_close : (unit -> unit) -> unit;

@@ -45,7 +45,7 @@ let export_interfaces kernel t =
     (fun ep ~dst ~checksum data -> Udp_mgr.send t.udp ep ~checksum ~dst data);
   let conn_ops conn =
     {
-      Api.tc_send = (fun data -> Tcp_mgr.send conn data);
+      Api.tc_send = (fun chunks -> Tcp_mgr.sendv conn chunks);
       tc_close = (fun () -> Tcp_mgr.close conn);
       tc_set_receive = (fun fn -> Tcp_mgr.on_receive conn fn);
       tc_set_peer_close = (fun fn -> Tcp_mgr.on_peer_close conn fn);

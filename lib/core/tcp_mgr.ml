@@ -382,6 +382,7 @@ let connect t ~owner ?src_port ~dst ?(cfg = Proto.Tcp.default_config ()) () =
 (* Connection operations, charged like any application-initiated kernel
    work. *)
 let send conn data = Proto.Tcp.send conn.tcp data
+let sendv conn chunks = Proto.Tcp.sendv conn.tcp chunks
 let close conn = Proto.Tcp.close conn.tcp
 let abort conn = Proto.Tcp.abort conn.tcp
 let tcp conn = conn.tcp

@@ -52,6 +52,10 @@ val connect :
   ?cfg:Proto.Tcp.config -> unit -> (conn, [> error ]) result
 
 val send : conn -> string -> unit
+
+val sendv : conn -> string list -> unit
+(** Queue the chunks, in order, as one write ({!Proto.Tcp.sendv}). *)
+
 val close : conn -> unit
 val abort : conn -> unit
 

@@ -36,20 +36,15 @@ let du_get_latency ?(warmup = 3) ?(iters = 30) params =
   (match
      Osmodel.Du_stack.tcp_listen du_b ~port:80
        ~on_accept:(fun conn ->
-         let buf = Buffer.create 128 in
-         Osmodel.Du_stack.on_receive conn (fun data ->
-             Buffer.add_string buf data;
-             match Proto.Str_find.find_sub (Buffer.contents buf) "\r\n\r\n" with
-             | None -> ()
-             | Some _ ->
-                 (match Proto.Http.parse_request (Buffer.contents buf) with
-                 | Some req when req.Proto.Http.path = path ->
-                     Osmodel.Du_stack.tcp_send du_b conn
-                       (Proto.Http.response_to_string (Proto.Http.ok body))
-                 | _ ->
-                     Osmodel.Du_stack.tcp_send du_b conn
-                       (Proto.Http.response_to_string Proto.Http.not_found));
-                 Osmodel.Du_stack.tcp_close du_b conn))
+         Osmodel.Du_stack.on_receive conn
+           (Proto.Http.on_request (fun req ->
+                (* one write(2) of the whole response *)
+                Osmodel.Du_stack.tcp_send du_b conn
+                  (Proto.Http.response_to_string
+                     (match req with
+                     | Some req when req.Proto.Http.path = path -> Proto.Http.ok body
+                     | _ -> Proto.Http.not_found));
+                Osmodel.Du_stack.tcp_close du_b conn)))
        ()
    with
   | Ok () -> ()
@@ -57,17 +52,17 @@ let du_get_latency ?(warmup = 3) ?(iters = 30) params =
   let loop = Common.Pingpong.create ~warmup ~iters engine in
   Common.Pingpong.start loop (fun () ->
       let conn = Osmodel.Du_stack.tcp_connect du_a ~dst:(Common.ip_b, 80) () in
-      let buf = Buffer.create 128 in
+      let reader = Proto.Http.reader () in
       Osmodel.Du_stack.on_established conn (fun () ->
           Osmodel.Du_stack.tcp_send du_a conn
             (Proto.Http.request_to_string
                { Proto.Http.meth = "GET"; path; headers = [] }));
-      Osmodel.Du_stack.on_receive conn (fun data -> Buffer.add_string buf data);
+      Osmodel.Du_stack.on_receive conn (Proto.Http.feed reader);
       let finished = ref false in
       let finish () =
         if not !finished then begin
           finished := true;
-          (match Proto.Http.parse_response (Buffer.contents buf) with
+          (match Proto.Http.response reader with
           | Some r when r.Proto.Http.status = 200 ->
               Common.Pingpong.record loop
           | _ -> ());

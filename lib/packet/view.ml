@@ -75,9 +75,14 @@ let set_u32 (v : rw t) i x =
   check v i 4;
   Bytes.set_int32_be v.data (v.off + i) (Int32.of_int x)
 
+let blit_string ~src ~(dst : rw t) ~src_off ~dst_off ~len =
+  if src_off < 0 || len < 0 || src_off + len > String.length src then
+    invalid_arg "View.blit_string";
+  check dst dst_off len;
+  Bytes.blit_string src src_off dst.data (dst.off + dst_off) len
+
 let set_string (v : rw t) ~off s =
-  check v off (String.length s);
-  Bytes.blit_string s 0 v.data (v.off + off) (String.length s)
+  blit_string ~src:s ~dst:v ~src_off:0 ~dst_off:off ~len:(String.length s)
 
 let blit ~(src : _ t) ~(dst : rw t) ~src_off ~dst_off ~len =
   check src src_off len;

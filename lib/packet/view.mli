@@ -58,6 +58,11 @@ val set_u16 : rw t -> int -> int -> unit
 val set_u32 : rw t -> int -> int -> unit
 val set_string : rw t -> off:int -> string -> unit
 
+val blit_string :
+  src:string -> dst:rw t -> src_off:int -> dst_off:int -> len:int -> unit
+(** Write [len] bytes of [src] from [src_off] into the window at
+    [dst_off].  @raise Invalid_argument if the range escapes [src]. *)
+
 val blit : src:_ t -> dst:rw t -> src_off:int -> dst_off:int -> len:int -> unit
 val fill : rw t -> char -> unit
 

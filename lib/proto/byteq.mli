@@ -7,13 +7,15 @@ val length : t -> int
 val is_empty : t -> bool
 
 val push : t -> string -> unit
-(** Append bytes at the tail. *)
+(** Append bytes at the tail.  The string is kept, not copied. *)
 
-val peek_sub : t -> off:int -> len:int -> string
-(** Read without consuming.  @raise Invalid_argument beyond the tail. *)
+val blit : t -> off:int -> len:int -> View.rw View.t -> dst_off:int -> unit
+(** [blit t ~off ~len dst ~dst_off] writes the [len] bytes that start
+    [off] bytes after the head into [dst] at [dst_off], without
+    consuming them.  The only read of the queue.
+    @raise Invalid_argument beyond the tail. *)
 
 val drop : t -> int -> unit
 (** Discard bytes from the head. *)
 
 val clear : t -> unit
-val to_string : t -> string

@@ -12,7 +12,42 @@ type response = {
 
 val parse_request : string -> request option
 val request_to_string : request -> string
+
 val parse_response : string -> response option
+(** The head is the text before the first ["\r\n\r\n"] (all of it when
+    there is none, with an empty body); only the head is split into
+    lines, so body bytes are never read as headers. *)
+
+val response_head : response -> string
+(** Status line and headers, with a [content-length] of the body
+    prepended, through the blank line. *)
+
 val response_to_string : response -> string
+(** [response_head r ^ r.body]. *)
+
 val ok : ?headers:(string * string) list -> string -> response
 val not_found : response
+
+(** {1 Incremental reader}
+
+    The one way to read a message off a connection: feed each received
+    chunk as it arrives.  The head is parsed once, when its blank line
+    arrives; the body is written once, into a buffer sized by
+    Content-Length. *)
+
+type reader
+
+val reader : unit -> reader
+val feed : reader -> string -> unit
+
+val response : reader -> response option
+(** At end of stream: what {!parse_response} returns for every byte
+    fed.  A body that exactly fills its Content-Length is handed over
+    without a copy; the reader keeps no body afterwards, so call this
+    once. *)
+
+val on_request : (request option -> unit) -> string -> unit
+(** [on_request answer] is a receive callback for one connection: it
+    reads the request and calls [answer] once, when the head is in
+    ([None] when the start line is not a request line).  Later bytes
+    are ignored. *)

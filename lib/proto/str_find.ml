@@ -1,13 +1,14 @@
-(* Substring search (naive; inputs are small protocol messages). *)
+(* Substring search (naive; inputs are small protocol messages).  The
+   bytes are compared in place, so a search allocates nothing. *)
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  if m = 0 then Some 0
-  else begin
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  end
+let rec matches_at s sub i j =
+  j = String.length sub
+  || String.unsafe_get s (i + j) = String.unsafe_get sub j
+     && matches_at s sub i (j + 1)
+
+let rec search s sub i =
+  if i + String.length sub > String.length s then -1
+  else if matches_at s sub i 0 then i
+  else search s sub (i + 1)
+
+let find_sub s sub = search s sub 0

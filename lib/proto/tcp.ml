@@ -217,7 +217,9 @@ let rec arm_retx_timer t =
 
 (* --- segment emission ---------------------------------------------- *)
 
-and emit t ?(payload = "") ~seq ~flags () =
+(* Send one segment whose payload is the [len] bytes [off] bytes into the
+   send queue, written once, straight into the segment's mbuf. *)
+and emit t ~seq ~flags ~off ~len =
   (* Any segment carrying ACK satisfies a pending delayed ACK. *)
   if Flags.test flags Flags.ack then begin
     t.delack_count <- 0;
@@ -237,12 +239,17 @@ and emit t ?(payload = "") ~seq ~flags () =
       window = t.cfg.window land 0xffff;
     }
   in
-  let pkt = Tcp_wire.to_packet ~src:t.local_ip ~dst:t.remote_ip hdr payload in
+  let pkt =
+    Tcp_wire.to_packet ~src:t.local_ip ~dst:t.remote_ip hdr t.sndq ~off ~len
+  in
   t.counters.segs_out <- t.counters.segs_out + 1;
-  t.counters.bytes_out <- t.counters.bytes_out + String.length payload;
+  t.counters.bytes_out <- t.counters.bytes_out + len;
   t.env.tx pkt
 
-and send_ack t = emit t ~seq:t.snd_nxt ~flags:Flags.ack ()
+(* A segment without payload. *)
+and control t ~seq ~flags = emit t ~seq ~flags ~off:0 ~len:0
+
+and send_ack t = control t ~seq:t.snd_nxt ~flags:Flags.ack
 
 (* BSD-style delayed acknowledgement: ack every [delack_segments]
    in-order segments, or when the timer fires, whichever is first. *)
@@ -303,13 +310,12 @@ and try_output t =
           && not t.fin_pending
         in
         if n > 0 && not nagle_holds then begin
-          let payload = Byteq.peek_sub t.sndq ~off:sent_off ~len:n in
           let flags =
             if avail = n then Flags.(ack + psh) else Flags.ack
           in
           if t.timed_seg = None then
             t.timed_seg <- Some (t.snd_nxt, t.env.now ());
-          emit t ~payload ~seq:t.snd_nxt ~flags ();
+          emit t ~seq:t.snd_nxt ~flags ~off:sent_off ~len:n;
           t.snd_nxt <- Seq.add t.snd_nxt n;
           if t.retx_timer = None then arm_retx_timer t;
           progress := true
@@ -319,7 +325,7 @@ and try_output t =
           && (t.state = Established || t.state = Close_wait)
         then begin
           (* all data is out: send FIN *)
-          emit t ~seq:t.snd_nxt ~flags:Flags.(ack + fin) ();
+          control t ~seq:t.snd_nxt ~flags:Flags.(ack + fin);
           t.fin_seq <- Some t.snd_nxt;
           t.snd_nxt <- Seq.add t.snd_nxt 1;
           set_state t (if t.state = Established then Fin_wait_1 else Last_ack);
@@ -336,25 +342,19 @@ and retransmit_head t =
   if Seq.lt t.snd_una t.snd_nxt then begin
     if t.snd_una = t.iss then
       (* SYN outstanding *)
-      emit t ~seq:t.iss
+      control t ~seq:t.iss
         ~flags:(if t.state = Syn_rcvd then Flags.(syn + ack) else Flags.syn)
-        ()
     else
       match t.fin_seq with
-      | Some fs when t.snd_una = fs -> emit t ~seq:fs ~flags:Flags.(ack + fin) ()
+      | Some fs when t.snd_una = fs -> control t ~seq:fs ~flags:Flags.(ack + fin)
       | _ ->
-          let off = Seq.diff t.snd_una t.qseq in
-          ignore off;
           let avail = Byteq.length t.sndq in
           let n = min avail t.cfg.mss in
           let n =
             (* do not retransmit past snd_nxt (or FIN) *)
             min n (Seq.diff t.snd_nxt t.snd_una)
           in
-          if n > 0 then begin
-            let payload = Byteq.peek_sub t.sndq ~off:0 ~len:n in
-            emit t ~payload ~seq:t.snd_una ~flags:Flags.ack ()
-          end
+          if n > 0 then emit t ~seq:t.snd_una ~flags:Flags.ack ~off:0 ~len:n
   end
 
 and on_retx_timeout t =
@@ -384,16 +384,18 @@ let connect t ~remote:(rip, rport) ~iss =
   t.snd_nxt <- Seq.add iss 1;
   t.qseq <- Seq.add iss 1;
   set_state t Syn_sent;
-  emit t ~seq:iss ~flags:Flags.syn ();
+  control t ~seq:iss ~flags:Flags.syn;
   arm_retx_timer t
 
-let send t data =
+let sendv t chunks =
   match t.state with
   | Established | Close_wait | Syn_sent | Syn_rcvd ->
       if t.fin_pending then invalid_arg "Tcp.send: closing";
-      Byteq.push t.sndq data;
+      List.iter (Byteq.push t.sndq) chunks;
       try_output t
   | s -> invalid_arg ("Tcp.send: bad state " ^ state_to_string s)
+
+let send t data = sendv t [ data ]
 
 let close t =
   match t.state with
@@ -406,7 +408,7 @@ let close t =
 
 let abort t =
   if t.state <> Closed && t.remote_port <> 0 then
-    emit t ~seq:t.snd_nxt ~flags:Flags.rst ();
+    control t ~seq:t.snd_nxt ~flags:Flags.rst;
   teardown t "connection aborted"
 
 (* --- acknowledgement processing -------------------------------------- *)
@@ -430,7 +432,6 @@ let process_ack t (h : Tcp_wire.header) =
   end
   else begin
     (* new data acknowledged *)
-    let syn_acked = t.snd_una = t.iss in
     (* payload bytes covered by this ack *)
     let fin_acked = match t.fin_seq with Some fs -> Seq.gt ack fs | None -> false in
     let payload_hi =
@@ -456,7 +457,6 @@ let process_ack t (h : Tcp_wire.header) =
     if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + t.cfg.mss
     else t.cwnd <- t.cwnd + max 1 (t.cfg.mss * t.cfg.mss / t.cwnd);
     if in_flight t = 0 then stop_retx_timer t else arm_retx_timer t;
-    ignore syn_acked;
     if fin_acked then begin
       match t.state with
       | Fin_wait_1 -> set_state t Fin_wait_2
@@ -479,19 +479,16 @@ let rec drain_ooo t =
       t.env.on_receive data;
       drain_ooo t
 
-let process_payload t seq payload =
-  let len = String.length payload in
+(* The [len] payload bytes at [off] in segment [v], from sequence [seq];
+   copied out only when they carry new data. *)
+let process_payload t seq v ~off ~len =
   if len = 0 then `No_payload
   else if Seq.le (Seq.add seq len) t.rcv_nxt then `Duplicate
   else begin
     (* trim anything before rcv_nxt *)
-    let seq, payload =
-      if Seq.lt seq t.rcv_nxt then begin
-        let skip = Seq.diff t.rcv_nxt seq in
-        (t.rcv_nxt, String.sub payload skip (len - skip))
-      end
-      else (seq, payload)
-    in
+    let skip = if Seq.lt seq t.rcv_nxt then Seq.diff t.rcv_nxt seq else 0 in
+    let seq = Seq.add seq skip in
+    let payload = View.get_string v ~off:(off + skip) ~len:(len - skip) in
     if seq = t.rcv_nxt then begin
       t.rcv_nxt <- Seq.add t.rcv_nxt (String.length payload);
       t.counters.bytes_in <- t.counters.bytes_in + String.length payload;
@@ -522,15 +519,13 @@ let accept t ~remote:(rip, rport) ~iss v =
   t.snd_nxt <- Seq.add iss 1;
   t.qseq <- Seq.add iss 1;
   set_state t Syn_rcvd;
-  emit t ~seq:iss ~flags:Flags.(syn + ack) ();
+  control t ~seq:iss ~flags:Flags.(syn + ack);
   arm_retx_timer t
 
 let input t (v : View.ro View.t) =
   t.counters.segs_in <- t.counters.segs_in + 1;
   let h = Tcp_wire.read v and data_off = Tcp_wire.get_data_off v in
-  let payload =
-    View.get_string v ~off:data_off ~len:(View.length v - data_off)
-  in
+  let len = View.length v - data_off in
   let has f = Flags.test h.flags f in
   match t.state with
   | Closed -> ()
@@ -554,7 +549,7 @@ let input t (v : View.ro View.t) =
       if has Flags.rst then teardown t "connection reset by peer"
       else if has Flags.syn && t.state = Syn_rcvd then
         (* SYN retransmission in SYN_RCVD: re-ack *)
-        emit t ~seq:t.iss ~flags:Flags.(syn + ack) ()
+        control t ~seq:t.iss ~flags:Flags.(syn + ack)
       else begin
         if has Flags.ack then begin
           if t.state = Syn_rcvd && Seq.gt h.ack t.snd_una then begin
@@ -563,9 +558,9 @@ let input t (v : View.ro View.t) =
           end;
           process_ack t h
         end;
-        let ack_class = process_payload t h.seq payload in
+        let ack_class = process_payload t h.seq v ~off:data_off ~len in
         (* FIN processing: in sequence only *)
-        let fin_seq = Seq.add h.seq (String.length payload) in
+        let fin_seq = Seq.add h.seq len in
         let got_fin = has Flags.fin && fin_seq = t.rcv_nxt in
         if got_fin then begin
           t.rcv_nxt <- Seq.add t.rcv_nxt 1;

@@ -69,8 +69,13 @@ val create : env -> config -> local:Ipaddr.t * int -> t
 val connect : t -> remote:Ipaddr.t * int -> iss:Tcp_wire.Seq.t -> unit
 (** Active open: send SYN. *)
 
+val sendv : t -> string list -> unit
+(** Queue application data for transmission: the chunks, in order, as
+    one write.  The queue keeps the strings; each byte is copied once,
+    into the segment that carries it. *)
+
 val send : t -> string -> unit
-(** Queue application data for transmission. *)
+(** [send t data] is [sendv t [data]]. *)
 
 val close : t -> unit
 (** Orderly close (FIN after queued data drains). *)

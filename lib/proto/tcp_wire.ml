@@ -119,12 +119,13 @@ let segment_sum ~src ~dst v =
 
 let compute_cksum ~src ~dst v = Cksum.finish (segment_sum ~src ~dst v)
 
-(* Build a full segment packet: header + payload, checksummed. *)
-let to_packet ~src ~dst h payload =
-  let pkt = Mbuf.alloc (header_len + String.length payload) in
+(* Build a full segment packet: header + payload, checksummed.  The
+   payload is written once, from the send queue into the segment. *)
+let to_packet ~src ~dst h q ~off ~len =
+  let pkt = Mbuf.alloc (header_len + len) in
   let v = Mbuf.view pkt in
   write v h;
-  View.set_string v ~off:header_len payload;
+  Byteq.blit q ~off ~len v ~dst_off:header_len;
   View.set_u16 v Off.cksum (compute_cksum ~src ~dst v);
   pkt
 

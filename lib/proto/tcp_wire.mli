@@ -83,8 +83,10 @@ val get_data_off : _ View.t -> int
 val compute_cksum : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> int
 
 val to_packet :
-  src:Ipaddr.t -> dst:Ipaddr.t -> header -> string -> Mbuf.rw Mbuf.t
-(** Encode a checksummed segment (header + payload). *)
+  src:Ipaddr.t -> dst:Ipaddr.t -> header -> Byteq.t -> off:int -> len:int ->
+  Mbuf.rw Mbuf.t
+(** Encode a checksummed segment whose payload is the [len] bytes [off]
+    bytes after the head of the queue (see {!Byteq.blit}). *)
 
 (** Why a receiver refuses a segment. *)
 type drop =

@@ -136,9 +136,8 @@ let video_end_to_end_plexus () =
 
 (* ---- forwarder ---------------------------------------------------------- *)
 
-let forwarder_udp_redirect () =
-  (* UDP datagrams to the forwarded port are redirected to the backend,
-     source preserved at the transport level (NAT at the middle). *)
+(* client -- middle -- server, ARP primed on both segments. *)
+let nat_line () =
   let engine = Sim.Engine.create () in
   let c, (m1, m2), s =
     Netsim.Network.line3 engine (Netsim.Costs.ethernet ())
@@ -165,6 +164,12 @@ let forwarder_udp_redirect () =
     (Netsim.Dev.mac s.Netsim.Network.dev);
   Plexus.Arp_mgr.prime (Plexus.Stack.arp server) Experiments.Common.ip_middle
     (Netsim.Dev.mac m2.Netsim.Network.dev);
+  (engine, client, middle, server)
+
+let forwarder_udp_redirect () =
+  (* UDP datagrams to the forwarded port are redirected to the backend,
+     source preserved at the transport level (NAT at the middle). *)
+  let engine, client, middle, server = nat_line () in
   let fwd =
     Apps.Forwarder.create middle ~listen_port:5353
       ~backend:(Experiments.Common.ip_server, 5353)
@@ -240,6 +245,96 @@ let http_not_found () =
   | None -> Alcotest.fail "no response");
   Alcotest.(check int) "counted" 1 (Apps.Http_server.not_found_count server)
 
+(* The farm's path: a client fetching through the NAT forwarder on the
+   middle host from a backend HTTP server.  [serve] installs the
+   backend on the server stack at port 80. *)
+let fetch_through_nat ~serve paths =
+  let engine, client, middle, server = nat_line () in
+  Plexus.Tcp_mgr.exclude_ports (Plexus.Stack.tcp middle) [ 80 ];
+  Plexus.Tcp_mgr.exclude_src_ports (Plexus.Stack.tcp middle) [ 80 ];
+  let (_ : Apps.Forwarder.t) =
+    Apps.Forwarder.create middle ~listen_port:80
+      ~backend:(Experiments.Common.ip_server, 80)
+  in
+  serve server;
+  let results =
+    List.map
+      (fun path ->
+        let result = ref None in
+        Apps.Http_client.get client ~dst:(Experiments.Common.ip_middle, 80)
+          ~path (fun r -> result := Some r);
+        result)
+      paths
+  in
+  Sim.Engine.run engine ~until:(Sim.Stime.s 600);
+  List.map2
+    (fun path result ->
+      match !result with
+      | Some (Some r) -> r
+      | Some None -> Alcotest.failf "%s: unparsable response" path
+      | None -> Alcotest.failf "%s: no response" path)
+    paths results
+
+let farm_page_sizes = [ 256; 512; 1024; 2048; 4096; 8192; 16384; 32768; 65536 ]
+let page size = String.init size (fun i -> Char.chr (((i * 7) + (i / 251)) land 0xff))
+
+let http_every_farm_page () =
+  let paths = List.map (Printf.sprintf "/obj%d") farm_page_sizes in
+  let serve server =
+    let http = Apps.Http_server.create ~port:80 server in
+    List.iter2 (fun path size -> Apps.Http_server.add_route http path (page size))
+      paths farm_page_sizes
+  in
+  List.iter2
+    (fun size r ->
+      Alcotest.(check int) (Printf.sprintf "%d-B page status" size) 200
+        r.Apps.Http_client.status;
+      Alcotest.(check bool) (Printf.sprintf "%d-B page byte for byte" size) true
+        (r.Apps.Http_client.body = page size))
+    farm_page_sizes (fetch_through_nat ~serve paths)
+
+(* A backend that answers the first request chunk with [raw], then
+   closes. *)
+let raw_backend raw server =
+  match
+    Plexus.Tcp_mgr.listen (Plexus.Stack.tcp server) ~owner:"raw" ~port:80
+      ~on_accept:(fun conn ->
+        let answered = ref false in
+        Plexus.Tcp_mgr.on_receive conn (fun _ ->
+            if not !answered then begin
+              answered := true;
+              Plexus.Tcp_mgr.send conn raw;
+              Plexus.Tcp_mgr.close conn
+            end))
+      ()
+  with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "listen"
+
+(* The client must read [raw] as parsing it whole does. *)
+let check_raw_response name raw ~body =
+  match (fetch_through_nat ~serve:(raw_backend raw) [ "/" ], Proto.Http.parse_response raw) with
+  | [ r ], Some whole ->
+      Alcotest.(check int) (name ^ ": status") whole.Proto.Http.status
+        r.Apps.Http_client.status;
+      Alcotest.(check bool) (name ^ ": body as parsed whole") true
+        (r.Apps.Http_client.body = whole.Proto.Http.body);
+      Alcotest.(check bool) (name ^ ": body byte for byte") true
+        (r.Apps.Http_client.body = body)
+  | _ -> Alcotest.failf "%s: no response" name
+
+let http_peer_closes_early () =
+  let body = page 3000 in
+  check_raw_response "truncated"
+    ("HTTP/1.0 200 OK\r\ncontent-length: 8192\r\n\r\n" ^ body)
+    ~body
+
+let http_no_content_length () =
+  let body = page 5000 ^ "\r\n\r\nx: y\r\n" in
+  check_raw_response "unsized"
+    ("HTTP/1.0 200 OK\r\ncontent-type: text/plain\r\n\r\n" ^ body)
+    ~body
+
 let suite =
   [
     ( "apps.active_messages",
@@ -255,7 +350,13 @@ let suite =
       ] );
     ("apps.forwarder", [ tc "UDP NAT redirect both ways" forwarder_udp_redirect ]);
     ( "apps.http",
-      [ tc "GET end to end" http_end_to_end; tc "404" http_not_found ] );
+      [
+        tc "GET end to end" http_end_to_end;
+        tc "404" http_not_found;
+        tc "every farm page through the NAT" http_every_farm_page;
+        tc "peer closes early" http_peer_closes_early;
+        tc "no content-length" http_no_content_length;
+      ] );
   ]
 
 (* ---- reliable blast (application-level framing) -------------------------- *)

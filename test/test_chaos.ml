@@ -329,7 +329,7 @@ let tcp_bad_checksum_dropped () =
   let engine, ea, eb = pair () in
   let b = Plexus.Stack.build eb.Netsim.Network.host in
   let seg hdr payload ~corrupt =
-    let pkt = Proto.Tcp_wire.to_packet ~src:ip_a ~dst:ip_b hdr payload in
+    let pkt = Segment.tcp ~src:ip_a ~dst:ip_b hdr payload in
     if corrupt then begin
       let v = Mbuf.view pkt in
       (* flip a payload byte, past the 20B TCP header *)

@@ -267,6 +267,18 @@ let words_of f =
 let check_no_words name w =
   if w <> 0. then Alcotest.failf "%s: %.0f minor words, expected 0" name w
 
+(* The HTTP head search compares bytes in place: no candidate
+   substring, no option. *)
+let substring_search_allocates_nothing () =
+  let head = "HTTP/1.0 200 OK\r\ncontent-length: 5" in
+  let s = head ^ "\r\n\r\nhello" and at = ref 0 in
+  check_no_words "Str_find.find_sub, found"
+    (words_of (fun () -> at := Proto.Str_find.find_sub s "\r\n\r\n"));
+  Alcotest.(check int) "blank line" (String.length head) !at;
+  check_no_words "Str_find.find_sub, absent"
+    (words_of (fun () -> at := Proto.Str_find.find_sub s "\n\n"));
+  Alcotest.(check int) "absent" (-1) !at
+
 (* A 64-B UDP datagram as it leaves the sender: three headers pushed into
    the payload's headroom and written field by field. *)
 let udp_frame ~dst_mac =
@@ -322,7 +334,7 @@ let in_place_reads_allocate_nothing () =
   let seg =
     View.ro
       (Mbuf.view
-         (Proto.Tcp_wire.to_packet ~src:ip_a ~dst:ip_b
+         (Segment.tcp ~src:ip_a ~dst:ip_b
             {
               Proto.Tcp_wire.src_port = 80;
               dst_port = 40000;
@@ -398,7 +410,7 @@ let layouts_match_the_wire () =
     ^ "13880007000f1b0f" ^ "7061796c6f6164")
     (hex (Mbuf.to_string m));
   let seg =
-    Proto.Tcp_wire.to_packet ~src ~dst
+    Segment.tcp ~src ~dst
       {
         Proto.Tcp_wire.src_port = 80;
         dst_port = 40000;
@@ -681,6 +693,7 @@ let suite =
         tc "push writes what encapsulate writes" push_matches_encapsulate;
         tc "layouts match the wire" layouts_match_the_wire;
         tc "one-step layer hand-offs" pctx_one_step_handoffs;
+        tc "substring search allocates nothing" substring_search_allocates_nothing;
       ] );
     ( "datapath.send_records",
       [

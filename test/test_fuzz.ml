@@ -218,7 +218,7 @@ let tcp_input_fuzz =
       Proto.Tcp.accept opened ~remote:(remote, 1000) ~iss
         (View.ro
            (Mbuf.view
-              (Proto.Tcp_wire.to_packet ~src:remote ~dst:local
+              (Segment.tcp ~src:remote ~dst:local
                  {
                    Proto.Tcp_wire.src_port = 1000;
                    dst_port = 80;

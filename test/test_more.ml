@@ -143,8 +143,8 @@ let stime_scale_mul =
 let byteq_errors () =
   let q = Proto.Byteq.create () in
   Proto.Byteq.push q "abc";
-  Alcotest.check_raises "peek beyond tail" (Invalid_argument "Byteq.peek_sub")
-    (fun () -> ignore (Proto.Byteq.peek_sub q ~off:1 ~len:3));
+  Alcotest.check_raises "blit beyond tail" (Invalid_argument "Byteq.blit")
+    (fun () -> Proto.Byteq.blit q ~off:1 ~len:3 (View.create 8) ~dst_off:0);
   Alcotest.check_raises "drop beyond length" (Invalid_argument "Byteq.drop")
     (fun () -> Proto.Byteq.drop q 4);
   Proto.Byteq.clear q;

@@ -336,15 +336,24 @@ let arp_cache_waiters () =
 
 (* ---- Byteq ------------------------------------------------------------- *)
 
+(* The [len] bytes [off] after the queue's head, read through
+   [Byteq.blit] into the middle of a larger view. *)
+let byteq_read q ~off ~len =
+  let v = View.create (len + 2) in
+  Proto.Byteq.blit q ~off ~len v ~dst_off:1;
+  View.get_string v ~off:1 ~len
+
+let byteq_contents q = byteq_read q ~off:0 ~len:(Proto.Byteq.length q)
+
 let byteq_basic () =
   let q = Proto.Byteq.create () in
   Proto.Byteq.push q "hello";
   Proto.Byteq.push q " world";
   Alcotest.(check int) "length" 11 (Proto.Byteq.length q);
-  Alcotest.(check string) "peek across chunks" "lo wo"
-    (Proto.Byteq.peek_sub q ~off:3 ~len:5);
+  Alcotest.(check string) "blit across chunks" "lo wo"
+    (byteq_read q ~off:3 ~len:5);
   Proto.Byteq.drop q 6;
-  Alcotest.(check string) "after drop" "world" (Proto.Byteq.to_string q);
+  Alcotest.(check string) "after drop" "world" (byteq_contents q);
   Proto.Byteq.drop q 5;
   Alcotest.(check bool) "empty" true (Proto.Byteq.is_empty q)
 
@@ -361,8 +370,34 @@ let byteq_model =
           let dropn = min dropn (String.length !model) in
           Proto.Byteq.drop q dropn;
           model := String.sub !model dropn (String.length !model - dropn);
-          Proto.Byteq.to_string q = !model
+          byteq_contents q = !model
           && Proto.Byteq.length q = String.length !model)
+        ops)
+
+(* Every step pushes 0-3 chunks (so the ring wraps and grows), drops
+   some bytes, then reads a random range, which may start inside a
+   chunk and end several chunks later. *)
+let byteq_blit_model =
+  QCheck.Test.make ~count:300 ~name:"byteq blit reads any range like a string"
+    QCheck.(
+      list
+        (quad
+           (list_of_size Gen.(0 -- 3) (string_of_size Gen.(0 -- 9)))
+           (int_bound 12) (int_bound 40) (int_bound 40)))
+    (fun ops ->
+      let q = Proto.Byteq.create () in
+      let model = ref "" in
+      List.for_all
+        (fun (pushes, dropn, off, len) ->
+          List.iter (Proto.Byteq.push q) pushes;
+          model := String.concat "" (!model :: pushes);
+          let dropn = min dropn (String.length !model) in
+          Proto.Byteq.drop q dropn;
+          model := String.sub !model dropn (String.length !model - dropn);
+          let n = String.length !model in
+          let off = off mod (n + 1) in
+          let len = len mod (n - off + 1) in
+          byteq_read q ~off ~len = String.sub !model off len)
         ops)
 
 (* ---- Tcp_wire ----------------------------------------------------------- *)
@@ -378,7 +413,7 @@ let tcp_wire_roundtrip () =
       window = 8192;
     }
   in
-  let pkt = Proto.Tcp_wire.to_packet ~src:ip_a ~dst:ip_b h "body" in
+  let pkt = Segment.tcp ~src:ip_a ~dst:ip_b h "body" in
   let v = View.ro (Mbuf.view pkt) in
   Alcotest.(check bool) "check accepts" true
     (Proto.Tcp_wire.check ~src:ip_a ~dst:ip_b v = None);
@@ -613,7 +648,7 @@ let tcp_corrupt_segment_dropped () =
   Sim.Engine.run engine ~until:(Sim.Stime.s 1);
   (* deliver a corrupted segment directly *)
   let pkt =
-    Proto.Tcp_wire.to_packet ~src:ip_a ~dst:ip_b
+    Segment.tcp ~src:ip_a ~dst:ip_b
       {
         Proto.Tcp_wire.src_port = 1000;
         dst_port = 80;
@@ -698,6 +733,112 @@ let http_response_roundtrip () =
         (List.assoc_opt "content-length" r'.Proto.Http.headers)
   | None -> Alcotest.fail "parse failed"
 
+(* A body line with a ':' is body, not a header. *)
+let http_body_colon_is_not_a_header () =
+  match Proto.Http.parse_response "HTTP/1.0 200 OK\r\ncontent-length: 5\r\n\r\nx: y\n" with
+  | Some r ->
+      Alcotest.(check (list (pair string string))) "headers"
+        [ ("content-length", "5") ] r.Proto.Http.headers;
+      Alcotest.(check string) "body" "x: y\n" r.Proto.Http.body
+  | None -> Alcotest.fail "parse failed"
+
+(* Responses whose reason, header values and body mix ':', spaces and
+   CR/LF (a body may hold "\r\n\r\n"); header keys are lower case and
+   values carry no outer blanks, as the parser normalises both. *)
+let http_response_gen =
+  let open QCheck.Gen in
+  let text chars n = string_size ~gen:(oneofl chars) n in
+  let plain = [ 'a'; 'Z'; '0'; ' '; ':'; '/'; '-' ] in
+  let key = text [ 'a'; 'k'; 'z'; '-' ] (1 -- 8) in
+  let value = map String.trim (text plain (0 -- 12)) in
+  let body =
+    oneof
+      [
+        text [ 'x'; ':'; ' '; '\r'; '\n' ] (0 -- 64);
+        string_size ~gen:char (0 -- 64);
+      ]
+  in
+  map
+    (fun (status, reason, headers, body) ->
+      { Proto.Http.status; reason; headers; body })
+    (quad (100 -- 599) (text plain (0 -- 12)) (list_size (0 -- 4) (pair key value)) body)
+
+let http_print_response r = String.escaped (Proto.Http.response_to_string r)
+
+let http_response_roundtrip_prop =
+  QCheck.Test.make ~count:300 ~name:"parse_response inverts response_to_string"
+    (QCheck.make ~print:http_print_response http_response_gen)
+    (fun r ->
+      match Proto.Http.parse_response (Proto.Http.response_to_string r) with
+      | Some r' ->
+          r'.Proto.Http.status = r.Proto.Http.status
+          && r'.Proto.Http.reason = r.Proto.Http.reason
+          && r'.Proto.Http.headers
+             = ("content-length", string_of_int (String.length r.Proto.Http.body))
+               :: r.Proto.Http.headers
+          && r'.Proto.Http.body = r.Proto.Http.body
+      | None -> false)
+
+(* Feeding a message to the reader in arbitrary chunks gives what
+   parsing it whole gives: whole responses, responses cut short or run
+   past their Content-Length, and CR/LF soup with or without a status
+   line. *)
+let http_reader_chunking =
+  let open QCheck.Gen in
+  let raw =
+    map (String.concat "")
+      (list_size (0 -- 12) (oneofl [ "\r"; "\n"; "\r\n\r\n"; "x: y"; " " ]))
+  in
+  let message =
+    oneof
+      [
+        map Proto.Http.response_to_string http_response_gen;
+        map2
+          (fun r cut ->
+            let s = Proto.Http.response_to_string r in
+            String.sub s 0 (cut mod (String.length s + 1)))
+          http_response_gen nat;
+        map2
+          (fun r extra -> Proto.Http.response_to_string r ^ extra)
+          http_response_gen (string_size (1 -- 300));
+        raw;
+        map (( ^ ) "HTTP/1.0 200 OK\r\n") raw;
+      ]
+  in
+  QCheck.Test.make ~count:500 ~name:"reader = parse_response over any chunking"
+    (QCheck.make
+       ~print:(fun (s, cuts) ->
+         Printf.sprintf "%S cut %s" s (String.concat "," (List.map string_of_int cuts)))
+       (pair message (list_size (0 -- 6) (0 -- 30))))
+    (fun (s, cuts) ->
+      let r = Proto.Http.reader () in
+      let rest =
+        List.fold_left
+          (fun rest n ->
+            let n = min n (String.length rest) in
+            Proto.Http.feed r (String.sub rest 0 n);
+            String.sub rest n (String.length rest - n))
+          s cuts
+      in
+      Proto.Http.feed r rest;
+      Proto.Http.response r = Proto.Http.parse_response s)
+
+(* The request head arrives split inside its blank line; the answer
+   comes once, when the head is in, and later bytes change nothing. *)
+let http_on_request_once () =
+  let answers = ref [] in
+  let rx = Proto.Http.on_request (fun r -> answers := r :: !answers) in
+  List.iter rx [ "GET /a HT"; "TP/1.0\r\nhost: x\r\n\r"; "\nbody"; "GET /b HTTP/1.0\r\n\r\n" ];
+  (match !answers with
+  | [ Some r ] ->
+      Alcotest.(check string) "path" "/a" r.Proto.Http.path;
+      Alcotest.(check (list (pair string string))) "headers" [ ("host", "x") ]
+        r.Proto.Http.headers
+  | _ -> Alcotest.fail "expected one parsed request");
+  let bad = ref [] in
+  Proto.Http.on_request (fun r -> bad := r :: !bad) "garbage\r\n\r\n";
+  Alcotest.(check bool) "bad start line answered with None" true (!bad = [ None ])
+
 let http_bad_request () =
   Alcotest.(check bool) "garbage rejected" true
     (Proto.Http.parse_request "garbage\r\n" = None)
@@ -744,7 +885,7 @@ let suite =
         tc "cache ttl" arp_cache;
         tc "cache waiters" arp_cache_waiters;
       ] );
-    ( "proto.byteq", [ tc "basics" byteq_basic; prop byteq_model ] );
+    ( "proto.byteq", [ tc "basics" byteq_basic; prop byteq_model; prop byteq_blit_model ] );
     ( "proto.tcp_wire",
       [
         tc "segment roundtrip" tcp_wire_roundtrip;
@@ -770,6 +911,10 @@ let suite =
         tc "request roundtrip" http_request_roundtrip;
         tc "response roundtrip" http_response_roundtrip;
         tc "bad request" http_bad_request;
+        tc "body lines are not headers" http_body_colon_is_not_a_header;
+        tc "request read across chunks, answered once" http_on_request_once;
+        prop http_response_roundtrip_prop;
+        prop http_reader_chunking;
       ] );
   ]
 

@@ -49,7 +49,7 @@ let udp ?(dst = ip_b) ?(dst_port = 7) ?(edit = ignore) data =
    the checksum was written. *)
 let tcp ?(flags = Proto.Tcp_wire.Flags.ack) ?(edit = ignore) data =
   let m =
-    Proto.Tcp_wire.to_packet ~src:ip_a ~dst:ip_b
+    Segment.tcp ~src:ip_a ~dst:ip_b
       {
         Proto.Tcp_wire.src_port = 5000;
         dst_port = 80;
