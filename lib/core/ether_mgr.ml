@@ -41,22 +41,32 @@ let create graph dev =
     }
   in
   (* Driver top half: the only code running directly off the device
-     interrupt.  It immediately raises the protocol event. *)
+     interrupt.  It immediately raises the protocol event, holding the
+     frame across the raise: a flow-cache replay runs the whole walk
+     inside it, and a graph walk leaves holds of its own on the queued
+     work, so the release here frees the frame exactly when nothing
+     more will read it. *)
   Netsim.Dev.set_rx dev (fun pkt ->
-      Spin.Dispatcher.raise (Graph.recv_event node) (Pctx.make dev pkt));
+      Mbuf.hold pkt;
+      Spin.Dispatcher.raise (Graph.recv_event node) (Pctx.make dev pkt);
+      Mbuf.release pkt);
   (* Coalesced receive: one batched raise for frames delivered in one
      interrupt, amortizing the per-raise accounting. *)
   Netsim.Dev.set_rx_batch dev (fun pkts ->
+      List.iter Mbuf.hold pkts;
       Spin.Dispatcher.raise_batch (Graph.recv_event node)
-        (List.map (Pctx.make dev) pkts));
+        (List.map (Pctx.make dev) pkts);
+      List.iter Mbuf.release pkts);
   (* Polled receive (admission control): frames past the interrupt
      budget enter the graph at thread priority, and the override sticks
      down the whole walk — this is what keeps the livelock mitigation
      from re-escalating at the first nested interrupt-mode event. *)
   Netsim.Dev.set_rx_deferred dev (fun pkts ->
+      List.iter Mbuf.hold pkts;
       Spin.Dispatcher.raise_batch ~prio:Sim.Cpu.Thread
         (Graph.recv_event node)
-        (List.map (Pctx.make dev) pkts));
+        (List.map (Pctx.make dev) pkts);
+      List.iter Mbuf.release pkts);
   t
 
 let dev t = t.dev

@@ -29,7 +29,11 @@ val install_protocol :
   ?exact:bool ->
   ?dyncost:(Pctx.t -> Sim.Stime.t) -> ?cacheable:bool -> cost:Sim.Stime.t ->
   (Pctx.t -> unit) -> unit -> unit
-(** Trusted install for in-kernel protocol layers (IP, ARP).  [keys]
+(** Trusted install for in-kernel protocol layers (IP, ARP).  As with
+    every install below, the handler's context leases the frame for the
+    handler's run only (see {!Pctx}): the driver top half holds each
+    received frame across its raise, and the frame returns to the mbuf
+    free lists once the last queued step on it has run.  [keys]
     are the handler's dispatch keys (e.g. [Filter.ether_type_key]) when
     the guard implies them, and [exact]
     asserts the guard is equivalent to its keys so the merged decision

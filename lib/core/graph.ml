@@ -55,10 +55,11 @@ let node t name =
          nothing. *)
       Spin.Dispatcher.set_sigfn recv ~len:Filter.signature_len
         Filter.write_signature;
-      (* ... and one flight-recorder mark extractor: the sampled packet
-         id rides on the mbuf, so every node in the graph attributes its
-         raise/handler stages to the same end-to-end timeline. *)
-      Spin.Dispatcher.set_markfn recv (fun ctx -> Mbuf.mark ctx.Pctx.pkt);
+      (* ... and one frame accessor: the dispatcher leases the frame
+         while a demux or delivery on it is queued, and the sampled
+         packet id rides on it, so every node in the graph attributes
+         its raise/handler stages to the same end-to-end timeline. *)
+      Spin.Dispatcher.set_framefn recv (fun ctx -> ctx.Pctx.pkt);
       let n = { node_name = name; recv } in
       t.nodes <- t.nodes @ [ n ];
       n

@@ -83,8 +83,8 @@ let rx t ctx =
   t.counters.rx <- t.counters.rx + 1;
   let v = View.shift (Pctx.view ctx) Proto.Ether.header_len in
   match
-    Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now (engine t))
-      ~host:(host_ip t) v
+    Proto.Ip_frag.receive_frame t.frag ~now:(Sim.Engine.now (engine t))
+      ~host:(host_ip t) ctx.Pctx.pkt v
   with
   | Proto.Ip_frag.Deliver h ->
       t.counters.delivered <- t.counters.delivered + 1;
@@ -99,7 +99,11 @@ let rx t ctx =
       Proto.Ip_frag.schedule_expiry t.frag (engine t);
       t.counters.reassembled <- t.counters.reassembled + 1;
       t.counters.delivered <- t.counters.delivered + 1;
-      raise_recv t (Pctx.with_ip (Pctx.with_payload ctx (Mbuf.ro datagram)) h)
+      (* the datagram is a new frame: held across its raise like a
+         driver's, so its walk's last step frees it *)
+      Mbuf.hold datagram;
+      raise_recv t (Pctx.with_ip (Pctx.with_payload ctx (Mbuf.ro datagram)) h);
+      Mbuf.release datagram
   | Proto.Ip_frag.Pending -> Proto.Ip_frag.schedule_expiry t.frag (engine t)
   | Proto.Ip_frag.Drop reason ->
       (match reason with

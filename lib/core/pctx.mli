@@ -1,4 +1,14 @@
-(** Protocol-graph event payload: read-only packet + demux state. *)
+(** Protocol-graph event payload: read-only packet + demux state.
+
+    {b The keeper rule.}  [pkt] is leased, not given: the driver top half
+    holds it across its raise and the dispatcher holds it while a demux
+    or a delivery on it is queued, and when the last of those steps has
+    run the frame is freed and its buffers go back to the mbuf free
+    lists, to be reused by the next allocation.  A handler may read
+    [pkt], [frame] and {!view} during its run.  Code that keeps any of
+    it past its run — in a queue, a later CPU item or a timer — must
+    copy the bytes out ({!View.get_string}, {!Mbuf.copy_rw}) or take a
+    hold of its own ({!Mbuf.hold}, released when done). *)
 
 type t = {
   dev : Netsim.Dev.t;

@@ -41,7 +41,9 @@ val install_recv :
 (** Attach a receive handler; the guard is derived from the endpoint (the
     handler sees only its own port's datagrams) and the endpoint's port
     is its dispatch key, so raises on other ports never evaluate it.
-    Returns the uninstaller. *)
+    Returns the uninstaller.  The context's frame is leased for the
+    handler's run only (see {!Pctx}): bytes it keeps past its run must
+    be copied out, or the frame held. *)
 
 val install_recv_linear :
   t -> Endpoint.t -> ?cost:Sim.Stime.t -> (Pctx.t -> unit) -> unit -> unit

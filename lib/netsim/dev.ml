@@ -295,6 +295,12 @@ let register t reg =
   g "faults.delays" (fun () ->
       match t.faults with Some p -> Faults.delays p | None -> 0)
 
+(* A frame reached a device with no receive handler installed. *)
+let drop_unhandled peer pkt =
+  peer.counters.rx_drops <- peer.counters.rx_drops + 1;
+  drop_span peer "no_handler";
+  Mbuf.free pkt
+
 let rx_serviced peer r =
   let pkt = r.rx_pkt and len = r.rx_len in
   Sim.Stash.put peer.rxs r;
@@ -302,7 +308,7 @@ let rx_serviced peer r =
   | Some pool -> Pool.release pool
   | None -> ());
   match peer.rx_handler with
-  | None -> peer.counters.rx_drops <- peer.counters.rx_drops + 1
+  | None -> drop_unhandled peer pkt
   | Some h ->
       peer.counters.rx_packets <- peer.counters.rx_packets + 1;
       peer.counters.rx_bytes <- peer.counters.rx_bytes + len;
@@ -355,9 +361,7 @@ let rec drain_deferred peer ac =
             | None -> (
                 match peer.rx_handler with
                 | Some h -> deliver (fun () -> List.iter h pkts)
-                | None ->
-                    peer.counters.rx_drops <- peer.counters.rx_drops + n;
-                    List.iter Mbuf.free pkts)));
+                | None -> List.iter (drop_unhandled peer) pkts)));
         drain_deferred peer ac)
   end
 
@@ -470,8 +474,7 @@ let deliver_batch peer pkts =
             | None -> (
                 match peer.rx_handler with
                 | Some h -> deliver (fun () -> List.iter h kept)
-                | None ->
-                    peer.counters.rx_drops <- peer.counters.rx_drops + granted))
+                | None -> List.iter (drop_unhandled peer) kept))
       end
 
 (* Apply a fault-plan verdict to a frame leaving the wire.  The plan

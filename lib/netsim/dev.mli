@@ -41,7 +41,11 @@ val connect : t -> t -> unit
 (** Wire two devices together (both directions). *)
 
 val set_rx : t -> (Mbuf.ro Mbuf.t -> unit) -> unit
-(** Install the driver's receive upcall (trusted kernel code only). *)
+(** Install the driver's receive upcall (trusted kernel code only).  The
+    upcall owns each frame it is handed: it frees it, or holds it and
+    releases it when its last use is done ({!Mbuf.hold}).  A frame that
+    arrives with no upcall installed is counted in [rx_drops], emits a
+    [Drop] span with reason ["no_handler"] and is freed. *)
 
 val set_rx_batch : t -> (Mbuf.ro Mbuf.t list -> unit) -> unit
 (** Install the coalesced receive upcall, invoked by {!deliver_batch}

@@ -235,10 +235,19 @@ let fresh_iss t =
 
 (* ---- receive path ----------------------------------------------------- *)
 
-let rx_udp t (iph : Proto.Ipv4.header) v =
-  krun t
+(* The receive path holds each frame from the driver's upcall to the end
+   of its branch: the work item that ends the branch releases it, and
+   everything the branch keeps is copied out first. *)
+let krun_last t cost frame k =
+  krun t cost (fun () ->
+      k ();
+      Mbuf.release frame)
+
+let rx_udp t (iph : Proto.Ipv4.header) v frame =
+  krun_last t
     (T.add t.costs.Netsim.Costs.layer.udp_in
        (cksum_cost t (View.length v)))
+    frame
     (fun () ->
       match Proto.Udp.check ~src:iph.src ~dst:iph.dst v with
       | Some Proto.Udp.Bad_checksum ->
@@ -266,10 +275,11 @@ let rx_udp t (iph : Proto.Ipv4.header) v =
                   deliver_to_user t ~len:(String.length data) (fun () ->
                       sock.us_on_recv ~src data))))
 
-let rx_tcp t (iph : Proto.Ipv4.header) v =
+let rx_tcp t (iph : Proto.Ipv4.header) v frame =
   t.counters.tcp_rx <- t.counters.tcp_rx + 1;
-  krun t
+  krun_last t
     (T.add t.costs.Netsim.Costs.layer.tcp_in (cksum_cost t (View.length v)))
+    frame
     (fun () ->
       match Proto.Tcp_wire.check ~src:iph.src ~dst:iph.dst v with
       | Some Proto.Tcp_wire.Bad_checksum ->
@@ -293,9 +303,10 @@ let rx_tcp t (iph : Proto.Ipv4.header) v =
                   Proto.Tcp.accept conn.tcp ~remote ~iss v
               | _ -> t.counters.no_port <- t.counters.no_port + 1)))
 
-let rx_icmp t (iph : Proto.Ipv4.header) v =
-  krun t
+let rx_icmp t (iph : Proto.Ipv4.header) v frame =
+  krun_last t
     (T.add t.costs.Netsim.Costs.layer.udp_in (icmp_cksum_cost t (View.length v)))
+    frame
     (fun () ->
       if Proto.Icmp.valid v then
         match Proto.Icmp.parse v with
@@ -308,30 +319,43 @@ let rx_icmp t (iph : Proto.Ipv4.header) v =
 let rx_ip t pkt =
   krun t t.costs.Netsim.Costs.layer.ip_in (fun () ->
       let v = View.shift (View.ro (Mbuf.view pkt)) Proto.Ether.header_len in
-      let deliver (h : Proto.Ipv4.header) l4 =
-        if h.proto = Proto.Ipv4.proto_udp then rx_udp t h l4
-        else if h.proto = Proto.Ipv4.proto_tcp then rx_tcp t h l4
-        else if h.proto = Proto.Ipv4.proto_icmp then rx_icmp t h l4
+      let deliver (h : Proto.Ipv4.header) l4 frame =
+        if h.proto = Proto.Ipv4.proto_udp then rx_udp t h l4 frame
+        else if h.proto = Proto.Ipv4.proto_tcp then rx_tcp t h l4 frame
+        else if h.proto = Proto.Ipv4.proto_icmp then rx_icmp t h l4 frame
+        else Mbuf.release frame
       in
       match
-        Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now t.engine)
-          ~host:(host_ip t) v
+        Proto.Ip_frag.receive_frame t.frag ~now:(Sim.Engine.now t.engine)
+          ~host:(host_ip t) pkt v
       with
       | Deliver h ->
           deliver h
             (View.sub v ~off:Proto.Ipv4.header_len
                ~len:(h.total_len - Proto.Ipv4.header_len))
-      | Reassembled (h, datagram) -> deliver h (View.ro (Mbuf.view datagram))
-      | Pending -> ()
-      | Drop Proto.Ipv4.Bad_checksum ->
-          t.counters.bad_checksum <- t.counters.bad_checksum + 1
-      | Drop Proto.Ipv4.Not_ours -> t.counters.not_ours <- t.counters.not_ours + 1
-      | Drop
-          Proto.Ipv4.(Runt | Bad_header | Bad_length | Bad_fragment) ->
-          t.counters.malformed <- t.counters.malformed + 1)
+            pkt
+      | Reassembled (h, datagram) ->
+          Mbuf.release pkt;
+          Proto.Ip_frag.schedule_expiry t.frag t.engine;
+          Mbuf.hold datagram;
+          deliver h (View.ro (Mbuf.view datagram)) datagram
+      | Pending ->
+          Mbuf.release pkt;
+          (* a stalled train must not pin its frames: expire it on time *)
+          Proto.Ip_frag.schedule_expiry t.frag t.engine
+      | Drop reason ->
+          Mbuf.release pkt;
+          if reason = Proto.Ipv4.Bad_fragment then
+            Proto.Ip_frag.schedule_expiry t.frag t.engine;
+          (match reason with
+          | Proto.Ipv4.Bad_checksum ->
+              t.counters.bad_checksum <- t.counters.bad_checksum + 1
+          | Proto.Ipv4.Not_ours -> t.counters.not_ours <- t.counters.not_ours + 1
+          | Proto.Ipv4.(Runt | Bad_header | Bad_length | Bad_fragment) ->
+              t.counters.malformed <- t.counters.malformed + 1))
 
 let rx_arp t route pkt =
-  krun t t.costs.Netsim.Costs.layer.ether_in (fun () ->
+  krun_last t t.costs.Netsim.Costs.layer.ether_in pkt (fun () ->
       let v = View.shift (View.ro (Mbuf.view pkt)) Proto.Ether.header_len in
       match Proto.Arp.parse v with
       | None -> ()
@@ -350,18 +374,18 @@ let rx_arp t route pkt =
 
 let rx t route (pkt : Mbuf.ro Mbuf.t) =
   t.counters.rx <- t.counters.rx + 1;
+  Mbuf.hold pkt;
   krun t t.costs.Netsim.Costs.layer.ether_in (fun () ->
       match Proto.Ether.parse (View.ro (Mbuf.view pkt)) with
-      | None -> ()
+      | None -> Mbuf.release pkt
       | Some h ->
           let mine =
             Proto.Ether.Mac.equal h.dst (Netsim.Dev.mac route.dev)
             || Proto.Ether.Mac.equal h.dst Proto.Ether.Mac.broadcast
           in
-          if mine then begin
-            if h.etype = Proto.Ether.etype_ip then rx_ip t pkt
-            else if h.etype = Proto.Ether.etype_arp then rx_arp t route pkt
-          end)
+          if mine && h.etype = Proto.Ether.etype_ip then rx_ip t pkt
+          else if mine && h.etype = Proto.Ether.etype_arp then rx_arp t route pkt
+          else Mbuf.release pkt)
 
 (* ---- construction ----------------------------------------------------- *)
 

@@ -107,64 +107,73 @@ let user_process t (pkt : string) =
 
 (* ---- kernel side -------------------------------------------------------- *)
 
+(* The in-kernel packet filter: ARP is answered in the kernel, IPv4
+   for this host is copied out to the library, the rest is refused. *)
+let filter t pkt =
+  let v = View.ro (Mbuf.view pkt) in
+  let etype =
+    if Proto.Ether.has_header v then Proto.Ether.get_etype v else -1
+  in
+  if etype = Proto.Ether.etype_arp then begin
+    (* ARP stays in the kernel (it is address management, not an
+       application protocol) *)
+    match Proto.Arp.parse (View.shift v Proto.Ether.header_len) with
+    | Some msg ->
+        Proto.Arp.Cache.insert t.arp ~now:(Sim.Engine.now t.engine)
+          msg.Proto.Arp.sender_ip msg.Proto.Arp.sender_mac;
+        if
+          msg.Proto.Arp.op = Proto.Arp.op_request
+          && Proto.Ipaddr.equal msg.Proto.Arp.target_ip (host_ip t)
+        then begin
+          let reply =
+            Proto.Arp.to_packet
+              (Proto.Arp.reply_to msg ~mac:(Netsim.Dev.mac t.dev))
+          in
+          Proto.Ether.encapsulate reply
+            {
+              Proto.Ether.dst = msg.Proto.Arp.sender_mac;
+              src = Netsim.Dev.mac t.dev;
+              etype = Proto.Ether.etype_arp;
+            };
+          Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt reply
+        end
+    | None -> ()
+  end
+  else if
+    (* frames the library must see: IP for us or broadcast (any
+       fragment) *)
+    etype = Proto.Ether.etype_ip
+    &&
+    let ipv = View.shift v Proto.Ether.header_len in
+    Proto.Ipv4.has_header ipv
+    &&
+    let dst = Proto.Ipv4.get_dst ipv in
+    Proto.Ipaddr.equal dst (host_ip t)
+    || Proto.Ipaddr.equal dst Proto.Ipaddr.broadcast
+  then begin
+    (* copy the whole frame out to the library and wake it *)
+    let data = Mbuf.to_string pkt in
+    Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
+      ~cost:
+        (T.add
+           (T.add t.costs.Netsim.Costs.os.wakeup
+              t.costs.Netsim.Costs.os.ctx_switch)
+           (Syscall.copy_cost t.costs (String.length data)))
+      (fun () -> user_process t data)
+  end
+  else t.counters.filtered_out <- t.counters.filtered_out + 1
+
 let rx t (pkt : Mbuf.ro Mbuf.t) =
   t.counters.rx <- t.counters.rx + 1;
   (* in-kernel packet filter at interrupt level: does any socket's
      predicate accept this frame? (We model the filter's decision with
-     the real port check; its cost is the flat BPF-interpretation fee.) *)
+     the real port check; its cost is the flat BPF-interpretation fee.)
+     The frame is held until the filter has copied it out or refused
+     it. *)
+  Mbuf.hold pkt;
   krun t filter_cost (fun () ->
-      let v = View.ro (Mbuf.view pkt) in
-      let etype =
-        if Proto.Ether.has_header v then Proto.Ether.get_etype v else -1
-      in
-      if etype = Proto.Ether.etype_arp then begin
-        (* ARP stays in the kernel (it is address management, not an
-           application protocol) *)
-        match Proto.Arp.parse (View.shift v Proto.Ether.header_len) with
-        | Some msg ->
-            Proto.Arp.Cache.insert t.arp ~now:(Sim.Engine.now t.engine)
-              msg.Proto.Arp.sender_ip msg.Proto.Arp.sender_mac;
-            if
-              msg.Proto.Arp.op = Proto.Arp.op_request
-              && Proto.Ipaddr.equal msg.Proto.Arp.target_ip (host_ip t)
-            then begin
-              let reply =
-                Proto.Arp.to_packet
-                  (Proto.Arp.reply_to msg ~mac:(Netsim.Dev.mac t.dev))
-              in
-              Proto.Ether.encapsulate reply
-                {
-                  Proto.Ether.dst = msg.Proto.Arp.sender_mac;
-                  src = Netsim.Dev.mac t.dev;
-                  etype = Proto.Ether.etype_arp;
-                };
-              Netsim.Dev.transmit t.dev ~prio:Sim.Cpu.Interrupt reply
-            end
-        | None -> ()
-      end
-      else if
-        (* frames the library must see: IP for us or broadcast (any
-           fragment) *)
-        etype = Proto.Ether.etype_ip
-        &&
-        let ipv = View.shift v Proto.Ether.header_len in
-        Proto.Ipv4.has_header ipv
-        &&
-        let dst = Proto.Ipv4.get_dst ipv in
-        Proto.Ipaddr.equal dst (host_ip t)
-        || Proto.Ipaddr.equal dst Proto.Ipaddr.broadcast
-      then begin
-        (* copy the whole frame out to the library and wake it *)
-        let data = Mbuf.to_string pkt in
-        Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
-          ~cost:
-            (T.add
-               (T.add t.costs.Netsim.Costs.os.wakeup
-                  t.costs.Netsim.Costs.os.ctx_switch)
-               (Syscall.copy_cost t.costs (String.length data)))
-          (fun () -> user_process t data)
-      end
-      else t.counters.filtered_out <- t.counters.filtered_out + 1)
+      filter t pkt;
+      Mbuf.release pkt)
 
 let create host =
   let dev =

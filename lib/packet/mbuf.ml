@@ -30,7 +30,9 @@ type raw = {
   mutable back : seg list; (* reversed *)
   mutable total : int;
   mutable nsegs : int;
-  mutable freed : bool;
+  mutable holds : int;
+      (* the lease: -1 once freed, else the number of outstanding
+         {!hold}s (0 = not leased; whoever has the frame owns it) *)
   mutable mark : int;
       (* flight-recorder trace word: 0 = untraced, otherwise the sampled
          packet id.  Metadata, not payload — it rides along [take] and
@@ -59,16 +61,23 @@ let max_freelist_depth = 512
    same buffer — silent payload aliasing.  Domain-locality also means a
    buffer freed on a worker is recycled by that worker, which is the
    per-domain mbuf-pool model the multicore datapath wants anyway.
-   Single-domain programs see exactly the old behaviour. *)
+   Single-domain programs see exactly the old behaviour.
+
+   Each class is a preallocated stack of whole store records, so
+   freeing and reusing a buffer allocates nothing. *)
 type freelist_state = {
-  freelists : Bytes.t list array;
+  freelists : store array array;
   freelist_depths : int array;
 }
+
+let no_store = { data = Bytes.empty; refs = 0; cls = -1 }
 
 let freelist_key =
   Stdlib.Domain.DLS.new_key (fun () ->
       {
-        freelists = Array.make (Array.length classes) [];
+        freelists =
+          Array.init (Array.length classes) (fun _ ->
+              Array.make max_freelist_depth no_store);
         freelist_depths = Array.make (Array.length classes) 0;
       })
 
@@ -80,7 +89,7 @@ let class_of size =
 (* Drains the *calling domain's* free lists. *)
 let drain_freelist () =
   let fl = Stdlib.Domain.DLS.get freelist_key in
-  Array.fill fl.freelists 0 (Array.length fl.freelists) [];
+  Array.iter (fun st -> Array.fill st 0 max_freelist_depth no_store) fl.freelists;
   Array.fill fl.freelist_depths 0 (Array.length fl.freelist_depths) 0
 
 (* Allocate a store of at least [size] usable bytes, recycling a
@@ -89,15 +98,20 @@ let alloc_store size =
   let cls = class_of size in
   if cls >= 0 then begin
     let fl = Stdlib.Domain.DLS.get freelist_key in
-    match fl.freelists.(cls) with
-    | data :: rest ->
-        fl.freelists.(cls) <- rest;
-        fl.freelist_depths.(cls) <- fl.freelist_depths.(cls) - 1;
-        Metrics.count_recycle ();
-        { data; refs = 1; cls }
-    | [] ->
-        Metrics.count_alloc ();
-        { data = Bytes.create classes.(cls); refs = 1; cls }
+    let depth = fl.freelist_depths.(cls) in
+    if depth > 0 then begin
+      let stack = fl.freelists.(cls) in
+      let store = stack.(depth - 1) in
+      stack.(depth - 1) <- no_store;
+      fl.freelist_depths.(cls) <- depth - 1;
+      Metrics.count_recycle ();
+      store.refs <- 1;
+      store
+    end
+    else begin
+      Metrics.count_alloc ();
+      { data = Bytes.create classes.(cls); refs = 1; cls }
+    end
   end
   else begin
     Metrics.count_alloc ();
@@ -110,9 +124,10 @@ let decref store =
   store.refs <- store.refs - 1;
   if store.refs = 0 && store.cls >= 0 then begin
     let fl = Stdlib.Domain.DLS.get freelist_key in
-    if fl.freelist_depths.(store.cls) < max_freelist_depth then begin
-      fl.freelists.(store.cls) <- store.data :: fl.freelists.(store.cls);
-      fl.freelist_depths.(store.cls) <- fl.freelist_depths.(store.cls) + 1
+    let depth = fl.freelist_depths.(store.cls) in
+    if depth < max_freelist_depth then begin
+      fl.freelists.(store.cls).(depth) <- store;
+      fl.freelist_depths.(store.cls) <- depth + 1
     end
   end
 
@@ -145,7 +160,7 @@ let iter_segs f t =
 let mk_raw segs total nsegs =
   incr allocated;
   incr live;
-  { front = segs; back = []; total; nsegs; freed = false; mark = 0 }
+  { front = segs; back = []; total; nsegs; holds = 0; mark = 0 }
 
 let alloc ?(headroom = default_headroom) len : rw t =
   if len < 0 || headroom < 0 then invalid_arg "Mbuf.alloc";
@@ -155,14 +170,31 @@ let alloc ?(headroom = default_headroom) len : rw t =
   mk_raw [ { store; off = headroom; len } ] len 1
 
 let free t =
-  if t.freed then invalid_arg "Mbuf.free: double free";
-  t.freed <- true;
+  if t.holds < 0 then invalid_arg "Mbuf.free: double free";
+  if t.holds > 0 then invalid_arg "Mbuf.free: frame is held";
+  t.holds <- -1;
   decr live;
   iter_segs (fun seg -> decref seg.store) t;
   t.front <- [];
   t.back <- [];
   t.total <- 0;
   t.nsegs <- 0
+
+(* A leased frame: each holder keeps it alive, and the last release
+   frees it, returning its buffers to the free lists. *)
+let hold t =
+  if t.holds < 0 then invalid_arg "Mbuf.hold: freed";
+  t.holds <- t.holds + 1
+
+let release t =
+  let n = t.holds in
+  if n > 1 then t.holds <- n - 1
+  else if n = 1 then begin
+    t.holds <- 0;
+    free t
+  end
+  else if n = 0 then invalid_arg "Mbuf.release: not held"
+  else invalid_arg "Mbuf.release: freed"
 
 let length t = t.total
 let num_segs t = t.nsegs
@@ -408,7 +440,7 @@ let take (t : 'p t) : 'p t =
       back = t.back;
       total = t.total;
       nsegs = t.nsegs;
-      freed = false;
+      holds = 0;
       mark = t.mark;
     }
   in

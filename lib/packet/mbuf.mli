@@ -31,7 +31,20 @@ val of_string : string -> rw t
 
 val free : _ t -> unit
 (** Drop the chain's references; buffers whose last reference this was
-    return to the free list.  @raise Invalid_argument on double free. *)
+    return to the free list.  @raise Invalid_argument on double free, or
+    on a frame that is still held. *)
+
+val hold : _ t -> unit
+(** Lease the frame: it stays valid until the matching {!release}.  A
+    received frame is held by whoever has work queued on it — the
+    driver top half around its raise, the dispatcher for each queued
+    demux and delivery, a pending reassembly for its fragments — so
+    code that keeps its bytes past its own run must copy them or take
+    a hold of its own.  @raise Invalid_argument on a freed frame. *)
+
+val release : _ t -> unit
+(** End one {!hold}; the last release {!free}s the frame.
+    @raise Invalid_argument on a frame that is freed or not held. *)
 
 val stats : unit -> int * int
 (** [(total_allocations, live)] since the last {!reset_stats}. *)

@@ -32,25 +32,33 @@ let fragment ~mtu (payload : 'p Mbuf.t) : (int * bool * 'p Mbuf.t) list =
   end
 
 (* A datagram's packets, IPv4 header pushed on each: the payload itself
-   when it fits the MTU, else its zero-copy fragments. *)
+   when it fits the MTU, else its zero-copy fragments, which hold their
+   own references to its buffers, so the payload's handle is freed and
+   the buffers go back to the free lists with the last fragment. *)
 let packets ~mtu ~id ~proto ~src ~dst (payload : Mbuf.rw Mbuf.t) =
   if Mbuf.length payload + Ipv4.header_len <= mtu then begin
     Ipv4.push payload ~id ~more_fragments:false ~frag_offset:0 ~proto ~src ~dst;
     [ payload ]
   end
-  else
-    List.map
-      (fun (off8, more, frag) ->
-        Ipv4.push frag ~id ~more_fragments:more ~frag_offset:off8 ~proto ~src
-          ~dst;
-        frag)
-      (fragment ~mtu payload)
+  else begin
+    let frags =
+      List.map
+        (fun (off8, more, frag) ->
+          Ipv4.push frag ~id ~more_fragments:more ~frag_offset:off8 ~proto
+            ~src ~dst;
+          frag)
+        (fragment ~mtu payload)
+    in
+    Mbuf.free payload;
+    frags
+  end
 
 (* Reassembly contexts are keyed by (src, dst, proto, id). *)
 type key = { src : Ipaddr.t; dst : Ipaddr.t; proto : int; id : int }
 
 type ctx = {
   mutable chunks : (int * View.ro View.t) list; (* byte offset, payload *)
+  mutable frames : Mbuf.ro Mbuf.t list; (* held for their chunks' views *)
   mutable total : int option;           (* known once the last fragment arrives *)
   mutable received : int;
   deadline : Sim.Stime.t;
@@ -72,15 +80,23 @@ let pending_count t = Hashtbl.length t.pending
 let reassembled_count t = t.reassembled
 let timeout_count t = t.timeouts
 
+(* A train ends — reassembled, expired or dropped — and lets go of the
+   frames its chunks view. *)
+let finish t key ctx =
+  Hashtbl.remove t.pending key;
+  List.iter Mbuf.release ctx.frames;
+  ctx.frames <- []
+
 let expire t ~now =
   let stale =
     Hashtbl.fold
-      (fun k ctx acc -> if Sim.Stime.compare now ctx.deadline > 0 then k :: acc else acc)
+      (fun k ctx acc ->
+        if Sim.Stime.compare now ctx.deadline > 0 then (k, ctx) :: acc else acc)
       t.pending []
   in
   List.iter
-    (fun k ->
-      Hashtbl.remove t.pending k;
+    (fun (k, ctx) ->
+      finish t k ctx;
       t.timeouts <- t.timeouts + 1)
     stale;
   List.length stale
@@ -150,10 +166,10 @@ type verdict =
    tile [0, total) exactly: a chunk that overlaps another (other than an
    exact duplicate, which is ignored), ends past the total or past the
    largest payload a 16-bit total length can describe drops the whole
-   train, since [assemble] could not place it.  The chunk views
-   must stay valid until completion (they reference the arriving frames'
-   buffers, which the receive path keeps alive). *)
-let input t ~now (h : Ipv4.header) (payload : _ View.t) =
+   train, since [assemble] could not place it.  The chunk views must
+   stay valid until the train ends: a stored chunk holds [frame], the
+   arriving frame it views, when there is one. *)
+let input t ~now (h : Ipv4.header) (payload : _ View.t) frame =
   let payload = View.ro payload in
   ignore (expire t ~now : int);
   let key = { src = h.src; dst = h.dst; proto = h.proto; id = h.id } in
@@ -164,6 +180,7 @@ let input t ~now (h : Ipv4.header) (payload : _ View.t) =
         let c =
           {
             chunks = [];
+            frames = [];
             total = None;
             received = 0;
             deadline = Sim.Stime.add now t.timeout;
@@ -193,35 +210,43 @@ let input t ~now (h : Ipv4.header) (payload : _ View.t) =
     | None -> false
   in
   if total_clash || overlap || past_end || stop > Ipv4.max_payload then begin
-    Hashtbl.remove t.pending key;
+    finish t key ctx;
     Drop Ipv4.Bad_fragment
   end
   else begin
     if not dup then begin
       ctx.chunks <- (off, payload) :: ctx.chunks;
-      ctx.received <- ctx.received + len
+      ctx.received <- ctx.received + len;
+      match frame with
+      | Some f ->
+          Mbuf.hold f;
+          ctx.frames <- f :: ctx.frames
+      | None -> ()
     end;
     ctx.total <- total;
     (* disjoint chunks inside [0, total) tile it when their sizes sum
        to it *)
     match total with
     | Some total when ctx.received = total ->
-        Hashtbl.remove t.pending key;
         t.reassembled <- t.reassembled + 1;
         (* the datagram as if it had arrived whole *)
         let h =
           { h with more_fragments = false; frag_offset = 0;
                    total_len = Ipv4.header_len + total }
         in
-        Reassembled (h, assemble total ctx.chunks)
+        let datagram = assemble total ctx.chunks in
+        finish t key ctx;
+        Reassembled (h, datagram)
     | _ -> Pending
   end
 
 (* The one IPv4 receive decision every stack takes: validate the header
    in place, then deliver an unfragmented datagram with its header
    record (built directly, so the verdict costs what [Some header] did)
-   or feed the fragment's payload to reassembly. *)
-let receive t ~now ~host v =
+   or feed the fragment's payload to reassembly.  [lease src] is the
+   frame a stored chunk holds; it is built on the fragment path only,
+   so an unfragmented datagram allocates nothing for it. *)
+let classify t ~now ~host v lease src =
   match Ipv4.check ~host v with
   | Some reason -> Drop reason
   | None ->
@@ -230,3 +255,9 @@ let receive t ~now ~host v =
       else
         input t ~now h
           (View.sub v ~off:Ipv4.header_len ~len:(h.total_len - Ipv4.header_len))
+          (lease src)
+
+let receive t ~now ~host v = classify t ~now ~host v (fun () -> None) ()
+
+let receive_frame t ~now ~host frame v =
+  classify t ~now ~host v (fun f -> Some (Mbuf.ro f)) frame

@@ -16,7 +16,9 @@ val packets :
   Mbuf.rw Mbuf.t -> Mbuf.rw Mbuf.t list
 (** The IPv4 send path of Plexus and both baselines: the datagram's
     packets with their headers pushed ({!Ipv4.push}), the payload itself
-    when it fits [mtu], else its {!fragment}s. *)
+    when it fits [mtu], else its {!fragment}s.  Either way the payload is
+    consumed: the fragments hold their own references to its buffers,
+    and its handle is freed. *)
 
 type t
 (** Reassembly state, keyed by (src, dst, proto, id). *)
@@ -39,15 +41,24 @@ val receive : t -> now:Sim.Stime.t -> host:Ipaddr.t -> _ View.t -> verdict
 (** The IPv4 receive path of Plexus and both baselines, for the datagram
     at the start of the view.  A train completes only when its chunks
     tile [[0, total)] exactly; an exact duplicate chunk is ignored.
-    Chunk views are held until completion, so they must remain valid
-    that long.  Stale contexts are expired lazily against [now]. *)
+    Chunk views are kept until the train ends, so the bytes must stay
+    valid that long: this form is for bytes the caller owns (a copied-out
+    frame); a view into a received frame goes through {!receive_frame}.
+    Stale contexts are expired lazily against [now]. *)
+
+val receive_frame :
+  t -> now:Sim.Stime.t -> host:Ipaddr.t -> _ Mbuf.t -> _ View.t -> verdict
+(** [receive_frame t ~now ~host frame v] is {!receive} for a view into a
+    received [frame]: a fragment stored in a pending train
+    {!Mbuf.hold}s its frame, and the train's end — reassembled, expired
+    or dropped as [Bad_fragment] — releases every frame it held. *)
 
 val schedule_expiry : t -> Sim.Engine.t -> unit
 (** Bound how long a stalled train pins its buffers (the chunks
     reference arriving frames): while any train is pending, a one-shot
-    timer on the engine expires stale ones at the earliest deadline and
-    re-arms; with none pending it is cancelled.  A receiver calls this
-    after each fragment's verdict. *)
+    timer on the engine expires stale ones, releasing their frames, at
+    the earliest deadline and re-arms; with none pending it is
+    cancelled.  A receiver calls this after each fragment's verdict. *)
 
 val pending_count : t -> int
 val reassembled_count : t -> int

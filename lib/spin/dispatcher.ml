@@ -521,7 +521,9 @@ type 'a event = {
       (* flow-signature writer, roots only *)
   mutable sig_key : Bytes.t;   (* the writer's scratch, one key long *)
   claims : 'a claims;          (* hops claimed during a replay *)
-  mutable markfn : ('a -> int) option;        (* payload's flight-record mark *)
+  mutable framefn : ('a -> Packet.Mbuf.ro Packet.Mbuf.t) option;
+      (* the payload's frame: leased while work on it is queued, and
+         read for its flight-record mark *)
   entries : hop array Sharded.Cache.t;        (* flow signature -> chain *)
   mutable next_hid : int;
   label_gens : (string, int) Hashtbl.t;
@@ -613,9 +615,18 @@ let set_sigfn ev ~len sf =
   ev.sig_key <- Bytes.create len;
   ev.sigfn <- Some sf
 
-(* Like [set_sigfn], purely observational: extracting the flight mark
-   cannot change what a raise delivers, so no generation bump. *)
-let set_markfn ev mf = ev.markfn <- Some mf
+(* Naming the frame cannot change what a raise delivers, so no
+   generation bump. *)
+let set_framefn ev ff = ev.framefn <- Some ff
+
+(* The dispatcher's lease on a payload's frame: one hold per queued
+   demux or delivery, released once that step has run. *)
+let hold_frame ev v =
+  match ev.framefn with Some ff -> Packet.Mbuf.hold (ff v) | None -> ()
+
+let release_frame ev v =
+  match ev.framefn with Some ff -> Packet.Mbuf.release (ff v) | None -> ()
+
 let generation ev = !(ev.gen)
 let cache_entries ev = Sharded.Cache.length ev.entries
 let handler_count ev = Hashtbl.length ev.table
@@ -1096,7 +1107,7 @@ let event disp ?(mode = Interrupt) ename =
       claims =
         { cl_v = [||]; cl_pos = [||]; cl_head = 0; cl_tail = 0;
           cl_run = no_runner };
-      markfn = None;
+      framefn = None;
       entries =
         Sharded.Cache.create ~shards:cache_shards ~per_shard:cache_per_shard
           ~evictions:disp.pc_evictions ();
@@ -1214,16 +1225,16 @@ let quarantine_check ev h =
         uninstall_h ev h
       end
 
-(* Flight-recorder stage emission.  The mark ([ev.markfn]) reads the
-   packet id stamped on the mbuf at ingress; 0 means not sampled, so an
+(* Flight-recorder stage emission.  The mark is the packet id stamped on
+   the frame ([ev.framefn]) at ingress; 0 means not sampled, so an
    unsampled packet pays one closure call and compare per site and a
    detached/disabled recorder pays one load and branch. *)
 let flight_note_raise d ev v =
   match d.flight with
   | Some fl when Observe.Flight.enabled fl -> (
-      match ev.markfn with
-      | Some mf ->
-          let pkt = mf v in
+      match ev.framefn with
+      | Some ff ->
+          let pkt = Packet.Mbuf.mark (ff v) in
           if pkt > 0 then begin
             let at_ns = now_ns d in
             Observe.Flight.note fl ~pkt ~at_ns
@@ -1236,9 +1247,9 @@ let flight_note_raise d ev v =
 let flight_note_run d ev v h ~dur_ns =
   match d.flight with
   | Some fl when Observe.Flight.enabled fl -> (
-      match ev.markfn with
-      | Some mf ->
-          let pkt = mf v in
+      match ev.framefn with
+      | Some ff ->
+          let pkt = Packet.Mbuf.mark (ff v) in
           if pkt > 0 then
             Observe.Flight.note fl ~pkt ~at_ns:(now_ns d) ~dur_ns
               (Observe.Flight.Handler { event = ev.ename; label = h.label })
@@ -1381,7 +1392,8 @@ let run_delivery ev dl =
      | Eph _, Some plan -> run_eph ev v h plan over
      | Eph _, None -> ());
   delivery_done ev.disp h;
-  flow_leave ev.disp flow
+  flow_leave ev.disp flow;
+  release_frame ev v
 
 let queue_delivery ev v h flow over prio ~cost plan =
   let dl =
@@ -1406,6 +1418,7 @@ let queue_delivery ev v h flow over prio ~cost plan =
   in
   flow_enter flow;
   h.pending <- h.pending + 1;
+  hold_frame ev v;
   Sim.Cpu.submit ev.disp.cpu prio ~cost dl.dl_run
 
 let deliver ev v h flow over =
@@ -1519,7 +1532,8 @@ let tree_demux ev dm =
           }
           :: r.rec_hops
   | No_flow -> ());
-  flow_leave d flow
+  flow_leave d flow;
+  release_frame ev v
 
 (* Graph dispatch of one raise, optionally recording the hop: one walk
    of the event's merged tree finds the leaf; the leaf's [tl_exact]
@@ -1580,6 +1594,7 @@ let raise_core ?over ev v flow =
     end
   in
   flow_enter flow;
+  hold_frame ev v;
   Sim.Cpu.submit d.cpu (prio_of ev over) ~cost:demux_cost dm.dm_run
 
 (* --- replay ----------------------------------------------------------- *)

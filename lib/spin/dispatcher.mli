@@ -136,8 +136,8 @@ val set_sigfn : 'a event -> len:int -> ('a -> Bytes.t -> bool) -> unit
 (** {1 Flight recorder}
 
     When a {!Observe.Flight} endpoint is attached and enabled, raises
-    and handler runs on events that declared a mark extractor
-    ({!set_markfn}) emit per-stage latency records for packets sampled
+    and handler runs on events that name their payload's frame
+    ({!set_framefn}) emit per-stage latency records for packets sampled
     at ingress (mbuf mark [> 0]).  Unsampled packets cost one closure
     call and compare per site; a detached or disabled recorder costs
     one load and branch. *)
@@ -145,11 +145,16 @@ val set_sigfn : 'a event -> len:int -> ('a -> Bytes.t -> bool) -> unit
 val set_flight : t -> Observe.Flight.t option -> unit
 val flight : t -> Observe.Flight.t option
 
-val set_markfn : 'a event -> ('a -> int) -> unit
-(** Declare how to read the flight-record mark (the sampled packet id,
-    0 = untraced) from a payload — protocol-graph nodes read
-    [Packet.Mbuf.mark].  Purely observational; does not bump the
-    event's generation. *)
+val set_framefn : 'a event -> ('a -> Packet.Mbuf.ro Packet.Mbuf.t) -> unit
+(** Declare the frame a payload carries — protocol-graph nodes name
+    [Pctx.pkt].  The dispatcher {!Packet.Mbuf.hold}s it for every
+    queued demux and every queued delivery and releases it once that
+    step has run, so the frame's last queued step frees it; a
+    flow-cache replay runs synchronously in its raiser's context and
+    takes no hold.  A raiser that needs the frame after its raise
+    returns holds it around the raise.  The flight recorder reads the
+    frame's mark (the sampled packet id, 0 = untraced).  Does not bump
+    the event's generation. *)
 
 val touch : _ event -> unit
 (** Bump the event's invalidation generation without structural change —

@@ -52,6 +52,36 @@ let dev_no_handler_drops () =
   Alcotest.(check int) "rx drop counted" 1
     (Netsim.Dev.counters b.Netsim.Network.dev).Netsim.Dev.rx_drops
 
+(* A frame that reaches a device with no receive handler, one at a time
+   or in a coalesced burst, is counted, traced and freed. *)
+let dev_no_handler_frees () =
+  let engine, a, b = mk_pair () in
+  let dev_b = b.Netsim.Network.dev in
+  let ring = Observe.Trace.Ring.create () in
+  Netsim.Dev.set_trace dev_b (Observe.Trace.create ~sink:(Observe.Trace.Ring ring) ());
+  let live () = snd (Mbuf.stats ()) in
+  let live0 = live () in
+  Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.of_string "frame");
+  Sim.Engine.run engine;
+  Alcotest.(check int) "interrupt path: frame freed" live0 (live ());
+  Netsim.Dev.deliver_batch dev_b
+    [ Mbuf.ro (Mbuf.of_string "b1"); Mbuf.ro (Mbuf.of_string "b2") ];
+  Sim.Engine.run engine;
+  Alcotest.(check int) "burst: frames freed" live0 (live ());
+  Alcotest.(check int) "rx drops" 3 (Netsim.Dev.counters dev_b).Netsim.Dev.rx_drops;
+  let drops =
+    List.filter_map
+      (fun sp ->
+        match sp.Observe.Trace.event with
+        | Observe.Trace.Drop { scope; reason } -> Some (scope, reason)
+        | _ -> None)
+      (Observe.Trace.Ring.to_list ring)
+  in
+  let name = Netsim.Dev.name dev_b in
+  Alcotest.(check (list (pair string string))) "one Drop span per frame"
+    [ (name, "no_handler"); (name, "no_handler"); (name, "no_handler") ]
+    drops
+
 let dev_mtu_enforced () =
   let engine, a, _b = mk_pair ~params:(Netsim.Costs.ethernet ()) () in
   ignore engine;
@@ -224,6 +254,7 @@ let suite =
         tc "delivers in order" dev_delivers;
         tc "transmit takes ownership" dev_transmit_takes_ownership;
         tc "no handler -> drop" dev_no_handler_drops;
+        tc "no handler: frames freed and traced" dev_no_handler_frees;
         tc "mtu enforced" dev_mtu_enforced;
         tc "wire serializes" dev_wire_serializes;
         tc "shared medium contends" dev_shared_medium_contends;

@@ -272,6 +272,72 @@ let mbuf_prepend_invariant =
       View.fill v 'H';
       Mbuf.to_string m = String.make n 'H' ^ s)
 
+(* Leases against a model.  Each frame is filled with its own byte and
+   is freed (-1) or held some number of times (0 = not leased).  [hold]
+   on a freed frame, [release] on a freed or unheld frame and [free] on
+   a freed or held frame raise; the last release frees the frame, once,
+   and a frame's buffer is never handed out again while the frame is
+   not freed, so every live frame keeps its bytes. *)
+let mbuf_lease_model =
+  QCheck.Test.make ~name:"hold/release against a lease model" ~count:300
+    QCheck.(small_list (pair (int_bound 3) (int_bound 15)))
+    (fun ops ->
+      let live () = snd (Mbuf.stats ()) in
+      let live0 = live () in
+      let frames = ref [||] in
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      let step (op, i) =
+        let n = Array.length !frames in
+        if op = 0 || n = 0 then begin
+          let c = Char.chr (65 + (n mod 26)) in
+          let m = Mbuf.alloc (64 + (i * 16)) in
+          View.fill (Mbuf.view m) c;
+          frames := Array.append !frames [| (m, c, ref 0) |];
+          true
+        end
+        else begin
+          let m, _, st = !frames.(i mod n) in
+          match op with
+          | 1 ->
+              if !st < 0 then raises (fun () -> Mbuf.hold m)
+              else begin
+                Mbuf.hold m;
+                incr st;
+                true
+              end
+          | 2 ->
+              if !st <= 0 then raises (fun () -> Mbuf.release m)
+              else begin
+                let before = live () in
+                Mbuf.release m;
+                decr st;
+                if !st = 0 then begin
+                  st := -1;
+                  live () = before - 1 && raises (fun () -> Mbuf.release m)
+                end
+                else live () = before
+              end
+          | _ ->
+              if !st <> 0 then raises (fun () -> Mbuf.free m)
+              else begin
+                Mbuf.free m;
+                st := -1;
+                true
+              end
+        end
+      in
+      let intact () =
+        Array.for_all
+          (fun (m, c, st) ->
+            !st < 0 || String.for_all (fun x -> x = c) (Mbuf.to_string m))
+          !frames
+      in
+      let ok = List.for_all (fun op -> step op && intact ()) ops in
+      let unfreed =
+        Array.fold_left (fun k (_, _, st) -> if !st >= 0 then k + 1 else k) 0 !frames
+      in
+      ok && live () = live0 + unfreed)
+
 let suite =
   [
     ( "packet.view",
@@ -314,5 +380,6 @@ let suite =
         tc "structural equality" mbuf_equal;
         prop mbuf_trim_concat_invariant;
         prop mbuf_prepend_invariant;
+        prop mbuf_lease_model;
       ] );
   ]

@@ -212,6 +212,56 @@ let frag_timeout () =
   ignore (receive t ~now:(Sim.Stime.s 5) h2 (View.of_string "BBBBBBBB"));
   Alcotest.(check int) "stale expired" 1 (Proto.Ip_frag.timeout_count t)
 
+(* Pending fragments hold their frames until the train ends.  Each
+   fragment arrives as a frame of its own, held across the receive call
+   as a driver's top half would; after a complete train (its datagram
+   freed by the receiver), an expired train and a bad train, the pool is
+   back where it started. *)
+let frag_trains_release_frames () =
+  let engine = Sim.Engine.create () in
+  let t = Proto.Ip_frag.create ~timeout:(Sim.Stime.s 1) () in
+  let live () = snd (Mbuf.stats ()) in
+  let feed ~id ~off8 ~more len =
+    let h =
+      Proto.Ipv4.make ~id ~more_fragments:more ~frag_offset:off8 ~proto:17
+        ~src:ip_a ~dst:ip_b ~payload_len:len ()
+    in
+    let frame = Mbuf.alloc (Proto.Ipv4.header_len + len) in
+    Proto.Ipv4.write (Mbuf.view frame) h;
+    Mbuf.hold frame;
+    let verdict =
+      Proto.Ip_frag.receive_frame t ~now:(Sim.Engine.now engine) ~host:ip_b
+        frame (Mbuf.view frame)
+    in
+    Mbuf.release frame;
+    Proto.Ip_frag.schedule_expiry t engine;
+    verdict
+  in
+  let live0 = live () in
+  (* complete *)
+  ignore (feed ~id:1 ~off8:0 ~more:true 16 : Proto.Ip_frag.verdict);
+  ignore (feed ~id:1 ~off8:2 ~more:true 16 : Proto.Ip_frag.verdict);
+  Alcotest.(check int) "two frames held" (live0 + 2) (live ());
+  (match feed ~id:1 ~off8:4 ~more:false 8 with
+  | Reassembled (_, d) ->
+      Alcotest.(check int) "datagram length" 40 (Mbuf.length d);
+      Mbuf.free d
+  | _ -> Alcotest.fail "train did not complete");
+  Alcotest.(check int) "complete train: pool balanced" live0 (live ());
+  (* expired *)
+  ignore (feed ~id:2 ~off8:0 ~more:true 16 : Proto.Ip_frag.verdict);
+  Alcotest.(check int) "one frame held" (live0 + 1) (live ());
+  Sim.Engine.run engine;
+  Alcotest.(check int) "expired" 1 (Proto.Ip_frag.timeout_count t);
+  Alcotest.(check int) "expired train: pool balanced" live0 (live ());
+  (* bad: the second fragment overlaps the first *)
+  ignore (feed ~id:3 ~off8:0 ~more:true 16 : Proto.Ip_frag.verdict);
+  (match feed ~id:3 ~off8:1 ~more:true 16 with
+  | Drop Proto.Ipv4.Bad_fragment -> ()
+  | _ -> Alcotest.fail "overlap not dropped");
+  Alcotest.(check int) "bad train: pool balanced" live0 (live ());
+  Alcotest.(check int) "nothing pending" 0 (Proto.Ip_frag.pending_count t)
+
 let frag_qcheck =
   QCheck.Test.make ~name:"fragment/reassemble roundtrip"
     QCheck.(pair (string_of_size Gen.(1 -- 8000)) (int_range 80 1500))
@@ -868,6 +918,7 @@ let suite =
         tc "duplicates ignored" frag_duplicates_ignored;
         tc "inconsistent trains dropped" frag_inconsistent_trains_dropped;
         tc "stale contexts expire" frag_timeout;
+        tc "trains release their frames" frag_trains_release_frames;
         prop frag_qcheck;
       ] );
     ( "proto.udp",

@@ -449,11 +449,18 @@ let differential =
       let ip = mutate m in
       let verdicts =
         List.map
-          (fun make ->
+          (fun (name, make) ->
             let s = make () in
+            (* every frame of the exchange, replies included, is back in
+               the pool once the stacks have drained *)
+            let live0 = snd (Mbuf.stats ()) in
             s.inject [ ip ];
+            let leaked = snd (Mbuf.stats ()) - live0 in
+            if leaked <> 0 then
+              QCheck.Test.fail_reportf "%s: %d mbufs still live after the frame"
+                name leaked;
             s.delivered ())
-          [ plexus; du; ulib ]
+          [ ("plexus", plexus); ("du", du); ("ulib", ulib) ]
       in
       match verdicts with
       | [ p; d; u ] when p = d && d = u -> true
