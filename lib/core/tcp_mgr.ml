@@ -2,8 +2,10 @@
 
    Wires the shared TCP engine (Proto.Tcp — the same engine the DIGITAL
    UNIX model runs) into the protocol graph: one guarded handler on
-   ip.PacketRecv demultiplexes segments to connections; the engine's
-   environment charges Plexus costs and transmits through the IP manager.
+   ip.PacketRecv demultiplexes segments to connections through the
+   endpoint table the DIGITAL UNIX model uses too (Proto.Tcp_table); the
+   engine's environment charges Plexus costs and transmits through the IP
+   manager.
 
    Multiple implementations of one protocol (paper section 3.1) are
    supported the way the paper describes: this manager's guard can be
@@ -23,8 +25,6 @@ type conn = {
   mgr : t;
   ep : Endpoint.t;
   tcp : Proto.Tcp.t;
-  mutable key : (int * int * int) option; (* remote ip, remote port, local port *)
-  mutable owns_port : bool; (* explicit src_port bind, released on close *)
   mutable user_rx : string -> unit;
   mutable user_established : unit -> unit;
   mutable user_peer_close : unit -> unit;
@@ -33,7 +33,6 @@ type conn = {
 }
 
 and listener = {
-  l_port : int;
   l_owner : string;
   l_cfg : Proto.Tcp.config;
   on_accept : conn -> unit;
@@ -45,38 +44,21 @@ and t = {
   node : Graph.node;
   costs : Netsim.Costs.t;
   engine : Sim.Engine.t;
-  conns : (int * int * int, conn) Spin.Sharded.Table.t;
-  listeners : (int, listener) Hashtbl.t;
-  bound : (int, int) Hashtbl.t;      (* port -> live bind refcount
-                                        (listeners and explicit connects) *)
+  endpoints : (conn, listener) Proto.Tcp_table.t;
   mutable excluded : int list;       (* dst ports ceded to an alternative impl *)
   mutable excluded_src : int list;   (* src ports ceded (reverse direction) *)
-  mutable next_ephemeral : int;
   counters : counters;
   outs : out Sim.Stash.t;
 }
 
 (* One segment's output step, queued on the CPU; recycled through
-   [outs] (see {!Sim.Stash}).  The destination is the connection's
-   remote-address cell, read when the step runs. *)
+   [outs] (see {!Sim.Stash}). *)
 and out = {
   mutable o_pkt : Mbuf.rw Mbuf.t;
-  mutable o_dst : Proto.Ipaddr.t ref;
+  mutable o_dst : Proto.Ipaddr.t;
   mutable o_prio : Sim.Cpu.prio;
   mutable o_run : unit -> unit;
 }
-
-let bind_port t p =
-  Hashtbl.replace t.bound p
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.bound p))
-
-let release_port t p =
-  match Hashtbl.find_opt t.bound p with
-  | None -> ()
-  | Some n when n <= 1 -> Hashtbl.remove t.bound p
-  | Some n -> Hashtbl.replace t.bound p (n - 1)
-
-let port_bound t p = Hashtbl.mem t.bound p
 
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)
 
@@ -98,7 +80,7 @@ let proto_guard t ctx =
   | None -> false
 
 let output t o =
-  let pkt = o.o_pkt and dst = !(o.o_dst) and prio = o.o_prio in
+  let pkt = o.o_pkt and dst = o.o_dst and prio = o.o_prio in
   Sim.Stash.put t.outs o;
   Ip_mgr.send t.ip prio ~proto:Proto.Ipv4.proto_tcp ~dst pkt
 
@@ -109,19 +91,15 @@ let fresh_out t pkt dst =
 
 (* Build the environment a connection's engine runs in: costs are charged
    on the host CPU at the graph's delivery priority, output goes through
-   the IP manager. *)
-let make_env t conn_ref remote_ip_ref =
+   the IP manager; closing forgets the connection's [key]. *)
+let make_env t conn_ref remote_ip key =
   {
-    Proto.Tcp.now = (fun () -> Sim.Engine.now t.engine);
-    set_timer =
-      (fun delay fn ->
-        let h = Sim.Engine.schedule_in t.engine ~delay fn in
-        fun () -> Sim.Engine.cancel t.engine h);
+    Proto.Tcp.engine = t.engine;
     tx =
       (fun pkt ->
         let len = Mbuf.length pkt in
         let cksum =
-          if Ip_mgr.dst_touches_data t.ip !remote_ip_ref then Sim.Stime.zero
+          if Ip_mgr.dst_touches_data t.ip remote_ip then Sim.Stime.zero
           else
             Netsim.Costs.per_byte t.costs.Netsim.Costs.layer.cksum_ns_per_byte
               len
@@ -129,13 +107,11 @@ let make_env t conn_ref remote_ip_ref =
         let cost = Sim.Stime.add t.costs.Netsim.Costs.layer.tcp_out cksum in
         let prio = prio t in
         let o =
-          if Sim.Stash.is_empty t.outs then fresh_out t pkt remote_ip_ref
+          if Sim.Stash.is_empty t.outs then fresh_out t pkt remote_ip
           else Sim.Stash.take t.outs
         in
         o.o_pkt <- pkt;
-        (* skip the write barrier when the record last served this
-           connection *)
-        if o.o_dst != remote_ip_ref then o.o_dst <- remote_ip_ref;
+        o.o_dst <- remote_ip;
         o.o_prio <- prio;
         Sim.Cpu.submit (cpu t) prio ~cost o.o_run);
     on_receive =
@@ -155,26 +131,18 @@ let make_env t conn_ref remote_ip_ref =
             match !conn_ref with Some c -> c.user_peer_close () | None -> ()));
     on_close =
       (fun () ->
-        (match !conn_ref with
-        | Some c ->
-            (match c.key with
-            | Some k -> Spin.Sharded.Table.remove t.conns k
-            | None -> ());
-            if c.owns_port then begin
-              c.owns_port <- false;
-              release_port t (Endpoint.port c.ep)
-            end
-        | None -> ());
+        Proto.Tcp_table.remove t.endpoints key;
         Sim.Cpu.submit (cpu t) (prio t) ~cost:Sim.Stime.zero (fun () ->
             match !conn_ref with Some c -> c.user_close () | None -> ()));
     on_error =
       (fun msg -> match !conn_ref with Some c -> c.user_error msg | None -> ());
   }
 
-let make_conn t ~owner ~cfg ~local_port =
+(* A connection to [remote], entered in the endpoint table. *)
+let make_conn t ~owner ~cfg ~local_port ~remote =
   let conn_ref = ref None in
-  let remote_ip_ref = ref Proto.Ipaddr.any in
-  let env = make_env t conn_ref remote_ip_ref in
+  let key = Proto.Tcp_table.key ~remote ~local_port in
+  let env = make_env t conn_ref (fst remote) key in
   let tcp = Proto.Tcp.create env cfg ~local:(Ip_mgr.host_ip t.ip, local_port) in
   let conn =
     {
@@ -183,8 +151,6 @@ let make_conn t ~owner ~cfg ~local_port =
         Endpoint.make ~proto:Endpoint.Tcp ~ip:(Ip_mgr.host_ip t.ip)
           ~port:local_port ~owner;
       tcp;
-      key = None;
-      owns_port = false;
       user_rx = ignore;
       user_established = ignore;
       user_peer_close = ignore;
@@ -193,16 +159,8 @@ let make_conn t ~owner ~cfg ~local_port =
     }
   in
   conn_ref := Some conn;
-  (conn, remote_ip_ref)
-
-let register t conn ~remote:(rip, rport) remote_ip_ref =
-  remote_ip_ref := rip;
-  let key = (Proto.Ipaddr.to_int rip, rport, Endpoint.port conn.ep) in
-  conn.key <- Some key;
-  Spin.Sharded.Table.replace t.conns key conn
-
-let fresh_iss t =
-  Proto.Tcp_wire.Seq.of_int (Sim.Rng.int (Sim.Engine.rng t.engine) 0x0fffffff)
+  Proto.Tcp_table.add t.endpoints key conn;
+  conn
 
 let rx t ctx =
   t.counters.rx <- t.counters.rx + 1;
@@ -224,29 +182,21 @@ let rx t ctx =
   | None -> (
       (* demultiplex on the ports read in place; the engine decodes the
          segment itself *)
-      let src_port = Proto.Tcp_wire.get_src_port v
-      and dst_port = Proto.Tcp_wire.get_dst_port v in
-      let key = (Proto.Ipaddr.to_int iph.Proto.Ipv4.src, src_port, dst_port) in
-      match Spin.Sharded.Table.find_opt t.conns key with
-      | Some conn -> Proto.Tcp.input conn.tcp v
-      | None -> (
-          match Hashtbl.find_opt t.listeners dst_port with
-          | Some l when Proto.Tcp_wire.opening_syn v ->
-              t.counters.accepted <- t.counters.accepted + 1;
-              let conn, rref =
-                make_conn t ~owner:l.l_owner ~cfg:l.l_cfg ~local_port:l.l_port
-              in
-              let remote = (iph.Proto.Ipv4.src, src_port) in
-              register t conn ~remote rref;
-              let iss = fresh_iss t in
-              l.on_accept conn;
-              Proto.Tcp.accept conn.tcp ~remote ~iss v
-          | _ ->
-              t.counters.no_match <- t.counters.no_match + 1;
-              Graph.drop t.graph ctx ~scope:"tcp" ~reason:"no_match"))
-
-let ephemeral_lo = 32768
-let ephemeral_hi = 60999
+      match Proto.Tcp_table.find t.endpoints ~src:iph.Proto.Ipv4.src v with
+      | Proto.Tcp_table.Conn conn -> Proto.Tcp.input conn.tcp v
+      | Proto.Tcp_table.Listener l ->
+          t.counters.accepted <- t.counters.accepted + 1;
+          let remote = (iph.Proto.Ipv4.src, Proto.Tcp_wire.get_src_port v) in
+          let conn =
+            make_conn t ~owner:l.l_owner ~cfg:l.l_cfg
+              ~local_port:(Proto.Tcp_wire.get_dst_port v) ~remote
+          in
+          let iss = Proto.Tcp.fresh_iss t.engine in
+          l.on_accept conn;
+          Proto.Tcp.accept conn.tcp ~remote ~iss v
+      | Proto.Tcp_table.No_match ->
+          t.counters.no_match <- t.counters.no_match + 1;
+          Graph.drop t.graph ctx ~scope:"tcp" ~reason:"no_match")
 
 let create graph ip =
   let costs = Netsim.Host.costs (Graph.host graph) in
@@ -257,12 +207,9 @@ let create graph ip =
       node = Graph.node graph "tcp";
       costs;
       engine = Netsim.Host.engine (Graph.host graph);
-      conns = Spin.Sharded.Table.create ~shards:16 ~hash:Hashtbl.hash ();
-      listeners = Hashtbl.create 8;
-      bound = Hashtbl.create 8;
+      endpoints = Proto.Tcp_table.create ();
       excluded = [];
       excluded_src = [];
-      next_ephemeral = ephemeral_lo;
       counters =
         { rx = 0; bad_checksum = 0; malformed = 0; no_match = 0; accepted = 0;
           eph_exhausted = 0 };
@@ -271,9 +218,7 @@ let create graph ip =
   in
   let reg = Graph.registry graph in
   Observe.Registry.gauge reg "tcp.conns.occupancy" (fun () ->
-      Spin.Sharded.Table.length t.conns);
-  Observe.Registry.gauge reg "tcp.conns.max_shard" (fun () ->
-      Spin.Sharded.Table.max_shard_size t.conns);
+      Proto.Tcp_table.length t.endpoints);
   Observe.Registry.gauge reg "tcp.ephemeral.exhausted" (fun () ->
       t.counters.eph_exhausted);
   Graph.add_edge graph ~parent:(Ip_mgr.node ip) ~child:"tcp" ~label:"proto=6";
@@ -311,73 +256,26 @@ let exclude_src_ports t ports =
 type error = [ `Port_in_use of int | `Ephemeral_exhausted ]
 
 let listen t ~owner ~port ?(cfg = Proto.Tcp.default_config ()) ~on_accept () =
-  if Hashtbl.mem t.listeners port || port_bound t port then
-    Error (`Port_in_use port)
-  else begin
-    Hashtbl.replace t.listeners port { l_port = port; l_owner = owner; l_cfg = cfg; on_accept };
-    bind_port t port;
-    Graph.add_edge t.graph ~parent:t.node ~child:owner
-      ~label:(Printf.sprintf "listen:%d" port);
-    Ok ()
-  end
+  let l = { l_owner = owner; l_cfg = cfg; on_accept } in
+  match Proto.Tcp_table.listen t.endpoints ~port l with
+  | Error _ as e -> e
+  | Ok () ->
+      Graph.add_edge t.graph ~parent:t.node ~child:owner
+        ~label:(Printf.sprintf "listen:%d" port);
+      Ok ()
 
-let unlisten t port =
-  if Hashtbl.mem t.listeners port then begin
-    Hashtbl.remove t.listeners port;
-    release_port t port
-  end
+let unlisten t port = Proto.Tcp_table.unlisten t.endpoints port
 
-(* Ephemeral allocation is per (remote ip, remote port): a local port is
-   only skipped while a live connection to the *same* remote endpoint
-   holds it (or an explicit bind owns it), so distinct destinations can
-   reuse local ports and the usable connection space scales with the
-   number of servers, not the 28k-port range.  A full sweep of the range
-   without a free port is surfaced to the caller and counted. *)
-let alloc_ephemeral t ~dst:(dip, dport) =
-  let dip = Proto.Ipaddr.to_int dip in
-  let range = ephemeral_hi - ephemeral_lo + 1 in
-  let rec scan tried p =
-    if tried >= range then None
-    else
-      let next = if p >= ephemeral_hi then ephemeral_lo else p + 1 in
-      if port_bound t p || Spin.Sharded.Table.mem t.conns (dip, dport, p) then
-        scan (tried + 1) next
-      else begin
-        t.next_ephemeral <- next;
-        Some p
-      end
-  in
-  scan 0 t.next_ephemeral
-
-let connect t ~owner ?src_port ~dst ?(cfg = Proto.Tcp.default_config ()) () =
-  let dst_ip, dst_port = dst in
-  let start conn rref port_owned =
-    conn.owns_port <- port_owned;
-    register t conn ~remote:dst rref;
-    Proto.Tcp.connect conn.tcp ~remote:dst ~iss:(fresh_iss t);
-    Ok conn
-  in
-  match src_port with
-  | Some port ->
-      if
-        port_bound t port
-        || Hashtbl.mem t.listeners port
-        || Spin.Sharded.Table.mem t.conns
-             (Proto.Ipaddr.to_int dst_ip, dst_port, port)
-      then Error (`Port_in_use port)
-      else begin
-        bind_port t port;
-        let conn, rref = make_conn t ~owner ~cfg ~local_port:port in
-        start conn rref true
-      end
-  | None -> (
-      match alloc_ephemeral t ~dst with
-      | None ->
-          t.counters.eph_exhausted <- t.counters.eph_exhausted + 1;
-          Error `Ephemeral_exhausted
-      | Some port ->
-          let conn, rref = make_conn t ~owner ~cfg ~local_port:port in
-          start conn rref false)
+let connect t ~owner ~dst ?(cfg = Proto.Tcp.default_config ()) () =
+  match Proto.Tcp_table.alloc_ephemeral t.endpoints ~dst with
+  | None ->
+      t.counters.eph_exhausted <- t.counters.eph_exhausted + 1;
+      Error `Ephemeral_exhausted
+  | Some local_port ->
+      let conn = make_conn t ~owner ~cfg ~local_port ~remote:dst in
+      Proto.Tcp.connect conn.tcp ~remote:dst
+        ~iss:(Proto.Tcp.fresh_iss t.engine);
+      Ok conn
 
 (* Connection operations, charged like any application-initiated kernel
    work. *)

@@ -7,8 +7,8 @@ type conn
 
 type error = [ `Port_in_use of int | `Ephemeral_exhausted ]
 (** [`Ephemeral_exhausted]: every port in the ephemeral range has a live
-    connection to the requested destination (or an explicit bind), so
-    [connect] without [src_port] cannot proceed. *)
+    connection to the requested destination or a listener, so [connect]
+    cannot proceed. *)
 
 type counters = {
   mutable rx : int;
@@ -48,7 +48,7 @@ val listen :
 val unlisten : t -> int -> unit
 
 val connect :
-  t -> owner:string -> ?src_port:int -> dst:Proto.Ipaddr.t * int ->
+  t -> owner:string -> dst:Proto.Ipaddr.t * int ->
   ?cfg:Proto.Tcp.config -> unit -> (conn, [> error ]) result
 
 val send : conn -> string -> unit

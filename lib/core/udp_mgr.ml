@@ -46,7 +46,7 @@ type t = {
   ip : Ip_mgr.t;
   node : Graph.node;
   costs : Netsim.Costs.t;
-  binds : (int, Endpoint.t) Spin.Sharded.Table.t;
+  binds : (int, Endpoint.t) Hashtbl.t;
   counters : counters;
   mutable spoof_policy : spoof_policy;
   mutable excluded : int list; (* dst ports ceded to an alternative impl *)
@@ -72,7 +72,7 @@ let create graph ip =
       ip;
       node = Graph.node graph "udp";
       costs;
-      binds = Spin.Sharded.Table.create ~shards:16 ~hash:Hashtbl.hash ();
+      binds = Hashtbl.create 16;
       counters =
         {
           rx = 0;
@@ -91,9 +91,7 @@ let create graph ip =
   in
   let reg = Graph.registry graph in
   Observe.Registry.gauge reg "udp.binds.occupancy" (fun () ->
-      Spin.Sharded.Table.length t.binds);
-  Observe.Registry.gauge reg "udp.binds.max_shard" (fun () ->
-      Spin.Sharded.Table.max_shard_size t.binds);
+      Hashtbl.length t.binds);
   Graph.add_edge graph ~parent:(Ip_mgr.node ip) ~child:"udp" ~label:"proto=17";
   let handle ctx =
     t.counters.rx <- t.counters.rx + 1;
@@ -115,7 +113,7 @@ let create graph ip =
           Pctx.advance_ports ctx Proto.Udp.header_len
             ~src_port:(Proto.Udp.get_src_port v) ~dst_port
         in
-        if Spin.Sharded.Table.mem t.binds dst_port then begin
+        if Hashtbl.mem t.binds dst_port then begin
           t.counters.delivered <- t.counters.delivered + 1;
           (* only a sampled packet has a timeline to end: build its stage
              label for it alone *)
@@ -175,16 +173,16 @@ let exclude_ports t ports =
   Spin.Dispatcher.touch (Graph.recv_event (Ip_mgr.node t.ip))
 
 let bind t ~owner ~port =
-  if Spin.Sharded.Table.mem t.binds port then Error (`Port_in_use port)
+  if Hashtbl.mem t.binds port then Error (`Port_in_use port)
   else begin
     let ep =
       Endpoint.make ~proto:Endpoint.Udp ~ip:(Ip_mgr.host_ip t.ip) ~port ~owner
     in
-    Spin.Sharded.Table.replace t.binds port ep;
+    Hashtbl.replace t.binds port ep;
     Ok ep
   end
 
-let unbind t ep = Spin.Sharded.Table.remove t.binds (Endpoint.port ep)
+let unbind t ep = Hashtbl.remove t.binds (Endpoint.port ep)
 
 let port_guard ep ctx = ctx.Pctx.dst_port = Endpoint.port ep
 
@@ -396,5 +394,5 @@ let send_claiming t ep ?prio ?(checksum = true) ~claimed_src_port ~dst data =
       end
 
 let bound_ports t =
-  Spin.Sharded.Table.fold (fun p _ acc -> p :: acc) t.binds []
+  Hashtbl.fold (fun p _ acc -> p :: acc) t.binds []
   |> List.sort compare

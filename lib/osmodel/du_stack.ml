@@ -38,14 +38,13 @@ type route = {
 type tconn = {
   du : t;
   tcp : Proto.Tcp.t;
-  mutable tkey : (int * int * int) option;
   mutable tc_on_receive : string -> unit;
   mutable tc_on_established : unit -> unit;
   mutable tc_on_peer_close : unit -> unit;
   mutable tc_on_close : unit -> unit;
 }
 
-and listener = { l_port : int; l_cfg : Proto.Tcp.config; l_accept : tconn -> unit }
+and listener = { l_cfg : Proto.Tcp.config; l_accept : tconn -> unit }
 
 and t = {
   host : Netsim.Host.t;
@@ -55,9 +54,7 @@ and t = {
   mutable routes : route list;
   frag : Proto.Ip_frag.t;
   udp_socks : (int, udp_sock) Hashtbl.t;
-  tconns : (int * int * int, tconn) Hashtbl.t;
-  listeners : (int, listener) Hashtbl.t;
-  mutable next_ephemeral : int;
+  endpoints : (tconn, listener) Proto.Tcp_table.t;
   mutable next_ip_id : int;
   deliveries : (int * (unit -> unit)) Queue.t;
       (* pending socket-to-process deliveries *)
@@ -68,7 +65,7 @@ and t = {
 let host_ip t = Netsim.Host.ip t.host
 let counters t = t.counters
 let host t = t.host
-let tcp_conns t = Hashtbl.length t.tconns
+let tcp_conns t = Proto.Tcp_table.length t.endpoints
 
 (* Receive-side boundary crossing with wakeup batching: if the user
    process is already runnable (a delivery is in progress), further
@@ -164,22 +161,20 @@ let ip_send t ~proto ~dst payload =
 
 (* ---- TCP plumbing ---------------------------------------------------- *)
 
-let make_tconn t ~cfg ~local_port =
+(* A connection to [remote], entered in the endpoint table. *)
+let make_tconn t ~cfg ~local_port ~remote =
   let conn_ref = ref None in
-  let remote_ip = ref Proto.Ipaddr.any in
+  let remote_ip = fst remote in
+  let key = Proto.Tcp_table.key ~remote ~local_port in
   let env =
     {
-      Proto.Tcp.now = (fun () -> Sim.Engine.now t.engine);
-      set_timer =
-        (fun delay fn ->
-          let h = Sim.Engine.schedule_in t.engine ~delay fn in
-          fun () -> Sim.Engine.cancel t.engine h);
+      Proto.Tcp.engine = t.engine;
       tx =
         (fun pkt ->
           let len = Mbuf.length pkt in
           krun t
             (T.add t.costs.Netsim.Costs.layer.tcp_out (cksum_cost t len))
-            (fun () -> ip_send t ~proto:Proto.Ipv4.proto_tcp ~dst:!remote_ip pkt));
+            (fun () -> ip_send t ~proto:Proto.Ipv4.proto_tcp ~dst:remote_ip pkt));
       on_receive =
         (fun data ->
           match !conn_ref with
@@ -200,10 +195,7 @@ let make_tconn t ~cfg ~local_port =
               match !conn_ref with Some c -> c.tc_on_peer_close () | None -> ()));
       on_close =
         (fun () ->
-          (match !conn_ref with
-          | Some c -> (
-              match c.tkey with Some k -> Hashtbl.remove t.tconns k | None -> ())
-          | None -> ());
+          Proto.Tcp_table.remove t.endpoints key;
           deliver_to_user t ~len:0 (fun () ->
               match !conn_ref with Some c -> c.tc_on_close () | None -> ()));
       on_error = ignore;
@@ -214,7 +206,6 @@ let make_tconn t ~cfg ~local_port =
     {
       du = t;
       tcp;
-      tkey = None;
       tc_on_receive = ignore;
       tc_on_established = ignore;
       tc_on_peer_close = ignore;
@@ -222,16 +213,8 @@ let make_tconn t ~cfg ~local_port =
     }
   in
   conn_ref := Some conn;
-  (conn, remote_ip)
-
-let register_tconn t conn ~remote:(rip, rport) ~local_port remote_ip_ref =
-  remote_ip_ref := rip;
-  let key = (Proto.Ipaddr.to_int rip, rport, local_port) in
-  conn.tkey <- Some key;
-  Hashtbl.replace t.tconns key conn
-
-let fresh_iss t =
-  Proto.Tcp_wire.Seq.of_int (Sim.Rng.int (Sim.Engine.rng t.engine) 0x0fffffff)
+  Proto.Tcp_table.add t.endpoints key conn;
+  conn
 
 (* ---- receive path ----------------------------------------------------- *)
 
@@ -287,21 +270,19 @@ let rx_tcp t (iph : Proto.Ipv4.header) v frame =
       | Some (Proto.Tcp_wire.Runt | Proto.Tcp_wire.Bad_offset) ->
           t.counters.malformed <- t.counters.malformed + 1
       | None -> (
-          let src_port = Proto.Tcp_wire.get_src_port v
-          and dst_port = Proto.Tcp_wire.get_dst_port v in
-          let key = (Proto.Ipaddr.to_int iph.src, src_port, dst_port) in
-          match Hashtbl.find_opt t.tconns key with
-          | Some conn -> Proto.Tcp.input conn.tcp v
-          | None -> (
-              match Hashtbl.find_opt t.listeners dst_port with
-              | Some l when Proto.Tcp_wire.opening_syn v ->
-                  let conn, rref = make_tconn t ~cfg:l.l_cfg ~local_port:l.l_port in
-                  let remote = (iph.src, src_port) in
-                  register_tconn t conn ~remote ~local_port:l.l_port rref;
-                  let iss = fresh_iss t in
-                  l.l_accept conn;
-                  Proto.Tcp.accept conn.tcp ~remote ~iss v
-              | _ -> t.counters.no_port <- t.counters.no_port + 1)))
+          match Proto.Tcp_table.find t.endpoints ~src:iph.src v with
+          | Proto.Tcp_table.Conn conn -> Proto.Tcp.input conn.tcp v
+          | Proto.Tcp_table.Listener l ->
+              let remote = (iph.src, Proto.Tcp_wire.get_src_port v) in
+              let conn =
+                make_tconn t ~cfg:l.l_cfg
+                  ~local_port:(Proto.Tcp_wire.get_dst_port v) ~remote
+              in
+              let iss = Proto.Tcp.fresh_iss t.engine in
+              l.l_accept conn;
+              Proto.Tcp.accept conn.tcp ~remote ~iss v
+          | Proto.Tcp_table.No_match ->
+              t.counters.no_port <- t.counters.no_port + 1))
 
 let rx_icmp t (iph : Proto.Ipv4.header) v frame =
   krun_last t
@@ -409,9 +390,7 @@ let create ?subnets host =
       routes = [];
       frag = Proto.Ip_frag.create ();
       udp_socks = Hashtbl.create 16;
-      tconns = Hashtbl.create 16;
-      listeners = Hashtbl.create 8;
-      next_ephemeral = 32768;
+      endpoints = Proto.Tcp_table.create ();
       next_ip_id = 1;
       deliveries = Queue.create ();
       delivering = false;
@@ -472,28 +451,18 @@ let udp_sendto t sock ?(checksum = true) ~dst:(dip, dport) data =
               ip_send t ~proto:Proto.Ipv4.proto_udp ~dst:dip payload)))
 
 let tcp_listen t ~port ?(cfg = Proto.Tcp.default_config ()) ~on_accept () =
-  if Hashtbl.mem t.listeners port then Error (`Port_in_use port)
-  else begin
-    Hashtbl.replace t.listeners port
-      { l_port = port; l_cfg = cfg; l_accept = on_accept };
-    Ok ()
-  end
+  Proto.Tcp_table.listen t.endpoints ~port { l_cfg = cfg; l_accept = on_accept }
 
-let tcp_connect t ?src_port ~dst ?(cfg = Proto.Tcp.default_config ()) () =
-  let port =
-    match src_port with
-    | Some p -> p
-    | None ->
-        let p = t.next_ephemeral in
-        t.next_ephemeral <- (if p >= 60999 then 32768 else p + 1);
-        p
-  in
-  let conn, rref = make_tconn t ~cfg ~local_port:port in
-  register_tconn t conn ~remote:dst ~local_port:port rref;
-  (* connect(2) is a system call *)
-  Syscall.enter t.cpu t.costs ~len:0 (fun () ->
-      Proto.Tcp.connect conn.tcp ~remote:dst ~iss:(fresh_iss t));
-  conn
+let tcp_connect t ~dst ?(cfg = Proto.Tcp.default_config ()) () =
+  match Proto.Tcp_table.alloc_ephemeral t.endpoints ~dst with
+  | None -> failwith "Du_stack.tcp_connect: ephemeral ports exhausted"
+  | Some local_port ->
+      let conn = make_tconn t ~cfg ~local_port ~remote:dst in
+      (* connect(2) is a system call *)
+      Syscall.enter t.cpu t.costs ~len:0 (fun () ->
+          Proto.Tcp.connect conn.tcp ~remote:dst
+            ~iss:(Proto.Tcp.fresh_iss t.engine));
+      conn
 
 (* write(2) on a socket. *)
 let tcp_send t conn data =

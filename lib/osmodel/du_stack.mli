@@ -54,8 +54,10 @@ val tcp_listen :
   unit -> (unit, [> error ]) result
 
 val tcp_connect :
-  t -> ?src_port:int -> dst:Proto.Ipaddr.t * int -> ?cfg:Proto.Tcp.config ->
-  unit -> tconn
+  t -> dst:Proto.Ipaddr.t * int -> ?cfg:Proto.Tcp.config -> unit -> tconn
+(** connect(2) from an ephemeral port ({!Proto.Tcp_table.alloc_ephemeral}).
+    @raise Failure when every ephemeral port has a live connection to
+    [dst] or a listener. *)
 
 val tcp_send : t -> tconn -> string -> unit
 val tcp_close : t -> tconn -> unit

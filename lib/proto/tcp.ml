@@ -67,9 +67,7 @@ let default_config ?(mss = 1460) ?(window = 65535) ?(nagle = false)
   }
 
 type env = {
-  now : unit -> Sim.Stime.t;
-  set_timer : Sim.Stime.t -> (unit -> unit) -> unit -> unit;
-      (* [set_timer delay fn] schedules [fn]; result cancels. *)
+  engine : Sim.Engine.t;            (* clock and timers *)
   tx : Mbuf.rw Mbuf.t -> unit;
       (* transmit a TCP segment (header+payload) toward the remote *)
   on_receive : string -> unit;      (* in-order application data *)
@@ -116,10 +114,10 @@ type t = {
   mutable rto : Sim.Stime.t;
   mutable rto_backoff : int;
   mutable retx_count : int;
-  mutable retx_timer : (unit -> unit) option;
-  mutable msl_timer : (unit -> unit) option;
+  mutable retx_timer : Sim.Engine.handle option;
+  mutable msl_timer : Sim.Engine.handle option;
   mutable delack_count : int;
-  mutable delack_timer : (unit -> unit) option;
+  mutable delack_timer : Sim.Engine.handle option;
   (* Jacobson RTT estimation with Karn's algorithm: one timed segment at
      a time, samples discarded across retransmissions. *)
   mutable srtt_ns : float;            (* smoothed RTT; 0 until first sample *)
@@ -203,17 +201,23 @@ let record_rtt_sample t sample =
 
 (* --- timers ------------------------------------------------------- *)
 
+let set_timer t delay fn = Some (Sim.Engine.schedule_in t.env.engine ~delay fn)
+
+let cancel_timer t = function
+  | Some h -> Sim.Engine.cancel t.env.engine h
+  | None -> ()
+
 let stop_retx_timer t =
   match t.retx_timer with
-  | Some cancel ->
-      cancel ();
+  | Some h ->
+      Sim.Engine.cancel t.env.engine h;
       t.retx_timer <- None
   | None -> ()
 
 let rec arm_retx_timer t =
   stop_retx_timer t;
   let delay = Sim.Stime.min t.cfg.rto_max (Sim.Stime.mul t.rto t.rto_backoff) in
-  t.retx_timer <- Some (t.env.set_timer delay (fun () -> on_retx_timeout t))
+  t.retx_timer <- set_timer t delay (fun () -> on_retx_timeout t)
 
 (* --- segment emission ---------------------------------------------- *)
 
@@ -224,8 +228,8 @@ and emit t ~seq ~flags ~off ~len =
   if Flags.test flags Flags.ack then begin
     t.delack_count <- 0;
     match t.delack_timer with
-    | Some cancel ->
-        cancel ();
+    | Some h ->
+        Sim.Engine.cancel t.env.engine h;
         t.delack_timer <- None
     | None -> ()
   end;
@@ -258,33 +262,31 @@ and schedule_delack t =
   if t.delack_count >= t.cfg.delack_segments then send_ack t
   else if t.delack_timer = None then
     t.delack_timer <-
-      Some
-        (t.env.set_timer t.cfg.delack (fun () ->
-             t.delack_timer <- None;
-             if t.delack_count > 0 then send_ack t))
+      set_timer t t.cfg.delack (fun () ->
+          t.delack_timer <- None;
+          if t.delack_count > 0 then send_ack t)
 
 (* --- closing helpers ------------------------------------------------ *)
 
 and enter_time_wait t =
   set_state t Time_wait;
   stop_retx_timer t;
-  (match t.delack_timer with Some c -> c () | None -> ());
+  cancel_timer t t.delack_timer;
   t.delack_timer <- None;
-  (match t.msl_timer with Some c -> c () | None -> ());
+  cancel_timer t t.msl_timer;
   t.msl_timer <-
-    Some
-      (t.env.set_timer (Sim.Stime.mul t.cfg.msl 2) (fun () ->
-           set_state t Closed;
-           t.env.on_close ()))
+    set_timer t (Sim.Stime.mul t.cfg.msl 2) (fun () ->
+        set_state t Closed;
+        t.env.on_close ())
 
 and set_state t s =
   if t.state <> s then t.state <- s
 
 and teardown t reason =
   stop_retx_timer t;
-  (match t.msl_timer with Some c -> c () | None -> ());
+  cancel_timer t t.msl_timer;
   t.msl_timer <- None;
-  (match t.delack_timer with Some c -> c () | None -> ());
+  cancel_timer t t.delack_timer;
   t.delack_timer <- None;
   t.delack_count <- 0;
   set_state t Closed;
@@ -314,7 +316,7 @@ and try_output t =
             if avail = n then Flags.(ack + psh) else Flags.ack
           in
           if t.timed_seg = None then
-            t.timed_seg <- Some (t.snd_nxt, t.env.now ());
+            t.timed_seg <- Some (t.snd_nxt, Sim.Engine.now t.env.engine);
           emit t ~seq:t.snd_nxt ~flags ~off:sent_off ~len:n;
           t.snd_nxt <- Seq.add t.snd_nxt n;
           if t.retx_timer = None then arm_retx_timer t;
@@ -387,6 +389,9 @@ let connect t ~remote:(rip, rport) ~iss =
   control t ~seq:iss ~flags:Flags.syn;
   arm_retx_timer t
 
+let fresh_iss engine =
+  Seq.of_int (Sim.Rng.int (Sim.Engine.rng engine) 0x0fffffff)
+
 let sendv t chunks =
   match t.state with
   | Established | Close_wait | Syn_sent | Syn_rcvd ->
@@ -448,7 +453,8 @@ let process_ack t (h : Tcp_wire.header) =
     (match t.timed_seg with
     | Some (seq, sent_at) when Seq.gt ack seq ->
         t.timed_seg <- None;
-        record_rtt_sample t (Sim.Stime.sub (t.env.now ()) sent_at)
+        let now = Sim.Engine.now t.env.engine in
+        record_rtt_sample t (Sim.Stime.sub now sent_at)
     | _ -> ());
     t.snd_una <- ack;
     t.retx_count <- 0;

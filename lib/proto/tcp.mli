@@ -1,9 +1,10 @@
 (** TCP connection engine.
 
-    One engine, two execution models: the environment record abstracts the
-    clock, timers and segment output, so the same implementation runs as a
-    Plexus kernel extension and inside the DIGITAL UNIX model — preserving
-    the paper's "same TCP/IP implementation on both systems" methodology.
+    One engine, two execution models: the environment record names the
+    simulation engine (clock and timers) and abstracts segment output, so
+    the same implementation runs as a Plexus kernel extension and inside
+    the DIGITAL UNIX model — preserving the paper's "same TCP/IP
+    implementation on both systems" methodology.
 
     Implements: three-way handshake, sliding-window transfer bounded by
     the peer window and a congestion window (slow start / congestion
@@ -42,8 +43,9 @@ val default_config :
   unit -> config
 
 type env = {
-  now : unit -> Sim.Stime.t;
-  set_timer : Sim.Stime.t -> (unit -> unit) -> unit -> unit;
+  engine : Sim.Engine.t;
+      (** the clock; retransmission, delayed-ACK and TIME_WAIT timers are
+          events scheduled on it *)
   tx : Mbuf.rw Mbuf.t -> unit;
   on_receive : string -> unit;
   on_established : unit -> unit;
@@ -65,6 +67,10 @@ type counters = {
 type t
 
 val create : env -> config -> local:Ipaddr.t * int -> t
+
+val fresh_iss : Sim.Engine.t -> Tcp_wire.Seq.t
+(** An initial sequence number: one draw from the engine's random
+    stream. *)
 
 val connect : t -> remote:Ipaddr.t * int -> iss:Tcp_wire.Seq.t -> unit
 (** Active open: send SYN. *)

@@ -1,56 +1,13 @@
-(* Sharded flow-state containers.
-
-   Both containers split their key space over a power-of-two number of
-   shards by key hash — the same split that ROADMAP item 2 uses to pin
-   shards to domains, so everything built on these structures is already
-   partitioned for multicore.
-
-   [Table] is an unbounded sharded hashtable for state that must never be
-   dropped silently (TCP connections, UDP binds).  [Cache] is a bounded
-   string-keyed cache for derived state that can always be rebuilt (the
-   dispatcher's flow-path chains): each shard is a CLOCK ring that grows
-   geometrically up to a per-shard capacity and then evicts the first
-   entry its hand finds with a clear reference bit. *)
+(* A bounded, string-keyed cache for derived state that can always be
+   rebuilt (the dispatcher's flow-path chains).  Keys are split over a
+   power-of-two number of shards by hash; each shard is a CLOCK ring that
+   grows geometrically up to a per-shard capacity and then evicts the
+   first entry its hand finds with a clear reference bit, so an overflow
+   costs one entry, never the whole cache. *)
 
 let round_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
-
-module Table = struct
-  type ('k, 'v) t = {
-    shards : ('k, 'v) Hashtbl.t array;
-    mask : int;
-    hash : 'k -> int;
-  }
-
-  let create ?(shards = 16) ~hash () =
-    let n = round_pow2 (max 1 shards) in
-    {
-      shards = Array.init n (fun _ -> Hashtbl.create 16);
-      mask = n - 1;
-      hash;
-    }
-
-  let shard t k = t.shards.(t.hash k land t.mask)
-  let find_opt t k = Hashtbl.find_opt (shard t k) k
-  let mem t k = Hashtbl.mem (shard t k) k
-  let replace t k v = Hashtbl.replace (shard t k) k v
-  let remove t k = Hashtbl.remove (shard t k) k
-
-  let length t =
-    Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 t.shards
-
-  let iter f t = Array.iter (Hashtbl.iter f) t.shards
-
-  let fold f t init =
-    Array.fold_left (fun acc h -> Hashtbl.fold f h acc) init t.shards
-
-  let reset t = Array.iter Hashtbl.reset t.shards
-  let shard_count t = Array.length t.shards
-
-  let max_shard_size t =
-    Array.fold_left (fun acc h -> max acc (Hashtbl.length h)) 0 t.shards
-end
 
 module Cache = struct
   type 'v slot = {

@@ -1,30 +1,9 @@
-(** Sharded flow-state containers.
+(** A sharded flow-state cache.
 
-    Keys are spread over a power-of-two number of shards by hash — the
-    same partition that multicore sharding (ROADMAP item 2) pins to
-    domains.  {!Table} is unbounded, for state that must not be dropped
-    (connections, binds).  {!Cache} is bounded with CLOCK eviction, for
-    derived state that can be rebuilt (flow-path chains). *)
-
-module Table : sig
-  type ('k, 'v) t
-
-  val create : ?shards:int -> hash:('k -> int) -> unit -> ('k, 'v) t
-  (** [shards] is rounded up to a power of two (default 16). *)
-
-  val find_opt : ('k, 'v) t -> 'k -> 'v option
-  val mem : ('k, 'v) t -> 'k -> bool
-  val replace : ('k, 'v) t -> 'k -> 'v -> unit
-  val remove : ('k, 'v) t -> 'k -> unit
-  val length : ('k, 'v) t -> int
-  val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
-  val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-  val reset : ('k, 'v) t -> unit
-  val shard_count : ('k, 'v) t -> int
-
-  val max_shard_size : ('k, 'v) t -> int
-  (** Occupancy of the fullest shard — a skew indicator. *)
-end
+    {!Cache} is bounded with CLOCK eviction, for derived state that can
+    be rebuilt (the dispatcher's flow-path chains): keys are spread over
+    a power-of-two number of shards by hash, and each shard grows and
+    evicts on its own. *)
 
 module Cache : sig
   type 'v t

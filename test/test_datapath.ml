@@ -347,9 +347,9 @@ let udp_frame ~dst_mac =
   m
 
 (* The reads every received frame pays for — the dispatch keys, the
-   flow signature, the EtherType guard, the IPv4 and UDP receive
-   checks, the transport checksums over a view and over a 2-segment
-   chain — allocate nothing.  Holds in the optimised and the
+   flow signature, the EtherType guard, the IPv4, UDP and TCP receive
+   checks, the TCP connection lookup, the transport checksums over a
+   view and over a 2-segment chain — allocate nothing.  Holds in the optimised and the
    dev (-opaque, no cross-module inlining) builds alike. *)
 let in_place_reads_allocate_nothing () =
   let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
@@ -409,6 +409,15 @@ let in_place_reads_allocate_nothing () =
   check_no_words "Proto.Tcp_wire.opening_syn"
     (words_of (fun () -> opens := Proto.Tcp_wire.opening_syn seg));
   Alcotest.(check bool) "an ACK opens nothing" false !opens;
+  let table = Proto.Tcp_table.create () in
+  Proto.Tcp_table.add table
+    (Proto.Tcp_table.key ~remote:(ip_a, 80) ~local_port:40000)
+    "conn";
+  let hit = ref Proto.Tcp_table.No_match in
+  check_no_words "Proto.Tcp_table.find, connection hit"
+    (words_of (fun () -> hit := Proto.Tcp_table.find table ~src:ip_a seg));
+  Alcotest.(check bool) "the segment's connection" true
+    (!hit = Proto.Tcp_table.Conn "conn");
   (* [concat] leaves the second segment on the chain's reversed tail, a
      shared-store [prepend] puts a fresh one at its head: both shapes *)
   let tail_chain = Mbuf.of_string "odd" in

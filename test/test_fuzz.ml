@@ -197,11 +197,7 @@ let tcp_input_fuzz =
       let engine = Sim.Engine.create ~seed () in
       let env =
         {
-          Proto.Tcp.now = (fun () -> Sim.Engine.now engine);
-          set_timer =
-            (fun delay fn ->
-              let h = Sim.Engine.schedule_in engine ~delay fn in
-              fun () -> Sim.Engine.cancel engine h);
+          Proto.Tcp.engine;
           tx = (fun _ -> ());
           on_receive = ignore;
           on_established = ignore;

@@ -547,11 +547,7 @@ module H = struct
       let side_ref = ref None in
       let env =
         {
-          Proto.Tcp.now = (fun () -> Sim.Engine.now engine);
-          set_timer =
-            (fun delay fn ->
-              let h = Sim.Engine.schedule_in engine ~delay fn in
-              fun () -> Sim.Engine.cancel engine h);
+          Proto.Tcp.engine;
           tx = (fun pkt -> wire ~src:(fst local) dst_ref pkt);
           on_receive =
             (fun data ->
@@ -1109,4 +1105,131 @@ let suite =
   @ [
       ( "proto.tcp_teardown",
         [ tc "no stray delayed ACK" tcp_no_stray_ack_after_abort ] );
+    ]
+
+(* ---- the TCP endpoint table ------------------------------------------ *)
+
+module Tt = Proto.Tcp_table
+
+(* A segment from ip_b:[src_port] to ip_a:[dst_port]. *)
+let table_seg ?(src_port = 1000) ?(dst_port = 80) flags =
+  View.ro
+    (Mbuf.view
+       (Segment.tcp ~src:ip_b ~dst:ip_a
+          {
+            Proto.Tcp_wire.src_port;
+            dst_port;
+            seq = Proto.Tcp_wire.Seq.of_int 1;
+            ack = Proto.Tcp_wire.Seq.of_int 0;
+            flags;
+            window = 8192;
+          }
+          ""))
+
+let verdict : (string, string) Tt.verdict Alcotest.testable =
+  Alcotest.testable
+    (fun ppf -> function
+      | Tt.Conn c -> Fmt.pf ppf "Conn %s" c
+      | Tt.Listener l -> Fmt.pf ppf "Listener %s" l
+      | Tt.No_match -> Fmt.string ppf "No_match")
+    ( = )
+
+let table_listen_port_in_use () =
+  let t = Tt.create () in
+  (match Tt.listen t ~port:80 "web" with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "first listen");
+  (match Tt.listen t ~port:80 "again" with
+  | Error (`Port_in_use 80) -> ()
+  | _ -> Alcotest.fail "a listened port must be in use");
+  Tt.unlisten t 80;
+  match Tt.listen t ~port:80 "again" with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "unlisten frees the port"
+
+let table_only_opening_syn_accepts () =
+  let module F = Proto.Tcp_wire.Flags in
+  let t = Tt.create () in
+  ignore (Tt.listen t ~port:80 "web" : (unit, _) result);
+  let find flags = Tt.find t ~src:ip_b (table_seg flags) in
+  Alcotest.check verdict "SYN" (Tt.Listener "web") (find F.syn);
+  Alcotest.check verdict "SYN|ACK" Tt.No_match (find F.(syn + ack));
+  Alcotest.check verdict "SYN|RST" Tt.No_match (find F.(syn + rst));
+  Alcotest.check verdict "ACK" Tt.No_match (find F.ack);
+  Alcotest.check verdict "SYN to an unlistened port" Tt.No_match
+    (Tt.find t ~src:ip_b (table_seg ~dst_port:81 F.syn));
+  let key = Tt.key ~remote:(ip_b, 1000) ~local_port:80 in
+  Tt.add t key "c";
+  Alcotest.check verdict "the connection before the listener" (Tt.Conn "c")
+    (find F.syn);
+  Alcotest.check verdict "ACK on the connection" (Tt.Conn "c") (find F.ack);
+  Alcotest.check verdict "another remote port" (Tt.Listener "web")
+    (Tt.find t ~src:ip_b (table_seg ~src_port:1001 F.syn));
+  Alcotest.check_raises "a live tuple is not added twice"
+    (Invalid_argument "Tcp_table.add: tuple in use") (fun () ->
+      Tt.add t (Tt.key ~remote:(ip_b, 1000) ~local_port:80) "d")
+
+(* Connections to one destination fill the ephemeral range; closing one
+   removes it, through the engine's [on_close], and frees its port. *)
+let table_close_frees_tuple () =
+  let t = Tt.create () and engine = Sim.Engine.create () in
+  let dst = (ip_b, 80) in
+  let open_conn local_port =
+    let key = Tt.key ~remote:dst ~local_port in
+    let env =
+      {
+        Proto.Tcp.engine;
+        tx = ignore;
+        on_receive = ignore;
+        on_established = ignore;
+        on_peer_close = ignore;
+        on_close = (fun () -> Tt.remove t key);
+        on_error = ignore;
+      }
+    in
+    let tcp =
+      Proto.Tcp.create env (Proto.Tcp.default_config ()) ~local:(ip_a, local_port)
+    in
+    Tt.add t key tcp;
+    Proto.Tcp.connect tcp ~remote:dst ~iss:(Proto.Tcp_wire.Seq.of_int 1);
+    tcp
+  in
+  let range = 60999 - 32768 + 1 in
+  let conns =
+    Array.init range (fun _ ->
+        match Tt.alloc_ephemeral t ~dst with
+        | Some p -> open_conn p
+        | None -> Alcotest.fail "exhausted early")
+  in
+  Alcotest.(check (option int)) "range exhausted" None
+    (Tt.alloc_ephemeral t ~dst);
+  Alcotest.(check (option int)) "another destination" (Some 32768)
+    (Tt.alloc_ephemeral t ~dst:(ip_b, 81));
+  let victim = conns.(7) in
+  let port = snd (Proto.Tcp.local_endpoint victim) in
+  Proto.Tcp.close victim;
+  Alcotest.(check int) "closed connection removed" (range - 1) (Tt.length t);
+  Alcotest.(check (option int)) "its port is free again" (Some port)
+    (Tt.alloc_ephemeral t ~dst);
+  let successor = open_conn port in
+  (* a CLOSED engine reports its close once more *)
+  Proto.Tcp.close victim;
+  Alcotest.(check int) "a second close removes nothing" range (Tt.length t);
+  match
+    Tt.find t ~src:ip_b
+      (table_seg ~src_port:80 ~dst_port:port Proto.Tcp_wire.Flags.ack)
+  with
+  | Tt.Conn c when c == successor -> ()
+  | _ -> Alcotest.fail "the successor keeps its tuple"
+
+let suite =
+  suite
+  @ [
+      ( "proto.tcp_table",
+        [
+          tc "listen on a listened port" table_listen_port_in_use;
+          tc "only an opening SYN reaches a listener"
+            table_only_opening_syn_accepts;
+          tc "close frees the tuple for the allocator" table_close_frees_tuple;
+        ] );
     ]

@@ -304,26 +304,7 @@ let engine_behind_horizon () =
   Alcotest.(check (list int)) "order preserved" [ 60; 80; 100 ]
     (List.rev !log)
 
-(* ---- sharded table ---------------------------------------------------- *)
-
-let table_basics () =
-  let t = Spin.Sharded.Table.create ~shards:4 ~hash:Hashtbl.hash () in
-  Alcotest.(check int) "shards round to pow2" 4
-    (Spin.Sharded.Table.shard_count t);
-  for i = 0 to 999 do
-    Spin.Sharded.Table.replace t i (i * 2)
-  done;
-  Alcotest.(check int) "length" 1000 (Spin.Sharded.Table.length t);
-  Alcotest.(check (option int)) "find" (Some 84)
-    (Spin.Sharded.Table.find_opt t 42);
-  Spin.Sharded.Table.remove t 42;
-  Alcotest.(check bool) "removed" false (Spin.Sharded.Table.mem t 42);
-  Alcotest.(check int) "length after remove" 999
-    (Spin.Sharded.Table.length t);
-  let sum = Spin.Sharded.Table.fold (fun k _ acc -> acc + k) t 0 in
-  Alcotest.(check int) "fold visits every shard" (499500 - 42) sum;
-  Alcotest.(check bool) "no shard holds everything" true
-    (Spin.Sharded.Table.max_shard_size t < 999)
+(* ---- sharded cache ---------------------------------------------------- *)
 
 (* Cache probe for these tests: every stored value is >= 0, so -1 reads
    as "no entry". *)
@@ -399,52 +380,80 @@ let pareto_support =
 
 let eph_range = 60999 - 32768 + 1
 
-let ephemeral_exhaustion () =
+(* One stack's active opens from host a for [ephemeral_exhaustion]. *)
+type opener = {
+  connect : int -> (unit -> unit) option;
+      (* a connection to host b's port: [Some close], or [None] when the
+         ephemeral range is exhausted for that destination *)
+  settle : unit -> unit; (* run until a close has taken effect *)
+  occupancy : unit -> int; (* live connections *)
+}
+
+let plexus_opener () =
   let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
   let tcp = Plexus.Stack.tcp p.Experiments.Common.a in
-  let dst = (Experiments.Common.ip_b, 80) in
+  let connect port =
+    let dst = (Experiments.Common.ip_b, port) in
+    match Plexus.Tcp_mgr.connect tcp ~owner:"t" ~dst () with
+    | Ok c -> Some (fun () -> Plexus.Tcp_mgr.abort c)
+    | Error `Ephemeral_exhausted ->
+        Alcotest.(check int) "exhaustion counted" 1
+          (Plexus.Tcp_mgr.counters tcp).Plexus.Tcp_mgr.eph_exhausted;
+        None
+    | Error (`Port_in_use _) -> Alcotest.fail "wrong error"
+  in
+  let occupancy () =
+    match
+      Observe.Registry.find
+        (Plexus.Graph.registry (Plexus.Stack.graph p.Experiments.Common.a))
+        "tcp.conns.occupancy"
+    with
+    | Some (Observe.Registry.Gauge g) -> g ()
+    | _ -> Alcotest.fail "no tcp.conns.occupancy gauge"
+  in
+  { connect; settle = ignore; occupancy }
+
+let du_opener () =
+  let p = Experiments.Common.du_pair (Netsim.Costs.ethernet ()) in
+  let du = p.Experiments.Common.dua in
+  let connect port =
+    match
+      Osmodel.Du_stack.tcp_connect du ~dst:(Experiments.Common.ip_b, port) ()
+    with
+    | c -> Some (fun () -> Osmodel.Du_stack.tcp_close du c)
+    | exception Failure _ -> None
+  in
+  let occupancy () = Osmodel.Du_stack.tcp_conns du in
+  (* close(2) queues behind every connect(2): step until it has run *)
+  let settle () =
+    let live = occupancy () and engine = p.Experiments.Common.du_engine in
+    while occupancy () = live && Sim.Engine.step engine do
+      ()
+    done
+  in
+  { connect; settle; occupancy }
+
+let ephemeral_exhaustion opener () =
+  let s = opener () in
   let first = ref None in
   for _ = 1 to eph_range do
-    match Plexus.Tcp_mgr.connect tcp ~owner:"t" ~dst () with
-    | Ok c -> if !first = None then first := Some c
-    | Error _ -> Alcotest.fail "allocation failed before exhaustion"
+    match s.connect 80 with
+    | Some close -> if !first = None then first := Some close
+    | None -> Alcotest.fail "allocation failed before exhaustion"
   done;
+  Alcotest.(check int) "one connection per port" eph_range (s.occupancy ());
   (* every port now holds a live connection to this destination *)
-  (match Plexus.Tcp_mgr.connect tcp ~owner:"t" ~dst () with
-  | Error `Ephemeral_exhausted -> ()
-  | Ok _ -> Alcotest.fail "expected exhaustion"
-  | Error (`Port_in_use _) -> Alcotest.fail "wrong error");
-  Alcotest.(check int) "exhaustion counted" 1
-    (Plexus.Tcp_mgr.counters tcp).Plexus.Tcp_mgr.eph_exhausted;
+  if s.connect 80 <> None then Alcotest.fail "expected exhaustion";
   (* a different destination tuple is unaffected *)
-  (match
-     Plexus.Tcp_mgr.connect tcp ~owner:"t"
-       ~dst:(Experiments.Common.ip_b, 81) ()
-   with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "tuple reuse should allow other destinations");
+  if s.connect 81 = None then
+    Alcotest.fail "tuple reuse should allow other destinations";
+  Alcotest.(check int) "nothing overwritten" (eph_range + 1) (s.occupancy ());
   (* releasing one connection frees its port for the exhausted tuple *)
-  (match !first with Some c -> Plexus.Tcp_mgr.abort c | None -> ());
-  match Plexus.Tcp_mgr.connect tcp ~owner:"t" ~dst () with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "closed connection should free its port"
-
-let explicit_port_released () =
-  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
-  let tcp = Plexus.Stack.tcp p.Experiments.Common.a in
-  let dst = (Experiments.Common.ip_b, 80) in
-  let c1 =
-    match Plexus.Tcp_mgr.connect tcp ~owner:"t" ~src_port:5555 ~dst () with
-    | Ok c -> c
-    | Error _ -> Alcotest.fail "explicit connect"
-  in
-  (match Plexus.Tcp_mgr.connect tcp ~owner:"t" ~src_port:5555 ~dst () with
-  | Error (`Port_in_use 5555) -> ()
-  | _ -> Alcotest.fail "live explicit port must conflict");
-  Plexus.Tcp_mgr.abort c1;
-  match Plexus.Tcp_mgr.connect tcp ~owner:"t" ~src_port:5555 ~dst () with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "explicit port must be released on close"
+  (match !first with Some close -> close () | None -> ());
+  s.settle ();
+  Alcotest.(check int) "closed connection removed" eph_range (s.occupancy ());
+  if s.connect 80 = None then
+    Alcotest.fail "closed connection should free its port"
 
 (* ---- flow population ------------------------------------------------ *)
 
@@ -501,7 +510,6 @@ let suite =
       ] );
     ( "scale.sharded",
       [
-        tc "table basics" table_basics;
         tc "cache bounded with eviction" cache_eviction;
         tc "clock keeps referenced entries" cache_clock_keeps_hot;
         tc "cache grows to capacity first" cache_grows;
@@ -514,7 +522,9 @@ let suite =
       ] );
     ( "scale.ephemeral",
       [
-        tc "exhaustion surfaces and frees on close" ephemeral_exhaustion;
-        tc "explicit port released on close" explicit_port_released;
+        tc "exhaustion surfaces and frees on close"
+          (ephemeral_exhaustion plexus_opener);
+        tc "DIGITAL UNIX: exhaustion raises, frees on close"
+          (ephemeral_exhaustion du_opener);
       ] );
   ]
