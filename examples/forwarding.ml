@@ -47,7 +47,7 @@ let () =
        ~port:service
        ~on_accept:(fun conn ->
          Plexus.Tcp_mgr.on_receive conn (fun data ->
-             Plexus.Tcp_mgr.send conn ("pong:" ^ data)))
+             Plexus.Tcp_mgr.send conn ("pong:" ^ View.to_string data)))
        ()
    with
   | Ok () -> ()
@@ -65,7 +65,8 @@ let () =
           t0 := Sim.Engine.now engine;
           Plexus.Tcp_mgr.send conn "ping");
       Plexus.Tcp_mgr.on_receive conn (fun data ->
-          Printf.printf "plexus: %S after %s (fwd %d pkts, back %d pkts)\n" data
+          Printf.printf "plexus: %S after %s (fwd %d pkts, back %d pkts)\n"
+            (View.to_string data)
             (Sim.Stime.to_string (Sim.Stime.sub (Sim.Engine.now engine) !t0))
             (Apps.Forwarder.forwarded fwd)
             (Apps.Forwarder.returned fwd)));
@@ -102,7 +103,7 @@ let () =
      Osmodel.Du_stack.tcp_listen server ~port:service
        ~on_accept:(fun conn ->
          Osmodel.Du_stack.on_receive conn (fun data ->
-             Osmodel.Du_stack.tcp_send server conn ("pong:" ^ data)))
+             Osmodel.Du_stack.tcp_send server conn ("pong:" ^ View.to_string data)))
        ()
    with
   | Ok () -> ()
@@ -118,6 +119,6 @@ let () =
       t0 := Sim.Engine.now engine;
       Osmodel.Du_stack.tcp_send client conn "ping");
   Osmodel.Du_stack.on_receive conn (fun data ->
-      Printf.printf "du: %S after %s\n" data
+      Printf.printf "du: %S after %s\n" (View.to_string data)
         (Sim.Stime.to_string (Sim.Stime.sub (Sim.Engine.now engine) !t0)));
   Sim.Engine.run engine ~until:(Sim.Stime.s 5) ~max_events:10_000_000

@@ -21,6 +21,14 @@ type counters = {
   mutable ttl_drops : int;
 }
 
+(* One rewritten datagram's hand-off to the IP manager, queued on the
+   CPU; recycled through [outs] (see {!Sim.Stash}). *)
+type out = {
+  mutable o_pkt : Mbuf.rw Mbuf.t;
+  mutable o_dst : Proto.Ipaddr.t;
+  mutable o_run : unit -> unit;
+}
+
 type t = {
   stack : Plexus.Stack.t;
   listen_port : int;
@@ -28,45 +36,83 @@ type t = {
   server_port : int;
   middle : Proto.Ipaddr.t;
   costs : Netsim.Costs.t;
+  cpu : Sim.Cpu.t;
   sessions : (int, Proto.Ipaddr.t) Hashtbl.t; (* client port -> client ip *)
   counters : counters;
+  outs : out Sim.Stash.t;
   mutable uninstall : (unit -> unit) list;
 }
 
-let l4_cksum_offset proto =
-  if proto = Proto.Ipv4.proto_tcp then Some Proto.Tcp_wire.Off.cksum
-  else if proto = Proto.Ipv4.proto_udp then Some Proto.Udp.Off.cksum
-  else None
-
-let ip_words ip =
-  let i = Proto.Ipaddr.to_int ip in
-  ((i lsr 16) land 0xffff, i land 0xffff)
-
-(* Incrementally patch the transport checksum after the pseudo-header
-   addresses and one port changed. *)
-let patch_cksum seg ~proto ~old_src ~new_src ~old_dst ~new_dst ~old_port
+(* Patch the transport checksum of the datagram in [out] after the
+   pseudo-header addresses and one port changed: one RFC 1624 update per
+   changed word, so the cost is independent of payload size. *)
+let patch_l4_cksum out ~proto ~old_src ~new_src ~old_dst ~new_dst ~old_port
     ~new_port =
-  match l4_cksum_offset proto with
-  | None -> ()
-  | Some cksum_off when View.length seg > cksum_off + 1 ->
-      let c = View.get_u16 seg cksum_off in
-      if proto = Proto.Ipv4.proto_udp && c = 0 then ()
-        (* checksum disabled: nothing to patch *)
-      else begin
-        let c = ref c in
-        let upd old_w new_w = c := Cksum.update ~cksum:!c ~old_w ~new_w in
-        let os1, os2 = ip_words old_src and ns1, ns2 = ip_words new_src in
-        let od1, od2 = ip_words old_dst and nd1, nd2 = ip_words new_dst in
-        upd os1 ns1;
-        upd os2 ns2;
-        upd od1 nd1;
-        upd od2 nd2;
-        upd old_port new_port;
-        View.set_u16 seg cksum_off !c
-      end
-  | Some _ -> ()
+  let at =
+    Proto.Ipv4.header_len
+    +
+    if proto = Proto.Ipv4.proto_tcp then Proto.Tcp_wire.Off.cksum
+    else Proto.Udp.Off.cksum
+  in
+  if View.length out > at + 1 then begin
+    let c = View.get_u16 out at in
+    (* a UDP checksum of 0 is disabled: nothing to patch *)
+    if not (proto = Proto.Ipv4.proto_udp && c = 0) then begin
+      let os = Proto.Ipaddr.to_int old_src and ns = Proto.Ipaddr.to_int new_src in
+      let od = Proto.Ipaddr.to_int old_dst and nd = Proto.Ipaddr.to_int new_dst in
+      let c = Cksum.update ~cksum:c ~old_w:(os lsr 16) ~new_w:(ns lsr 16) in
+      let c =
+        Cksum.update ~cksum:c ~old_w:(os land 0xffff) ~new_w:(ns land 0xffff)
+      in
+      let c = Cksum.update ~cksum:c ~old_w:(od lsr 16) ~new_w:(nd lsr 16) in
+      let c =
+        Cksum.update ~cksum:c ~old_w:(od land 0xffff) ~new_w:(nd land 0xffff)
+      in
+      View.set_u16 out at (Cksum.update ~cksum:c ~old_w:old_port ~new_w:new_port)
+    end
+  end
 
-(* Rebuild and transmit a redirected packet.  A datagram whose TTL
+(* The redirected datagram: the received header and segment copied once
+   into the buffer that is transmitted, then patched in place. *)
+let rewrite ctx ~new_src ~new_dst ~port_off ~new_port =
+  let module O = Proto.Ipv4.Off in
+  let hl = Proto.Ipv4.header_len in
+  let iph = Plexus.Pctx.ip_exn ctx in
+  let frame = ctx.Plexus.Pctx.frame and off = ctx.Plexus.Pctx.off in
+  let len = Plexus.Pctx.payload_len ctx in
+  let pkt = Mbuf.alloc (hl + len) in
+  let out = Mbuf.view pkt in
+  if off >= hl then
+    View.blit ~src:frame ~dst:out ~src_off:(off - hl) ~dst_off:0 ~len:(hl + len)
+  else begin
+    (* a reassembled datagram has no header bytes: its record has them *)
+    Proto.Ipv4.write out iph;
+    View.blit ~src:frame ~dst:out ~src_off:off ~dst_off:hl ~len
+  end;
+  (* the reserved flag bit is not forwarded (RFC 791: must be zero) *)
+  View.set_u16 out O.flags_frag (View.get_u16 out O.flags_frag land 0x7fff);
+  View.set_u8 out O.ttl (iph.Proto.Ipv4.ttl - 1);
+  View.set_u32 out O.src (Proto.Ipaddr.to_int new_src);
+  View.set_u32 out O.dst (Proto.Ipaddr.to_int new_dst);
+  View.set_u16 out O.cksum 0;
+  View.set_u16 out O.cksum (Cksum.of_sub out ~off:0 ~len:hl);
+  let old_port = View.get_u16 out (hl + port_off) in
+  View.set_u16 out (hl + port_off) new_port;
+  patch_l4_cksum out ~proto:iph.Proto.Ipv4.proto ~old_src:iph.Proto.Ipv4.src
+    ~new_src ~old_dst:iph.Proto.Ipv4.dst ~new_dst ~old_port ~new_port;
+  pkt
+
+let output t o =
+  let pkt = o.o_pkt and dst = o.o_dst in
+  Sim.Stash.put t.outs o;
+  Plexus.Ip_mgr.send_prepared (Plexus.Stack.ip t.stack) ~dst pkt
+
+let fresh_out t pkt dst =
+  let o = { o_pkt = pkt; o_dst = dst; o_run = ignore } in
+  o.o_run <- (fun () -> output t o);
+  o
+
+(* Rewrite and transmit a redirected packet.  A datagram whose TTL
    expires here is dropped and the sender notified (ICMP time
    exceeded) — the forwarder is a real IP hop. *)
 let redirect t ctx ~new_src ~new_dst ~port_off ~new_port =
@@ -81,30 +127,16 @@ let redirect t ctx ~new_src ~new_dst ~port_off ~new_port =
     false
   end
   else begin
-  (* one copy, into the buffer that is transmitted, patched in place *)
-  let src = Plexus.Pctx.view ctx in
-  let len = View.length src in
-  let pkt = Mbuf.alloc len in
-  let seg = Mbuf.view pkt in
-  View.blit ~src ~dst:seg ~src_off:0 ~dst_off:0 ~len;
-  let old_port = View.get_u16 seg port_off in
-  View.set_u16 seg port_off new_port;
-  patch_cksum seg ~proto:iph.Proto.Ipv4.proto ~old_src:iph.Proto.Ipv4.src
-    ~new_src ~old_dst:iph.Proto.Ipv4.dst ~new_dst ~old_port ~new_port;
-  let hdr =
-    {
-      iph with
-      Proto.Ipv4.src = new_src;
-      dst = new_dst;
-      ttl = iph.Proto.Ipv4.ttl - 1;
-    }
-  in
-  Proto.Ipv4.encapsulate pkt hdr;
-  let cpu = Netsim.Host.cpu (Plexus.Stack.host t.stack) in
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt
-    ~cost:t.costs.Netsim.Costs.fwd_rewrite (fun () ->
-      Plexus.Ip_mgr.send_prepared (Plexus.Stack.ip t.stack) ~dst:new_dst pkt);
-  true
+    let pkt = rewrite ctx ~new_src ~new_dst ~port_off ~new_port in
+    let o =
+      if Sim.Stash.is_empty t.outs then fresh_out t pkt new_dst
+      else Sim.Stash.take t.outs
+    in
+    o.o_pkt <- pkt;
+    o.o_dst <- new_dst;
+    Sim.Cpu.submit t.cpu Sim.Cpu.Interrupt
+      ~cost:t.costs.Netsim.Costs.fwd_rewrite o.o_run;
+    true
   end
 
 let is_transport ctx =
@@ -114,21 +146,22 @@ let is_transport ctx =
       || h.Proto.Ipv4.proto = Proto.Ipv4.proto_udp
   | None -> false
 
+(* A transport port, read in place: the segment starts at the context's
+   cursor in the frame. *)
+let has_ports ctx = Plexus.Pctx.payload_len ctx >= 4
+let port_at ctx i = View.get_u16 ctx.Plexus.Pctx.frame (ctx.Plexus.Pctx.off + i)
+
 (* Guards: the forward direction matches transport packets whose
    destination port is the forwarded service; the reverse direction
    matches packets arriving from the backend's service port. *)
 let forward_guard t ctx =
-  is_transport ctx
-  &&
-  let v = Plexus.Pctx.view ctx in
-  View.length v >= 4 && View.get_u16 v 2 = t.listen_port
+  is_transport ctx && has_ports ctx && port_at ctx 2 = t.listen_port
 
 let reverse_guard t ctx =
   is_transport ctx
   && Proto.Ipaddr.equal (Plexus.Pctx.ip_exn ctx).Proto.Ipv4.src t.server
-  &&
-  let v = Plexus.Pctx.view ctx in
-  View.length v >= 4 && View.get_u16 v 0 = t.server_port
+  && has_ports ctx
+  && port_at ctx 0 = t.server_port
 
 let create stack ~listen_port ~backend:(server, server_port) =
   let costs = Netsim.Host.costs (Plexus.Stack.host stack) in
@@ -140,15 +173,16 @@ let create stack ~listen_port ~backend:(server, server_port) =
       server_port;
       middle = Netsim.Host.ip (Plexus.Stack.host stack);
       costs;
+      cpu = Netsim.Host.cpu (Plexus.Stack.host stack);
       sessions = Hashtbl.create 16;
       counters = { forwarded = 0; returned = 0; ttl_drops = 0 };
+      outs = Sim.Stash.create ();
       uninstall = [];
     }
   in
   let ip_node = Plexus.Ip_mgr.node (Plexus.Stack.ip stack) in
   let forward ctx =
-    let v = Plexus.Pctx.view ctx in
-    let client_port = View.get_u16 v 0 in
+    let client_port = port_at ctx 0 in
     Hashtbl.replace t.sessions client_port (Plexus.Pctx.ip_exn ctx).Proto.Ipv4.src;
     if
       redirect t ctx ~new_src:t.middle ~new_dst:t.server ~port_off:2
@@ -156,11 +190,9 @@ let create stack ~listen_port ~backend:(server, server_port) =
     then t.counters.forwarded <- t.counters.forwarded + 1
   in
   let reverse ctx =
-    let v = Plexus.Pctx.view ctx in
-    let client_port = View.get_u16 v 2 in
-    match Hashtbl.find_opt t.sessions client_port with
-    | None -> ()
-    | Some client_ip ->
+    match Hashtbl.find t.sessions (port_at ctx 2) with
+    | exception Not_found -> ()
+    | client_ip ->
         if
           redirect t ctx ~new_src:t.middle ~new_dst:client_ip ~port_off:0
             ~new_port:t.listen_port

@@ -23,3 +23,14 @@ val ttl_drops : t -> int
     sender gets an ICMP time-exceeded). *)
 
 val sessions : t -> int
+
+val rewrite :
+  Plexus.Pctx.t -> new_src:Proto.Ipaddr.t -> new_dst:Proto.Ipaddr.t ->
+  port_off:int -> new_port:int -> Mbuf.rw Mbuf.t
+(** The datagram the forwarder transmits for the received one in the
+    context: its header and segment copied once, with the TTL
+    decremented, the addresses replaced, the transport port at
+    [port_off] in the segment set to [new_port], the IP checksum
+    recomputed and the transport checksum patched incrementally.  The
+    context's datagram must be TCP or UDP with a TTL above 1 and room
+    for the port. *)

@@ -32,7 +32,7 @@ type mbuf_alloc = int -> Mbuf.rw Mbuf.t
 type tcp_conn_ops = {
   tc_send : string list -> unit;  (* one write of the chunks, in order *)
   tc_close : unit -> unit;
-  tc_set_receive : (string -> unit) -> unit;
+  tc_set_receive : (View.ro View.t -> unit) -> unit;
   tc_set_peer_close : (unit -> unit) -> unit;
   tc_set_close : (unit -> unit) -> unit;
 }

@@ -20,7 +20,8 @@ type counters = {
 }
 
 (* One unfragmented datagram's output step, queued on the CPU; recycled
-   through [outs] (see {!Sim.Stash}). *)
+   through [outs], or [prepared] for a datagram whose header is already
+   written (see {!Sim.Stash}). *)
 type out = {
   mutable o_pkt : Mbuf.rw Mbuf.t;
   mutable o_route : route;
@@ -40,6 +41,7 @@ type t = {
   mutable next_id : int;
   counters : counters;
   outs : out Sim.Stash.t;
+  prepared : out Sim.Stash.t;
 }
 
 let create graph =
@@ -63,6 +65,7 @@ let create graph =
         reassembled = 0;
       };
     outs = Sim.Stash.create ();
+    prepared = Sim.Stash.create ();
   }
 
 let node t = t.node
@@ -179,7 +182,7 @@ let output t o =
   Sim.Stash.put t.outs o;
   emit route prio ~dst pkt
 
-let fresh_out t pkt route =
+let fresh_out t output pkt route =
   let o =
     { o_pkt = pkt; o_route = route; o_proto = 0; o_dst = Proto.Ipaddr.broadcast;
       o_prio = Sim.Cpu.Thread; o_run = ignore }
@@ -196,7 +199,7 @@ let send t prio ~proto ~dst payload =
   let len = Mbuf.length payload in
   if len + Proto.Ipv4.header_len <= mtu then begin
     let o =
-      if Sim.Stash.is_empty t.outs then fresh_out t payload route
+      if Sim.Stash.is_empty t.outs then fresh_out t output payload route
       else Sim.Stash.take t.outs
     in
     o.o_pkt <- payload;
@@ -229,11 +232,25 @@ let dst_touches_data t dst =
   | [] -> false
   | first :: _ -> Ether_mgr.touches_data (subnet_route dst first t.routes).ether
 
+let output_prepared t o =
+  let pkt = o.o_pkt and route = o.o_route and dst = o.o_dst
+  and prio = o.o_prio in
+  Sim.Stash.put t.prepared o;
+  emit route prio ~dst pkt
+
 (* Privileged: transmit a complete IP datagram (header included) toward
    [dst] without rewriting its source — granted only to the in-kernel
    forwarder (paper section 5.2), which redirects other hosts' packets. *)
 let send_prepared t ~dst pkt =
   let route = route_for t dst in
   let prio = Ether_mgr.prio route.ether in
-  Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out
-    (fun () -> emit route prio ~dst pkt)
+  let o =
+    if Sim.Stash.is_empty t.prepared then
+      fresh_out t output_prepared pkt route
+    else Sim.Stash.take t.prepared
+  in
+  o.o_pkt <- pkt;
+  if o.o_route != route then o.o_route <- route;
+  o.o_dst <- dst;
+  o.o_prio <- prio;
+  Sim.Cpu.submit (cpu t) prio ~cost:t.costs.Netsim.Costs.layer.ip_out o.o_run

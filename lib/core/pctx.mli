@@ -8,7 +8,13 @@
     [pkt], [frame] and {!view} during its run.  Code that keeps any of
     it past its run — in a queue, a later CPU item or a timer — must
     copy the bytes out ({!View.get_string}, {!Mbuf.copy_rw}) or take a
-    hold of its own ({!Mbuf.hold}, released when done). *)
+    hold of its own ({!Mbuf.hold}, released when done).
+
+    The application's lease is one such hold: {!Tcp_mgr} holds a
+    segment's frame while the application's [on_receive] callback is
+    queued and releases it when the callback returns, so the view the
+    application reads is valid for that callback only, and what it
+    keeps it copies. *)
 
 type t = {
   dev : Netsim.Dev.t;

@@ -25,7 +25,7 @@ type conn = {
   mgr : t;
   ep : Endpoint.t;
   tcp : Proto.Tcp.t;
-  mutable user_rx : string -> unit;
+  mutable user_rx : View.ro View.t -> unit;
   mutable user_established : unit -> unit;
   mutable user_peer_close : unit -> unit;
   mutable user_close : unit -> unit;
@@ -49,6 +49,7 @@ and t = {
   mutable excluded_src : int list;   (* src ports ceded (reverse direction) *)
   counters : counters;
   outs : out Sim.Stash.t;
+  rxs : rx Sim.Stash.t;
 }
 
 (* One segment's output step, queued on the CPU; recycled through
@@ -60,6 +61,15 @@ and out = {
   mutable o_run : unit -> unit;
 }
 
+(* One in-order delivery to the application, queued on the CPU with
+   its frame held; recycled through [rxs]. *)
+and rx = {
+  mutable r_conn : conn;
+  mutable r_frame : Mbuf.ro Mbuf.t;
+  mutable r_data : View.ro View.t;
+  mutable r_run : unit -> unit;
+}
+
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)
 
 let prio t =
@@ -67,16 +77,17 @@ let prio t =
   | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
   | Spin.Dispatcher.Thread -> Sim.Cpu.Thread
 
+let port_at ctx at = View.get_u16 ctx.Pctx.frame (ctx.Pctx.off + at)
+
 let proto_guard t ctx =
   match ctx.Pctx.ip with
   | Some h ->
       h.Proto.Ipv4.proto = Proto.Ipv4.proto_tcp
       && ((t.excluded = [] && t.excluded_src = [])
-         ||
-         let v = Pctx.view ctx in
-         View.length v >= Proto.Tcp_wire.Off.dst_port + 2
-         && (not (List.mem (Proto.Tcp_wire.get_dst_port v) t.excluded))
-         && not (List.mem (Proto.Tcp_wire.get_src_port v) t.excluded_src))
+         || (* the ports, read in place: the segment starts at the cursor *)
+         Pctx.payload_len ctx >= Proto.Tcp_wire.Off.dst_port + 2
+         && (not (List.mem (port_at ctx Proto.Tcp_wire.Off.dst_port) t.excluded))
+         && not (List.mem (port_at ctx Proto.Tcp_wire.Off.src_port) t.excluded_src))
   | None -> false
 
 let output t o =
@@ -88,6 +99,22 @@ let fresh_out t pkt dst =
   let o = { o_pkt = pkt; o_dst = dst; o_prio = Sim.Cpu.Thread; o_run = ignore } in
   o.o_run <- (fun () -> output t o);
   o
+
+(* The application reads the view under the frame's lease, which ends
+   when the callback returns. *)
+let deliver t r =
+  let c = r.r_conn and frame = r.r_frame and data = r.r_data in
+  Sim.Stash.put t.rxs r;
+  match c.user_rx data with
+  | () -> Mbuf.release frame
+  | exception e ->
+      Mbuf.release frame;
+      raise e
+
+let fresh_rx t c frame data =
+  let r = { r_conn = c; r_frame = frame; r_data = data; r_run = ignore } in
+  r.r_run <- (fun () -> deliver t r);
+  r
 
 (* Build the environment a connection's engine runs in: costs are charged
    on the host CPU at the graph's delivery priority, output goes through
@@ -115,11 +142,19 @@ let make_env t conn_ref remote_ip key =
         o.o_prio <- prio;
         Sim.Cpu.submit (cpu t) prio ~cost o.o_run);
     on_receive =
-      (fun data ->
+      (fun frame data ->
         match !conn_ref with
         | Some c ->
+            let r =
+              if Sim.Stash.is_empty t.rxs then fresh_rx t c frame data
+              else Sim.Stash.take t.rxs
+            in
+            r.r_conn <- c;
+            r.r_frame <- frame;
+            r.r_data <- data;
+            Mbuf.hold frame;
             Sim.Cpu.submit (cpu t) (prio t)
-              ~cost:t.costs.Netsim.Costs.layer.app (fun () -> c.user_rx data)
+              ~cost:t.costs.Netsim.Costs.layer.app r.r_run
         | None -> ());
     on_established =
       (fun () -> match !conn_ref with Some c -> c.user_established () | None -> ());
@@ -183,7 +218,7 @@ let rx t ctx =
       (* demultiplex on the ports read in place; the engine decodes the
          segment itself *)
       match Proto.Tcp_table.find t.endpoints ~src:iph.Proto.Ipv4.src v with
-      | Proto.Tcp_table.Conn conn -> Proto.Tcp.input conn.tcp v
+      | Proto.Tcp_table.Conn conn -> Proto.Tcp.input conn.tcp ctx.Pctx.pkt v
       | Proto.Tcp_table.Listener l ->
           t.counters.accepted <- t.counters.accepted + 1;
           let remote = (iph.Proto.Ipv4.src, Proto.Tcp_wire.get_src_port v) in
@@ -214,6 +249,7 @@ let create graph ip =
         { rx = 0; bad_checksum = 0; malformed = 0; no_match = 0; accepted = 0;
           eph_exhausted = 0 };
       outs = Sim.Stash.create ();
+      rxs = Sim.Stash.create ();
     }
   in
   let reg = Graph.registry graph in

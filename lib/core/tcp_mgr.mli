@@ -59,7 +59,12 @@ val sendv : conn -> string list -> unit
 val close : conn -> unit
 val abort : conn -> unit
 
-val on_receive : conn -> (string -> unit) -> unit
+val on_receive : conn -> (View.ro View.t -> unit) -> unit
+(** The connection's in-order bytes, as read-only views into the frames
+    they arrived in.  The frame is held while the callback is queued
+    and released when it returns, so a view is valid for the callback
+    only (the keeper rule, {!Pctx}): copy what you keep. *)
+
 val on_established : conn -> (unit -> unit) -> unit
 val on_peer_close : conn -> (unit -> unit) -> unit
 val on_close : conn -> (unit -> unit) -> unit

@@ -319,7 +319,8 @@ let tcp_transfer ?fcache ?(mix = default_mix) ?(total = 16_384) ~seed () =
   (match
      Plexus.Tcp_mgr.listen (Plexus.Stack.tcp t.b) ~owner:"chaos-sink" ~port:80
        ~on_accept:(fun conn ->
-         Plexus.Tcp_mgr.on_receive conn (fun d -> Buffer.add_string buf d);
+         Plexus.Tcp_mgr.on_receive conn (fun d ->
+             Buffer.add_string buf (View.to_string d));
          Plexus.Tcp_mgr.on_peer_close conn (fun () ->
              Plexus.Tcp_mgr.close conn))
        ()

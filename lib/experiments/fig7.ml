@@ -24,7 +24,7 @@ let echo_rtt ~engine ~send ~on_receive ~on_established ~payload_len ~warmup
   let payload = String.make payload_len 'p' in
   let got = ref 0 in
   on_receive (fun data ->
-      got := !got + String.length data;
+      got := !got + View.length data;
       if !got >= payload_len then Common.Pingpong.pong loop);
   on_established (fun () ->
       Common.Pingpong.start loop (fun () ->
@@ -70,7 +70,7 @@ let plexus_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
        ~port:service_port
        ~on_accept:(fun conn ->
          Plexus.Tcp_mgr.on_receive conn (fun data ->
-             Plexus.Tcp_mgr.send conn data))
+             Plexus.Tcp_mgr.send conn (View.to_string data)))
        ()
    with
   | Ok () -> ()
@@ -117,7 +117,7 @@ let du_rtt ?(warmup = 5) ?(iters = 50) ~payload_len params =
      Osmodel.Du_stack.tcp_listen server ~port:service_port
        ~on_accept:(fun conn ->
          Osmodel.Du_stack.on_receive conn (fun data ->
-             Osmodel.Du_stack.tcp_send server conn data))
+             Osmodel.Du_stack.tcp_send server conn (View.to_string data)))
        ()
    with
   | Ok () -> ()

@@ -38,7 +38,7 @@ let wan_transfer ~window =
      Plexus.Tcp_mgr.listen (Plexus.Stack.tcp b) ~owner:"sink" ~port:5001 ~cfg
        ~on_accept:(fun conn ->
          Plexus.Tcp_mgr.on_receive conn (fun data ->
-             received := !received + String.length data;
+             received := !received + View.length data;
              if !received >= bytes && !done_at = None then
                done_at := Some (Sim.Engine.now engine)))
        ()
@@ -88,7 +88,7 @@ let transaction_time ~cfg ~n =
        ~on_accept:(fun conn ->
          let got = ref 0 in
          Plexus.Tcp_mgr.on_receive conn (fun data ->
-             got := !got + String.length data;
+             got := !got + View.length data;
              if !got >= 100 then begin
                Plexus.Tcp_mgr.send conn (String.make reply_len 'r');
                Plexus.Tcp_mgr.close conn
@@ -109,7 +109,7 @@ let transaction_time ~cfg ~n =
           Plexus.Tcp_mgr.on_established conn (fun () ->
               Plexus.Tcp_mgr.send conn (String.make 100 'q'));
           Plexus.Tcp_mgr.on_receive conn (fun data ->
-              got := !got + String.length data;
+              got := !got + View.length data;
               if !got >= reply_len then begin
                 Common.Pingpong.record loop;
                 Plexus.Tcp_mgr.close conn;
@@ -170,7 +170,7 @@ let blast_vs_tcp ?(loss = 0.02) ?(bytes = 500_000) () =
        Plexus.Tcp_mgr.listen (Plexus.Stack.tcp b) ~owner:"sink" ~port:5001
          ~on_accept:(fun conn ->
            Plexus.Tcp_mgr.on_receive conn (fun d ->
-               received := !received + String.length d;
+               received := !received + View.length d;
                if !received >= bytes && !done_at = None then
                  done_at := Some (Sim.Engine.now engine)))
          ()

@@ -43,7 +43,7 @@ let plexus_transfer_timed ?(bytes = transfer_bytes) params =
                    (Sim.Stime.to_ns (Sim.Stime.sub now prev))
              | None -> ());
              last_arrival := Some now;
-             received := !received + String.length data;
+             received := !received + View.length data;
              if !received >= bytes && !done_at = None then
                done_at := Some now))
        ()
@@ -81,7 +81,7 @@ let du_transfer ?(bytes = transfer_bytes) params =
      Osmodel.Du_stack.tcp_listen p.Common.dub ~port:5001
        ~on_accept:(fun conn ->
          Osmodel.Du_stack.on_receive conn (fun data ->
-             received := !received + String.length data;
+             received := !received + View.length data;
              if !received >= bytes && !done_at = None then
                done_at := Some (Sim.Engine.now engine)))
        ()

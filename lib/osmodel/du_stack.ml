@@ -38,7 +38,7 @@ type route = {
 type tconn = {
   du : t;
   tcp : Proto.Tcp.t;
-  mutable tc_on_receive : string -> unit;
+  mutable tc_on_receive : View.ro View.t -> unit;
   mutable tc_on_established : unit -> unit;
   mutable tc_on_peer_close : unit -> unit;
   mutable tc_on_close : unit -> unit;
@@ -176,12 +176,14 @@ let make_tconn t ~cfg ~local_port ~remote =
             (T.add t.costs.Netsim.Costs.layer.tcp_out (cksum_cost t len))
             (fun () -> ip_send t ~proto:Proto.Ipv4.proto_tcp ~dst:remote_ip pkt));
       on_receive =
-        (fun data ->
+        (fun _frame data ->
           match !conn_ref with
           | Some c ->
-              (* socket buffer, then cross to the user process *)
+              (* the socket buffer's copy, which the process reads after
+                 the frame is gone: the modelled copyout *)
+              let data = View.ro (View.copy data) in
               krun t t.costs.Netsim.Costs.os.socket_in (fun () ->
-                  deliver_to_user t ~len:(String.length data) (fun () ->
+                  deliver_to_user t ~len:(View.length data) (fun () ->
                       c.tc_on_receive data))
           | None -> ());
       on_established =
@@ -271,7 +273,8 @@ let rx_tcp t (iph : Proto.Ipv4.header) v frame =
           t.counters.malformed <- t.counters.malformed + 1
       | None -> (
           match Proto.Tcp_table.find t.endpoints ~src:iph.src v with
-          | Proto.Tcp_table.Conn conn -> Proto.Tcp.input conn.tcp v
+          | Proto.Tcp_table.Conn conn ->
+              Proto.Tcp.input conn.tcp (Mbuf.ro frame) v
           | Proto.Tcp_table.Listener l ->
               let remote = (iph.src, Proto.Tcp_wire.get_src_port v) in
               let conn =

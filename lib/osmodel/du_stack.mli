@@ -62,7 +62,10 @@ val tcp_connect :
 val tcp_send : t -> tconn -> string -> unit
 val tcp_close : t -> tconn -> unit
 
-val on_receive : tconn -> (string -> unit) -> unit
+val on_receive : tconn -> (View.ro View.t -> unit) -> unit
+(** The connection's in-order bytes, as read-only views of the socket
+    buffer's copy, valid for the callback only. *)
+
 val on_established : tconn -> (unit -> unit) -> unit
 val on_peer_close : tconn -> (unit -> unit) -> unit
 val on_close : tconn -> (unit -> unit) -> unit

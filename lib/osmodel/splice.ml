@@ -37,8 +37,10 @@ let create du ~listen_port ~backend =
     (* Relay in both directions.  Each relayed chunk costs user-level
        processing on top of the two boundary crossings the socket API
        already charges. *)
-    let relay src_conn dst_conn data =
+    let relay src_conn dst_conn view =
       ignore src_conn;
+      (* the user process's buffer: kept past the lent view *)
+      let data = View.to_string view in
       t.forwarded_bytes <- t.forwarded_bytes + String.length data;
       Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread ~cost:t.costs.Netsim.Costs.splice_user
         (fun () -> Du_stack.tcp_send du dst_conn data)

@@ -90,6 +90,13 @@ let blit ~(src : _ t) ~(dst : rw t) ~src_off ~dst_off ~len =
   if len > 0 then Metrics.count_copy len;
   Bytes.blit src.data (src.off + src_off) dst.data (dst.off + dst_off) len
 
+let blit_to_bytes ~(src : _ t) ~src_off ~dst ~dst_off ~len =
+  check src src_off len;
+  if dst_off < 0 || dst_off + len > Bytes.length dst then
+    invalid_arg "View.blit_to_bytes";
+  if len > 0 then Metrics.count_copy len;
+  Bytes.blit src.data (src.off + src_off) dst dst_off len
+
 let fill (v : rw t) c = Bytes.fill v.data v.off v.len c
 
 let copy (v : _ t) : rw t =

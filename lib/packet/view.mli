@@ -64,6 +64,13 @@ val blit_string :
     [dst_off].  @raise Invalid_argument if the range escapes [src]. *)
 
 val blit : src:_ t -> dst:rw t -> src_off:int -> dst_off:int -> len:int -> unit
+
+val blit_to_bytes :
+  src:_ t -> src_off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
+(** Copy [len] bytes of the window from [src_off] into a plain buffer at
+    [dst_off] (counted like {!blit}): how a reader keeps bytes it was
+    lent.  @raise Invalid_argument if the range escapes [dst]. *)
+
 val fill : rw t -> char -> unit
 
 val copy : _ t -> rw t

@@ -129,7 +129,9 @@ let complete_head r =
   | Some n when n > 0 -> r.body <- Bytes.create (min n max_presize)
   | _ -> ()
 
-let append_body r s off n =
+(* The one copy of a body byte: out of the lent view, into the body
+   buffer. *)
+let append_body r v off n =
   if n > 0 then begin
     let need = r.body_len + n in
     if need > Bytes.length r.body then begin
@@ -137,33 +139,34 @@ let append_body r s off n =
       Bytes.blit r.body 0 grown 0 r.body_len;
       r.body <- grown
     end;
-    Bytes.blit_string s off r.body r.body_len n;
+    View.blit_to_bytes ~src:v ~src_off:off ~dst:r.body ~dst_off:r.body_len
+      ~len:n;
     r.body_len <- need
   end
 
-(* The index just past the head's blank line in [s] from [i], or -1
-   (with [r.matched] carried to the next chunk). *)
-let rec scan r s i =
+(* Collect head bytes of [v] from [i] into [r.acc]: the index just past
+   the head's blank line, or -1 (with [r.matched] carried to the next
+   chunk). *)
+let rec scan r v i =
   if r.matched = 4 then i
-  else if i = String.length s then -1
+  else if i = View.length v then -1
   else begin
-    let c = String.unsafe_get s i in
+    let c = Char.unsafe_chr (View.get_u8 v i) in
+    Buffer.add_char r.acc c;
     r.matched <-
       (if c = String.unsafe_get terminator r.matched then r.matched + 1
        else if c = '\r' then 1
        else 0);
-    scan r s (i + 1)
+    scan r v (i + 1)
   end
 
-let feed r s =
-  if head_complete r then append_body r s 0 (String.length s)
+let feed r v =
+  if head_complete r then append_body r v 0 (View.length v)
   else begin
-    let stop = scan r s 0 in
-    if stop < 0 then Buffer.add_string r.acc s
-    else begin
-      Buffer.add_substring r.acc s 0 stop;
+    let stop = scan r v 0 in
+    if stop >= 0 then begin
       complete_head r;
-      append_body r s stop (String.length s - stop)
+      append_body r v stop (View.length v - stop)
     end
   end
 

@@ -31,14 +31,15 @@ val not_found : response
 (** {1 Incremental reader}
 
     The one way to read a message off a connection: feed each received
-    chunk as it arrives.  The head is parsed once, when its blank line
-    arrives; the body is written once, into a buffer sized by
-    Content-Length. *)
+    chunk as it arrives, as the view the connection lends.  The head is
+    parsed once, when its blank line arrives; each body byte is copied
+    once, out of the view into a buffer sized by Content-Length, so a
+    chunk need not outlive the call. *)
 
 type reader
 
 val reader : unit -> reader
-val feed : reader -> string -> unit
+val feed : reader -> _ View.t -> unit
 
 val response : reader -> response option
 (** At end of stream: what {!parse_response} returns for every byte
@@ -46,7 +47,7 @@ val response : reader -> response option
     without a copy; the reader keeps no body afterwards, so call this
     once. *)
 
-val on_request : (request option -> unit) -> string -> unit
+val on_request : (request option -> unit) -> View.ro View.t -> unit
 (** [on_request answer] is a receive callback for one connection: it
     reads the request and calls [answer] once, when the head is in
     ([None] when the start line is not a request line).  Later bytes

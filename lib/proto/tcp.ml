@@ -70,7 +70,9 @@ type env = {
   engine : Sim.Engine.t;            (* clock and timers *)
   tx : Mbuf.rw Mbuf.t -> unit;
       (* transmit a TCP segment (header+payload) toward the remote *)
-  on_receive : string -> unit;      (* in-order application data *)
+  on_receive : Mbuf.ro Mbuf.t -> View.ro View.t -> unit;
+      (* in-order application data, lying in the frame; valid for the
+         call only *)
   on_established : unit -> unit;
   on_peer_close : unit -> unit;     (* FIN received (EOF) *)
   on_close : unit -> unit;          (* connection fully gone *)
@@ -85,7 +87,12 @@ type counters = {
   mutable retransmits : int;
   mutable fast_retransmits : int;
   mutable dup_acks : int;
+  mutable ooo_drops : int;
 }
+
+(* An out-of-order segment's new bytes, still in the frame they arrived
+   in, which the entry holds. *)
+type held = { h_frame : Mbuf.ro Mbuf.t; h_data : View.ro View.t }
 
 type t = {
   env : env;
@@ -109,7 +116,8 @@ type t = {
   (* receive side *)
   mutable irs : Seq.t;
   mutable rcv_nxt : Seq.t;
-  ooo : (int, string) Hashtbl.t;  (* out-of-order segments by seq *)
+  ooo : (int, held) Hashtbl.t;    (* out-of-order segments by seq *)
+  mutable ooo_bytes : int;        (* payload bytes [ooo] holds *)
   (* timers *)
   mutable rto : Sim.Stime.t;
   mutable rto_backoff : int;
@@ -149,6 +157,7 @@ let create env cfg ~local:(local_ip, local_port) =
     irs = Seq.of_int 0;
     rcv_nxt = Seq.of_int 0;
     ooo = Hashtbl.create 8;
+    ooo_bytes = 0;
     rto = cfg.rto_initial;
     rto_backoff = 1;
     retx_count = 0;
@@ -169,6 +178,7 @@ let create env cfg ~local:(local_ip, local_port) =
         retransmits = 0;
         fast_retransmits = 0;
         dup_acks = 0;
+        ooo_drops = 0;
       };
   }
 
@@ -198,6 +208,17 @@ let record_rtt_sample t sample =
   t.rto <-
     Sim.Stime.max t.cfg.rto_min
       (Sim.Stime.min t.cfg.rto_max (Sim.Stime.ns (int_of_float rto)))
+
+(* --- out-of-order queue --------------------------------------------- *)
+
+(* Let go of every held out-of-order segment: the connection delivers
+   no more data. *)
+let flush_ooo t =
+  if Hashtbl.length t.ooo > 0 then begin
+    Hashtbl.iter (fun _ e -> Mbuf.release e.h_frame) t.ooo;
+    Hashtbl.clear t.ooo;
+    t.ooo_bytes <- 0
+  end
 
 (* --- timers ------------------------------------------------------- *)
 
@@ -270,12 +291,14 @@ and schedule_delack t =
 
 and enter_time_wait t =
   set_state t Time_wait;
+  flush_ooo t;
   stop_retx_timer t;
   cancel_timer t t.delack_timer;
   t.delack_timer <- None;
   cancel_timer t t.msl_timer;
   t.msl_timer <-
     set_timer t (Sim.Stime.mul t.cfg.msl 2) (fun () ->
+        flush_ooo t;
         set_state t Closed;
         t.env.on_close ())
 
@@ -289,6 +312,7 @@ and teardown t reason =
   cancel_timer t t.delack_timer;
   t.delack_timer <- None;
   t.delack_count <- 0;
+  flush_ooo t;
   set_state t Closed;
   if reason <> "" then t.env.on_error reason;
   t.env.on_close ()
@@ -402,9 +426,11 @@ let sendv t chunks =
 
 let send t data = sendv t [ data ]
 
+(* On a CLOSED engine the connection has already ended (and reported
+   [on_close]) or never begun: nothing to do. *)
 let close t =
   match t.state with
-  | Closed -> t.env.on_close ()
+  | Closed -> ()
   | Syn_sent -> teardown t ""
   | Established | Close_wait | Syn_rcvd ->
       t.fin_pending <- true;
@@ -475,36 +501,59 @@ let process_ack t (h : Tcp_wire.header) =
 
 (* --- in-order delivery ----------------------------------------------- *)
 
+(* Hand [data], lying in [frame], to the application: the view is valid
+   for the callback only. *)
+let deliver t frame data =
+  let n = View.length data in
+  t.rcv_nxt <- Seq.add t.rcv_nxt n;
+  t.counters.bytes_in <- t.counters.bytes_in + n;
+  t.env.on_receive frame data
+
 let rec drain_ooo t =
   match Hashtbl.find_opt t.ooo (Seq.to_int t.rcv_nxt) with
   | None -> ()
-  | Some data ->
+  | Some e ->
       Hashtbl.remove t.ooo (Seq.to_int t.rcv_nxt);
-      t.rcv_nxt <- Seq.add t.rcv_nxt (String.length data);
-      t.counters.bytes_in <- t.counters.bytes_in + String.length data;
-      t.env.on_receive data;
+      t.ooo_bytes <- t.ooo_bytes - View.length e.h_data;
+      deliver t e.h_frame e.h_data;
+      Mbuf.release e.h_frame;
       drain_ooo t
 
-(* The [len] payload bytes at [off] in segment [v], from sequence [seq];
-   copied out only when they carry new data. *)
-let process_payload t seq v ~off ~len =
+(* Keep an out-of-order segment's bytes by holding its frame.  The queue
+   is capped at 256 segments and at the advertised window in bytes; a
+   segment past either cap is dropped, and the peer retransmits it. *)
+let hold_ooo t seq frame data =
+  let key = Seq.to_int seq in
+  let old = Hashtbl.find_opt t.ooo key in
+  let replaced = match old with Some e -> View.length e.h_data | None -> 0 in
+  let bytes = t.ooo_bytes + View.length data - replaced in
+  if Hashtbl.length t.ooo < 256 && bytes <= t.cfg.window then begin
+    Mbuf.hold frame;
+    Option.iter (fun e -> Mbuf.release e.h_frame) old;
+    Hashtbl.replace t.ooo key { h_frame = frame; h_data = data };
+    t.ooo_bytes <- bytes
+  end
+  else t.counters.ooo_drops <- t.counters.ooo_drops + 1
+
+(* The [len] payload bytes at [off] in segment [v], which lies in
+   [frame], from sequence [seq].  Nothing is copied: in-order bytes go
+   to the application as a view, out-of-order ones stay in their held
+   frame. *)
+let process_payload t seq frame v ~off ~len =
   if len = 0 then `No_payload
   else if Seq.le (Seq.add seq len) t.rcv_nxt then `Duplicate
   else begin
     (* trim anything before rcv_nxt *)
     let skip = if Seq.lt seq t.rcv_nxt then Seq.diff t.rcv_nxt seq else 0 in
     let seq = Seq.add seq skip in
-    let payload = View.get_string v ~off:(off + skip) ~len:(len - skip) in
+    let data = View.sub v ~off:(off + skip) ~len:(len - skip) in
     if seq = t.rcv_nxt then begin
-      t.rcv_nxt <- Seq.add t.rcv_nxt (String.length payload);
-      t.counters.bytes_in <- t.counters.bytes_in + String.length payload;
-      t.env.on_receive payload;
+      deliver t frame data;
       drain_ooo t;
       `Delivered
     end
     else begin
-      if Hashtbl.length t.ooo < 256 then
-        Hashtbl.replace t.ooo (Seq.to_int seq) payload;
+      hold_ooo t seq frame data;
       `Out_of_order
     end
   end
@@ -528,7 +577,7 @@ let accept t ~remote:(rip, rport) ~iss v =
   control t ~seq:iss ~flags:Flags.(syn + ack);
   arm_retx_timer t
 
-let input t (v : View.ro View.t) =
+let input t frame (v : View.ro View.t) =
   t.counters.segs_in <- t.counters.segs_in + 1;
   let h = Tcp_wire.read v and data_off = Tcp_wire.get_data_off v in
   let len = View.length v - data_off in
@@ -564,7 +613,7 @@ let input t (v : View.ro View.t) =
           end;
           process_ack t h
         end;
-        let ack_class = process_payload t h.seq v ~off:data_off ~len in
+        let ack_class = process_payload t h.seq frame v ~off:data_off ~len in
         (* FIN processing: in sequence only *)
         let fin_seq = Seq.add h.seq len in
         let got_fin = has Flags.fin && fin_seq = t.rcv_nxt in

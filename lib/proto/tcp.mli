@@ -47,7 +47,11 @@ type env = {
       (** the clock; retransmission, delayed-ACK and TIME_WAIT timers are
           events scheduled on it *)
   tx : Mbuf.rw Mbuf.t -> unit;
-  on_receive : string -> unit;
+  on_receive : Mbuf.ro Mbuf.t -> View.ro View.t -> unit;
+      (** [on_receive frame data]: the next in-order bytes, viewed where
+          they arrived, in [frame].  The view is valid for the call only:
+          a stack that defers the application's callback holds [frame]
+          ({!Mbuf.hold}) until it has run. *)
   on_established : unit -> unit;
   on_peer_close : unit -> unit;
   on_close : unit -> unit;
@@ -62,6 +66,9 @@ type counters = {
   mutable retransmits : int;
   mutable fast_retransmits : int;
   mutable dup_acks : int;
+  mutable ooo_drops : int;
+      (** out-of-order segments dropped because the queue was full: it
+          holds at most 256 segments and [window] bytes *)
 }
 
 type t
@@ -84,7 +91,8 @@ val send : t -> string -> unit
 (** [send t data] is [sendv t [data]]. *)
 
 val close : t -> unit
-(** Orderly close (FIN after queued data drains). *)
+(** Orderly close (FIN after queued data drains).  A no-op on a CLOSED
+    engine: [on_close] fires once per connection. *)
 
 val abort : t -> unit
 (** RST and drop everything. *)
@@ -96,9 +104,13 @@ val accept :
     segment {!Tcp_wire.check} accepted and {!Tcp_wire.opening_syn}
     holds for. *)
 
-val input : t -> View.ro View.t -> unit
-(** Process one incoming segment (TCP header + payload) that
-    {!Tcp_wire.check} accepted: the engine does not validate. *)
+val input : t -> Mbuf.ro Mbuf.t -> View.ro View.t -> unit
+(** [input t frame v] processes one incoming segment [v] (TCP header +
+    payload) that {!Tcp_wire.check} accepted: the engine does not
+    validate.  [v] lies in [frame], which must stay valid for the call;
+    the engine copies no payload.  In-order bytes go to [on_receive] as
+    a view of [v]; an out-of-order segment holds [frame] until it is
+    delivered or the connection ends. *)
 
 val state : t -> state
 val counters : t -> counters

@@ -444,6 +444,7 @@ type 'a handler = {
 type 'a tleaf = {
   tl_exact : 'a handler array;  (* proven matches, hid order *)
   tl_resid : 'a handler array;  (* residual guards to evaluate, hid order *)
+  tl_cacheable : bool;          (* every handler here is [cacheable] *)
 }
 
 type 'a tnode =
@@ -919,10 +920,14 @@ let build_tree ev =
   let mk_leaf hs =
     incr nodes;
     let exact, inexact = List.partition (fun h -> h.hexact) hs in
+    let resid = merge_by_hid inexact unkeyed in
     Tleaf
       {
         tl_exact = Array.of_list exact;
-        tl_resid = Array.of_list (merge_by_hid inexact unkeyed);
+        tl_resid = Array.of_list resid;
+        tl_cacheable =
+          List.for_all (fun h -> h.cacheable) exact
+          && List.for_all (fun h -> h.cacheable) resid;
       }
   in
   let rec build dims hs =
@@ -1474,11 +1479,7 @@ let tree_demux ev dm =
   let recording =
     match flow with
     | Recording r ->
-        if
-          ev.mode <> Interrupt || Option.is_some over
-          || not
-               (Array.for_all (fun h -> h.cacheable) exact
-               && Array.for_all (fun h -> h.cacheable) resid)
+        if ev.mode <> Interrupt || Option.is_some over || not leaf.tl_cacheable
         then r.rec_ok <- false;
         true
     | No_flow -> false

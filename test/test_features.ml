@@ -144,7 +144,7 @@ let tcp_rtt_estimation () =
      Plexus.Tcp_mgr.listen (Plexus.Stack.tcp p.Experiments.Common.b)
        ~owner:"sink" ~port:80
        ~on_accept:(fun conn ->
-         Plexus.Tcp_mgr.on_receive conn (fun d -> got := !got + String.length d))
+         Plexus.Tcp_mgr.on_receive conn (fun d -> got := !got + View.length d))
        ()
    with
   | Ok () -> ()
@@ -180,7 +180,7 @@ let tcp_nagle_coalesces () =
        Plexus.Tcp_mgr.listen (Plexus.Stack.tcp p.Experiments.Common.b)
          ~owner:"sink" ~port:80
          ~on_accept:(fun conn ->
-           Plexus.Tcp_mgr.on_receive conn (fun d -> got := !got + String.length d))
+           Plexus.Tcp_mgr.on_receive conn (fun d -> got := !got + View.length d))
          ()
      with
     | Ok () -> ()

@@ -199,7 +199,7 @@ let tcp_input_fuzz =
         {
           Proto.Tcp.engine;
           tx = (fun _ -> ());
-          on_receive = ignore;
+          on_receive = (fun _ _ -> ());
           on_established = ignore;
           on_peer_close = ignore;
           on_close = ignore;
@@ -224,7 +224,8 @@ let tcp_input_fuzz =
                    window = 8192;
                  }
                  "")));
-      let v = View.copy (View.of_string junk) in
+      let frame = Mbuf.of_string junk in
+      let v = Mbuf.view frame in
       if fix && View.length v >= Proto.Tcp_wire.header_len then begin
         View.set_u8 v Proto.Tcp_wire.Off.data_off 0x50;
         View.set_u16 v Proto.Tcp_wire.Off.cksum 0;
@@ -238,7 +239,7 @@ let tcp_input_fuzz =
         | None ->
             if Proto.Tcp_wire.opening_syn v then
               Proto.Tcp.accept (fresh ()) ~remote:(remote, 1000) ~iss v;
-            Proto.Tcp.input opened v;
+            Proto.Tcp.input opened (Mbuf.ro frame) v;
             Sim.Engine.run engine ~until:(Sim.Stime.s 1)
       with
       | () -> true

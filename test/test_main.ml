@@ -7,4 +7,4 @@ let () =
    @ Test_apps.suite @ Test_features.suite @ Test_more.suite @ Test_fuzz.suite
    @ Test_experiments.suite @ Test_observe.suite @ Test_flowcache.suite
    @ Test_chaos.suite @ Test_scale.suite @ Test_parallel.suite
-   @ Test_lifecycle.suite @ Test_receive.suite)
+   @ Test_lifecycle.suite @ Test_receive.suite @ Test_lease.suite)

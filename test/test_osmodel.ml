@@ -106,6 +106,7 @@ let tcp_sockets_end_to_end () =
      Osmodel.Du_stack.tcp_listen p.Experiments.Common.dub ~port:80
        ~on_accept:(fun conn ->
          Osmodel.Du_stack.on_receive conn (fun data ->
+             let data = View.to_string data in
              Buffer.add_string received data;
              Osmodel.Du_stack.tcp_send p.Experiments.Common.dub conn
                ("resp:" ^ data)))
@@ -119,7 +120,7 @@ let tcp_sockets_end_to_end () =
   in
   Osmodel.Du_stack.on_established conn (fun () ->
       Osmodel.Du_stack.tcp_send p.Experiments.Common.dua conn "query");
-  Osmodel.Du_stack.on_receive conn (fun data -> reply := !reply ^ data);
+  Osmodel.Du_stack.on_receive conn (fun data -> reply := !reply ^ View.to_string data);
   Sim.Engine.run p.Experiments.Common.du_engine ~until:(Sim.Stime.s 10);
   Alcotest.(check string) "server received" "query" (Buffer.contents received);
   Alcotest.(check string) "client received" "resp:query" !reply
@@ -131,7 +132,7 @@ let tcp_bulk_over_du () =
      Osmodel.Du_stack.tcp_listen p.Experiments.Common.dub ~port:80
        ~on_accept:(fun conn ->
          Osmodel.Du_stack.on_receive conn (fun data ->
-             total := !total + String.length data))
+             total := !total + View.length data))
        ()
    with
   | Ok () -> ()
@@ -177,6 +178,7 @@ let splice_relays () =
      Osmodel.Du_stack.tcp_listen server ~port:8080
        ~on_accept:(fun conn ->
          Osmodel.Du_stack.on_receive conn (fun data ->
+             let data = View.to_string data in
              Buffer.add_string server_got data;
              Osmodel.Du_stack.tcp_send server conn ("echo:" ^ data)))
        ()
@@ -189,7 +191,7 @@ let splice_relays () =
   in
   Osmodel.Du_stack.on_established conn (fun () ->
       Osmodel.Du_stack.tcp_send client conn "through-the-splice");
-  Osmodel.Du_stack.on_receive conn (fun data -> client_got := !client_got ^ data);
+  Osmodel.Du_stack.on_receive conn (fun data -> client_got := !client_got ^ View.to_string data);
   Sim.Engine.run engine ~until:(Sim.Stime.s 20);
   Alcotest.(check string) "server saw relayed bytes" "through-the-splice"
     (Buffer.contents server_got);

@@ -352,6 +352,7 @@ let tcp_over_plexus () =
        ~owner:"srv" ~port:80
        ~on_accept:(fun conn ->
          Plexus.Tcp_mgr.on_receive conn (fun data ->
+             let data = View.to_string data in
              Buffer.add_string received data;
              Plexus.Tcp_mgr.send conn ("ack:" ^ data)))
        ()
@@ -367,7 +368,7 @@ let tcp_over_plexus () =
   | Ok conn ->
       Plexus.Tcp_mgr.on_established conn (fun () ->
           Plexus.Tcp_mgr.send conn "request");
-      Plexus.Tcp_mgr.on_receive conn (fun data -> reply := !reply ^ data));
+      Plexus.Tcp_mgr.on_receive conn (fun data -> reply := !reply ^ View.to_string data));
   Sim.Engine.run p.Experiments.Common.engine ~until:(Sim.Stime.s 10);
   Alcotest.(check string) "server got request" "request"
     (Buffer.contents received);
