@@ -2,7 +2,7 @@
    the paper claims is cheap — event dispatch ("roughly one procedure
    call") at 1 to 256 installed handlers, guard evaluation and packet
    filters, VIEW header access, mbuf operations, the Internet checksum,
-   fragmentation, dynamic linking and EPHEMERAL plans.  Prints one
+   fragmentation and reassembly, dynamic linking and EPHEMERAL plans.  Prints one
    Bechamel table of ns per operation; host time jitters, so nothing
    here is a gate.  End-to-end workloads live in [perfbench/], the
    paper's tables in [plexus-cli all], and every deterministic property
@@ -237,6 +237,31 @@ let test_fragment =
          ignore
            (Sys.opaque_identity (Proto.Ip_frag.fragment ~mtu:1500 payload))))
 
+(* Reassembly with [n] trains pending: each operation ends the oldest
+   train with a fragment that overlaps it and opens a new one with a
+   lone first fragment, so [n] stay pending, within the budget, and
+   nothing is assembled.  The cost should not grow with [n]. *)
+let test_lone_fragment n =
+  let t = Proto.Ip_frag.create (Sim.Engine.create ()) in
+  let src = Proto.Ipaddr.v 10 0 0 1 and dst = Proto.Ipaddr.v 10 0 0 2 in
+  let v = View.create (Proto.Ipv4.header_len + 16) in
+  let feed id off8 =
+    Proto.Ipv4.write v
+      (Proto.Ipv4.make ~id:(id land 0xffff) ~more_fragments:true
+         ~frag_offset:off8 ~proto:17 ~src ~dst ~payload_len:16 ());
+    ignore (Sys.opaque_identity (Proto.Ip_frag.receive t ~host:dst v))
+  in
+  for id = 0 to n - 1 do
+    feed id 0
+  done;
+  let next = ref n in
+  Test.make
+    ~name:(Printf.sprintf "drop oldest + lone fragment (%d pending)" n)
+    (Staged.stage (fun () ->
+         feed (!next - n) 1;
+         feed !next 0;
+         incr next))
+
 (* ---- extensions -------------------------------------------------------- *)
 
 let test_link_unlink =
@@ -271,7 +296,8 @@ let tests =
   @ filter_tests
   @ [ test_mbuf_alloc; test_mbuf_prepend; test_mbuf_recycle ]
   @ cksum_tests
-  @ [ test_fragment; test_link_unlink; test_ephemeral_plan ]
+  @ [ test_fragment; test_lone_fragment 16; test_lone_fragment 1024 ]
+  @ [ test_link_unlink; test_ephemeral_plan ]
 
 (* One OLS estimate per subject against the monotonic clock, a quarter
    second of samples each. *)

@@ -13,7 +13,7 @@
 
 type ctx = {
   mutable send : (dst:Proto.Ether.Mac.t -> handler:int -> string -> unit) option;
-  received : Sim.Stats.Counter.t;
+  received : int ref;
   mutable uninstall : (unit -> unit) option;
 }
 
@@ -24,7 +24,7 @@ let send ctx ~dst ~handler payload =
   | Some f -> f ~dst ~handler payload
   | None -> invalid_arg "Active_messages.send: extension not linked"
 
-let received ctx = Sim.Stats.Counter.get ctx.received
+let received ctx = !(ctx.received)
 
 let header_len = 2
 
@@ -35,7 +35,7 @@ let header_len = 2
 let extension ?(etype = Proto.Ether.etype_active_message) ?budget ~name
     ~(handlers : ctx -> int -> src:Proto.Ether.Mac.t -> string -> Spin.Ephemeral.t)
     () =
-  let ctx = { send = None; received = Sim.Stats.Counter.create (); uninstall = None } in
+  let ctx = { send = None; received = ref 0; uninstall = None } in
   let imports =
     [
       (Plexus.Api.ether_iface, Plexus.Api.sym_install_handler);

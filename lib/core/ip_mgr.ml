@@ -16,7 +16,6 @@ type counters = {
   mutable malformed : int;
   mutable delivered : int;
   mutable fragments_out : int;
-  mutable reassembled : int;
 }
 
 (* One unfragmented datagram's output step, queued on the CPU; recycled
@@ -52,7 +51,7 @@ let create graph =
     host;
     costs = Netsim.Host.costs host;
     routes = [];
-    frag = Proto.Ip_frag.create ();
+    frag = Proto.Ip_frag.create (Netsim.Host.engine host);
     next_id = 1;
     counters =
       {
@@ -62,7 +61,6 @@ let create graph =
         malformed = 0;
         delivered = 0;
         fragments_out = 0;
-        reassembled = 0;
       };
     outs = Sim.Stash.create ();
     prepared = Sim.Stash.create ();
@@ -72,7 +70,6 @@ let node t = t.node
 let counters t = t.counters
 let host_ip t = Netsim.Host.ip t.host
 
-let engine t = Netsim.Host.engine t.host
 let cpu t = Netsim.Host.cpu t.host
 
 let raise_recv t ctx = Spin.Dispatcher.raise (Graph.recv_event t.node) ctx
@@ -86,8 +83,7 @@ let rx t ctx =
   t.counters.rx <- t.counters.rx + 1;
   let v = View.shift (Pctx.view ctx) Proto.Ether.header_len in
   match
-    Proto.Ip_frag.receive_frame t.frag ~now:(Sim.Engine.now (engine t))
-      ~host:(host_ip t) ctx.Pctx.pkt v
+    Proto.Ip_frag.receive_frame t.frag ~host:(host_ip t) ctx.Pctx.pkt v
   with
   | Proto.Ip_frag.Deliver h ->
       t.counters.delivered <- t.counters.delivered + 1;
@@ -99,25 +95,20 @@ let rx t ctx =
            ~len:(h.Proto.Ipv4.total_len - Proto.Ipv4.header_len)
            h)
   | Proto.Ip_frag.Reassembled (h, datagram) ->
-      Proto.Ip_frag.schedule_expiry t.frag (engine t);
-      t.counters.reassembled <- t.counters.reassembled + 1;
       t.counters.delivered <- t.counters.delivered + 1;
       (* the datagram is a new frame: held across its raise like a
          driver's, so its walk's last step frees it *)
       Mbuf.hold datagram;
       raise_recv t (Pctx.with_ip (Pctx.with_payload ctx (Mbuf.ro datagram)) h);
       Mbuf.release datagram
-  | Proto.Ip_frag.Pending -> Proto.Ip_frag.schedule_expiry t.frag (engine t)
+  | Proto.Ip_frag.Pending -> ()
   | Proto.Ip_frag.Drop reason ->
       (match reason with
       | Proto.Ipv4.Bad_checksum ->
           t.counters.bad_checksum <- t.counters.bad_checksum + 1
       | Proto.Ipv4.Not_ours -> t.counters.not_ours <- t.counters.not_ours + 1
+      | Proto.Ipv4.Runt | Proto.Ipv4.Bad_header | Proto.Ipv4.Bad_length
       | Proto.Ipv4.Bad_fragment ->
-          (* the train is gone *)
-          Proto.Ip_frag.schedule_expiry t.frag (engine t);
-          t.counters.malformed <- t.counters.malformed + 1
-      | Proto.Ipv4.Runt | Proto.Ipv4.Bad_header | Proto.Ipv4.Bad_length ->
           t.counters.malformed <- t.counters.malformed + 1);
       Graph.drop t.graph ctx ~scope:"ip" ~reason:(Proto.Ipv4.drop_name reason)
 

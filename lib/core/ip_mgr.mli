@@ -10,7 +10,6 @@ type counters = {
   mutable malformed : int;  (** every other {!Proto.Ipv4.drop} *)
   mutable delivered : int;
   mutable fragments_out : int;
-  mutable reassembled : int;
 }
 
 val create : Graph.t -> t
@@ -28,9 +27,9 @@ val counters : t -> counters
 val host_ip : t -> Proto.Ipaddr.t
 
 val frag_state : t -> Proto.Ip_frag.t
-(** The reassembly state — pending/reassembled/timeout counts for tests
-    and introspection.  Its expiry is scheduled
-    ({!Proto.Ip_frag.schedule_expiry}). *)
+(** The reassembly state — pending/reassembled/timeout/eviction counts
+    for tests, reports and introspection.  It expires its own stalled
+    trains on the host's engine. *)
 
 val send :
   t -> Sim.Cpu.prio -> proto:int -> dst:Proto.Ipaddr.t -> Mbuf.rw Mbuf.t ->

@@ -169,7 +169,7 @@ let report t =
        "  ip: rx=%d delivered=%d bad_cksum=%d malformed=%d not_ours=%d frags_out=%d reassembled=%d\n"
        ic.Ip_mgr.rx ic.Ip_mgr.delivered ic.Ip_mgr.bad_checksum
        ic.Ip_mgr.malformed ic.Ip_mgr.not_ours ic.Ip_mgr.fragments_out
-       ic.Ip_mgr.reassembled);
+       (Proto.Ip_frag.reassembled_count (Ip_mgr.frag_state t.ip)));
   let uc = Udp_mgr.counters t.udp in
   Buffer.add_string b
     (Printf.sprintf

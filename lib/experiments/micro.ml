@@ -68,14 +68,14 @@ type termination_result = {
 let budget_termination ?(messages = 50) ?(actions = 10)
     ?(action_cost = Sim.Stime.us 5) ?(budget = Sim.Stime.us 22) () =
   let p = Common.plexus_pair (Netsim.Costs.ethernet ()) in
-  let committed = Sim.Stats.Counter.create () in
+  let committed = ref 0 in
   let handlers _ctx idx ~src:_ _payload =
     ignore idx;
     List.init actions (fun i ->
         Spin.Ephemeral.work
           ~label:(Printf.sprintf "step%d" i)
           ~cost:action_cost
-          (fun () -> Sim.Stats.Counter.incr committed))
+          (fun () -> incr committed))
   in
   let _ctx, ext =
     Apps.Active_messages.extension ~name:"am-budget" ~budget ~handlers ()
@@ -102,7 +102,7 @@ let budget_termination ?(messages = 50) ?(actions = 10)
   {
     messages;
     terminations = Spin.Dispatcher.terminations disp;
-    committed_actions = Sim.Stats.Counter.get committed;
+    committed_actions = !committed;
   }
 
 let print ?params ?iters () =

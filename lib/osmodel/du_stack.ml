@@ -65,6 +65,7 @@ and t = {
 let host_ip t = Netsim.Host.ip t.host
 let counters t = t.counters
 let host t = t.host
+let frag_state t = t.frag
 let tcp_conns t = Proto.Tcp_table.length t.endpoints
 
 (* Receive-side boundary crossing with wakeup batching: if the user
@@ -310,8 +311,7 @@ let rx_ip t pkt =
         else Mbuf.release frame
       in
       match
-        Proto.Ip_frag.receive_frame t.frag ~now:(Sim.Engine.now t.engine)
-          ~host:(host_ip t) pkt v
+        Proto.Ip_frag.receive_frame t.frag ~host:(host_ip t) pkt v
       with
       | Deliver h ->
           deliver h
@@ -320,17 +320,11 @@ let rx_ip t pkt =
             pkt
       | Reassembled (h, datagram) ->
           Mbuf.release pkt;
-          Proto.Ip_frag.schedule_expiry t.frag t.engine;
           Mbuf.hold datagram;
           deliver h (View.ro (Mbuf.view datagram)) datagram
-      | Pending ->
-          Mbuf.release pkt;
-          (* a stalled train must not pin its frames: expire it on time *)
-          Proto.Ip_frag.schedule_expiry t.frag t.engine
+      | Pending -> Mbuf.release pkt
       | Drop reason ->
           Mbuf.release pkt;
-          if reason = Proto.Ipv4.Bad_fragment then
-            Proto.Ip_frag.schedule_expiry t.frag t.engine;
           (match reason with
           | Proto.Ipv4.Bad_checksum ->
               t.counters.bad_checksum <- t.counters.bad_checksum + 1
@@ -391,7 +385,7 @@ let create ?subnets host =
       cpu = Netsim.Host.cpu host;
       costs = Netsim.Host.costs host;
       routes = [];
-      frag = Proto.Ip_frag.create ();
+      frag = Proto.Ip_frag.create (Netsim.Host.engine host);
       udp_socks = Hashtbl.create 16;
       endpoints = Proto.Tcp_table.create ();
       next_ip_id = 1;

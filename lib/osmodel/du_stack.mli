@@ -31,6 +31,7 @@ val create : ?subnets:(Proto.Ipaddr.t * int) list -> Netsim.Host.t -> t
 
 val counters : t -> counters
 val host : t -> Netsim.Host.t
+val frag_state : t -> Proto.Ip_frag.t
 
 val tcp_conns : t -> int
 (** Live TCP connections, in any state. *)

@@ -88,8 +88,7 @@ let user_process t (pkt : string) =
       urun t lay.ip_in (fun () ->
           let ipv = View.shift (View.of_string pkt) Proto.Ether.header_len in
           match
-            Proto.Ip_frag.receive t.frag ~now:(Sim.Engine.now t.engine)
-              ~host:(host_ip t) ipv
+            Proto.Ip_frag.receive t.frag ~host:(host_ip t) ipv
           with
           | Deliver h ->
               deliver h
@@ -190,7 +189,7 @@ let create host =
       dev;
       arp = Proto.Arp.Cache.create ();
       socks = Hashtbl.create 8;
-      frag = Proto.Ip_frag.create ();
+      frag = Proto.Ip_frag.create (Netsim.Host.engine host);
       next_ip_id = 1;
       counters =
         {

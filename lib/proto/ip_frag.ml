@@ -56,94 +56,101 @@ let packets ~mtu ~id ~proto ~src ~dst (payload : Mbuf.rw Mbuf.t) =
 (* Reassembly contexts are keyed by (src, dst, proto, id). *)
 type key = { src : Ipaddr.t; dst : Ipaddr.t; proto : int; id : int }
 
+(* Every train gets the same timeout when it is created, so deadlines
+   come in creation order: the pending trains form one FIFO, linked
+   through [prev]/[next] around a sentinel, and expiry looks only at
+   its head. *)
 type ctx = {
+  key : key;
   mutable chunks : (int * View.ro View.t) list; (* byte offset, payload *)
   mutable frames : Mbuf.ro Mbuf.t list; (* held for their chunks' views *)
+  mutable held : int;                   (* bytes of those frames (or chunks) *)
   mutable total : int option;           (* known once the last fragment arrives *)
   mutable received : int;
   deadline : Sim.Stime.t;
+  mutable prev : ctx;
+  mutable next : ctx;
 }
 
 type t = {
-  pending : (key, ctx) Hashtbl.t;
-  timeout : Sim.Stime.t;
-  mutable timer : Sim.Engine.handle option;
+  engine : Sim.Engine.t;
+  pending : (key, ctx) Hashtbl.t;       (* the FIFO's index by key *)
+  fifo : ctx;       (* sentinel: [fifo.next] the oldest, [fifo.prev] the newest *)
+  timer : Sim.Engine.handle;  (* pending exactly while some train is *)
+  mutable held : int;
   mutable timeouts : int;
+  mutable evicted : int;
   mutable reassembled : int;
 }
 
-let create ?(timeout = Sim.Stime.s 30) () =
-  { pending = Hashtbl.create 16; timeout; timer = None; timeouts = 0;
-    reassembled = 0 }
+let timeout = Sim.Stime.s 30
+
+(* The reassembly budget (BSD's [maxfragpackets], Linux's
+   [ipfrag_high_thresh]): past either, the oldest train is evicted. *)
+let max_trains = 1024
+let max_held = 4 * 1024 * 1024
+
+let create engine =
+  let key = { src = Ipaddr.any; dst = Ipaddr.any; proto = 0; id = 0 } in
+  let rec fifo =
+    { key; chunks = []; frames = []; held = 0; total = None; received = 0;
+      deadline = Sim.Stime.zero; prev = fifo; next = fifo }
+  in
+  { engine; pending = Hashtbl.create 16; fifo; timer = Sim.Engine.timer engine;
+    held = 0; timeouts = 0; evicted = 0; reassembled = 0 }
 
 let pending_count t = Hashtbl.length t.pending
 let reassembled_count t = t.reassembled
 let timeout_count t = t.timeouts
+let evicted_count t = t.evicted
 
-(* A train ends — reassembled, expired or dropped — and lets go of the
-   frames its chunks view. *)
-let finish t key ctx =
-  Hashtbl.remove t.pending key;
+(* A train ends — reassembled, expired, evicted or dropped — and lets go
+   of the frames its chunks view; the last one out cancels the timer.
+   Its own links are cut too: an old train still pointing along the
+   FIFO would make the minor GC promote every train created after it. *)
+let finish t ctx =
+  Hashtbl.remove t.pending ctx.key;
+  ctx.prev.next <- ctx.next;
+  ctx.next.prev <- ctx.prev;
+  ctx.prev <- ctx;
+  ctx.next <- ctx;
+  t.held <- t.held - ctx.held;
   List.iter Mbuf.release ctx.frames;
-  ctx.frames <- []
+  ctx.frames <- [];
+  if t.fifo.next == t.fifo then Sim.Engine.cancel t.engine t.timer
 
-let expire t ~now =
-  let stale =
-    Hashtbl.fold
-      (fun k ctx acc ->
-        if Sim.Stime.compare now ctx.deadline > 0 then (k, ctx) :: acc else acc)
-      t.pending []
-  in
-  List.iter
-    (fun (k, ctx) ->
-      finish t k ctx;
-      t.timeouts <- t.timeouts + 1)
-    stale;
-  List.length stale
+(* Expire the trains strictly past their deadline: a prefix of the FIFO. *)
+let rec expire t now =
+  let c = t.fifo.next in
+  if c != t.fifo && Sim.Stime.compare now c.deadline > 0 then begin
+    t.timeouts <- t.timeouts + 1;
+    finish t c;
+    expire t now
+  end
 
-(* The earliest deadline among pending reassemblies, or [None] when
-   nothing is pending. *)
-let next_deadline t =
-  Hashtbl.fold
-    (fun _ ctx acc ->
-      match acc with
-      | None -> Some ctx.deadline
-      | Some d ->
-          if Sim.Stime.compare ctx.deadline d < 0 then Some ctx.deadline
-          else acc)
-    t.pending None
+(* Under loss a stalled train would otherwise pin its frames until some
+   later fragment arrives, so the timer fires 1 ns after the head's
+   deadline, expires the stale prefix and re-arms at the new head.  A
+   head that ends sooner leaves the timer where it is, to fire and find
+   nothing stale.  It is never a standing tick, which would keep the
+   event-driven engine from draining. *)
+let rec arm t =
+  let c = t.fifo.next in
+  if c != t.fifo then
+    Sim.Engine.arm t.engine t.timer
+      ~at:(Sim.Stime.add c.deadline (Sim.Stime.ns 1))
+      (fun () ->
+        expire t (Sim.Engine.now t.engine);
+        arm t)
 
-(* Scheduled expiry.  [receive] only expires lazily — when *another*
-   fragment arrives — so under loss a half-delivered fragment train
-   would pin its chunk buffers forever.  A one-shot timer armed at the
-   earliest pending deadline bounds that: it fires, expires what is
-   stale, and re-arms only while reassemblies remain pending.  It is
-   cancelled the moment nothing is pending — never a standing tick,
-   which would keep the event-driven engine from draining (or stretch
-   every fragmented run out to the 30 s reassembly timeout). *)
-let rec schedule_expiry t engine =
-  match t.timer with
-  | Some h ->
-      if pending_count t = 0 then begin
-        Sim.Engine.cancel engine h;
-        t.timer <- None
-      end
-  | None -> (
-      match next_deadline t with
-      | None -> ()
-      | Some deadline ->
-          (* [expire] drops contexts strictly past their deadline; fire
-             1 ns after it *)
-          let now = Sim.Engine.now engine in
-          let delay =
-            Sim.Stime.add (Sim.Stime.sub (max deadline now) now) (Sim.Stime.ns 1)
-          in
-          t.timer <-
-            Some
-              (Sim.Engine.schedule_in engine ~delay (fun () ->
-                   t.timer <- None;
-                   ignore (expire t ~now:(Sim.Engine.now engine) : int);
-                   schedule_expiry t engine)))
+(* Evict the oldest trains, never [ctx] itself, while over budget. *)
+let rec evict t ctx =
+  let c = t.fifo.next in
+  if c != ctx && (pending_count t > max_trains || t.held > max_held) then begin
+    t.evicted <- t.evicted + 1;
+    finish t c;
+    evict t ctx
+  end
 
 (* Assemble completed chunks into a fresh contiguous datagram: each
    payload byte is copied exactly once, here. *)
@@ -169,24 +176,25 @@ type verdict =
    train, since [assemble] could not place it.  The chunk views must
    stay valid until the train ends: a stored chunk holds [frame], the
    arriving frame it views, when there is one. *)
-let input t ~now (h : Ipv4.header) (payload : _ View.t) frame =
+let input t (h : Ipv4.header) (payload : _ View.t) frame =
   let payload = View.ro payload in
-  ignore (expire t ~now : int);
+  let now = Sim.Engine.now t.engine in
+  expire t now;
   let key = { src = h.src; dst = h.dst; proto = h.proto; id = h.id } in
   let ctx =
     match Hashtbl.find_opt t.pending key with
     | Some c -> c
     | None ->
+        let last = t.fifo.prev in
         let c =
-          {
-            chunks = [];
-            frames = [];
-            total = None;
-            received = 0;
-            deadline = Sim.Stime.add now t.timeout;
-          }
+          { key; chunks = []; frames = []; held = 0; total = None;
+            received = 0; deadline = Sim.Stime.add now timeout;
+            prev = last; next = t.fifo }
         in
+        last.next <- c;
+        t.fifo.prev <- c;
         Hashtbl.replace t.pending key c;
+        if last == t.fifo then arm t;
         c
   in
   let off = h.frag_offset * 8 in
@@ -210,18 +218,23 @@ let input t ~now (h : Ipv4.header) (payload : _ View.t) frame =
     | None -> false
   in
   if total_clash || overlap || past_end || stop > Ipv4.max_payload then begin
-    finish t key ctx;
+    finish t ctx;
     Drop Ipv4.Bad_fragment
   end
   else begin
     if not dup then begin
       ctx.chunks <- (off, payload) :: ctx.chunks;
       ctx.received <- ctx.received + len;
-      match frame with
-      | Some f ->
-          Mbuf.hold f;
-          ctx.frames <- f :: ctx.frames
-      | None -> ()
+      let bytes =
+        match frame with
+        | Some f ->
+            Mbuf.hold f;
+            ctx.frames <- f :: ctx.frames;
+            Mbuf.length f
+        | None -> len
+      in
+      ctx.held <- ctx.held + bytes;
+      t.held <- t.held + bytes
     end;
     ctx.total <- total;
     (* disjoint chunks inside [0, total) tile it when their sizes sum
@@ -235,9 +248,11 @@ let input t ~now (h : Ipv4.header) (payload : _ View.t) frame =
                    total_len = Ipv4.header_len + total }
         in
         let datagram = assemble total ctx.chunks in
-        finish t key ctx;
+        finish t ctx;
         Reassembled (h, datagram)
-    | _ -> Pending
+    | _ ->
+        evict t ctx;
+        Pending
   end
 
 (* The one IPv4 receive decision every stack takes: validate the header
@@ -246,18 +261,18 @@ let input t ~now (h : Ipv4.header) (payload : _ View.t) frame =
    or feed the fragment's payload to reassembly.  [lease src] is the
    frame a stored chunk holds; it is built on the fragment path only,
    so an unfragmented datagram allocates nothing for it. *)
-let classify t ~now ~host v lease src =
+let classify t ~host v lease src =
   match Ipv4.check ~host v with
   | Some reason -> Drop reason
   | None ->
       let h = Ipv4.read v in
       if not (h.more_fragments || h.frag_offset > 0) then Deliver h
       else
-        input t ~now h
+        input t h
           (View.sub v ~off:Ipv4.header_len ~len:(h.total_len - Ipv4.header_len))
           (lease src)
 
-let receive t ~now ~host v = classify t ~now ~host v (fun () -> None) ()
+let receive t ~host v = classify t ~host v (fun () -> None) ()
 
-let receive_frame t ~now ~host frame v =
-  classify t ~now ~host v (fun f -> Some (Mbuf.ro f)) frame
+let receive_frame t ~host frame v =
+  classify t ~host v (fun f -> Some (Mbuf.ro f)) frame

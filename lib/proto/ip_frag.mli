@@ -21,9 +21,14 @@ val packets :
     and its handle is freed. *)
 
 type t
-(** Reassembly state, keyed by (src, dst, proto, id). *)
+(** Reassembly state, keyed by (src, dst, proto, id).  It expires
+    itself: a train still incomplete 30 s after its first fragment is
+    dropped and its frames released, on time, by one timer on the
+    engine.  At most 1,024 trains and 4 MiB of the frames they hold
+    are pending: past either, the oldest train is evicted. *)
 
-val create : ?timeout:Sim.Stime.t -> unit -> t
+val create : Sim.Engine.t -> t
+(** Reassembly on the engine whose clock dates the trains. *)
 
 (** What a receiver does with one arriving datagram. *)
 type verdict =
@@ -37,29 +42,25 @@ type verdict =
           on its total or ends past {!Ipv4.max_payload} ([Bad_fragment],
           and the train is gone) *)
 
-val receive : t -> now:Sim.Stime.t -> host:Ipaddr.t -> _ View.t -> verdict
+val receive : t -> host:Ipaddr.t -> _ View.t -> verdict
 (** The IPv4 receive path of Plexus and both baselines, for the datagram
     at the start of the view.  A train completes only when its chunks
     tile [[0, total)] exactly; an exact duplicate chunk is ignored.
     Chunk views are kept until the train ends, so the bytes must stay
     valid that long: this form is for bytes the caller owns (a copied-out
-    frame); a view into a received frame goes through {!receive_frame}.
-    Stale contexts are expired lazily against [now]. *)
+    frame); a view into a received frame goes through {!receive_frame}. *)
 
-val receive_frame :
-  t -> now:Sim.Stime.t -> host:Ipaddr.t -> _ Mbuf.t -> _ View.t -> verdict
-(** [receive_frame t ~now ~host frame v] is {!receive} for a view into a
+val receive_frame : t -> host:Ipaddr.t -> _ Mbuf.t -> _ View.t -> verdict
+(** [receive_frame t ~host frame v] is {!receive} for a view into a
     received [frame]: a fragment stored in a pending train
-    {!Mbuf.hold}s its frame, and the train's end — reassembled, expired
-    or dropped as [Bad_fragment] — releases every frame it held. *)
-
-val schedule_expiry : t -> Sim.Engine.t -> unit
-(** Bound how long a stalled train pins its buffers (the chunks
-    reference arriving frames): while any train is pending, a one-shot
-    timer on the engine expires stale ones, releasing their frames, at
-    the earliest deadline and re-arms; with none pending it is
-    cancelled.  A receiver calls this after each fragment's verdict. *)
+    {!Mbuf.hold}s its frame, and the train's end — reassembled, expired,
+    evicted or dropped as [Bad_fragment] — releases every frame it
+    held. *)
 
 val pending_count : t -> int
 val reassembled_count : t -> int
 val timeout_count : t -> int
+
+val evicted_count : t -> int
+(** Trains evicted past the budget; the fragment that pushed it over
+    keeps its verdict. *)

@@ -509,15 +509,31 @@ let deliver t frame data =
   t.counters.bytes_in <- t.counters.bytes_in + n;
   t.env.on_receive frame data
 
+(* Deliver what the held segments add at [rcv_nxt]: one that starts at
+   or before it gives its unseen tail, one wholly below it is let go. *)
 let rec drain_ooo t =
-  match Hashtbl.find_opt t.ooo (Seq.to_int t.rcv_nxt) with
-  | None -> ()
-  | Some e ->
-      Hashtbl.remove t.ooo (Seq.to_int t.rcv_nxt);
-      t.ooo_bytes <- t.ooo_bytes - View.length e.h_data;
-      deliver t e.h_frame e.h_data;
-      Mbuf.release e.h_frame;
-      drain_ooo t
+  if Hashtbl.length t.ooo > 0 then begin
+    let next = ref None in
+    Hashtbl.filter_map_inplace
+      (fun seq e ->
+        let seq = Seq.of_int seq and len = View.length e.h_data in
+        let skip = Seq.diff t.rcv_nxt seq in
+        if Seq.gt seq t.rcv_nxt || (skip < len && Option.is_some !next) then
+          Some e
+        else begin
+          t.ooo_bytes <- t.ooo_bytes - len;
+          if skip < len then next := Some (e, skip) else Mbuf.release e.h_frame;
+          None
+        end)
+      t.ooo;
+    match !next with
+    | None -> ()
+    | Some (e, skip) ->
+        deliver t e.h_frame
+          (View.sub e.h_data ~off:skip ~len:(View.length e.h_data - skip));
+        Mbuf.release e.h_frame;
+        drain_ooo t
+  end
 
 (* Keep an out-of-order segment's bytes by holding its frame.  The queue
    is capped at 256 segments and at the advertised window in bytes; a

@@ -1,19 +1,9 @@
-(* Measurement helpers: counters, running means of durations, an exact
+(* Measurement helpers: running means of durations, an exact
    percentile over a sample array, and log-bucketed histograms.  Only
    [percentile] looks at every sample, and its caller owns the array;
    everything else is O(1) memory. *)
 
 module Histogram = Observe.Histogram
-
-module Counter = struct
-  type t = { mutable n : int }
-
-  let create () = { n = 0 }
-  let incr t = t.n <- t.n + 1
-  let add t k = t.n <- t.n + k
-  let get t = t.n
-  let reset t = t.n <- 0
-end
 
 module Mean = struct
   (* The sum is kept in integer nanoseconds: exact, whatever the order

@@ -1,20 +1,10 @@
-(** Counters, running means, exact percentiles and log-bucketed
+(** Running means, exact percentiles and log-bucketed
     histograms for experiment measurement. *)
 
 module Histogram = Observe.Histogram
 (** Log-bucketed latency histogram: O(1) record, O(1) memory,
     quantiles within ~3% relative error.  Use it wherever sample counts
     are unbounded (hot paths, long-running workloads). *)
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-  val reset : t -> unit
-end
 
 module Mean : sig
   type t

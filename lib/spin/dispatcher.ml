@@ -225,11 +225,11 @@ type t = {
   costs : costs;
   reg : Observe.Registry.t option;
   trace : Observe.Trace.t;
-  raises : Sim.Stats.Counter.t;
-  guard_evals : Sim.Stats.Counter.t;
-  invocations : Sim.Stats.Counter.t;
-  terminations : Sim.Stats.Counter.t;
-  faults : Sim.Stats.Counter.t;
+  raises : int ref;
+  guard_evals : int ref;
+  invocations : int ref;
+  terminations : int ref;
+  faults : int ref;
   eph_commits : int ref;
   eph_actions : int ref;       (* committed ephemeral actions *)
   eph_terminated : int ref;    (* budget overruns *)
@@ -293,11 +293,11 @@ let create ?registry ?trace ~cpu ~costs () =
     costs;
     reg = registry;
     trace = (match trace with Some tr -> tr | None -> Observe.Trace.create ());
-    raises = Sim.Stats.Counter.create ();
-    guard_evals = Sim.Stats.Counter.create ();
-    invocations = Sim.Stats.Counter.create ();
-    terminations = Sim.Stats.Counter.create ();
-    faults = Sim.Stats.Counter.create ();
+    raises = ref 0;
+    guard_evals = ref 0;
+    invocations = ref 0;
+    terminations = ref 0;
+    faults = ref 0;
     eph_commits = mkref registry "spin.eph.commits";
     eph_actions = mkref registry "spin.eph.committed_actions";
     eph_terminated = mkref registry "spin.eph.terminated";
@@ -326,11 +326,11 @@ let cpu t = t.cpu
 let costs t = t.costs
 let registry t = t.reg
 let trace t = t.trace
-let raises t = Sim.Stats.Counter.get t.raises
-let guard_evals t = Sim.Stats.Counter.get t.guard_evals
-let invocations t = Sim.Stats.Counter.get t.invocations
-let terminations t = Sim.Stats.Counter.get t.terminations
-let faults t = Sim.Stats.Counter.get t.faults
+let raises t = !(t.raises)
+let guard_evals t = !(t.guard_evals)
+let invocations t = !(t.invocations)
+let terminations t = !(t.terminations)
+let faults t = !(t.faults)
 let eph_failures t = !(t.eph_failures)
 let quarantines t = !(t.quarantines)
 let swaps t = !(t.swaps)
@@ -1164,7 +1164,7 @@ let emit_span d event =
    the registry nothing. *)
 let fault ev h exn =
   let d = ev.disp in
-  Sim.Stats.Counter.incr d.faults;
+  incr d.faults;
   incr (mkref d.reg (ledger_prefix ev h.label h.hgen ^ ".faults"));
   if Observe.Trace.active d.trace then
     emit_span d
@@ -1355,7 +1355,7 @@ let run_eph ev v h plan over =
       | None -> ());
       flight_note_run d ev v h ~dur_ns:run_ns;
       if r.Ephemeral.terminated then begin
-        Sim.Stats.Counter.incr d.terminations;
+        incr d.terminations;
         incr d.eph_terminated;
         incr h.hs.h_terms
       end;
@@ -1428,7 +1428,7 @@ let queue_delivery ev v h flow over prio ~cost plan =
 
 let deliver ev v h flow over =
   let d = ev.disp in
-  Sim.Stats.Counter.incr d.invocations;
+  incr d.invocations;
   let prio = prio_of ev over in
   let spawn =
     match ev.mode with
@@ -1551,7 +1551,7 @@ let raise_core ?over ev v flow =
   let visited = tr.tr_visited in
   let n_exact = Array.length leaf.tl_exact in
   let n_resid = Array.length leaf.tl_resid in
-  Sim.Stats.Counter.add d.guard_evals n_resid;
+  d.guard_evals := !(d.guard_evals) + n_resid;
   incr ev.ev_tree;
   ev.tr_resid_evals := !(ev.tr_resid_evals) + n_resid;
   if Observe.Trace.active d.trace then
@@ -1620,7 +1620,7 @@ let rec run_hop_from ev v hids acc =
         match Hashtbl.find ev.table hid with
         | { kind = Plain { cost; dyncost; fn }; _ } as h ->
             let d = ev.disp in
-            Sim.Stats.Counter.incr d.invocations;
+            incr d.invocations;
             let a0 = Packet.Mbuf.total_allocated () in
             (try fn v with
             | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
@@ -1837,7 +1837,7 @@ let dispatch ?prio ev v =
 
 let raise ?prio ev v =
   let d = ev.disp in
-  Sim.Stats.Counter.incr d.raises;
+  incr d.raises;
   incr ev.ev_raises;
   dispatch ?prio ev v
 
@@ -1851,7 +1851,7 @@ let raise_batch ?prio ev vs =
   | vs ->
       let d = ev.disp in
       let n = List.length vs in
-      Sim.Stats.Counter.add d.raises n;
+      d.raises := !(d.raises) + n;
       ev.ev_raises := !(ev.ev_raises) + n;
       List.iter (fun v -> dispatch ?prio ev v) vs
 

@@ -32,7 +32,7 @@ let enqueue ?(cost = Sim.Stime.ns 300) q v =
   action ~label:"enqueue" ~cost (fun () -> Queue.push v q)
 
 let count ?(cost = Sim.Stime.ns 100) c =
-  action ~label:"count" ~cost (fun () -> Sim.Stats.Counter.incr c)
+  action ~label:"count" ~cost (fun () -> incr c)
 
 let work ~label ~cost f = action ~label ~cost f
 

@@ -20,7 +20,7 @@ val nothing : t
 val enqueue : ?cost:Sim.Stime.t -> 'a Queue.t -> 'a -> action
 (** Non-blocking enqueue (Figure 3's [GoodHandler]). *)
 
-val count : ?cost:Sim.Stime.t -> Sim.Stats.Counter.t -> action
+val count : ?cost:Sim.Stime.t -> int ref -> action
 
 val work : label:string -> cost:Sim.Stime.t -> (unit -> unit) -> action
 

@@ -200,6 +200,31 @@ let ooo_byte_cap () =
     (Buffer.contents t.Rx.got);
   Alcotest.(check int) "nothing held" base (live ())
 
+(* A held segment that overlaps the in-order one gives its unseen tail:
+   bytes 500-1499 arrive, then 0-999, and all 1,500 are delivered in
+   order with no frame left held.  One that the in-order segment covers
+   whole is let go. *)
+let ooo_overlap_drained () =
+  let t = Rx.establish ~window:65535 in
+  let base = live () in
+  let bytes = String.init 2500 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let send off len =
+    Rx.feed t
+      (Rx.segment ~seq:(Rx.client_iss + 1 + off) ~flags:Proto.Tcp_wire.Flags.ack
+         (String.sub bytes off len))
+  in
+  send 500 1000;
+  Alcotest.(check int) "held" (base + 1) (live ());
+  send 0 1000;
+  Alcotest.(check string) "1,500 bytes in order" (String.sub bytes 0 1500)
+    (Buffer.contents t.Rx.got);
+  Alcotest.(check int) "nothing held" base (live ());
+  send 1600 400;
+  send 1500 1000;
+  Alcotest.(check string) "a covered segment adds nothing" bytes
+    (Buffer.contents t.Rx.got);
+  Alcotest.(check int) "and is let go" base (live ())
+
 (* Segments held when the connection ends go back with it. *)
 let ooo_released_on_abort () =
   let t = Rx.establish ~window:65535 in
@@ -406,6 +431,7 @@ let suite =
         tc "digital unix: a second close fires no on_close" du_close_twice;
         tc "out-of-order queue capped by bytes" ooo_byte_cap;
         tc "out-of-order frames released on abort" ooo_released_on_abort;
+        tc "an overlapping held segment gives its tail" ooo_overlap_drained;
       ] );
     ("lease.forwarder", [ QCheck_alcotest.to_alcotest forwarder_rewrite ]);
   ]

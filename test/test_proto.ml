@@ -125,23 +125,22 @@ let frag_sizes () =
 
 (* Feed one fragment to reassembly the way a stack's receive path does:
    its header written in front of its payload, received as [h.dst]. *)
-let receive t ~now (h : Proto.Ipv4.header) payload =
+let receive t (h : Proto.Ipv4.header) payload =
   let len = View.length payload in
   let v = View.create (Proto.Ipv4.header_len + len) in
   View.blit ~src:payload ~dst:v ~src_off:0 ~dst_off:Proto.Ipv4.header_len ~len;
   Proto.Ipv4.write v h;
-  Proto.Ip_frag.receive t ~now ~host:h.Proto.Ipv4.dst v
+  Proto.Ip_frag.receive t ~host:h.Proto.Ipv4.dst v
 
 let reassemble frags =
-  let t = Proto.Ip_frag.create () in
-  let now = Sim.Stime.zero in
+  let t = Proto.Ip_frag.create (Sim.Engine.create ()) in
   List.fold_left
     (fun acc (off8, more, data) ->
       let h =
         Proto.Ipv4.make ~id:1 ~more_fragments:more ~frag_offset:off8 ~proto:17
           ~src:ip_a ~dst:ip_b ~payload_len:(Mbuf.length data) ()
       in
-      match receive t ~now h (Mbuf.view data) with
+      match receive t h (Mbuf.view data) with
       | Reassembled (_, d) -> Some (Mbuf.to_string d)
       | Deliver _ -> Some (Mbuf.to_string data)
       | Pending | Drop _ -> acc)
@@ -173,14 +172,13 @@ let frag_duplicates_ignored () =
    chunk overlapping another, or one ending past the last fragment's
    end.  The key is then free for a well-formed train. *)
 let frag_inconsistent_trains_dropped () =
-  let t = Proto.Ip_frag.create () in
-  let now = Sim.Stime.zero in
+  let t = Proto.Ip_frag.create (Sim.Engine.create ()) in
   let feed ~off8 ~more len =
     let h =
       Proto.Ipv4.make ~id:5 ~more_fragments:more ~frag_offset:off8 ~proto:17
         ~src:ip_a ~dst:ip_b ~payload_len:len ()
     in
-    match receive t ~now h (View.of_string (String.make len 'z')) with
+    match receive t h (View.of_string (String.make len 'z')) with
     | Pending -> "pending"
     | Reassembled (_, d) -> Printf.sprintf "complete %d" (Mbuf.length d)
     | Drop Proto.Ipv4.Bad_fragment -> "malformed"
@@ -199,18 +197,33 @@ let frag_inconsistent_trains_dropped () =
   check "tiles" "complete 16" (feed ~off8:0 ~more:true 8);
   Alcotest.(check int) "one reassembled" 1 (Proto.Ip_frag.reassembled_count t)
 
+(* A stalled train expires on time: reassembly's own timer fires 1 ns
+   past its 30 s deadline.  A fragment arriving at that very instant,
+   ahead of the timer, expires it first. *)
 let frag_timeout () =
-  let t = Proto.Ip_frag.create ~timeout:(Sim.Stime.s 1) () in
-  let h =
-    Proto.Ipv4.make ~id:1 ~more_fragments:true ~frag_offset:0 ~proto:17
-      ~src:ip_a ~dst:ip_b ~payload_len:8 ()
+  let engine = Sim.Engine.create () in
+  let t = Proto.Ip_frag.create engine in
+  let feed id =
+    let h =
+      Proto.Ipv4.make ~id ~more_fragments:true ~frag_offset:0 ~proto:17
+        ~src:ip_a ~dst:ip_b ~payload_len:8 ()
+    in
+    ignore (receive t h (View.of_string "AAAAAAAA") : Proto.Ip_frag.verdict)
   in
-  ignore (receive t ~now:Sim.Stime.zero h (View.of_string "AAAAAAAA"));
-  Alcotest.(check int) "pending" 1 (Proto.Ip_frag.pending_count t);
-  (* an unrelated fragment far in the future expires the stale context *)
-  let h2 = { h with Proto.Ipv4.id = 2 } in
-  ignore (receive t ~now:(Sim.Stime.s 5) h2 (View.of_string "BBBBBBBB"));
-  Alcotest.(check int) "stale expired" 1 (Proto.Ip_frag.timeout_count t)
+  let expiry = Sim.Stime.add (Sim.Stime.s 30) (Sim.Stime.ns 1) in
+  Sim.Engine.post engine ~at:expiry (fun () -> feed 2);
+  feed 1;
+  Sim.Engine.run engine ~until:(Sim.Stime.s 30);
+  Alcotest.(check (pair int int)) "pending at the deadline" (1, 0)
+    (Proto.Ip_frag.pending_count t, Proto.Ip_frag.timeout_count t);
+  Sim.Engine.run engine ~until:expiry;
+  Alcotest.(check (pair int int)) "the arrival expired the stale train" (1, 1)
+    (Proto.Ip_frag.pending_count t, Proto.Ip_frag.timeout_count t);
+  Sim.Engine.run engine;
+  Alcotest.(check (pair int int)) "the timer expired the second" (0, 2)
+    (Proto.Ip_frag.pending_count t, Proto.Ip_frag.timeout_count t);
+  Alcotest.(check int) "1 ns past its deadline" (60_000_000_000 + 2)
+    (Sim.Stime.to_ns (Sim.Engine.now engine))
 
 (* Pending fragments hold their frames until the train ends.  Each
    fragment arrives as a frame of its own, held across the receive call
@@ -219,7 +232,7 @@ let frag_timeout () =
    back where it started. *)
 let frag_trains_release_frames () =
   let engine = Sim.Engine.create () in
-  let t = Proto.Ip_frag.create ~timeout:(Sim.Stime.s 1) () in
+  let t = Proto.Ip_frag.create engine in
   let live () = snd (Mbuf.stats ()) in
   let feed ~id ~off8 ~more len =
     let h =
@@ -229,12 +242,8 @@ let frag_trains_release_frames () =
     let frame = Mbuf.alloc (Proto.Ipv4.header_len + len) in
     Proto.Ipv4.write (Mbuf.view frame) h;
     Mbuf.hold frame;
-    let verdict =
-      Proto.Ip_frag.receive_frame t ~now:(Sim.Engine.now engine) ~host:ip_b
-        frame (Mbuf.view frame)
-    in
+    let verdict = Proto.Ip_frag.receive_frame t ~host:ip_b frame (Mbuf.view frame) in
     Mbuf.release frame;
-    Proto.Ip_frag.schedule_expiry t engine;
     verdict
   in
   let live0 = live () in

@@ -658,6 +658,53 @@ let ulib_refuses_oversize () =
   Alcotest.(check int) "nothing transmitted" 0
     (Netsim.Dev.counters ea.Netsim.Network.dev).Netsim.Dev.tx_packets
 
+(* ---- reassembly: expires old entries ------------------------------------ *)
+
+(* 65,536 lone first fragments with distinct ids, delivered as frames
+   one every 250 µs (about what a host takes to receive one).  Past
+   1,024 pending trains the oldest is evicted, so while the flood runs
+   the trains and the frames they hold stay within the budget; once it
+   stops, the last 1,024 trains expire on time and every frame goes
+   back to the pool. *)
+let frag_flood engine ~src_dev ~dst_dev frag () =
+  let live () = snd (Mbuf.stats ()) in
+  let base = live () and gap = Sim.Stime.us 250 in
+  for batch = 0 to 63 do
+    let t0 = Sim.Engine.now engine in
+    for i = 0 to 1023 do
+      let ip = datagram ~id:((batch * 1024) + i) ~more_fragments:true "lonefrag" in
+      Sim.Engine.post engine ~at:(Sim.Stime.add t0 (Sim.Stime.mul gap i))
+        (fun () -> Netsim.Dev.transmit src_dev (frame ~src_dev ~dst_dev ip))
+    done;
+    Sim.Engine.run engine ~until:(Sim.Stime.add t0 (Sim.Stime.mul gap 1024));
+    if Proto.Ip_frag.pending_count frag > 1024 || live () > base + 1024 then
+      Alcotest.failf "batch %d: %d trains pending, %d frames live over %d" batch
+        (Proto.Ip_frag.pending_count frag) (live () - base) base
+  done;
+  Alcotest.(check (pair int int)) "after the flood: pending, evicted"
+    (1024, 65_536 - 1024)
+    (Proto.Ip_frag.pending_count frag, Proto.Ip_frag.evicted_count frag);
+  Sim.Engine.run engine;
+  Alcotest.(check (pair int int)) "then: pending, timed out" (0, 1024)
+    (Proto.Ip_frag.pending_count frag, Proto.Ip_frag.timeout_count frag);
+  Alcotest.(check int) "every frame back in the pool" base (live ())
+
+let plexus_frag_flood () =
+  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
+  let dev s = Plexus.Ether_mgr.dev (Plexus.Stack.ether s) in
+  frag_flood p.Experiments.Common.engine ~src_dev:(dev p.Experiments.Common.a)
+    ~dst_dev:(dev p.Experiments.Common.b)
+    (Plexus.Ip_mgr.frag_state (Plexus.Stack.ip p.Experiments.Common.b))
+    ()
+
+let du_frag_flood () =
+  let p = Experiments.Common.du_pair (Netsim.Costs.ethernet ()) in
+  let dev s = List.hd (Netsim.Host.devices (Osmodel.Du_stack.host s)) in
+  frag_flood p.Experiments.Common.du_engine ~src_dev:(dev p.Experiments.Common.dua)
+    ~dst_dev:(dev p.Experiments.Common.dub)
+    (Osmodel.Du_stack.frag_state p.Experiments.Common.dub)
+    ()
+
 let suite =
   let pick_plexus r = r.plexus and pick_du r = r.du and pick_ulib r = r.ulib in
   [
@@ -687,6 +734,11 @@ let suite =
         tc "digital unix refuses a send past 65,507 bytes" du_refuses_oversize;
         tc "user-level library refuses a send past 65,507 bytes"
           ulib_refuses_oversize;
+      ] );
+    ( "receive.reassembly",
+      [
+        tc "plexus: a fragment flood expires old entries" plexus_frag_flood;
+        tc "digital unix: a fragment flood expires old entries" du_frag_flood;
       ] );
     ( "receive.differential",
       [

@@ -241,14 +241,6 @@ let cpu_queue_depth () =
 
 (* ---- Stats ---------------------------------------------------------- *)
 
-let stats_counter () =
-  let c = Sim.Stats.Counter.create () in
-  Sim.Stats.Counter.incr c;
-  Sim.Stats.Counter.add c 4;
-  Alcotest.(check int) "count" 5 (Sim.Stats.Counter.get c);
-  Sim.Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Sim.Stats.Counter.get c)
-
 let stats_mean_percentile () =
   let m = Sim.Stats.Mean.create () in
   Alcotest.(check bool) "empty mean is nan" true (Float.is_nan (Sim.Stats.Mean.us m));
@@ -323,7 +315,6 @@ let suite =
       ] );
     ( "sim.stats",
       [
-        tc "counter" stats_counter;
         tc "mean and percentile" stats_mean_percentile;
         tc "time samples in us" stats_mean_time;
         prop stats_percentile_bounds;
