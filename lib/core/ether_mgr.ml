@@ -40,33 +40,24 @@ let create graph dev =
       outs = Sim.Stash.create ();
     }
   in
-  (* Driver top half: the only code running directly off the device
-     interrupt.  It immediately raises the protocol event, holding the
-     frame across the raise: a flow-cache replay runs the whole walk
+  (* Driver top half: the only code running directly off the device's
+     receive service.  It immediately raises the protocol event, holding
+     the frame across the raise: a flow-cache replay runs the whole walk
      inside it, and a graph walk leaves holds of its own on the queued
      work, so the release here frees the frame exactly when nothing
-     more will read it. *)
-  Netsim.Dev.set_rx dev (fun pkt ->
+     more will read it.  A frame the poller serves at thread priority
+     (admission control) raises with that override, which sticks down
+     the whole walk so the first nested interrupt-mode event cannot
+     re-escalate it; an interrupt-serviced frame raises with none, so
+     its walk may use the flow cache. *)
+  let ev = Graph.recv_event node in
+  Netsim.Dev.set_rx dev (fun prio pkt ->
       Mbuf.hold pkt;
-      Spin.Dispatcher.raise (Graph.recv_event node) (Pctx.make dev pkt);
+      (match prio with
+      | Sim.Cpu.Interrupt -> Spin.Dispatcher.raise ev (Pctx.make dev pkt)
+      | Sim.Cpu.Thread ->
+          Spin.Dispatcher.raise ~prio:Sim.Cpu.Thread ev (Pctx.make dev pkt));
       Mbuf.release pkt);
-  (* Coalesced receive: one batched raise for frames delivered in one
-     interrupt, amortizing the per-raise accounting. *)
-  Netsim.Dev.set_rx_batch dev (fun pkts ->
-      List.iter Mbuf.hold pkts;
-      Spin.Dispatcher.raise_batch (Graph.recv_event node)
-        (List.map (Pctx.make dev) pkts);
-      List.iter Mbuf.release pkts);
-  (* Polled receive (admission control): frames past the interrupt
-     budget enter the graph at thread priority, and the override sticks
-     down the whole walk — this is what keeps the livelock mitigation
-     from re-escalating at the first nested interrupt-mode event. *)
-  Netsim.Dev.set_rx_deferred dev (fun pkts ->
-      List.iter Mbuf.hold pkts;
-      Spin.Dispatcher.raise_batch ~prio:Sim.Cpu.Thread
-        (Graph.recv_event node)
-        (List.map (Pctx.make dev) pkts);
-      List.iter Mbuf.release pkts);
   t
 
 let dev t = t.dev
@@ -84,10 +75,7 @@ let mac t = Netsim.Dev.mac t.dev
 (* The current execution priority for the send path: if the graph runs at
    interrupt level (Figure 5 "interrupt"), replies are sent from
    interrupt context too. *)
-let prio t =
-  match Spin.Dispatcher.mode (Graph.recv_event t.node) with
-  | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
-  | Spin.Dispatcher.Thread -> Sim.Cpu.Thread
+let prio t = Spin.Dispatcher.mode (Graph.recv_event t.node)
 
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)
 

@@ -72,10 +72,7 @@ and rx = {
 
 let cpu t = Netsim.Host.cpu (Graph.host t.graph)
 
-let prio t =
-  match Spin.Dispatcher.mode (Graph.recv_event t.node) with
-  | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
-  | Spin.Dispatcher.Thread -> Sim.Cpu.Thread
+let prio t = Spin.Dispatcher.mode (Graph.recv_event t.node)
 
 let port_at ctx at = View.get_u16 ctx.Pctx.frame (ctx.Pctx.off + at)
 

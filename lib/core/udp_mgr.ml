@@ -293,10 +293,7 @@ let do_send_mbuf ?(extra_cost = Sim.Stime.zero) t ep ~prio ~dst:(dip, dport)
   let prio =
     match prio with
     | Some p -> p
-    | None ->
-        (match Spin.Dispatcher.mode (Graph.recv_event t.node) with
-        | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
-        | Spin.Dispatcher.Thread -> Sim.Cpu.Thread)
+    | None -> Spin.Dispatcher.mode (Graph.recv_event t.node)
   in
   let o =
     if Sim.Stash.is_empty t.outs then fresh_out t payload
@@ -338,10 +335,7 @@ let send_multi t ep ?prio ?(checksum = true) ~dsts data =
       let prio =
         match prio with
         | Some p -> p
-        | None -> (
-            match Spin.Dispatcher.mode (Graph.recv_event t.node) with
-            | Spin.Dispatcher.Interrupt -> Sim.Cpu.Interrupt
-            | Spin.Dispatcher.Thread -> Sim.Cpu.Thread)
+        | None -> Spin.Dispatcher.mode (Graph.recv_event t.node)
       in
       (* one marshal+checksum pass, then a cheap replicated send per
          destination *)

@@ -295,7 +295,7 @@ let video_multicast_util ?(streams = 15) () =
         ~a:("server", Common.ip_a) ~b:("clients", Common.ip_b)
     in
     let stack = Plexus.Stack.build ea.Netsim.Network.host in
-    Netsim.Dev.set_rx eb.Netsim.Network.dev (fun _ -> ());
+    Netsim.Dev.set_rx eb.Netsim.Network.dev (fun _ _ -> ());
     Plexus.Arp_mgr.prime (Plexus.Stack.arp stack) Common.ip_b
       (Netsim.Dev.mac eb.Netsim.Network.dev);
     let host = ea.Netsim.Network.host in

@@ -28,7 +28,7 @@ let warmup = Sim.Stime.ms 300
    measures *server* CPU; the clients are separate machines. *)
 let quiet_sink dev =
   let bytes = ref 0 in
-  Netsim.Dev.set_rx dev (fun pkt -> bytes := !bytes + Mbuf.length pkt);
+  Netsim.Dev.set_rx dev (fun _ pkt -> bytes := !bytes + Mbuf.length pkt);
   bytes
 
 let plexus_run streams =

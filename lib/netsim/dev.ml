@@ -4,8 +4,11 @@
    the hardware demands it, like the Fore TCA-100), serializes frames
    onto the wire at the link's bit rate, and delivers to the peer device
    after propagation.  Reception costs an interrupt at interrupt priority
-   on the receiving CPU, after which the registered handler — the bottom
-   of the protocol graph — runs.
+   on the receiving CPU, after which the registered upcall — the bottom
+   of the protocol graph — runs once for the frame.  A coalesced burst
+   ([deliver_batch]) and the admission-control poller pay one fixed
+   charge for several frames, then make the same upcall per frame, with
+   the priority they ran at.
 
    Two robustness layers live here:
 
@@ -14,8 +17,8 @@
      (Bernoulli or Gilbert–Elliott burst loss, link-down windows),
      corrupt (one byte XORed in flight, so checksum verification up the
      stack is exercised for real), duplicate, or delay past later
-     frames.  The legacy [set_loss] knob is kept as the plain Bernoulli
-     fast path.  Every injected drop is counted in [wire_drops] —
+     frames.  [set_loss] sets a Bernoulli loss process on that plan.
+     Every injected drop is counted in [wire_drops] —
      deliberately separate from [tx_drops], which counts only
      transmit-queue overflow.
 
@@ -66,15 +69,10 @@ type t = {
   mutable wire_busy_until : Sim.Stime.t ref;
       (* shared with the peer on half-duplex media *)
   mutable txq : int;
-  mutable rx_handler : (Mbuf.ro Mbuf.t -> unit) option;
-  mutable rx_batch : (Mbuf.ro Mbuf.t list -> unit) option;
-      (* coalesced receive: one upcall for a burst of frames *)
-  mutable rx_deferred_handler : (Mbuf.ro Mbuf.t list -> unit) option;
-      (* polled receive: bursts drained past the interrupt budget *)
+  mutable rx_handler : (Sim.Cpu.prio -> Mbuf.ro Mbuf.t -> unit) option;
   mutable rx_pool : Pool.t option;
       (* receive ring: buffers held from wire arrival to interrupt
          service; exhaustion drops frames like a full NIC ring *)
-  mutable loss_prob : float; (* fault injection: drop on the wire *)
   mutable faults : Faults.t option;
   mutable admission : admission option;
   mutable otrace : Observe.Trace.t option;
@@ -116,10 +114,7 @@ let create engine ~cpu ~name ~mac params =
     wire_busy_until = ref Sim.Stime.zero;
     txq = 0;
     rx_handler = None;
-    rx_batch = None;
-    rx_deferred_handler = None;
     rx_pool = None;
-    loss_prob = 0.;
     faults = None;
     admission = None;
     otrace = None;
@@ -157,21 +152,29 @@ let connect a b =
 (* Install the receive path — only the kernel (trusted driver top half)
    does this; applications go through protocol managers. *)
 let set_rx t h = t.rx_handler <- Some h
-let set_rx_batch t h = t.rx_batch <- Some h
-let set_rx_deferred t h = t.rx_deferred_handler <- Some h
 
 let set_rx_pool t pool = t.rx_pool <- Some pool
 let rx_pool t = t.rx_pool
 
+let set_faults t plan = t.faults <- Some plan
+
 (* Fault injection: drop outgoing frames on the wire with the given
-   probability (deterministic via the engine's random stream).  The full
-   closed interval is accepted: [set_loss t 1.0] is a blackout, which
-   the ARP/TCP give-up paths need to be testable at all. *)
+   probability, as a Bernoulli loss process on the attached fault plan
+   (or on a fresh plan drawing from the engine's own random stream).
+   The full closed interval is accepted: [set_loss t 1.0] is a blackout,
+   which the ARP/TCP give-up paths need to be testable at all. *)
 let set_loss t p =
   if p < 0. || p > 1. then invalid_arg "Dev.set_loss";
-  t.loss_prob <- p
+  let plan =
+    match t.faults with
+    | Some plan -> plan
+    | None ->
+        let plan = Faults.create ~rng:(Sim.Engine.rng t.engine) () in
+        set_faults t plan;
+        plan
+  in
+  Faults.set_loss plan (Faults.Bernoulli p)
 
-let set_faults t plan = t.faults <- Some plan
 let faults t = t.faults
 let set_trace t tr = t.otrace <- Some tr
 let set_flight t fl = t.flight <- Some fl
@@ -312,7 +315,7 @@ let rx_serviced peer r =
   | Some h ->
       peer.counters.rx_packets <- peer.counters.rx_packets + 1;
       peer.counters.rx_bytes <- peer.counters.rx_bytes + len;
-      h pkt
+      h Sim.Cpu.Interrupt pkt
 
 let fresh_rx peer pkt =
   let r = { rx_pkt = pkt; rx_len = 0; rx_run = ignore } in
@@ -331,6 +334,27 @@ let interrupt_service peer len pkt =
   r.rx_len <- len;
   Sim.Cpu.submit peer.cpu Sim.Cpu.Interrupt ~cost r.rx_run
 
+(* One coalesced service of the [n] frames [pkts] at [prio]: one fixed
+   driver charge for the lot (PIO still per byte), then the frames' ring
+   slots go back and each frame takes the upcall at [prio], in arrival
+   order.  [polled] frames waited in the deferred queue and record that
+   wait first.  [k] runs after the last upcall. *)
+let service_burst peer prio ~polled pkts ~n k =
+  let bytes = List.fold_left (fun acc p -> acc + Mbuf.length p) 0 pkts in
+  let cost = Sim.Stime.add peer.params.Costs.rx_fixed (pio_cost peer bytes) in
+  Sim.Cpu.submit peer.cpu prio ~cost (fun () ->
+      (match peer.rx_pool with
+      | Some pool -> Pool.release_n pool n
+      | None -> ());
+      if polled then List.iter (flight_queue_wait peer) pkts;
+      (match peer.rx_handler with
+      | Some h ->
+          peer.counters.rx_packets <- peer.counters.rx_packets + n;
+          peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
+          List.iter (h prio) pkts
+      | None -> List.iter (drop_unhandled peer) pkts);
+      k ())
+
 (* The poller: drain the deferred queue in batches at thread priority.
    One fixed charge per batch (cheaper per frame than interrupts —
    that's the point of polling), and between batches the CPU's FIFO lets
@@ -341,27 +365,7 @@ let rec drain_deferred peer ac =
   if n = 0 then ac.draining <- false
   else begin
     let pkts = List.init n (fun _ -> Queue.pop ac.q) in
-    let bytes = List.fold_left (fun acc p -> acc + Mbuf.length p) 0 pkts in
-    let cost = Sim.Stime.add peer.params.Costs.rx_fixed (pio_cost peer bytes) in
-    Sim.Cpu.run peer.cpu ~prio:Sim.Cpu.Thread ~cost (fun () ->
-        (match peer.rx_pool with
-        | Some pool -> Pool.release_n pool n
-        | None -> ());
-        List.iter (flight_queue_wait peer) pkts;
-        let deliver upcall =
-          peer.counters.rx_packets <- peer.counters.rx_packets + n;
-          peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
-          upcall ()
-        in
-        (match peer.rx_deferred_handler with
-        | Some h -> deliver (fun () -> h pkts)
-        | None -> (
-            match peer.rx_batch with
-            | Some h -> deliver (fun () -> h pkts)
-            | None -> (
-                match peer.rx_handler with
-                | Some h -> deliver (fun () -> List.iter h pkts)
-                | None -> List.iter (drop_unhandled peer) pkts)));
+    service_burst peer Sim.Cpu.Thread ~polled:true pkts ~n (fun () ->
         drain_deferred peer ac)
   end
 
@@ -421,13 +425,12 @@ let deliver_to peer (pkt : Mbuf.ro Mbuf.t) =
   end
 
 (* Inject a burst of frames that arrived back to back as one coalesced
-   receive interrupt: one slot reservation ([Pool.reserve_n]), one fixed
-   interrupt charge for the whole burst (interrupt coalescing; per-byte
-   PIO still scales with the payload), and one upcall — the batch
-   handler when one is installed, the per-frame handler otherwise.
-   Frames beyond the ring budget drop exactly as in [deliver_to].
-   Admission control does not apply: a coalesced burst is already the
-   batched, bounded-interrupt service model. *)
+   receive interrupt: one slot reservation ([Pool.reserve_n]) and one
+   fixed interrupt charge for the whole burst (interrupt coalescing;
+   per-byte PIO still scales with the payload), then the upcall once
+   per frame.  Frames beyond the ring budget drop exactly as in
+   [deliver_to].  Admission control does not apply: a coalesced burst is
+   already the batched, bounded-interrupt service model. *)
 let deliver_batch peer pkts =
   match pkts with
   | [] -> ()
@@ -456,33 +459,16 @@ let deliver_batch peer pkts =
       end;
       if kept <> [] then begin
         List.iter (flight_ingress peer) kept;
-        let bytes = List.fold_left (fun acc p -> acc + Mbuf.length p) 0 kept in
-        let cost =
-          Sim.Stime.add peer.params.Costs.rx_fixed (pio_cost peer bytes)
-        in
-        Sim.Cpu.run peer.cpu ~prio:Sim.Cpu.Interrupt ~cost (fun () ->
-            (match peer.rx_pool with
-            | Some pool -> Pool.release_n pool granted
-            | None -> ());
-            let deliver upcall =
-              peer.counters.rx_packets <- peer.counters.rx_packets + granted;
-              peer.counters.rx_bytes <- peer.counters.rx_bytes + bytes;
-              upcall ()
-            in
-            match peer.rx_batch with
-            | Some h -> deliver (fun () -> h kept)
-            | None -> (
-                match peer.rx_handler with
-                | Some h -> deliver (fun () -> List.iter h kept)
-                | None -> List.iter (drop_unhandled peer) kept))
+        service_burst peer Sim.Cpu.Interrupt ~polled:false kept ~n:granted
+          ignore
       end
 
 (* Apply a fault-plan verdict to a frame leaving the wire.  The plan
    only decides; ownership is handled here: dropped frames are freed,
    duplicated frames are deep-copied before either copy is consumed,
    corruption copies-on-write so a shared chain is never scribbled on. *)
-let apply_faults t peer plan frame ~len ~now =
-  match Faults.verdict plan ~now ~len with
+let apply_faults t peer verdict frame =
+  match verdict with
   | Faults.Drop why ->
       t.counters.wire_drops <- t.counters.wire_drops + 1;
       if tracing t then drop_span t ("wire_" ^ why);
@@ -550,37 +536,32 @@ let tx_queued t tx =
     Sim.Engine.post t.engine ~at:done_at tx.tx_sent
   end
 
-(* The last bit leaves the wire: loss and the fault plan decide what
+(* The frame reaches the peer a propagation delay later, on its own
+   record. *)
+let propagate t tx peer =
+  (* skip the write barrier when the peer is the last one *)
+  if tx.tx_peer != peer then tx.tx_peer <- peer;
+  Sim.Engine.post_in t.engine ~delay:t.params.Costs.prop_delay tx.tx_arrived
+
+(* The last bit leaves the wire: the fault plan, if any, decides what
    reaches the peer, a propagation delay later. *)
 let tx_sent t tx =
   t.txq <- t.txq - 1;
   match t.peer with
   | None -> tx_dropped t tx
-  | Some peer ->
-      if
-        t.loss_prob > 0.
-        && (t.loss_prob >= 1.
-           || Sim.Rng.float (Sim.Engine.rng t.engine) 1.0 < t.loss_prob)
-      then begin
-        (* Wire loss is fault injection, not queue overflow: counted
-           apart from [tx_drops]. *)
-        t.counters.wire_drops <- t.counters.wire_drops + 1;
-        drop_span t "wire_loss";
-        fault_span t ~fault:"loss" ~detail:"";
-        tx_dropped t tx
-      end
-      else begin
-        match t.faults with
-        | None ->
-            (* skip the write barrier when the peer is the last one *)
-            if tx.tx_peer != peer then tx.tx_peer <- peer;
-            Sim.Engine.post_in t.engine ~delay:t.params.Costs.prop_delay
-              tx.tx_arrived
-        | Some plan ->
-            let frame = tx.tx_frame and len = tx.tx_len in
-            Sim.Stash.put t.txs tx;
-            apply_faults t peer plan frame ~len ~now:(Sim.Engine.now t.engine)
-      end
+  | Some peer -> (
+      match t.faults with
+      | None -> propagate t tx peer
+      | Some plan -> (
+          let now = Sim.Engine.now t.engine in
+          match Faults.verdict plan ~now ~len:tx.tx_len with
+          | Faults.Deliver [ { Faults.corrupt_at = None; extra_delay; _ } ]
+            when not (Sim.Stime.is_positive extra_delay) ->
+              propagate t tx peer
+          | verdict ->
+              let frame = tx.tx_frame in
+              Sim.Stash.put t.txs tx;
+              apply_faults t peer verdict frame))
 
 let tx_arrived t tx =
   let peer = tx.tx_peer and frame = tx.tx_frame in

@@ -4,7 +4,7 @@
     devices like the Fore TCA-100), serializes frames on the wire at the
     device bit rate, and delivers to the peer after propagation; reception
     charges an interrupt on the peer CPU and invokes the installed receive
-    handler — the bottom of the Plexus protocol graph.
+    upcall once per frame — the bottom of the Plexus protocol graph.
 
     Devices also host the adversarial machinery: a per-link fault plan
     ({!set_faults}) applied as frames leave the wire, and interrupt
@@ -23,9 +23,9 @@ type counters = {
   mutable rx_drops : int;
       (** receive-side drops: ring overflow, no handler, admission shed *)
   mutable wire_drops : int;
-      (** frames lost on the wire by fault injection ([set_loss] or a
-          fault plan) — kept apart from [tx_drops] so queue overflow and
-          injected loss can't be conflated *)
+      (** frames lost on the wire by fault injection (the fault plan,
+          {!set_loss} included) — kept apart from [tx_drops] so queue
+          overflow and injected loss can't be conflated *)
   mutable rx_deferred : int;
       (** frames routed past the interrupt budget to the polled path *)
   mutable rx_shed : int;
@@ -40,32 +40,25 @@ val create :
 val connect : t -> t -> unit
 (** Wire two devices together (both directions). *)
 
-val set_rx : t -> (Mbuf.ro Mbuf.t -> unit) -> unit
-(** Install the driver's receive upcall (trusted kernel code only).  The
-    upcall owns each frame it is handed: it frees it, or holds it and
-    releases it when its last use is done ({!Mbuf.hold}).  A frame that
-    arrives with no upcall installed is counted in [rx_drops], emits a
-    [Drop] span with reason ["no_handler"] and is freed. *)
-
-val set_rx_batch : t -> (Mbuf.ro Mbuf.t list -> unit) -> unit
-(** Install the coalesced receive upcall, invoked by {!deliver_batch}
-    with a whole burst at once.  Devices without one fall back to the
-    per-frame {!set_rx} handler for each frame of the burst. *)
-
-val set_rx_deferred : t -> (Mbuf.ro Mbuf.t list -> unit) -> unit
-(** Install the polled receive upcall: batches drained from the deferred
-    queue at {e thread} priority when admission control is active.
-    Without one, the poller falls back to the batch handler, then the
-    per-frame handler (whose own downstream work may then re-escalate to
-    interrupt priority — install this to keep the whole path demoted). *)
+val set_rx : t -> (Sim.Cpu.prio -> Mbuf.ro Mbuf.t -> unit) -> unit
+(** Install the driver's receive upcall (trusted kernel code only).  It
+    is called once per frame on every service path — the per-frame
+    receive interrupt, a coalesced {!deliver_batch} burst and the
+    admission-control poller — with the priority that service ran at:
+    [Interrupt] for the first two, [Thread] for the poller.  The upcall
+    owns each frame it is handed: it frees it, or holds it and releases
+    it when its last use is done ({!Mbuf.hold}).  A frame that arrives
+    with no upcall installed is counted in [rx_drops], emits a [Drop]
+    span with reason ["no_handler"] and is freed. *)
 
 val deliver_batch : t -> Mbuf.ro Mbuf.t list -> unit
 (** Inject a burst of frames arriving back to back at this device, as
     one coalesced receive interrupt: one ring-slot reservation
     ({!Pool.reserve_n}), one fixed interrupt charge for the burst (PIO
-    still per byte), one upcall.  Frames beyond the ring budget drop as
-    in normal delivery.  Admission control does not apply — a coalesced
-    burst is already the batched service model. *)
+    still per byte), then the upcall once per frame, in order.  Frames
+    beyond the ring budget drop as in normal delivery.  Admission
+    control does not apply — a coalesced burst is already the batched
+    service model. *)
 
 val set_rx_pool : t -> Pool.t -> unit
 (** Bound the receive ring: frames hold a pool {e slot} from wire arrival
@@ -79,13 +72,15 @@ val rx_pool : t -> Pool.t option
 
 val set_loss : t -> float -> unit
 (** Fault injection: drop transmitted frames on the wire with the given
-    probability, counted in [wire_drops].  The closed interval [0, 1] is
-    accepted — [1.0] is a blackout.  @raise Invalid_argument outside
-    [0, 1]. *)
+    probability, counted in [wire_drops].  Sets a {!Faults.Bernoulli}
+    loss process on the attached fault plan, attaching a fresh plan that
+    draws from the engine's random stream if there is none.  The closed
+    interval [0, 1] is accepted — [1.0] is a blackout.
+    @raise Invalid_argument outside [0, 1]. *)
 
 val set_faults : t -> Faults.t -> unit
 (** Attach a fault plan, applied to every frame as it leaves the wire
-    (after the legacy {!set_loss} Bernoulli check).  Drops count in
+    (replacing any plan attached before).  Drops count in
     [wire_drops]; corruption/duplication copy the frame so shared chains
     are never scribbled on; delays add to propagation, reordering the
     frame behind later ones. *)

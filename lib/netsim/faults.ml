@@ -103,25 +103,37 @@ type delivery = {
 
 type verdict = Drop of string | Deliver of delivery list
 
+(* A frame the plan leaves alone gets this one shared verdict, so the
+   common case allocates nothing. *)
+let intact = { corrupt_at = None; xor_mask = 1; extra_delay = Sim.Stime.zero }
+let pass = Deliver [ intact ]
+
 let is_down t now =
-  List.exists
-    (fun (start, stop) ->
-      Sim.Stime.compare start now <= 0 && Sim.Stime.compare now stop < 0)
-    t.down
+  t.down <> []
+  && List.exists
+       (fun (start, stop) ->
+         Sim.Stime.compare start now <= 0 && Sim.Stime.compare now stop < 0)
+       t.down
 
 (* One loss decision per frame.  A draw happens whenever the process is
    enabled, even if the state makes loss impossible, to keep the stream
-   stable under parameter tweaks. *)
-let loss_verdict t =
+   stable under parameter tweaks; the exceptions are a Bernoulli process
+   at 0 or 1, whose outcome no draw can change. *)
+let lost t =
   match t.loss with
-  | No_loss -> (false, "loss")
-  | Bernoulli p -> (p > 0. && Sim.Rng.float t.rng 1.0 < p, "loss")
+  | No_loss -> false
+  | Bernoulli p -> p > 0. && (p >= 1. || Sim.Rng.float t.rng 1.0 < p)
   | Gilbert_elliott { p_gb; p_bg; loss_good; loss_bad } ->
       let flip = Sim.Rng.float t.rng 1.0 in
       (if t.ge_bad then (if flip < p_bg then t.ge_bad <- false)
        else if flip < p_gb then t.ge_bad <- true);
       let p = if t.ge_bad then loss_bad else loss_good in
-      (p > 0. && Sim.Rng.float t.rng 1.0 < p, "burst_loss")
+      p > 0. && Sim.Rng.float t.rng 1.0 < p
+
+let loss_fault t =
+  match t.loss with
+  | Gilbert_elliott _ -> "burst_loss"
+  | No_loss | Bernoulli _ -> "loss"
 
 let one_delivery t ~len =
   let corrupt_at =
@@ -149,29 +161,26 @@ let one_delivery t ~len =
     end
     else Sim.Stime.zero
   in
-  { corrupt_at; xor_mask; extra_delay }
+  if corrupt_at = None && not (Sim.Stime.is_positive extra_delay) then intact
+  else { corrupt_at; xor_mask; extra_delay }
 
 let verdict t ~now ~len =
   if is_down t now then begin
     t.down_drops <- t.down_drops + 1;
     Drop "down"
   end
+  else if lost t then begin
+    t.loss_drops <- t.loss_drops + 1;
+    Drop (loss_fault t)
+  end
   else
-    let lost, why = loss_verdict t in
-    if lost then begin
-      t.loss_drops <- t.loss_drops + 1;
-      Drop why
+    let first = one_delivery t ~len in
+    if t.dup_prob > 0. && Sim.Rng.float t.rng 1.0 < t.dup_prob then begin
+      t.duplicates <- t.duplicates + 1;
+      Deliver [ first; one_delivery t ~len ]
     end
-    else
-      let first = one_delivery t ~len in
-      let copies =
-        if t.dup_prob > 0. && Sim.Rng.float t.rng 1.0 < t.dup_prob then begin
-          t.duplicates <- t.duplicates + 1;
-          [ first; one_delivery t ~len ]
-        end
-        else [ first ]
-      in
-      Deliver copies
+    else if first == intact then pass
+    else Deliver [ first ]
 
 let loss_drops t = t.loss_drops
 let down_drops t = t.down_drops

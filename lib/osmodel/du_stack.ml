@@ -408,7 +408,7 @@ let create ?subnets host =
     (fun dev (net, mask_bits) ->
       let route = { net; mask_bits; dev; arp = Proto.Arp.Cache.create () } in
       t.routes <- t.routes @ [ route ];
-      Netsim.Dev.set_rx dev (rx t route))
+      Netsim.Dev.set_rx dev (fun _ pkt -> rx t route pkt))
     devs subnets;
   t
 

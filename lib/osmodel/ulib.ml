@@ -203,7 +203,7 @@ let create host =
         };
     }
   in
-  Netsim.Dev.set_rx dev (rx t);
+  Netsim.Dev.set_rx dev (fun _ pkt -> rx t pkt);
   t
 
 let prime_arp t ip mac =

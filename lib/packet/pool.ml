@@ -2,15 +2,14 @@
 
    SPIN exposes "the interface for allocating packet buffers" to most
    extensions; a real kernel bounds that resource.  A pool enforces a
-   buffer budget: allocation fails (and is counted) when the budget is
-   exhausted, which is how receive paths shed load when a consumer falls
-   behind rather than growing without bound.
+   buffer budget: a reservation fails (and is counted) when the budget
+   is exhausted, which is how receive paths shed load when a consumer
+   falls behind rather than growing without bound.
 
    Budget slots and buffer memory are separate concerns: the memory
    behind an mbuf comes from (and returns to) Mbuf's size-classed
    recycling free list; a pool accounts who may hold how many buffers at
-   once.  Receive rings that hand chains onward without allocating use
-   the bare [reserve]/[release] slot operations. *)
+   once, through [reserve]/[release] slot operations. *)
 
 type t = {
   name : string;
@@ -123,30 +122,6 @@ let release_n t n =
   end;
   t.live <- t.live - n;
   check_fall t
-
-let alloc t ?headroom len =
-  if reserve t then Some (Mbuf.alloc ?headroom len) else None
-
-let alloc_string t s =
-  match alloc t (String.length s) with
-  | None -> None
-  | Some m ->
-      View.set_string (Mbuf.view m) ~off:0 s;
-      Some m
-
-let free t (m : _ Mbuf.t) =
-  Mbuf.free m;
-  release t
-
-(* Gauges are sampling closures: nothing is paid per packet, the pool's
-   fields are read only when the registry is snapshotted. *)
-let register t reg ~prefix =
-  Observe.Registry.gauge reg (prefix ^ ".live") (fun () -> t.live);
-  Observe.Registry.gauge reg (prefix ^ ".peak") (fun () -> t.peak);
-  Observe.Registry.gauge reg (prefix ^ ".failures") (fun () -> t.failures);
-  Observe.Registry.gauge reg (prefix ^ ".underflows") (fun () -> t.underflows);
-  Observe.Registry.gauge reg (prefix ^ ".pressure_events") (fun () ->
-      t.pressure_events)
 
 let pp ppf t =
   Fmt.pf ppf "%s: %d/%d live (peak %d, %d allocs, %d failures, %d underflows)"

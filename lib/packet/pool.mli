@@ -1,10 +1,11 @@
 (** Bounded packet-buffer pools (the kernel's mbuf budget).
 
-    Allocation fails — and is counted — when the pool is exhausted;
+    A reservation fails — and is counted — when the pool is exhausted;
     receive paths use this to shed load instead of growing without
     bound.  Buffer {e memory} is recycled by {!Mbuf}'s free list; a pool
-    accounts budget {e slots}.  Receive rings that pass chains onward
-    without allocating use {!reserve}/{!release} directly. *)
+    accounts budget {e slots}, which a receive ring claims with
+    {!reserve} when a frame arrives and gives back with {!release} when
+    the frame is serviced. *)
 
 type t
 
@@ -30,16 +31,6 @@ val reserve_n : t -> int -> int
 val release_n : t -> int -> unit
 (** Give [n] slots back at once.
     @raise Invalid_argument on underflow or [n < 0]. *)
-
-val alloc : t -> ?headroom:int -> int -> Mbuf.rw Mbuf.t option
-(** [None] when the pool is exhausted (counted as a failure). *)
-
-val alloc_string : t -> string -> Mbuf.rw Mbuf.t option
-
-val free : t -> _ Mbuf.t -> unit
-(** Free the buffer and release its slot.
-    @raise Invalid_argument on double free (from {!Mbuf.free} or slot
-    underflow). *)
 
 val name : t -> string
 val capacity : t -> int
@@ -68,10 +59,5 @@ val pressured : t -> bool
 
 val pressure_events : t -> int
 (** How many times the pool entered the pressured state. *)
-
-val register : t -> Observe.Registry.t -> prefix:string -> unit
-(** Publish the pool's occupancy as sampling gauges
-    ([<prefix>.live|peak|failures|underflows]) — read at snapshot time
-    only, no per-packet cost. *)
 
 val pp : Format.formatter -> t -> unit

@@ -42,7 +42,7 @@
    registry is attached (the refs are simply shared with the registry
    when one is). *)
 
-type delivery = Interrupt | Thread
+type delivery = Sim.Cpu.prio = Interrupt | Thread
 
 type costs = {
   dispatch : Sim.Stime.t;      (* per-raise bookkeeping, ~ a procedure call *)
@@ -132,7 +132,7 @@ type replay = {
   mutable rp_claim : int;  (* next hop a nested raise should claim *)
   mutable rp_cost : Sim.Stime.t;  (* handler + signature-lookup cost *)
   mutable rp_live : bool;  (* false once the chain has diverged *)
-  mutable rp_entries : hop array Sharded.Cache.t;  (* the root's table *)
+  mutable rp_entries : hop array Clock_cache.t;  (* the root's table *)
   mutable rp_key : Bytes.t;  (* the root's signature scratch: the key *)
   mutable rp_runs : (unit -> Sim.Stime.t) array;
       (* claimed hops awaiting execution, in raise order, each as its
@@ -158,13 +158,10 @@ let rec valid_from hops i =
 
 let entry_valid hops = valid_from hops 0
 
-(* Per-event entry tables are sharded CLOCK caches (see {!Sharded.Cache}):
-   shards grow geometrically up to a per-shard ceiling, then cold entries
-   are evicted one at a time — steady-state flows re-record on their next
-   packet.  This replaces the old flat 4096-entry table whose overflow
-   policy was a full reset. *)
-let cache_shards = 16
-let cache_per_shard = 8192
+(* Per-event entry tables are CLOCK caches (see {!Clock_cache}): a table
+   grows geometrically up to this ceiling, then cold entries are evicted
+   one at a time — steady-state flows re-record on their next packet. *)
+let cache_capacity = 131_072
 
 (* Introspection views (see [dump]). *)
 type handler_info = {
@@ -280,7 +277,7 @@ let create ?registry ?trace ~cpu ~costs () =
       rp_claim = 0;
       rp_cost = Sim.Stime.zero;
       rp_live = false;
-      rp_entries = Sharded.Cache.create ~shards:1 ~per_shard:8 ();
+      rp_entries = Clock_cache.create ~capacity:8 ();
           (* a placeholder: every hit sets the root's table first *)
       rp_key = Bytes.empty;
       rp_runs = [||];
@@ -525,7 +522,7 @@ type 'a event = {
   mutable framefn : ('a -> Packet.Mbuf.ro Packet.Mbuf.t) option;
       (* the payload's frame: leased while work on it is queued, and
          read for its flight-record mark *)
-  entries : hop array Sharded.Cache.t;        (* flow signature -> chain *)
+  entries : hop array Clock_cache.t;        (* flow signature -> chain *)
   mutable next_hid : int;
   label_gens : (string, int) Hashtbl.t;
       (* reinstall count per handler label: same-labeled reinstalls get
@@ -574,7 +571,7 @@ let info_of_event ev =
     ei_mode = ev.mode;
     ei_indexed = Option.is_some ev.keyvfn;
     ei_generation = !(ev.gen);
-    ei_cache_entries = Sharded.Cache.length ev.entries;
+    ei_cache_entries = Clock_cache.length ev.entries;
     ei_tree =
       (match ev.tree with
       | Some tr ->
@@ -629,7 +626,7 @@ let release_frame ev v =
   match ev.framefn with Some ff -> Packet.Mbuf.release (ff v) | None -> ()
 
 let generation ev = !(ev.gen)
-let cache_entries ev = Sharded.Cache.length ev.entries
+let cache_entries ev = Clock_cache.length ev.entries
 let handler_count ev = Hashtbl.length ev.table
 
 (* State-aware uninstall.  An [Active] handler leaves the event table
@@ -1114,7 +1111,7 @@ let event disp ?(mode = Interrupt) ename =
           cl_run = no_runner };
       framefn = None;
       entries =
-        Sharded.Cache.create ~shards:cache_shards ~per_shard:cache_per_shard
+        Clock_cache.create ~capacity:cache_capacity
           ~evictions:disp.pc_evictions ();
       next_hid = 0;
       label_gens = Hashtbl.create 8;
@@ -1139,7 +1136,7 @@ let event disp ?(mode = Interrupt) ename =
   | Some r ->
       Observe.Registry.gauge r
         ("spin." ^ ename ^ ".cache_occupancy")
-        (fun () -> Sharded.Cache.length ev.entries);
+        (fun () -> Clock_cache.length ev.entries);
       Observe.Registry.gauge r
         ("spin." ^ ename ^ ".tree.depth")
         (fun () -> match ev.tree with Some tr -> tr.tr_depth | None -> 0);
@@ -1295,13 +1292,7 @@ let flow_leave d = function
 
 (* The priority a raise runs at: the event's delivery mode unless an
    override is in force (the demoted polled path). *)
-let prio_of ev over =
-  match over with
-  | Some p -> p
-  | None -> (
-      match ev.mode with
-      | Interrupt -> Sim.Cpu.Interrupt
-      | Thread -> Sim.Cpu.Thread)
+let prio_of ev over = match over with Some p -> p | None -> ev.mode
 
 (* Drain bookkeeping shared by both handler kinds: every queued
    invocation holds a [pending] reference; the last one out of a
@@ -1655,7 +1646,7 @@ let run_hop ev v hids = run_hop_from ev v hids Sim.Stime.zero
    Deliveries already made stand — they were valid when made. *)
 let diverge d rp ename =
   rp.rp_live <- false;
-  Sharded.Cache.remove rp.rp_entries (Bytes.unsafe_to_string rp.rp_key);
+  Clock_cache.remove rp.rp_entries (Bytes.unsafe_to_string rp.rp_key);
   incr d.pc_invalidations;
   cache_invalidate_span d ename "divergent-replay"
 
@@ -1783,7 +1774,7 @@ let record_raise ev v sg =
   let r =
     {
       rec_ename = ev.ename;
-      rec_commit = (fun hops -> Sharded.Cache.put ev.entries sg hops);
+      rec_commit = (fun hops -> Clock_cache.put ev.entries sg hops);
       rec_hops = [];
       rec_pending = 0;
       rec_ok = true;
@@ -1800,12 +1791,12 @@ let cached_raise ev v write =
   if not (write v key) then raise_core ev v No_flow (* unsignable: bypass *)
   else begin
     let hops =
-      Sharded.Cache.find_or ev.entries (Bytes.unsafe_to_string key) [||]
+      Clock_cache.find_or ev.entries (Bytes.unsafe_to_string key) [||]
     in
     if Array.length hops > 0 && entry_valid hops then replay_start ev v hops
     else begin
       if Array.length hops > 0 then begin
-        Sharded.Cache.remove ev.entries (Bytes.unsafe_to_string key);
+        Clock_cache.remove ev.entries (Bytes.unsafe_to_string key);
         incr d.pc_invalidations;
         cache_invalidate_span d ev.ename "stale-generation"
       end;
@@ -1814,15 +1805,16 @@ let cached_raise ev v write =
     end
   end
 
-(* One raise, flow-cache aware.  [raises]/[ev_raises] already counted by
-   the caller.  [prio] (or a sticky override left by an overridden
-   handler body) demotes the raise and everything it delivers; demoted
-   raises bypass the flow cache entirely — replay charges its cost
-   synchronously in the raiser's context, which is exactly what the
-   demoted path must avoid, and a demoted walk must not record either
-   (its chain would replay at interrupt priority later). *)
-let dispatch ?prio ev v =
+(* One raise, flow-cache aware.  [prio] (or a sticky override left by
+   an overridden handler body) demotes the raise and everything it
+   delivers; demoted raises bypass the flow cache entirely — replay
+   charges its cost synchronously in the raiser's context, which is
+   exactly what the demoted path must avoid, and a demoted walk must not
+   record either (its chain would replay at interrupt priority later). *)
+let raise ?prio ev v =
   let d = ev.disp in
+  incr d.raises;
+  incr ev.ev_raises;
   let over = match prio with Some _ -> prio | None -> d.prio_override in
   if d.in_replay then replay_step ev v d.rp
   else
@@ -1834,26 +1826,6 @@ let dispatch ?prio ev v =
           ->
             cached_raise ev v write
         | _ -> raise_core ?over ev v No_flow)
-
-let raise ?prio ev v =
-  let d = ev.disp in
-  incr d.raises;
-  incr ev.ev_raises;
-  dispatch ?prio ev v
-
-(* Back-to-back frames: one raise-counter update for the whole batch
-   instead of per frame; each frame still dispatches (and hits or
-   records the flow cache) individually. *)
-let raise_batch ?prio ev vs =
-  match vs with
-  | [] -> ()
-  | [ v ] -> raise ?prio ev v
-  | vs ->
-      let d = ev.disp in
-      let n = List.length vs in
-      d.raises := !(d.raises) + n;
-      ev.ev_raises := !(ev.ev_raises) + n;
-      List.iter (fun v -> dispatch ?prio ev v) vs
 
 (* --- introspection rendering ------------------------------------------ *)
 

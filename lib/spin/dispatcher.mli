@@ -24,9 +24,10 @@
 type t
 (** One dispatcher per kernel; owns the delivery cost model and counters. *)
 
-type delivery =
+type delivery = Sim.Cpu.prio =
   | Interrupt  (** run handlers in the raiser's interrupt context *)
   | Thread     (** spawn a thread per handler invocation *)
+(** An event's delivery mode is the CPU priority its handlers run at. *)
 
 type costs = {
   dispatch : Sim.Stime.t;
@@ -300,12 +301,6 @@ val raise : ?prio:Sim.Cpu.prio -> 'a event -> 'a -> unit
     chain synchronously in the raiser's context and a recording would
     replay at interrupt priority later, both wrong for a demoted walk. *)
 
-val raise_batch : ?prio:Sim.Cpu.prio -> 'a event -> 'a list -> unit
-(** Raise the event once per payload, back to back, amortizing the
-    raise-counter updates across the batch.  Each payload still
-    dispatches (and hits or records the flow cache) individually.
-    [?prio] as in {!raise}. *)
-
 (** {1 Counters} *)
 
 val raises : t -> int
@@ -320,7 +315,7 @@ val path_cache_invalidations : t -> int
     delivery. *)
 
 val path_cache_evictions : t -> int
-(** Cold entries displaced by the CLOCK hand when a cache shard is at
+(** Cold entries displaced by the CLOCK hand when an event's cache is at
     capacity (across every event's cache on this dispatcher). *)
 
 val invocations : t -> int

@@ -188,6 +188,51 @@ let admission_accounting () =
     (Netsim.Dev.admission_backlog eb.Netsim.Network.dev);
   Alcotest.(check int) "delivered = serviced" c.Netsim.Dev.rx_packets !got
 
+(* A frame the admission-control poller serves walks the whole graph at
+   thread priority, so its delivery queues behind thread work that was
+   already waiting; the interrupt-serviced frame before it is delivered
+   ahead of that work. *)
+let polled_frames_stay_demoted () =
+  let engine = Sim.Engine.create () in
+  let ea, eb =
+    Netsim.Network.pair engine (Netsim.Costs.t3 ())
+      ~a:("blaster", ip_a) ~b:("victim", ip_b)
+  in
+  Netsim.Dev.set_admission ~budget:1 ~window:(Sim.Stime.ms 100)
+    eb.Netsim.Network.dev;
+  let b = Plexus.Stack.build eb.Netsim.Network.host in
+  let udp_b = Plexus.Stack.udp b in
+  let log = ref [] in
+  (match Plexus.Udp_mgr.bind udp_b ~owner:"sink" ~port:9 with
+  | Error _ -> Alcotest.fail "bind"
+  | Ok ep ->
+      let (_ : unit -> unit) =
+        Plexus.Udp_mgr.install_recv udp_b ep (fun _ -> log := "udp" :: !log)
+      in
+      ());
+  let frame =
+    build_udp_frame
+      ~src_mac:(Netsim.Dev.mac ea.Netsim.Network.dev)
+      ~dst_mac:(Netsim.Dev.mac eb.Netsim.Network.dev)
+      ~dst_port:9
+  in
+  (* the victim's CPU stays busy while both frames arrive, and an
+     application item joins the thread queue behind the poller's *)
+  let cpu = Netsim.Host.cpu eb.Netsim.Network.host in
+  Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(Sim.Stime.ms 5) ignore;
+  for _ = 1 to 2 do
+    Netsim.Dev.transmit ea.Netsim.Network.dev (Mbuf.of_string frame)
+  done;
+  ignore
+    (Sim.Engine.schedule engine ~at:(Sim.Stime.ms 4) (fun () ->
+         Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(Sim.Stime.us 1) (fun () ->
+             log := "app" :: !log)));
+  Sim.Engine.run engine;
+  Alcotest.(check int) "second frame deferred" 1
+    (Netsim.Dev.counters eb.Netsim.Network.dev).Netsim.Dev.rx_deferred;
+  Alcotest.(check (list string)) "polled delivery waits behind thread work"
+    [ "udp"; "app"; "udp" ] (List.rev !log)
+
 (* --- directed: scheduled fragment expiry ------------------------------- *)
 
 (* A lone first fragment: no further fragment ever arrives, so only the
@@ -381,6 +426,8 @@ let suite =
         tc "set_loss accepts the closed [0,1] interval" set_loss_interval;
         tc "total loss lands in wire_drops, not tx_drops" wire_drops_split;
         tc "admission control accounts every frame" admission_accounting;
+        tc "polled frames walk the graph at thread priority"
+          polled_frames_stay_demoted;
         tc "half-delivered fragment train times out" frag_train_times_out;
         tc "arp retry exhaustion under 100% loss" arp_retry_exhaustion;
         tc "arp reply between retries" arp_reply_between_retries;

@@ -638,7 +638,7 @@ let arp_gives_up_on_dead_host () =
   in
   let a = Plexus.Stack.build ea.Netsim.Network.host in
   (* B never answers: no stack is built on it *)
-  Netsim.Dev.set_rx eb.Netsim.Network.dev (fun _ -> ());
+  Netsim.Dev.set_rx eb.Netsim.Network.dev (fun _ _ -> ());
   let udp_a = Plexus.Stack.udp a in
   let client = bind_exn udp_a ~owner:"cli" ~port:5000 in
   Plexus.Udp_mgr.send udp_a client ~dst:(ip_b, 7) "anyone?";

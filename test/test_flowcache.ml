@@ -575,10 +575,10 @@ let pool_reserve_n () =
     (Invalid_argument "p: pool slots released twice (double free)") (fun () ->
       Pool.release_n pool 1)
 
-let mk_udp_frame ~dst_mac ~dst_port =
+let mk_udp_frame ?(src_port = 5000) ~dst_mac ~dst_port () =
   let m = Mbuf.alloc 64 in
   Proto.Udp.encapsulate ~checksum:true m ~src:Experiments.Common.ip_a
-    ~dst:Experiments.Common.ip_b ~src_port:5000 ~dst_port;
+    ~dst:Experiments.Common.ip_b ~src_port ~dst_port;
   Proto.Ipv4.encapsulate m
     (Proto.Ipv4.make ~id:1 ~proto:Proto.Ipv4.proto_udp
        ~src:Experiments.Common.ip_a ~dst:Experiments.Common.ip_b
@@ -587,33 +587,56 @@ let mk_udp_frame ~dst_mac ~dst_port =
     { Proto.Ether.dst = dst_mac; src = dst_mac; etype = Proto.Ether.etype_ip };
   m
 
+(* A coalesced burst enters the graph as one raise per frame, in burst
+   order. *)
 let deliver_batch_through_stack () =
   let p =
     Experiments.Common.plexus_pair ~flowcache:true (Netsim.Costs.ethernet ())
   in
   let udp_b = Plexus.Stack.udp p.Experiments.Common.b in
-  let got = ref 0 in
+  let got = ref [] in
   (match Plexus.Udp_mgr.bind udp_b ~owner:"srv" ~port:7 with
   | Ok ep ->
       let (_ : unit -> unit) =
-        Plexus.Udp_mgr.install_recv udp_b ep (fun _ -> incr got)
+        Plexus.Udp_mgr.install_recv udp_b ep (fun ctx ->
+            got := ctx.Plexus.Pctx.src_port :: !got)
       in
       ()
   | Error _ -> Alcotest.fail "bind failed");
-  let dev = Plexus.Ether_mgr.dev (Plexus.Stack.ether p.Experiments.Common.b) in
+  let ether = Plexus.Stack.ether p.Experiments.Common.b in
+  let dev = Plexus.Ether_mgr.dev ether in
+  let raises () =
+    let name =
+      Spin.Dispatcher.name (Plexus.Graph.recv_event (Plexus.Ether_mgr.node ether))
+    in
+    match
+      Observe.Registry.find
+        (Plexus.Graph.registry (Plexus.Stack.graph p.Experiments.Common.b))
+        ("spin." ^ name ^ ".raises")
+    with
+    | Some (Observe.Registry.Counter r) -> !r
+    | _ -> Alcotest.fail "no raise counter"
+  in
+  let r0 = raises () in
   let mac = Netsim.Dev.mac dev in
+  let ports = List.init 8 (fun i -> 5000 + i) in
   let frames =
-    List.init 8 (fun _ -> Mbuf.ro (mk_udp_frame ~dst_mac:mac ~dst_port:7))
+    List.map
+      (fun src_port ->
+        Mbuf.ro (mk_udp_frame ~src_port ~dst_mac:mac ~dst_port:7 ()))
+      ports
   in
   Netsim.Dev.deliver_batch dev frames;
   Sim.Engine.run p.Experiments.Common.engine;
-  Alcotest.(check int) "all frames delivered" 8 !got;
+  Alcotest.(check (list int)) "delivered in burst order" ports (List.rev !got);
+  Alcotest.(check int) "every frame counted as a raise" (r0 + 8) (raises ());
   Alcotest.(check int) "batch counted on the device" 8
     (Netsim.Dev.counters dev).Netsim.Dev.rx_packets;
   (* an empty batch is a no-op *)
   Netsim.Dev.deliver_batch dev [];
   Sim.Engine.run p.Experiments.Common.engine;
-  Alcotest.(check int) "empty batch delivers nothing" 8 !got
+  Alcotest.(check int) "empty batch delivers nothing" 8 (List.length !got);
+  Alcotest.(check int) "empty batch raises nothing" (r0 + 8) (raises ())
 
 let deliver_batch_ring_overflow () =
   let e = Sim.Engine.create () in
@@ -629,37 +652,15 @@ let deliver_batch_ring_overflow () =
   (* deliver_batch releases the reserved ring slots itself when the
      coalesced interrupt fires — the upcall only consumes the frames *)
   let got = ref 0 in
-  Netsim.Dev.set_rx b (fun _ -> incr got);
+  Netsim.Dev.set_rx b (fun prio _ ->
+      if prio = Sim.Cpu.Interrupt then incr got);
   let frames = List.init 6 (fun i -> Mbuf.ro (Mbuf.of_string (String.make 60 (Char.chr (65 + i))))) in
   Netsim.Dev.deliver_batch b frames;
   Sim.Engine.run e;
-  Alcotest.(check int) "ring grants only its capacity" 4 !got;
+  Alcotest.(check int) "ring grants only its capacity, at interrupt priority"
+    4 !got;
   Alcotest.(check int) "overflow counted as rx drops" 2
     (Netsim.Dev.counters b).Netsim.Dev.rx_drops
-
-let raise_batch_amortizes () =
-  (* a single event with no nested raises, so the dispatcher-wide raise
-     counter isolates the batch's own accounting *)
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  let d = D.create ~cpu ~costs:D.default_costs () in
-  D.set_flow_cache d true;
-  let ev = D.event d "rx" in
-  D.set_sigfn ev ~len:1 sig_low_bits;
-  let log = ref [] in
-  let (_ : unit -> unit) =
-    D.install ev ~cacheable:true ~label:"h" ~cost:(us 1) (fun v ->
-        log := v :: !log)
-  in
-  let r0 = D.raises d in
-  D.raise_batch ev [ 0; 4; 8 ];
-  Sim.Engine.run e;
-  Alcotest.(check int) "every frame counted as a raise" (r0 + 3) (D.raises d);
-  Alcotest.(check (list int)) "per-frame delivery order preserved" [ 0; 4; 8 ]
-    (List.rev !log);
-  D.raise_batch ev [];
-  Sim.Engine.run e;
-  Alcotest.(check int) "empty batch raises nothing" (r0 + 3) (D.raises d)
 
 (* The synchronous replay charges its modelled chain cost as a CPU
    reservation: no engine event of its own, but queued and subsequent
@@ -771,26 +772,26 @@ let signature_extraction () =
   let dev = Plexus.Ether_mgr.dev (Plexus.Stack.ether p.Experiments.Common.b) in
   let mac = Netsim.Dev.mac dev in
   let sig_of m = Plexus.Filter.flow_signature (Plexus.Pctx.make dev (Mbuf.ro m)) in
-  let s1 = sig_of (mk_udp_frame ~dst_mac:mac ~dst_port:7) in
-  let s2 = sig_of (mk_udp_frame ~dst_mac:mac ~dst_port:7) in
-  let s3 = sig_of (mk_udp_frame ~dst_mac:mac ~dst_port:9) in
+  let s1 = sig_of (mk_udp_frame ~dst_mac:mac ~dst_port:7 ()) in
+  let s2 = sig_of (mk_udp_frame ~dst_mac:mac ~dst_port:7 ()) in
+  let s3 = sig_of (mk_udp_frame ~dst_mac:mac ~dst_port:9 ()) in
   Alcotest.(check bool) "signature present on a udp frame" true (s1 <> None);
   Alcotest.(check bool) "same 5-tuple, same signature" true (s1 = s2);
   Alcotest.(check bool) "different port, different signature" true (s1 <> s3);
   (* fragments cannot be summarized: ports belong to the first fragment *)
-  let frag = mk_udp_frame ~dst_mac:mac ~dst_port:7 in
+  let frag = mk_udp_frame ~dst_mac:mac ~dst_port:7 () in
   View.set_u16 (Mbuf.view frag) 20 0x2000 (* more-fragments *);
   Alcotest.(check bool) "fragment refused" true (sig_of frag = None);
   (* only a fresh root context is a raw frame the signature describes *)
   let parsed =
-    Plexus.Pctx.advance (Plexus.Pctx.make dev (Mbuf.ro (mk_udp_frame ~dst_mac:mac ~dst_port:7))) 14
+    Plexus.Pctx.advance (Plexus.Pctx.make dev (Mbuf.ro (mk_udp_frame ~dst_mac:mac ~dst_port:7 ()))) 14
   in
   Alcotest.(check bool) "non-fresh context refused" true
     (Plexus.Filter.flow_signature parsed = None);
   (* the in-place writer and the record-then-pack encoder agree *)
   let d =
     Oracle.frame_demux
-      (View.ro (Mbuf.view (mk_udp_frame ~dst_mac:mac ~dst_port:7)))
+      (View.ro (Mbuf.view (mk_udp_frame ~dst_mac:mac ~dst_port:7 ())))
   in
   Alcotest.(check int) "demux reads the dst port" 7 d.Oracle.dst_port;
   Alcotest.(check bool) "packed form matches the context signature" true
@@ -873,7 +874,6 @@ let suite =
         tc "pool reserve_n/release_n" pool_reserve_n;
         tc "deliver_batch through the stack" deliver_batch_through_stack;
         tc "deliver_batch ring overflow" deliver_batch_ring_overflow;
-        tc "raise_batch amortizes" raise_batch_amortizes;
         tc "cpu charge reserves" cpu_charge_reserves;
       ] );
     ( "flowcache.signature",

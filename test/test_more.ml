@@ -209,13 +209,13 @@ let suite =
 
 let pool_accounting () =
   let p = Pool.create ~name:"test" ~capacity:2 () in
-  let a = Pool.alloc p 10 and b = Pool.alloc p ~headroom:8 10 in
-  Alcotest.(check bool) "two allocations fit" true (a <> None && b <> None);
+  let a = Pool.reserve p and b = Pool.reserve p in
+  Alcotest.(check bool) "two reservations fit" true (a && b);
   Alcotest.(check int) "live" 2 (Pool.live p);
-  Alcotest.(check bool) "third fails" true (Pool.alloc p 10 = None);
+  Alcotest.(check bool) "third fails" false (Pool.reserve p);
   Alcotest.(check int) "failure counted" 1 (Pool.failures p);
-  (match a with Some m -> Pool.free p m | None -> ());
-  Alcotest.(check bool) "after free it fits again" true (Pool.alloc p 10 <> None);
+  Pool.release p;
+  Alcotest.(check bool) "after release it fits again" true (Pool.reserve p);
   Alcotest.(check int) "peak high-water" 2 (Pool.peak p);
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Pool.create: capacity must be positive") (fun () ->
@@ -231,7 +231,7 @@ let rx_ring_sheds_bursts () =
   let pool = Pool.create ~name:"rx-ring" ~capacity:4 () in
   Netsim.Dev.set_rx_pool b.Netsim.Network.dev pool;
   let got = ref 0 in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> incr got);
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ _ -> incr got);
   (* occupy B's CPU so interrupts queue while frames keep arriving *)
   Sim.Cpu.run
     (Netsim.Host.cpu b.Netsim.Network.host)

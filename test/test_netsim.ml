@@ -17,7 +17,7 @@ let mk_pair ?(params = Netsim.Costs.loopback ()) () =
 let dev_delivers () =
   let engine, a, b = mk_pair () in
   let got = ref [] in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun pkt ->
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ pkt ->
       got := Mbuf.to_string pkt :: !got);
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.of_string "frame-1");
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.of_string "frame-2");
@@ -33,7 +33,7 @@ let dev_delivers () =
 let dev_transmit_takes_ownership () =
   let engine, a, b = mk_pair () in
   let got = ref None in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun pkt -> got := Some pkt);
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ pkt -> got := Some pkt);
   let pkt = Mbuf.of_string "orig" in
   Netsim.Dev.transmit a.Netsim.Network.dev pkt;
   (* the driver consumed the frame: the sender's handle is empty, so a
@@ -95,7 +95,7 @@ let dev_wire_serializes () =
      their wire time apart. *)
   let engine, a, b = mk_pair ~params:(Netsim.Costs.ethernet ()) () in
   let arrivals = ref [] in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ ->
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ _ ->
       arrivals := Sim.Engine.now engine :: !arrivals);
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000);
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000);
@@ -117,8 +117,8 @@ let dev_shared_medium_contends () =
   let run params =
     let engine, a, b = mk_pair ~params () in
     let last = ref Sim.Stime.zero in
-    Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> last := Sim.Engine.now engine);
-    Netsim.Dev.set_rx a.Netsim.Network.dev (fun _ -> last := Sim.Engine.now engine);
+    Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ _ -> last := Sim.Engine.now engine);
+    Netsim.Dev.set_rx a.Netsim.Network.dev (fun _ _ -> last := Sim.Engine.now engine);
     Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000);
     Netsim.Dev.transmit b.Netsim.Network.dev (Mbuf.alloc 1000);
     Sim.Engine.run engine;
@@ -132,7 +132,7 @@ let dev_shared_medium_contends () =
 
 let dev_pio_charges_cpu () =
   let engine, a, b = mk_pair ~params:(Netsim.Costs.atm ()) () in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> ());
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ _ -> ());
   let cpu_a = Netsim.Host.cpu a.Netsim.Network.host in
   let before = Sim.Stime.to_ns (Sim.Cpu.busy_time cpu_a) in
   Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000);
@@ -147,7 +147,7 @@ let dev_pio_charges_cpu () =
 let dev_txq_overflow () =
   let params = { (Netsim.Costs.ethernet ()) with Netsim.Costs.txq_limit = 2 } in
   let engine, a, b = mk_pair ~params () in
-  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> ());
+  Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ _ -> ());
   for _ = 1 to 10 do
     Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 1000)
   done;
@@ -240,8 +240,8 @@ let network_line3 () =
     (List.length (Netsim.Host.devices m1.Netsim.Network.host));
   (* client can reach middle's first device *)
   let got = ref 0 in
-  Netsim.Dev.set_rx m1.Netsim.Network.dev (fun _ -> incr got);
-  Netsim.Dev.set_rx s.Netsim.Network.dev (fun _ -> incr got);
+  Netsim.Dev.set_rx m1.Netsim.Network.dev (fun _ _ -> incr got);
+  Netsim.Dev.set_rx s.Netsim.Network.dev (fun _ _ -> incr got);
   Netsim.Dev.transmit c.Netsim.Network.dev (Mbuf.of_string "to-middle");
   Netsim.Dev.transmit m2.Netsim.Network.dev (Mbuf.of_string "to-server");
   Sim.Engine.run engine;

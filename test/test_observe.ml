@@ -398,7 +398,7 @@ let device_drop_spans () =
         (Observe.Trace.Ring r);
       r
     in
-    Netsim.Dev.set_rx b.Netsim.Network.dev ignore;
+    Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ -> ignore);
     (engine, a, b, ring a, ring b)
   in
   let check_drops reason ring (e : Netsim.Network.endpoint) ~dropped =

@@ -1,6 +1,6 @@
 (* Million-flow steady-state structures: the hierarchical timer wheel
-   (equivalence with the Pheap oracle, true cancellation), the sharded
-   flow tables and CLOCK cache, and ephemeral port allocation. *)
+   (equivalence with the Pheap oracle, true cancellation), the flow-path
+   CLOCK cache, and ephemeral port allocation. *)
 
 let us = Sim.Stime.us
 
@@ -304,47 +304,47 @@ let engine_behind_horizon () =
   Alcotest.(check (list int)) "order preserved" [ 60; 80; 100 ]
     (List.rev !log)
 
-(* ---- sharded cache ---------------------------------------------------- *)
+(* ---- clock cache ------------------------------------------------------ *)
 
 (* Cache probe for these tests: every stored value is >= 0, so -1 reads
    as "no entry". *)
-let cache_find c k = Spin.Sharded.Cache.find_or c k (-1)
+let cache_find c k = Spin.Clock_cache.find_or c k (-1)
 
 let cache_eviction () =
   let ev = ref 0 in
-  let c = Spin.Sharded.Cache.create ~shards:1 ~per_shard:8 ~evictions:ev () in
-  Alcotest.(check int) "capacity" 8 (Spin.Sharded.Cache.capacity c);
+  let c = Spin.Clock_cache.create ~capacity:8 ~evictions:ev () in
+  Alcotest.(check int) "capacity" 8 (Spin.Clock_cache.capacity c);
   for i = 0 to 7 do
-    Spin.Sharded.Cache.put c (string_of_int i) i
+    Spin.Clock_cache.put c (string_of_int i) i
   done;
-  Alcotest.(check int) "full" 8 (Spin.Sharded.Cache.length c);
+  Alcotest.(check int) "full" 8 (Spin.Clock_cache.length c);
   Alcotest.(check int) "no eviction below capacity" 0 !ev;
   (* keep "0" hot so CLOCK passes over it *)
   Alcotest.(check int) "hit" 0 (cache_find c "0");
-  Spin.Sharded.Cache.put c "8" 8;
-  Alcotest.(check int) "bounded" 8 (Spin.Sharded.Cache.length c);
+  Spin.Clock_cache.put c "8" 8;
+  Alcotest.(check int) "bounded" 8 (Spin.Clock_cache.length c);
   Alcotest.(check int) "one eviction" 1 !ev;
   Alcotest.(check int) "new entry present" 8 (cache_find c "8");
-  Spin.Sharded.Cache.remove c "8";
+  Spin.Clock_cache.remove c "8";
   Alcotest.(check int) "remove" (-1) (cache_find c "8");
-  Spin.Sharded.Cache.put c "9" 9;
+  Spin.Clock_cache.put c "9" 9;
   Alcotest.(check int) "hole reused, no eviction" 1 !ev
 
 let cache_clock_keeps_hot () =
-  let c = Spin.Sharded.Cache.create ~shards:1 ~per_shard:8 () in
+  let c = Spin.Clock_cache.create ~capacity:8 () in
   for i = 0 to 7 do
-    Spin.Sharded.Cache.put c (string_of_int i) i
+    Spin.Clock_cache.put c (string_of_int i) i
   done;
   (* first overflow sweeps every reference bit clear and evicts one *)
-  Spin.Sharded.Cache.put c "8" 8;
+  Spin.Clock_cache.put c "8" 8;
   Alcotest.(check int) "one eviction so far" 1
-    (Spin.Sharded.Cache.evictions c);
+    (Spin.Clock_cache.evictions c);
   (* re-reference every survivor except "2": the next insert must pass
      over the hot entries and claim the cold one *)
   List.iter
     (fun k -> ignore (cache_find c k : int))
     [ "1"; "3"; "4"; "5"; "6"; "7"; "8" ];
-  Spin.Sharded.Cache.put c "9" 9;
+  Spin.Clock_cache.put c "9" 9;
   Alcotest.(check int) "cold entry evicted" (-1) (cache_find c "2");
   List.iter
     (fun k ->
@@ -354,13 +354,13 @@ let cache_clock_keeps_hot () =
     [ "1"; "3"; "4"; "5"; "6"; "7"; "8"; "9" ]
 
 let cache_grows () =
-  let c = Spin.Sharded.Cache.create ~shards:1 ~per_shard:1024 () in
+  let c = Spin.Clock_cache.create ~capacity:1024 () in
   for i = 0 to 999 do
-    Spin.Sharded.Cache.put c (string_of_int i) i
+    Spin.Clock_cache.put c (string_of_int i) i
   done;
   Alcotest.(check int) "grew without eviction" 1000
-    (Spin.Sharded.Cache.length c);
-  Alcotest.(check int) "no evictions" 0 (Spin.Sharded.Cache.evictions c);
+    (Spin.Clock_cache.length c);
+  Alcotest.(check int) "no evictions" 0 (Spin.Clock_cache.evictions c);
   for i = 0 to 999 do
     Alcotest.(check bool) "still present" true
       (cache_find c (string_of_int i) >= 0)
