@@ -29,6 +29,10 @@ type out = {
   mutable o_run : unit -> unit;
 }
 
+(* Int-keyed, so the per-frame session lookup never reaches the
+   polymorphic compare. *)
+module Ports = Hashtbl.Make (Int)
+
 type t = {
   stack : Plexus.Stack.t;
   listen_port : int;
@@ -37,7 +41,7 @@ type t = {
   middle : Proto.Ipaddr.t;
   costs : Netsim.Costs.t;
   cpu : Sim.Cpu.t;
-  sessions : (int, Proto.Ipaddr.t) Hashtbl.t; (* client port -> client ip *)
+  sessions : Proto.Ipaddr.t Ports.t; (* client port -> client ip *)
   counters : counters;
   outs : out Sim.Stash.t;
   mutable uninstall : (unit -> unit) list;
@@ -174,7 +178,7 @@ let create stack ~listen_port ~backend:(server, server_port) =
       middle = Netsim.Host.ip (Plexus.Stack.host stack);
       costs;
       cpu = Netsim.Host.cpu (Plexus.Stack.host stack);
-      sessions = Hashtbl.create 16;
+      sessions = Ports.create 16;
       counters = { forwarded = 0; returned = 0; ttl_drops = 0 };
       outs = Sim.Stash.create ();
       uninstall = [];
@@ -183,14 +187,14 @@ let create stack ~listen_port ~backend:(server, server_port) =
   let ip_node = Plexus.Ip_mgr.node (Plexus.Stack.ip stack) in
   let forward ctx =
     let client_port = port_at ctx 0 in
-    Hashtbl.replace t.sessions client_port (Plexus.Pctx.ip_exn ctx).Proto.Ipv4.src;
+    Ports.replace t.sessions client_port (Plexus.Pctx.ip_exn ctx).Proto.Ipv4.src;
     if
       redirect t ctx ~new_src:t.middle ~new_dst:t.server ~port_off:2
         ~new_port:t.server_port
     then t.counters.forwarded <- t.counters.forwarded + 1
   in
   let reverse ctx =
-    match Hashtbl.find t.sessions (port_at ctx 2) with
+    match Ports.find t.sessions (port_at ctx 2) with
     | exception Not_found -> ()
     | client_ip ->
         if
@@ -221,4 +225,4 @@ let remove t =
 let forwarded t = t.counters.forwarded
 let returned t = t.counters.returned
 let ttl_drops t = t.counters.ttl_drops
-let sessions t = Hashtbl.length t.sessions
+let sessions t = Ports.length t.sessions

@@ -55,7 +55,7 @@ let with_limit t n =
 let advance_ip t n ~len h =
   let off = t.off + n in
   if off + len > View.length t.frame then invalid_arg "Pctx.advance_ip";
-  { t with off; limit = min t.limit (off + len); ip = Some h }
+  { t with off; limit = Int.min t.limit (off + len); ip = Some h }
 
 (* ...and the transport layer steps past its header and records the
    ports. *)

@@ -76,6 +76,11 @@ let prio t = Spin.Dispatcher.mode (Graph.recv_event t.node)
 
 let port_at ctx at = View.get_u16 ctx.Pctx.frame (ctx.Pctx.off + at)
 
+(* [List.mem] would compare polymorphically. *)
+let rec listed (p : int) = function
+  | [] -> false
+  | q :: rest -> q = p || listed p rest
+
 let proto_guard t ctx =
   match ctx.Pctx.ip with
   | Some h ->
@@ -83,8 +88,8 @@ let proto_guard t ctx =
       && ((t.excluded = [] && t.excluded_src = [])
          || (* the ports, read in place: the segment starts at the cursor *)
          Pctx.payload_len ctx >= Proto.Tcp_wire.Off.dst_port + 2
-         && (not (List.mem (port_at ctx Proto.Tcp_wire.Off.dst_port) t.excluded))
-         && not (List.mem (port_at ctx Proto.Tcp_wire.Off.src_port) t.excluded_src))
+         && (not (listed (port_at ctx Proto.Tcp_wire.Off.dst_port) t.excluded))
+         && not (listed (port_at ctx Proto.Tcp_wire.Off.src_port) t.excluded_src))
   | None -> false
 
 let output t o =

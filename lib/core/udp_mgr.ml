@@ -41,17 +41,26 @@ type out = {
   mutable o_run : unit -> unit;
 }
 
+(* Int-keyed, so the per-datagram port lookup never reaches the
+   polymorphic compare. *)
+module Ports = Hashtbl.Make (Int)
+
 type t = {
   graph : Graph.t;
   ip : Ip_mgr.t;
   node : Graph.node;
   costs : Netsim.Costs.t;
-  binds : (int, Endpoint.t) Hashtbl.t;
+  binds : Endpoint.t Ports.t;
   counters : counters;
   mutable spoof_policy : spoof_policy;
   mutable excluded : int list; (* dst ports ceded to an alternative impl *)
   outs : out Sim.Stash.t;
 }
+
+(* [List.mem] would compare polymorphically. *)
+let rec listed (p : int) = function
+  | [] -> false
+  | q :: rest -> q = p || listed p rest
 
 let proto_guard t ctx =
   match ctx.Pctx.ip with
@@ -61,7 +70,7 @@ let proto_guard t ctx =
          ||
          let v = Pctx.view ctx in
          View.length v < Proto.Udp.Off.dst_port + 2
-         || not (List.mem (Proto.Udp.get_dst_port v) t.excluded))
+         || not (listed (Proto.Udp.get_dst_port v) t.excluded))
   | None -> false
 
 let create graph ip =
@@ -72,7 +81,7 @@ let create graph ip =
       ip;
       node = Graph.node graph "udp";
       costs;
-      binds = Hashtbl.create 16;
+      binds = Ports.create 16;
       counters =
         {
           rx = 0;
@@ -91,7 +100,7 @@ let create graph ip =
   in
   let reg = Graph.registry graph in
   Observe.Registry.gauge reg "udp.binds.occupancy" (fun () ->
-      Hashtbl.length t.binds);
+      Ports.length t.binds);
   Graph.add_edge graph ~parent:(Ip_mgr.node ip) ~child:"udp" ~label:"proto=17";
   let handle ctx =
     t.counters.rx <- t.counters.rx + 1;
@@ -113,7 +122,7 @@ let create graph ip =
           Pctx.advance_ports ctx Proto.Udp.header_len
             ~src_port:(Proto.Udp.get_src_port v) ~dst_port
         in
-        if Hashtbl.mem t.binds dst_port then begin
+        if Ports.mem t.binds dst_port then begin
           t.counters.delivered <- t.counters.delivered + 1;
           (* only a sampled packet has a timeline to end: build its stage
              label for it alone *)
@@ -173,16 +182,16 @@ let exclude_ports t ports =
   Spin.Dispatcher.touch (Graph.recv_event (Ip_mgr.node t.ip))
 
 let bind t ~owner ~port =
-  if Hashtbl.mem t.binds port then Error (`Port_in_use port)
+  if Ports.mem t.binds port then Error (`Port_in_use port)
   else begin
     let ep =
       Endpoint.make ~proto:Endpoint.Udp ~ip:(Ip_mgr.host_ip t.ip) ~port ~owner
     in
-    Hashtbl.replace t.binds port ep;
+    Ports.replace t.binds port ep;
     Ok ep
   end
 
-let unbind t ep = Hashtbl.remove t.binds (Endpoint.port ep)
+let unbind t ep = Ports.remove t.binds (Endpoint.port ep)
 
 let port_guard ep ctx = ctx.Pctx.dst_port = Endpoint.port ep
 
@@ -388,5 +397,5 @@ let send_claiming t ep ?prio ?(checksum = true) ~claimed_src_port ~dst data =
       end
 
 let bound_ports t =
-  Hashtbl.fold (fun p _ acc -> p :: acc) t.binds []
+  Ports.fold (fun p _ acc -> p :: acc) t.binds []
   |> List.sort compare

@@ -124,7 +124,7 @@ let ethernet ?(fast = false) () =
     tx_fixed = (if fast then T.us 18 else T.us 70);
     rx_fixed = (if fast then T.us 22 else T.us 80);
     pio_ns_per_byte = 0.;
-    frame_overhead = (fun len -> max len 60 + 4 + 8 + 12);
+    frame_overhead = (fun len -> Int.max len 60 + 4 + 8 + 12);
     prop_delay = T.us 1;
     txq_limit = 64;
     shared_medium = true;

@@ -361,7 +361,7 @@ let service_burst peer prio ~polled pkts ~n k =
    application work at the same priority interleave, so the drain cannot
    itself become a livelock. *)
 let rec drain_deferred peer ac =
-  let n = min ac.poll_batch (Queue.length ac.q) in
+  let n = Int.min ac.poll_batch (Queue.length ac.q) in
   if n = 0 then ac.draining <- false
   else begin
     let pkts = List.init n (fun _ -> Queue.pop ac.q) in

@@ -416,7 +416,7 @@ let sub (t : 'p t) ~off ~len : 'p t =
     (fun seg ->
       let seg_start = !pos and seg_end = !pos + seg.len in
       pos := seg_end;
-      let lo = max seg_start off and hi = min seg_end (off + len) in
+      let lo = Int.max seg_start off and hi = Int.min seg_end (off + len) in
       if lo < hi then begin
         incref seg.store;
         segs :=
@@ -458,7 +458,7 @@ let sub_copy (t : _ t) ~off ~len : rw t =
     (fun seg ->
       let seg_start = !pos and seg_end = !pos + seg.len in
       pos := seg_end;
-      let lo = max seg_start off and hi = min seg_end (off + len) in
+      let lo = Int.max seg_start off and hi = Int.min seg_end (off + len) in
       if lo < hi then
         Bytes.blit seg.store.data
           (seg.off + (lo - seg_start))

@@ -96,7 +96,7 @@ let reserve t =
    the budget allows and counts the remainder as failures. *)
 let reserve_n t n =
   if n < 0 then invalid_arg "Pool.reserve_n: negative count";
-  let granted = min n (t.capacity - t.live) in
+  let granted = Int.min n (t.capacity - t.live) in
   t.live <- t.live + granted;
   t.allocations <- t.allocations + granted;
   if t.live > t.peak then t.peak <- t.live;

@@ -66,22 +66,32 @@ let reply_to m ~mac =
 module Cache = struct
   type entry = { mac : Ether.Mac.t; expires : Sim.Stime.t }
 
+  (* Keyed by address with an int equality, so the send path's probe
+     never reaches the polymorphic compare.  [Int.hash] is
+     [Hashtbl.hash], so buckets and fold order are the generic table's. *)
+  module Ip_tbl = Hashtbl.Make (struct
+    type t = Ipaddr.t
+
+    let equal = Ipaddr.equal
+    let hash a = Int.hash (Ipaddr.to_int a)
+  end)
+
   type t = {
-    entries : (Ipaddr.t, entry) Hashtbl.t;
+    entries : entry Ip_tbl.t;
     ttl : Sim.Stime.t;
-    waiting : (Ipaddr.t, (Ether.Mac.t -> unit) list) Hashtbl.t;
+    waiting : (Ether.Mac.t -> unit) list Ip_tbl.t;
   }
 
   let create ?(ttl = Sim.Stime.s 1200) () =
-    { entries = Hashtbl.create 8; ttl; waiting = Hashtbl.create 4 }
+    { entries = Ip_tbl.create 8; ttl; waiting = Ip_tbl.create 4 }
 
   (* The send path's probe: no option and no closure, so a hit allocates
      nothing.  An expired entry is dropped here, as [lookup] drops it. *)
   let find_mac t ~now ip =
-    match Hashtbl.find t.entries ip with
+    match Ip_tbl.find t.entries ip with
     | e when Sim.Stime.compare now e.expires < 0 -> e.mac
     | _ ->
-        Hashtbl.remove t.entries ip;
+        Ip_tbl.remove t.entries ip;
         Ether.Mac.none
     | exception Not_found -> Ether.Mac.none
 
@@ -90,36 +100,36 @@ module Cache = struct
     if Ether.Mac.equal mac Ether.Mac.none then None else Some mac
 
   let resolved t ip mac expires =
-    Hashtbl.replace t.entries ip { mac; expires };
-    match Hashtbl.find_opt t.waiting ip with
+    Ip_tbl.replace t.entries ip { mac; expires };
+    match Ip_tbl.find_opt t.waiting ip with
     | None -> ()
     | Some ks ->
-        Hashtbl.remove t.waiting ip;
+        Ip_tbl.remove t.waiting ip;
         List.iter (fun k -> k mac) (List.rev ks)
 
   let insert t ~now ip mac = resolved t ip mac (Sim.Stime.add now t.ttl)
   let insert_static t ip mac = resolved t ip mac (Sim.Stime.ns max_int)
 
   let wait t ip k =
-    let ks = Option.value (Hashtbl.find_opt t.waiting ip) ~default:[] in
-    Hashtbl.replace t.waiting ip (k :: ks)
+    let ks = Option.value (Ip_tbl.find_opt t.waiting ip) ~default:[] in
+    Ip_tbl.replace t.waiting ip (k :: ks)
 
   (* Abandoning a resolution must drop its queued continuations, or a
      reply arriving long after the retry budget is spent would fire them
      — transmitting packets the sender gave up on ages ago. *)
   let cancel_waiters t ip =
-    match Hashtbl.find_opt t.waiting ip with
+    match Ip_tbl.find_opt t.waiting ip with
     | None -> 0
     | Some ks ->
-        Hashtbl.remove t.waiting ip;
+        Ip_tbl.remove t.waiting ip;
         List.length ks
 
   let waiting_count t ip =
-    match Hashtbl.find_opt t.waiting ip with
+    match Ip_tbl.find_opt t.waiting ip with
     | None -> 0
     | Some ks -> List.length ks
 
-  let size t = Hashtbl.length t.entries
+  let size t = Ip_tbl.length t.entries
 end
 
 let pp_message ppf m =

@@ -126,7 +126,7 @@ let complete_head r =
   match
     Option.bind (List.assoc_opt "content-length" headers) int_of_string_opt
   with
-  | Some n when n > 0 -> r.body <- Bytes.create (min n max_presize)
+  | Some n when n > 0 -> r.body <- Bytes.create (Int.min n max_presize)
   | _ -> ()
 
 (* The one copy of a body byte: out of the lent view, into the body
@@ -135,7 +135,9 @@ let append_body r v off n =
   if n > 0 then begin
     let need = r.body_len + n in
     if need > Bytes.length r.body then begin
-      let grown = Bytes.create (max need (max 256 (2 * Bytes.length r.body))) in
+      let grown =
+        Bytes.create (Int.max need (Int.max 256 (2 * Bytes.length r.body)))
+      in
       Bytes.blit r.body 0 grown 0 r.body_len;
       r.body <- grown
     end;

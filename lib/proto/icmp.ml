@@ -57,7 +57,7 @@ let echo_reply_of m = { m with mtype = type_echo_reply }
    header is written from its record, so a reassembled datagram quotes
    the header it was delivered with. *)
 let error ~mtype ~code (h : Ipv4.header) l4 =
-  let quoted = min 8 (View.length l4) in
+  let quoted = Int.min 8 (View.length l4) in
   let pkt = Mbuf.alloc (header_len + Ipv4.header_len + quoted) in
   let v = Mbuf.view pkt in
   View.set_u8 v 0 mtype;

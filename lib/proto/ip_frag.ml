@@ -23,7 +23,7 @@ let fragment ~mtu (payload : 'p Mbuf.t) : (int * bool * 'p Mbuf.t) list =
     let rec go off acc =
       if off >= len then List.rev acc
       else begin
-        let n = min max_data (len - off) in
+        let n = Int.min max_data (len - off) in
         let more = off + n < len in
         go (off + n) ((off / 8, more, Mbuf.sub payload ~off ~len:n) :: acc)
       end

@@ -148,7 +148,7 @@ let create env cfg ~local:(local_ip, local_port) =
     snd_una = Seq.of_int 0;
     snd_nxt = Seq.of_int 0;
     snd_wnd = cfg.window;
-    cwnd = max 1 cfg.initial_window_segments * cfg.mss;
+    cwnd = Int.max 1 cfg.initial_window_segments * cfg.mss;
     ssthresh = 65535;
     sndq = Byteq.create ();
     qseq = Seq.of_int 0;
@@ -328,9 +328,9 @@ and try_output t =
         let sent_off = Seq.diff t.snd_nxt t.qseq in
         let avail = Byteq.length t.sndq - sent_off in
         let flight = in_flight t in
-        let wnd = min t.snd_wnd t.cwnd in
+        let wnd = Int.min t.snd_wnd t.cwnd in
         let room = wnd - flight in
-        let n = min (min avail t.cfg.mss) room in
+        let n = Int.min (Int.min avail t.cfg.mss) room in
         let nagle_holds =
           t.cfg.nagle && n > 0 && n < t.cfg.mss && n = avail && flight > 0
           && not t.fin_pending
@@ -375,10 +375,10 @@ and retransmit_head t =
       | Some fs when t.snd_una = fs -> control t ~seq:fs ~flags:Flags.(ack + fin)
       | _ ->
           let avail = Byteq.length t.sndq in
-          let n = min avail t.cfg.mss in
+          let n = Int.min avail t.cfg.mss in
           let n =
             (* do not retransmit past snd_nxt (or FIN) *)
-            min n (Seq.diff t.snd_nxt t.snd_una)
+            Int.min n (Seq.diff t.snd_nxt t.snd_una)
           in
           if n > 0 then emit t ~seq:t.snd_una ~flags:Flags.ack ~off:0 ~len:n
   end
@@ -391,9 +391,9 @@ and on_retx_timeout t =
       teardown t "too many retransmissions"
     else begin
       (* multiplicative backoff; collapse the congestion window *)
-      t.ssthresh <- max (in_flight t / 2) (2 * t.cfg.mss);
+      t.ssthresh <- Int.max (in_flight t / 2) (2 * t.cfg.mss);
       t.cwnd <- t.cfg.mss;
-      t.rto_backoff <- min (t.rto_backoff * 2) 64;
+      t.rto_backoff <- Int.min (t.rto_backoff * 2) 64;
       retransmit_head t;
       arm_retx_timer t
     end
@@ -455,7 +455,7 @@ let process_ack t (h : Tcp_wire.header) =
       t.counters.dup_acks <- t.counters.dup_acks + 1;
       if t.counters.dup_acks mod dupack_threshold = 0 then begin
         t.counters.fast_retransmits <- t.counters.fast_retransmits + 1;
-        t.ssthresh <- max (in_flight t / 2) (2 * t.cfg.mss);
+        t.ssthresh <- Int.max (in_flight t / 2) (2 * t.cfg.mss);
         t.cwnd <- t.ssthresh;
         retransmit_head t
       end
@@ -471,7 +471,7 @@ let process_ack t (h : Tcp_wire.header) =
     let payload_acked =
       if Seq.gt payload_hi t.qseq then Seq.diff payload_hi t.qseq else 0
     in
-    let payload_acked = min payload_acked (Byteq.length t.sndq) in
+    let payload_acked = Int.min payload_acked (Byteq.length t.sndq) in
     if payload_acked > 0 then begin
       Byteq.drop t.sndq payload_acked;
       t.qseq <- Seq.add t.qseq payload_acked
@@ -487,7 +487,7 @@ let process_ack t (h : Tcp_wire.header) =
     t.rto_backoff <- 1;
     (* congestion control: slow start then congestion avoidance *)
     if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + t.cfg.mss
-    else t.cwnd <- t.cwnd + max 1 (t.cfg.mss * t.cfg.mss / t.cwnd);
+    else t.cwnd <- t.cwnd + Int.max 1 (t.cfg.mss * t.cfg.mss / t.cwnd);
     if in_flight t = 0 then stop_retx_timer t else arm_retx_timer t;
     if fin_acked then begin
       match t.state with
@@ -497,7 +497,7 @@ let process_ack t (h : Tcp_wire.header) =
       | _ -> ()
     end
   end;
-  t.snd_wnd <- max h.window 1
+  t.snd_wnd <- Int.max h.window 1
 
 (* --- in-order delivery ----------------------------------------------- *)
 
@@ -606,7 +606,7 @@ let input t frame (v : View.ro View.t) =
         t.irs <- h.seq;
         t.rcv_nxt <- Seq.add h.seq 1;
         t.snd_una <- h.ack;
-        t.snd_wnd <- max h.window 1;
+        t.snd_wnd <- Int.max h.window 1;
         t.retx_count <- 0;
         t.rto_backoff <- 1;
         stop_retx_timer t;

@@ -13,6 +13,10 @@ type key = {
   mutable live : bool; (* added and not yet removed; not part of the tuple *)
 }
 
+(* Listeners by local port: an int-keyed table, so a lookup compares
+   ints and never reaches the polymorphic compare. *)
+module Ports = Hashtbl.Make (Int)
+
 module Conns = Hashtbl.Make (struct
   type t = key
 
@@ -25,7 +29,7 @@ type ('c, 'l) verdict = Conn of 'c | Listener of 'l | No_match
 
 type ('c, 'l) t = {
   conns : ('c, 'l) verdict Conns.t;
-  listeners : (int, ('c, 'l) verdict) Hashtbl.t;
+  listeners : ('c, 'l) verdict Ports.t;
   probe : key;
   mutable next_ephemeral : int;
 }
@@ -36,7 +40,7 @@ let ephemeral_hi = 60999
 let create () =
   {
     conns = Conns.create 16;
-    listeners = Hashtbl.create 8;
+    listeners = Ports.create 8;
     probe = { rip = 0; rport = 0; lport = 0; live = false };
     next_ephemeral = ephemeral_lo;
   }
@@ -51,7 +55,7 @@ let find t ~src v =
   | exception Not_found -> (
       if not (Tcp_wire.opening_syn v) then No_match
       else
-        match Hashtbl.find t.listeners k.lport with
+        match Ports.find t.listeners k.lport with
         | l -> l
         | exception Not_found -> No_match)
 
@@ -73,13 +77,13 @@ let remove t k =
 let length t = Conns.length t.conns
 
 let listen t ~port l =
-  if Hashtbl.mem t.listeners port then Error (`Port_in_use port)
+  if Ports.mem t.listeners port then Error (`Port_in_use port)
   else begin
-    Hashtbl.replace t.listeners port (Listener l);
+    Ports.replace t.listeners port (Listener l);
     Ok ()
   end
 
-let unlisten t port = Hashtbl.remove t.listeners port
+let unlisten t port = Ports.remove t.listeners port
 
 let alloc_ephemeral t ~dst:(dip, dport) =
   let k = t.probe in
@@ -90,7 +94,7 @@ let alloc_ephemeral t ~dst:(dip, dport) =
     else begin
       let next = if p >= ephemeral_hi then ephemeral_lo else p + 1 in
       k.lport <- p;
-      if Hashtbl.mem t.listeners p || Conns.mem t.conns k then
+      if Ports.mem t.listeners p || Conns.mem t.conns k then
         scan (tried + 1) next
       else begin
         t.next_ephemeral <- next;

@@ -14,11 +14,14 @@
    item number — cost and queue link are ints, continuations sit in one
    value array — and are recycled through an int free chain.  The run
    queues link items by index, the item in service is an index, and its
-   completion is a single engine timer re-armed for every item.  Serving
-   an item therefore allocates nothing beyond the caller's continuation,
-   and the only pointer stores are writing that continuation and clearing
-   it (each pointer store into a long-lived block pays OCaml 5's write
-   barrier). *)
+   completion is a single engine timer re-armed for every item, whose
+   thunk never changes.  Serving an item therefore allocates nothing
+   beyond the caller's continuation.  Each pointer store into a
+   long-lived block pays OCaml 5's write barrier, so the continuation is
+   the only pointer stored, and only when it differs from the one the
+   slot last held: a finished item's continuation stays in its free slot
+   until the slot is reused, so what the pool retains is bounded by its
+   capacity. *)
 
 type prio = Interrupt | Thread
 
@@ -35,7 +38,8 @@ type t = {
   name : string;
   mutable cost : int array;  (* per item: remaining service time, ns *)
   mutable next : int array;  (* queue / free-chain link *)
-  mutable k : (unit -> unit) array;  (* continuation; [noop] when free *)
+  mutable k : (unit -> unit) array;
+      (* continuation; a free slot keeps its last one until reused *)
   mutable free : int;  (* head of the free chain *)
   intr_q : queue;
   thread_q : queue;
@@ -75,7 +79,7 @@ let capacity t = Array.length t.cost
 (* Double the pool; the new items form the free chain. *)
 let grow t =
   let cap = capacity t in
-  let ncap = max 8 (2 * cap) in
+  let ncap = Int.max 8 (2 * cap) in
   let extend a fill =
     let b = Array.make ncap fill in
     Array.blit a 0 b 0 cap;
@@ -94,11 +98,10 @@ let take t cost k =
   let w = t.free in
   t.free <- t.next.(w);
   t.cost.(w) <- (cost : Stime.t :> int);
-  t.k.(w) <- k;
+  if t.k.(w) != k then t.k.(w) <- k;
   w
 
 let recycle t w =
-  t.k.(w) <- noop;
   t.next.(w) <- t.free;
   t.free <- w
 

@@ -48,7 +48,8 @@ val post_in : t -> delay:Stime.t -> (unit -> unit) -> unit
 val timer : t -> handle
 (** An unscheduled event entry that {!arm} can schedule again and again
     — one entry, never recycled, for a stream of one-at-a-time
-    deadlines. *)
+    deadlines.  It keeps its last thunk after firing or {!cancel}, until
+    the next [arm]; re-arming with the same thunk stores no pointer. *)
 
 val arm : t -> handle -> at:Stime.t -> (unit -> unit) -> unit
 (** [arm t h ~at k] schedules [h] to run [k] at [at], moving it if it is
@@ -58,9 +59,10 @@ val arm : t -> handle -> at:Stime.t -> (unit -> unit) -> unit
 
 val cancel : t -> handle -> unit
 (** Prevent a scheduled event from running.  The event is removed from the
-    queue immediately and its thunk dropped, so cancellation retains no
-    memory until the original deadline.  A no-op once the event has fired
-    or been cancelled, even after its entry is reused. *)
+    queue immediately and, unless it is a {!timer}, its thunk dropped, so
+    cancellation retains no memory until the original deadline.  A no-op
+    once the event has fired or been cancelled, even after its entry is
+    reused. *)
 
 val capacity : t -> int
 (** Event entries the queue holds, live or free: its high-water mark. *)

@@ -1,6 +1,8 @@
 (* A LIFO of recycled records (see stash.mli for the pattern).  A
    stashed record keeps pointing at the last payload it carried until it
-   is reused. *)
+   is reused.  A record put back where it was taken from is already in
+   its slot, so [put] stores it only when the slot holds another one:
+   the store into the long-lived array is a write barrier. *)
 
 type 'r t = { mutable items : 'r array; mutable n : int }
 
@@ -14,9 +16,9 @@ let take s =
 
 let put s r =
   if s.n = Array.length s.items then begin
-    let bigger = Array.make (max 8 (2 * s.n)) r in
+    let bigger = Array.make (Int.max 8 (2 * s.n)) r in
     Array.blit s.items 0 bigger 0 s.n;
     s.items <- bigger
   end;
-  s.items.(s.n) <- r;
+  if s.items.(s.n) != r then s.items.(s.n) <- r;
   s.n <- s.n + 1

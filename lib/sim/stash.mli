@@ -20,4 +20,6 @@ val take : 'r t -> 'r
 
 val put : 'r t -> 'r -> unit
 (** Return a record for reuse.  The backing array doubles (from 8) when
-    full. *)
+    full.  A slot is written only when it holds another record, so the
+    take/put cycle of one record costs no write barrier; a slot past the
+    top keeps its last record until it is overwritten. *)

@@ -17,7 +17,11 @@
    whose records are recycled keeps them all in the major heap; with int
    links, linking, unlinking and cascading store no pointer at all, and
    the only barriered stores per entry are writing its payload and
-   clearing it.  Indices [0, sentinels) are the buckets' sentinels, so
+   clearing it.  A timer entry (below) keeps its payload across a pop or
+   cancel and [link] skips storing the payload it already holds, so a
+   timer re-armed with the same thunk stores no pointer at all; its owner
+   holds it for life, so the kept payload is bounded by the number of
+   timers.  Indices [0, sentinels) are the buckets' sentinels, so
    each bucket is a circular doubly-linked list and cancel unlinks in
    O(1).  Free entries sit on an int stack.
 
@@ -64,7 +68,9 @@ type 'a t = {
   mutable next : int array;
   mutable pos : int array; (* bucket sentinel while linked; -1 detached *)
   mutable gen : int array; (* odd: a timer's; even: bumped on recycling *)
-  mutable value : 'a array; (* the wheel's [dummy] when empty *)
+  mutable value : 'a array;
+      (* [dummy] in a free or detached ordinary entry; a timer's last
+         payload *)
   mutable free : int array; (* stack of recycled entry indices *)
   mutable nfree : int;
   occupancy : int array; (* per-level bitmap of non-empty slots *)
@@ -135,12 +141,13 @@ let fresh t =
   t.nfree <- t.nfree - 1;
   t.free.(t.nfree)
 
-(* Drop the payload; a non-timer entry gets a new generation, which
-   invalidates its handles, and goes back on the free stack. *)
+(* A non-timer entry drops its payload, gets a new generation, which
+   invalidates its handles, and goes back on the free stack.  A timer
+   keeps its payload for the next [arm]. *)
 let release t i =
-  t.value.(i) <- t.dummy;
   let g = t.gen.(i) in
   if g land 1 = 0 then begin
+    t.value.(i) <- t.dummy;
     t.gen.(i) <- (g + 2) land gen_mask;
     t.free.(t.nfree) <- i;
     t.nfree <- t.nfree + 1
@@ -216,7 +223,7 @@ let unlink t i =
 (* Link a detached entry at [key]; the caller has checked [key >= cur]. *)
 let link t i ~key v =
   t.key.(i) <- key;
-  t.value.(i) <- v;
+  if t.value.(i) != v then t.value.(i) <- v;
   place t i;
   if t.live = 0 then t.min_memo <- key
   else if t.min_memo >= 0 && key < t.min_memo then t.min_memo <- key;

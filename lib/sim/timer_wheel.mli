@@ -9,7 +9,9 @@
     Entries live in parallel arrays indexed by entry number, linked by
     ints, and are recycled through a free stack: a steady add/pop cycle
     allocates nothing, and the only pointer stores per entry are writing
-    its payload and clearing it.
+    its payload and clearing it.  A {!timer} keeps its payload across a
+    pop or cancel, and {!arm} skips storing the payload it already holds,
+    so re-arming a timer with the same thunk stores no pointer.
 
     The wheel's horizon is the key of the last pop.  Looking ahead
     ({!min_key}, {!peek_min}) does not move it, so any key at or after the
@@ -23,8 +25,10 @@ type handle
     the handle names nothing. *)
 
 val create : dummy:'a -> unit -> 'a t
-(** [dummy] fills payload slots that hold nothing (free, popped and
-    cancelled entries), so a dropped payload is not retained. *)
+(** [dummy] fills payload slots that hold nothing (free entries, and
+    popped or cancelled entries other than timers), so a dropped payload
+    is not retained.  A timer's slot keeps its last payload until the
+    next {!arm} replaces it. *)
 
 val live : 'a t -> int
 (** Number of entries added but not yet popped or cancelled. *)
@@ -54,9 +58,11 @@ val arm : 'a t -> handle -> key:int -> 'a -> unit
     @raise Invalid_argument if [key < horizon] or [h] is not a timer. *)
 
 val cancel : 'a t -> handle -> unit
-(** O(1) true removal: unlinks the entry and drops its payload eagerly so
-    the value is not retained until its deadline.  A no-op on an entry
-    that has already fired or been cancelled, even once it is reused. *)
+(** O(1) true removal: unlinks the entry and, unless it is a {!timer},
+    drops its payload eagerly so the value is not retained until its
+    deadline.  A timer keeps its payload until the next {!arm}.  A no-op
+    on an entry that has already fired or been cancelled, even once it is
+    reused. *)
 
 val is_live : 'a t -> handle -> bool
 (** [true] while the entry is scheduled: not yet popped or cancelled. *)
@@ -67,8 +73,9 @@ val min_key : 'a t -> int
 
 val pop : 'a t -> 'a
 (** Remove the earliest live entry, advance the horizon to its key, and
-    return its payload.  A non-timer entry is recycled at once and its
-    handles go stale.
+    return its payload.  A non-timer entry drops its payload and is
+    recycled at once, and its handles go stale; a timer keeps its payload
+    until the next {!arm}.
     @raise Invalid_argument when empty. *)
 
 val peek_min : 'a t -> (int * 'a) option

@@ -2,7 +2,11 @@
    rebuilt (the dispatcher's flow-path chains): a CLOCK ring that grows
    geometrically up to its capacity and then evicts the first entry its
    hand finds with a clear reference bit, so an overflow costs one
-   entry, never the whole cache. *)
+   entry, never the whole cache.  The index compares keys with
+   [String.equal], never the polymorphic compare; [String.hash] is
+   [Hashtbl.hash], so its buckets are the generic table's. *)
+
+module Index = Hashtbl.Make (String)
 
 type 'v slot = {
   mutable s_key : string;
@@ -12,7 +16,7 @@ type 'v slot = {
 
 type 'v t = {
   mutable slots : 'v slot array;
-  index : (string, int) Hashtbl.t; (* key -> slot number *)
+  index : int Index.t; (* key -> slot number *)
   mutable hand : int;
   mutable used : int;
   mutable free : int list; (* slots never used, and holes left by [remove] *)
@@ -25,16 +29,16 @@ let fresh_slot () = { s_key = ""; s_value = None; s_ref = false }
 let create ~capacity ?evictions () =
   {
     slots = Array.init 8 (fun _ -> fresh_slot ());
-    index = Hashtbl.create 16;
+    index = Index.create 16;
     hand = 0;
     used = 0;
     free = List.init 8 Fun.id;
-    cap = max 8 capacity;
+    cap = Int.max 8 capacity;
     evictions = (match evictions with Some r -> r | None -> ref 0);
   }
 
 let find_or t key absent =
-  match Hashtbl.find t.index key with
+  match Index.find t.index key with
   | exception Not_found -> absent
   | i -> (
       let s = t.slots.(i) in
@@ -42,10 +46,10 @@ let find_or t key absent =
       match s.s_value with Some v -> v | None -> absent)
 
 let remove t key =
-  match Hashtbl.find_opt t.index key with
+  match Index.find_opt t.index key with
   | None -> ()
   | Some i ->
-      Hashtbl.remove t.index key;
+      Index.remove t.index key;
       let s = t.slots.(i) in
       s.s_key <- "";
       s.s_value <- None;
@@ -79,7 +83,7 @@ let evict t =
             sweep (steps + 1)
           end
           else begin
-            Hashtbl.remove t.index s.s_key;
+            Index.remove t.index s.s_key;
             s.s_key <- "";
             s.s_value <- None;
             t.used <- t.used - 1;
@@ -91,7 +95,7 @@ let evict t =
   sweep 0
 
 let put t key value =
-  match Hashtbl.find_opt t.index key with
+  match Index.find_opt t.index key with
   | Some i ->
       let s = t.slots.(i) in
       s.s_value <- Some value;
@@ -117,7 +121,7 @@ let put t key value =
       s.s_key <- key;
       s.s_value <- Some value;
       s.s_ref <- true;
-      Hashtbl.replace t.index key i;
+      Index.replace t.index key i;
       t.used <- t.used + 1
 
 let length t = t.used

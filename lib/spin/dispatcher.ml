@@ -470,7 +470,10 @@ type 'a tree = {
    records are recycled through per-event {!Sim.Stash}es, and the thunk
    handed to the CPU ([dm_run] / [dl_run]) is a closure over the record
    itself, built once with it, so queueing a demux or a delivery
-   allocates nothing in steady state. *)
+   allocates nothing in steady state.  A refill writes only the fields
+   that change: each pointer store into a recycled record is a write
+   barrier, and most refills carry the same flow, override and leaf as
+   the record's last use. *)
 type 'a demux = {
   mutable dm_v : 'a;
   mutable dm_flow : flow;
@@ -503,13 +506,18 @@ type 'a claims = {
   mutable cl_run : unit -> Sim.Stime.t;  (* built at the first claim *)
 }
 
+(* Handlers by hid.  The replay looks a handler up per hop, so the table
+   compares ints, never polymorphically; [Int.hash] is [Hashtbl.hash],
+   so folds visit handlers in the generic table's order. *)
+module Hids = Hashtbl.Make (Int)
+
 type 'a event = {
   disp : t;
   ename : string;
   uid : int;                                  (* hop identity across events *)
   gen : int ref;                              (* bumped on any churn *)
   mutable mode : delivery;
-  table : (int, 'a handler) Hashtbl.t;       (* hid -> handler; the registry *)
+  table : 'a handler Hids.t;                 (* hid -> handler; the registry *)
   mutable keyvfn : ('a -> int array -> unit) option;
       (* key extractor: fills scratch slot [d] with dimension [d]'s
          value or -1, allocation-free *)
@@ -542,7 +550,7 @@ type 'a event = {
 
 let info_of_event ev =
   let handlers =
-    Hashtbl.fold (fun _ h acc -> h :: acc) ev.table []
+    Hids.fold (fun _ h acc -> h :: acc) ev.table []
     |> List.sort (fun a b -> compare a.hid b.hid)
     |> List.map (fun h ->
            {
@@ -627,7 +635,7 @@ let release_frame ev v =
 
 let generation ev = !(ev.gen)
 let cache_entries ev = Clock_cache.length ev.entries
-let handler_count ev = Hashtbl.length ev.table
+let handler_count ev = Hids.length ev.table
 
 (* State-aware uninstall.  An [Active] handler leaves the event table
    immediately — no new raise can select it — but what happens to its
@@ -646,7 +654,7 @@ let uninstall_h ev h =
          remaining queued runs; drain bookkeeping still completes *)
       h.live <- false
   | Active -> (
-      Hashtbl.remove ev.table h.hid;
+      Hids.remove ev.table h.hid;
       touch ev;
       match ev.disp.retiring with
       | Some acc when h.pending > 0 ->
@@ -758,7 +766,7 @@ let add_handler ev ?label ?ops ~cacheable ~exact guard gcost keys kind =
       h.qw_cpu <- !(h.hs.h_cpu);
       h.qw_allocs <- !(h.hs.h_allocs);
       h.qw_terms <- !(h.hs.h_terms);
-      Hashtbl.replace ev.table hid h;
+      Hids.replace ev.table hid h;
       touch ev
     end
   in
@@ -848,7 +856,7 @@ let key_val k = k land 0xffff
    dimension by contract, so the scratch needs no wipe first; slots past
    [kv_dims] keep the -1 they were created with. *)
 let fill_keyvals ev v ndims =
-  let need = max 1 (max ndims ev.kv_dims) in
+  let need = Int.max 1 (Int.max ndims ev.kv_dims) in
   if Array.length ev.scratch < need then ev.scratch <- Array.make need (-1);
   let s = ev.scratch in
   (match ev.keyvfn with Some kvf -> kvf v s | None -> ());
@@ -880,7 +888,7 @@ let tree_key k = k >= 0 && key_dim k < max_tree_dims
    exactly the plain scan's [dispatch + guard * n]. *)
 let build_tree ev =
   let all =
-    Hashtbl.fold (fun _ h acc -> h :: acc) ev.table []
+    Hids.fold (fun _ h acc -> h :: acc) ev.table []
     |> List.sort (fun a b -> compare a.hid b.hid)
   in
   let switchable =
@@ -1100,7 +1108,7 @@ let event disp ?(mode = Interrupt) ename =
       uid;
       gen = ref 0;
       mode;
-      table = Hashtbl.create 8;
+      table = Hids.create 8;
       keyvfn = None;
       kv_dims = 0;
       scratch = [||];
@@ -1305,16 +1313,20 @@ let delivery_done d h =
     if h.pending = 0 then h.live <- false
   end
 
+(* The body runs with the delivery's flow and override in force and
+   both are cleared after it.  They usually hold [No_flow] and [None]
+   already, and a store into the long-lived dispatcher is a write
+   barrier, so each field is written only when it changes. *)
 let run_plain ev v h fn flow over total =
   let d = ev.disp in
-  d.flow <- flow;
-  d.prio_override <- over;
+  if d.flow != flow then d.flow <- flow;
+  if d.prio_override != over then d.prio_override <- over;
   let a0 = Packet.Mbuf.total_allocated () in
   (try fn v with
   | (Stack_overflow | Out_of_memory) as e -> Stdlib.raise e
   | exn -> fault ev h exn);
-  d.prio_override <- None;
-  d.flow <- No_flow;
+  if d.prio_override != None then d.prio_override <- None;
+  if d.flow != No_flow then d.flow <- No_flow;
   incr h.hs.h_runs;
   let run_ns = Sim.Stime.to_ns total in
   h.hs.h_cpu := !(h.hs.h_cpu) + run_ns;
@@ -1331,7 +1343,7 @@ let run_plain ev v h fn flow over total =
 
 let run_eph ev v h plan over =
   let d = ev.disp in
-  d.prio_override <- over;
+  if d.prio_override != over then d.prio_override <- over;
   let a0 = Packet.Mbuf.total_allocated () in
   contain ev h (fun () ->
       let r = Ephemeral.commit plan in
@@ -1372,7 +1384,7 @@ let run_eph ev v h plan over =
                  total = r.Ephemeral.total;
                  duration_ns = run_ns;
                }));
-  d.prio_override <- None;
+  if d.prio_override != None then d.prio_override <- None;
   quarantine_check ev h
 
 (* A queued invocation comes due.  The record goes back to the stash
@@ -1395,12 +1407,12 @@ let queue_delivery ev v h flow over prio ~cost plan =
   let dl =
     if not (Sim.Stash.is_empty ev.deliveries) then begin
       let dl = Sim.Stash.take ev.deliveries in
-      dl.dl_h <- h;
-      dl.dl_v <- v;
-      dl.dl_flow <- flow;
-      dl.dl_over <- over;
+      if dl.dl_h != h then dl.dl_h <- h;
+      if dl.dl_v != v then dl.dl_v <- v;
+      if dl.dl_flow != flow then dl.dl_flow <- flow;
+      if dl.dl_over != over then dl.dl_over <- over;
       dl.dl_cost <- cost;
-      dl.dl_plan <- plan;
+      if dl.dl_plan != plan then dl.dl_plan <- plan;
       dl
     end
     else begin
@@ -1569,10 +1581,10 @@ let raise_core ?over ev v flow =
   let dm =
     if not (Sim.Stash.is_empty ev.demuxes) then begin
       let dm = Sim.Stash.take ev.demuxes in
-      dm.dm_v <- v;
-      dm.dm_flow <- flow;
-      dm.dm_over <- over;
-      dm.dm_leaf <- leaf;
+      if dm.dm_v != v then dm.dm_v <- v;
+      if dm.dm_flow != flow then dm.dm_flow <- flow;
+      if dm.dm_over != over then dm.dm_over <- over;
+      if dm.dm_leaf != leaf then dm.dm_leaf <- leaf;
       dm.dm_gen <- !(ev.gen);
       dm
     end
@@ -1608,7 +1620,7 @@ let rec run_hop_from ev v hids acc =
   | [] -> acc
   | hid :: rest ->
       let acc =
-        match Hashtbl.find ev.table hid with
+        match Hids.find ev.table hid with
         | { kind = Plain { cost; dyncost; fn }; _ } as h ->
             let d = ev.disp in
             incr d.invocations;
@@ -1673,7 +1685,7 @@ let run_claim ev =
 (* [a] copied into an array twice as long (at least 8), the new slots
    filled with [x]. *)
 let grown a n x =
-  let b = Array.make (max 8 (2 * n)) x in
+  let b = Array.make (Int.max 8 (2 * n)) x in
   Array.blit a 0 b 0 n;
   b
 

@@ -122,6 +122,37 @@ let touch_invalidates () =
   Alcotest.(check int) "touch counted as invalidation" 1
     (D.path_cache_invalidations s.d)
 
+(* A delivery's priority override and recording flow hold only while
+   its handler body runs.  A frame the poller demoted to thread priority
+   is followed by one raised with no override, as an interrupt service
+   raises it: that frame must run at interrupt priority, ahead of thread
+   work already queued, and take the flow cache, so the frame after it
+   replays.  Every run is bounded, so a context that outlives its body
+   fails here rather than looping. *)
+let context_ends_with_body () =
+  let s = mk_side ~flowcache:true in
+  let (_ : unit -> unit) = install_logger s s.mid 1 in
+  let run () = Sim.Engine.run s.engine ~max_events:1_000 in
+  D.raise ~prio:D.Thread s.root 0;
+  run ();
+  Alcotest.(check int) "a demoted raise bypasses the cache" 0
+    (D.path_cache_misses s.d);
+  let cpu = D.cpu s.d in
+  Sim.Cpu.run cpu ~prio:D.Interrupt ~cost:(us 5) (fun () ->
+      s.log := (-2, 0) :: !(s.log));
+  Sim.Cpu.run cpu ~prio:D.Thread ~cost:(us 1) (fun () ->
+      s.log := (-3, 0) :: !(s.log));
+  D.raise s.root 4;
+  run ();
+  Alcotest.(check int) "the next raise records" 1 (D.path_cache_misses s.d);
+  D.raise s.root 8;
+  run ();
+  Alcotest.(check int) "the one after replays" 1 (D.path_cache_hits s.d);
+  Alcotest.(check (list (pair int int)))
+    "interrupt delivery overtakes queued thread work"
+    [ (-1, 0); (1, 0); (-2, 0); (-1, 4); (1, 4); (-3, 0); (-1, 8); (1, 8) ]
+    (delivered s)
+
 (* A handler that churns the graph *while the chain is being recorded*
    must not let a stale chain commit (the recording is re-validated at
    delivery end — the re-entrancy fix). *)
@@ -854,6 +885,8 @@ let suite =
         tc "uninstall invalidates before the next packet"
           uninstall_invalidates_before_next_packet;
         tc "touch invalidates" touch_invalidates;
+        tc "a handler's override and flow end with its body"
+          context_ends_with_body;
         tc "churn during recording discards the entry"
           churn_during_recording_discards_entry;
         tc "churn during replay diverges safely"

@@ -289,6 +289,45 @@ let wheel_pop_drops_thunk () =
   Alcotest.(check bool) "closure environment collected" false
     (Weak.check wp 0)
 
+let cpu_reused_slot_drops_continuation () =
+  (* a finished item's continuation stays in its free slot until the
+     slot is reused (the pool writes a slot only when its continuation
+     changes); reuse releases it *)
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"cpu" in
+  let wp = Weak.create 1 in
+  let submit () =
+    let s = String.make 1024 'x' in
+    Weak.set wp 0 (Some s);
+    Sim.Cpu.run cpu ~cost:(us 1) (fun () -> ignore (String.length s))
+  in
+  submit ();
+  Sim.Engine.run e;
+  Sim.Cpu.run cpu ~cost:(us 1) ignore;
+  Sim.Engine.run e;
+  Gc.full_major ();
+  Alcotest.(check bool) "continuation environment collected" false
+    (Weak.check wp 0)
+
+let timer_rearm_drops_thunk () =
+  (* a timer keeps its thunk across a pop until it is armed again; the
+     next arm with another thunk releases it *)
+  let e = Sim.Engine.create () in
+  let h = Sim.Engine.timer e in
+  let wp = Weak.create 1 in
+  let arm () =
+    let s = String.make 1024 'x' in
+    Weak.set wp 0 (Some s);
+    Sim.Engine.arm e h ~at:(us 10) (fun () -> ignore (String.length s))
+  in
+  arm ();
+  Sim.Engine.run e;
+  Sim.Engine.arm e h ~at:(us 20) ignore;
+  Sim.Engine.cancel e h;
+  Gc.full_major ();
+  Alcotest.(check bool) "closure environment collected" false
+    (Weak.check wp 0)
+
 let engine_behind_horizon () =
   (* run ~until peeks past the horizon; a later schedule between the
      horizon and the next pending event must still fire, in order *)
@@ -506,6 +545,9 @@ let suite =
         tc "100k pending, mass cancel" wheel_mass_cancel;
         tc "cancel drops the closure eagerly" wheel_cancel_drops_thunk;
         tc "fired closures are released" wheel_pop_drops_thunk;
+        tc "a reused cpu slot releases its continuation"
+          cpu_reused_slot_drops_continuation;
+        tc "re-arming a timer releases its thunk" timer_rearm_drops_thunk;
         tc "schedule behind a peeked horizon" engine_behind_horizon;
       ] );
     ( "scale.sharded",
