@@ -4,8 +4,6 @@
 type ctx
 (** The extension's application-visible state (valid while linked). *)
 
-val header_len : int
-
 val extension :
   ?etype:int -> ?budget:Sim.Stime.t -> name:string ->
   handlers:

@@ -232,4 +232,3 @@ let receive stack ~port ~on_complete =
   r
 
 let nacks_sent r = r.nacks_sent
-let received_complete r = r.r_done

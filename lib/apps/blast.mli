@@ -20,4 +20,3 @@ val retransmissions : sender -> int
 val end_probes : sender -> int
 val complete : sender -> bool
 val nacks_sent : receiver -> int
-val received_complete : receiver -> bool

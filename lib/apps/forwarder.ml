@@ -225,4 +225,3 @@ let remove t =
 let forwarded t = t.counters.forwarded
 let returned t = t.counters.returned
 let ttl_drops t = t.counters.ttl_drops
-let sessions t = Ports.length t.sessions

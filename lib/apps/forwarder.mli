@@ -22,8 +22,6 @@ val ttl_drops : t -> int
 (** Packets dropped because their TTL expired at the forwarder (the
     sender gets an ICMP time-exceeded). *)
 
-val sessions : t -> int
-
 val rewrite :
   Plexus.Pctx.t -> new_src:Proto.Ipaddr.t -> new_dst:Proto.Ipaddr.t ->
   port_off:int -> new_port:int -> Mbuf.rw Mbuf.t

@@ -51,7 +51,7 @@ let handle_frame t len =
       | _ -> ())
   | None -> ());
   t.last_frame_at <- Some now;
-  Sim.Cpu.run (Netsim.Host.cpu t.host)
+  Sim.Cpu.submit (Netsim.Host.cpu t.host) Sim.Cpu.Thread
     ~cost:(Codec.decompress_cost t.costs ~len) (fun () ->
       Netsim.Framebuffer.write t.fb ~len:(Codec.decompressed_len ~len)
         (fun () -> t.frames_displayed <- t.frames_displayed + 1))

@@ -28,8 +28,6 @@ let create env ~fps ~frame_len =
 let add_stream t dst = t.streams <- t.streams @ [ dst ]
 let set_streams t streams = t.streams <- streams
 let frames_sent t = t.frames_sent
-let stream_count t = List.length t.streams
-
 let period t = Sim.Stime.of_s_f (1.0 /. float_of_int t.fps)
 
 (* Each stream has its own frame clock, staggered so that 30 streams do
@@ -54,5 +52,3 @@ let start ?(until = Sim.Stime.s 10) t =
       in
       ignore (Sim.Engine.schedule_in t.env.engine ~delay:offset (tick dst idx)))
     t.streams
-
-let stop t = t.running <- false

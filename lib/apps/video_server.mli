@@ -17,6 +17,4 @@ val start : ?until:Sim.Stime.t -> t -> unit
 (** Begin streaming (staggered per-stream frame clocks) until the
     horizon. *)
 
-val stop : t -> unit
 val frames_sent : t -> int
-val stream_count : t -> int

@@ -7,8 +7,6 @@ type t = {
   trace : Observe.Trace.t;
   cache : Proto.Arp.Cache.t;
   engine : Sim.Engine.t;
-  retry_interval : Sim.Stime.t;
-  max_retries : int;
   pending : (Proto.Ipaddr.t, int) Hashtbl.t; (* outstanding request count *)
   mutable requests_sent : int;
   mutable replies_sent : int;
@@ -25,8 +23,12 @@ let send_arp t msg =
   Ether_mgr.send t.ether (Ether_mgr.prio t.ether) ~dst
     ~etype:Proto.Ether.etype_arp pkt
 
-let create ?(retry_interval = Sim.Stime.s 1) ?(max_retries = 3) graph ether
-    ~ip =
+(* An unanswered request is sent again every [retry_interval], and the
+   resolution is abandoned after [max_retries] requests. *)
+let retry_interval = Sim.Stime.s 1
+let max_retries = 3
+
+let create graph ether ~ip =
   let host = Graph.host graph in
   let t =
     {
@@ -35,8 +37,6 @@ let create ?(retry_interval = Sim.Stime.s 1) ?(max_retries = 3) graph ether
       trace = Graph.trace graph;
       cache = Proto.Arp.Cache.create ();
       engine = Netsim.Host.engine host;
-      retry_interval;
-      max_retries;
       pending = Hashtbl.create 4;
       requests_sent = 0;
       replies_sent = 0;
@@ -51,9 +51,8 @@ let create ?(retry_interval = Sim.Stime.s 1) ?(max_retries = 3) graph ether
     | None -> ()
     | Some msg ->
         let now = Sim.Engine.now t.engine in
-        Proto.Arp.Cache.insert t.cache ~now msg.Proto.Arp.sender_ip
-          msg.Proto.Arp.sender_mac;
-        Hashtbl.remove t.pending msg.Proto.Arp.sender_ip;
+        if Proto.Arp.Cache.learn t.cache ~now ~self:t.ip msg then
+          Hashtbl.remove t.pending msg.Proto.Arp.sender_ip;
         if
           msg.Proto.Arp.op = Proto.Arp.op_request
           && Proto.Ipaddr.equal msg.Proto.Arp.target_ip t.ip
@@ -91,11 +90,11 @@ let send_request t dst =
    and transmit packets the sender gave up on long ago. *)
 let rec arm_retry t dst =
   ignore
-    (Sim.Engine.schedule_in t.engine ~delay:t.retry_interval (fun () ->
+    (Sim.Engine.schedule_in t.engine ~delay:retry_interval (fun () ->
          match Hashtbl.find_opt t.pending dst with
          | None -> () (* resolved in the meantime *)
          | Some tries ->
-             if tries >= t.max_retries then begin
+             if tries >= max_retries then begin
                Hashtbl.remove t.pending dst;
                t.resolution_failures <- t.resolution_failures + 1;
                let dropped = Proto.Arp.Cache.cancel_waiters t.cache dst in

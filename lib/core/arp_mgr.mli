@@ -2,9 +2,10 @@
 
 type t
 
-val create :
-  ?retry_interval:Sim.Stime.t -> ?max_retries:int -> Graph.t -> Ether_mgr.t ->
-  ip:Proto.Ipaddr.t -> t
+val create : Graph.t -> Ether_mgr.t -> ip:Proto.Ipaddr.t -> t
+(** Answer requests for [ip] and learn peers through
+    {!Proto.Arp.Cache.learn}.  An unanswered request is retried every
+    second and abandoned after three. *)
 
 val cached : t -> Proto.Ipaddr.t -> Proto.Ether.Mac.t
 (** The cached MAC for an address, or {!Proto.Ether.Mac.none} on a miss

@@ -11,7 +11,6 @@ type t = { proto : proto; ip : Proto.Ipaddr.t; port : int; owner : string }
 
 let make ~proto ~ip ~port ~owner = { proto; ip; port; owner }
 
-let proto t = t.proto
 let ip t = t.ip
 let port t = t.port
 let owner t = t.owner

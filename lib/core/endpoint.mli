@@ -6,7 +6,6 @@ type proto = Udp | Tcp
 type t = private { proto : proto; ip : Proto.Ipaddr.t; port : int; owner : string }
 
 val make : proto:proto -> ip:Proto.Ipaddr.t -> port:int -> owner:string -> t
-val proto : t -> proto
 val ip : t -> Proto.Ipaddr.t
 val port : t -> int
 val owner : t -> string

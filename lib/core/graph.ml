@@ -66,7 +66,6 @@ let node t name =
 
 let find_node t name = List.find_opt (fun n -> n.node_name = name) t.nodes
 
-let name (n : node) = n.node_name
 let recv_event (n : node) = n.recv
 
 let add_edge t ~parent ~child ~label =

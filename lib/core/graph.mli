@@ -21,7 +21,6 @@ val node : t -> string -> node
 (** Find-or-create a protocol node (and its PacketRecv event). *)
 
 val find_node : t -> string -> node option
-val name : node -> string
 val recv_event : node -> Pctx.t Spin.Dispatcher.event
 
 val add_edge : t -> parent:node -> child:string -> label:string -> unit

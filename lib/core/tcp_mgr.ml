@@ -278,7 +278,6 @@ let create graph ip =
   in
   t
 
-let node t = t.node
 let counters t = t.counters
 
 (* The guard reads these mutable lists, so changing them invalidates any
@@ -322,9 +321,6 @@ let sendv conn chunks = Proto.Tcp.sendv conn.tcp chunks
 let close conn = Proto.Tcp.close conn.tcp
 let abort conn = Proto.Tcp.abort conn.tcp
 let tcp conn = conn.tcp
-let endpoint conn = conn.ep
-let conn_state conn = Proto.Tcp.state conn.tcp
-
 let on_receive conn fn = conn.user_rx <- fn
 let on_established conn fn = conn.user_established <- fn
 let on_peer_close conn fn = conn.user_peer_close <- fn

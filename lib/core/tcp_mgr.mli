@@ -29,7 +29,6 @@ type counters = {
 
 val create : Graph.t -> Ip_mgr.t -> t
 
-val node : t -> Graph.node
 val counters : t -> counters
 
 val exclude_ports : t -> int list -> unit
@@ -70,6 +69,4 @@ val on_peer_close : conn -> (unit -> unit) -> unit
 val on_close : conn -> (unit -> unit) -> unit
 val on_error : conn -> (string -> unit) -> unit
 
-val endpoint : conn -> Endpoint.t
-val conn_state : conn -> Proto.Tcp.state
 val tcp : conn -> Proto.Tcp.t

@@ -168,7 +168,6 @@ let create graph ip =
   in
   t
 
-let node t = t.node
 let counters t = t.counters
 let set_spoof_policy t p = t.spoof_policy <- p
 

@@ -23,7 +23,6 @@ type counters = {
 
 val create : Graph.t -> Ip_mgr.t -> t
 
-val node : t -> Graph.node
 val counters : t -> counters
 val set_spoof_policy : t -> spoof_policy -> unit
 

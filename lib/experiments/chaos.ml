@@ -304,7 +304,10 @@ let pp_tcp_outcome ppf o =
     o.t_bad_checksum o.t_corruptions o.t_drops o.t_pool_leaked
     o.t_pool_underflows
 
-let tcp_transfer ?fcache ?(mix = default_mix) ?(total = 16_384) ~seed () =
+(* Bytes each TCP transfer sends. *)
+let total = 16_384
+
+let tcp_transfer ?fcache ?(mix = default_mix) ~seed () =
   (* Corruption anywhere past the Ethernet header: flips in the IP header
      are caught by the IP checksum, flips in the TCP header or payload by
      the TCP checksum — every one must surface as a retransmission, never

@@ -84,9 +84,8 @@ type tcp_outcome = {
 }
 
 val tcp_transfer :
-  ?fcache:bool -> ?mix:fault_mix -> ?total:int -> seed:int -> unit ->
-  tcp_outcome
-(** A byte-stream transfer with corruption allowed anywhere past the
+  ?fcache:bool -> ?mix:fault_mix -> seed:int -> unit -> tcp_outcome
+(** A 16 KiB byte-stream transfer with corruption allowed anywhere past the
     Ethernet header: the received stream must be an exact prefix of what
     was sent (complete, or an error cleanly surfaced) — injected flips
     surface as retransmissions, never as stream corruption. *)
@@ -106,11 +105,9 @@ val udp_equivalent : udp_outcome -> udp_outcome -> bool
 (** Flow-cached and uncached runs of the same seed must agree on every
     counter (cached delivery is observably equivalent, faults included). *)
 
-val run_soak : ?verbose:bool -> ?seeds:int -> ?base_seed:int -> unit -> soak
-(** Sweep all three scenarios (and the cache-equivalence check) over
-    [seeds] consecutive seeds, alternating Bernoulli and burst loss. *)
-
 val soak_ok : soak -> bool
 
 val print : ?verbose:bool -> ?seeds:int -> ?base_seed:int -> unit -> soak
-(** {!run_soak} with a human-readable report on stdout. *)
+(** Sweep all three scenarios (and the cache-equivalence check) over
+    [seeds] consecutive seeds, alternating Bernoulli and burst loss, and
+    report on stdout. *)

@@ -6,7 +6,6 @@ let ip_a = Proto.Ipaddr.v 10 0 1 1
 let ip_b = Proto.Ipaddr.v 10 0 1 2
 let ip_client = Proto.Ipaddr.v 10 0 1 2
 let ip_middle = Proto.Ipaddr.v 10 0 1 1
-let ip_middle2 = Proto.Ipaddr.v 10 0 2 1
 let ip_server = Proto.Ipaddr.v 10 0 2 2
 
 let net1 = Proto.Ipaddr.v 10 0 1 0
@@ -18,10 +17,10 @@ type plexus_pair = {
   b : Plexus.Stack.t;
 }
 
-let plexus_pair ?costs ?observe ?(flowcache = false) params =
+let plexus_pair ?costs ?(flowcache = false) params =
   let engine = Sim.Engine.create () in
   let ea, eb =
-    Netsim.Network.pair ?costs ?observe engine params ~a:("hostA", ip_a)
+    Netsim.Network.pair ?costs engine params ~a:("hostA", ip_a)
       ~b:("hostB", ip_b)
   in
   let a = Plexus.Stack.build ea.Netsim.Network.host in
@@ -205,7 +204,5 @@ let raw_device_rtt (params : Netsim.Costs.device) ~len =
 
 let print_header title =
   Printf.printf "\n=== %s ===\n%!" title
-
-let print_row fmt = Printf.printf fmt
 
 let mbps ~bytes ~elapsed_us = float_of_int bytes *. 8. /. elapsed_us

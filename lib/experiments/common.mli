@@ -4,7 +4,6 @@ val ip_a : Proto.Ipaddr.t
 val ip_b : Proto.Ipaddr.t
 val ip_client : Proto.Ipaddr.t
 val ip_middle : Proto.Ipaddr.t
-val ip_middle2 : Proto.Ipaddr.t
 val ip_server : Proto.Ipaddr.t
 val net1 : Proto.Ipaddr.t
 val net2 : Proto.Ipaddr.t
@@ -16,10 +15,9 @@ type plexus_pair = {
 }
 
 val plexus_pair :
-  ?costs:Netsim.Costs.t -> ?observe:bool -> ?flowcache:bool ->
-  Netsim.Costs.device -> plexus_pair
-(** Two hosts with full Plexus stacks, ARP primed.  [observe] (default
-    true) controls per-kernel metrics registries; [flowcache] (default
+  ?costs:Netsim.Costs.t -> ?flowcache:bool -> Netsim.Costs.device ->
+  plexus_pair
+(** Two hosts with full Plexus stacks, ARP primed.  [flowcache] (default
     false) enables the dispatchers' per-flow fast-path cache. *)
 
 type du_pair = {
@@ -81,5 +79,4 @@ val raw_device_rtt : Netsim.Costs.device -> len:int -> float
     round trip time between the device drivers"). *)
 
 val print_header : string -> unit
-val print_row : ('a, out_channel, unit) format -> 'a
 val mbps : bytes:int -> elapsed_us:float -> float

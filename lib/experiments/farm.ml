@@ -276,8 +276,13 @@ type probe = {
 
 let probe_page = 1024
 
-let scale_setup ?params ?(clients = 8) ?(seed = 11) ?(setup_gap_us = 20)
-    ?(probe_gap_us = 150.) ~live_flows ~probes () =
+(* Gap between one parked connection's handshake completing and the
+   next one starting on the same chain, and mean think time between a
+   chain's probes. *)
+let setup_gap_us = 20
+let probe_gap_us = 150.
+
+let scale_setup ?params ?(clients = 8) ?(seed = 11) ~live_flows ~probes () =
   if live_flows < 0 then invalid_arg "Farm.scale_setup: negative live_flows";
   let f = build ?params ~seed ~clients () in
   (* Park the flow population.  Establishment is a closed loop per

@@ -4,7 +4,7 @@
     Two drivers share the chain topology
     [client_i -- forwarder_i -- server]:
 
-    - {!run}/{!print}: an open heavy-tailed workload (Poisson request
+    - {!print}: an open heavy-tailed workload (Poisson request
       arrivals per client, Pareto-distributed response sizes) reporting
       goodput and p50/p99 request latency.
     - {!scale_setup}: the flow-population probe — park [live_flows]
@@ -28,7 +28,7 @@ type result = {
   evictions : int;  (** server path-cache evictions over the run *)
 }
 
-val run :
+val print :
   ?params:Netsim.Costs.device ->
   ?flowcache:bool ->
   ?clients:int ->
@@ -44,21 +44,8 @@ val run :
     Pareto-sized page; wait for the response].  [warmup] completions are
     discarded, the next [requests] are measured.  [shape]/[scale] are
     the Pareto parameters of the drawn response size in bytes
-    (quantised to log-spaced pages up to 64 KB). *)
-
-val print :
-  ?params:Netsim.Costs.device ->
-  ?flowcache:bool ->
-  ?clients:int ->
-  ?seed:int ->
-  ?warmup:int ->
-  ?requests:int ->
-  ?mean_gap_us:float ->
-  ?shape:float ->
-  ?scale:float ->
-  unit ->
-  result
-(** [run] plus a human-readable table. *)
+    (quantised to log-spaced pages up to 64 KB).  Prints a table and
+    returns the result. *)
 
 type probe = {
   live_flows : int;    (** idle established connections held open *)
@@ -76,8 +63,6 @@ val scale_setup :
   ?params:Netsim.Costs.device ->
   ?clients:int ->
   ?seed:int ->
-  ?setup_gap_us:int ->
-  ?probe_gap_us:float ->
   live_flows:int ->
   probes:int ->
   unit ->
@@ -85,7 +70,7 @@ val scale_setup :
   probe
 (** [scale_setup ~live_flows ~probes ()] builds the farm, establishes
     [live_flows] idle connections (a closed loop per client — the next
-    handshake starts [setup_gap_us] after the previous completes, so
+    handshake starts 20 µs after the previous completes, so
     the connect rate self-paces to the server's simulated CPU), and
     returns a thunk.  Each thunk call drives [probes] fresh HTTP exchanges
     through the loaded farm and reports the wire-frame count — wrap the

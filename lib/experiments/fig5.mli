@@ -12,7 +12,4 @@ type row = {
 
 val run : ?iters:int -> unit -> row list
 
-val fast_driver_variants : ?iters:int -> unit -> (string * float * float) list
-(** [(label, measured, paper)] for the §4.1 faster-driver quotes. *)
-
 val print : ?iters:int -> unit -> row list

@@ -102,7 +102,7 @@ let du_run streams =
           (* read(2): the frame is copied from the buffer cache to the
              user process before it can be sent again. *)
           Netsim.Disk.read disk ~len (fun data ->
-              Sim.Cpu.run cpu
+              Sim.Cpu.submit cpu Sim.Cpu.Thread
                 ~cost:
                   (Sim.Stime.add costs.Netsim.Costs.os.trap
                      (Osmodel.Syscall.copy_cost costs len))

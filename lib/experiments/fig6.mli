@@ -7,14 +7,6 @@ type sample = {
   net_mbps : float;
 }
 
-val fps : int
-val frame_len : int
-
-val plexus_run : int -> float * float
-(** [(server_utilization, achieved_mbps)] for the given stream count. *)
-
-val du_run : int -> float
-
 type client_sample = {
   c_streams : int;
   plexus_util : float;

@@ -2,15 +2,6 @@
 
 type row = { payload : int; plexus_us : float; du_us : float }
 
-val sizes : int list
-
-val plexus_rtt :
-  ?warmup:int -> ?iters:int -> payload_len:int -> Netsim.Costs.device -> float
-(** Echo RTT through the Plexus forwarder, µs. *)
-
-val du_rtt :
-  ?warmup:int -> ?iters:int -> payload_len:int -> Netsim.Costs.device -> float
-
 val run :
   ?params:Netsim.Costs.device -> ?warmup:int -> ?iters:int -> unit -> row list
 

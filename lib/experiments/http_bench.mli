@@ -2,13 +2,5 @@
 
 type result = { plexus_us : float; du_us : float; body_len : int }
 
-val plexus_get_latency :
-  ?warmup:int -> ?iters:int -> Netsim.Costs.device -> float
-
-val du_get_latency : ?warmup:int -> ?iters:int -> Netsim.Costs.device -> float
-
-val run :
-  ?params:Netsim.Costs.device -> ?warmup:int -> ?iters:int -> unit -> result
-
 val print :
   ?params:Netsim.Costs.device -> ?warmup:int -> ?iters:int -> unit -> result

@@ -56,7 +56,7 @@ let run_one ?(poisson = false) ~mode ~offered_pps () =
   let horizon = Sim.Stime.add (Sim.Stime.ms 200) (Sim.Stime.s 1) in
   let rec compute () =
     if Sim.Stime.compare (Sim.Engine.now engine) horizon < 0 then
-      Sim.Cpu.run victim_cpu ~prio:Sim.Cpu.Thread ~cost:compute_unit (fun () ->
+      Sim.Cpu.submit victim_cpu Sim.Cpu.Thread ~cost:compute_unit (fun () ->
           incr iterations;
           compute ())
   in

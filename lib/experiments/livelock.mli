@@ -7,9 +7,6 @@ type point = {
   thread_progress : float;
 }
 
-val compute_unit : Sim.Stime.t
-val default_rates : int list
-
 val run_one :
   ?poisson:bool -> mode:Spin.Dispatcher.delivery -> offered_pps:int -> unit ->
   float
@@ -17,5 +14,4 @@ val run_one :
     host receives the given UDP packet rate ([~poisson:true] draws
     exponential inter-arrivals instead of a fixed period). *)
 
-val run : ?poisson:bool -> ?rates:int list -> unit -> point list
 val print : ?poisson:bool -> ?rates:int list -> unit -> point list

@@ -7,11 +7,6 @@ type am_result = {
   udp_rtt : float;
 }
 
-val am_rtt :
-  ?mode:Spin.Dispatcher.delivery -> ?payload_len:int -> ?warmup:int ->
-  ?iters:int -> Netsim.Costs.device -> float
-(** Active-message echo RTT through dynamically linked extensions, µs. *)
-
 val run : ?params:Netsim.Costs.device -> ?iters:int -> unit -> am_result
 
 type termination_result = {

@@ -3,12 +3,10 @@
 
 type wan_point = { window : int; mbps : float }
 
-val wan_transfer : window:int -> float
 val wan_windows : ?windows:int list -> unit -> wan_point list
 
 type txn_result = { stock_us : float; tuned_us : float }
 
-val transaction_time : cfg:Proto.Tcp.config -> n:int -> float
 val transactions : ?n:int -> unit -> txn_result
 
 type blast_result = { tcp_ms : float; blast_ms : float; blast_retx : int }

@@ -77,7 +77,7 @@ let run_one ~mitigated ~offered_pps () =
   let rec consume () =
     if Queue.is_empty q then draining := false
     else
-      Sim.Cpu.run victim_cpu ~prio:Sim.Cpu.Thread ~cost:app_work (fun () ->
+      Sim.Cpu.submit victim_cpu Sim.Cpu.Thread ~cost:app_work (fun () ->
           ignore (Queue.pop q);
           incr consumed;
           consume ())

@@ -8,14 +8,9 @@ type point = {
   mitigated_goodput : float;
 }
 
-val ratio : point -> float
-(** [mitigated /. unmitigated]; [infinity] when the unmitigated victim
-    livelocked completely. *)
-
 val default_offered_pps : int
 (** 2x the victim's per-datagram service capacity. *)
 
-val run : ?offered_pps:int -> unit -> point
-
 val print : ?offered_pps:int -> unit -> point
-(** {!run} with a human-readable report on stdout. *)
+(** Run the blast with and without admission control and report the
+    victim's goodput on stdout. *)

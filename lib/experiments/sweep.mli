@@ -3,6 +3,4 @@
 type point = { size : int; plexus_us : float; du_us : float }
 type row = { device : string; points : point list }
 
-val sizes : int list
-val run : ?iters:int -> unit -> row list
 val print : ?iters:int -> unit -> row list

@@ -69,8 +69,6 @@ let plexus_transfer_timed ?(bytes = transfer_bytes) params =
   in
   (mbps, gaps)
 
-let plexus_transfer ?bytes params = fst (plexus_transfer_timed ?bytes params)
-
 let du_transfer ?(bytes = transfer_bytes) params =
   let p = Common.du_pair params in
   let engine = p.Common.du_engine in

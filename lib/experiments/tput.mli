@@ -12,16 +12,5 @@ type row = {
   gap_p99_us : float;
 }
 
-val plexus_transfer : ?bytes:int -> Netsim.Costs.device -> float
-(** Goodput of a bulk Plexus TCP transfer, Mb/s. *)
-
-val plexus_transfer_timed :
-  ?bytes:int -> Netsim.Costs.device -> float * Sim.Stats.Histogram.t
-(** Goodput plus the chunk-arrival gap distribution (nanoseconds),
-    recorded into a log-bucketed {!Sim.Stats.Histogram}, since a bulk
-    transfer delivers an unbounded number of chunks. *)
-
-val du_transfer : ?bytes:int -> Netsim.Costs.device -> float
-
 val run : ?bytes:int -> unit -> row list
 val print : ?bytes:int -> unit -> row list

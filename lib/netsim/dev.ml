@@ -154,8 +154,6 @@ let connect a b =
 let set_rx t h = t.rx_handler <- Some h
 
 let set_rx_pool t pool = t.rx_pool <- Some pool
-let rx_pool t = t.rx_pool
-
 let set_faults t plan = t.faults <- Some plan
 
 (* Fault injection: drop outgoing frames on the wire with the given
@@ -175,7 +173,6 @@ let set_loss t p =
   in
   Faults.set_loss plan (Faults.Bernoulli p)
 
-let faults t = t.faults
 let set_trace t tr = t.otrace <- Some tr
 let set_flight t fl = t.flight <- Some fl
 

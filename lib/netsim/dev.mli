@@ -68,8 +68,6 @@ val set_rx_pool : t -> Pool.t -> unit
     {!set_admission} so the ring's pressure watermarks can force early
     deferral. *)
 
-val rx_pool : t -> Pool.t option
-
 val set_loss : t -> float -> unit
 (** Fault injection: drop transmitted frames on the wire with the given
     probability, counted in [wire_drops].  Sets a {!Faults.Bernoulli}
@@ -84,8 +82,6 @@ val set_faults : t -> Faults.t -> unit
     [wire_drops]; corruption/duplication copy the frame so shared chains
     are never scribbled on; delays add to propagation, reordering the
     frame behind later ones. *)
-
-val faults : t -> Faults.t option
 
 val set_admission :
   ?budget:int -> ?window:Sim.Stime.t -> ?defer_limit:int -> ?poll_batch:int ->

@@ -29,8 +29,6 @@ let create ?(bw_bytes_per_s = 20_000_000) ?(access = Sim.Stime.us 200) engine
   }
 
 let reads t = t.reads
-let bytes_read t = t.bytes_read
-
 let utilization t =
   let now = Sim.Engine.now t.engine in
   if Sim.Stime.to_ns now = 0 then 0.
@@ -46,7 +44,7 @@ let utilization t =
    are a data source we do not have, and only sizes and timing matter to
    the experiments. *)
 let read t ~len k =
-  Sim.Cpu.run t.cpu ~cost:t.costs.Costs.disk_dma_setup (fun () ->
+  Sim.Cpu.submit t.cpu Sim.Cpu.Thread ~cost:t.costs.Costs.disk_dma_setup (fun () ->
       let now = Sim.Engine.now t.engine in
       let xfer =
         Sim.Stime.of_s_f (float_of_int len /. float_of_int t.bw_bytes_per_s)
@@ -60,6 +58,6 @@ let read t ~len k =
       ignore
         (Sim.Engine.schedule t.engine ~at:done_at (fun () ->
              (* completion interrupt *)
-             Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Interrupt
+             Sim.Cpu.submit t.cpu Sim.Cpu.Interrupt
                ~cost:t.costs.Costs.disk_intr (fun () ->
                  k (String.make len 'v')))))

@@ -11,5 +11,4 @@ val read : t -> len:int -> (string -> unit) -> unit
     Requests are serialized at the disk. *)
 
 val reads : t -> int
-val bytes_read : t -> int
 val utilization : t -> float

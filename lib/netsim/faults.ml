@@ -64,8 +64,6 @@ let create ?(name = "faults") ~rng () =
     delays = 0;
   }
 
-let name t = t.name
-
 let set_loss t l =
   (match l with
   | No_loss -> ()
@@ -182,14 +180,10 @@ let verdict t ~now ~len =
     else if first == intact then pass
     else Deliver [ first ]
 
-let loss_drops t = t.loss_drops
-let down_drops t = t.down_drops
 let drops t = t.loss_drops + t.down_drops
 let corruptions t = t.corruptions
 let duplicates t = t.duplicates
 let delays t = t.delays
-let injected t = drops t + t.corruptions + t.duplicates + t.delays
-
 let register t reg ~prefix =
   let g key f = Observe.Registry.gauge reg (prefix ^ "." ^ key) f in
   g "loss_drops" (fun () -> t.loss_drops);
@@ -197,8 +191,3 @@ let register t reg ~prefix =
   g "corruptions" (fun () -> t.corruptions);
   g "duplicates" (fun () -> t.duplicates);
   g "delays" (fun () -> t.delays)
-
-let pp ppf t =
-  Fmt.pf ppf
-    "%s: %d lost, %d down, %d corrupted, %d duplicated, %d delayed" t.name
-    t.loss_drops t.down_drops t.corruptions t.duplicates t.delays

@@ -36,8 +36,6 @@ val create : ?name:string -> rng:Sim.Rng.t -> unit -> t
     enabled fault class per frame; pass a {!Sim.Rng.split} of the
     simulation stream to keep the plan's draws independent. *)
 
-val name : t -> string
-
 val set_loss : t -> loss -> unit
 (** @raise Invalid_argument if any probability is outside [0, 1]. *)
 
@@ -82,9 +80,6 @@ val verdict : t -> now:Sim.Stime.t -> len:int -> verdict
 
 (** Injection counters — what the plan has done so far. *)
 
-val loss_drops : t -> int
-val down_drops : t -> int
-
 val drops : t -> int
 (** [loss_drops + down_drops]. *)
 
@@ -92,11 +87,6 @@ val corruptions : t -> int
 val duplicates : t -> int
 val delays : t -> int
 
-val injected : t -> int
-(** Total faults injected (drops + corruptions + duplicates + delays). *)
-
 val register : t -> Observe.Registry.t -> prefix:string -> unit
 (** Publish the injection counters as sampling gauges
     ([<prefix>.loss_drops|down_drops|corruptions|duplicates|delays]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,16 +7,13 @@ type t = {
   kernel : Spin.Kernel.t;
   costs : Costs.t;
   ip : Proto.Ipaddr.t;
-  observe : bool;
   mutable devs : Dev.t list;
   mutable next_mac : int;
 }
 
-let create ?(costs = Costs.default) ?(observe = true) engine ~name ~ip =
-  let kernel =
-    Spin.Kernel.create ~costs:costs.Costs.dispatch ~observe engine ~name
-  in
-  { name; engine; kernel; costs; ip; observe; devs = []; next_mac = 1 }
+let create ?(costs = Costs.default) engine ~name ~ip =
+  let kernel = Spin.Kernel.create ~costs:costs.Costs.dispatch engine ~name in
+  { name; engine; kernel; costs; ip; devs = []; next_mac = 1 }
 
 let name t = t.name
 let engine t = t.engine
@@ -39,11 +36,9 @@ let add_device ?mac t params =
       ~mac params
   in
   t.devs <- t.devs @ [ dev ];
-  if t.observe then begin
-    Dev.register dev (Spin.Kernel.registry t.kernel);
-    Dev.set_trace dev (Spin.Kernel.trace t.kernel);
-    Dev.set_flight dev (Spin.Kernel.flight t.kernel)
-  end;
+  Dev.register dev (Spin.Kernel.registry t.kernel);
+  Dev.set_trace dev (Spin.Kernel.trace t.kernel);
+  Dev.set_flight dev (Spin.Kernel.flight t.kernel);
   dev
 
 let utilization t = Sim.Cpu.utilization (cpu t)

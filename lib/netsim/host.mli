@@ -3,11 +3,9 @@
 type t
 
 val create :
-  ?costs:Costs.t -> ?observe:bool -> Sim.Engine.t -> name:string ->
-  ip:Proto.Ipaddr.t -> t
-(** [observe] (default true) is forwarded to {!Spin.Kernel.create} and
-    controls whether devices added later publish gauges into the
-    kernel's registry. *)
+  ?costs:Costs.t -> Sim.Engine.t -> name:string -> ip:Proto.Ipaddr.t -> t
+(** Devices added later publish their gauges into the kernel's registry
+    and share its trace endpoint and flight recorder. *)
 
 val name : t -> string
 val engine : t -> Sim.Engine.t

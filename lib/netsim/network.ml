@@ -5,9 +5,9 @@
 
 type endpoint = { host : Host.t; dev : Dev.t }
 
-let pair ?costs ?observe engine params ~a:(aname, aip) ~b:(bname, bip) =
-  let ha = Host.create ?costs ?observe engine ~name:aname ~ip:aip in
-  let hb = Host.create ?costs ?observe engine ~name:bname ~ip:bip in
+let pair ?costs engine params ~a:(aname, aip) ~b:(bname, bip) =
+  let ha = Host.create ?costs engine ~name:aname ~ip:aip in
+  let hb = Host.create ?costs engine ~name:bname ~ip:bip in
   let da = Host.add_device ha params in
   let db = Host.add_device hb params in
   Dev.connect da db;
@@ -33,11 +33,11 @@ let install_faults ?seed { host; dev } =
 
 (* client -- middle -- server: the middle host has two devices (one per
    segment), as the load-balancing forwarder of section 5.2 requires. *)
-let line3 ?costs ?observe engine params ~client:(cn, cip) ~middle:(mn, mip)
+let line3 ?costs engine params ~client:(cn, cip) ~middle:(mn, mip)
     ~server:(sn, sip) =
-  let hc = Host.create ?costs ?observe engine ~name:cn ~ip:cip in
-  let hm = Host.create ?costs ?observe engine ~name:mn ~ip:mip in
-  let hs = Host.create ?costs ?observe engine ~name:sn ~ip:sip in
+  let hc = Host.create ?costs engine ~name:cn ~ip:cip in
+  let hm = Host.create ?costs engine ~name:mn ~ip:mip in
+  let hs = Host.create ?costs engine ~name:sn ~ip:sip in
   let dc = Host.add_device hc params in
   let dm1 = Host.add_device hm params in
   let dm2 = Host.add_device hm params in

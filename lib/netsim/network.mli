@@ -3,7 +3,7 @@
 type endpoint = { host : Host.t; dev : Dev.t }
 
 val pair :
-  ?costs:Costs.t -> ?observe:bool -> Sim.Engine.t -> Costs.device ->
+  ?costs:Costs.t -> Sim.Engine.t -> Costs.device ->
   a:string * Proto.Ipaddr.t -> b:string * Proto.Ipaddr.t ->
   endpoint * endpoint
 (** Two hosts joined by one link of the given device type. *)
@@ -15,7 +15,7 @@ val install_faults : ?seed:int -> endpoint -> Faults.t
     from the engine stream unless [seed] pins it. *)
 
 val line3 :
-  ?costs:Costs.t -> ?observe:bool -> Sim.Engine.t -> Costs.device ->
+  ?costs:Costs.t -> Sim.Engine.t -> Costs.device ->
   client:string * Proto.Ipaddr.t -> middle:string * Proto.Ipaddr.t ->
   server:string * Proto.Ipaddr.t ->
   endpoint * (endpoint * endpoint) * endpoint

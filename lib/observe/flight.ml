@@ -64,14 +64,12 @@ let create ?(capacity = 4096) ?(rate = 0) ~seed () =
   }
 
 let[@inline] enabled t = t.rate > 0
-let rate t = t.rate
 let set_rate t r = if r < 0 then invalid_arg "Flight.set_rate" else t.rate <- r
 let seed t = t.seed
 let domain t = t.domain
 let set_domain t d = t.domain <- d
 let seen t = t.seen
 let sampled t = t.sampled
-let capacity t = Array.length t.buf
 let length t = t.len
 let dropped t = t.dropped
 
@@ -140,15 +138,6 @@ let since_ingress t ~pkt ~at_ns =
   | _ -> 0
 
 let finish t ~pkt = Hashtbl.remove t.origins pkt
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0;
-  t.seen <- 0;
-  t.sampled <- 0;
-  Hashtbl.reset t.origins
 
 (* Oldest retained record first. *)
 let records t =

@@ -43,7 +43,6 @@ val create : ?capacity:int -> ?rate:int -> seed:int -> unit -> t
 val enabled : t -> bool
 (** [rate t > 0].  Every emitter guards on this first. *)
 
-val rate : t -> int
 val set_rate : t -> int -> unit
 val seed : t -> int
 val domain : t -> int
@@ -87,13 +86,10 @@ val finish : t -> pkt:int -> unit
 
 val seen : t -> int
 val sampled : t -> int
-val capacity : t -> int
 val length : t -> int
 
 val dropped : t -> int
 (** Records overwritten after the ring wrapped. *)
-
-val clear : t -> unit
 
 val records : t -> record list
 (** Oldest retained record first. *)

@@ -140,9 +140,3 @@ let merge ~into src =
     if src.vmin < into.vmin then into.vmin <- src.vmin;
     if src.vmax > into.vmax then into.vmax <- src.vmax
   end
-
-let pp ppf (t : t) =
-  if t.n = 0 then Fmt.pf ppf "n=0"
-  else
-    Fmt.pf ppf "n=%d mean=%.1f p50=%d p99=%d p999=%d min=%d max=%d" t.n
-      (mean t) (p50 t) (p99 t) (p999 t) (min_value t) (max_value t)

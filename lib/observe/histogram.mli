@@ -52,8 +52,6 @@ val snapshot : t -> snapshot
 val merge : into:t -> t -> unit
 (** Add every bucket of the source into [into]. *)
 
-val pp : Format.formatter -> t -> unit
-
 (**/**)
 
 val bucket_of : int -> int

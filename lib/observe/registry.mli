@@ -36,7 +36,6 @@ val histogram : t -> string -> Histogram.t
 
 val find : t -> string -> entry option
 val mem : t -> string -> bool
-val size : t -> int
 
 val reset : t -> unit
 (** Zero every counter and histogram; gauges sample live state and are

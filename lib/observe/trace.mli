@@ -74,7 +74,6 @@ val scope : event -> string
 (** The event/scope name the span belongs to, e.g. ["udp.PacketRecv"]. *)
 
 val pp_span : Format.formatter -> span -> unit
-val pp_ns : Format.formatter -> int -> unit
 
 (** Bounded in-memory span buffer; the newest spans win. *)
 module Ring : sig

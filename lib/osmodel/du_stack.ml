@@ -77,7 +77,7 @@ let rec drain_deliveries t =
   if Queue.is_empty t.deliveries then t.delivering <- false
   else begin
     let len, k = Queue.pop t.deliveries in
-    Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
+    Sim.Cpu.submit t.cpu Sim.Cpu.Thread
       ~cost:
         (Sim.Stime.add (Syscall.copy_cost t.costs len)
            t.costs.Netsim.Costs.layer.app)
@@ -90,7 +90,7 @@ let deliver_to_user t ~len k =
   Queue.push (len, k) t.deliveries;
   if not t.delivering then begin
     t.delivering <- true;
-    Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
+    Sim.Cpu.submit t.cpu Sim.Cpu.Thread
       ~cost:
         (Sim.Stime.add t.costs.Netsim.Costs.os.wakeup
            t.costs.Netsim.Costs.os.ctx_switch)
@@ -99,7 +99,7 @@ let deliver_to_user t ~len k =
 
 (* ---- kernel-side helpers ------------------------------------------- *)
 
-let krun t cost k = Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Interrupt ~cost k
+let krun t cost k = Sim.Cpu.submit t.cpu Sim.Cpu.Interrupt ~cost k
 
 (* DIGITAL UNIX folds the TCP/UDP checksum into the user/kernel copy
    (the combined copy/checksum loop of [CFF+93], which the paper calls
@@ -339,8 +339,8 @@ let rx_arp t route pkt =
       | None -> ()
       | Some msg ->
           let now = Sim.Engine.now t.engine in
-          Proto.Arp.Cache.insert route.arp ~now msg.Proto.Arp.sender_ip
-            msg.Proto.Arp.sender_mac;
+          ignore
+            (Proto.Arp.Cache.learn route.arp ~now ~self:(host_ip t) msg : bool);
           if
             msg.Proto.Arp.op = Proto.Arp.op_request
             && Proto.Ipaddr.equal msg.Proto.Arp.target_ip (host_ip t)
@@ -438,7 +438,7 @@ let udp_sendto t sock ?(checksum = true) ~dst:(dip, dport) data =
   if len > Proto.Udp.max_payload then
     invalid_arg "Du_stack.udp_sendto: payload exceeds one datagram";
   Syscall.enter t.cpu t.costs ~len (fun () ->
-      Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Interrupt
+      Sim.Cpu.submit t.cpu Sim.Cpu.Interrupt
         ~cost:t.costs.Netsim.Costs.os.socket_out (fun () ->
           let cc = if checksum then cksum_cost t len else T.zero in
           krun t (T.add t.costs.Netsim.Costs.layer.udp_out cc) (fun () ->
@@ -464,7 +464,7 @@ let tcp_connect t ~dst ?(cfg = Proto.Tcp.default_config ()) () =
 (* write(2) on a socket. *)
 let tcp_send t conn data =
   Syscall.enter t.cpu t.costs ~len:(String.length data) (fun () ->
-      Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Interrupt
+      Sim.Cpu.submit t.cpu Sim.Cpu.Interrupt
         ~cost:t.costs.Netsim.Costs.os.socket_out (fun () ->
           Proto.Tcp.send conn.tcp data))
 

@@ -42,7 +42,7 @@ let create du ~listen_port ~backend =
       (* the user process's buffer: kept past the lent view *)
       let data = View.to_string view in
       t.forwarded_bytes <- t.forwarded_bytes + String.length data;
-      Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread ~cost:t.costs.Netsim.Costs.splice_user
+      Sim.Cpu.submit t.cpu Sim.Cpu.Thread ~cost:t.costs.Netsim.Costs.splice_user
         (fun () -> Du_stack.tcp_send du dst_conn data)
     in
     Du_stack.on_receive client (fun data -> relay client server data);

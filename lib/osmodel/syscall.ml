@@ -11,16 +11,6 @@ let copy_cost (costs : Netsim.Costs.t) len =
 (* Enter the kernel from user space with [len] bytes of argument data,
    then run [k] in kernel context. *)
 let enter cpu (costs : Netsim.Costs.t) ~len k =
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread
+  Sim.Cpu.submit cpu Sim.Cpu.Thread
     ~cost:(Sim.Stime.add costs.os.trap (copy_cost costs len))
-    k
-
-(* Deliver [len] bytes to a blocked user process: wake it, context-switch
-   to it, copy the data out, then run the user-level code [k]. *)
-let deliver_to_user cpu (costs : Netsim.Costs.t) ~len k =
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread
-    ~cost:
-      (Sim.Stime.add
-         (Sim.Stime.add costs.os.wakeup costs.os.ctx_switch)
-         (Sim.Stime.add (copy_cost costs len) costs.layer.app))
     k

@@ -6,8 +6,3 @@ val copy_cost : Netsim.Costs.t -> int -> Sim.Stime.t
 val enter :
   Sim.Cpu.t -> Netsim.Costs.t -> len:int -> (unit -> unit) -> unit
 (** Syscall entry: trap + copy-in of [len] bytes, then kernel code [k]. *)
-
-val deliver_to_user :
-  Sim.Cpu.t -> Netsim.Costs.t -> len:int -> (unit -> unit) -> unit
-(** Receive-side delivery: wakeup + context switch + copy-out + user
-    handler. *)

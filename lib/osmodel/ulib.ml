@@ -49,8 +49,8 @@ type t = {
 let host_ip t = Netsim.Host.ip t.host
 let counters t = t.counters
 
-let urun t cost k = Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread ~cost k
-let krun t cost k = Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Interrupt ~cost k
+let urun t cost k = Sim.Cpu.submit t.cpu Sim.Cpu.Thread ~cost k
+let krun t cost k = Sim.Cpu.submit t.cpu Sim.Cpu.Interrupt ~cost k
 
 let cksum_cost t len =
   Netsim.Costs.per_byte t.costs.Netsim.Costs.layer.cksum_ns_per_byte len
@@ -118,8 +118,10 @@ let filter t pkt =
        application protocol) *)
     match Proto.Arp.parse (View.shift v Proto.Ether.header_len) with
     | Some msg ->
-        Proto.Arp.Cache.insert t.arp ~now:(Sim.Engine.now t.engine)
-          msg.Proto.Arp.sender_ip msg.Proto.Arp.sender_mac;
+        ignore
+          (Proto.Arp.Cache.learn t.arp ~now:(Sim.Engine.now t.engine)
+             ~self:(host_ip t) msg
+            : bool);
         if
           msg.Proto.Arp.op = Proto.Arp.op_request
           && Proto.Ipaddr.equal msg.Proto.Arp.target_ip (host_ip t)
@@ -152,7 +154,7 @@ let filter t pkt =
   then begin
     (* copy the whole frame out to the library and wake it *)
     let data = Mbuf.to_string pkt in
-    Sim.Cpu.run t.cpu ~prio:Sim.Cpu.Thread
+    Sim.Cpu.submit t.cpu Sim.Cpu.Thread
       ~cost:
         (T.add
            (T.add t.costs.Netsim.Costs.os.wakeup

@@ -39,9 +39,6 @@ val of_views_bytewise : _ View.t list -> int
 val valid : _ View.t -> bool
 (** True iff the window (which includes its checksum field) sums to zero. *)
 
-val add16 : int -> int -> int
-(** One's-complement 16-bit addition of partial sums. *)
-
 val update : cksum:int -> old_w:int -> new_w:int -> int
 (** Incrementally adjust [cksum] after a 16-bit word changed from [old_w]
     to [new_w], per RFC 1624. *)

@@ -472,7 +472,3 @@ let sub_copy (t : _ t) ~off ~len : rw t =
   r
 
 let equal a b = a.total = b.total && flatten_string a = flatten_string b
-
-let pp ppf t =
-  Fmt.pf ppf "mbuf(len=%d segs=%d %a)" t.total t.nsegs View.pp
-    (View.of_string (flatten_string t))

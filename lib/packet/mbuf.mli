@@ -132,7 +132,6 @@ val sub_copy : _ t -> off:int -> len:int -> rw t
 
 val to_string : _ t -> string
 val equal : _ t -> _ t -> bool
-val pp : Format.formatter -> _ t -> unit
 
 (**/**)
 

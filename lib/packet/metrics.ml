@@ -49,7 +49,3 @@ let snapshot () =
     allocs = !allocs;
     recycled = !recycled;
   }
-
-let pp ppf s =
-  Fmt.pf ppf "copies=%d bytes_copied=%d allocs=%d recycled=%d" s.copies
-    s.bytes_copied s.allocs s.recycled

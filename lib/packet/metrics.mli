@@ -35,5 +35,3 @@ val count_alloc : unit -> unit
 val count_recycle : unit -> unit
 
 (**/**)
-
-val pp : Format.formatter -> snapshot -> unit

@@ -47,10 +47,7 @@ let create ?(name = "pool") ~capacity () =
     on_pressure = None;
   }
 
-let name t = t.name
-let capacity t = t.capacity
 let live t = t.live
-let allocations t = t.allocations
 let failures t = t.failures
 let peak t = t.peak
 let underflows t = t.underflows
@@ -122,7 +119,3 @@ let release_n t n =
   end;
   t.live <- t.live - n;
   check_fall t
-
-let pp ppf t =
-  Fmt.pf ppf "%s: %d/%d live (peak %d, %d allocs, %d failures, %d underflows)"
-    t.name t.live t.capacity t.peak t.allocations t.failures t.underflows

@@ -32,10 +32,7 @@ val release_n : t -> int -> unit
 (** Give [n] slots back at once.
     @raise Invalid_argument on underflow or [n < 0]. *)
 
-val name : t -> string
-val capacity : t -> int
 val live : t -> int
-val allocations : t -> int
 val failures : t -> int
 
 val peak : t -> int
@@ -59,5 +56,3 @@ val pressured : t -> bool
 
 val pressure_events : t -> int
 (** How many times the pool entered the pressured state. *)
-
-val pp : Format.formatter -> t -> unit

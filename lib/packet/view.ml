@@ -103,8 +103,6 @@ let copy (v : _ t) : rw t =
   if v.len > 0 then Metrics.count_copy v.len;
   { data = Bytes.sub v.data v.off v.len; off = 0; len = v.len }
 
-let equal a b = to_string a = to_string b
-
 (* Internal accessors for zero-copy cooperation inside this library
    (checksum, mbuf).  Not exposed in the interface. *)
 let unsafe_data v = v.data

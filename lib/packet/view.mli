@@ -77,8 +77,6 @@ val copy : _ t -> rw t
 (** Explicit copy — the only way to obtain a writable version of read-only
     data (the paper's copy-on-write discipline). *)
 
-val equal : _ t -> _ t -> bool
-
 val fold_u8 : ('a -> int -> 'a) -> 'a -> _ t -> 'a
 (** Fold over the bytes of the window. *)
 

@@ -396,8 +396,11 @@ type stats = {
   flight : Observe.Flight.t;
 }
 
-let run ?(flowcache = true) ?(flight_rate = 0) ?(batch = 32)
-    ?(ring_capacity = 1024) ?(swap_every = 0) ~domains plan =
+(* Slots in each SPSC ring between two domains. *)
+let ring_capacity = 1024
+
+let run ?(flowcache = true) ?(flight_rate = 0) ?(batch = 32) ?(swap_every = 0)
+    ~domains plan =
   if domains < 1 then invalid_arg "Par.Node.run: domains must be >= 1";
   if batch < 1 then invalid_arg "Par.Node.run: batch must be >= 1";
   (* power-of-two batch keeps the periodic-drain mask trick valid *)

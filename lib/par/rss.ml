@@ -35,8 +35,12 @@ let flow_src i =
   (Proto.Ipaddr.v 10 1 ((i / 250) land 255) (1 + (i mod 250)),
    5000 + (i mod 20000))
 
-let make ?(payload_len = 256) ?(arp_every = 64) ?(legacy_every = 4) ~seed
-    ~flows ~pkts_per_flow () =
+(* One ARP request is woven in per [arp_every] datagrams, and every
+   [legacy_every]-th flow is steered by the legacy 2-tuple hash. *)
+let arp_every = 64
+let legacy_every = 4
+
+let make ?(payload_len = 256) ~seed ~flows ~pkts_per_flow () =
   if flows <= 0 then invalid_arg "Rss.make: flows must be positive";
   if pkts_per_flow <= 0 then
     invalid_arg "Rss.make: pkts_per_flow must be positive";
@@ -72,7 +76,7 @@ let make ?(payload_len = 256) ?(arp_every = 64) ?(legacy_every = 4) ~seed
     in
     let owner_hash = Hashtbl.hash sg in
     let steer_hash =
-      if legacy_every > 0 && i mod legacy_every = 0 then
+      if i mod legacy_every = 0 then
         (* legacy NIC: RSS over the ip pair only *)
         Hashtbl.hash (Proto.Ipaddr.to_int src, Proto.Ipaddr.to_int ip_b)
       else owner_hash
@@ -108,7 +112,7 @@ let make ?(payload_len = 256) ?(arp_every = 64) ?(legacy_every = 4) ~seed
   let rng = Sim.Rng.create seed in
   let order = Array.init flows Fun.id in
   let udp_frames = flows * pkts_per_flow in
-  let arp_frames = if arp_every > 0 then udp_frames / arp_every else 0 in
+  let arp_frames = udp_frames / arp_every in
   let out = Array.make (udp_frames + arp_frames) flow_frames.(0) in
   let pos = ref 0 and emitted_udp = ref 0 and arp_seq = ref 0 in
   let emit f =
@@ -126,8 +130,7 @@ let make ?(payload_len = 256) ?(arp_every = 64) ?(legacy_every = 4) ~seed
       (fun fi ->
         emit flow_frames.(fi);
         incr emitted_udp;
-        if arp_every > 0 && !emitted_udp mod arp_every = 0
-           && !arp_seq < arp_frames then begin
+        if !emitted_udp mod arp_every = 0 && !arp_seq < arp_frames then begin
           emit (mk_arp !arp_seq);
           incr arp_seq
         end)

@@ -53,8 +53,6 @@ type t = {
 
 val make :
   ?payload_len:int ->
-  ?arp_every:int ->
-  ?legacy_every:int ->
   seed:int ->
   flows:int ->
   pkts_per_flow:int ->
@@ -63,10 +61,8 @@ val make :
 (** [make ~seed ~flows ~pkts_per_flow ()] builds the plan: [flows]
     distinct UDP flows (varying source ip and port) of [pkts_per_flow]
     datagrams each, arrival order shuffled per round from [seed], with
-    one ARP request woven in per [arp_every] datagrams (0 disables) and
-    every [legacy_every]-th flow steered by the legacy 2-tuple hash
-    (0 disables).  Defaults: [payload_len] 256, [arp_every] 64,
-    [legacy_every] 4. *)
+    one ARP request woven in per 64 datagrams and every 4th flow
+    steered by the legacy 2-tuple hash.  [payload_len] defaults to 256. *)
 
 val steer : domains:int -> frame -> int
 (** The receive queue (worker domain) the NIC delivers the frame to. *)

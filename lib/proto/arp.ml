@@ -64,7 +64,10 @@ let reply_to m ~mac =
   }
 
 module Cache = struct
-  type entry = { mac : Ether.Mac.t; expires : Sim.Stime.t }
+  (* A static entry's [expires] is [forever]; every other entry is
+     dynamic.  Entries are updated in place, so a refresh allocates
+     nothing. *)
+  type entry = { mutable mac : Ether.Mac.t; mutable expires : Sim.Stime.t }
 
   (* Keyed by address with an int equality, so the send path's probe
      never reaches the polymorphic compare.  [Int.hash] is
@@ -80,18 +83,40 @@ module Cache = struct
     entries : entry Ip_tbl.t;
     ttl : Sim.Stime.t;
     waiting : (Ether.Mac.t -> unit) list Ip_tbl.t;
+    mutable dynamic : int;  (* entries that expire *)
+    mutable sweep_at : Sim.Stime.t;
+        (* no dynamic entry expires before this: the earliest expiry
+           left by the last sweep.  Later entries expire later still, as
+           every one lives [ttl] from when it was learned *)
   }
 
+  (* Dynamic entries a cache holds at most.  Learning from the wire is
+     the one way an untrusted sender adds state here, so it is bounded. *)
+  let max_dynamic = 1024
+
+  let forever = Sim.Stime.ns max_int
+  let is_dynamic expires = Sim.Stime.to_ns expires <> max_int
+
   let create ?(ttl = Sim.Stime.s 1200) () =
-    { entries = Ip_tbl.create 8; ttl; waiting = Ip_tbl.create 4 }
+    {
+      entries = Ip_tbl.create 8;
+      ttl;
+      waiting = Ip_tbl.create 4;
+      dynamic = 0;
+      sweep_at = Sim.Stime.zero;
+    }
+
+  let remove t ip e =
+    if is_dynamic e.expires then t.dynamic <- t.dynamic - 1;
+    Ip_tbl.remove t.entries ip
 
   (* The send path's probe: no option and no closure, so a hit allocates
      nothing.  An expired entry is dropped here, as [lookup] drops it. *)
   let find_mac t ~now ip =
     match Ip_tbl.find t.entries ip with
     | e when Sim.Stime.compare now e.expires < 0 -> e.mac
-    | _ ->
-        Ip_tbl.remove t.entries ip;
+    | e ->
+        remove t ip e;
         Ether.Mac.none
     | exception Not_found -> Ether.Mac.none
 
@@ -100,7 +125,13 @@ module Cache = struct
     if Ether.Mac.equal mac Ether.Mac.none then None else Some mac
 
   let resolved t ip mac expires =
-    Ip_tbl.replace t.entries ip { mac; expires };
+    (match Ip_tbl.find t.entries ip with
+    | e ->
+        if is_dynamic e.expires then t.dynamic <- t.dynamic - 1;
+        e.mac <- mac;
+        e.expires <- expires
+    | exception Not_found -> Ip_tbl.add t.entries ip { mac; expires });
+    if is_dynamic expires then t.dynamic <- t.dynamic + 1;
     match Ip_tbl.find_opt t.waiting ip with
     | None -> ()
     | Some ks ->
@@ -108,7 +139,46 @@ module Cache = struct
         List.iter (fun k -> k mac) (List.rev ks)
 
   let insert t ~now ip mac = resolved t ip mac (Sim.Stime.add now t.ttl)
-  let insert_static t ip mac = resolved t ip mac (Sim.Stime.ns max_int)
+  let insert_static t ip mac = resolved t ip mac forever
+
+  (* Drop every expired entry and note when the earliest survivor
+     expires. *)
+  let sweep t ~now =
+    let earliest = ref forever in
+    Ip_tbl.filter_map_inplace
+      (fun _ e ->
+        if Sim.Stime.compare now e.expires >= 0 then begin
+          t.dynamic <- t.dynamic - 1;
+          None
+        end
+        else begin
+          if Sim.Stime.compare e.expires !earliest < 0 then earliest := e.expires;
+          Some e
+        end)
+      t.entries;
+    t.sweep_at <- !earliest
+
+  let has_room t ~now =
+    t.dynamic < max_dynamic
+    || Sim.Stime.compare now t.sweep_at >= 0
+       && begin
+         sweep t ~now;
+         t.dynamic < max_dynamic
+       end
+
+  (* RFC 826's merge: a sender the cache already holds is refreshed, and
+     a new one is added only when the message is addressed to this host,
+     so a broadcast for some other address adds nothing. *)
+  let learn t ~now ~self m =
+    if Ip_tbl.mem t.entries m.sender_ip then begin
+      insert t ~now m.sender_ip m.sender_mac;
+      true
+    end
+    else if Ipaddr.equal m.target_ip self && has_room t ~now then begin
+      insert t ~now m.sender_ip m.sender_mac;
+      true
+    end
+    else false
 
   let wait t ip k =
     let ks = Option.value (Ip_tbl.find_opt t.waiting ip) ~default:[] in
@@ -131,8 +201,3 @@ module Cache = struct
 
   let size t = Ip_tbl.length t.entries
 end
-
-let pp_message ppf m =
-  Fmt.pf ppf "arp{%s %a(%a) -> %a}"
-    (if m.op = op_request then "who-has" else "is-at")
-    Ipaddr.pp m.sender_ip Ether.Mac.pp m.sender_mac Ipaddr.pp m.target_ip

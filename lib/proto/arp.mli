@@ -1,6 +1,5 @@
 (** ARP (IPv4 over Ethernet) codec and resolution cache. *)
 
-val packet_len : int
 val op_request : int
 val op_reply : int
 
@@ -39,6 +38,14 @@ module Cache : sig
   val insert_static : t -> Ipaddr.t -> Ether.Mac.t -> unit
   (** An entry that never expires (until a learned one replaces it). *)
 
+  val learn : t -> now:Sim.Stime.t -> self:Ipaddr.t -> message -> bool
+  (** Merge a received ARP message as RFC 826 does: refresh the
+      sender's entry if the cache holds one, and add it only when the
+      message targets [self].  At most 1,024 dynamic entries are held;
+      expired ones are swept before a new one is refused.  Returns
+      whether the cache now holds the sender's MAC.  Every stack learns
+      through this function. *)
+
   val wait : t -> Ipaddr.t -> (Ether.Mac.t -> unit) -> unit
   (** Queue a continuation until the address resolves. *)
 
@@ -52,6 +59,5 @@ module Cache : sig
   (** Continuations currently queued for [ip]. *)
 
   val size : t -> int
+  (** Entries held, static ones included. *)
 end
-
-val pp_message : Format.formatter -> message -> unit

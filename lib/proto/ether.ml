@@ -25,8 +25,6 @@ let etype_arp = 0x0806
 let etype_active_message = 0x88b5 (* IEEE local experimental *)
 
 let header_len = 14
-let min_frame = 60 (* before the 4-byte FCS *)
-let crc_len = 4
 
 type header = { dst : Mac.t; src : Mac.t; etype : int }
 
@@ -67,6 +65,3 @@ let push pkt ~dst ~src ~etype =
   set_fields (Mbuf.prepend pkt header_len) ~dst ~src ~etype
 
 let encapsulate pkt { dst; src; etype } = push pkt ~dst ~src ~etype
-
-let pp_header ppf h =
-  Fmt.pf ppf "eth{%a -> %a type=0x%04x}" Mac.pp h.src Mac.pp h.dst h.etype

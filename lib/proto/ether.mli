@@ -25,12 +25,6 @@ val etype_active_message : int
 
 val header_len : int
 
-val min_frame : int
-(** Minimum frame length (60 bytes before the FCS); short frames are
-    padded on the wire. *)
-
-val crc_len : int
-
 type header = { dst : Mac.t; src : Mac.t; etype : int }
 
 (** Field byte offsets within the header: the one declaration of its
@@ -62,8 +56,6 @@ val push : Mbuf.rw Mbuf.t -> dst:Mac.t -> src:Mac.t -> etype:int -> unit
 
 val encapsulate : Mbuf.rw Mbuf.t -> header -> unit
 (** {!push} from a header record. *)
-
-val pp_header : Format.formatter -> header -> unit
 
 val get_u48 : _ View.t -> int -> int
 (** Read a 48-bit big-endian field (MAC addresses, also used by ARP). *)

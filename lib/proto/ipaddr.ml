@@ -26,8 +26,6 @@ let to_string t =
 let pp ppf t = Fmt.string ppf (to_string t)
 
 let equal : t -> t -> bool = ( = )
-let compare : t -> t -> int = compare
-
 let in_subnet t ~net ~mask_bits =
   let mask = if mask_bits = 0 then 0 else lnot 0 lsl (32 - mask_bits) land 0xffffffff in
   t land mask = net land mask

@@ -13,6 +13,5 @@ val of_string : string -> t
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val in_subnet : t -> net:t -> mask_bits:int -> bool

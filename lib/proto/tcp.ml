@@ -185,8 +185,6 @@ let create env cfg ~local:(local_ip, local_port) =
 let state t = t.state
 let counters t = t.counters
 let local_endpoint t = (t.local_ip, t.local_port)
-let remote_endpoint t = (t.remote_ip, t.remote_port)
-let unsent_bytes t = Byteq.length t.sndq
 let in_flight t = Seq.diff t.snd_nxt t.snd_una
 let srtt t = Sim.Stime.ns (int_of_float t.srtt_ns)
 let rtt_samples t = t.rtt_samples
@@ -655,5 +653,3 @@ let input t frame (v : View.ro View.t) =
                if has Flags.psh then send_ack t else schedule_delack t);
         try_output t
       end
-
-let pp_state ppf s = Fmt.string ppf (state_to_string s)

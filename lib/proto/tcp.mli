@@ -115,9 +115,6 @@ val input : t -> Mbuf.ro Mbuf.t -> View.ro View.t -> unit
 val state : t -> state
 val counters : t -> counters
 val local_endpoint : t -> Ipaddr.t * int
-val remote_endpoint : t -> Ipaddr.t * int
-val unsent_bytes : t -> int
-val in_flight : t -> int
 
 val srtt : t -> Sim.Stime.t
 (** Smoothed round-trip estimate (zero before the first sample). *)
@@ -127,4 +124,3 @@ val rtt_samples : t -> int
     retransmissions). *)
 
 val state_to_string : state -> string
-val pp_state : Format.formatter -> state -> unit

@@ -14,14 +14,6 @@ module Flags = struct
 
   let test t f = t land f <> 0
   let ( + ) = ( lor )
-
-  let pp ppf t =
-    let names =
-      List.filter_map
-        (fun (f, n) -> if test t f then Some n else None)
-        [ (syn, "SYN"); (fin, "FIN"); (rst, "RST"); (psh, "PSH"); (ack, "ACK") ]
-    in
-    Fmt.pf ppf "%s" (String.concat "|" (if names = [] then [ "-" ] else names))
 end
 
 module Seq = struct
@@ -38,7 +30,6 @@ module Seq = struct
   let le a b = a = b || lt a b
   let gt a b = lt b a
   let ge a b = le b a
-  let max a b = if ge a b then a else b
 end
 
 type header = {
@@ -144,7 +135,3 @@ let check ~src ~dst v =
   else if not (has_header v) then Some Bad_offset
   else if Cksum.finish (segment_sum ~src ~dst v) <> 0 then Some Bad_checksum
   else None
-
-let pp_header ppf h =
-  Fmt.pf ppf "tcp{%d -> %d seq=%d ack=%d %a win=%d}" h.src_port h.dst_port
-    (Seq.to_int h.seq) (Seq.to_int h.ack) Flags.pp h.flags h.window

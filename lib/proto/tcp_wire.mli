@@ -12,7 +12,6 @@ module Flags : sig
   val ack : t
   val test : t -> t -> bool
   val ( + ) : t -> t -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 module Seq : sig
@@ -27,7 +26,6 @@ module Seq : sig
   val le : t -> t -> bool
   val gt : t -> t -> bool
   val ge : t -> t -> bool
-  val max : t -> t -> t
 end
 
 type header = {
@@ -50,7 +48,6 @@ module Off : sig
   val flags : int
   val window : int
   val cksum : int
-  val urgent : int
 end
 
 val parse : _ View.t -> (header * int) option
@@ -60,8 +57,6 @@ val parse : _ View.t -> (header * int) option
 
 val read : _ View.t -> header
 (** The header record, for a view that {!has_header}. *)
-
-val write : View.rw View.t -> header -> unit
 
 (** {1 In-place access}
 
@@ -107,5 +102,3 @@ val check : src:Ipaddr.t -> dst:Ipaddr.t -> _ View.t -> drop option
 val opening_syn : _ View.t -> bool
 (** SYN set, ACK and RST clear: the one segment a stack may hand to
     [Tcp.accept].  Reads a checked header. *)
-
-val pp_header : Format.formatter -> header -> unit

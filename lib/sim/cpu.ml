@@ -8,7 +8,7 @@
    tens of microseconds.
 
    The continuation runs at the moment its work *completes*, so a chain of
-   [run] calls naturally yields end-to-end latency including queueing.
+   [submit] calls naturally yields end-to-end latency including queueing.
 
    Host cost: work items live in a pool of parallel arrays indexed by
    item number — cost and queue link are ints, continuations sit in one
@@ -43,13 +43,8 @@ type t = {
   mutable free : int;  (* head of the free chain *)
   intr_q : queue;
   thread_q : queue;
-  mutable resumed : int;  (* preempted thread work, served first *)
   mutable busy : bool;
-  mutable preemptive : bool;
   mutable current : int;  (* item in service *)
-  mutable current_prio : prio;
-  mutable started : int;
-      (* when [current] began service, ns: past any [charge] reservation *)
   done_at : Engine.handle;  (* completion event of [current] *)
   mutable complete : unit -> unit;  (* its thunk, built once *)
   (* times below are in ns, as ints: no [Stime] call on the hot path *)
@@ -62,17 +57,9 @@ type t = {
   mutable served : int;
 }
 
-let name t = t.name
 let engine t = t.engine
 let busy_time t = Stime.ns t.busy_ns
 let served t = t.served
-
-(* Opt-in preemption: interrupt-priority arrivals suspend in-service
-   thread-priority work (its remainder resumes once interrupts drain).
-   Off by default — the calibrated experiments use non-preemptive
-   two-level service. *)
-let set_preemptive t flag = t.preemptive <- flag
-let preemptive t = t.preemptive
 
 let capacity t = Array.length t.cost
 
@@ -119,27 +106,20 @@ let pop t q =
   w
 
 (* Put item [w] in service and return its completion instant, ns. *)
-let serve t w prio =
+let serve t w =
   t.busy <- true;
   let now = (Engine.now t.engine :> int) in
   (* an outstanding inline charge delays service of queued work *)
   let start = if t.reserved_until > now then t.reserved_until else now in
   t.current <- w;
-  t.current_prio <- prio;
-  t.started <- start;
   start + t.cost.(w)
 
 (* Put the next queued item in service — interrupt work first, then
-   preempted thread work, then thread work — and return its completion
-   instant; [none] when the queues are empty and the CPU goes idle. *)
+   thread work — and return its completion instant; [none] when the
+   queues are empty and the CPU goes idle. *)
 let service t =
-  if t.intr_q.head <> none then serve t (pop t t.intr_q) Interrupt
-  else if t.resumed <> none then begin
-    let w = t.resumed in
-    t.resumed <- none;
-    serve t w Thread
-  end
-  else if t.thread_q.head <> none then serve t (pop t t.thread_q) Thread
+  if t.intr_q.head <> none then serve t (pop t t.intr_q)
+  else if t.thread_q.head <> none then serve t (pop t t.thread_q)
   else begin
     t.busy <- false;
     t.current <- none;
@@ -176,12 +156,8 @@ let create engine ~name =
       free = none;
       intr_q = queue ();
       thread_q = queue ();
-      resumed = none;
       busy = false;
-      preemptive = false;
       current = none;
-      current_prio = Thread;
-      started = 0;
       done_at = Engine.timer engine;
       complete = noop;
       reserved_until = 0;
@@ -193,24 +169,6 @@ let create engine ~name =
   in
   t.complete <- (fun () -> complete t);
   t
-
-(* Suspend in-service thread work so that a just-arrived interrupt runs
-   immediately; the consumed slice is charged now and the remainder goes
-   back to the head of the line. *)
-let preempt t =
-  if t.current <> none && t.current_prio = Thread then begin
-    let w = t.current in
-    Engine.cancel t.engine t.done_at;
-    (* nothing is consumed while a reservation still holds the CPU *)
-    let consumed = Int.max 0 ((Engine.now t.engine :> int) - t.started) in
-    t.busy_ns <- t.busy_ns + consumed;
-    t.window_busy <- t.window_busy + consumed;
-    t.cost.(w) <- t.cost.(w) - consumed;
-    t.resumed <- w;
-    t.current <- none;
-    (* the interrupt just queued goes into service *)
-    arm t (service t)
-  end
 
 (* Account CPU work performed inline by the caller, with no work item and
    no engine event: the CPU is reserved until now + cost, so pending and
@@ -229,13 +187,10 @@ let submit t prio ~cost k =
   if not t.busy then
     (* idle CPU: the queues are empty (service drains them before
        clearing [busy]), so skip the queue round-trip entirely *)
-    arm t (serve t w prio)
-  else begin
-    push t (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) w;
-    if t.preemptive && prio = Interrupt then preempt t
-  end
+    arm t (serve t w)
+  else push t (match prio with Interrupt -> t.intr_q | Thread -> t.thread_q) w
 
-let run t ?(prio = Thread) ~cost k = submit t prio ~cost k
+let run t ~cost k = submit t Thread ~cost k
 
 let reset_window t =
   t.window_start <- (Engine.now t.engine :> int);
@@ -245,5 +200,4 @@ let utilization t =
   let e = (Engine.now t.engine :> int) - t.window_start in
   if e <= 0 then 0.0 else float_of_int t.window_busy /. float_of_int e
 
-let queue_depth t =
-  t.intr_q.len + t.thread_q.len + if t.resumed <> none then 1 else 0
+let queue_depth t = t.intr_q.len + t.thread_q.len

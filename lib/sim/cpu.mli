@@ -14,35 +14,25 @@ type prio =
 
 val create : Engine.t -> name:string -> t
 
-val name : t -> string
-
 val engine : t -> Engine.t
 (** The engine this CPU charges time against. *)
 
-val run : t -> ?prio:prio -> cost:Stime.t -> (unit -> unit) -> unit
-(** [run t ~prio ~cost k] enqueues [cost] worth of work; [k] fires when the
-    work completes.  Two-level priority service, non-preemptive by
-    default (see {!set_preemptive}). *)
-
 val submit : t -> prio -> cost:Stime.t -> (unit -> unit) -> unit
-(** {!run} with the priority passed positionally.  Use it where the
-    priority is a variable: an optional argument boxes it in [Some] at
-    every call, and this is the allocation-free form. *)
+(** [submit t prio ~cost k] enqueues [cost] worth of work at [prio]; [k]
+    fires when the work completes.  Two-level priority service,
+    non-preemptive: interrupt work waits for the item in service, then
+    goes ahead of every queued thread item. *)
+
+val run : t -> cost:Stime.t -> (unit -> unit) -> unit
+(** [submit t Thread].  Only the benchmark's CPU-item timer
+    ([perfbench/layers.ml]) calls it; library code uses {!submit}. *)
 
 val charge : t -> cost:Stime.t -> unit
 (** Account [cost] of CPU time performed inline by the caller, without a
     work item or an engine event: the CPU is reserved until [now + cost]
     (stacking with any outstanding reservation), and pending or future
-    {!run} work is served only after the reservation elapses.  Busy-time
+    {!submit} work is served only after the reservation elapses.  Busy-time
     and utilization accounting include the charge. *)
-
-val set_preemptive : t -> bool -> unit
-(** When enabled, an interrupt-priority arrival suspends in-service
-    thread-priority work; the remainder resumes after interrupts drain.
-    Default: off (the calibrated experiments use non-preemptive
-    service). *)
-
-val preemptive : t -> bool
 
 val busy_time : t -> Stime.t
 (** Total CPU time charged since creation. *)

@@ -29,8 +29,6 @@ let float t bound =
   (* 53 random bits -> [0, 1) *)
   x /. 9007199254740992. *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let split t = { state = next_int64 t }
 
 (* Unlike [split], which derives a child from the parent's *current*
@@ -54,8 +52,6 @@ let exponential t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0. then 1e-12 else u in
   -.mean *. log u
-
-let uniform t ~lo ~hi = lo +. float t (hi -. lo)
 
 let pareto t ~shape ~scale =
   if shape <= 0. || scale <= 0. then

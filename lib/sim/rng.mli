@@ -14,8 +14,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t b] is uniform in [\[0, b)]. *)
 
-val bool : t -> bool
-
 val split : t -> t
 (** An independent generator derived from [t]'s stream.  The child
     depends on the parent's current position — deterministic only if
@@ -31,8 +29,6 @@ val stream : seed:int -> index:int -> t
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
-
-val uniform : t -> lo:float -> hi:float -> float
 
 val pareto : t -> shape:float -> scale:float -> float
 (** Pareto-distributed sample on [\[scale, +inf)] — the classic

@@ -27,7 +27,6 @@ let scale t f = int_of_float (float_of_int t *. f +. 0.5)
 let max (a : t) (b : t) = if a >= b then a else b
 let min (a : t) (b : t) = if a <= b then a else b
 let compare (a : t) (b : t) = Int.compare a b
-let equal (a : t) (b : t) = a = b
 let ( + ) = add
 let ( - ) = sub
 let is_positive t = t > 0

@@ -38,7 +38,6 @@ val scaled : int -> mul:float -> div:int -> t
 val to_ns : t -> int
 val to_us : t -> float
 val to_ms : t -> float
-val to_s : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -52,14 +51,10 @@ val scale : t -> float -> t
 val max : t -> t -> t
 val min : t -> t -> t
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 
 val is_positive : t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-print with an auto-selected unit (ns, us, ms or s). *)
 
 val to_string : t -> string

@@ -321,8 +321,6 @@ let create ?registry ?trace ~cpu ~costs () =
 
 let cpu t = t.cpu
 let costs t = t.costs
-let registry t = t.reg
-let trace t = t.trace
 let raises t = !(t.raises)
 let guard_evals t = !(t.guard_evals)
 let invocations t = !(t.invocations)
@@ -338,8 +336,6 @@ let path_cache_invalidations t = !(t.pc_invalidations)
 let path_cache_evictions t = !(t.pc_evictions)
 let set_flow_cache t on = t.fcache <- on
 let set_flight t fl = t.flight <- fl
-let flight t = t.flight
-
 let now_ns t = Sim.Stime.to_ns (Sim.Engine.now (Sim.Cpu.engine t.cpu))
 
 type 'a kind =

@@ -56,9 +56,6 @@ val create :
 val cpu : t -> Sim.Cpu.t
 val costs : t -> costs
 
-val registry : t -> Observe.Registry.t option
-val trace : t -> Observe.Trace.t
-
 (** {1 Events} *)
 
 type 'a event
@@ -144,7 +141,6 @@ val set_sigfn : 'a event -> len:int -> ('a -> Bytes.t -> bool) -> unit
     one load and branch. *)
 
 val set_flight : t -> Observe.Flight.t option -> unit
-val flight : t -> Observe.Flight.t option
 
 val set_framefn : 'a event -> ('a -> Packet.Mbuf.ro Packet.Mbuf.t) -> unit
 (** Declare the frame a payload carries — protocol-graph nodes name

@@ -12,9 +12,6 @@
 type action
 type t = action list
 
-val action : ?label:string -> cost:Sim.Stime.t -> (unit -> unit) -> action
-(** An atomic unit of interrupt-level work. *)
-
 val nothing : t
 
 val enqueue : ?cost:Sim.Stime.t -> 'a Queue.t -> 'a -> action

@@ -16,8 +16,7 @@ type t = {
          this domain" *)
 }
 
-let create ?(costs = Dispatcher.default_costs) ?(observe = true) ?flight_seed
-    engine ~name =
+let create ?(costs = Dispatcher.default_costs) ?flight_seed engine ~name =
   let cpu = Sim.Cpu.create engine ~name:(name ^ ".cpu") in
   let registry = Observe.Registry.create ~name () in
   let trace = Observe.Trace.create () in
@@ -29,11 +28,7 @@ let create ?(costs = Dispatcher.default_costs) ?(observe = true) ?flight_seed
       | Some s -> s
       | None -> Hashtbl.hash name) ()
   in
-  let dispatcher =
-    Dispatcher.create
-      ?registry:(if observe then Some registry else None)
-      ~trace ~cpu ~costs ()
-  in
+  let dispatcher = Dispatcher.create ~registry ~trace ~cpu ~costs () in
   Dispatcher.set_flight dispatcher (Some flight);
   {
     name;
@@ -48,43 +43,12 @@ let create ?(costs = Dispatcher.default_costs) ?(observe = true) ?flight_seed
   }
 
 let name t = t.name
-let engine t = t.engine
 let cpu t = t.cpu
 let dispatcher t = t.dispatcher
 let registry t = t.registry
 let trace t = t.trace
 let flight t = t.flight
 let root_domain t = t.root_domain
-
-(* Time-series telemetry: snapshot the registry every [period] of
-   virtual time into a delta-encoded ring.  The tick re-arms itself, so
-   the engine never quiesces while telemetry runs — drive the engine
-   with [~until] (or call the returned stop function first).  One-shot
-   self-rearming timers (not a standing queue of ticks) follow the
-   ip_mgr fragment-expiry pattern: cancellation drops the closure
-   eagerly. *)
-let telemetry_every ?capacity t ~period =
-  let tel = Observe.Telemetry.create ?capacity t.registry in
-  let stopped = ref false in
-  let handle = ref None in
-  let rec arm () =
-    handle :=
-      Some
-        (Sim.Engine.schedule_in t.engine ~delay:period (fun () ->
-             ignore
-               (Observe.Telemetry.record tel
-                  ~at_ns:(Sim.Stime.to_ns (Sim.Engine.now t.engine)));
-             if not !stopped then arm ()))
-  in
-  arm ();
-  let stop () =
-    if not !stopped then begin
-      stopped := true;
-      (match !handle with Some h -> Sim.Engine.cancel t.engine h | None -> ());
-      handle := None
-    end
-  in
-  (tel, stop)
 
 let introspect t =
   Fmt.str "kernel %s: %d interface(s), %d event(s)@.%a" t.name

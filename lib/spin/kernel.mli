@@ -6,27 +6,23 @@
 type t
 
 val create :
-  ?costs:Dispatcher.costs -> ?observe:bool -> ?flight_seed:int ->
+  ?costs:Dispatcher.costs -> ?flight_seed:int ->
   Sim.Engine.t -> name:string -> t
 (** [create engine ~name] builds a kernel with its own CPU, dispatcher,
-    metrics registry and trace endpoint.  [observe] (default true)
-    attaches the registry to the dispatcher so per-event/per-handler
-    metrics are published; [~observe:false] keeps the dispatcher
-    detached — counters still accumulate privately, histograms are not
-    recorded (the baseline for overhead benchmarks).  [flight_seed]
+    metrics registry and trace endpoint.  The registry is attached to
+    the dispatcher, so per-event/per-handler metrics are published.
+    [flight_seed]
     seeds the packet flight recorder's sampling decisions (default: a
     deterministic hash of [name]); the recorder starts disabled — turn
     it on with [Observe.Flight.set_rate (flight t) n]. *)
 
 val name : t -> string
-val engine : t -> Sim.Engine.t
 val cpu : t -> Sim.Cpu.t
 val dispatcher : t -> Dispatcher.t
 val now : t -> Sim.Stime.t
 
 val registry : t -> Observe.Registry.t
-(** The kernel's metrics registry (empty when created with
-    [~observe:false]). *)
+(** The kernel's metrics registry. *)
 
 val trace : t -> Observe.Trace.t
 (** The kernel's span endpoint; attach a sink with
@@ -36,15 +32,6 @@ val trace : t -> Observe.Trace.t
 val flight : t -> Observe.Flight.t
 (** The kernel's packet flight recorder (shared with the dispatcher).
     Disabled until [Observe.Flight.set_rate] sets a 1-in-N rate. *)
-
-val telemetry_every :
-  ?capacity:int -> t -> period:Sim.Stime.t ->
-  Observe.Telemetry.t * (unit -> unit)
-(** Start periodic time-series telemetry: every [period] of virtual
-    time the registry is snapshotted (delta-encoded) into a bounded
-    ring of [capacity] points.  Returns the series and a stop function.
-    The self-rearming tick keeps the engine non-quiescent — run the
-    engine with [~until], or stop the series before draining. *)
 
 val introspect : t -> string
 (** Human-readable dump of every event, its installed handlers (label,

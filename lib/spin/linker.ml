@@ -90,8 +90,6 @@ let unlink l =
 
 let is_linked l = l.live
 let extension l = l.extension
-let domain l = l.domain
-
 type swap = {
   swap_installed : int;  (* handlers the new generation installed *)
   swap_retired : int;    (* old-generation handlers taken out of dispatch *)

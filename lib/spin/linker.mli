@@ -24,7 +24,6 @@ val unlink : linked -> unit
 
 val is_linked : linked -> bool
 val extension : linked -> Extension.t
-val domain : linked -> Domain.t
 
 (** {1 Live replacement} *)
 

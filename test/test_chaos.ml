@@ -219,13 +219,13 @@ let polled_frames_stay_demoted () =
   (* the victim's CPU stays busy while both frames arrive, and an
      application item joins the thread queue behind the poller's *)
   let cpu = Netsim.Host.cpu eb.Netsim.Network.host in
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(Sim.Stime.ms 5) ignore;
+  Sim.Cpu.submit cpu Sim.Cpu.Interrupt ~cost:(Sim.Stime.ms 5) ignore;
   for _ = 1 to 2 do
     Netsim.Dev.transmit ea.Netsim.Network.dev (Mbuf.of_string frame)
   done;
   ignore
     (Sim.Engine.schedule engine ~at:(Sim.Stime.ms 4) (fun () ->
-         Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(Sim.Stime.us 1) (fun () ->
+         Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(Sim.Stime.us 1) (fun () ->
              log := "app" :: !log)));
   Sim.Engine.run engine;
   Alcotest.(check int) "second frame deferred" 1

@@ -138,9 +138,9 @@ let context_ends_with_body () =
   Alcotest.(check int) "a demoted raise bypasses the cache" 0
     (D.path_cache_misses s.d);
   let cpu = D.cpu s.d in
-  Sim.Cpu.run cpu ~prio:D.Interrupt ~cost:(us 5) (fun () ->
+  Sim.Cpu.submit cpu D.Interrupt ~cost:(us 5) (fun () ->
       s.log := (-2, 0) :: !(s.log));
-  Sim.Cpu.run cpu ~prio:D.Thread ~cost:(us 1) (fun () ->
+  Sim.Cpu.submit cpu D.Thread ~cost:(us 1) (fun () ->
       s.log := (-3, 0) :: !(s.log));
   D.raise s.root 4;
   run ();
@@ -704,7 +704,7 @@ let cpu_charge_reserves () =
   Alcotest.(check int) "charge accounted as busy time" 10_000
     (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu));
   let done_at = ref Sim.Stime.zero in
-  Sim.Cpu.run cpu ~cost:(us 5) (fun () -> done_at := Sim.Engine.now e);
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 5) (fun () -> done_at := Sim.Engine.now e);
   Sim.Engine.run e;
   Alcotest.(check int) "queued work waits out the reservation" 15_000
     (Sim.Stime.to_ns !done_at);

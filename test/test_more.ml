@@ -155,7 +155,7 @@ let byteq_errors () =
 let host_utilization_window () =
   let engine = Sim.Engine.create () in
   let host = Netsim.Host.create engine ~name:"h" ~ip:(Proto.Ipaddr.v 10 0 0 1) in
-  Sim.Cpu.run (Netsim.Host.cpu host) ~cost:(us 50) ignore;
+  Sim.Cpu.submit (Netsim.Host.cpu host) Sim.Cpu.Thread ~cost:(us 50) ignore;
   ignore (Sim.Engine.schedule engine ~at:(us 100) ignore);
   Sim.Engine.run engine;
   Alcotest.(check (float 0.02)) "50% busy" 0.5 (Netsim.Host.utilization host);
@@ -233,9 +233,9 @@ let rx_ring_sheds_bursts () =
   let got = ref 0 in
   Netsim.Dev.set_rx b.Netsim.Network.dev (fun _ _ -> incr got);
   (* occupy B's CPU so interrupts queue while frames keep arriving *)
-  Sim.Cpu.run
+  Sim.Cpu.submit
     (Netsim.Host.cpu b.Netsim.Network.host)
-    ~prio:Sim.Cpu.Interrupt ~cost:(Sim.Stime.ms 50) ignore;
+    Sim.Cpu.Interrupt ~cost:(Sim.Stime.ms 50) ignore;
   for _ = 1 to 20 do
     Netsim.Dev.transmit a.Netsim.Network.dev (Mbuf.alloc 200)
   done;

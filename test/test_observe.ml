@@ -422,9 +422,9 @@ let device_drop_spans () =
   in
   (* Keep the receiver's CPU busy so frames wait for their interrupt. *)
   let occupy (e : Netsim.Network.endpoint) =
-    Sim.Cpu.run
+    Sim.Cpu.submit
       (Netsim.Host.cpu e.Netsim.Network.host)
-      ~prio:Sim.Cpu.Interrupt ~cost:(Sim.Stime.ms 50) ignore
+      Sim.Cpu.Interrupt ~cost:(Sim.Stime.ms 50) ignore
   in
   let burst (e : Netsim.Network.endpoint) n =
     for _ = 1 to n do
@@ -537,11 +537,11 @@ let flight_run ~rate () =
 
 (* Per send of a 1000-B datagram over the two-host testbed: the minor
    words and engine events of the whole pair, and the simulated time a
-   send takes.  [observe] attaches the kernels' registries (their trace
-   sinks stay Null); [flight_rate] > 0 turns on both kernels' flight
+   send takes.  The kernels' registries are attached and their trace
+   sinks stay Null; [flight_rate] > 0 turns on both kernels' flight
    recorders at 1-in-[flight_rate]. *)
-let send_costs ~observe ~flight_rate =
-  let p = Experiments.Common.plexus_pair ~observe (Netsim.Costs.ethernet ()) in
+let send_costs ~flight_rate =
+  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
   let engine = p.Experiments.Common.engine in
   if flight_rate > 0 then
     List.iter
@@ -579,27 +579,22 @@ let send_costs ~observe ~flight_rate =
          (Sim.Stime.to_ns (Sim.Stime.sub (Sim.Engine.now engine) t0))) )
 
 (* Disabled observability is free, in counters that repeat exactly from
-   run to run: attaching the registries with Null trace sinks adds no
-   word and no event to a send, and 1-in-64 flight sampling adds no event
-   and at most [sampled_extra_words] words per send (the records of the
-   sampled packets, amortised).  Neither moves simulated time.  The
-   detached send is pinned too, so a Null sink that builds its spans
-   fails here even though it would slow both sides alike. *)
-let detached_send_words = 96.
+   run to run: a send with the registries attached and Null trace sinks
+   stays within [null_send_words] words, so a Null sink that builds its
+   spans fails here; and 1-in-64 flight sampling adds no event and at
+   most [sampled_extra_words] words per send (the records of the sampled
+   packets, amortised), and does not move simulated time. *)
+let null_send_words = 96.
 let sampled_extra_words = 3.
 
 let disabled_observability_is_free () =
-  let (dw, de, dt) as detached = send_costs ~observe:false ~flight_rate:0 in
-  let (nw, _, _) as null = send_costs ~observe:true ~flight_rate:0 in
-  let fw, fe, ft = send_costs ~observe:true ~flight_rate:64 in
-  let costs = Alcotest.(triple (float 0.) (float 0.) (float 0.)) in
-  Alcotest.check costs "registry + Null sink: same words, events, sim ns"
-    detached null;
-  if dw > detached_send_words then
-    Alcotest.failf "a detached send allocates %.2f words (pinned at %.0f)" dw
-      detached_send_words;
-  Alcotest.(check (float 0.)) "1/64 sampling: same events" de fe;
-  Alcotest.(check (float 0.)) "1/64 sampling: same simulated time" dt ft;
+  let nw, ne, nt = send_costs ~flight_rate:0 in
+  let fw, fe, ft = send_costs ~flight_rate:64 in
+  if nw > null_send_words then
+    Alcotest.failf "a send allocates %.2f words (pinned at %.0f)" nw
+      null_send_words;
+  Alcotest.(check (float 0.)) "1/64 sampling: same events" ne fe;
+  Alcotest.(check (float 0.)) "1/64 sampling: same simulated time" nt ft;
   if fw -. nw > sampled_extra_words then
     Alcotest.failf "1/64 sampling adds %.2f words per send (pinned at %.0f)"
       (fw -. nw) sampled_extra_words
@@ -826,66 +821,6 @@ let registry_merge_ledger_prefixes () =
       Alcotest.(check int) "merged sum" 40 (Observe.Histogram.sum h)
   | _ -> Alcotest.fail "merged histogram missing"
 
-(* ---- Telemetry --------------------------------------------------------------- *)
-
-(* Delta encoding: a point carries only the samples that changed since
-   the previous snapshot; the point ring is bounded. *)
-let telemetry_delta () =
-  let r = Observe.Registry.create ~name:"t" () in
-  let a = Observe.Registry.counter r "a" in
-  let b = Observe.Registry.counter r "b" in
-  let tel = Observe.Telemetry.create ~capacity:2 r in
-  let n1 = Observe.Telemetry.record tel ~at_ns:1 in
-  Alcotest.(check int) "first point carries everything" 2 n1;
-  a := 5;
-  let n2 = Observe.Telemetry.record tel ~at_ns:2 in
-  Alcotest.(check int) "only the changed sample" 1 n2;
-  (match Observe.Telemetry.points tel with
-  | [ _; { Observe.Telemetry.at_ns = 2; changed = [ ("a", sample) ] } ] ->
-      Alcotest.(check bool) "new value" true
-        (sample = Observe.Registry.Count 5)
-  | _ -> Alcotest.fail "unexpected point shape");
-  let n3 = Observe.Telemetry.record tel ~at_ns:3 in
-  Alcotest.(check int) "quiet interval encodes empty" 0 n3;
-  b := 1;
-  ignore (Observe.Telemetry.record tel ~at_ns:4);
-  Alcotest.(check int) "ring bounded" 2 (Observe.Telemetry.length tel);
-  Alcotest.(check int) "overwrites counted" 2 (Observe.Telemetry.dropped tel);
-  Alcotest.(check int) "every tick counted" 4 (Observe.Telemetry.ticks tel);
-  let j = Observe.Telemetry.to_json tel in
-  Alcotest.(check bool) "json carries the series" true (contains j {|"series"|});
-  Alcotest.(check bool) "json carries deltas" true (contains j {|"b"|})
-
-(* The kernel scheduler: periodic snapshots in virtual time, stoppable. *)
-let telemetry_every () =
-  let engine = Sim.Engine.create () in
-  let kernel = Spin.Kernel.create engine ~name:"k" in
-  let reg = Spin.Kernel.registry kernel in
-  let c = Observe.Registry.counter reg "work" in
-  let tel, stop = Spin.Kernel.telemetry_every kernel ~period:(Sim.Stime.ms 1) in
-  for i = 1 to 5 do
-    ignore
-      (Sim.Engine.schedule_in engine
-         ~delay:(Sim.Stime.us (i * 900))
-         (fun () -> incr c))
-  done;
-  Sim.Engine.run engine ~until:(Sim.Stime.ms 10);
-  stop ();
-  Alcotest.(check bool) "ticked roughly every period" true
-    (Observe.Telemetry.ticks tel >= 9);
-  let change_points =
-    List.filter
-      (fun (p : Observe.Telemetry.point) ->
-        List.mem_assoc "work" p.Observe.Telemetry.changed)
-      (Observe.Telemetry.points tel)
-  in
-  (* five bumps spread over ~4.5ms of 1ms ticks: several distinct deltas *)
-  Alcotest.(check bool) "deltas recorded" true (List.length change_points >= 3);
-  (* stop() cancels the rearming tick: the engine can drain *)
-  Sim.Engine.run engine;
-  Alcotest.(check int) "engine quiescent after stop" 0
-    (Sim.Engine.pending engine)
-
 (* ---- Introspection ---------------------------------------------------------- *)
 
 let dispatcher_dump () =
@@ -983,11 +918,6 @@ let suite =
         tc "per-extension ledger" flight_ledger_accounting;
         tc "disabled observability is free" disabled_observability_is_free;
         tc "ledger merge under domain prefixes" registry_merge_ledger_prefixes;
-      ] );
-    ( "observe.telemetry",
-      [
-        tc "delta encoding and bounded ring" telemetry_delta;
-        tc "kernel periodic snapshots" telemetry_every;
       ] );
     ( "observe.introspection",
       [ tc "dispatcher dump" dispatcher_dump; tc "kernel introspect" kernel_introspect ] );

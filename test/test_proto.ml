@@ -393,6 +393,38 @@ let arp_cache_waiters () =
   Proto.Arp.Cache.insert c ~now:Sim.Stime.zero ip_a (Proto.Ether.Mac.of_int 9);
   Alcotest.(check int) "no rewake" 2 (List.length !woken)
 
+(* RFC 826's merge rule: a message for another host refreshes a sender
+   the cache holds and adds none; one for this host adds its sender, up
+   to 1,024 dynamic entries; a full cache sweeps its expired entries
+   before it refuses a new one. *)
+let arp_cache_learn () =
+  let c = Proto.Arp.Cache.create ~ttl:(Sim.Stime.s 10) () in
+  let sender k = Proto.Ipaddr.v 10 77 (k / 250) (1 + (k mod 250)) in
+  let msg ?(mac = 7) k ~target =
+    Proto.Arp.request ~sender_mac:(Proto.Ether.Mac.of_int mac)
+      ~sender_ip:(sender k) ~target_ip:target
+  in
+  let learn ~at m = Proto.Arp.Cache.learn c ~now:(Sim.Stime.s at) ~self:ip_b m in
+  Alcotest.(check bool) "not for us: nothing learned" false
+    (learn ~at:0 (msg 0 ~target:ip_a));
+  Alcotest.(check int) "empty" 0 (Proto.Arp.Cache.size c);
+  Alcotest.(check bool) "for us: learned" true (learn ~at:0 (msg 0 ~target:ip_b));
+  Alcotest.(check bool) "a held sender is refreshed by any message" true
+    (learn ~at:5 (msg ~mac:8 0 ~target:ip_a));
+  Alcotest.(check bool) "with its new MAC, for a fresh ttl" true
+    (Proto.Arp.Cache.lookup c ~now:(Sim.Stime.s 12) (sender 0)
+    = Some (Proto.Ether.Mac.of_int 8));
+  for k = 1 to 2000 do
+    ignore (learn ~at:6 (msg k ~target:ip_b) : bool)
+  done;
+  Alcotest.(check int) "capped at 1,024" 1024 (Proto.Arp.Cache.size c);
+  Alcotest.(check bool) "a new sender is refused while none has expired" false
+    (learn ~at:14 (msg 3000 ~target:ip_b));
+  Alcotest.(check bool) "once one has, it is swept to make room" true
+    (learn ~at:15 (msg 3001 ~target:ip_b));
+  Alcotest.(check (pair int bool)) "the live ones stay" (1024, true)
+    (Proto.Arp.Cache.size c, Proto.Arp.Cache.lookup c ~now:(Sim.Stime.s 15) (sender 0) = None)
+
 (* ---- Byteq ------------------------------------------------------------- *)
 
 (* The [len] bytes [off] after the queue's head, read through
@@ -954,6 +986,7 @@ let suite =
         tc "codec roundtrip" arp_roundtrip;
         tc "cache ttl" arp_cache;
         tc "cache waiters" arp_cache_waiters;
+        tc "cache learns by RFC 826's merge rule" arp_cache_learn;
       ] );
     ( "proto.byteq", [ tc "basics" byteq_basic; prop byteq_model; prop byteq_blit_model ] );
     ( "proto.tcp_wire",

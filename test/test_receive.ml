@@ -705,6 +705,98 @@ let du_frag_flood () =
     (Osmodel.Du_stack.frag_state p.Experiments.Common.dub)
     ()
 
+(* ---- ARP: learns only what RFC 826 lets it ------------------------------ *)
+
+(* 10,000 broadcast ARP requests from distinct senders, one every
+   250 µs, all from the peer's device and naming the peer's MAC, so a
+   datagram the flooded host later sends to a learned sender reaches the
+   peer and is counted there as not its own.  The requests ask for
+   [target]. *)
+let flood_senders = 10_000
+let flood_sender k = Proto.Ipaddr.v 10 77 (k / 250) (1 + (k mod 250))
+
+let arp_flood engine ~src_dev ~target =
+  let gap = Sim.Stime.us 250 and t0 = Sim.Engine.now engine in
+  for k = 0 to flood_senders - 1 do
+    let m =
+      Proto.Arp.to_packet
+        (Proto.Arp.request ~sender_mac:(Netsim.Dev.mac src_dev)
+           ~sender_ip:(flood_sender k) ~target_ip:target)
+    in
+    Proto.Ether.encapsulate m
+      {
+        Proto.Ether.dst = Proto.Ether.Mac.broadcast;
+        src = Netsim.Dev.mac src_dev;
+        etype = Proto.Ether.etype_arp;
+      };
+    Sim.Engine.post engine ~at:(Sim.Stime.add t0 (Sim.Stime.mul gap k))
+      (fun () -> Netsim.Dev.transmit src_dev m)
+  done;
+  Sim.Engine.run engine
+
+let other_ip = Proto.Ipaddr.v 10 9 9 9
+
+(* Plexus host B's cache holds its primed peer and nothing else after a
+   flood for another address; a flood for B itself adds at most 1,024
+   senders; the primed peer still resolves either way. *)
+let plexus_arp_flood target () =
+  let p = Experiments.Common.plexus_pair (Netsim.Costs.ethernet ()) in
+  let engine = p.Experiments.Common.engine in
+  let a = p.Experiments.Common.a and b = p.Experiments.Common.b in
+  let cache = Plexus.Arp_mgr.cache (Plexus.Stack.arp b) in
+  let primed = Proto.Arp.Cache.size cache in
+  arp_flood engine ~src_dev:(Plexus.Ether_mgr.dev (Plexus.Stack.ether a)) ~target;
+  let learned = Proto.Arp.Cache.size cache - primed in
+  if Proto.Ipaddr.equal target ip_b then begin
+    if learned > 1024 then
+      Alcotest.failf "%d senders learned from requests for B (cap 1024)" learned
+  end
+  else Alcotest.(check int) "senders learned from requests for another host" 0 learned;
+  let requests = Plexus.Arp_mgr.requests_sent (Plexus.Stack.arp b) in
+  let resolved = ref false in
+  Plexus.Arp_mgr.resolve (Plexus.Stack.arp b) ip_a (fun _ -> resolved := true);
+  Alcotest.(check (pair bool int)) "primed peer resolves without a request"
+    (true, requests)
+    (!resolved, Plexus.Arp_mgr.requests_sent (Plexus.Stack.arp b))
+
+(* Digital UNIX keeps its caches private, so B's is read through the
+   wire: B sends one datagram to every flood sender, and the peer counts
+   the ones B addressed to its MAC (a cache hit) as not its own, while a
+   miss goes out as an ARP request instead.  A datagram to the primed
+   peer is delivered. *)
+let du_arp_flood target () =
+  let p = Experiments.Common.du_pair (Netsim.Costs.ethernet ()) in
+  let engine = p.Experiments.Common.du_engine in
+  let a = p.Experiments.Common.dua and b = p.Experiments.Common.dub in
+  let dev s = List.hd (Netsim.Host.devices (Osmodel.Du_stack.host s)) in
+  arp_flood engine ~src_dev:(dev a) ~target;
+  let sock =
+    match Osmodel.Du_stack.udp_bind b ~port:5000 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let not_ours0 = (Osmodel.Du_stack.counters a).Osmodel.Du_stack.not_ours in
+  for k = 0 to flood_senders - 1 do
+    Osmodel.Du_stack.udp_sendto b sock ~dst:(flood_sender k, 9) "x";
+    Sim.Engine.run engine
+  done;
+  let hits = (Osmodel.Du_stack.counters a).Osmodel.Du_stack.not_ours - not_ours0 in
+  if Proto.Ipaddr.equal target ip_b then begin
+    if hits > 1024 then
+      Alcotest.failf "%d senders learned from requests for B (cap 1024)" hits
+  end
+  else Alcotest.(check int) "senders learned from requests for another host" 0 hits;
+  let echo =
+    match Osmodel.Du_stack.udp_bind a ~port:7 with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "bind failed"
+  in
+  let got = ref 0 in
+  Osmodel.Du_stack.udp_set_recv echo (fun ~src:_ _ -> incr got);
+  Osmodel.Du_stack.udp_sendto b sock ~dst:(ip_a, 7) "x";
+  Sim.Engine.run engine;
+  Alcotest.(check int) "primed peer still reached" 1 !got
+
 let suite =
   let pick_plexus r = r.plexus and pick_du r = r.du and pick_ulib r = r.ulib in
   [
@@ -739,6 +831,17 @@ let suite =
       [
         tc "plexus: a fragment flood expires old entries" plexus_frag_flood;
         tc "digital unix: a fragment flood expires old entries" du_frag_flood;
+      ] );
+    ( "receive.arp",
+      [
+        tc "plexus: a flood for another host teaches nothing"
+          (plexus_arp_flood other_ip);
+        tc "plexus: a flood for this host learns at most 1,024"
+          (plexus_arp_flood ip_b);
+        tc "digital unix: a flood for another host teaches nothing"
+          (du_arp_flood other_ip);
+        tc "digital unix: a flood for this host learns at most 1,024"
+          (du_arp_flood ip_b);
       ] );
     ( "receive.differential",
       [

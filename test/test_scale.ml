@@ -299,11 +299,11 @@ let cpu_reused_slot_drops_continuation () =
   let submit () =
     let s = String.make 1024 'x' in
     Weak.set wp 0 (Some s);
-    Sim.Cpu.run cpu ~cost:(us 1) (fun () -> ignore (String.length s))
+    Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 1) (fun () -> ignore (String.length s))
   in
   submit ();
   Sim.Engine.run e;
-  Sim.Cpu.run cpu ~cost:(us 1) ignore;
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 1) ignore;
   Sim.Engine.run e;
   Gc.full_major ();
   Alcotest.(check bool) "continuation environment collected" false

@@ -187,9 +187,9 @@ let cpu_serializes () =
   let e = Sim.Engine.create () in
   let cpu = Sim.Cpu.create e ~name:"c" in
   let finish = ref [] in
-  Sim.Cpu.run cpu ~cost:(us 10) (fun () ->
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) (fun () ->
       finish := ("a", Sim.Engine.now e) :: !finish);
-  Sim.Cpu.run cpu ~cost:(us 5) (fun () ->
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 5) (fun () ->
       finish := ("b", Sim.Engine.now e) :: !finish);
   Sim.Engine.run e;
   match List.rev !finish with
@@ -203,37 +203,52 @@ let cpu_priority () =
   let cpu = Sim.Cpu.create e ~name:"c" in
   let order = ref [] in
   (* three thread items, then an interrupt arrives while the first runs *)
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(us 10) (fun () ->
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) (fun () ->
       order := "t1" :: !order;
-      Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 1) (fun () ->
+      Sim.Cpu.submit cpu Sim.Cpu.Interrupt ~cost:(us 1) (fun () ->
           order := "intr" :: !order));
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(us 10) (fun () ->
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) (fun () ->
       order := "t2" :: !order);
   Sim.Engine.run e;
-  Alcotest.(check (list string)) "interrupt preempts queued thread work"
+  Alcotest.(check (list string)) "interrupt goes ahead of queued thread work"
     [ "t1"; "intr"; "t2" ] (List.rev !order)
 
 let cpu_utilization () =
   let e = Sim.Engine.create () in
   let cpu = Sim.Cpu.create e ~name:"c" in
-  Sim.Cpu.run cpu ~cost:(us 30) ignore;
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 30) ignore;
   ignore (Sim.Engine.schedule e ~at:(us 100) ignore);
   Sim.Engine.run e;
   Alcotest.(check (float 0.01)) "30% busy over 100us" 0.30 (Sim.Cpu.utilization cpu);
   Sim.Cpu.reset_window cpu;
-  Sim.Cpu.run cpu ~cost:(us 50) ignore;
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 50) ignore;
   ignore (Sim.Engine.schedule e ~at:(us 200) ignore);
   Sim.Engine.run e;
   Alcotest.(check (float 0.01)) "window reset" 0.50 (Sim.Cpu.utilization cpu);
   check_time "busy accumulates" 80_000 (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu));
   Alcotest.(check int) "served" 2 (Sim.Cpu.served cpu)
 
+(* Service is non-preemptive: an interrupt that arrives while thread
+   work is in service waits for it to finish. *)
+let cpu_no_preemption () =
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"c" in
+  let intr_done = ref Sim.Stime.zero in
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 1000) ignore;
+  ignore
+    (Sim.Engine.schedule e ~at:(us 100) (fun () ->
+         Sim.Cpu.submit cpu Sim.Cpu.Interrupt ~cost:(us 10) (fun () ->
+             intr_done := Sim.Engine.now e)));
+  Sim.Engine.run e;
+  Alcotest.(check int) "interrupt waits for the thread slice" 1_010_000
+    (Sim.Stime.to_ns !intr_done)
+
 let cpu_queue_depth () =
   let e = Sim.Engine.create () in
   let cpu = Sim.Cpu.create e ~name:"c" in
-  Sim.Cpu.run cpu ~cost:(us 10) ignore;
-  Sim.Cpu.run cpu ~cost:(us 10) ignore;
-  Sim.Cpu.run cpu ~cost:(us 10) ignore;
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) ignore;
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) ignore;
+  Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) ignore;
   Alcotest.(check int) "two waiting behind one in service" 2
     (Sim.Cpu.queue_depth cpu);
   Sim.Engine.run e;
@@ -312,6 +327,7 @@ let suite =
         tc "interrupt priority" cpu_priority;
         tc "utilization accounting" cpu_utilization;
         tc "queue depth" cpu_queue_depth;
+        tc "in-service work is not preempted" cpu_no_preemption;
       ] );
     ( "sim.stats",
       [
@@ -320,82 +336,6 @@ let suite =
         prop stats_percentile_bounds;
       ] );
   ]
-
-(* ---- preemptive interrupt service (opt-in) ---------------------------- *)
-
-let cpu_preemption_latency () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  Sim.Cpu.set_preemptive cpu true;
-  let intr_done = ref Sim.Stime.zero and thread_done = ref Sim.Stime.zero in
-  (* a long thread computation in service... *)
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(us 1000) (fun () ->
-      thread_done := Sim.Engine.now e);
-  (* ...and an interrupt arriving 100us in *)
-  ignore
-    (Sim.Engine.schedule e ~at:(us 100) (fun () ->
-         Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 10) (fun () ->
-             intr_done := Sim.Engine.now e)));
-  Sim.Engine.run e;
-  Alcotest.(check int) "interrupt served immediately" 110_000
-    (Sim.Stime.to_ns !intr_done);
-  Alcotest.(check int) "thread work finishes late by the interrupt time"
-    1_010_000
-    (Sim.Stime.to_ns !thread_done);
-  Alcotest.(check int) "total busy time conserved" 1_010_000
-    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
-
-let cpu_no_preemption_by_default () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  let intr_done = ref Sim.Stime.zero in
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(us 1000) ignore;
-  ignore
-    (Sim.Engine.schedule e ~at:(us 100) (fun () ->
-         Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 10) (fun () ->
-             intr_done := Sim.Engine.now e)));
-  Sim.Engine.run e;
-  Alcotest.(check int) "interrupt waits for the thread slice" 1_010_000
-    (Sim.Stime.to_ns !intr_done)
-
-let cpu_repeated_preemption () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  Sim.Cpu.set_preemptive cpu true;
-  let thread_done = ref Sim.Stime.zero in
-  Sim.Cpu.run cpu ~prio:Sim.Cpu.Thread ~cost:(us 300) (fun () ->
-      thread_done := Sim.Engine.now e);
-  (* three interrupts, each cutting in *)
-  List.iter
-    (fun at ->
-      ignore
-        (Sim.Engine.schedule e ~at:(us at) (fun () ->
-             Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 50) ignore)))
-    [ 50; 150; 250 ];
-  Sim.Engine.run e;
-  (* 300us of thread work + 150us of interrupts *)
-  Alcotest.(check int) "thread completes after all slices" 450_000
-    (Sim.Stime.to_ns !thread_done);
-  Alcotest.(check int) "busy conserved" 450_000
-    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
-
-(* A preemption that lands while an inline charge still holds the CPU
-   consumes none of the thread item: its whole cost runs after the
-   interrupt, and busy time counts the charge and each item once. *)
-let cpu_preempt_during_reservation () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e ~name:"c" in
-  Sim.Cpu.set_preemptive cpu true;
-  let thread_done = ref Sim.Stime.zero in
-  Sim.Cpu.charge cpu ~cost:(us 10);
-  Sim.Cpu.run cpu ~cost:(us 5) (fun () -> thread_done := Sim.Engine.now e);
-  Sim.Engine.post e ~at:(us 5) (fun () ->
-      Sim.Cpu.run cpu ~prio:Sim.Cpu.Interrupt ~cost:(us 1) ignore);
-  Sim.Engine.run e;
-  check_time "charge, interrupt, then the whole thread item" 16_000
-    (Sim.Stime.to_ns !thread_done);
-  check_time "busy = charge + items" 16_000
-    (Sim.Stime.to_ns (Sim.Cpu.busy_time cpu))
 
 (* ---- re-armable timers and recycled records ------------------------- *)
 
@@ -576,17 +516,7 @@ let cpu_item_words () =
         Sim.Engine.run e)
   in
   check_words "queued cpu item" ~bound:0.1 (per n w);
-  Sim.Cpu.set_preemptive cpu true;
-  let w =
-    words_of (fun () ->
-        for _ = 1 to n do
-          Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) noop;
-          Sim.Cpu.submit cpu Sim.Cpu.Interrupt ~cost:(us 1) noop
-        done;
-        Sim.Engine.run e)
-  in
-  check_words "preempted cpu item" ~bound:0.1 (per (2 * n) w);
-  Alcotest.(check int) "every item served" (6 * n) (Sim.Cpu.served cpu)
+  Alcotest.(check int) "every item served" (2 * n) (Sim.Cpu.served cpu)
 
 (* ---- run-to-completion CPU service ---------------------------------- *)
 
@@ -628,7 +558,6 @@ let world seed =
   let engine = Sim.Engine.create () in
   let rand = Random.State.make [| seed |] in
   let cpus = Array.init 2 (fun i -> Sim.Cpu.create engine ~name:(string_of_int i)) in
-  Array.iter (fun c -> Sim.Cpu.set_preemptive c (Random.State.bool rand)) cpus;
   let w = { engine; cpus; rand; ids = 0; budget = 300; log = [] } in
   for _ = 0 to Random.State.int rand 4 do
     let id = w.ids in
@@ -687,7 +616,7 @@ let queued_items n =
   let log = ref [] in
   let note x () = log := (x, Sim.Stime.to_ns (Sim.Engine.now e)) :: !log in
   for i = 1 to n do
-    Sim.Cpu.run cpu ~cost:(us 10) (note (string_of_int i))
+    Sim.Cpu.submit cpu Sim.Cpu.Thread ~cost:(us 10) (note (string_of_int i))
   done;
   (e, cpu, log, note)
 
@@ -788,14 +717,6 @@ let pingpong_wheel_traffic () =
 let suite =
   suite
   @ [
-      ( "sim.cpu_preemption",
-        [
-          tc "interrupt preempts thread work" cpu_preemption_latency;
-          tc "off by default" cpu_no_preemption_by_default;
-          tc "repeated preemption conserves work" cpu_repeated_preemption;
-          tc "preemption during a charge consumes nothing"
-            cpu_preempt_during_reservation;
-        ] );
       ( "sim.run_to_completion",
         [
           prop run_step_oracle;
