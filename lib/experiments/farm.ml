@@ -159,6 +159,18 @@ let server_cache_evictions f =
   Spin.Dispatcher.path_cache_evictions
     (Plexus.Graph.dispatcher (Plexus.Stack.graph f.server))
 
+(* Run the farm's engine to quiescence, or fail once [budget] events
+   have run with work still queued.  Each budget is a small multiple of
+   what a passing run uses for the same inputs, so a datapath that
+   livelocks fails in seconds instead of running on. *)
+let run_bounded ?until f ~budget what =
+  let e0 = Sim.Engine.events_run f.engine in
+  Sim.Engine.run f.engine ?until ~max_events:budget;
+  if Sim.Engine.events_run f.engine - e0 >= budget && Sim.Engine.pending f.engine > 0
+  then
+    failwith
+      (Printf.sprintf "Farm.%s: still busy after %d events" what budget)
+
 (* Exact latency percentile in µs over the measured requests; 0 when
    none completed. *)
 let percentile lat p =
@@ -219,7 +231,8 @@ let run ?params ?flowcache ?(clients = 8) ?(seed = 7) ?(warmup = 50)
     end
   in
   Array.iter client_loop f.chains;
-  Sim.Engine.run f.engine ~until:(Sim.Stime.s 600) ~max_events:200_000_000;
+  (* about 250 events per request on the default workload *)
+  run_bounded f ~until:(Sim.Stime.s 600) ~budget:(2_000 * total) "run";
   let window_us = Sim.Stime.to_us (Sim.Stime.sub !finish !mark) in
   let goodput_mbps =
     if window_us > 0. then float_of_int !measured_bytes *. 8. /. window_us
@@ -333,8 +346,8 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ~live_flows ~probes () =
       in
       connect_k 0)
     f.chains;
-  Sim.Engine.run f.engine
-    ~max_events:(Stdlib.max 10_000_000 (live_flows * 1000));
+  (* 63 events per parked connection *)
+  run_bounded f ~budget:(10_000 + (500 * live_flows)) "scale_setup";
   let probe_rng = Sim.Rng.create (seed + 1) in
   let path = page_path probe_page in
   (* The probe round: [probes] fresh GETs split over the chains, each
@@ -375,7 +388,8 @@ let scale_setup ?params ?(clients = 8) ?(seed = 11) ~live_flows ~probes () =
         in
         probe_k 0)
       f.chains;
-    Sim.Engine.run f.engine ~max_events:100_000_000;
+    (* 214 events per probe *)
+    run_bounded f ~budget:(10_000 + (2_000 * probes)) "scale_setup probe";
     let sim_elapsed_us = Sim.Stime.to_us (Sim.Stime.sub !finish t0) in
     let lat = Array.of_list !latencies in
     {

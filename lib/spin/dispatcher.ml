@@ -163,6 +163,12 @@ let entry_valid hops = valid_from hops 0
    one at a time — steady-state flows re-record on their next packet. *)
 let cache_capacity = 131_072
 
+(* Hops a recorded chain may hold.  A frame's walk up a protocol graph
+   takes a handful; a recording that grows past this is abandoned, so
+   neither a cache entry nor the recording itself grows without
+   bound. *)
+let max_chain = 64
+
 (* Introspection views (see [dump]). *)
 type handler_info = {
   hi_id : int;
@@ -200,16 +206,15 @@ type event_info = {
   ei_handlers : handler_info list;
 }
 
-(* Shareable rendering of a compiled tree (see [compiled_tree]). *)
-type tree_view =
+type tree_view = Demux_tree.view =
   | Tree_leaf of {
-      tv_exact : (int * string) list;  (* (hid, label): guard skipped *)
-      tv_resid : (int * string) list;  (* (hid, label): guard re-checked *)
+      tv_exact : (int * string) list;
+      tv_resid : (int * string) list;
     }
   | Tree_switch of {
-      tv_dim : int;  (* key dimension tested (Filter.key_tag order) *)
-      tv_cases : (int * tree_view) list;  (* jump-table entries, by value *)
-      tv_default : tree_view;  (* no handler pins this dimension's value *)
+      tv_dim : int;
+      tv_cases : (int * tree_view) list;
+      tv_default : tree_view;
     }
 
 (* Accounting for one hot-swap retire scope (see [begin_retiring]):
@@ -409,58 +414,6 @@ type 'a handler = {
   mutable qw_terms : int;
 }
 
-(* --- merged dispatch tree ----------------------------------------------
-   DPF-style cross-filter compilation: all of an event's keyed handlers
-   merged into one decision tree over the key dimensions (EtherType, IP
-   protocol, ports — [Filter.key_tag] order; generic events use
-   [key lsr 16]).  Each switch tests one dimension's payload value
-   against an open-addressed jump table; each leaf holds the exact
-   handler set for that path.  Every raise makes one walk: handlers
-   whose guard is *exactly* its keys ([hexact]) are proven matches at
-   their leaves and their closures are never called; inexact keyed
-   handlers appear at their leaves as residuals (closure still
-   consulted); unkeyed handlers, and keyed ones whose keys the tree
-   cannot express, are residuals at every leaf.  Wildcard handlers are
-   cross-producted into every value child, so a walk never needs
-   backtracking.  Subtrees are hash-consed on (remaining dimensions,
-   handler set), which is the prefix sharing: paths that agree on the
-   handlers they can still match share one subtree.
-
-   Soundness: a keyed handler's install contract says its guard rejects
-   any payload not presenting all its keys, so pruning it off
-   non-matching paths only skips guards that would have said no; an
-   [hexact] handler's contract additionally says the guard *accepts*
-   any payload presenting them, so the proven path may skip the yes.
-   The walk reads at most one value per dimension, which is exactly
-   what the vectored extractor ([set_keyvfn]) presents. *)
-
-type 'a tleaf = {
-  tl_exact : 'a handler array;  (* proven matches, hid order *)
-  tl_resid : 'a handler array;  (* residual guards to evaluate, hid order *)
-  tl_cacheable : bool;          (* every handler here is [cacheable] *)
-}
-
-type 'a tnode =
-  | Tleaf of 'a tleaf
-  | Tswitch of {
-      ts_dim : int;              (* key dimension this switch tests *)
-      ts_keys : int array;       (* open-addressed values, -1 = empty *)
-      ts_kids : 'a tnode array;  (* child for ts_keys.(i) *)
-      ts_mask : int;             (* Array.length ts_keys - 1 (power of 2) *)
-      ts_default : 'a tnode;     (* value not in the table / dim absent *)
-    }
-
-type 'a tree = {
-  tr_root : 'a tnode;
-  tr_nodes : int;   (* switches + distinct leaves *)
-  tr_depth : int;   (* longest switch chain *)
-  tr_ndims : int;   (* scratch slots a walk reads: max key dim + 1 *)
-  mutable tr_visited : int;
-      (* switches the last walk traversed — an out-parameter of
-         [tree_walk] so the hot path returns the leaf unboxed
-         (dispatchers are single-domain, so this cannot race) *)
-}
-
 (* Queued dispatcher work: the second half of a raise (the demux, run
    when its modelled cost completes) and one handler invocation.  The
    records are recycled through per-event {!Sim.Stash}es, and the thunk
@@ -474,7 +427,7 @@ type 'a demux = {
   mutable dm_v : 'a;
   mutable dm_flow : flow;
   mutable dm_over : Sim.Cpu.prio option;
-  mutable dm_leaf : 'a tleaf;  (* the raise-time walk's leaf *)
+  mutable dm_leaf : 'a handler Demux_tree.leaf;  (* the raise-time walk's leaf *)
   mutable dm_gen : int;        (* generation that leaf was found at *)
   mutable dm_run : unit -> unit;
 }
@@ -533,7 +486,7 @@ type 'a event = {
          fresh ledger counters instead of merging into the old ones *)
   mutable policy : Verifier.policy option;    (* install-time admission *)
   mutable quarantine : Verifier.quarantine option; (* runtime eviction *)
-  mutable tree : 'a tree option;              (* compiled merged tree *)
+  mutable tree : 'a handler Demux_tree.t option; (* compiled merged tree *)
   mutable tree_gen : int;      (* generation [tree] was compiled at *)
   ev_raises : int ref;
   ev_cached : int ref;    (* root raises served from the flow-path cache *)
@@ -581,8 +534,8 @@ let info_of_event ev =
       | Some tr ->
           Some
             {
-              ti_nodes = tr.tr_nodes;
-              ti_depth = tr.tr_depth;
+              ti_nodes = Demux_tree.nodes tr;
+              ti_depth = Demux_tree.depth tr;
               ti_rebuilds = !(ev.tr_rebuilds);
               ti_raises = !(ev.ev_tree);
               ti_residual_evals = !(ev.tr_resid_evals);
@@ -838,15 +791,6 @@ let end_retiring d =
 let set_policy ev p = ev.policy <- p
 let set_quarantine ev q = ev.quarantine <- q
 
-(* --- key-value extraction ---------------------------------------------
-   Decomposition of an encoded key into (dimension, value).  For
-   [Filter] keys this is [key_tag]/value; for generic raw int keys the
-   decomposition is the identity seen from both sides (handler keys and
-   extractor output decompose the same way), so the tree's dimension
-   model is sound for them too. *)
-let key_dim k = k lsr 16
-let key_val k = k land 0xffff
-
 (* Fill the event's scratch array with the payload's per-dimension
    values (-1 = absent) and return it.  The extractor writes every
    dimension by contract, so the scratch needs no wipe first; slots past
@@ -858,161 +802,6 @@ let fill_keyvals ev v ndims =
   (match ev.keyvfn with Some kvf -> kvf v s | None -> ());
   s
 
-(* --- merged-tree compilation ------------------------------------------ *)
-
-(* Open-addressed jump-table probe: returns the slot holding [v] or the
-   first empty slot.  Power-of-two table, Fibonacci-ish multiplicative
-   hash, linear probing; load factor <= 1/2 keeps probes short. *)
-let rec jump_probe keys mask v i =
-  let k = Array.unsafe_get keys i in
-  if k = v || k = -1 then i else jump_probe keys mask v ((i + 1) land mask)
-
-let jump_index keys mask v = jump_probe keys mask v ((v * 0x9e3779b1) land mask)
-
-(* Keys the tree can switch on: a dimension below this bound and a
-   non-negative value.  The walk's scratch array is sized by the max
-   dimension, so a generic event with huge raw keys should not cost a
-   huge probe; a handler with any other key is a residual everywhere. *)
-let max_tree_dims = 64
-
-let tree_key k = k >= 0 && key_dim k < max_tree_dims
-
-(* The one compile rule.  Switches are built only when the event has a
-   key extractor, more than one live handler and at least one handler
-   whose keys the tree can express; otherwise the tree is a single leaf
-   holding every live handler as a residual, in hid order, which charges
-   exactly the plain scan's [dispatch + guard * n]. *)
-let build_tree ev =
-  let all =
-    Hids.fold (fun _ h acc -> h :: acc) ev.table []
-    |> List.sort (fun a b -> compare a.hid b.hid)
-  in
-  let switchable =
-    Option.is_some ev.keyvfn && List.compare_length_with all 1 > 0
-  in
-  let keyed, unkeyed =
-    List.partition
-      (fun h -> switchable && h.hkeys <> [] && List.for_all tree_key h.hkeys)
-      all
-  in
-  (* the single value a handler requires on dimension [d], if any *)
-  let requires h d =
-    List.fold_left
-      (fun acc k -> if key_dim k = d then Some (key_val k) else acc)
-      None h.hkeys
-  in
-  (* a handler pinning two different values on one dimension can never
-     match any payload (the walk reads one value per dimension) — it
-     contributes to no leaf *)
-  let satisfiable h =
-    List.for_all (fun k -> requires h (key_dim k) = Some (key_val k)) h.hkeys
-  in
-  let keyed = List.filter satisfiable keyed in
-  let dims =
-    List.concat_map (fun h -> List.map key_dim h.hkeys) keyed
-    |> List.sort_uniq compare
-  in
-  let nodes = ref 0 in
-  (* hash-consing memo: (remaining-dim count, handler hids) -> subtree.
-     Dimensions are consumed in one fixed order, so the remaining-dims
-     suffix is fully determined by its length. *)
-  let memo : (string, 'a tnode) Hashtbl.t = Hashtbl.create 64 in
-  let merge_by_hid a b = List.merge (fun x y -> compare x.hid y.hid) a b in
-  let mk_leaf hs =
-    incr nodes;
-    let exact, inexact = List.partition (fun h -> h.hexact) hs in
-    let resid = merge_by_hid inexact unkeyed in
-    Tleaf
-      {
-        tl_exact = Array.of_list exact;
-        tl_resid = Array.of_list resid;
-        tl_cacheable =
-          List.for_all (fun h -> h.cacheable) exact
-          && List.for_all (fun h -> h.cacheable) resid;
-      }
-  in
-  let rec build dims hs =
-    let mkey =
-      String.concat ","
-        (string_of_int (List.length dims)
-        :: List.map (fun h -> string_of_int h.hid) hs)
-    in
-    match Hashtbl.find_opt memo mkey with
-    | Some n -> n
-    | None ->
-        let n =
-          match dims with
-          | [] -> mk_leaf hs
-          | d :: rest -> (
-              match List.filter (fun h -> requires h d <> None) hs with
-              | [] -> build rest hs (* no handler tests this dimension *)
-              | constrained ->
-                  let values =
-                    List.filter_map (fun h -> requires h d) constrained
-                    |> List.sort_uniq compare
-                  in
-                  (* wildcards on [d] flow into every child (the
-                     cross-product that makes the walk single-path) *)
-                  let default =
-                    build rest (List.filter (fun h -> requires h d = None) hs)
-                  in
-                  let cases =
-                    List.map
-                      (fun v ->
-                        ( v,
-                          build rest
-                            (List.filter
-                               (fun h ->
-                                 match requires h d with
-                                 | None -> true
-                                 | Some v' -> v' = v)
-                               hs) ))
-                      values
-                  in
-                  incr nodes;
-                  let size =
-                    let want = 2 * List.length cases in
-                    let rec pow2 p = if p >= want then p else pow2 (p * 2) in
-                    pow2 4
-                  in
-                  let keys = Array.make size (-1) in
-                  let kids = Array.make size default in
-                  let mask = size - 1 in
-                  List.iter
-                    (fun (v, node) ->
-                      let i = jump_index keys mask v in
-                      keys.(i) <- v;
-                      kids.(i) <- node)
-                    cases;
-                  Tswitch
-                    {
-                      ts_dim = d;
-                      ts_keys = keys;
-                      ts_kids = kids;
-                      ts_mask = mask;
-                      ts_default = default;
-                    })
-        in
-        Hashtbl.add memo mkey n;
-        n
-  in
-  let root = build dims keyed in
-  let rec depth = function
-    | Tleaf _ -> 0
-    | Tswitch s ->
-        1
-        + Array.fold_left
-            (fun acc kid -> max acc (depth kid))
-            (depth s.ts_default) s.ts_kids
-  in
-  {
-    tr_root = root;
-    tr_nodes = !nodes;
-    tr_depth = depth root;
-    tr_ndims = List.fold_left max (-1) dims + 1;
-    tr_visited = 0;
-  }
-
 (* The compiled tree is memoized behind the event's generation counter —
    the same counter the flow-path cache invalidates on — so any
    install/uninstall/mode/extractor churn recompiles lazily on the next
@@ -1021,72 +810,32 @@ let tree_for ev =
   match ev.tree with
   | Some tr when ev.tree_gen = !(ev.gen) -> tr
   | _ ->
-      let tr = build_tree ev in
+      let members =
+        Hids.fold
+          (fun _ h acc ->
+            { Demux_tree.id = h.hid; keys = h.hkeys; exact = h.hexact;
+              cacheable = h.cacheable; handler = h }
+            :: acc)
+          ev.table []
+      in
+      let tr =
+        Demux_tree.compile ~extractor:(Option.is_some ev.keyvfn) members
+      in
       ev.tree <- Some tr;
       ev.tree_gen <- !(ev.gen);
       incr ev.tr_rebuilds;
       tr
 
-(* One walk: at each switch read the payload's value for that dimension
-   from the scratch array and jump.  Returns the leaf and leaves the
-   number of switches visited (the [costs.tree_node] multiplier) in
-   [tr_visited].  The loop is a top-level function so a walk allocates
-   no closure. *)
-let rec walk_from tr s n visited =
-  match n with
-  | Tleaf l ->
-      tr.tr_visited <- visited;
-      l
-  | Tswitch sw ->
-      let value =
-        if sw.ts_dim < Array.length s then Array.unsafe_get s sw.ts_dim
-        else -1
-      in
-      let next =
-        if value < 0 then sw.ts_default
-        else
-          let i = jump_index sw.ts_keys sw.ts_mask value in
-          if Array.unsafe_get sw.ts_keys i = value then
-            Array.unsafe_get sw.ts_kids i
-          else sw.ts_default
-      in
-      walk_from tr s next (visited + 1)
-
 (* A one-leaf tree reads no key, so its walk skips the extractor. *)
 let tree_walk ev tr v =
-  match tr.tr_root with
-  | Tleaf l ->
-      tr.tr_visited <- 0;
-      l
-  | root -> walk_from tr (fill_keyvals ev v tr.tr_ndims) root 0
+  let n = Demux_tree.ndims tr in
+  Demux_tree.walk tr (if n = 0 then ev.scratch else fill_keyvals ev v n)
 
 let tree_raises ev = !(ev.ev_tree)
 
 (* Force-compile (if stale) and render the event's tree for
    introspection — the CLI's [dispatch --tree] view. *)
-let compiled_tree ev =
-  let label_of h = (h.hid, h.label) in
-  let rec view = function
-    | Tleaf l ->
-        Tree_leaf
-          {
-            tv_exact = Array.to_list (Array.map label_of l.tl_exact);
-            tv_resid = Array.to_list (Array.map label_of l.tl_resid);
-          }
-    | Tswitch sw ->
-        let cases = ref [] in
-        Array.iteri
-          (fun i k ->
-            if k >= 0 then cases := (k, view sw.ts_kids.(i)) :: !cases)
-          sw.ts_keys;
-        Tree_switch
-          {
-            tv_dim = sw.ts_dim;
-            tv_cases = List.sort (fun (a, _) (b, _) -> compare a b) !cases;
-            tv_default = view sw.ts_default;
-          }
-  in
-  view (tree_for ev).tr_root
+let compiled_tree ev = Demux_tree.view (fun h -> (h.hid, h.label)) (tree_for ev)
 
 (* Placeholder claim runner of an event that has not claimed a hop yet
    (the real one needs the replay functions defined further down). *)
@@ -1143,10 +892,10 @@ let event disp ?(mode = Interrupt) ename =
         (fun () -> Clock_cache.length ev.entries);
       Observe.Registry.gauge r
         ("spin." ^ ename ^ ".tree.depth")
-        (fun () -> match ev.tree with Some tr -> tr.tr_depth | None -> 0);
+        (fun () -> match ev.tree with Some tr -> Demux_tree.depth tr | None -> 0);
       Observe.Registry.gauge r
         ("spin." ^ ename ^ ".tree.nodes")
-        (fun () -> match ev.tree with Some tr -> tr.tr_nodes | None -> 0)
+        (fun () -> match ev.tree with Some tr -> Demux_tree.nodes tr | None -> 0)
   | None -> ());
   ev
 
@@ -1474,11 +1223,13 @@ let tree_demux ev dm =
     else tree_walk ev (tree_for ev) v
   in
   Sim.Stash.put ev.demuxes dm;
-  let exact = leaf.tl_exact and resid = leaf.tl_resid in
+  let exact = Demux_tree.exact leaf and resid = Demux_tree.resid leaf in
   let recording =
     match flow with
     | Recording r ->
-        if ev.mode <> Interrupt || Option.is_some over || not leaf.tl_cacheable
+        if
+          ev.mode <> Interrupt || Option.is_some over
+          || not (Demux_tree.cacheable leaf)
         then r.rec_ok <- false;
         true
     | No_flow -> false
@@ -1523,22 +1274,27 @@ let tree_demux ev dm =
   (match flow with
   | Recording r ->
       if r.rec_ok then
-        r.rec_hops <-
-          {
-            hop_uid = ev.uid;
-            hop_gen = ev.gen;
-            hop_gen_at = !(ev.gen);
-            hop_hids = List.rev !accepted_rev;
-          }
-          :: r.rec_hops
+        if List.compare_length_with r.rec_hops max_chain >= 0 then begin
+          r.rec_ok <- false;
+          r.rec_hops <- []
+        end
+        else
+          r.rec_hops <-
+            {
+              hop_uid = ev.uid;
+              hop_gen = ev.gen;
+              hop_gen_at = !(ev.gen);
+              hop_hids = List.rev !accepted_rev;
+            }
+            :: r.rec_hops
   | No_flow -> ());
   flow_leave d flow;
   release_frame ev v
 
 (* Graph dispatch of one raise, optionally recording the hop: one walk
-   of the event's merged tree finds the leaf; the leaf's [tl_exact]
-   handlers are proven matches (no closure call — the walk evaluated
-   their guards), its [tl_resid] handlers get a real guard evaluation.
+   of the event's merged tree finds the leaf; the leaf's exact handlers
+   are proven matches (no closure call — the walk evaluated their
+   guards), its residual handlers get a real guard evaluation.
    The two arrays are merged by hid at delivery time so delivery runs
    in install order.  [guard_evals] counts only the residuals.
    [raises]/[ev_raises] are the caller's job (so batch entry points can
@@ -1547,9 +1303,10 @@ let raise_core ?over ev v flow =
   let d = ev.disp in
   let tr = tree_for ev in
   let leaf = tree_walk ev tr v in
-  let visited = tr.tr_visited in
-  let n_exact = Array.length leaf.tl_exact in
-  let n_resid = Array.length leaf.tl_resid in
+  let visited = Demux_tree.visited tr in
+  let resid = Demux_tree.resid leaf in
+  let n_exact = Array.length (Demux_tree.exact leaf) in
+  let n_resid = Array.length resid in
   d.guard_evals := !(d.guard_evals) + n_resid;
   incr ev.ev_tree;
   ev.tr_resid_evals := !(ev.tr_resid_evals) + n_resid;
@@ -1565,7 +1322,7 @@ let raise_core ?over ev v flow =
   let extra_gcost =
     Array.fold_left
       (fun acc h -> Sim.Stime.add acc h.gcost)
-      Sim.Stime.zero leaf.tl_resid
+      Sim.Stime.zero resid
   in
   let demux_cost =
     Sim.Stime.add extra_gcost

@@ -393,7 +393,7 @@ type event_info = {
 }
 
 (** Structural rendering of a compiled tree ({!compiled_tree}). *)
-type tree_view =
+type tree_view = Demux_tree.view =
   | Tree_leaf of {
       tv_exact : (int * string) list;
           (** (hid, label) of proven matches — guards skipped *)

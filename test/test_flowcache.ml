@@ -77,6 +77,48 @@ let hit_replays_same_chain () =
     [ (-1, 0); (1, 0); (2, 0); (-1, 4); (1, 4); (2, 4); (-1, 8); (1, 8); (2, 8) ]
     (delivered s)
 
+(* A chain of [n] events, each handler raising the next: a root raise
+   walks [n] hops.  Past 64 the recording is abandoned, so every raise
+   misses and no entry is committed; delivery is unchanged. *)
+let chain_of n =
+  let e = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create e ~name:"cpu" in
+  let d = D.create ~cpu ~costs:D.default_costs () in
+  D.set_flow_cache d true;
+  let evs = Array.init n (fun i -> D.event d (Printf.sprintf "e%d" i)) in
+  D.set_sigfn evs.(0) ~len:1 sig_low_bits;
+  let runs = ref 0 in
+  Array.iteri
+    (fun i ev ->
+      let (_ : unit -> unit) =
+        D.install ev ~cacheable:true ~cost:(us 1) (fun v ->
+            incr runs;
+            if i + 1 < n then D.raise evs.(i + 1) v)
+      in
+      ())
+    evs;
+  let send v =
+    D.raise evs.(0) v;
+    Sim.Engine.run e
+  in
+  (d, evs.(0), runs, send)
+
+let long_chain_is_not_cached () =
+  let d, root, runs, send = chain_of 64 in
+  send 0;
+  send 4;
+  Alcotest.(check (pair int int)) "64 hops: recorded, then replayed" (1, 1)
+    (D.path_cache_misses d, D.path_cache_hits d);
+  Alcotest.(check int) "every hop ran twice" 128 !runs;
+  let d, root', runs, send = chain_of 65 in
+  send 0;
+  send 4;
+  Alcotest.(check (pair int int)) "65 hops: two misses" (2, 0)
+    (D.path_cache_misses d, D.path_cache_hits d);
+  Alcotest.(check (pair int int)) "no entry" (1, 0)
+    (D.cache_entries root, D.cache_entries root');
+  Alcotest.(check int) "every hop still ran twice" 130 !runs
+
 let disabled_by_default () =
   let s = mk_side ~flowcache:false in
   let (_ : unit -> unit) = install_logger s s.mid 1 in
@@ -893,6 +935,7 @@ let suite =
           churn_during_replay_diverges_safely;
         tc "claim then churn falls back in the runner" claim_then_churn;
         tc "fan-out claims keep raise order" fan_out_keeps_raise_order;
+        tc "a chain past 64 hops is not cached" long_chain_is_not_cached;
         prop equivalence_under_churn;
       ] );
     ( "flowcache.stack",
