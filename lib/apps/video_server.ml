@@ -19,11 +19,10 @@ type t = {
   frame_len : int;
   mutable streams : (Proto.Ipaddr.t * int) list;
   mutable frames_sent : int;
-  mutable running : bool;
 }
 
 let create env ~fps ~frame_len =
-  { env; fps; frame_len; streams = []; frames_sent = 0; running = false }
+  { env; fps; frame_len; streams = []; frames_sent = 0 }
 
 let add_stream t dst = t.streams <- t.streams @ [ dst ]
 let set_streams t streams = t.streams <- streams
@@ -33,11 +32,8 @@ let period t = Sim.Stime.of_s_f (1.0 /. float_of_int t.fps)
 (* Each stream has its own frame clock, staggered so that 30 streams do
    not burst simultaneously (the paper's server interleaves streams). *)
 let start ?(until = Sim.Stime.s 10) t =
-  t.running <- true;
-  let horizon = until in
   let rec tick dst idx () =
-    if t.running && Sim.Stime.compare (Sim.Engine.now t.env.engine) horizon < 0
-    then begin
+    if Sim.Stime.compare (Sim.Engine.now t.env.engine) until < 0 then begin
       t.env.read_frame ~len:t.frame_len (fun frame ->
           t.frames_sent <- t.frames_sent + 1;
           t.env.send ~dst frame);

@@ -11,7 +11,6 @@ type t = {
   mutable busy_until : Sim.Stime.t;
   mutable busy_ns : Sim.Stime.t; (* accumulated service time *)
   mutable reads : int;
-  mutable bytes_read : int;
 }
 
 let create ?(bw_bytes_per_s = 20_000_000) ?(access = Sim.Stime.us 200) engine
@@ -25,7 +24,6 @@ let create ?(bw_bytes_per_s = 20_000_000) ?(access = Sim.Stime.us 200) engine
     busy_until = Sim.Stime.zero;
     busy_ns = Sim.Stime.zero;
     reads = 0;
-    bytes_read = 0;
   }
 
 let reads t = t.reads
@@ -54,7 +52,6 @@ let read t ~len k =
       t.busy_ns <- Sim.Stime.add t.busy_ns (Sim.Stime.sub done_at start);
       t.busy_until <- done_at;
       t.reads <- t.reads + 1;
-      t.bytes_read <- t.bytes_read + len;
       ignore
         (Sim.Engine.schedule t.engine ~at:done_at (fun () ->
              (* completion interrupt *)

@@ -15,7 +15,6 @@ type t = {
   name : string;
   capacity : int;
   mutable live : int;
-  mutable allocations : int;
   mutable failures : int;
   mutable peak : int;
   mutable underflows : int;
@@ -36,7 +35,6 @@ let create ?(name = "pool") ~capacity () =
     name;
     capacity;
     live = 0;
-    allocations = 0;
     failures = 0;
     peak = 0;
     underflows = 0;
@@ -82,7 +80,6 @@ let reserve t =
   end
   else begin
     t.live <- t.live + 1;
-    t.allocations <- t.allocations + 1;
     if t.live > t.peak then t.peak <- t.live;
     check_rise t;
     true
@@ -95,7 +92,6 @@ let reserve_n t n =
   if n < 0 then invalid_arg "Pool.reserve_n: negative count";
   let granted = Int.min n (t.capacity - t.live) in
   t.live <- t.live + granted;
-  t.allocations <- t.allocations + granted;
   if t.live > t.peak then t.peak <- t.live;
   if granted > 0 then check_rise t;
   if granted < n then t.failures <- t.failures + (n - granted);

@@ -159,12 +159,12 @@ module Cache = struct
     t.sweep_at <- !earliest
 
   let has_room t ~now =
-    t.dynamic < max_dynamic
-    || Sim.Stime.compare now t.sweep_at >= 0
-       && begin
-         sweep t ~now;
-         t.dynamic < max_dynamic
-       end
+    if t.dynamic < max_dynamic then true
+    else if Sim.Stime.compare now t.sweep_at < 0 then false
+    else begin
+      sweep t ~now;
+      t.dynamic < max_dynamic
+    end
 
   (* RFC 826's merge: a sender the cache already holds is refreshed, and
      a new one is added only when the message is addressed to this host,

@@ -9,8 +9,8 @@
    call", which the cost model reflects via [costs.dispatch].
 
    Demultiplexing has one path, the way DPF and PathFinder showed it must
-   scale: every raise walks the event's merged decision tree (see "merged
-   dispatch tree" below).  Handlers whose guard implies literal
+   scale: every raise walks the event's merged decision tree
+   ([Demux_tree]).  Handlers whose guard implies literal
    equalities on demux fields (EtherType, IP protocol, ports) are
    installed with those equalities as [keys]; the tree switches on them,
    so raise cost scales with the number of *matching* handlers, not the
@@ -341,6 +341,7 @@ let path_cache_invalidations t = !(t.pc_invalidations)
 let path_cache_evictions t = !(t.pc_evictions)
 let set_flow_cache t on = t.fcache <- on
 let set_flight t fl = t.flight <- fl
+
 let now_ns t = Sim.Stime.to_ns (Sim.Engine.now (Sim.Cpu.engine t.cpu))
 
 type 'a kind =
@@ -806,25 +807,25 @@ let fill_keyvals ev v ndims =
    the same counter the flow-path cache invalidates on — so any
    install/uninstall/mode/extractor churn recompiles lazily on the next
    raise. *)
+let compile_tree ev =
+  let members =
+    Hids.fold
+      (fun _ h acc ->
+        { Demux_tree.id = h.hid; keys = h.hkeys; exact = h.hexact;
+          cacheable = h.cacheable; handler = h }
+        :: acc)
+      ev.table []
+  in
+  let tr = Demux_tree.compile ~extractor:(Option.is_some ev.keyvfn) members in
+  ev.tree <- Some tr;
+  ev.tree_gen <- !(ev.gen);
+  incr ev.tr_rebuilds;
+  tr
+
 let tree_for ev =
   match ev.tree with
   | Some tr when ev.tree_gen = !(ev.gen) -> tr
-  | _ ->
-      let members =
-        Hids.fold
-          (fun _ h acc ->
-            { Demux_tree.id = h.hid; keys = h.hkeys; exact = h.hexact;
-              cacheable = h.cacheable; handler = h }
-            :: acc)
-          ev.table []
-      in
-      let tr =
-        Demux_tree.compile ~extractor:(Option.is_some ev.keyvfn) members
-      in
-      ev.tree <- Some tr;
-      ev.tree_gen <- !(ev.gen);
-      incr ev.tr_rebuilds;
-      tr
+  | _ -> compile_tree ev
 
 (* A one-leaf tree reads no key, so its walk skips the extractor. *)
 let tree_walk ev tr v =

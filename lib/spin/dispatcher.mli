@@ -1,5 +1,7 @@
-(** The SPIN event dispatcher: typed events, guards, handlers and the
-    merged demux tree.
+(** The SPIN event dispatcher: typed events, guards, handlers, the
+    flow-path cache and the hot-swap scopes.  The merged demux tree each
+    raise walks is {!Demux_tree}; the dispatcher compiles one per event
+    and keeps it until the event's handlers change.
 
     "An event is raised by a kernel service or extension code to announce
     a change in system state or to request a service" (paper, section 2).
@@ -83,9 +85,9 @@ val set_keyvfn : 'a event -> dims:int -> ('a -> int array -> unit) -> unit
 
 (** {1 Merged decision-tree dispatch}
 
-    Every raise walks one decision tree per event, compiled from its
-    handlers' keys (DPF-style cross-filter merge): common tests are
-    evaluated once, each switch jumps through a dense open-addressed
+    Every raise walks one decision tree per event ({!Demux_tree}),
+    compiled from its handlers' keys (DPF-style cross-filter merge):
+    common tests are evaluated once, each switch jumps through a dense open-addressed
     table, and the reached leaf holds the exact set of matching
     handlers — zero per-handler guard re-evaluation for handlers
     installed with [~exact:true] (opaque closure guards are
