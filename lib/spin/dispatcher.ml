@@ -822,6 +822,9 @@ let compile_tree ev =
   incr ev.tr_rebuilds;
   tr
 
+(* Every raise calls this; the compile lives in [compile_tree] so that it
+   stays small enough to inline into the raise path (a function that
+   builds a closure is never inlined). *)
 let tree_for ev =
   match ev.tree with
   | Some tr when ev.tree_gen = !(ev.gen) -> tr
