@@ -87,10 +87,10 @@ val set_keyvfn : 'a event -> dims:int -> ('a -> int array -> unit) -> unit
 
     Every raise walks one decision tree per event ({!Demux_tree}),
     compiled from its handlers' keys (DPF-style cross-filter merge):
-    common tests are evaluated once, each switch jumps through a dense open-addressed
-    table, and the reached leaf holds the exact set of matching
-    handlers — zero per-handler guard re-evaluation for handlers
-    installed with [~exact:true] (opaque closure guards are
+    common tests are evaluated once, each switch jumps through a dense
+    open-addressed table, and the reached leaf holds the exact set of
+    matching handlers — zero per-handler guard re-evaluation for
+    handlers installed with [~exact:true] (opaque closure guards are
     leaf-attached residual checks; unkeyed handlers, and handlers with
     a key of dimension [>= 64] or a negative key, are residuals at
     every leaf).  Switches are built only when the event has a key
